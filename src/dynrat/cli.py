@@ -154,10 +154,6 @@ def _load_problem_and_params(args) -> tuple[DecisionProblem, dict]:
     return base, params
 
 
-def _float_repr(q: Fraction) -> float:
-    return float(q)
-
-
 def _pretty_verdict(result: dict) -> list[str]:
     lines = []
     if "rationalizable" in result:
@@ -390,3 +386,7 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 def main() -> None:  # console entry point
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

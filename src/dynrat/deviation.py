@@ -22,6 +22,7 @@ from .model import (
     JointDistribution,
     MarginalDistribution,
     ValidationError,
+    format_rational,
     lottery_utility,
     parse_rational,
     utility,
@@ -171,7 +172,7 @@ class DeviationRule:
         out: dict[str, dict[str, str]] = {}
         for a, row in zip(self.leaves, self.matrix):
             out[a.label] = {
-                b.label: f"{w.numerator}/{w.denominator}" if w.denominator != 1 else str(w.numerator)
+                b.label: format_rational(w)
                 for b, w in zip(self.leaves, row)
                 if w != 0
             }

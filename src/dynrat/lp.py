@@ -6,15 +6,20 @@ anti-cycling pivot rule, so every solve terminates and is bit-for-bit
 deterministic.  Strict inequalities never appear in a program; callers decide
 strictness by comparing the exact optimal value against zero afterwards.
 
-Internally the tableau runs on ``gmpy2.mpq`` when available (same exact
-semantics as `fractions.Fraction`, much faster); all inputs and outputs are
-plain `Fraction`s.
+The tableau is fraction-free in the manner of Edmonds and Bareiss: each row
+is a list of Python ints over one positive common denominator, kept in
+lowest terms, so a pivot is integer multiply-and-subtract plus one gcd per
+row.  Ratio-test steps are compared as exact rationals, the same values a
+`Fraction` tableau would hold, so the pivot sequence does not depend on the
+representation.  All inputs and outputs are plain `Fraction`s.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping, Optional, Union
 
 from .model import (
@@ -23,20 +28,6 @@ from .model import (
     format_rational,
     parse_rational,
 )
-
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _mpq = None
-
-
-def _internal(x: Fraction):
-    return _mpq(x.numerator, x.denominator) if _mpq is not None else x
-
-
-def _external(x) -> Fraction:
-    return Fraction(x.numerator, x.denominator)
-
 
 _SENSES = ("<=", "==", ">=")
 
@@ -161,6 +152,42 @@ def dump_lp(lp: LinearProgram) -> str:
 # Simplex
 # ---------------------------------------------------------------------------
 
+def _int_row(entries: dict[int, Fraction], width: int) -> list:
+    """A tableau row ``[nums, den]`` of ``width`` slots holding exactly the
+    given rationals, and zero elsewhere."""
+    den = math.lcm(*(v.denominator for v in entries.values()))
+    nums = [0] * width
+    for k, v in entries.items():
+        nums[k] = v.numerator * (den // v.denominator)
+    return [nums, den]
+
+
+def _store(row: list, nums: list[int], den: int) -> None:
+    """Set ``row`` to ``nums / den`` (``den > 0``) in lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+    row[0] = nums
+    row[1] = den
+
+
+def _eliminate(row: list, j: int, pivot: list[tuple[int, int]], pd: int) -> None:
+    """Zero entry ``j`` of ``row`` by subtracting ``row``'s entry ``j`` times
+    the pivot row: ``nums * pd - f * pivot_nums`` over ``den * pd``, where
+    ``f = nums[j]``.  The pivot row has denominator ``pd`` and entry 1 at
+    column ``j``; ``pivot`` lists its nonzero ``(column, numerator)`` pairs,
+    the only places that need a subtraction."""
+    nums, den = row
+    f = nums[j]
+    if pd != 1:
+        nums = [a * pd for a in nums]
+    for k, b in pivot:
+        nums[k] -= f * b
+    _store(row, nums, den * pd)
+
+
 class _Solver:
     """Two-phase primal simplex with upper bounds and Bland's rule.
 
@@ -169,31 +196,37 @@ class _Solver:
     ("flipped", x = ub - x~).  Entering steps therefore always increase the
     working variable from zero, which keeps the ratio test and Bland's rule
     in their textbook forms.
+
+    Every tableau row, the objective rows included, is a pair ``[nums, den]``
+    of Python ints: entry ``k`` is ``nums[k] / den`` with ``den > 0`` and the
+    row in lowest terms.  The last slot holds the right-hand side; objective
+    rows hold minus the objective's current value there, so pivots, bound
+    flips and pricing apply one integer update to every row alike.  The basic
+    column of a constraint row has entry exactly 1 (``nums[b] == den``).
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         self.pivots = 0
-        zero = _internal(Fraction(0))
-        self._zero = zero
+        zero = Fraction(0)
 
         # Map user variables to internal columns (all with lower bound 0).
         self.records: dict[str, tuple] = {}
-        self.ub: list = []          # per column: scalar upper bound or None
+        self.ub: list = []          # per column: Fraction upper bound or None
         self.artificial: list = []  # per column: bool
         col = 0
         for name, (lo, hi) in lp.variables.items():
             if lo is not None and hi is not None and lo == hi:
-                self.records[name] = ("fixed", _internal(lo))
+                self.records[name] = ("fixed", lo)
                 continue
             if lo is not None:
-                width = None if hi is None else _internal(hi - lo)
-                self.records[name] = ("shifted", col, _internal(lo))
+                width = None if hi is None else hi - lo
+                self.records[name] = ("shifted", col, lo)
                 self.ub.append(width)
                 self.artificial.append(False)
                 col += 1
             elif hi is not None:
-                self.records[name] = ("reflected", col, _internal(hi))
+                self.records[name] = ("reflected", col, hi)
                 self.ub.append(None)
                 self.artificial.append(False)
                 col += 1
@@ -202,32 +235,35 @@ class _Solver:
                 self.ub.extend([None, None])
                 self.artificial.extend([False, False])
                 col += 2
-        self.ncols_user = col
 
         # Transform constraint rows into internal coordinates.
-        raw_rows: list[tuple[dict, str, object]] = []
+        raw_rows: list[tuple[dict, str, Fraction]] = []
         for con in lp.constraints:
-            coeffs: dict[int, object] = {}
-            rhs = _internal(con.rhs)
+            coeffs: dict[int, Fraction] = {}
+
+            def put(j: int, v: Fraction) -> None:
+                coeffs[j] = coeffs[j] + v if j in coeffs else v
+
+            rhs = con.rhs
             for var, c in con.coeffs:
-                ci = _internal(c)
                 rec = self.records[var]
                 if rec[0] == "fixed":
-                    rhs -= ci * rec[1]
+                    rhs -= c * rec[1]
                 elif rec[0] == "shifted":
-                    coeffs[rec[1]] = coeffs.get(rec[1], zero) + ci
-                    rhs -= ci * rec[2]
+                    put(rec[1], c)
+                    if rec[2]:
+                        rhs -= c * rec[2]
                 elif rec[0] == "reflected":
-                    coeffs[rec[1]] = coeffs.get(rec[1], zero) - ci
-                    rhs -= ci * rec[2]
+                    put(rec[1], -c)
+                    rhs -= c * rec[2]
                 else:
-                    coeffs[rec[1]] = coeffs.get(rec[1], zero) + ci
-                    coeffs[rec[2]] = coeffs.get(rec[2], zero) - ci
+                    put(rec[1], c)
+                    put(rec[2], -c)
             coeffs = {j: v for j, v in coeffs.items() if v != 0}
             raw_rows.append((coeffs, con.sense, rhs))
 
         self.infeasible_row = False
-        rows: list[tuple[dict, str, object]] = []
+        rows: list[tuple[dict, str, Fraction]] = []
         for coeffs, sense, rhs in raw_rows:
             if not coeffs:
                 ok = (rhs >= 0) if sense == "<=" else (rhs <= 0) if sense == ">=" else (rhs == 0)
@@ -244,139 +280,126 @@ class _Solver:
             rows.append((coeffs, sense, rhs))
 
         # Append slack/surplus/artificial columns and set the starting basis.
-        self.matrix: list[list] = []
-        self.rhs: list = []
-        self.basis: list[int] = []
-        pending: list[tuple[dict, str, object]] = rows
-        extra_specs: list[tuple[int, str]] = []  # (row, kind)
-        for r, (coeffs, sense, rhs) in enumerate(pending):
-            if sense == "<=":
-                extra_specs.append((r, "slack"))
-            elif sense == ">=":
-                extra_specs.append((r, "surplus+artificial"))
-            else:
-                extra_specs.append((r, "artificial"))
         ncols = col
-        col_of_extra: list[tuple[int, int, int]] = []  # (row, slack_col or -1, art_col or -1)
-        for r, kind in extra_specs:
-            if kind == "slack":
-                col_of_extra.append((r, ncols, -1))
+        extra_cols: list[tuple[int, int]] = []  # (slack_col or -1, art_col or -1)
+        for _, sense, _ in rows:
+            if sense == "<=":
+                extra_cols.append((ncols, -1))
                 self.ub.append(None)
                 self.artificial.append(False)
                 ncols += 1
-            elif kind == "surplus+artificial":
-                col_of_extra.append((r, ncols, ncols + 1))
+            elif sense == ">=":
+                extra_cols.append((ncols, ncols + 1))
                 self.ub.extend([None, None])
                 self.artificial.extend([False, True])
                 ncols += 2
             else:
-                col_of_extra.append((r, -1, ncols))
+                extra_cols.append((-1, ncols))
                 self.ub.append(None)
                 self.artificial.append(True)
                 ncols += 1
         self.ncols = ncols
-        for (coeffs, sense, rhs), (r, s_col, a_col) in zip(pending, col_of_extra):
-            row = [zero] * ncols
-            for j, v in coeffs.items():
-                row[j] = v
+        self.matrix: list[list] = []
+        self.basis: list[int] = []
+        for (coeffs, sense, rhs), (s_col, a_col) in zip(rows, extra_cols):
+            row = dict(coeffs)
+            row[ncols] = rhs
             if sense == "<=":
-                row[s_col] = _internal(Fraction(1))
+                row[s_col] = Fraction(1)
                 self.basis.append(s_col)
             elif sense == ">=":
-                row[s_col] = _internal(Fraction(-1))
-                row[a_col] = _internal(Fraction(1))
+                row[s_col] = Fraction(-1)
+                row[a_col] = Fraction(1)
                 self.basis.append(a_col)
             else:
-                row[a_col] = _internal(Fraction(1))
+                row[a_col] = Fraction(1)
                 self.basis.append(a_col)
-            self.matrix.append(row)
-            self.rhs.append(rhs)
+            self.matrix.append(_int_row(row, ncols + 1))
 
         self.flipped = [False] * ncols
-        self.dropped: list[int] = []
 
-        # Phase-2 objective in internal coordinates (always maximize).
+        # Phase-2 objective in internal coordinates (always maximize).  The
+        # starting basis is slacks/artificials, none of which appear in the
+        # user objective, so this row is already priced out.
         sign = 1 if lp.direction == "max" else -1
-        self.obj = [zero] * ncols
-        self.obj_const = zero
+        obj: dict[int, Fraction] = {ncols: zero}
         for var, c in lp.objective.items():
-            ci = _internal(c) * sign
+            c *= sign
             rec = self.records[var]
             if rec[0] == "fixed":
-                self.obj_const += ci * rec[1]
+                obj[ncols] -= c * rec[1]
             elif rec[0] == "shifted":
-                self.obj[rec[1]] += ci
-                self.obj_const += ci * rec[2]
+                obj[rec[1]] = obj.get(rec[1], zero) + c
+                obj[ncols] -= c * rec[2]
             elif rec[0] == "reflected":
-                self.obj[rec[1]] -= ci
-                self.obj_const += ci * rec[2]
+                obj[rec[1]] = obj.get(rec[1], zero) - c
+                obj[ncols] -= c * rec[2]
             else:
-                self.obj[rec[1]] += ci
-                self.obj[rec[2]] -= ci
-        # The starting basis is slacks/artificials, none of which appear in the
-        # user objective, so this row is already priced out.
+                obj[rec[1]] = obj.get(rec[1], zero) + c
+                obj[rec[2]] = obj.get(rec[2], zero) - c
+        self.obj = _int_row(obj, ncols + 1)
 
     # -- tableau mechanics ----------------------------------------------------
 
     def _flip(self, j: int, objs: list) -> None:
-        ubj = self.ub[j]
-        for i, row in enumerate(self.matrix):
-            if row[j] != 0:
-                self.rhs[i] -= row[j] * ubj
-                row[j] = -row[j]
-        for obj in objs:
-            if obj[0][j] != 0:
-                obj[1][0] += obj[0][j] * ubj
-                obj[0][j] = -obj[0][j]
+        """Move column ``j`` to its other bound: x_j = ub_j - x~_j."""
+        u, w = self.ub[j].numerator, self.ub[j].denominator
+        for row in chain(self.matrix, objs):
+            nums, den = row
+            a = nums[j]
+            if a != 0:
+                if w != 1:
+                    nums = [x * w for x in nums]
+                    den *= w
+                nums[-1] -= a * u
+                nums[j] = -nums[j]
+                _store(row, nums, den)
         self.flipped[j] = not self.flipped[j]
 
     def _pivot(self, r: int, j: int, objs: list) -> None:
-        row = self.matrix[r]
-        p = row[j]
-        if p != 1:
-            inv = 1 / p
-            self.matrix[r] = row = [v * inv for v in row]
-            self.rhs[r] *= inv
-        for i, other in enumerate(self.matrix):
-            if i != r and other[j] != 0:
-                f = other[j]
-                self.matrix[i] = [a - f * b for a, b in zip(other, row)]
-                self.rhs[i] -= f * self.rhs[r]
-        for obj in objs:
-            f = obj[0][j]
-            if f != 0:
-                obj[0][:] = [a - f * b for a, b in zip(obj[0], row)]
-                obj[1][0] += f * self.rhs[r]
+        pivot = self.matrix[r]
+        nums = pivot[0]
+        if nums[j] < 0:
+            nums = [-x for x in nums]
+        _store(pivot, nums, nums[j])
+        nums, pd = pivot
+        support = [(k, b) for k, b in enumerate(nums) if b]
+        for other in chain(self.matrix, objs):
+            if other[0][j] != 0 and other is not pivot:
+                _eliminate(other, j, support, pd)
         self.basis[r] = j
 
-    def _run(self, obj_row: list, obj_const: list, extra_objs: list, phase1: bool) -> str:
+    def _run(self, obj_row: list, extra_objs: list, phase1: bool) -> str:
         guard = 5000 + 200 * (len(self.matrix) + self.ncols)
         in_basis = set(self.basis)
         while True:
             entering = None
+            reduced = obj_row[0]
             for j in range(self.ncols):
-                if j in in_basis or (self.artificial[j] and not phase1):
-                    continue
-                if self.ub[j] == 0:
-                    continue
-                if obj_row[j] > 0:
+                if (reduced[j] > 0 and j not in in_basis and self.ub[j] != 0
+                        and (phase1 or not self.artificial[j])):
                     entering = j
                     break
             if entering is None:
                 return "optimal"
 
             # Blocking candidates: (step, blocking variable index, kind, row).
-            candidates: list[tuple[object, int, str, int]] = []
+            # A row's entries share its denominator, so each step is a ratio
+            # of numerators (scaled by the bound's denominator where one
+            # enters).
+            candidates: list[tuple[Fraction, int, str, int]] = []
             if self.ub[entering] is not None:
                 candidates.append((self.ub[entering], entering, "self", -1))
-            for r, row in enumerate(self.matrix):
-                a = row[entering]
+            for r, (nums, den) in enumerate(self.matrix):
+                a = nums[entering]
                 if a > 0:
-                    candidates.append((self.rhs[r] / a, self.basis[r], "lower", r))
+                    candidates.append((Fraction(nums[-1], a), self.basis[r], "lower", r))
                 elif a < 0:
                     ubb = self.ub[self.basis[r]]
                     if ubb is not None:
-                        candidates.append(((ubb - self.rhs[r]) / (-a), self.basis[r], "upper", r))
+                        step = Fraction(ubb.numerator * den - nums[-1] * ubb.denominator,
+                                        -a * ubb.denominator)
+                        candidates.append((step, self.basis[r], "upper", r))
             if not candidates:
                 return "unbounded"
             step = min(c[0] for c in candidates)
@@ -384,7 +407,7 @@ class _Solver:
                 (c for c in candidates if c[0] == step), key=lambda c: c[1]
             )
 
-            objs = [(obj_row, obj_const)] + extra_objs
+            objs = [obj_row] + extra_objs
             self.pivots += 1
             _PIVOT_TALLY[0] += 1
             if kind == "self":
@@ -394,11 +417,18 @@ class _Solver:
                 self._pivot(r, entering, objs)
                 in_basis.add(entering)
             else:
+                # The leaving variable goes to its upper bound u/w: negate the
+                # row except for its own (basic) entry, and the right-hand
+                # side becomes u/w - rhs.
                 leaving = self.basis[r]
                 ubb = self.ub[leaving]
-                self.matrix[r] = [-v for v in self.matrix[r]]
-                self.rhs[r] = ubb - self.rhs[r]
-                self.matrix[r][leaving] = -self.matrix[r][leaving]
+                u, w = ubb.numerator, ubb.denominator
+                row = self.matrix[r]
+                nums, den = row
+                nums = [-x * w for x in nums]
+                nums[leaving] = -nums[leaving]
+                nums[-1] += u * den
+                _store(row, nums, den * w)
                 self.flipped[leaving] = not self.flipped[leaving]
                 in_basis.discard(leaving)
                 self._pivot(r, entering, objs)
@@ -406,51 +436,43 @@ class _Solver:
             if self.pivots > guard:  # pragma: no cover - would be a solver bug
                 raise RuntimeError("simplex pivot guard exceeded; anti-cycling failure")
 
-    def _price_out(self, obj_row: list, obj_const: list) -> None:
-        for r, b in enumerate(self.basis):
-            f = obj_row[b]
-            if f != 0:
-                row = self.matrix[r]
-                obj_row[:] = [a - f * v for a, v in zip(obj_row, row)]
-                obj_const[0] += f * self.rhs[r]
+    def _price_out(self, obj_row: list) -> None:
+        for (nums, pd), b in zip(self.matrix, self.basis):
+            if obj_row[0][b] != 0:
+                _eliminate(obj_row, b, [(k, v) for k, v in enumerate(nums) if v], pd)
 
     def solve(self) -> LpSolution:
         if self.infeasible_row:
             return LpSolution("infeasible", None, None, self.pivots)
 
-        obj_const = [self.obj_const]
         if any(self.artificial[b] for b in self.basis):
-            p1_row = [self._zero] * self.ncols
-            for j in range(self.ncols):
-                if self.artificial[j]:
-                    p1_row[j] = _internal(Fraction(-1))
-            p1_const = [self._zero]
-            self._price_out(p1_row, p1_const)
-            status = self._run(p1_row, p1_const, [(self.obj, obj_const)], phase1=True)
+            p1_row = [[-1 if a else 0 for a in self.artificial] + [0], 1]
+            self._price_out(p1_row)
+            status = self._run(p1_row, [self.obj], phase1=True)
             assert status == "optimal"  # phase-1 objective is bounded above by 0
-            if p1_const[0] != 0:
+            if p1_row[0][-1] != 0:
                 return LpSolution("infeasible", None, None, self.pivots)
-            self._drop_artificials([(p1_row, p1_const), (self.obj, obj_const)])
+            self._drop_artificials([p1_row, self.obj])
 
-        status = self._run(self.obj, obj_const, [], phase1=False)
+        status = self._run(self.obj, [], phase1=False)
         if status == "unbounded":
             return LpSolution("unbounded", None, None, self.pivots)
 
         values = [Fraction(0)] * self.ncols
-        for r, b in enumerate(self.basis):
-            values[b] = _external(self.rhs[r])
+        for (nums, den), b in zip(self.matrix, self.basis):
+            values[b] = Fraction(nums[-1], den)
         for j in range(self.ncols):
             if self.flipped[j]:
-                values[j] = _external(self.ub[j]) - values[j]
+                values[j] = self.ub[j] - values[j]
 
         assignment: dict[str, Fraction] = {}
         for name, rec in self.records.items():
             if rec[0] == "fixed":
-                assignment[name] = _external(rec[1])
+                assignment[name] = rec[1]
             elif rec[0] == "shifted":
-                assignment[name] = values[rec[1]] + _external(rec[2])
+                assignment[name] = values[rec[1]] + rec[2]
             elif rec[0] == "reflected":
-                assignment[name] = _external(rec[2]) - values[rec[1]]
+                assignment[name] = rec[2] - values[rec[1]]
             else:
                 assignment[name] = values[rec[1]] - values[rec[2]]
 
@@ -459,7 +481,9 @@ class _Solver:
         )
         if not check_solution(self.lp, assignment):  # pragma: no cover - solver bug
             raise RuntimeError("simplex returned an assignment violating the program")
-        expected = _external(obj_const[0]) * (1 if self.lp.direction == "max" else -1)
+        expected = Fraction(-self.obj[0][-1], self.obj[1])  # the last slot holds -value
+        if self.lp.direction == "min":
+            expected = -expected
         if value != expected:  # pragma: no cover - solver bug
             raise RuntimeError("objective bookkeeping mismatch")
         return LpSolution("optimal", value, assignment, self.pivots)
@@ -473,8 +497,9 @@ class _Solver:
                 continue
             # Basic artificial at value zero: pivot it out if possible.
             pivot_col = None
+            nums = self.matrix[r][0]
             for j in range(self.ncols):
-                if not self.artificial[j] and self.matrix[r][j] != 0:
+                if not self.artificial[j] and nums[j] != 0:
                     pivot_col = j
                     break
             if pivot_col is None:
@@ -483,7 +508,6 @@ class _Solver:
             keep_rows.append(r)
         if len(keep_rows) != len(self.matrix):
             self.matrix = [self.matrix[r] for r in keep_rows]
-            self.rhs = [self.rhs[r] for r in keep_rows]
             self.basis = [self.basis[r] for r in keep_rows]
 
 

@@ -24,6 +24,7 @@ from .model import (
     DecisionProblem,
     JointDistribution,
     ValidationError,
+    format_rational,
     parse_rational,
     utility,
 )
@@ -94,12 +95,12 @@ class InformationStructure:
         return {
             "signals": [list(s) for s in self.signal_sets],
             "prior": {
-                s: f"{p.numerator}/{p.denominator}" if p.denominator != 1 else str(p.numerator)
+                s: format_rational(p)
                 for s, p in zip(self.states, self.prior) if p != 0
             },
             "kernel": {
                 state: {
-                    ",".join(seq): f"{w.numerator}/{w.denominator}" if w.denominator != 1 else str(w.numerator)
+                    ",".join(seq): format_rational(w)
                     for seq, w in zip(self.sequences, row)
                     if w != 0
                 }
@@ -154,7 +155,7 @@ class Strategy:
             "signals": [list(s) for s in self.signal_sets],
             "kernel": {
                 ",".join(seq): {
-                    leaf.label: f"{w.numerator}/{w.denominator}" if w.denominator != 1 else str(w.numerator)
+                    leaf.label: format_rational(w)
                     for leaf, w in zip(self.leaves, row)
                     if w != 0
                 }

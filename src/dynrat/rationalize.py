@@ -34,6 +34,7 @@ from .model import (
     JointDistribution,
     MarginalDistribution,
     ValidationError,
+    _require_parameter_free,
     format_rational,
     parse_rational,
     utility,
@@ -46,11 +47,6 @@ class InternalInconsistencyError(RuntimeError):
     This can only happen if the solver or a constraint builder is wrong; it is
     never a property of the input data.
     """
-
-
-def _require_parameter_free(problem: DecisionProblem) -> None:
-    if problem.has_params:
-        raise ValidationError("instantiate the problem's parameters first")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from dynrat import cli
 
-PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+ROOT = Path(__file__).resolve().parent.parent
+PROBLEMS = ROOT / "problems"
 EX1 = str(PROBLEMS / "example1.json")
 EX2 = str(PROBLEMS / "example2.json")
 
@@ -167,3 +171,15 @@ def test_reports_are_self_contained(capsys, tmp_path):
     assert code == 0
     replay = first_report(out2)
     assert replay["result"] == report["result"]
+
+
+def test_module_entry_point_prints_a_report():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, "-m", "dynrat.cli", "check-seq", EX1, "--seq", "invest,pull_back"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert first_report(done.stdout)["result"]["rationalizable"] is True

@@ -1,0 +1,107 @@
+"""Pinned CLI reports: same verdicts, same witnesses, same pivot counts.
+
+Each case runs one CLI command on a shipped example and compares the report,
+minus `timing_ms`, byte for byte with the file under `tests/golden/`.  The
+files pin the solver's pivot sequence (`stats.lp_pivots`) and the exact
+certificates it finds, so a change to the tableau arithmetic that alters
+either shows up here.
+
+To rewrite the files after an intended change of output:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from dynrat import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+EX1 = str(ROOT / "problems" / "example1.json")
+EX2 = str(ROOT / "problems" / "example2.json")
+EX3 = str(ROOT / "problems" / "example3.json")
+JOINT_YES = "invest,pull_back@bad:1/2,invest,pull_back@good:1/6,invest,invest@good:1/3"
+JOINT_NO = "invest,pull_back@good:1/2,invest,invest@good:1/2"
+
+CASES = {
+    "ex1-check-seq-pull-back": ["check-seq", EX1, "--seq", "invest,pull_back"],
+    "ex1-check-seq-invest": ["check-seq", EX1, "--seq", "invest,invest"],
+    "ex1-maxprob-pull-back": ["maxprob", EX1, "--seq", "invest,pull_back"],
+    "ex1-check-marginal-no": ["check-marginal", EX1, "--dist",
+                              "invest,pull_back:3/4,invest,invest:1/4"],
+    "ex1-check-marginal-yes": ["check-marginal", EX1, "--dist",
+                               "invest,pull_back:2/3,invest,invest:1/3"],
+    "ex1-check-joint-yes": ["check-joint", EX1, "--dist", JOINT_YES],
+    "ex1-check-joint-no": ["check-joint", EX1, "--dist", JOINT_NO],
+    "ex2-check-seq-no": ["check-seq", EX2, "--param", "delta=3/4", "--seq", "w,x"],
+    "ex2-check-seq-yes": ["check-seq", EX2, "--param", "delta=9/10", "--seq", "w,x"],
+    "ex2-maxprob": ["maxprob", EX2, "--param", "delta=9/10", "--seq", "w,x"],
+    "ex2-check-marginal-no": ["check-marginal", EX2, "--param", "delta=3/4",
+                              "--dist", "w,x:1/2,w,y:1/2"],
+    "ex2-check-marginal-yes": ["check-marginal", EX2, "--param", "delta=9/10",
+                               "--dist", "w,x:1/3,w,y:1/3,x:1/3"],
+    "ex2-check-joint-yes": ["check-joint", EX2, "--param", "delta=9/10",
+                            "--dist", "w,x@X:1/2,w,y@Y:1/2"],
+    "ex2-check-joint-no": ["check-joint", EX2, "--param", "delta=3/4",
+                           "--dist", "w,x@X:1/2,w,y@Y:1/2"],
+    "ex2-identify-seq": ["identify", EX2, "--seq", "w,x", "--sweep", "delta",
+                         "--range", "0:1", "--grid", "9", "--tol", "1/64"],
+    "ex2-identify-marginal": ["identify", EX2, "--marginal", "w,x:1/2,w,y:1/2",
+                              "--sweep", "delta", "--range", "0:1", "--grid", "9",
+                              "--tol", "1/64"],
+    "ex2-identify-joint": ["identify", EX2, "--joint", "w,x@X:1/2,w,y@Y:1/2",
+                           "--sweep", "delta", "--range", "0:1", "--grid", "9",
+                           "--tol", "1/64"],
+    "ex3-check-seq-yes": ["check-seq", EX3, "--param", "R=4", "--param", "c=1",
+                          "--seq", "effort,no_effort"],
+    "ex3-check-seq-no": ["check-seq", EX3, "--param", "R=1", "--param", "c=2",
+                         "--seq", "effort,effort"],
+    "ex3-maxprob": ["maxprob", EX3, "--param", "R=4", "--param", "c=1",
+                    "--seq", "effort,no_effort"],
+    "ex3-check-marginal-yes": ["check-marginal", EX3, "--param", "R=4", "--param", "c=1",
+                               "--dist", "effort,no_effort:1/2,effort,effort:1/2"],
+    "ex3-check-joint-no": ["check-joint", EX3, "--param", "R=4", "--param", "c=3",
+                           "--dist", "effort,effort@hard:1/2,no_effort@easy:1/2"],
+    "ex3-identify-seq": ["identify", EX3, "--param", "R=4", "--seq", "effort,no_effort",
+                         "--sweep", "c", "--range", "0:8", "--grid", "9", "--tol", "1/16"],
+}
+
+
+def render(argv: list[str]) -> str:
+    """The report line of one CLI run, minus timing.  Reports do not echo the
+    problem's path, so they do not depend on where the repository lives."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(list(argv))
+    assert code == 0, f"{argv} exited {code}"
+    report = json.loads(out.getvalue().splitlines()[0])
+    report.pop("timing_ms")
+    return json.dumps(report, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name):
+    assert render(CASES[name]) == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_golden_cases_cover_both_verdicts():
+    verdicts = {}
+    for name in CASES:
+        result = json.loads((GOLDEN / f"{name}.json").read_text())["result"]
+        if "rationalizable" in result:
+            verdicts.setdefault(CASES[name][0], set()).add(result["rationalizable"])
+    for command in ("check-seq", "check-marginal", "check-joint"):
+        assert verdicts[command] == {True, False}
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        (GOLDEN / f"{name}.json").write_text(render(argv))

@@ -251,19 +251,37 @@ def test_polytope_feasibility_equals_adaptedness_on_random_problems():
             assert L.check_solution(prog, asg) == dv.is_adapted(p, tuple(rows))
 
 
-def test_fraction_fallback_when_gmpy_is_unavailable(monkeypatch):
-    # the solver must give identical exact answers on the pure-Fraction path
-    monkeypatch.setattr(L, "_mpq", None)
-    prog = L.LinearProgram()
-    prog.add_variable("x", lower=0, upper=1)
-    prog.add_variable("y", lower=0, upper=2)
-    prog.add_variable("k")
-    prog.add_constraint({"x": 1, "y": -1}, "==", 0)
-    prog.add_constraint({"k": 1, "x": -2, "y": "-1/3"}, "<=", "1/7")
-    prog.set_objective({"k": 1, "x": 1})
-    slow = L.solve(prog)
-    monkeypatch.undo()
-    fast = L.solve(prog)
-    assert slow.status == fast.status == "optimal"
-    assert slow.value == fast.value
-    assert slow.assignment == fast.assignment
+def test_fractional_boxes_match_vertex_enumeration():
+    # fractional and degenerate (fixed) bounds, fractional coefficients and
+    # objectives: bound flips and upper-bound exits scale integer rows by the
+    # bound's denominator
+    rng = random.Random(303)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        names = [f"v{i}" for i in range(n)]
+        bounds = []
+        for _ in range(n):
+            lo = F(rng.randint(-4, 1), rng.randint(1, 3))
+            width = F(0) if rng.random() < 0.2 else F(rng.randint(1, 6), 3)
+            bounds.append((lo, lo + width))
+        prog = L.LinearProgram()
+        for name, (lo, hi) in zip(names, bounds):
+            prog.add_variable(name, lower=lo, upper=hi)
+        rows = []
+        for _ in range(rng.randint(0, 4)):
+            coeff = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+            sense = rng.choice(["<=", ">=", "=="])
+            rhs = F(rng.randint(-4, 4), rng.randint(1, 5))
+            rows.append((coeff, sense, rhs))
+            prog.add_constraint(dict(zip(names, coeff)), sense, rhs)
+        obj = [F(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(n)]
+        direction = rng.choice(["max", "min"])
+        prog.set_objective(dict(zip(names, obj)), direction)
+        got = L.solve(prog)
+        want = _vertex_optimum(names, bounds, rows, obj, direction)
+        if want is None:
+            assert got.status == "infeasible"
+        else:
+            assert got.status == "optimal"
+            assert got.value == want
+            assert L.check_solution(prog, got.assignment)
