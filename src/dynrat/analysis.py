@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .deviation import (
-    DEFAULT_MAX_RULES,
     AnyRule,
     dominates_marginal,
     dominates_sequence,
@@ -42,15 +41,13 @@ from .rationalize import (
 Observation = Union[ActionSequence, MarginalDistribution, JointDistribution]
 
 
-def max_rationalizable_probability(
-    problem: DecisionProblem, a: ActionSequence, max_rules: int = DEFAULT_MAX_RULES
-) -> Fraction:
+def max_rationalizable_probability(problem: DecisionProblem, a: ActionSequence) -> Fraction:
     """Largest probability of ``a`` over all obedient joint laws, exactly.
 
     Zero precisely when ``a`` is truly dominated; one precisely when no
     lottery beats ``a`` uniformly across states.
     """
-    value, _ = max_positive_marginal(problem, a, max_rules)
+    value, _ = max_positive_marginal(problem, a)
     return value
 
 
@@ -154,7 +151,6 @@ def _rationalizable_at(
     param: str,
     point: Fraction,
     observation: Observation,
-    max_rules: int,
 ) -> bool:
     inst = substitute_params(family, {param: point})
     if isinstance(observation, ActionSequence):
@@ -254,7 +250,6 @@ def identified_set(
     tolerance: Union[None, int, str, Fraction] = None,
     grid_points: int = 33,
     fixed: Optional[dict] = None,
-    max_rules: int = DEFAULT_MAX_RULES,
 ) -> IdentifiedSet:
     """Parameter values at which the observation is rationalizable.
 
@@ -275,7 +270,7 @@ def identified_set(
     family = _single_param_family(problem, param, fixed)
 
     def test(point: Fraction) -> bool:
-        return _rationalizable_at(family, param, point, observation, max_rules)
+        return _rationalizable_at(family, param, point, observation)
 
     step = (hi - lo) / (grid_points - 1)
     grid = [lo + i * step for i in range(grid_points)]

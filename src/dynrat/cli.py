@@ -5,14 +5,16 @@ echo, the embedded problem document, the result with its witness, solver
 statistics, and timing.  Reports are self-contained: `verify-witness` re-checks
 the certificate inside a report against the problem it carries.
 
-Exit codes: 0 query answered (whatever the verdict), 1 usage error, 2 input
-validation error, 3 enumeration size guard exceeded.
+Exit codes: 0 query answered (whatever the verdict), 1 usage error or
+standard output closed before the report was written, 2 input validation
+error, 3 `enumerate-rules` size guard exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -87,8 +89,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("problem", help="problem file (JSON)")
     sub.add_argument("--param", action="append", default=[], metavar="NAME=VALUE",
                      help="pin a parameter, e.g. --param delta=4/5 (repeatable)")
-    sub.add_argument("--max-rules", type=int, default=deviation.DEFAULT_MAX_RULES,
-                     help="cap on pure-rule enumeration")
     sub.add_argument("--pretty", action="store_true",
                      help="append a human-readable summary after the JSON report")
 
@@ -127,6 +127,8 @@ def _build_parser() -> _Parser:
 
     s = subs.add_parser("enumerate-rules", help="list every adapted pure deviation rule")
     _add_common(s)
+    s.add_argument("--max-rules", type=int, default=deviation.DEFAULT_MAX_RULES,
+                   help="cap on pure-rule enumeration")
 
     s = subs.add_parser("verify-witness", help="re-check the certificate inside a report")
     s.add_argument("report", help="report file produced by another subcommand")
@@ -196,10 +198,6 @@ def _run_query(args) -> dict:
         seq = inst.sequence(args.seq)
         verdict = rationalize.rationalize_sequence(inst, seq)
         result = verdict.to_json_dict()
-        try:
-            rules_enumerated = len(deviation.enumerate_pure_rules(inst, args.max_rules))
-        except deviation.SizeGuardError:
-            rules_enumerated = 0
         query = _query_echo(args, seq=args.seq)
 
     elif args.command == "check-joint":
@@ -222,23 +220,19 @@ def _run_query(args) -> dict:
                     else _load_dist_file(inst, args.dist_file, joint=False))
         rule = rationalize.intermediately_dominated(inst, marginal)
         if rule is None:
-            joint = rationalize.rationalizing_joint(
-                inst, marginal=marginal, max_rules=args.max_rules
-            )
+            joint = rationalize.rationalizing_joint(inst, marginal=marginal)
             if joint is None:  # pragma: no cover - dichotomy guarantees a witness
                 raise rationalize.InternalInconsistencyError("no witness on either side")
             triple = rationalize.obedient_triple_from_joint(joint)
             result = rationalize.Verdict(True, triple).to_json_dict()
-            rules_enumerated = len(deviation.enumerate_pure_rules(inst, args.max_rules))
         else:
             result = rationalize.Verdict(False, rule).to_json_dict()
         query = _query_echo(args, dist=marginal.to_json_dict())
 
     elif args.command == "maxprob":
         seq = inst.sequence(args.seq)
-        value = analysis.max_rationalizable_probability(inst, seq, args.max_rules)
+        value = analysis.max_rationalizable_probability(inst, seq)
         result = {"value": format_rational(value)}
-        rules_enumerated = len(deviation.enumerate_pure_rules(inst, args.max_rules))
         query = _query_echo(args, seq=args.seq)
 
     elif args.command == "identify":
@@ -265,7 +259,7 @@ def _run_query(args) -> dict:
         iset = analysis.identified_set(
             base, observation, args.sweep, lo, hi,
             tolerance=args.tol, grid_points=args.grid,
-            fixed=pinned or None, max_rules=args.max_rules,
+            fixed=pinned or None,
         )
         result = {"identified_set": iset.to_json_dict()}
         query = _query_echo(args, sweep=args.sweep, range=args.sweep_range,
@@ -385,7 +379,15 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 
 def main() -> None:  # console entry point
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull, as the Python docs
+        # advise, so the interpreter's own flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

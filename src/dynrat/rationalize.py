@@ -21,12 +21,10 @@ from typing import Mapping, Optional, Union
 
 from . import lp as lpmod
 from .deviation import (
-    DEFAULT_MAX_RULES,
     DeviationRule,
     dominates_joint,
     dominates_marginal,
     dominates_sequence,
-    enumerate_pure_rules,
 )
 from .model import (
     ActionSequence,
@@ -301,62 +299,44 @@ def intermediately_dominated(
 # Obedience polytope (information side)
 # ---------------------------------------------------------------------------
 
-def _obedience_rows(problem: DecisionProblem, max_rules: int):
-    """Obedience constraints from the complete pure-rule enumeration, as
-    coefficient profiles coeff(a, s) = u(a, s) - u(rule(a), s), preprocessed
-    without changing the feasible set: duplicates collapse, profiles that are
-    nonnegative everywhere are vacuous on the simplex, and a profile that
-    componentwise dominates another is implied by it."""
-    leaves = problem.leaves
-    table = {
-        a: tuple(utility(problem, a, s) for s in problem.states) for a in leaves
-    }
-    rows: dict[tuple, None] = {}
-    for rule in enumerate_pure_rules(problem, max_rules):
-        profile = []
-        for a, out in zip(leaves, rule.outputs):
-            u_a, u_out = table[a], table[out]
-            profile.extend(u_a[s] - u_out[s] for s in range(len(problem.states)))
-        key = tuple(profile)
-        if any(q < 0 for q in key):
-            rows.setdefault(key, None)
-    candidates = list(rows)
-    keep = []
-    for i, row in enumerate(candidates):
-        implied = False
-        for j, other in enumerate(candidates):
-            if i != j and all(a >= b for a, b in zip(row, other)):
-                implied = True
-                break
-        if not implied:
-            keep.append(row)
-    return keep
-
-
 def _gamma_var(a: ActionSequence, state: str) -> str:
     return f"gamma[{a.label}|{state}]"
 
 
-def _obedience_program(problem: DecisionProblem, max_rules: int) -> lpmod.LinearProgram:
+def _obedience_program(problem: DecisionProblem) -> lpmod.LinearProgram:
+    """The obedient joint laws gamma, in dual form over the rule polytope.
+
+    gamma is obedient iff no rule gains on average: max <C(gamma), D> <= 0
+    over the deviation polytope {A D = b, D >= 0}, where C(gamma)[i][j] =
+    sum_s gamma(i, s) (u(j, s) - u(i, s)).  The identity rule is feasible, so
+    by LP duality this holds iff some free y has A^T y >= C(gamma) and
+    b^T y <= 0: one row per leaf pair plus one, with one y per polytope row,
+    so the program grows polynomially with the tree, unlike its pure rules.
+    """
+    poly = lpmod.deviation_polytope_constraints(problem)
+    leaves, states = problem.leaves, problem.states
     prog = lpmod.LinearProgram()
-    names = [
-        [_gamma_var(a, s) for s in problem.states] for a in problem.leaves
-    ]
-    for row in names:
+    gamma = [[_gamma_var(a, s) for s in states] for a in leaves]
+    for row in gamma:
         for n in row:
             prog.add_variable(n, lower=0, upper=1)
-    prog.add_constraint(
-        {n: 1 for row in names for n in row}, "==", 1, "density"
-    )
-    for idx, profile in enumerate(_obedience_rows(problem, max_rules)):
-        coeffs = {}
-        k = 0
-        for i, a in enumerate(problem.leaves):
-            for s, state in enumerate(problem.states):
-                if profile[k] != 0:
-                    coeffs[names[i][s]] = profile[k]
-                k += 1
-        prog.add_constraint(coeffs, ">=", 0, f"obedience[{idx}]")
+    prog.add_constraint({n: 1 for row in gamma for n in row}, "==", 1, "density")
+    columns: dict[str, dict[str, Fraction]] = {}  # kernel entry -> its A^T row
+    bound: dict[str, Fraction] = {}
+    for k, con in enumerate(poly.constraints):
+        y = prog.add_variable(f"y[{k}]")
+        for var, c in con.coeffs:
+            columns.setdefault(var, {})[y] = c
+        if con.rhs != 0:
+            bound[y] = con.rhs
+    table = [[utility(problem, a, s) for s in states] for a in leaves]
+    for i, a in enumerate(leaves):
+        for j, b in enumerate(leaves):
+            coeffs = dict(columns[poly.var(i, j)])
+            for s in range(len(states)):
+                coeffs[gamma[i][s]] = table[i][s] - table[j][s]
+            prog.add_constraint(coeffs, ">=", 0, f"obedience[{a.label}->{b.label}]")
+    prog.add_constraint(bound, "<=", 0, "no-gain")
     return prog
 
 
@@ -369,7 +349,7 @@ def _joint_from_assignment(problem: DecisionProblem, assignment) -> JointDistrib
 
 
 def max_positive_marginal(
-    problem: DecisionProblem, a: ActionSequence, max_rules: int = DEFAULT_MAX_RULES
+    problem: DecisionProblem, a: ActionSequence
 ) -> tuple[Fraction, Optional[JointDistribution]]:
     """Maximize the probability of ``a`` over all obedient joint laws.
 
@@ -378,7 +358,7 @@ def max_positive_marginal(
     """
     _require_parameter_free(problem)
     a = problem.sequence(a)
-    prog = _obedience_program(problem, max_rules)
+    prog = _obedience_program(problem)
     prog.set_objective({_gamma_var(a, s): 1 for s in problem.states})
     sol = lpmod.solve(prog)
     if sol.status != "optimal":  # pragma: no cover - polytope is never empty
@@ -394,7 +374,6 @@ def rationalizing_joint(
     positive_on: Optional[ActionSequence] = None,
     marginal: Optional[MarginalDistribution] = None,
     joint: Optional[JointDistribution] = None,
-    max_rules: int = DEFAULT_MAX_RULES,
 ) -> Optional[JointDistribution]:
     """Find an obedient joint law meeting one requirement, or None.
 
@@ -408,23 +387,13 @@ def rationalizing_joint(
         raise ValidationError("specify exactly one requirement")
 
     if joint is not None:
-        for rule in enumerate_pure_rules(problem, max_rules):
-            total = Fraction(0)
-            for a, out, row in zip(joint.leaves, rule.outputs, joint.matrix):
-                for state, w in zip(joint.states, row):
-                    if w != 0:
-                        total += w * (
-                            utility(problem, a, state) - utility(problem, out, state)
-                        )
-            if total < 0:
-                return None
-        return joint
+        return joint if dominated_on_average(problem, joint) is None else None
 
     if positive_on is not None:
-        _, witness = max_positive_marginal(problem, positive_on, max_rules)
+        _, witness = max_positive_marginal(problem, positive_on)
         return witness
 
-    prog = _obedience_program(problem, max_rules)
+    prog = _obedience_program(problem)
     for a, w in zip(problem.leaves, marginal.weights):
         prog.add_constraint(
             {_gamma_var(a, s): 1 for s in problem.states}, "==", w, f"marginal[{a.label}]"

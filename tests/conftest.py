@@ -17,6 +17,7 @@ import pytest
 
 from dynrat import model as m
 from dynrat import deviation as dv
+from dynrat import lp
 from dynrat.model import PAD, format_rational
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
@@ -210,6 +211,32 @@ def random_convex_increasing(rng: random.Random):
         current = current + Fraction(rng.randint(0, 3), rng.randint(1, 2))
     anchor = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
     return PiecewiseLinearFunction(breaks, tuple(slopes), anchor)
+
+
+# ---------------------------------------------------------------------------
+# Enumerated obedience program (reference for the compact dual program)
+# ---------------------------------------------------------------------------
+
+def enumerated_obedience_optimum(problem: m.DecisionProblem, weights: dict) -> Fraction:
+    """Maximum of sum weights[leaf, state] * gamma(leaf, state) over the
+    obedient joint laws gamma, straight from the definition: one row per
+    adapted pure rule saying that the rule gains nothing on average, with no
+    preprocessing of the rows and no duality."""
+    prog = lp.LinearProgram()
+    gamma = {
+        (b, s): prog.add_variable(f"g[{b.label}|{s}]", lower=0, upper=1)
+        for b in problem.leaves for s in problem.states
+    }
+    prog.add_constraint({n: 1 for n in gamma.values()}, "==", 1)
+    for rule in dv.enumerate_pure_rules(problem):
+        prog.add_constraint({
+            gamma[b, s]: m.utility(problem, b, s) - m.utility(problem, out, s)
+            for b, out in zip(problem.leaves, rule.outputs) for s in problem.states
+        }, ">=", 0)
+    prog.set_objective({gamma[cell]: w for cell, w in weights.items()})
+    sol = lp.solve(prog)
+    assert sol.status == "optimal"
+    return sol.value
 
 
 # ---------------------------------------------------------------------------

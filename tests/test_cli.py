@@ -1,10 +1,14 @@
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-from dynrat import cli
+from dynrat import cli, oracle, rationalize
+from dynrat.model import format_rational, load_problem
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -28,7 +32,7 @@ def test_check_seq_rationalizable(capsys, tmp_path):
     report = first_report(out)
     assert report["result"]["rationalizable"] is True
     assert report["result"]["witness"]["kind"] == "obedient_triple"
-    assert report["stats"]["rules_enumerated"] == 15
+    assert report["stats"]["rules_enumerated"] == 0  # no enumeration on this path
     assert report["stats"]["lp_pivots"] > 0
 
     path = tmp_path / "report.json"
@@ -73,8 +77,8 @@ def test_exit_codes(capsys):
     assert code == 2 and "not a leaf" in err
     code, _, err = run_cli(capsys, "check-seq", EX1)
     assert code == 1 and "usage error" in err
-    code, _, err = run_cli(capsys, "maxprob", EX2, "--param", "delta=1/2",
-                           "--seq", "w,x", "--max-rules", "5")
+    code, _, err = run_cli(capsys, "enumerate-rules", EX2, "--param", "delta=1/2",
+                           "--max-rules", "5")
     assert code == 3 and "size guard" in err
     code, _, err = run_cli(capsys, "check-seq", str(PROBLEMS / "missing.json"),
                            "--seq", "a")
@@ -173,13 +177,94 @@ def test_reports_are_self_contained(capsys, tmp_path):
     assert replay["result"] == report["result"]
 
 
-def test_module_entry_point_prints_a_report():
+def _module_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_module_entry_point_prints_a_report():
     done = subprocess.run(
         [sys.executable, "-m", "dynrat.cli", "check-seq", EX1, "--seq", "invest,pull_back"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_module_env(), timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert first_report(done.stdout)["result"]["rationalizable"] is True
+
+
+def test_closed_stdout_exits_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dynrat.cli", "check-seq", EX1, "--seq", "invest,pull_back"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_module_env(),
+    )
+    proc.stdout.close()  # the reader goes away before the report is written
+    _, err = proc.communicate(timeout=120)
+    assert "Traceback" not in err
+    assert proc.returncode == 1
+
+
+def complete_tree(tmp_path, branching, n_states, seed) -> str:
+    """A problem file: a complete tree with ``branching[t]`` actions in period
+    t, and payoffs drawn from the integers in [-5, 5]."""
+    rng = random.Random(seed)
+
+    def build(depth):
+        return {"abcd"[k]: "leaf" if depth + 1 == len(branching) else build(depth + 1)
+                for k in range(branching[depth])}
+
+    states = [f"s{i}" for i in range(n_states)]
+    leaves = [",".join(path) for path in itertools.product(
+        *("abcd"[:b] for b in branching))]
+    doc = {"periods": len(branching), "states": states, "tree": build(0),
+           "utility": {leaf: {s: rng.randint(-5, 5) for s in states} for leaf in leaves}}
+    path = tmp_path / f"tree-{'-'.join(map(str, branching))}-{seed}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_check_seq_answers_where_rule_enumeration_cannot(capsys, tmp_path):
+    # 16 leaves and about 1.1e12 adapted pure rules, far past the size guard
+    tree = complete_tree(tmp_path, (4, 4), 2, seed=5)
+    code, out, err = run_cli(capsys, "check-seq", tree, "--seq", "a,b")
+    assert code == 0, err
+    report = first_report(out)
+    assert report["result"]["rationalizable"] is True
+    assert report["stats"]["rules_enumerated"] == 0
+    path = tmp_path / "report.json"
+    path.write_text(out.splitlines()[0])
+    _, out, _ = run_cli(capsys, "verify-witness", str(path))
+    assert first_report(out)["result"]["valid"] is True
+
+
+def test_maxprob_and_check_marginal_on_three_periods(capsys, tmp_path):
+    # 8 leaves and 16 384 adapted pure rules
+    tree = complete_tree(tmp_path, (2, 2, 2), 2, seed=3)
+    problem = load_problem(Path(tree).read_text())
+    interior = 0
+    for leaf in problem.leaves:
+        code, out, err = run_cli(capsys, "maxprob", tree, "--seq", leaf.label)
+        assert code == 0, err
+        value = Fraction(first_report(out)["result"]["value"])
+        assert (value == 0) == (rationalize.truly_dominated(problem, leaf) is not None)
+        best, joint = rationalize.max_positive_marginal(problem, leaf)
+        assert best == value
+        if value == 0:
+            continue
+        triple = rationalize.obedient_triple_from_joint(joint)
+        assert oracle.verify_obedient_optimality(problem, triple)
+        if value == 1:
+            continue
+        interior += 1
+        # the witness's action marginal is rationalizable by construction
+        dist = tmp_path / "marginal.json"
+        dist.write_text(json.dumps({a.label: format_rational(w) for a, w in
+                                    zip(problem.leaves, joint.action_marginal().weights)}))
+        code, out, err = run_cli(capsys, "check-marginal", tree, "--dist-file", str(dist))
+        assert code == 0, err
+        report = first_report(out)
+        assert report["result"]["rationalizable"] is True
+        triple = rationalize.ObedientTriple.from_json_dict(problem, report["result"]["witness"])
+        assert oracle.verify_obedient_optimality(problem, triple)
+        assert triple.induced_joint().action_marginal() == joint.action_marginal()
+    assert interior > 0

@@ -74,6 +74,37 @@ CASES = {
 }
 
 
+# Each case's answer, written out by hand: the verdict of a check, the value
+# of `maxprob`, the intervals of `identify`.  Regenerating the files cannot
+# flip one of these unnoticed.
+EX2_DELTA_SET = [("0", "51/64", "out"), ("51/64", "13/16", "gap"), ("13/16", "1", "in")]
+ANSWERS = {
+    "ex1-check-seq-pull-back": True,
+    "ex1-check-seq-invest": True,
+    "ex1-maxprob-pull-back": "2/3",
+    "ex1-check-marginal-no": False,
+    "ex1-check-marginal-yes": True,
+    "ex1-check-joint-yes": True,
+    "ex1-check-joint-no": False,
+    "ex2-check-seq-no": False,
+    "ex2-check-seq-yes": True,
+    "ex2-maxprob": "7/9",
+    "ex2-check-marginal-no": False,
+    "ex2-check-marginal-yes": True,
+    "ex2-check-joint-yes": True,
+    "ex2-check-joint-no": False,
+    "ex2-identify-seq": EX2_DELTA_SET,
+    "ex2-identify-marginal": EX2_DELTA_SET,
+    "ex2-identify-joint": EX2_DELTA_SET,
+    "ex3-check-seq-yes": True,
+    "ex3-check-seq-no": False,
+    "ex3-maxprob": "1",
+    "ex3-check-marginal-yes": True,
+    "ex3-check-joint-no": False,
+    "ex3-identify-seq": [("0", "4", "in"), ("4", "65/16", "gap"), ("65/16", "8", "out")],
+}
+
+
 def render(argv: list[str]) -> str:
     """The report line of one CLI run, minus timing.  Reports do not echo the
     problem's path, so they do not depend on where the repository lives."""
@@ -99,6 +130,20 @@ def test_golden_cases_cover_both_verdicts():
             verdicts.setdefault(CASES[name][0], set()).add(result["rationalizable"])
     for command in ("check-seq", "check-marginal", "check-joint"):
         assert verdicts[command] == {True, False}
+
+
+def test_golden_answers_match_the_table():
+    def answer(result: dict):
+        if "rationalizable" in result:
+            return result["rationalizable"]
+        if "value" in result:
+            return result["value"]
+        return [(iv["lo"], iv["hi"], iv["tag"])
+                for iv in result["identified_set"]["intervals"]]
+
+    found = {name: answer(json.loads((GOLDEN / f"{name}.json").read_text())["result"])
+             for name in CASES}
+    assert found == ANSWERS
 
 
 if __name__ == "__main__":

@@ -4,11 +4,12 @@ from fractions import Fraction as F
 import pytest
 
 from dynrat import deviation as dv
+from dynrat import lp
 from dynrat import model as m
 from dynrat import oracle as oc
 from dynrat import rationalize as rz
 
-from conftest import random_joint, random_marginal, random_problem
+from conftest import enumerated_obedience_optimum, random_joint, random_marginal, random_problem
 
 
 def knife_edge_joint(example1):
@@ -96,6 +97,22 @@ def test_max_positive_marginal(example1, example2):
     assert oc.brute_force_rationalizable_joint(example1, joint)
     half = m.instantiate(example2, {"delta": "1/2"})
     assert rz.rationalizing_joint(half, positive_on=half.sequence("w,x")) is None
+
+
+def test_compact_obedience_matches_enumerated_rows():
+    # the max-prob of every leaf, plus one random linear objective per
+    # problem, which reaches faces of the obedient set the max-probs do not
+    rng = random.Random(107)
+    for _ in range(40):
+        p = random_problem(rng, max_rules=200)
+        for leaf in p.leaves:
+            value, _ = rz.max_positive_marginal(p, leaf)
+            assert value == enumerated_obedience_optimum(
+                p, {(leaf, s): 1 for s in p.states}), leaf.label
+        weights = {(a, s): rng.randint(-3, 3) for a in p.leaves for s in p.states}
+        prog = rz._obedience_program(p)
+        prog.set_objective({rz._gamma_var(a, s): w for (a, s), w in weights.items()})
+        assert lp.solve(prog).value == enumerated_obedience_optimum(p, weights)
 
 
 def test_rationalizing_joint_fixed_marginal(example1):
