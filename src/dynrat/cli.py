@@ -302,12 +302,12 @@ def _run_query(args) -> dict:
 
 def _verify_report(doc: dict) -> tuple[bool, str]:
     problem = problem_from_dict(doc["problem"])
-    query = doc["query"]
-    params = {n: parse_rational(v) for n, v in query.get("params", {}).items()}
-    inst = instantiate(problem, params) if problem.has_params else problem
     result = doc["result"]
     if "witness" not in result:
         return False, "report carries no witness"
+    query = doc["query"]
+    params = {n: parse_rational(v) for n, v in query.get("params", {}).items()}
+    inst = instantiate(problem, params) if problem.has_params else problem
     witness = result["witness"]
     kind = witness.get("kind")
 

@@ -1,10 +1,14 @@
 """Exact rational linear programming.
 
-A small dense two-phase simplex over exact rationals, with variable bounds
-handled natively (nonbasic variables rest at either bound) and Bland's
+A small dense two-phase simplex over exact rationals with Bland's
 anti-cycling pivot rule, so every solve terminates and is bit-for-bit
-deterministic.  Strict inequalities never appear in a program; callers decide
-strictness by comparing the exact optimal value against zero afterwards.
+deterministic.  Internally every column is nonnegative and unbounded above:
+a variable with a finite lower bound is shifted to start at zero, one
+without is split into two nonnegative parts, and a finite upper bound
+becomes one ``<=`` row.  The programs built here declare lower bounds only;
+their density rows already cap every entry at 1.  Strict inequalities never
+appear in a program; callers decide strictness by comparing the exact
+optimal value against zero afterwards.
 
 The tableau is fraction-free in the manner of Edmonds and Bareiss: each row
 is a list of Python ints over one positive common denominator, kept in
@@ -35,7 +39,7 @@ _PIVOT_TALLY = [0]
 
 
 def pivot_tally() -> int:
-    """Process-wide count of simplex pivots (flips included); for reporting."""
+    """Process-wide count of simplex pivots; for reporting."""
     return _PIVOT_TALLY[0]
 
 
@@ -189,20 +193,21 @@ def _eliminate(row: list, j: int, pivot: list[tuple[int, int]], pd: int) -> None
 
 
 class _Solver:
-    """Two-phase primal simplex with upper bounds and Bland's rule.
+    """Two-phase primal simplex over nonnegative columns, with Bland's rule.
 
-    All nonbasic columns are kept at value zero in a working representation:
-    a column currently resting at its upper bound is stored negated
-    ("flipped", x = ub - x~).  Entering steps therefore always increase the
-    working variable from zero, which keeps the ratio test and Bland's rule
+    Each variable becomes one or two internal columns, all bounded below by
+    zero and unbounded above: a variable with a finite lower bound is
+    shifted (x = lo + x~), one without is split (x = x+ - x-).  A finite
+    upper bound becomes one ``<=`` row.  Entering steps therefore always
+    increase a column from zero, which keeps the ratio test and Bland's rule
     in their textbook forms.
 
     Every tableau row, the objective rows included, is a pair ``[nums, den]``
     of Python ints: entry ``k`` is ``nums[k] / den`` with ``den > 0`` and the
     row in lowest terms.  The last slot holds the right-hand side; objective
-    rows hold minus the objective's current value there, so pivots, bound
-    flips and pricing apply one integer update to every row alike.  The basic
-    column of a constraint row has entry exactly 1 (``nums[b] == den``).
+    rows hold minus the objective's current value there, so pivots and
+    pricing apply one integer update to every row alike.  The basic column of
+    a constraint row has entry exactly 1 (``nums[b] == den``).
     """
 
     def __init__(self, lp: LinearProgram):
@@ -212,33 +217,25 @@ class _Solver:
 
         # Map user variables to internal columns (all with lower bound 0).
         self.records: dict[str, tuple] = {}
-        self.ub: list = []          # per column: Fraction upper bound or None
-        self.artificial: list = []  # per column: bool
         col = 0
-        for name, (lo, hi) in lp.variables.items():
-            if lo is not None and hi is not None and lo == hi:
-                self.records[name] = ("fixed", lo)
-                continue
+        for name, (lo, _) in lp.variables.items():
             if lo is not None:
-                width = None if hi is None else hi - lo
                 self.records[name] = ("shifted", col, lo)
-                self.ub.append(width)
-                self.artificial.append(False)
-                col += 1
-            elif hi is not None:
-                self.records[name] = ("reflected", col, hi)
-                self.ub.append(None)
-                self.artificial.append(False)
                 col += 1
             else:
                 self.records[name] = ("free", col, col + 1)
-                self.ub.extend([None, None])
-                self.artificial.extend([False, False])
                 col += 2
+        self.artificial: list = [False] * col  # per column: bool
 
-        # Transform constraint rows into internal coordinates.
+        # Transform constraint rows, then upper-bound rows, into internal
+        # coordinates.
+        bound_rows = [
+            Constraint(((name, Fraction(1)),), "<=", hi)
+            for name, (_, hi) in lp.variables.items()
+            if hi is not None
+        ]
         raw_rows: list[tuple[dict, str, Fraction]] = []
-        for con in lp.constraints:
+        for con in chain(lp.constraints, bound_rows):
             coeffs: dict[int, Fraction] = {}
 
             def put(j: int, v: Fraction) -> None:
@@ -247,15 +244,10 @@ class _Solver:
             rhs = con.rhs
             for var, c in con.coeffs:
                 rec = self.records[var]
-                if rec[0] == "fixed":
-                    rhs -= c * rec[1]
-                elif rec[0] == "shifted":
+                if rec[0] == "shifted":
                     put(rec[1], c)
                     if rec[2]:
                         rhs -= c * rec[2]
-                elif rec[0] == "reflected":
-                    put(rec[1], -c)
-                    rhs -= c * rec[2]
                 else:
                     put(rec[1], c)
                     put(rec[2], -c)
@@ -285,17 +277,14 @@ class _Solver:
         for _, sense, _ in rows:
             if sense == "<=":
                 extra_cols.append((ncols, -1))
-                self.ub.append(None)
                 self.artificial.append(False)
                 ncols += 1
             elif sense == ">=":
                 extra_cols.append((ncols, ncols + 1))
-                self.ub.extend([None, None])
                 self.artificial.extend([False, True])
                 ncols += 2
             else:
                 extra_cols.append((-1, ncols))
-                self.ub.append(None)
                 self.artificial.append(True)
                 ncols += 1
         self.ncols = ncols
@@ -316,8 +305,6 @@ class _Solver:
                 self.basis.append(a_col)
             self.matrix.append(_int_row(row, ncols + 1))
 
-        self.flipped = [False] * ncols
-
         # Phase-2 objective in internal coordinates (always maximize).  The
         # starting basis is slacks/artificials, none of which appear in the
         # user objective, so this row is already priced out.
@@ -326,13 +313,8 @@ class _Solver:
         for var, c in lp.objective.items():
             c *= sign
             rec = self.records[var]
-            if rec[0] == "fixed":
-                obj[ncols] -= c * rec[1]
-            elif rec[0] == "shifted":
+            if rec[0] == "shifted":
                 obj[rec[1]] = obj.get(rec[1], zero) + c
-                obj[ncols] -= c * rec[2]
-            elif rec[0] == "reflected":
-                obj[rec[1]] = obj.get(rec[1], zero) - c
                 obj[ncols] -= c * rec[2]
             else:
                 obj[rec[1]] = obj.get(rec[1], zero) + c
@@ -340,21 +322,6 @@ class _Solver:
         self.obj = _int_row(obj, ncols + 1)
 
     # -- tableau mechanics ----------------------------------------------------
-
-    def _flip(self, j: int, objs: list) -> None:
-        """Move column ``j`` to its other bound: x_j = ub_j - x~_j."""
-        u, w = self.ub[j].numerator, self.ub[j].denominator
-        for row in chain(self.matrix, objs):
-            nums, den = row
-            a = nums[j]
-            if a != 0:
-                if w != 1:
-                    nums = [x * w for x in nums]
-                    den *= w
-                nums[-1] -= a * u
-                nums[j] = -nums[j]
-                _store(row, nums, den)
-        self.flipped[j] = not self.flipped[j]
 
     def _pivot(self, r: int, j: int, objs: list) -> None:
         pivot = self.matrix[r]
@@ -376,63 +343,31 @@ class _Solver:
             entering = None
             reduced = obj_row[0]
             for j in range(self.ncols):
-                if (reduced[j] > 0 and j not in in_basis and self.ub[j] != 0
+                if (reduced[j] > 0 and j not in in_basis
                         and (phase1 or not self.artificial[j])):
                     entering = j
                     break
             if entering is None:
                 return "optimal"
 
-            # Blocking candidates: (step, blocking variable index, kind, row).
-            # A row's entries share its denominator, so each step is a ratio
-            # of numerators (scaled by the bound's denominator where one
-            # enters).
-            candidates: list[tuple[Fraction, int, str, int]] = []
-            if self.ub[entering] is not None:
-                candidates.append((self.ub[entering], entering, "self", -1))
-            for r, (nums, den) in enumerate(self.matrix):
-                a = nums[entering]
-                if a > 0:
-                    candidates.append((Fraction(nums[-1], a), self.basis[r], "lower", r))
-                elif a < 0:
-                    ubb = self.ub[self.basis[r]]
-                    if ubb is not None:
-                        step = Fraction(ubb.numerator * den - nums[-1] * ubb.denominator,
-                                        -a * ubb.denominator)
-                        candidates.append((step, self.basis[r], "upper", r))
+            # Ratio test: the smallest (step, basic column) over the rows
+            # whose entry in the entering column is positive.  A row's
+            # entries share its denominator, so each step is a ratio of
+            # numerators.
+            candidates = [
+                (Fraction(nums[-1], nums[entering]), self.basis[r], r)
+                for r, (nums, _) in enumerate(self.matrix)
+                if nums[entering] > 0
+            ]
             if not candidates:
                 return "unbounded"
-            step = min(c[0] for c in candidates)
-            _, var, kind, r = min(
-                (c for c in candidates if c[0] == step), key=lambda c: c[1]
-            )
+            _, leaving, r = min(candidates)
 
-            objs = [obj_row] + extra_objs
             self.pivots += 1
             _PIVOT_TALLY[0] += 1
-            if kind == "self":
-                self._flip(entering, objs)
-            elif kind == "lower":
-                in_basis.discard(self.basis[r])
-                self._pivot(r, entering, objs)
-                in_basis.add(entering)
-            else:
-                # The leaving variable goes to its upper bound u/w: negate the
-                # row except for its own (basic) entry, and the right-hand
-                # side becomes u/w - rhs.
-                leaving = self.basis[r]
-                ubb = self.ub[leaving]
-                u, w = ubb.numerator, ubb.denominator
-                row = self.matrix[r]
-                nums, den = row
-                nums = [-x * w for x in nums]
-                nums[leaving] = -nums[leaving]
-                nums[-1] += u * den
-                _store(row, nums, den * w)
-                self.flipped[leaving] = not self.flipped[leaving]
-                in_basis.discard(leaving)
-                self._pivot(r, entering, objs)
-                in_basis.add(entering)
+            in_basis.discard(leaving)
+            self._pivot(r, entering, [obj_row] + extra_objs)
+            in_basis.add(entering)
             if self.pivots > guard:  # pragma: no cover - would be a solver bug
                 raise RuntimeError("simplex pivot guard exceeded; anti-cycling failure")
 
@@ -461,18 +396,11 @@ class _Solver:
         values = [Fraction(0)] * self.ncols
         for (nums, den), b in zip(self.matrix, self.basis):
             values[b] = Fraction(nums[-1], den)
-        for j in range(self.ncols):
-            if self.flipped[j]:
-                values[j] = self.ub[j] - values[j]
 
         assignment: dict[str, Fraction] = {}
         for name, rec in self.records.items():
-            if rec[0] == "fixed":
-                assignment[name] = rec[1]
-            elif rec[0] == "shifted":
+            if rec[0] == "shifted":
                 assignment[name] = values[rec[1]] + rec[2]
-            elif rec[0] == "reflected":
-                assignment[name] = rec[2] - values[rec[1]]
             else:
                 assignment[name] = values[rec[1]] - values[rec[2]]
 
@@ -527,9 +455,9 @@ def solve(lp: LinearProgram) -> LpSolution:
 @dataclass(frozen=True)
 class DeviationPolytope:
     """Reusable constraint block whose feasible set is exactly the deviation
-    rule kernels of a problem: one [0,1] variable per kernel entry, row-sum
-    equalities, and prefix-marginal equalities between inputs that share a
-    history."""
+    rule kernels of a problem: one nonnegative variable per kernel entry,
+    row-sum equalities (which cap every entry at 1), and prefix-marginal
+    equalities between inputs that share a history."""
 
     problem: DecisionProblem
     var_names: tuple[tuple[str, ...], ...]
@@ -538,7 +466,7 @@ class DeviationPolytope:
     def install(self, lp: LinearProgram) -> None:
         for row in self.var_names:
             for name in row:
-                lp.add_variable(name, lower=0, upper=1)
+                lp.add_variable(name, lower=0)
         for con in self.constraints:
             lp.add_constraint(dict(con.coeffs), con.sense, con.rhs, con.name)
 

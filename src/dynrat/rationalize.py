@@ -171,7 +171,7 @@ def apparently_dominated(
     prog = lpmod.LinearProgram()
     names = [f"alpha[{b.label}]" for b in problem.leaves]
     for name in names:
-        prog.add_variable(name, lower=0, upper=1)
+        prog.add_variable(name, lower=0)
     prog.add_variable("margin")
     prog.add_constraint({n: 1 for n in names}, "==", 1, "density")
     for state in problem.states:
@@ -319,7 +319,7 @@ def _obedience_program(problem: DecisionProblem) -> lpmod.LinearProgram:
     gamma = [[_gamma_var(a, s) for s in states] for a in leaves]
     for row in gamma:
         for n in row:
-            prog.add_variable(n, lower=0, upper=1)
+            prog.add_variable(n, lower=0)
     prog.add_constraint({n: 1 for row in gamma for n in row}, "==", 1, "density")
     columns: dict[str, dict[str, Fraction]] = {}  # kernel entry -> its A^T row
     bound: dict[str, Fraction] = {}

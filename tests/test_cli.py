@@ -12,6 +12,7 @@ from dynrat.model import format_rational, load_problem
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
+GOLDEN = ROOT / "tests" / "golden"
 EX1 = str(PROBLEMS / "example1.json")
 EX2 = str(PROBLEMS / "example2.json")
 
@@ -61,6 +62,14 @@ def test_check_seq_dominated(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify-witness", str(path))
     assert code == 0
     assert first_report(out)["result"]["valid"] is False
+
+    # identify reports carry no witness, and their echoed params omit the
+    # swept parameter, so the problem cannot be instantiated from them
+    for name in ("ex2-identify-seq", "ex3-identify-seq"):
+        code, out, err = run_cli(capsys, "verify-witness", str(GOLDEN / f"{name}.json"))
+        assert code == 0, err
+        assert first_report(out)["result"] == {
+            "valid": False, "detail": "report carries no witness"}
 
 
 def test_maxprob_pretty(capsys):

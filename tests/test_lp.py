@@ -208,22 +208,29 @@ def test_polytope_membership(example1, example2):
 
 
 def test_polytope_vertices_are_pure_kernels(example1):
-    # random objectives land on vertices; all vertices are pure-rule kernels
+    # random objectives land on vertices; all vertices are pure-rule kernels.
+    # The block declares no upper bounds: its density rows alone keep every
+    # entry in [0, 1], so the vertices are the same as with a [0, 1] box.
     rng = random.Random(17)
-    pure_kernels = {r.to_rule().matrix for r in dv.enumerate_pure_rules(example1)}
-    poly = L.deviation_polytope_constraints(example1)
-    for _ in range(20):
-        prog = L.LinearProgram()
-        poly.install(prog)
-        objective = {
-            poly.var(i, j): F(rng.randint(-5, 5), rng.randint(1, 4))
-            for i in range(3)
-            for j in range(3)
-        }
-        prog.set_objective(objective)
-        sol = L.solve(prog)
-        assert sol.status == "optimal"
-        assert poly.extract_matrix(sol.assignment) in pure_kernels
+    problems = [example1] + [
+        random_problem(rng, min_leaves=4, max_rules=250) for _ in range(6)]
+    for problem in problems:
+        pure_kernels = {r.to_rule().matrix for r in dv.enumerate_pure_rules(problem)}
+        poly = L.deviation_polytope_constraints(problem)
+        n = len(problem.leaves)
+        for _ in range(12):
+            prog = L.LinearProgram()
+            poly.install(prog)
+            assert all(hi is None for _, hi in prog.variables.values())
+            objective = {
+                poly.var(i, j): F(rng.randint(-5, 5), rng.randint(1, 4))
+                for i in range(n)
+                for j in range(n)
+            }
+            prog.set_objective(objective)
+            sol = L.solve(prog)
+            assert sol.status == "optimal"
+            assert poly.extract_matrix(sol.assignment) in pure_kernels
 
 
 def test_polytope_feasibility_equals_adaptedness_on_random_problems():
@@ -252,9 +259,11 @@ def test_polytope_feasibility_equals_adaptedness_on_random_problems():
 
 
 def test_fractional_boxes_match_vertex_enumeration():
-    # fractional and degenerate (fixed) bounds, fractional coefficients and
-    # objectives: bound flips and upper-bound exits scale integer rows by the
-    # bound's denominator
+    # fractional and degenerate (fixed) boxes, fractional coefficients and
+    # objectives.  Each box is declared in one of three ways: as both bounds;
+    # as an upper bound only, with the lower bound as a ">=" row; or as no
+    # bound at all, with both sides as rows.  So the solver's upper-bound rows
+    # meet shifted and split free columns, and agree with explicit rows.
     rng = random.Random(303)
     for _ in range(150):
         n = rng.randint(1, 4)
@@ -266,7 +275,16 @@ def test_fractional_boxes_match_vertex_enumeration():
             bounds.append((lo, lo + width))
         prog = L.LinearProgram()
         for name, (lo, hi) in zip(names, bounds):
-            prog.add_variable(name, lower=lo, upper=hi)
+            declared = rng.choice(["both", "both", "upper", "none"])
+            if declared == "both":
+                prog.add_variable(name, lower=lo, upper=hi)
+            elif declared == "upper":
+                prog.add_variable(name, upper=hi)
+                prog.add_constraint({name: 1}, ">=", lo)
+            else:
+                prog.add_variable(name)
+                prog.add_constraint({name: 1}, ">=", lo)
+                prog.add_constraint({name: 1}, "<=", hi)
         rows = []
         for _ in range(rng.randint(0, 4)):
             coeff = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
