@@ -13,6 +13,7 @@ error, 3 `enumerate-rules` size guard exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -77,10 +78,24 @@ def _parse_joint(problem: DecisionProblem, spec: str) -> JointDistribution:
     return JointDistribution.from_mapping(problem, weights)
 
 
-def _load_dist_file(problem: DecisionProblem, path: str, joint: bool):
+def _object(value, what: str) -> dict:
+    """``value`` when it is a JSON object; an input error otherwise."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    return value
+
+
+def _read_json(path: str, what: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh, parse_float=Fraction)
+        return _object(json.load(fh, parse_float=Fraction), what)
+
+
+def _dist_from_json(problem: DecisionProblem, doc, joint: bool):
+    """A marginal ``{leaf: weight}`` or a joint law ``{leaf: {state: weight}}``."""
+    doc = _object(doc, "distribution")
     if joint:
+        for leaf, row in doc.items():
+            _object(row, f"joint law row {leaf!r}")
         return JointDistribution.from_mapping(problem, doc)
     return MarginalDistribution.from_mapping(problem, doc)
 
@@ -93,6 +108,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="append a human-readable summary after the JSON report")
 
 
+@functools.cache  # argparse copies an ``append`` default before appending
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dynrat", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
@@ -195,38 +211,23 @@ def _run_query(args) -> dict:
         inst = instantiate(base, params) if (params or base.has_params) else base
 
     if args.command == "check-seq":
-        seq = inst.sequence(args.seq)
-        verdict = rationalize.rationalize_sequence(inst, seq)
-        result = verdict.to_json_dict()
+        result = rationalize.rationalize_sequence(inst, args.seq).to_json_dict()
         query = _query_echo(args, seq=args.seq)
 
     elif args.command == "check-joint":
         if (args.dist is None) == (args.dist_file is None):
             raise UsageError("give exactly one of --dist / --dist-file")
         joint = (_parse_joint(inst, args.dist) if args.dist
-                 else _load_dist_file(inst, args.dist_file, joint=True))
-        rule = rationalize.dominated_on_average(inst, joint)
-        if rule is None:
-            triple = rationalize.obedient_triple_from_joint(joint)
-            result = rationalize.Verdict(True, triple).to_json_dict()
-        else:
-            result = rationalize.Verdict(False, rule).to_json_dict()
+                 else _dist_from_json(inst, _read_json(args.dist_file, "dist file"), True))
+        result = rationalize.rationalize_joint(inst, joint).to_json_dict()
         query = _query_echo(args, dist=joint.to_json_dict())
 
     elif args.command == "check-marginal":
         if (args.dist is None) == (args.dist_file is None):
             raise UsageError("give exactly one of --dist / --dist-file")
         marginal = (_parse_marginal(inst, args.dist) if args.dist
-                    else _load_dist_file(inst, args.dist_file, joint=False))
-        rule = rationalize.intermediately_dominated(inst, marginal)
-        if rule is None:
-            joint = rationalize.rationalizing_joint(inst, marginal=marginal)
-            if joint is None:  # pragma: no cover - dichotomy guarantees a witness
-                raise rationalize.InternalInconsistencyError("no witness on either side")
-            triple = rationalize.obedient_triple_from_joint(joint)
-            result = rationalize.Verdict(True, triple).to_json_dict()
-        else:
-            result = rationalize.Verdict(False, rule).to_json_dict()
+                    else _dist_from_json(inst, _read_json(args.dist_file, "dist file"), False))
+        result = rationalize.rationalize_marginal(inst, marginal).to_json_dict()
         query = _query_echo(args, dist=marginal.to_json_dict())
 
     elif args.command == "maxprob":
@@ -273,9 +274,11 @@ def _run_query(args) -> dict:
 
     elif args.command == "simulate":
         with open(args.structure, "r", encoding="utf-8") as fh:
-            structure = oracle.InformationStructure.from_json_dict(inst, json.load(fh))
+            structure = oracle.InformationStructure.from_json_dict(
+                inst, _object(json.load(fh), "structure file"))
         with open(args.strategy, "r", encoding="utf-8") as fh:
-            strategy = oracle.Strategy.from_json_dict(inst, json.load(fh))
+            strategy = oracle.Strategy.from_json_dict(
+                inst, _object(json.load(fh), "strategy file"))
         empirical = oracle.simulate(inst, strategy, structure, args.n, args.seed)
         result = {"empirical": empirical.to_json_dict(), "n": args.n, "seed": args.seed}
         query = _query_echo(args, n=args.n, seed=args.seed,
@@ -301,25 +304,27 @@ def _run_query(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def _verify_report(doc: dict) -> tuple[bool, str]:
-    problem = problem_from_dict(doc["problem"])
-    result = doc["result"]
+    problem = problem_from_dict(_object(doc.get("problem"), "report 'problem'"))
+    result = _object(doc.get("result"), "report 'result'")
     if "witness" not in result:
         return False, "report carries no witness"
-    query = doc["query"]
-    params = {n: parse_rational(v) for n, v in query.get("params", {}).items()}
+    query = _object(doc.get("query"), "report 'query'")
+    params = {n: parse_rational(v)
+              for n, v in _object(query.get("params", {}), "query 'params'").items()}
     inst = instantiate(problem, params) if problem.has_params else problem
-    witness = result["witness"]
+    witness = _object(result["witness"], "witness")
     kind = witness.get("kind")
 
     if kind == "deviation_rule":
-        rule = deviation.DeviationRule.from_json_dict(inst, witness["kernel"])
+        rule = deviation.DeviationRule.from_json_dict(
+            inst, _object(witness.get("kernel"), "witness 'kernel'"))
         if query["command"] == "check-seq":
             ok = deviation.dominates_sequence(inst, rule, inst.sequence(query["seq"]))
         elif query["command"] == "check-joint":
-            joint = JointDistribution.from_mapping(inst, query["dist"])
+            joint = _dist_from_json(inst, query.get("dist"), True)
             ok = deviation.dominates_joint(inst, rule, joint)
         elif query["command"] == "check-marginal":
-            marginal = MarginalDistribution.from_mapping(inst, query["dist"])
+            marginal = _dist_from_json(inst, query.get("dist"), False)
             ok = deviation.dominates_marginal(inst, rule, marginal)
         else:
             return False, f"no dominance check for command {query['command']!r}"
@@ -336,11 +341,10 @@ def _verify_report(doc: dict) -> tuple[bool, str]:
             if mass <= 0:
                 return False, "witness puts zero probability on the sequence"
         elif query["command"] == "check-joint":
-            if induced != JointDistribution.from_mapping(inst, query["dist"]):
+            if induced != _dist_from_json(inst, query.get("dist"), True):
                 return False, "witness induces a different joint law"
         elif query["command"] == "check-marginal":
-            want = MarginalDistribution.from_mapping(inst, query["dist"])
-            if induced.action_marginal() != want:
+            if induced.action_marginal() != _dist_from_json(inst, query.get("dist"), False):
                 return False, "witness induces a different marginal"
         return True, "obedient triple re-checked"
 
@@ -353,8 +357,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "verify-witness":
-            with open(args.report, "r", encoding="utf-8") as fh:
-                doc = json.load(fh, parse_float=Fraction)
+            doc = _read_json(args.report, "report")
             ok, detail = _verify_report(doc)
             report = {
                 "query": {"command": "verify-witness"},
@@ -367,7 +370,8 @@ def run(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ValidationError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    except (ParseError, ValidationError, OSError, UnicodeDecodeError, KeyError,
+            json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except deviation.SizeGuardError as exc:

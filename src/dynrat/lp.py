@@ -2,13 +2,18 @@
 
 A small dense two-phase simplex over exact rationals with Bland's
 anti-cycling pivot rule, so every solve terminates and is bit-for-bit
-deterministic.  Internally every column is nonnegative and unbounded above:
-a variable with a finite lower bound is shifted to start at zero, one
-without is split into two nonnegative parts, and a finite upper bound
-becomes one ``<=`` row.  The programs built here declare lower bounds only;
-their density rows already cap every entry at 1.  Strict inequalities never
-appear in a program; callers decide strictness by comparing the exact
-optimal value against zero afterwards.
+deterministic.  Programs maximize; variables carry a lower bound or none.
+Internally every column is nonnegative: a variable with a lower bound is
+shifted to start at zero, one without is split into two nonnegative parts.
+The programs built here declare lower bounds only; their density rows
+already cap every entry at 1.  Strict inequalities never appear in a
+program; callers decide strictness by comparing the exact optimal value
+against zero afterwards.
+
+An optimal solution carries one dual multiplier per constraint, read from
+the final objective row, so the optimum comes with its own certificate:
+`check_solution` re-checks the primal assignment and `check_duals` the
+multipliers, both exactly.
 
 The tableau is fraction-free in the manner of Edmonds and Bareiss: each row
 is a list of Python ints over one positive common denominator, kept in
@@ -57,30 +62,20 @@ class Constraint:
 
 @dataclass
 class LinearProgram:
-    """A named-variable LP with exact rational data.
+    """A named-variable LP with exact rational data, to be maximized.
 
-    Variables carry optional lower/upper bounds (``None`` means unbounded on
-    that side).  Constraints reference declared variables only.
+    Each variable has a lower bound or ``None`` (free).  Constraints
+    reference declared variables only.
     """
 
-    variables: dict[str, tuple[Optional[Fraction], Optional[Fraction]]] = field(default_factory=dict)
+    variables: dict[str, Optional[Fraction]] = field(default_factory=dict)
     constraints: list[Constraint] = field(default_factory=list)
     objective: dict[str, Fraction] = field(default_factory=dict)
-    direction: str = "max"
 
-    def add_variable(
-        self,
-        name: str,
-        lower: Union[None, int, str, Fraction] = None,
-        upper: Union[None, int, str, Fraction] = None,
-    ) -> str:
+    def add_variable(self, name: str, lower: Union[None, int, str, Fraction] = None) -> str:
         if name in self.variables:
             raise ValidationError(f"variable {name!r} declared twice")
-        lo = None if lower is None else parse_rational(lower)
-        hi = None if upper is None else parse_rational(upper)
-        if lo is not None and hi is not None and lo > hi:
-            raise ValidationError(f"variable {name!r} has empty bound interval")
-        self.variables[name] = (lo, hi)
+        self.variables[name] = None if lower is None else parse_rational(lower)
         return name
 
     def add_constraint(
@@ -101,31 +96,30 @@ class LinearProgram:
                 items.append((var, q))
         self.constraints.append(Constraint(tuple(items), sense, parse_rational(rhs), name))
 
-    def set_objective(self, coeffs: Mapping[str, Union[int, str, Fraction]], direction: str = "max") -> None:
-        if direction not in ("max", "min"):
-            raise ValidationError(f"bad objective direction {direction!r}")
+    def set_objective(self, coeffs: Mapping[str, Union[int, str, Fraction]]) -> None:
         for var in coeffs:
             if var not in self.variables:
                 raise ValidationError(f"objective references undeclared variable {var!r}")
         self.objective = {v: parse_rational(c) for v, c in coeffs.items() if parse_rational(c) != 0}
-        self.direction = direction
 
 
 @dataclass(frozen=True)
 class LpSolution:
+    """``duals`` holds one multiplier per entry of the program's
+    ``constraints`` when the status is optimal: nonnegative on ``<=`` rows,
+    nonpositive on ``>=`` rows, free on ``==`` rows (see `check_duals`)."""
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Optional[Fraction]
     assignment: Optional[dict[str, Fraction]]
     pivots: int
+    duals: Optional[tuple[Fraction, ...]] = None
 
 
 def check_solution(lp: LinearProgram, assignment: Mapping[str, Fraction]) -> bool:
     """Exact feasibility check of an assignment against bounds and constraints."""
-    for var, (lo, hi) in lp.variables.items():
-        x = assignment[var]
-        if lo is not None and x < lo:
-            return False
-        if hi is not None and x > hi:
+    for var, lo in lp.variables.items():
+        if lo is not None and assignment[var] < lo:
             return False
     for con in lp.constraints:
         lhs = sum((c * assignment[v] for v, c in con.coeffs), Fraction(0))
@@ -138,17 +132,45 @@ def check_solution(lp: LinearProgram, assignment: Mapping[str, Fraction]) -> boo
     return True
 
 
+def check_duals(lp: LinearProgram, sol: LpSolution) -> bool:
+    """Exact check that ``sol.duals`` prove ``sol.value`` an upper bound.
+
+    With y the duals and d = c - A^T y the reduced costs, it checks that
+    each y has its row's sign, that d <= 0 on lower-bounded variables and
+    d = 0 on free ones, and that b^T y + sum(lo * d) equals the value.  Then
+    every feasible x has c^T x = d^T x + y^T A x <= sum(lo * d) + b^T y, so
+    an assignment reaching the value is optimal.
+    """
+    if sol.duals is None or len(sol.duals) != len(lp.constraints):
+        return False
+    reduced = dict(lp.objective)
+    bound = Fraction(0)
+    for con, y in zip(lp.constraints, sol.duals):
+        if (con.sense == "<=" and y < 0) or (con.sense == ">=" and y > 0):
+            return False
+        if y:
+            bound += y * con.rhs
+            for var, c in con.coeffs:
+                reduced[var] = reduced.get(var, 0) - y * c
+    for var, lo in lp.variables.items():
+        d = reduced.get(var, 0)
+        if lo is None and d != 0 or lo is not None and d > 0:
+            return False
+        if lo is not None:
+            bound += lo * d
+    return bound == sol.value
+
+
 def dump_lp(lp: LinearProgram) -> str:
     """Human-readable text form, for debugging only."""
-    lines = [f"{lp.direction} " + " + ".join(
-        f"{format_rational(c)}*{v}" for v, c in lp.objective.items()) or "0"]
+    lines = ["max " + (" + ".join(
+        f"{format_rational(c)}*{v}" for v, c in lp.objective.items()) or "0")]
     for con in lp.constraints:
         lhs = " + ".join(f"{format_rational(c)}*{v}" for v, c in con.coeffs) or "0"
         lines.append(f"  {lhs} {con.sense} {format_rational(con.rhs)}"
                      + (f"  [{con.name}]" if con.name else ""))
-    for var, (lo, hi) in lp.variables.items():
-        lines.append(f"  {format_rational(lo) if lo is not None else '-inf'}"
-                     f" <= {var} <= {format_rational(hi) if hi is not None else '+inf'}")
+    for var, lo in lp.variables.items():
+        lines.append(f"  {var} >= {format_rational(lo)}" if lo is not None else f"  {var} free")
     return "\n".join(lines)
 
 
@@ -196,9 +218,8 @@ class _Solver:
     """Two-phase primal simplex over nonnegative columns, with Bland's rule.
 
     Each variable becomes one or two internal columns, all bounded below by
-    zero and unbounded above: a variable with a finite lower bound is
-    shifted (x = lo + x~), one without is split (x = x+ - x-).  A finite
-    upper bound becomes one ``<=`` row.  Entering steps therefore always
+    zero and unbounded above: a variable with a lower bound is shifted
+    (x = lo + x~), one without is split (x = x+ - x-).  Entering steps always
     increase a column from zero, which keeps the ratio test and Bland's rule
     in their textbook forms.
 
@@ -213,112 +234,80 @@ class _Solver:
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         self.pivots = 0
-        zero = Fraction(0)
 
-        # Map user variables to internal columns (all with lower bound 0).
-        self.records: dict[str, tuple] = {}
+        # Map user variables to internal columns (all with lower bound 0):
+        # (column, lo) for x = lo + x~, (column, None) for x = x+ - x-, with
+        # x- in the next column.
+        self.records: dict[str, tuple[int, Optional[Fraction]]] = {}
         col = 0
-        for name, (lo, _) in lp.variables.items():
-            if lo is not None:
-                self.records[name] = ("shifted", col, lo)
-                col += 1
-            else:
-                self.records[name] = ("free", col, col + 1)
-                col += 2
+        for name, lo in lp.variables.items():
+            self.records[name] = (col, lo)
+            col += 1 if lo is not None else 2
         self.artificial: list = [False] * col  # per column: bool
 
-        # Transform constraint rows, then upper-bound rows, into internal
-        # coordinates.
-        bound_rows = [
-            Constraint(((name, Fraction(1)),), "<=", hi)
-            for name, (_, hi) in lp.variables.items()
-            if hi is not None
-        ]
-        raw_rows: list[tuple[dict, str, Fraction]] = []
-        for con in chain(lp.constraints, bound_rows):
-            coeffs: dict[int, Fraction] = {}
-
-            def put(j: int, v: Fraction) -> None:
-                coeffs[j] = coeffs[j] + v if j in coeffs else v
-
-            rhs = con.rhs
-            for var, c in con.coeffs:
-                rec = self.records[var]
-                if rec[0] == "shifted":
-                    put(rec[1], c)
-                    if rec[2]:
-                        rhs -= c * rec[2]
-                else:
-                    put(rec[1], c)
-                    put(rec[2], -c)
-            coeffs = {j: v for j, v in coeffs.items() if v != 0}
-            raw_rows.append((coeffs, con.sense, rhs))
-
+        # Transform each constraint into internal coordinates.  A row is
+        # negated when its right-hand side is negative, or zero on a ">="
+        # row, so that its starting basic column is a slack ("<=") or an
+        # artificial (">=" with a surplus, "=="), at value rhs >= 0.  That
+        # basic column is where the row's dual is read: ``dual_cols`` holds
+        # (column, sign) per constraint, None for a row without
+        # coefficients, whose dual is 0.
+        ncols = col
         self.infeasible_row = False
-        rows: list[tuple[dict, str, Fraction]] = []
-        for coeffs, sense, rhs in raw_rows:
+        self.dual_cols: list[Optional[tuple[int, int]]] = []
+        rows: list[tuple[dict, Fraction, int]] = []
+        for con in lp.constraints:
+            coeffs: dict[int, Fraction] = {}
+            sense, rhs = con.sense, con.rhs
+            for var, c in con.coeffs:
+                j, lo = self.records[var]
+                coeffs[j] = coeffs.get(j, 0) + c
+                if lo is None:
+                    coeffs[j + 1] = coeffs.get(j + 1, 0) - c
+                elif lo:
+                    rhs -= c * lo
+            coeffs = {j: v for j, v in coeffs.items() if v != 0}
             if not coeffs:
                 ok = (rhs >= 0) if sense == "<=" else (rhs <= 0) if sense == ">=" else (rhs == 0)
                 if not ok:
                     self.infeasible_row = True
+                self.dual_cols.append(None)
                 continue
-            if rhs < 0:
+            sign = 1
+            if rhs < 0 or (sense == ">=" and rhs == 0):
                 coeffs = {j: -v for j, v in coeffs.items()}
                 rhs = -rhs
                 sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
-            if sense == ">=" and rhs == 0:
-                coeffs = {j: -v for j, v in coeffs.items()}
-                sense = "<="
-            rows.append((coeffs, sense, rhs))
-
-        # Append slack/surplus/artificial columns and set the starting basis.
-        ncols = col
-        extra_cols: list[tuple[int, int]] = []  # (slack_col or -1, art_col or -1)
-        for _, sense, _ in rows:
-            if sense == "<=":
-                extra_cols.append((ncols, -1))
+                sign = -1
+            if sense == ">=":
+                coeffs[ncols] = Fraction(-1)  # surplus
                 self.artificial.append(False)
                 ncols += 1
-            elif sense == ">=":
-                extra_cols.append((ncols, ncols + 1))
-                self.artificial.extend([False, True])
-                ncols += 2
-            else:
-                extra_cols.append((-1, ncols))
-                self.artificial.append(True)
-                ncols += 1
+            coeffs[ncols] = Fraction(1)
+            self.artificial.append(sense != "<=")
+            rows.append((coeffs, rhs, ncols))
+            self.dual_cols.append((ncols, sign))
+            ncols += 1
+
         self.ncols = ncols
         self.matrix: list[list] = []
         self.basis: list[int] = []
-        for (coeffs, sense, rhs), (s_col, a_col) in zip(rows, extra_cols):
-            row = dict(coeffs)
-            row[ncols] = rhs
-            if sense == "<=":
-                row[s_col] = Fraction(1)
-                self.basis.append(s_col)
-            elif sense == ">=":
-                row[s_col] = Fraction(-1)
-                row[a_col] = Fraction(1)
-                self.basis.append(a_col)
-            else:
-                row[a_col] = Fraction(1)
-                self.basis.append(a_col)
-            self.matrix.append(_int_row(row, ncols + 1))
+        for coeffs, rhs, basic in rows:
+            coeffs[ncols] = rhs
+            self.matrix.append(_int_row(coeffs, ncols + 1))
+            self.basis.append(basic)
 
-        # Phase-2 objective in internal coordinates (always maximize).  The
-        # starting basis is slacks/artificials, none of which appear in the
-        # user objective, so this row is already priced out.
-        sign = 1 if lp.direction == "max" else -1
-        obj: dict[int, Fraction] = {ncols: zero}
+        # Phase-2 objective in internal coordinates.  The starting basis is
+        # slacks/artificials, none of which appear in the user objective, so
+        # this row is already priced out.
+        obj: dict[int, Fraction] = {ncols: Fraction(0)}
         for var, c in lp.objective.items():
-            c *= sign
-            rec = self.records[var]
-            if rec[0] == "shifted":
-                obj[rec[1]] = obj.get(rec[1], zero) + c
-                obj[ncols] -= c * rec[2]
+            j, lo = self.records[var]
+            obj[j] = c
+            if lo is None:
+                obj[j + 1] = -c
             else:
-                obj[rec[1]] = obj.get(rec[1], zero) + c
-                obj[rec[2]] = obj.get(rec[2], zero) - c
+                obj[ncols] -= c * lo
         self.obj = _int_row(obj, ncols + 1)
 
     # -- tableau mechanics ----------------------------------------------------
@@ -398,23 +387,27 @@ class _Solver:
             values[b] = Fraction(nums[-1], den)
 
         assignment: dict[str, Fraction] = {}
-        for name, rec in self.records.items():
-            if rec[0] == "shifted":
-                assignment[name] = values[rec[1]] + rec[2]
-            else:
-                assignment[name] = values[rec[1]] - values[rec[2]]
+        for name, (j, lo) in self.records.items():
+            assignment[name] = values[j] - values[j + 1] if lo is None else values[j] + lo
 
         value = sum(
             (c * assignment[v] for v, c in self.lp.objective.items()), Fraction(0)
         )
         if not check_solution(self.lp, assignment):  # pragma: no cover - solver bug
             raise RuntimeError("simplex returned an assignment violating the program")
-        expected = Fraction(-self.obj[0][-1], self.obj[1])  # the last slot holds -value
-        if self.lp.direction == "min":
-            expected = -expected
-        if value != expected:  # pragma: no cover - solver bug
+        obj_nums, obj_den = self.obj
+        if value != Fraction(-obj_nums[-1], obj_den):  # pragma: no cover - solver bug
             raise RuntimeError("objective bookkeeping mismatch")
-        return LpSolution("optimal", value, assignment, self.pivots)
+        # The objective row is c - y^T A over the internal rows, and a row's
+        # starting basic column has entry 1 in that row alone, so the row's
+        # multiplier is minus the objective row's entry there, times -1
+        # again if the row was stored negated.  This holds for rows dropped
+        # as redundant too.
+        duals = tuple(
+            Fraction(0) if rec is None else Fraction(-rec[1] * obj_nums[rec[0]], obj_den)
+            for rec in self.dual_cols
+        )
+        return LpSolution("optimal", value, assignment, self.pivots, duals)
 
     def _drop_artificials(self, objs: list) -> None:
         keep_rows = []
@@ -443,7 +436,9 @@ def solve(lp: LinearProgram) -> LpSolution:
     """Exact optimum of ``lp``; deterministic for identical programs.
 
     Optimal assignments are re-verified against every constraint before being
-    returned, so a reported optimum is always exactly feasible.
+    returned, so a reported optimum is always exactly feasible.  Its duals
+    are read from the tableau and not re-verified here; `check_duals` does
+    that where a caller relies on them.
     """
     return _Solver(lp).solve()
 

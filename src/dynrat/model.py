@@ -409,7 +409,9 @@ class DecisionProblem:
             if isinstance(value, str):
                 parts = tuple(p.strip() for p in value.split(",") if p.strip())
             else:
-                parts = tuple(value)
+                parts = tuple(value) if isinstance(value, Iterable) else (value,)
+            if not all(isinstance(p, str) for p in parts):
+                raise ValidationError(f"{value!r} is not an action sequence")
             seq = _pad(tuple(p for p in parts if p != PAD), self.periods)
         if seq not in self.leaf_index:
             raise ValidationError(f"{seq.label!r} is not a leaf of this problem")

@@ -9,8 +9,13 @@ always hands back evidence:
 * possible: an obedient triple, a prior plus recommendation kernel under
   which following recommendations is exactly optimal.
 
-All tests reduce to exact rational linear programs; strictness is decided by
-comparing the optimal value against zero, never by epsilon.
+Each verdict solves one exact rational LP, the dominance program of its data
+type: the best deviation rule over the rule polytope.  A positive optimum
+yields the rule.  At optimum 0 the program's duals, checked exactly by
+`lp.check_duals`, are the obedient information structure: the paper's
+theorem is this one LP duality.  Strictness is decided by comparing the
+optimal value against zero, never by epsilon.  The obedience program, the
+same duality written from the information side, serves `maxprob` only.
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ from .model import (
 
 
 class InternalInconsistencyError(RuntimeError):
-    """Both (or neither) of a pair of mutually exclusive tests succeeded.
+    """A certificate failed its own check, or a program that always has an
+    optimum ended otherwise.
 
     This can only happen if the solver or a constraint builder is wrong; it is
     never a property of the input data.
@@ -124,6 +130,11 @@ class ObedientTriple:
 
     @staticmethod
     def from_json_dict(problem: DecisionProblem, doc: Mapping) -> "ObedientTriple":
+        rows = doc.get("recommendation")
+        if not (isinstance(doc.get("prior"), Mapping) and isinstance(rows, Mapping)
+                and all(isinstance(row, Mapping) for row in rows.values())):
+            raise ValidationError("an obedient triple needs a 'prior' object and a "
+                                  "'recommendation' object of objects")
         prior = [Fraction(0)] * len(problem.states)
         for s, q in doc["prior"].items():
             prior[problem.state_index[s]] = parse_rational(q)
@@ -157,10 +168,6 @@ class Verdict:
 # Dominance search (deviation-rule side)
 # ---------------------------------------------------------------------------
 
-def _extract_rule(problem: DecisionProblem, poly, assignment) -> DeviationRule:
-    return DeviationRule(problem.leaves, poly.extract_matrix(assignment))
-
-
 def apparently_dominated(
     problem: DecisionProblem, a: ActionSequence
 ) -> Optional[ApparentDominanceWitness]:
@@ -190,39 +197,105 @@ def apparently_dominated(
     return ApparentDominanceWitness(lottery, sol.value)
 
 
-def truly_dominated(problem: DecisionProblem, a: ActionSequence) -> Optional[DeviationRule]:
-    """Search for a rule that never hurts any sequence in any state and
-    strictly improves ``a`` in every state; None when no such rule exists."""
+@dataclass(frozen=True)
+class _Dominance:
+    """A solved dominance program and its rule (None when no rule gains).
+    ``gain_rows`` lists (row, leaf index, state index) of the rows "the
+    rule's gain at this leaf in this state is at least the leaf's level"."""
+
+    prog: lpmod.LinearProgram
+    sol: lpmod.LpSolution
+    rule: Optional[DeviationRule]
+    gain_rows: tuple[tuple[int, int, int], ...]
+
+    def obedient_joint(self, problem: DecisionProblem) -> JointDistribution:
+        """At value 0, the gain rows' multipliers, negated and scaled to mass 1.
+
+        With g(i, s) minus the multiplier of row (i, s), the polytope rows'
+        multipliers y satisfy A^T y >= C(g) and b^T y = 0 (C as in
+        ``_obedience_program``), so no rule gains on average under g.  The
+        levels are free, so their reduced costs are 0: g has mass exactly 1
+        on the observed sequence, or exactly the observed marginal.
+        """
+        if not lpmod.check_duals(self.prog, self.sol):  # pragma: no cover - solver bug
+            raise InternalInconsistencyError("dual certificate fails its check")
+        mass = [[Fraction(0)] * len(problem.states) for _ in problem.leaves]
+        for r, i, s in self.gain_rows:
+            mass[i][s] = -self.sol.duals[r]
+        total = sum(map(sum, mass), Fraction(0))
+        return JointDistribution(problem.leaves, problem.states, tuple(
+            tuple(g / total for g in row) for row in mass))
+
+
+def _dominance(problem: DecisionProblem, observed) -> _Dominance:
+    """Solve the dominance program of an observed sequence, marginal or
+    joint law, over the deviation polytope.
+
+    * joint law: maximize the rule's expected gain.
+    * sequence a: maximize one level k that bounds a's gain from below in
+      every state, while every other leaf's gain stays nonnegative.
+    * marginal: one level per leaf, bounding its gain in every state;
+      maximize the marginal-weighted sum of the levels.
+    """
     _require_parameter_free(problem)
-    a = problem.sequence(a)
+    leaves, states = problem.leaves, problem.states
     poly = lpmod.deviation_polytope_constraints(problem)
     prog = lpmod.LinearProgram()
     poly.install(prog)
-    prog.add_variable("k")
-    leaves = problem.leaves
-    for i, b in enumerate(leaves):
-        for state in problem.states:
-            u_b = utility(problem, b, state)
-            coeffs = {
-                poly.var(i, j): utility(problem, c, state) - u_b
-                for j, c in enumerate(leaves)
-            }
-            coeffs = {n: q for n, q in coeffs.items() if q != 0}
-            if b == a:
-                coeffs["k"] = Fraction(-1)
-                prog.add_constraint(coeffs, ">=", 0, f"target[{state}]")
-            elif coeffs:
-                prog.add_constraint(coeffs, ">=", 0, f"weak[{b.label},{state}]")
-    prog.set_objective({"k": 1})
+    table = [[utility(problem, b, s) for s in states] for b in leaves]
+
+    def gain(i: int, s: int) -> dict[str, Fraction]:
+        return {poly.var(i, j): table[j][s] - table[i][s]
+                for j in range(len(leaves)) if table[j][s] != table[i][s]}
+
+    objective: dict[str, Fraction] = {}
+    gain_rows = []
+    if isinstance(observed, JointDistribution):
+        check = dominates_joint
+        for i, row in enumerate(observed.matrix):
+            for s, w in enumerate(row):
+                if w == 0:
+                    continue
+                for name, c in gain(i, s).items():
+                    objective[name] = objective.get(name, Fraction(0)) + w * c
+    else:
+        if isinstance(observed, MarginalDistribution):
+            check = dominates_marginal
+            levels = {i: f"k[{b.label}]" for i, b in enumerate(leaves)}
+            objective = dict(zip(levels.values(), observed.weights))
+        else:
+            check = dominates_sequence
+            observed = problem.sequence(observed)
+            levels = {problem.leaf_index[observed]: "k"}
+            objective = {"k": Fraction(1)}
+        for name in levels.values():
+            prog.add_variable(name)
+        for i, b in enumerate(leaves):
+            for s, state in enumerate(states):
+                coeffs = gain(i, s)
+                if i in levels:
+                    coeffs[levels[i]] = Fraction(-1)
+                elif not coeffs:
+                    continue
+                gain_rows.append((len(prog.constraints), i, s))
+                prog.add_constraint(coeffs, ">=", 0, f"gain[{b.label},{state}]")
+    prog.set_objective(objective)
+
     sol = lpmod.solve(prog)
-    if sol.status != "optimal":  # pragma: no cover
+    if sol.status != "optimal":  # pragma: no cover - identity rule is feasible, gains bounded
         raise InternalInconsistencyError(f"dominance program ended {sol.status}")
-    if sol.value <= 0:
-        return None
-    rule = _extract_rule(problem, poly, sol.assignment)
-    if not dominates_sequence(problem, rule, a):  # pragma: no cover - solver bug
-        raise InternalInconsistencyError("extracted rule fails its own dominance check")
-    return rule
+    rule = None
+    if sol.value > 0:
+        rule = DeviationRule(leaves, poly.extract_matrix(sol.assignment))
+        if not check(problem, rule, observed):  # pragma: no cover - solver bug
+            raise InternalInconsistencyError("extracted rule fails its own dominance check")
+    return _Dominance(prog, sol, rule, tuple(gain_rows))
+
+
+def truly_dominated(problem: DecisionProblem, a: ActionSequence) -> Optional[DeviationRule]:
+    """Search for a rule that never hurts any sequence in any state and
+    strictly improves ``a`` in every state; None when no such rule exists."""
+    return _dominance(problem, a).rule
 
 
 def dominated_on_average(
@@ -230,33 +303,7 @@ def dominated_on_average(
 ) -> Optional[DeviationRule]:
     """Maximize the expected improvement under ``joint`` over all rules;
     returns the maximizer when the optimum is strictly positive."""
-    _require_parameter_free(problem)
-    poly = lpmod.deviation_polytope_constraints(problem)
-    prog = lpmod.LinearProgram()
-    poly.install(prog)
-    leaves = problem.leaves
-    objective: dict[str, Fraction] = {}
-    for i, a in enumerate(leaves):
-        for s, state in enumerate(problem.states):
-            w = joint.matrix[i][s]
-            if w == 0:
-                continue
-            u_a = utility(problem, a, state)
-            for j, b in enumerate(leaves):
-                coeff = w * (utility(problem, b, state) - u_a)
-                if coeff != 0:
-                    name = poly.var(i, j)
-                    objective[name] = objective.get(name, Fraction(0)) + coeff
-    prog.set_objective(objective)
-    sol = lpmod.solve(prog)
-    if sol.status != "optimal":  # pragma: no cover
-        raise InternalInconsistencyError(f"average-dominance program ended {sol.status}")
-    if sol.value <= 0:
-        return None
-    rule = _extract_rule(problem, poly, sol.assignment)
-    if not dominates_joint(problem, rule, joint):  # pragma: no cover - solver bug
-        raise InternalInconsistencyError("extracted rule fails its own dominance check")
-    return rule
+    return _dominance(problem, joint).rule
 
 
 def intermediately_dominated(
@@ -264,35 +311,7 @@ def intermediately_dominated(
 ) -> Optional[DeviationRule]:
     """Maximize the marginal-weighted sum of worst-state improvements; the
     worst case over states is linearized with one auxiliary level per leaf."""
-    _require_parameter_free(problem)
-    poly = lpmod.deviation_polytope_constraints(problem)
-    prog = lpmod.LinearProgram()
-    poly.install(prog)
-    leaves = problem.leaves
-    for i, a in enumerate(leaves):
-        prog.add_variable(f"k[{a.label}]")
-    for i, a in enumerate(leaves):
-        for state in problem.states:
-            u_a = utility(problem, a, state)
-            coeffs = {
-                poly.var(i, j): utility(problem, b, state) - u_a
-                for j, b in enumerate(leaves)
-            }
-            coeffs = {n: q for n, q in coeffs.items() if q != 0}
-            coeffs[f"k[{a.label}]"] = Fraction(-1)
-            prog.add_constraint(coeffs, ">=", 0, f"level[{a.label},{state}]")
-    prog.set_objective(
-        {f"k[{a.label}]": w for a, w in zip(leaves, marginal.weights) if w != 0}
-    )
-    sol = lpmod.solve(prog)
-    if sol.status != "optimal":  # pragma: no cover
-        raise InternalInconsistencyError(f"intermediate-dominance program ended {sol.status}")
-    if sol.value <= 0:
-        return None
-    rule = _extract_rule(problem, poly, sol.assignment)
-    if not dominates_marginal(problem, rule, marginal):  # pragma: no cover - solver bug
-        raise InternalInconsistencyError("extracted rule fails its own dominance check")
-    return rule
+    return _dominance(problem, marginal).rule
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +359,6 @@ def _obedience_program(problem: DecisionProblem) -> lpmod.LinearProgram:
     return prog
 
 
-def _joint_from_assignment(problem: DecisionProblem, assignment) -> JointDistribution:
-    matrix = tuple(
-        tuple(assignment[_gamma_var(a, s)] for s in problem.states)
-        for a in problem.leaves
-    )
-    return JointDistribution(problem.leaves, problem.states, matrix)
-
-
 def max_positive_marginal(
     problem: DecisionProblem, a: ActionSequence
 ) -> tuple[Fraction, Optional[JointDistribution]]:
@@ -365,46 +376,9 @@ def max_positive_marginal(
         raise InternalInconsistencyError(f"obedience program ended {sol.status}")
     if sol.value <= 0:
         return Fraction(0), None
-    return sol.value, _joint_from_assignment(problem, sol.assignment)
-
-
-def rationalizing_joint(
-    problem: DecisionProblem,
-    *,
-    positive_on: Optional[ActionSequence] = None,
-    marginal: Optional[MarginalDistribution] = None,
-    joint: Optional[JointDistribution] = None,
-) -> Optional[JointDistribution]:
-    """Find an obedient joint law meeting one requirement, or None.
-
-    Exactly one of the keyword requirements must be given: strictly positive
-    probability on a leaf, an exact action marginal, or an exact joint law
-    (pure feasibility of the given data).
-    """
-    _require_parameter_free(problem)
-    given = [x is not None for x in (positive_on, marginal, joint)]
-    if sum(given) != 1:
-        raise ValidationError("specify exactly one requirement")
-
-    if joint is not None:
-        return joint if dominated_on_average(problem, joint) is None else None
-
-    if positive_on is not None:
-        _, witness = max_positive_marginal(problem, positive_on)
-        return witness
-
-    prog = _obedience_program(problem)
-    for a, w in zip(problem.leaves, marginal.weights):
-        prog.add_constraint(
-            {_gamma_var(a, s): 1 for s in problem.states}, "==", w, f"marginal[{a.label}]"
-        )
-    prog.set_objective({})
-    sol = lpmod.solve(prog)
-    if sol.status == "infeasible":
-        return None
-    if sol.status != "optimal":  # pragma: no cover
-        raise InternalInconsistencyError(f"obedience program ended {sol.status}")
-    return _joint_from_assignment(problem, sol.assignment)
+    return sol.value, JointDistribution(problem.leaves, problem.states, tuple(
+        tuple(sol.assignment[_gamma_var(b, s)] for s in problem.states)
+        for b in problem.leaves))
 
 
 def obedient_triple_from_joint(joint: JointDistribution) -> ObedientTriple:
@@ -413,33 +387,45 @@ def obedient_triple_from_joint(joint: JointDistribution) -> ObedientTriple:
     States with zero prior mass get a deterministic placeholder row (point
     mass on the first leaf); the induced joint law is unchanged.
     """
-    n_states = len(joint.states)
-    prior = [Fraction(0)] * n_states
-    for row in joint.matrix:
-        for s in range(n_states):
-            prior[s] += row[s]
+    prior = joint.state_marginal()
     rec = []
-    for s in range(n_states):
-        if prior[s] == 0:
+    for s, p in enumerate(prior):
+        if p == 0:
             row = [Fraction(0)] * len(joint.leaves)
             row[0] = Fraction(1)
         else:
-            row = [joint.matrix[i][s] / prior[s] for i in range(len(joint.leaves))]
+            row = [cells[s] / p for cells in joint.matrix]
         rec.append(tuple(row))
-    return ObedientTriple(joint.leaves, joint.states, tuple(prior), tuple(rec))
+    return ObedientTriple(joint.leaves, joint.states, prior, tuple(rec))
+
+
+def _rationalize(problem: DecisionProblem, observed) -> Verdict:
+    found = _dominance(problem, observed)
+    if found.rule is not None:
+        return Verdict(False, found.rule)
+    return Verdict(True, obedient_triple_from_joint(found.obedient_joint(problem)))
 
 
 def rationalize_sequence(problem: DecisionProblem, a: ActionSequence) -> Verdict:
     """Decide whether ``a`` can be an optimizer's choice under some prior and
-    information flow; exactly one of the two certificate searches succeeds."""
-    _require_parameter_free(problem)
-    a = problem.sequence(a)
-    rule = truly_dominated(problem, a)
-    witness_joint = rationalizing_joint(problem, positive_on=a)
-    if (rule is None) == (witness_joint is None):
-        raise InternalInconsistencyError(
-            "dominance and obedience searches agree; one of them is wrong"
-        )
+    information flow, with one LP: the dominance program of ``a``.  A
+    positive optimum gives the dominating rule; at optimum 0 the program's
+    duals give an obedient triple that recommends ``a`` with positive
+    probability."""
+    return _rationalize(problem, a)
+
+
+def rationalize_marginal(problem: DecisionProblem, marginal: MarginalDistribution) -> Verdict:
+    """Decide whether an action-sequence law is rationalizable, with one LP:
+    a dominating rule, or an obedient triple read from the duals whose
+    action marginal is exactly ``marginal``."""
+    return _rationalize(problem, marginal)
+
+
+def rationalize_joint(problem: DecisionProblem, joint: JointDistribution) -> Verdict:
+    """Decide whether a joint action-state law is rationalizable, with one
+    LP: a dominating rule, or else ``joint`` itself, which is then obedient."""
+    rule = dominated_on_average(problem, joint)
     if rule is not None:
         return Verdict(False, rule)
-    return Verdict(True, obedient_triple_from_joint(witness_joint))
+    return Verdict(True, obedient_triple_from_joint(joint))

@@ -114,14 +114,12 @@ def test_criterion_4_sequence_dichotomy():
     for i in range(200):
         p = random_problem(rng, max_leaves=5, max_rules=300)
         for leaf in p.leaves:
-            rule = rz.truly_dominated(p, leaf)
-            joint = rz.rationalizing_joint(p, positive_on=leaf)
-            assert (rule is None) != (joint is None), (i, leaf.label)
-            if rule is not None:
-                log_rule(p, rule, dv.dominates_sequence, leaf)
+            verdict = rz.rationalize_sequence(p, leaf)
+            if not verdict.rationalizable:
+                log_rule(p, verdict.witness, dv.dominates_sequence, leaf)
             else:
-                assert oc.brute_force_rationalizable_joint(p, joint)
-                log_triple(p, rz.obedient_triple_from_joint(joint), positive_on=leaf)
+                assert oc.brute_force_rationalizable_joint(p, verdict.witness.induced_joint())
+                log_triple(p, verdict.witness, positive_on=leaf)
 
 
 @criterion("4b (joint-law dichotomy, 200 instances)")
@@ -145,14 +143,14 @@ def test_criterion_4_marginal_dichotomy():
     for i in range(200):
         p = random_problem(rng, max_leaves=5, max_rules=300)
         marginal = random_marginal(rng, p)
-        rule = rz.intermediately_dominated(p, marginal)
-        joint = rz.rationalizing_joint(p, marginal=marginal)
-        assert (rule is None) != (joint is None), i
-        if rule is not None:
-            log_rule(p, rule, dv.dominates_marginal, marginal)
+        verdict = rz.rationalize_marginal(p, marginal)
+        if not verdict.rationalizable:
+            log_rule(p, verdict.witness, dv.dominates_marginal, marginal)
         else:
-            assert joint.action_marginal() == marginal
-            log_triple(p, rz.obedient_triple_from_joint(joint))
+            joint = verdict.witness.induced_joint()
+            assert joint.action_marginal() == marginal, i
+            assert oc.brute_force_rationalizable_joint(p, joint), i
+            log_triple(p, verdict.witness)
 
 
 @criterion("5 (every emitted witness re-verifies)")

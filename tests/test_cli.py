@@ -7,6 +7,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from dynrat import cli, oracle, rationalize
 from dynrat.model import format_rational, load_problem
 
@@ -92,6 +94,75 @@ def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "check-seq", str(PROBLEMS / "missing.json"),
                            "--seq", "a")
     assert code == 2
+
+
+def _golden_report(name: str) -> dict:
+    return json.loads((GOLDEN / f"{name}.json").read_text())
+
+
+def _edited(name: str, edit) -> dict:
+    report = _golden_report(name)
+    edit(report)
+    return report
+
+
+MALFORMED = {
+    "report-is-a-list": ("verify-witness", []),
+    "witness-is-a-number": ("verify-witness", _edited(
+        "ex1-check-seq-pull-back", lambda r: r.update(result={"witness": 5}))),
+    "problem-is-a-number": ("verify-witness", _edited(
+        "ex1-check-seq-pull-back", lambda r: r.update(problem=7))),
+    "params-is-a-list": ("verify-witness", _edited(
+        "ex1-check-seq-pull-back", lambda r: r["query"].update(params=[1]))),
+    "prior-is-a-list": ("verify-witness", _edited(
+        "ex1-check-seq-pull-back",
+        lambda r: r["result"]["witness"].update(prior=["1/2", "1/2"]))),
+    "kernel-is-a-list": ("verify-witness", _edited(
+        "ex2-check-seq-no", lambda r: r["result"]["witness"].update(kernel=[1]))),
+    "kernel-row-is-a-number": ("verify-witness", _edited(
+        "ex2-check-seq-no", lambda r: r["result"]["witness"]["kernel"].update(x=5))),
+    "seq-is-a-number": ("verify-witness", _edited(
+        "ex1-check-seq-pull-back", lambda r: r["query"].update(seq=5))),
+    "marginal-file-is-a-list": ("check-marginal", [["invest,pull_back", "1"]]),
+    "joint-file-is-a-list": ("check-joint", [["invest,pull_back", "good", "1"]]),
+    "joint-file-is-flat": ("check-joint", {"invest,pull_back": "1/2",
+                                           "invest,invest": "1/2"}),
+    "problem-is-a-directory": ("check-seq", None),
+    "problem-is-not-utf8": ("check-seq", b'{"periods": 1, "states": ["\xe9"]}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2(capsys, tmp_path, case):
+    command, content = MALFORMED[case]
+    path = tmp_path / "input.json"
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(json.dumps(content))
+    if command == "verify-witness":
+        argv = [command, str(path)]
+    elif command == "check-seq":
+        argv = [command, str(path), "--seq", "a"]
+    else:
+        argv = [command, EX1, "--dist-file", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and "input error" in err, err
+    assert out == ""
+
+
+def test_parser_keeps_no_state_between_runs(capsys):
+    # the parser is built once; a repeated option must not leak into the
+    # next run's defaults
+    ex3 = str(PROBLEMS / "example3.json")
+    code, out, _ = run_cli(capsys, "check-seq", ex3, "--param", "R=4", "--param", "c=1",
+                           "--seq", "effort,no_effort")
+    assert code == 0 and first_report(out)["query"]["params"] == {"R": "4", "c": "1"}
+    code, out, _ = run_cli(capsys, "check-seq", EX1, "--seq", "invest,pull_back")
+    assert code == 0 and first_report(out)["query"]["params"] == {}
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_check_marginal_and_joint(capsys, tmp_path):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from dynrat import cli
+from dynrat import cli, lp
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -120,6 +120,23 @@ def render(argv: list[str]) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name):
     assert render(CASES[name]) == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(
+    n for n in CASES if json.loads((GOLDEN / f"{n}.json").read_text())["result"].get("witness")))
+def test_golden_witnesses_verify(name):
+    result = json.loads(render(["verify-witness", str(GOLDEN / f"{name}.json")]))["result"]
+    assert result["valid"] is True, result["detail"]
+
+
+@pytest.mark.parametrize("name", sorted(
+    n for n, argv in CASES.items() if argv[0] in ("check-seq", "check-marginal", "check-joint")))
+def test_each_verdict_solves_one_program(name, monkeypatch):
+    solves = []
+    real_solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda prog: solves.append(prog) or real_solve(prog))
+    render(CASES[name])
+    assert len(solves) == 1
 
 
 def test_golden_cases_cover_both_verdicts():

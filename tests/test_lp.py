@@ -20,11 +20,43 @@ def test_single_variable_box():
 
 def test_symmetric_binding():
     prog = L.LinearProgram()
-    prog.add_variable("x", lower=0, upper=1)
-    prog.add_variable("y", lower=0, upper=2)
+    prog.add_variable("x", lower=0)
+    prog.add_variable("y", lower=0)
+    prog.add_constraint({"x": 1}, "<=", 1)
+    prog.add_constraint({"y": 1}, "<=", 2)
     prog.add_constraint({"x": 1, "y": -1}, "==", 0)
     prog.set_objective({"x": 1, "y": 1})
-    assert L.solve(prog).value == 2
+    sol = L.solve(prog)
+    assert sol.value == 2
+    assert L.check_duals(prog, sol)
+
+
+def test_duals_certify_the_optimum():
+    # max 2x + y + z, x + y <= 5, x + z == 2, -y + z >= -3 (stored negated),
+    # y >= 1 (shifted), z free (split)
+    prog = L.LinearProgram()
+    prog.add_variable("x", lower=0)
+    prog.add_variable("y", lower=1)
+    prog.add_variable("z")
+    prog.add_constraint({"x": 1, "y": 1}, "<=", 5)
+    prog.add_constraint({"x": 1, "z": 1}, "==", 2)
+    prog.add_constraint({"y": -1, "z": 1}, ">=", -3)
+    prog.add_constraint({}, "<=", 4)  # no coefficients: dual 0
+    prog.set_objective({"x": 2, "y": 1, "z": 1})
+    sol = L.solve(prog)
+    assert sol.value == 7 and len(sol.duals) == 4
+    assert sol.duals[3] == 0
+    assert L.check_duals(prog, sol)
+    # any single perturbed dual breaks the certificate: a reduced cost or
+    # the dual bound moves
+    for r in range(4):
+        for step in (F(1, 7), F(-1, 7)):
+            duals = list(sol.duals)
+            duals[r] += step
+            assert not L.check_duals(prog, L.LpSolution(
+                sol.status, sol.value, sol.assignment, sol.pivots, tuple(duals)))
+    assert not L.check_duals(prog, L.LpSolution(
+        sol.status, sol.value, sol.assignment, sol.pivots, sol.duals[:3]))
 
 
 def test_statuses():
@@ -42,7 +74,7 @@ def test_statuses():
 
 def test_dump_is_readable():
     prog = L.LinearProgram()
-    prog.add_variable("x", lower=0, upper="3/2")
+    prog.add_variable("x", lower="3/2")
     prog.add_constraint({"x": 2}, "<=", 1, name="cap")
     prog.set_objective({"x": 1})
     text = L.dump_lp(prog)
@@ -52,17 +84,21 @@ def test_dump_is_readable():
 def test_free_variable_and_min():
     prog = L.LinearProgram()
     prog.add_variable("k")
-    prog.add_variable("a", lower=0, upper=1)
+    prog.add_variable("a", lower=0)
+    prog.add_constraint({"a": 1}, "<=", 1)
     prog.add_constraint({"k": 1, "a": -1}, "<=", "-1/3")
     prog.set_objective({"k": 1})
     assert L.solve(prog).value == F(2, 3)
-    prog.set_objective({"k": 1}, "min")
+    prog.set_objective({"k": -1})  # minimize k
     assert L.solve(prog).status == "unbounded"
 
     prog = L.LinearProgram()
-    prog.add_variable("x", lower=-2, upper=5)
-    prog.set_objective({"x": 1}, "min")
-    assert L.solve(prog).value == -2
+    prog.add_variable("x", lower=-2)
+    prog.add_constraint({"x": 1}, "<=", 5)
+    prog.set_objective({"x": -1})  # minimize x
+    sol = L.solve(prog)
+    assert sol.value == 2 and sol.assignment["x"] == -2
+    assert L.check_duals(prog, sol)
 
 
 # -- randomized cross-check against explicit vertex enumeration --------------
@@ -84,7 +120,7 @@ def _gauss(A, b):
     return [M[r][n] for r in range(n)]
 
 
-def _vertex_optimum(names, bounds, rows, obj, direction):
+def _vertex_optimum(names, bounds, rows, obj):
     n = len(names)
     all_rows = []
     for i, (lo, hi) in enumerate(bounds):
@@ -109,14 +145,14 @@ def _vertex_optimum(names, bounds, rows, obj, direction):
         if not feasible:
             continue
         value = sum(c * v for c, v in zip(obj, x))
-        if best is None or (direction == "max" and value > best) or (
-            direction == "min" and value < best
-        ):
+        if best is None or value > best:
             best = value
     return best
 
 
 def test_random_programs_match_vertex_enumeration():
+    # each optimum also carries duals that certify it; minimizing is
+    # maximizing the negated objective
     rng = random.Random(101)
     for _ in range(120):
         n = rng.randint(1, 4)
@@ -124,7 +160,8 @@ def test_random_programs_match_vertex_enumeration():
         bounds = [(F(rng.randint(-3, 0)), F(rng.randint(1, 4))) for _ in range(n)]
         prog = L.LinearProgram()
         for name, (lo, hi) in zip(names, bounds):
-            prog.add_variable(name, lower=lo, upper=hi)
+            prog.add_variable(name, lower=lo)
+            prog.add_constraint({name: 1}, "<=", hi)
         rows = []
         for _ in range(rng.randint(0, 4)):
             coeff = [F(rng.randint(-3, 3)) for _ in range(n)]
@@ -133,16 +170,18 @@ def test_random_programs_match_vertex_enumeration():
             rows.append((coeff, sense, rhs))
             prog.add_constraint(dict(zip(names, coeff)), sense, rhs)
         obj = [F(rng.randint(-3, 3)) for _ in range(n)]
-        direction = rng.choice(["max", "min"])
-        prog.set_objective(dict(zip(names, obj)), direction)
+        if rng.choice(["max", "min"]) == "min":
+            obj = [-c for c in obj]
+        prog.set_objective(dict(zip(names, obj)))
         got = L.solve(prog)
-        want = _vertex_optimum(names, bounds, rows, obj, direction)
+        want = _vertex_optimum(names, bounds, rows, obj)
         if want is None:
             assert got.status == "infeasible"
         else:
             assert got.status == "optimal"
             assert got.value == want
             assert L.check_solution(prog, got.assignment)
+            assert L.check_duals(prog, got)
 
 
 def test_solutions_verify_and_repeat_bit_for_bit(example1):
@@ -209,8 +248,7 @@ def test_polytope_membership(example1, example2):
 
 def test_polytope_vertices_are_pure_kernels(example1):
     # random objectives land on vertices; all vertices are pure-rule kernels.
-    # The block declares no upper bounds: its density rows alone keep every
-    # entry in [0, 1], so the vertices are the same as with a [0, 1] box.
+    # The block's density rows alone keep every entry in [0, 1].
     rng = random.Random(17)
     problems = [example1] + [
         random_problem(rng, min_leaves=4, max_rules=250) for _ in range(6)]
@@ -221,7 +259,6 @@ def test_polytope_vertices_are_pure_kernels(example1):
         for _ in range(12):
             prog = L.LinearProgram()
             poly.install(prog)
-            assert all(hi is None for _, hi in prog.variables.values())
             objective = {
                 poly.var(i, j): F(rng.randint(-5, 5), rng.randint(1, 4))
                 for i in range(n)
@@ -260,10 +297,11 @@ def test_polytope_feasibility_equals_adaptedness_on_random_problems():
 
 def test_fractional_boxes_match_vertex_enumeration():
     # fractional and degenerate (fixed) boxes, fractional coefficients and
-    # objectives.  Each box is declared in one of three ways: as both bounds;
-    # as an upper bound only, with the lower bound as a ">=" row; or as no
-    # bound at all, with both sides as rows.  So the solver's upper-bound rows
-    # meet shifted and split free columns, and agree with explicit rows.
+    # objectives.  Each box is declared in one of three ways: a lower bound
+    # with the upper side as a "<=" row; no bound, with the upper side as a
+    # negated ">=" row and the lower side as a ">=" row; or no bound, with
+    # both sides as plain rows.  So duals are read from shifted and split
+    # free columns and from rows the solver stores negated.
     rng = random.Random(303)
     for _ in range(150):
         n = rng.randint(1, 4)
@@ -275,11 +313,13 @@ def test_fractional_boxes_match_vertex_enumeration():
             bounds.append((lo, lo + width))
         prog = L.LinearProgram()
         for name, (lo, hi) in zip(names, bounds):
-            declared = rng.choice(["both", "both", "upper", "none"])
-            if declared == "both":
-                prog.add_variable(name, lower=lo, upper=hi)
-            elif declared == "upper":
-                prog.add_variable(name, upper=hi)
+            declared = rng.choice(["lower", "lower", "negated", "none"])
+            if declared == "lower":
+                prog.add_variable(name, lower=lo)
+                prog.add_constraint({name: 1}, "<=", hi)
+            elif declared == "negated":
+                prog.add_variable(name)
+                prog.add_constraint({name: -1}, ">=", -hi)
                 prog.add_constraint({name: 1}, ">=", lo)
             else:
                 prog.add_variable(name)
@@ -293,13 +333,15 @@ def test_fractional_boxes_match_vertex_enumeration():
             rows.append((coeff, sense, rhs))
             prog.add_constraint(dict(zip(names, coeff)), sense, rhs)
         obj = [F(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(n)]
-        direction = rng.choice(["max", "min"])
-        prog.set_objective(dict(zip(names, obj)), direction)
+        if rng.choice(["max", "min"]) == "min":
+            obj = [-c for c in obj]
+        prog.set_objective(dict(zip(names, obj)))
         got = L.solve(prog)
-        want = _vertex_optimum(names, bounds, rows, obj, direction)
+        want = _vertex_optimum(names, bounds, rows, obj)
         if want is None:
             assert got.status == "infeasible"
         else:
             assert got.status == "optimal"
             assert got.value == want
             assert L.check_solution(prog, got.assignment)
+            assert L.check_duals(prog, got)

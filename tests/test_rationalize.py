@@ -1,8 +1,6 @@
 import random
 from fractions import Fraction as F
 
-import pytest
-
 from dynrat import deviation as dv
 from dynrat import lp
 from dynrat import model as m
@@ -96,7 +94,7 @@ def test_max_positive_marginal(example1, example2):
     assert sum(joint.matrix[1], F(0)) == F(2, 3)
     assert oc.brute_force_rationalizable_joint(example1, joint)
     half = m.instantiate(example2, {"delta": "1/2"})
-    assert rz.rationalizing_joint(half, positive_on=half.sequence("w,x")) is None
+    assert rz.max_positive_marginal(half, half.sequence("w,x")) == (0, None)
 
 
 def test_compact_obedience_matches_enumerated_rows():
@@ -115,25 +113,29 @@ def test_compact_obedience_matches_enumerated_rows():
         assert lp.solve(prog).value == enumerated_obedience_optimum(p, weights)
 
 
-def test_rationalizing_joint_fixed_marginal(example1):
+def test_rationalize_marginal(example1):
     knife = m.MarginalDistribution.from_mapping(
         example1, {"invest,pull_back": "2/3", "invest,invest": "1/3"})
-    joint = rz.rationalizing_joint(example1, marginal=knife)
-    assert joint is not None
+    verdict = rz.rationalize_marginal(example1, knife)
+    assert verdict.rationalizable
+    joint = verdict.witness.induced_joint()
     assert joint.action_marginal() == knife
     assert oc.brute_force_rationalizable_joint(example1, joint)
     heavy = m.MarginalDistribution.from_mapping(
         example1, {"invest,pull_back": "3/4", "invest,invest": "1/4"})
-    assert rz.rationalizing_joint(example1, marginal=heavy) is None
+    verdict = rz.rationalize_marginal(example1, heavy)
+    assert not verdict.rationalizable
+    assert dv.dominates_marginal(example1, verdict.witness, heavy)
 
 
-def test_rationalizing_joint_fixed_joint(example1):
+def test_rationalize_joint(example1):
     knife = knife_edge_joint(example1)
-    assert rz.rationalizing_joint(example1, joint=knife) is knife
+    verdict = rz.rationalize_joint(example1, knife)
+    assert verdict.rationalizable and verdict.witness.induced_joint() == knife
     point = m.JointDistribution.from_mapping(example1, {("invest,pull_back", "good"): 1})
-    assert rz.rationalizing_joint(example1, joint=point) is None
-    with pytest.raises(m.ValidationError, match="exactly one"):
-        rz.rationalizing_joint(example1, joint=point, marginal=point.action_marginal())
+    verdict = rz.rationalize_joint(example1, point)
+    assert not verdict.rationalizable
+    assert dv.dominates_joint(example1, verdict.witness, point)
 
 
 def test_obedient_triple_from_joint(example1):
@@ -186,13 +188,20 @@ def test_one_leaf_problem_is_trivially_rationalizable():
 
 
 def test_sequence_dichotomy_small():
+    # the verdict agrees with the obedience program, a different LP, and
+    # each witness passes the oracle's checks
     rng = random.Random(71)
     for _ in range(30):
         p = random_problem(rng, max_rules=200)
         for leaf in p.leaves:
-            rule = rz.truly_dominated(p, leaf)
-            joint = rz.rationalizing_joint(p, positive_on=leaf)
-            assert (rule is None) == (joint is not None)
+            verdict = rz.rationalize_sequence(p, leaf)
+            assert verdict.rationalizable == (rz.max_positive_marginal(p, leaf)[0] > 0)
+            if verdict.rationalizable:
+                joint = verdict.witness.induced_joint()
+                assert sum(joint.matrix[p.leaf_index[leaf]], F(0)) > 0
+                assert oc.brute_force_rationalizable_joint(p, joint)
+            else:
+                assert dv.dominates_sequence(p, verdict.witness, leaf)
 
 
 def test_joint_dichotomy_small():
@@ -209,9 +218,13 @@ def test_marginal_dichotomy_small():
     for _ in range(30):
         p = random_problem(rng, max_rules=200)
         marginal = random_marginal(rng, p)
-        rule = rz.intermediately_dominated(p, marginal)
-        joint = rz.rationalizing_joint(p, marginal=marginal)
-        assert (rule is None) == (joint is not None)
+        verdict = rz.rationalize_marginal(p, marginal)
+        if verdict.rationalizable:
+            joint = verdict.witness.induced_joint()
+            assert joint.action_marginal() == marginal
+            assert oc.brute_force_rationalizable_joint(p, joint)
+        else:
+            assert dv.dominates_marginal(p, verdict.witness, marginal)
 
 
 def test_true_dominance_implies_apparent():
@@ -251,7 +264,7 @@ def test_rationalizable_joints_form_convex_set():
             tuple(t * a + (1 - t) * b for a, b in zip(r1, r2))
             for r1, r2 in zip(g1.matrix, g2.matrix)
         ))
-        assert rz.rationalizing_joint(p, joint=mix) is mix
+        assert rz.dominated_on_average(p, mix) is None
         done += 1
 
 

@@ -1,10 +1,10 @@
 """Degenerate and larger instances that lean on the solver's anti-cycling.
 
 Tie-heavy integer payoffs force many pivots on zero-length steps, and larger
-rule counts grow the obedience programs well past the acceptance-suite sizes.
+trees grow the programs, and the brute-force checks of their witnesses, well
+past the acceptance-suite sizes.
 """
 
-import itertools
 import random
 from fractions import Fraction as F
 
@@ -27,20 +27,28 @@ def test_dichotomies_with_tie_heavy_payoffs():
     for i in range(40):
         p = random_problem(rng, max_rules=300, denom_cap=1, value_cap=1)
         for leaf in p.leaves:
-            rule = rz.truly_dominated(p, leaf)
-            joint = rz.rationalizing_joint(p, positive_on=leaf)
-            assert (rule is None) != (joint is None), (i, leaf.label)
+            verdict = rz.rationalize_sequence(p, leaf)
+            if verdict.rationalizable:
+                assert oc.verify_obedient_optimality(p, verdict.witness), (i, leaf.label)
+                joint = verdict.witness.induced_joint()
+                assert sum(joint.matrix[p.leaf_index[leaf]], F(0)) > 0
+            else:
+                assert dv.dominates_sequence(p, verdict.witness, leaf), (i, leaf.label)
         joint = random_joint(rng, p)
         assert (rz.dominated_on_average(p, joint) is None) == \
             oc.brute_force_rationalizable_joint(p, joint)
         marginal = random_marginal(rng, p)
-        assert (rz.intermediately_dominated(p, marginal) is None) != \
-            (rz.rationalizing_joint(p, marginal=marginal) is None)
+        verdict = rz.rationalize_marginal(p, marginal)
+        if verdict.rationalizable:
+            assert oc.verify_obedient_optimality(p, verdict.witness), i
+            assert verdict.witness.induced_joint().action_marginal() == marginal
+        else:
+            assert dv.dominates_marginal(p, verdict.witness, marginal), i
 
 
 def test_dichotomies_on_larger_instances():
     # rule counts past the acceptance-suite cap; two leaves per instance keep
-    # the obedience programs large without repeating criterion 4 wholesale
+    # the oracle's checks large without repeating criterion 4 wholesale
     rng = random.Random(2025)
     done = 0
     while done < 4:
@@ -49,12 +57,12 @@ def test_dichotomies_on_larger_instances():
             continue
         done += 1
         for leaf in (p.leaves[0], p.leaves[-1]):
-            rule = rz.truly_dominated(p, leaf)
-            joint = rz.rationalizing_joint(p, positive_on=leaf)
-            assert (rule is None) != (joint is None)
-            if rule is not None:
-                assert dv.dominates_sequence(p, rule, leaf)
+            verdict = rz.rationalize_sequence(p, leaf)
+            if not verdict.rationalizable:
+                assert dv.dominates_sequence(p, verdict.witness, leaf)
             else:
+                joint = verdict.witness.induced_joint()
+                assert sum(joint.matrix[p.leaf_index[leaf]], F(0)) > 0
                 assert oc.brute_force_rationalizable_joint(p, joint)
 
 
