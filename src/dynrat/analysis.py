@@ -2,10 +2,11 @@
 
 * the largest probability with which a sequence can appear under obedient
   behavior,
-* parameter regions consistent with observed behavior (grid scan plus
-  bisection of every sign change, each reported interval backed by an exact
-  sample test),
-* rule-wise consistency screens over a parameter grid, and
+* parameter regions consistent with an observation of any kind (grid scan
+  plus bisection of every sign change, each reported interval backed by an
+  exact sample test with `rationalize.dominating_rule`),
+* rule-wise consistency screens over a parameter grid
+  (`deviation.dominates`), and
 * increasing convex payoff transforms for risk-attitude comparisons.
 """
 
@@ -15,30 +16,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .deviation import (
-    AnyRule,
-    dominates_marginal,
-    dominates_sequence,
-)
+from .deviation import AnyRule, dominates
 from .model import (
     ActionSequence,
     AffineExpr,
     DecisionProblem,
-    JointDistribution,
-    MarginalDistribution,
+    Observation,
     ValidationError,
     format_rational,
     parse_rational,
     substitute_params,
 )
-from .rationalize import (
-    dominated_on_average,
-    intermediately_dominated,
-    max_positive_marginal,
-    truly_dominated,
-)
-
-Observation = Union[ActionSequence, MarginalDistribution, JointDistribution]
+from .rationalize import dominating_rule, max_positive_marginal
 
 
 def max_rationalizable_probability(problem: DecisionProblem, a: ActionSequence) -> Fraction:
@@ -146,26 +135,10 @@ def _single_param_family(
     return family
 
 
-def _rationalizable_at(
-    family: DecisionProblem,
-    param: str,
-    point: Fraction,
-    observation: Observation,
-) -> bool:
-    inst = substitute_params(family, {param: point})
-    if isinstance(observation, ActionSequence):
-        return truly_dominated(inst, observation) is None
-    if isinstance(observation, MarginalDistribution):
-        return intermediately_dominated(inst, observation) is None
-    if isinstance(observation, JointDistribution):
-        return dominated_on_average(inst, observation) is None
-    raise ValidationError(f"unsupported observation type {type(observation).__name__}")
-
-
 def lambda_D_set(
     problem: DecisionProblem,
     rule: AnyRule,
-    observation: Union[ActionSequence, MarginalDistribution],
+    observation: Observation,
     grid: Sequence[Union[int, str, Fraction]],
     *,
     param: Optional[str] = None,
@@ -186,17 +159,8 @@ def lambda_D_set(
         for pt in points:
             if pt < lo or pt > hi:
                 raise ValidationError(f"grid point {format_rational(pt)} outside declared range")
-    out = []
-    for pt in points:
-        inst = substitute_params(family, {param: pt})
-        if isinstance(observation, ActionSequence):
-            dominated = dominates_sequence(inst, rule, observation)
-        elif isinstance(observation, MarginalDistribution):
-            dominated = dominates_marginal(inst, rule, observation)
-        else:
-            raise ValidationError("observation must be a sequence or a marginal")
-        out.append(not dominated)
-    return tuple(out)
+    return tuple(not dominates(substitute_params(family, {param: pt}), rule, observation)
+                 for pt in points)
 
 
 @dataclass(frozen=True)
@@ -270,7 +234,7 @@ def identified_set(
     family = _single_param_family(problem, param, fixed)
 
     def test(point: Fraction) -> bool:
-        return _rationalizable_at(family, param, point, observation)
+        return dominating_rule(substitute_params(family, {param: point}), observation) is None
 
     step = (hi - lo) / (grid_points - 1)
     grid = [lo + i * step for i in range(grid_points)]

@@ -26,6 +26,7 @@ from .model import (
     DecisionProblem,
     JointDistribution,
     MarginalDistribution,
+    Observation,
     ParseError,
     ValidationError,
     format_rational,
@@ -98,6 +99,44 @@ def _dist_from_json(problem: DecisionProblem, doc, joint: bool):
             _object(row, f"joint law row {leaf!r}")
         return JointDistribution.from_mapping(problem, doc)
     return MarginalDistribution.from_mapping(problem, doc)
+
+
+# The kind of observation each verdict command checks.
+_VERDICTS = {"check-seq": "seq", "check-marginal": "marginal", "check-joint": "joint"}
+
+
+def _observed_spec(args) -> tuple[str, object]:
+    """The kind of observation a verdict or ``identify`` command names, and
+    its spec: a sequence label, an inline law, or a dist file's contents."""
+    if args.command == "identify":
+        given = [(kind, spec) for kind, spec in (
+            ("seq", args.seq), ("marginal", args.marginal), ("joint", args.joint))
+            if spec is not None]
+        if len(given) != 1:
+            raise UsageError("give exactly one of --seq / --marginal / --joint")
+        return given[0]
+    kind = _VERDICTS[args.command]
+    if kind == "seq":
+        return kind, args.seq
+    if (args.dist is None) == (args.dist_file is None):
+        raise UsageError("give exactly one of --dist / --dist-file")
+    return kind, args.dist if args.dist is not None else _read_json(args.dist_file, "dist file")
+
+
+def _observation(problem: DecisionProblem, kind: str, spec) -> Observation:
+    """Parse a sequence label, an inline law (``leaf:p/q,...`` or
+    ``leaf@state:p/q,...``), or a law as a JSON object."""
+    if kind == "seq":
+        return problem.sequence(spec)
+    if isinstance(spec, str):
+        return (_parse_joint if kind == "joint" else _parse_marginal)(problem, spec)
+    return _dist_from_json(problem, spec, kind == "joint")
+
+
+def _instance(problem: DecisionProblem, params: dict) -> DecisionProblem:
+    """``problem`` with its parameters pinned by ``params``; an input error
+    when ``params`` misses one or names one the problem lacks."""
+    return instantiate(problem, params) if (params or problem.has_params) else problem
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -191,13 +230,9 @@ def _emit(report: dict, pretty: bool) -> None:
             print(line)
 
 
-def _query_echo(args, **extra) -> dict:
-    echo = {"command": args.command, "params": {}}
-    for item in getattr(args, "param", []):
-        name, _, value = item.partition("=")
-        echo["params"][name] = format_rational(parse_rational(value))
-    echo.update(extra)
-    return echo
+def _query_echo(args, params: dict, **extra) -> dict:
+    return {"command": args.command,
+            "params": {name: format_rational(v) for name, v in params.items()}, **extra}
 
 
 def _run_query(args) -> dict:
@@ -206,82 +241,53 @@ def _run_query(args) -> dict:
     result: dict
     rules_enumerated = 0
     if args.command == "identify":
-        inst = base  # the swept parameter stays free; pinning happens per grid point
+        lo, _, hi = args.sweep_range.partition(":")
+        if not hi:
+            raise UsageError("--range expects LO:HI")
+        # the observation is read at the low end; the sweep pins the swept
+        # parameter afresh at every point
+        inst = _instance(base, {**params, args.sweep: lo})
     else:
-        inst = instantiate(base, params) if (params or base.has_params) else base
+        inst = _instance(base, params)
+    if args.command in _VERDICTS or args.command == "identify":
+        kind, spec = _observed_spec(args)
+        observed = _observation(inst, kind, spec)
+        echoed = spec if kind == "seq" else observed.to_json_dict()
 
-    if args.command == "check-seq":
-        result = rationalize.rationalize_sequence(inst, args.seq).to_json_dict()
-        query = _query_echo(args, seq=args.seq)
-
-    elif args.command == "check-joint":
-        if (args.dist is None) == (args.dist_file is None):
-            raise UsageError("give exactly one of --dist / --dist-file")
-        joint = (_parse_joint(inst, args.dist) if args.dist
-                 else _dist_from_json(inst, _read_json(args.dist_file, "dist file"), True))
-        result = rationalize.rationalize_joint(inst, joint).to_json_dict()
-        query = _query_echo(args, dist=joint.to_json_dict())
-
-    elif args.command == "check-marginal":
-        if (args.dist is None) == (args.dist_file is None):
-            raise UsageError("give exactly one of --dist / --dist-file")
-        marginal = (_parse_marginal(inst, args.dist) if args.dist
-                    else _dist_from_json(inst, _read_json(args.dist_file, "dist file"), False))
-        result = rationalize.rationalize_marginal(inst, marginal).to_json_dict()
-        query = _query_echo(args, dist=marginal.to_json_dict())
+    if args.command in _VERDICTS:
+        result = rationalize.decide(inst, observed).to_json_dict()
+        query = _query_echo(args, params, **{"seq" if kind == "seq" else "dist": echoed})
 
     elif args.command == "maxprob":
         seq = inst.sequence(args.seq)
         value = analysis.max_rationalizable_probability(inst, seq)
         result = {"value": format_rational(value)}
-        query = _query_echo(args, seq=args.seq)
+        query = _query_echo(args, params, seq=args.seq)
 
     elif args.command == "identify":
-        given = [x for x in (args.seq, args.marginal, args.joint) if x is not None]
-        if len(given) != 1:
-            raise UsageError("give exactly one of --seq / --marginal / --joint")
-        lo, _, hi = args.sweep_range.partition(":")
-        if not hi:
-            raise UsageError("--range expects LO:HI")
-        pinned = {}
-        for item in args.param:
-            name, _, value = item.partition("=")
-            pinned[name] = value
-        probe = instantiate(base, {**pinned, args.sweep: lo}) if base.has_params else base
-        if args.seq is not None:
-            observation = probe.sequence(args.seq)
-            obs_echo = {"seq": args.seq}
-        elif args.marginal is not None:
-            observation = _parse_marginal(probe, args.marginal)
-            obs_echo = {"marginal": observation.to_json_dict()}
-        else:
-            observation = _parse_joint(probe, args.joint)
-            obs_echo = {"joint": observation.to_json_dict()}
         iset = analysis.identified_set(
-            base, observation, args.sweep, lo, hi,
+            base, observed, args.sweep, lo, hi,
             tolerance=args.tol, grid_points=args.grid,
-            fixed=pinned or None,
+            fixed=params or None,
         )
         result = {"identified_set": iset.to_json_dict()}
-        query = _query_echo(args, sweep=args.sweep, range=args.sweep_range,
-                            tol=args.tol, grid=args.grid, **obs_echo)
+        query = _query_echo(args, params, sweep=args.sweep, range=args.sweep_range,
+                            tol=args.tol, grid=args.grid, **{kind: echoed})
 
     elif args.command == "enumerate-rules":
         rules = deviation.enumerate_pure_rules(inst, args.max_rules)
         rules_enumerated = len(rules)
         result = {"count": len(rules), "rules": [r.to_json_dict() for r in rules]}
-        query = _query_echo(args)
+        query = _query_echo(args, params)
 
     elif args.command == "simulate":
-        with open(args.structure, "r", encoding="utf-8") as fh:
-            structure = oracle.InformationStructure.from_json_dict(
-                inst, _object(json.load(fh), "structure file"))
-        with open(args.strategy, "r", encoding="utf-8") as fh:
-            strategy = oracle.Strategy.from_json_dict(
-                inst, _object(json.load(fh), "strategy file"))
+        structure = oracle.InformationStructure.from_json_dict(
+            inst, _read_json(args.structure, "structure file"))
+        strategy = oracle.Strategy.from_json_dict(
+            inst, _read_json(args.strategy, "strategy file"))
         empirical = oracle.simulate(inst, strategy, structure, args.n, args.seed)
         result = {"empirical": empirical.to_json_dict(), "n": args.n, "seed": args.seed}
-        query = _query_echo(args, n=args.n, seed=args.seed,
+        query = _query_echo(args, params, n=args.n, seed=args.seed,
                             structure=structure.to_json_dict(),
                             strategy=strategy.to_json_dict())
 
@@ -311,44 +317,22 @@ def _verify_report(doc: dict) -> tuple[bool, str]:
     query = _object(doc.get("query"), "report 'query'")
     params = {n: parse_rational(v)
               for n, v in _object(query.get("params", {}), "query 'params'").items()}
-    inst = instantiate(problem, params) if problem.has_params else problem
+    inst = _instance(problem, params)
+    command = query.get("command")
+    kind = _VERDICTS.get(command) if isinstance(command, str) else None
+    if kind is None:
+        return False, f"a {command!r} report has no observation to check"
+    observed = _observation(inst, kind, query.get("seq") if kind == "seq"
+                            else _object(query.get("dist"), "query 'dist'"))
     witness = _object(result["witness"], "witness")
-    kind = witness.get("kind")
-
-    if kind == "deviation_rule":
-        rule = deviation.DeviationRule.from_json_dict(
+    if witness.get("kind") == "deviation_rule":
+        certificate = deviation.DeviationRule.from_json_dict(
             inst, _object(witness.get("kernel"), "witness 'kernel'"))
-        if query["command"] == "check-seq":
-            ok = deviation.dominates_sequence(inst, rule, inst.sequence(query["seq"]))
-        elif query["command"] == "check-joint":
-            joint = _dist_from_json(inst, query.get("dist"), True)
-            ok = deviation.dominates_joint(inst, rule, joint)
-        elif query["command"] == "check-marginal":
-            marginal = _dist_from_json(inst, query.get("dist"), False)
-            ok = deviation.dominates_marginal(inst, rule, marginal)
-        else:
-            return False, f"no dominance check for command {query['command']!r}"
-        return ok, "dominating rule re-checked" if ok else "rule does not dominate"
-
-    if kind == "obedient_triple":
-        triple = rationalize.ObedientTriple.from_json_dict(inst, witness)
-        if not oracle.verify_obedient_optimality(inst, triple):
-            return False, "obeying the recommendations is not optimal"
-        induced = triple.induced_joint()
-        if query["command"] == "check-seq":
-            seq = inst.sequence(query["seq"])
-            mass = sum(induced.matrix[inst.leaf_index[seq]], Fraction(0))
-            if mass <= 0:
-                return False, "witness puts zero probability on the sequence"
-        elif query["command"] == "check-joint":
-            if induced != _dist_from_json(inst, query.get("dist"), True):
-                return False, "witness induces a different joint law"
-        elif query["command"] == "check-marginal":
-            if induced.action_marginal() != _dist_from_json(inst, query.get("dist"), False):
-                return False, "witness induces a different marginal"
-        return True, "obedient triple re-checked"
-
-    return False, f"unknown witness kind {kind!r}"
+    elif witness.get("kind") == "obedient_triple":
+        certificate = rationalize.ObedientTriple.from_json_dict(inst, witness)
+    else:
+        return False, f"unknown witness kind {witness.get('kind')!r}"
+    return oracle.verify_witness(inst, certificate, observed)
 
 
 def run(argv: Optional[list[str]] = None) -> int:

@@ -4,7 +4,8 @@ A deviation rule rewrites each intended action sequence into a lottery over
 action sequences, subject to adaptedness: the rewritten play up to period t
 may depend only on the intended play up to period t.  Rules compose like
 stochastic matrices and are the certificates that observed behavior cannot be
-rationalized, via the `dominates_*` predicates below.
+rationalized, via the three `dominates_*` criteria below, one per kind of
+observation; `dominates` picks the one that matches.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .model import (
     DecisionProblem,
     JointDistribution,
     MarginalDistribution,
+    Observation,
     ValidationError,
     format_rational,
     lottery_utility,
@@ -386,3 +388,12 @@ def dominates_marginal(
         if w != 0:
             total += w * min(improvement(problem, rule, a, s) for s in problem.states)
     return total > 0
+
+
+def dominates(problem: DecisionProblem, rule: AnyRule, observed: Observation) -> bool:
+    """The dominance criterion that matches the kind of ``observed``."""
+    if isinstance(observed, JointDistribution):
+        return dominates_joint(problem, rule, observed)
+    if isinstance(observed, MarginalDistribution):
+        return dominates_marginal(problem, rule, observed)
+    return dominates_sequence(problem, rule, observed)

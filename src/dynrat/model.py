@@ -107,14 +107,6 @@ class AffineExpr:
     def is_constant(self) -> bool:
         return not self.coeffs
 
-    def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        total = self.constant
-        for name, coeff in self.coeffs:
-            if name not in point:
-                raise ValidationError(f"missing parameter {name!r}")
-            total += coeff * point[name]
-        return total
-
     def substitute(self, point: Mapping[str, Fraction]) -> "AffineExpr":
         """Pin a subset of parameters, leaving the rest symbolic."""
         const = self.constant
@@ -519,6 +511,11 @@ class MarginalDistribution:
             for leaf, w in zip(self.leaves, self.weights)
             if w != 0
         }
+
+
+#: What an analyst can observe: one action sequence, an action-sequence law,
+#: or a joint action-state law.
+Observation = Union[ActionSequence, MarginalDistribution, JointDistribution]
 
 
 # ---------------------------------------------------------------------------

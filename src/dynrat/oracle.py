@@ -3,10 +3,11 @@
 Everything here re-derives answers from first principles, without the linear
 programs: exact expected utility of an explicit (strategy, information
 structure, prior) triple, exact optimal value by backward induction over
-signal prefixes, a brute-force obedience check that loops over every pure
-deviation rule, and a seeded Monte-Carlo sampler.  The test suite plays these
-against the LP-based procedures; agreement is the package's main internal
-consistency guarantee.
+signal prefixes, the re-check of a verdict's certificate against its
+observation (`verify_witness`), a brute-force obedience check that loops
+over every pure deviation rule, and a seeded Monte-Carlo sampler.  The test
+suite plays these against the LP-based procedures; agreement is the
+package's main internal consistency guarantee.
 """
 
 from __future__ import annotations
@@ -16,13 +17,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, Union
 
-from .deviation import DEFAULT_MAX_RULES, enumerate_pure_rules, matrix_is_adapted
+from .deviation import (
+    DEFAULT_MAX_RULES,
+    AnyRule,
+    dominates,
+    enumerate_pure_rules,
+    matrix_is_adapted,
+)
 from .model import (
     ActionSequence,
     DecisionProblem,
     JointDistribution,
+    MarginalDistribution,
+    Observation,
     ValidationError,
     format_rational,
     parse_rational,
@@ -283,6 +292,33 @@ def verify_obedient_optimality(problem: DecisionProblem, triple: ObedientTriple)
         triple.recommendation,
     )
     return obeyed == best
+
+
+def verify_witness(
+    problem: DecisionProblem, witness: Union[ObedientTriple, AnyRule], observed: Observation
+) -> tuple[bool, str]:
+    """Re-check a verdict's certificate against the observation, without LPs.
+
+    A rule must dominate ``observed`` by the criterion of its kind.  Obeying
+    a triple must be optimal, and the triple must induce the observation:
+    positive mass on the sequence, or exactly the marginal or the joint law.
+    Returns the outcome and a one-line reason.
+    """
+    if not isinstance(witness, ObedientTriple):
+        ok = dominates(problem, witness, observed)
+        return ok, "dominating rule re-checked" if ok else "rule does not dominate"
+    if not verify_obedient_optimality(problem, witness):
+        return False, "obeying the recommendations is not optimal"
+    induced = witness.induced_joint()
+    if isinstance(observed, JointDistribution):
+        if induced != observed:
+            return False, "witness induces a different joint law"
+    elif isinstance(observed, MarginalDistribution):
+        if induced.action_marginal() != observed:
+            return False, "witness induces a different marginal"
+    elif not any(induced.matrix[problem.leaf_index[problem.sequence(observed)]]):
+        return False, "witness puts zero probability on the sequence"
+    return True, "obedient triple re-checked"
 
 
 def brute_force_rationalizable_joint(

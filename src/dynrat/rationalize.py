@@ -1,21 +1,25 @@
 """Rationalizability tests with verifiable certificates.
 
-Each decision procedure answers "could this observed behavior come from an
-expected-utility maximizer under *some* prior and information flow?" and
-always hands back evidence:
+`decide(problem, observed)` answers "could this observed behavior come from
+an expected-utility maximizer under *some* prior and information flow?" for
+any observation: one action sequence, an action-sequence law or a joint
+action-state law.  It always hands back evidence:
 
 * impossible: a deviation rule whose improvement criterion is strictly
-  positive (checkable by the `dominates_*` predicates), or
+  positive (checkable by `deviation.dominates`), or
 * possible: an obedient triple, a prior plus recommendation kernel under
   which following recommendations is exactly optimal.
 
 Each verdict solves one exact rational LP, the dominance program of its data
-type: the best deviation rule over the rule polytope.  A positive optimum
-yields the rule.  At optimum 0 the program's duals, checked exactly by
-`lp.check_duals`, are the obedient information structure: the paper's
-theorem is this one LP duality.  Strictness is decided by comparing the
-optimal value against zero, never by epsilon.  The obedience program, the
-same duality written from the information side, serves `maxprob` only.
+type: the best deviation rule over the rule polytope (`dominating_rule`
+returns that rule alone).  A positive optimum yields the rule.  At optimum 0
+the program's duals, checked exactly by `lp.check_duals`, are the obedient
+information structure (for a joint law, the law itself): the paper's
+theorem is this one LP duality.  This module is the one place that tells
+the three kinds of observation apart when it builds a program.  Strictness
+is decided by comparing the optimal value against zero, never by epsilon.
+The obedience program, the same duality written from the information side,
+serves `maxprob` only.
 """
 
 from __future__ import annotations
@@ -25,17 +29,13 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from . import lp as lpmod
-from .deviation import (
-    DeviationRule,
-    dominates_joint,
-    dominates_marginal,
-    dominates_sequence,
-)
+from .deviation import DeviationRule, dominates
 from .model import (
     ActionSequence,
     DecisionProblem,
     JointDistribution,
     MarginalDistribution,
+    Observation,
     ValidationError,
     _require_parameter_free,
     format_rational,
@@ -199,17 +199,21 @@ def apparently_dominated(
 
 @dataclass(frozen=True)
 class _Dominance:
-    """A solved dominance program and its rule (None when no rule gains).
-    ``gain_rows`` lists (row, leaf index, state index) of the rows "the
-    rule's gain at this leaf in this state is at least the leaf's level"."""
+    """A solved dominance program of ``observed`` and its rule (None when no
+    rule gains).  ``gain_rows`` lists (row, leaf index, state index) of the
+    rows "the rule's gain at this leaf in this state is at least the leaf's
+    level"."""
 
+    observed: Observation
     prog: lpmod.LinearProgram
     sol: lpmod.LpSolution
     rule: Optional[DeviationRule]
     gain_rows: tuple[tuple[int, int, int], ...]
 
     def obedient_joint(self, problem: DecisionProblem) -> JointDistribution:
-        """At value 0, the gain rows' multipliers, negated and scaled to mass 1.
+        """At value 0, an obedient joint law that induces the observation:
+        a joint law itself, or else the gain rows' multipliers, negated and
+        scaled to mass 1.
 
         With g(i, s) minus the multiplier of row (i, s), the polytope rows'
         multipliers y satisfy A^T y >= C(g) and b^T y = 0 (C as in
@@ -217,6 +221,8 @@ class _Dominance:
         levels are free, so their reduced costs are 0: g has mass exactly 1
         on the observed sequence, or exactly the observed marginal.
         """
+        if isinstance(self.observed, JointDistribution):
+            return self.observed
         if not lpmod.check_duals(self.prog, self.sol):  # pragma: no cover - solver bug
             raise InternalInconsistencyError("dual certificate fails its check")
         mass = [[Fraction(0)] * len(problem.states) for _ in problem.leaves]
@@ -227,7 +233,7 @@ class _Dominance:
             tuple(g / total for g in row) for row in mass))
 
 
-def _dominance(problem: DecisionProblem, observed) -> _Dominance:
+def _dominance(problem: DecisionProblem, observed: Observation) -> _Dominance:
     """Solve the dominance program of an observed sequence, marginal or
     joint law, over the deviation polytope.
 
@@ -251,7 +257,6 @@ def _dominance(problem: DecisionProblem, observed) -> _Dominance:
     objective: dict[str, Fraction] = {}
     gain_rows = []
     if isinstance(observed, JointDistribution):
-        check = dominates_joint
         for i, row in enumerate(observed.matrix):
             for s, w in enumerate(row):
                 if w == 0:
@@ -260,11 +265,9 @@ def _dominance(problem: DecisionProblem, observed) -> _Dominance:
                     objective[name] = objective.get(name, Fraction(0)) + w * c
     else:
         if isinstance(observed, MarginalDistribution):
-            check = dominates_marginal
             levels = {i: f"k[{b.label}]" for i, b in enumerate(leaves)}
             objective = dict(zip(levels.values(), observed.weights))
         else:
-            check = dominates_sequence
             observed = problem.sequence(observed)
             levels = {problem.leaf_index[observed]: "k"}
             objective = {"k": Fraction(1)}
@@ -287,31 +290,16 @@ def _dominance(problem: DecisionProblem, observed) -> _Dominance:
     rule = None
     if sol.value > 0:
         rule = DeviationRule(leaves, poly.extract_matrix(sol.assignment))
-        if not check(problem, rule, observed):  # pragma: no cover - solver bug
+        if not dominates(problem, rule, observed):  # pragma: no cover - solver bug
             raise InternalInconsistencyError("extracted rule fails its own dominance check")
-    return _Dominance(prog, sol, rule, tuple(gain_rows))
+    return _Dominance(observed, prog, sol, rule, tuple(gain_rows))
 
 
-def truly_dominated(problem: DecisionProblem, a: ActionSequence) -> Optional[DeviationRule]:
-    """Search for a rule that never hurts any sequence in any state and
-    strictly improves ``a`` in every state; None when no such rule exists."""
-    return _dominance(problem, a).rule
-
-
-def dominated_on_average(
-    problem: DecisionProblem, joint: JointDistribution
-) -> Optional[DeviationRule]:
-    """Maximize the expected improvement under ``joint`` over all rules;
-    returns the maximizer when the optimum is strictly positive."""
-    return _dominance(problem, joint).rule
-
-
-def intermediately_dominated(
-    problem: DecisionProblem, marginal: MarginalDistribution
-) -> Optional[DeviationRule]:
-    """Maximize the marginal-weighted sum of worst-state improvements; the
-    worst case over states is linearized with one auxiliary level per leaf."""
-    return _dominance(problem, marginal).rule
+def dominating_rule(problem: DecisionProblem, observed: Observation) -> Optional[DeviationRule]:
+    """The rule that gains most on ``observed`` by the criterion of its kind
+    (`deviation.dominates`), when that gain is strictly positive; None when
+    no rule dominates, that is, when ``observed`` is rationalizable."""
+    return _dominance(problem, observed).rule
 
 
 # ---------------------------------------------------------------------------
@@ -399,33 +387,11 @@ def obedient_triple_from_joint(joint: JointDistribution) -> ObedientTriple:
     return ObedientTriple(joint.leaves, joint.states, prior, tuple(rec))
 
 
-def _rationalize(problem: DecisionProblem, observed) -> Verdict:
+def decide(problem: DecisionProblem, observed: Observation) -> Verdict:
+    """Decide whether ``observed`` is rationalizable, with one LP: a
+    dominating rule, or an obedient triple that induces the observation
+    (positive mass on a sequence, or exactly a marginal or joint law)."""
     found = _dominance(problem, observed)
     if found.rule is not None:
         return Verdict(False, found.rule)
     return Verdict(True, obedient_triple_from_joint(found.obedient_joint(problem)))
-
-
-def rationalize_sequence(problem: DecisionProblem, a: ActionSequence) -> Verdict:
-    """Decide whether ``a`` can be an optimizer's choice under some prior and
-    information flow, with one LP: the dominance program of ``a``.  A
-    positive optimum gives the dominating rule; at optimum 0 the program's
-    duals give an obedient triple that recommends ``a`` with positive
-    probability."""
-    return _rationalize(problem, a)
-
-
-def rationalize_marginal(problem: DecisionProblem, marginal: MarginalDistribution) -> Verdict:
-    """Decide whether an action-sequence law is rationalizable, with one LP:
-    a dominating rule, or an obedient triple read from the duals whose
-    action marginal is exactly ``marginal``."""
-    return _rationalize(problem, marginal)
-
-
-def rationalize_joint(problem: DecisionProblem, joint: JointDistribution) -> Verdict:
-    """Decide whether a joint action-state law is rationalizable, with one
-    LP: a dominating rule, or else ``joint`` itself, which is then obedient."""
-    rule = dominated_on_average(problem, joint)
-    if rule is not None:
-        return Verdict(False, rule)
-    return Verdict(True, obedient_triple_from_joint(joint))

@@ -62,7 +62,7 @@ def log_triple(problem, triple, positive_on=None):
 @criterion("1 (first example regressions)")
 def test_criterion_1_example1(example1):
     for leaf in example1.leaves:
-        verdict = rz.rationalize_sequence(example1, leaf)
+        verdict = rz.decide(example1, leaf)
         assert verdict.rationalizable, leaf.label
         log_triple(example1, verdict.witness, positive_on=leaf)
     pull_back = example1.sequence("invest,pull_back")
@@ -77,12 +77,12 @@ def test_criterion_2_example2(example2):
     wx = probe.sequence("w,x")
     for d in (F(1, 2), F(3, 4), F(799, 1000)):
         inst = m.instantiate(example2, {"delta": d})
-        rule = rz.truly_dominated(inst, wx)
+        rule = rz.dominating_rule(inst, wx)
         assert rule is not None, d
         log_rule(inst, rule, dv.dominates_sequence, wx)
     for d in (F(4, 5), F(9, 10), F(1)):
         inst = m.instantiate(example2, {"delta": d})
-        assert rz.truly_dominated(inst, wx) is None, d
+        assert rz.dominating_rule(inst, wx) is None, d
     for d in (F(4, 5), F(9, 10), F(19, 20), F(1)):
         inst = m.instantiate(example2, {"delta": d})
         assert an.max_rationalizable_probability(inst, wx) == 3 - 2 / d, d
@@ -114,7 +114,7 @@ def test_criterion_4_sequence_dichotomy():
     for i in range(200):
         p = random_problem(rng, max_leaves=5, max_rules=300)
         for leaf in p.leaves:
-            verdict = rz.rationalize_sequence(p, leaf)
+            verdict = rz.decide(p, leaf)
             if not verdict.rationalizable:
                 log_rule(p, verdict.witness, dv.dominates_sequence, leaf)
             else:
@@ -128,7 +128,7 @@ def test_criterion_4_joint_dichotomy():
     for i in range(200):
         p = random_problem(rng, max_leaves=5, max_rules=300)
         joint = random_joint(rng, p)
-        rule = rz.dominated_on_average(p, joint)
+        rule = rz.dominating_rule(p, joint)
         obedient = oc.brute_force_rationalizable_joint(p, joint)
         assert (rule is None) == obedient, i
         if rule is not None:
@@ -143,7 +143,7 @@ def test_criterion_4_marginal_dichotomy():
     for i in range(200):
         p = random_problem(rng, max_leaves=5, max_rules=300)
         marginal = random_marginal(rng, p)
-        verdict = rz.rationalize_marginal(p, marginal)
+        verdict = rz.decide(p, marginal)
         if not verdict.rationalizable:
             log_rule(p, verdict.witness, dv.dominates_marginal, marginal)
         else:
@@ -178,7 +178,7 @@ def test_criterion_6_oracle_agreement():
     for i in range(200):
         p = random_problem(rng, max_leaves=5, max_rules=300)
         joint = random_joint(rng, p)
-        assert (rz.dominated_on_average(p, joint) is None) == \
+        assert (rz.dominating_rule(p, joint) is None) == \
             oc.brute_force_rationalizable_joint(p, joint), i
     for i in range(50):
         p = random_problem(rng, max_periods=2, max_actions=2, max_states=2,
@@ -213,11 +213,11 @@ def test_criterion_7_risk_monotonicity():
         else:
             p = random_problem(rng, max_rules=300)
             leaf = rng.choice(p.leaves)
-        if rz.truly_dominated(p, leaf) is None:
+        if rz.dominating_rule(p, leaf) is None:
             continue
         f = random_convex_increasing(rng)
         transformed = an.risk_transform(p, f)
-        assert rz.truly_dominated(transformed, leaf) is not None
+        assert rz.dominating_rule(transformed, leaf) is not None
         checked += 1
     for _ in range(25):
         p = random_problem(rng, max_rules=300)
@@ -230,12 +230,12 @@ def test_criterion_7_risk_monotonicity():
         marginal = random_marginal(rng, p)
         assert (rz.apparently_dominated(p, leaf) is None) == \
             (rz.apparently_dominated(q, leaf) is None)
-        assert (rz.truly_dominated(p, leaf) is None) == \
-            (rz.truly_dominated(q, leaf) is None)
-        assert (rz.dominated_on_average(p, joint) is None) == \
-            (rz.dominated_on_average(q, joint) is None)
-        assert (rz.intermediately_dominated(p, marginal) is None) == \
-            (rz.intermediately_dominated(q, marginal) is None)
+        assert (rz.dominating_rule(p, leaf) is None) == \
+            (rz.dominating_rule(q, leaf) is None)
+        assert (rz.dominating_rule(p, joint) is None) == \
+            (rz.dominating_rule(q, joint) is None)
+        assert (rz.dominating_rule(p, marginal) is None) == \
+            (rz.dominating_rule(q, marginal) is None)
 
 
 @criterion("8 (enumeration counts)")

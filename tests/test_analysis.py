@@ -37,7 +37,7 @@ def test_max_probability_zero_iff_truly_dominated():
         p = random_problem(rng, max_rules=200)
         for leaf in p.leaves:
             value = an.max_rationalizable_probability(p, leaf)
-            assert (value == 0) == (rz.truly_dominated(p, leaf) is not None)
+            assert (value == 0) == (rz.dominating_rule(p, leaf) is not None)
             assert (value == 1) == (rz.apparently_dominated(p, leaf) is None)
             zero_seen |= value == 0
             one_seen |= value == 1
@@ -83,12 +83,12 @@ def test_risk_transform_monotonicity_small():
     while found < 20:
         p = random_problem(rng, max_rules=200)
         leaf = rng.choice(p.leaves)
-        if rz.truly_dominated(p, leaf) is None:
+        if rz.dominating_rule(p, leaf) is None:
             continue
         found += 1
         f = random_convex_increasing(rng)
         transformed = an.risk_transform(p, f)
-        assert rz.truly_dominated(transformed, leaf) is not None
+        assert rz.dominating_rule(transformed, leaf) is not None
 
 
 def test_positive_affine_preserves_all_verdicts():
@@ -103,12 +103,12 @@ def test_positive_affine_preserves_all_verdicts():
         marginal = random_marginal(rng, p)
         assert (rz.apparently_dominated(p, leaf) is None) == (
             rz.apparently_dominated(q, leaf) is None)
-        assert (rz.truly_dominated(p, leaf) is None) == (
-            rz.truly_dominated(q, leaf) is None)
-        assert (rz.dominated_on_average(p, joint) is None) == (
-            rz.dominated_on_average(q, joint) is None)
-        assert (rz.intermediately_dominated(p, marginal) is None) == (
-            rz.intermediately_dominated(q, marginal) is None)
+        assert (rz.dominating_rule(p, leaf) is None) == (
+            rz.dominating_rule(q, leaf) is None)
+        assert (rz.dominating_rule(p, joint) is None) == (
+            rz.dominating_rule(q, joint) is None)
+        assert (rz.dominating_rule(p, marginal) is None) == (
+            rz.dominating_rule(q, marginal) is None)
 
 
 def test_lambda_D_set_hedge(example2):
@@ -133,13 +133,27 @@ def test_lambda_D_set_identity_and_bounds(example2):
                         bounds=(F(0), F(1)))
 
 
+def test_lambda_D_set_joint_law(example2):
+    # the rule that sends every leaf to x is the witness of a "no" at 3/4
+    probe = m.instantiate(example2, {"delta": 1})
+    joint = m.JointDistribution.from_mapping(probe, {("w,x", "X"): "1/2", ("w,y", "Y"): "1/2"})
+    all_x = dv.PureDeviationRule.from_mapping(
+        probe, {"w,x": "x", "w,y": "x", "x": "x", "y": "x"})
+    grid = [F(i, 8) for i in range(9)]
+    got = an.lambda_D_set(example2, all_x, joint, grid)
+    assert got == tuple(
+        not dv.dominates_joint(m.instantiate(example2, {"delta": g}), all_x, joint)
+        for g in grid)
+    assert got[6] is False and got[7] is True  # 3/4 excluded, 7/8 not
+
+
 def test_lambda_D_set_contains_identified_region(example2):
     # no single rule can exclude a rationalizable parameter value
     probe = m.instantiate(example2, {"delta": 1})
     wx = probe.sequence("w,x")
     rng = random.Random(17)
     grid = [F(i, 8) for i in range(9)]
-    exact = [rz.truly_dominated(m.instantiate(example2, {"delta": g}), wx) is None
+    exact = [rz.dominating_rule(m.instantiate(example2, {"delta": g}), wx) is None
              for g in grid]
     from conftest import random_rule
     for _ in range(6):
@@ -212,7 +226,7 @@ def test_identified_set_coverage_matches_point_tests(example2):
         tag = iset.tag_at(point)
         if tag == "gap":
             continue
-        rationalizable = rz.truly_dominated(
+        rationalizable = rz.dominating_rule(
             m.instantiate(example2, {"delta": point}), wx) is None
         assert rationalizable == (tag == "in")
 

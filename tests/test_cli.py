@@ -73,6 +73,14 @@ def test_check_seq_dominated(capsys, tmp_path):
         assert first_report(out)["result"] == {
             "valid": False, "detail": "report carries no witness"}
 
+    # a witness is re-checked only against a verdict command's observation
+    report["query"]["command"] = ["check-seq"]
+    path.write_text(json.dumps(report))
+    code, out, err = run_cli(capsys, "verify-witness", str(path))
+    assert code == 0, err
+    assert first_report(out)["result"] == {
+        "valid": False, "detail": "a ['check-seq'] report has no observation to check"}
+
 
 def test_maxprob_pretty(capsys):
     code, out, _ = run_cli(capsys, "maxprob", EX2, "--param", "delta=9/10",
@@ -87,6 +95,8 @@ def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "check-seq", EX1, "--seq", "nope")
     assert code == 2 and "not a leaf" in err
     code, _, err = run_cli(capsys, "check-seq", EX1)
+    assert code == 1 and "usage error" in err
+    code, _, err = run_cli(capsys, "check-marginal", EX1, "--dist", "")
     assert code == 1 and "usage error" in err
     code, _, err = run_cli(capsys, "enumerate-rules", EX2, "--param", "delta=1/2",
                            "--max-rules", "5")
@@ -123,6 +133,10 @@ MALFORMED = {
         "ex2-check-seq-no", lambda r: r["result"]["witness"]["kernel"].update(x=5))),
     "seq-is-a-number": ("verify-witness", _edited(
         "ex1-check-seq-pull-back", lambda r: r["query"].update(seq=5))),
+    # `check-seq --param foo=1` on example 1 exits 2 "unknown parameter"; the
+    # re-check instantiates a report's problem by the same rule
+    "params-name-an-unknown-parameter": ("verify-witness", _edited(
+        "ex1-check-seq-pull-back", lambda r: r["query"].update(params={"foo": "1"}))),
     "marginal-file-is-a-list": ("check-marginal", [["invest,pull_back", "1"]]),
     "joint-file-is-a-list": ("check-joint", [["invest,pull_back", "good", "1"]]),
     "joint-file-is-flat": ("check-joint", {"invest,pull_back": "1/2",
@@ -151,6 +165,49 @@ def test_malformed_input_exits_2(capsys, tmp_path, case):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and "input error" in err, err
     assert out == ""
+
+
+EX1_IDENTITY = {leaf: {leaf: "1"} for leaf in ("not_invest", "invest,pull_back", "invest,invest")}
+
+# One golden report per rejection branch of `oracle.verify_witness`, edited
+# so that only that branch fails, and the reason it must give.
+TAMPERED = {
+    "rule-gains-nothing-on-a-marginal": (
+        "ex1-check-marginal-no",
+        lambda r: r["result"]["witness"].update(kernel=EX1_IDENTITY),
+        "rule does not dominate"),
+    "rule-gains-nothing-on-a-joint-law": (
+        "ex1-check-joint-no",
+        lambda r: r["result"]["witness"].update(kernel=EX1_IDENTITY),
+        "rule does not dominate"),
+    "obeying-is-not-optimal": (
+        "ex1-check-seq-invest",
+        lambda r: r["result"]["witness"]["recommendation"].update(good={"not_invest": "1"}),
+        "obeying the recommendations is not optimal"),
+    "zero-mass-on-the-sequence": (
+        "ex1-check-seq-invest",
+        lambda r: r["query"].update(seq="invest,pull_back"),
+        "witness puts zero probability on the sequence"),
+    "a-different-marginal": (
+        "ex1-check-marginal-yes",
+        lambda r: r["query"].update(dist={"invest,pull_back": "1/3", "invest,invest": "2/3"}),
+        "witness induces a different marginal"),
+    "a-different-joint-law": (
+        "ex1-check-joint-yes",
+        lambda r: r["query"].update(
+            dist={"invest,pull_back": {"bad": "1/2"}, "invest,invest": {"good": "1/2"}}),
+        "witness induces a different joint law"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED))
+def test_verify_witness_rejects_tampered_reports(capsys, tmp_path, case):
+    name, edit, detail = TAMPERED[case]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(_edited(name, edit)))
+    code, out, err = run_cli(capsys, "verify-witness", str(path))
+    assert code == 0, err
+    assert first_report(out)["result"] == {"valid": False, "detail": detail}
 
 
 def test_parser_keeps_no_state_between_runs(capsys):
@@ -230,6 +287,23 @@ def test_simulate_deterministic(capsys):
     r1.pop("timing_ms"), r2.pop("timing_ms")
     assert r1 == r2
     assert r1["result"]["empirical"]  # at least one populated cell
+
+
+def test_simulate_reads_decimals_exactly(capsys, tmp_path):
+    # the shipped structure file gives its prior as "1/2" strings
+    doc = json.loads((PROBLEMS / "example1_structure.json").read_text())
+    doc["prior"] = {"good": 0.5, "bad": 0.5}
+    decimal = tmp_path / "structure.json"
+    decimal.write_text(json.dumps(doc))
+    results = []
+    for structure in (decimal, PROBLEMS / "example1_structure.json"):
+        code, out, err = run_cli(
+            capsys, "simulate", EX1, "--structure", str(structure),
+            "--strategy", str(PROBLEMS / "example1_obedient_strategy.json"),
+            "-n", "400", "--seed", "11")
+        assert code == 0, err
+        results.append(first_report(out)["result"])
+    assert results[0] == results[1]
 
 
 def test_reports_are_byte_stable(capsys):
@@ -326,7 +400,7 @@ def test_maxprob_and_check_marginal_on_three_periods(capsys, tmp_path):
         code, out, err = run_cli(capsys, "maxprob", tree, "--seq", leaf.label)
         assert code == 0, err
         value = Fraction(first_report(out)["result"]["value"])
-        assert (value == 0) == (rationalize.truly_dominated(problem, leaf) is not None)
+        assert (value == 0) == (rationalize.dominating_rule(problem, leaf) is not None)
         best, joint = rationalize.max_positive_marginal(problem, leaf)
         assert best == value
         if value == 0:

@@ -202,7 +202,7 @@ def test_brute_force_agrees_with_lp():
         p = random_problem(rng, max_rules=200)
         joint = random_joint(rng, p)
         assert oc.brute_force_rationalizable_joint(p, joint) == (
-            rz.dominated_on_average(p, joint) is None)
+            rz.dominating_rule(p, joint) is None)
 
 
 def test_simulate_deterministic_components(example2):

@@ -50,41 +50,41 @@ def test_apparently_dominated_example2(example2):
 def test_truly_dominated_example2(example2):
     for d in ("1/2", "3/4", "799/1000"):
         inst = m.instantiate(example2, {"delta": d})
-        rule = rz.truly_dominated(inst, inst.sequence("w,x"))
+        rule = rz.dominating_rule(inst, inst.sequence("w,x"))
         assert rule is not None
         assert dv.dominates_sequence(inst, rule, inst.sequence("w,x"))
     for d in ("4/5", "9/10", "1"):
         inst = m.instantiate(example2, {"delta": d})
-        assert rz.truly_dominated(inst, inst.sequence("w,x")) is None
+        assert rz.dominating_rule(inst, inst.sequence("w,x")) is None
 
 
 def test_truly_dominated_example1(example1):
     for leaf in example1.leaves:
-        assert rz.truly_dominated(example1, leaf) is None
+        assert rz.dominating_rule(example1, leaf) is None
 
 
 def test_dominated_on_average(example1):
     point = m.JointDistribution.from_mapping(example1, {("invest,pull_back", "good"): 1})
-    rule = rz.dominated_on_average(example1, point)
+    rule = rz.dominating_rule(example1, point)
     assert rule is not None and dv.dominates_joint(example1, rule, point)
-    assert rz.dominated_on_average(example1, knife_edge_joint(example1)) is None
+    assert rz.dominating_rule(example1, knife_edge_joint(example1)) is None
     best = m.JointDistribution.from_mapping(example1, {("invest,invest", "good"): 1})
-    assert rz.dominated_on_average(example1, best) is None
+    assert rz.dominating_rule(example1, best) is None
 
 
 def test_intermediately_dominated(example1):
     heavy = m.MarginalDistribution.from_mapping(
         example1, {"invest,pull_back": "3/4", "invest,invest": "1/4"})
-    rule = rz.intermediately_dominated(example1, heavy)
+    rule = rz.dominating_rule(example1, heavy)
     assert rule is not None
     # the optimum is the all-to-not_invest rewrite, uniquely
     north = example1.sequence("not_invest")
     assert all(rule.row(a) == {north: F(1)} for a in example1.leaves)
     knife = m.MarginalDistribution.from_mapping(
         example1, {"invest,pull_back": "2/3", "invest,invest": "1/3"})
-    assert rz.intermediately_dominated(example1, knife) is None
+    assert rz.dominating_rule(example1, knife) is None
     stay_out = m.MarginalDistribution.from_mapping(example1, {"not_invest": 1})
-    assert rz.intermediately_dominated(example1, stay_out) is None
+    assert rz.dominating_rule(example1, stay_out) is None
 
 
 def test_max_positive_marginal(example1, example2):
@@ -116,24 +116,24 @@ def test_compact_obedience_matches_enumerated_rows():
 def test_rationalize_marginal(example1):
     knife = m.MarginalDistribution.from_mapping(
         example1, {"invest,pull_back": "2/3", "invest,invest": "1/3"})
-    verdict = rz.rationalize_marginal(example1, knife)
+    verdict = rz.decide(example1, knife)
     assert verdict.rationalizable
     joint = verdict.witness.induced_joint()
     assert joint.action_marginal() == knife
     assert oc.brute_force_rationalizable_joint(example1, joint)
     heavy = m.MarginalDistribution.from_mapping(
         example1, {"invest,pull_back": "3/4", "invest,invest": "1/4"})
-    verdict = rz.rationalize_marginal(example1, heavy)
+    verdict = rz.decide(example1, heavy)
     assert not verdict.rationalizable
     assert dv.dominates_marginal(example1, verdict.witness, heavy)
 
 
 def test_rationalize_joint(example1):
     knife = knife_edge_joint(example1)
-    verdict = rz.rationalize_joint(example1, knife)
+    verdict = rz.decide(example1, knife)
     assert verdict.rationalizable and verdict.witness.induced_joint() == knife
     point = m.JointDistribution.from_mapping(example1, {("invest,pull_back", "good"): 1})
-    verdict = rz.rationalize_joint(example1, point)
+    verdict = rz.decide(example1, point)
     assert not verdict.rationalizable
     assert dv.dominates_joint(example1, verdict.witness, point)
 
@@ -158,7 +158,7 @@ def test_obedient_triple_from_joint(example1):
 
 def test_rationalize_sequence_investment(example1):
     for leaf in example1.leaves:
-        verdict = rz.rationalize_sequence(example1, leaf)
+        verdict = rz.decide(example1, leaf)
         assert verdict.rationalizable
         triple = verdict.witness
         assert oc.verify_obedient_optimality(example1, triple)
@@ -168,11 +168,11 @@ def test_rationalize_sequence_investment(example1):
 
 def test_rationalize_sequence_waiting(example2):
     inst = m.instantiate(example2, {"delta": "3/4"})
-    verdict = rz.rationalize_sequence(inst, inst.sequence("w,x"))
+    verdict = rz.decide(inst, inst.sequence("w,x"))
     assert not verdict.rationalizable
     assert dv.dominates_sequence(inst, verdict.witness, inst.sequence("w,x"))
     boundary = m.instantiate(example2, {"delta": "4/5"})
-    verdict = rz.rationalize_sequence(boundary, boundary.sequence("w,x"))
+    verdict = rz.decide(boundary, boundary.sequence("w,x"))
     assert verdict.rationalizable
     assert oc.verify_obedient_optimality(boundary, verdict.witness)
 
@@ -182,7 +182,7 @@ def test_one_leaf_problem_is_trivially_rationalizable():
     doc = {"periods": 1, "states": ["s", "t"], "tree": {"a": "leaf"},
            "utility": {"a": {"s": "-5", "t": "7/3"}}}
     one = m.load_problem(json.dumps(doc))
-    verdict = rz.rationalize_sequence(one, one.leaves[0])
+    verdict = rz.decide(one, one.leaves[0])
     assert verdict.rationalizable
     assert rz.max_positive_marginal(one, one.leaves[0])[0] == 1
 
@@ -194,7 +194,7 @@ def test_sequence_dichotomy_small():
     for _ in range(30):
         p = random_problem(rng, max_rules=200)
         for leaf in p.leaves:
-            verdict = rz.rationalize_sequence(p, leaf)
+            verdict = rz.decide(p, leaf)
             assert verdict.rationalizable == (rz.max_positive_marginal(p, leaf)[0] > 0)
             if verdict.rationalizable:
                 joint = verdict.witness.induced_joint()
@@ -209,7 +209,7 @@ def test_joint_dichotomy_small():
     for _ in range(40):
         p = random_problem(rng, max_rules=200)
         joint = random_joint(rng, p)
-        rule = rz.dominated_on_average(p, joint)
+        rule = rz.dominating_rule(p, joint)
         assert (rule is None) == oc.brute_force_rationalizable_joint(p, joint)
 
 
@@ -218,7 +218,7 @@ def test_marginal_dichotomy_small():
     for _ in range(30):
         p = random_problem(rng, max_rules=200)
         marginal = random_marginal(rng, p)
-        verdict = rz.rationalize_marginal(p, marginal)
+        verdict = rz.decide(p, marginal)
         if verdict.rationalizable:
             joint = verdict.witness.induced_joint()
             assert joint.action_marginal() == marginal
@@ -233,7 +233,7 @@ def test_true_dominance_implies_apparent():
     for _ in range(40):
         p = random_problem(rng, max_rules=200)
         for leaf in p.leaves:
-            if rz.truly_dominated(p, leaf) is not None:
+            if rz.dominating_rule(p, leaf) is not None:
                 seen += 1
                 assert rz.apparently_dominated(p, leaf) is not None
     assert seen > 0
@@ -245,7 +245,7 @@ def test_static_collapse():
     for _ in range(30):
         p = random_problem(rng, max_periods=1, max_leaves=4)
         for leaf in p.leaves:
-            truly = rz.truly_dominated(p, leaf) is not None
+            truly = rz.dominating_rule(p, leaf) is not None
             apparently = rz.apparently_dominated(p, leaf) is not None
             assert truly == apparently
 
@@ -264,7 +264,7 @@ def test_rationalizable_joints_form_convex_set():
             tuple(t * a + (1 - t) * b for a, b in zip(r1, r2))
             for r1, r2 in zip(g1.matrix, g2.matrix)
         ))
-        assert rz.dominated_on_average(p, mix) is None
+        assert rz.dominating_rule(p, mix) is None
         done += 1
 
 
@@ -273,7 +273,7 @@ def test_witnesses_are_sound_on_random_instances():
     for _ in range(20):
         p = random_problem(rng, max_rules=200)
         leaf = rng.choice(p.leaves)
-        verdict = rz.rationalize_sequence(p, leaf)
+        verdict = rz.decide(p, leaf)
         if verdict.rationalizable:
             assert oc.verify_obedient_optimality(p, verdict.witness)
         else:

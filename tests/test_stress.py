@@ -27,7 +27,7 @@ def test_dichotomies_with_tie_heavy_payoffs():
     for i in range(40):
         p = random_problem(rng, max_rules=300, denom_cap=1, value_cap=1)
         for leaf in p.leaves:
-            verdict = rz.rationalize_sequence(p, leaf)
+            verdict = rz.decide(p, leaf)
             if verdict.rationalizable:
                 assert oc.verify_obedient_optimality(p, verdict.witness), (i, leaf.label)
                 joint = verdict.witness.induced_joint()
@@ -35,10 +35,10 @@ def test_dichotomies_with_tie_heavy_payoffs():
             else:
                 assert dv.dominates_sequence(p, verdict.witness, leaf), (i, leaf.label)
         joint = random_joint(rng, p)
-        assert (rz.dominated_on_average(p, joint) is None) == \
+        assert (rz.dominating_rule(p, joint) is None) == \
             oc.brute_force_rationalizable_joint(p, joint)
         marginal = random_marginal(rng, p)
-        verdict = rz.rationalize_marginal(p, marginal)
+        verdict = rz.decide(p, marginal)
         if verdict.rationalizable:
             assert oc.verify_obedient_optimality(p, verdict.witness), i
             assert verdict.witness.induced_joint().action_marginal() == marginal
@@ -57,7 +57,7 @@ def test_dichotomies_on_larger_instances():
             continue
         done += 1
         for leaf in (p.leaves[0], p.leaves[-1]):
-            verdict = rz.rationalize_sequence(p, leaf)
+            verdict = rz.decide(p, leaf)
             if not verdict.rationalizable:
                 assert dv.dominates_sequence(p, verdict.witness, leaf)
             else:
@@ -74,13 +74,13 @@ def test_constant_payoffs_make_everything_rationalizable():
                        "b": {"u": 1, "v": 1}}}
     flat = m.load_problem(json.dumps(doc))
     for leaf in flat.leaves:
-        assert rz.truly_dominated(flat, leaf) is None
+        assert rz.dominating_rule(flat, leaf) is None
         assert rz.apparently_dominated(flat, leaf) is None
         from dynrat.analysis import max_rationalizable_probability
         assert max_rationalizable_probability(flat, leaf) == 1
     marginal = m.MarginalDistribution.from_mapping(
         flat, {leaf: F(1, 3) for leaf in flat.leaves})
-    assert rz.intermediately_dominated(flat, marginal) is None
+    assert rz.dominating_rule(flat, marginal) is None
 
 
 def test_dp_dominates_random_adapted_strategies():
