@@ -142,23 +142,20 @@ def lambda_D_set(
     grid: Sequence[Union[int, str, Fraction]],
     *,
     param: Optional[str] = None,
-    bounds: Optional[tuple[Fraction, Fraction]] = None,
     fixed: Optional[dict] = None,
 ) -> tuple[bool, ...]:
     """For each grid point, whether ``rule`` fails to dominate the observation
     there.  True marks parameter values the rule cannot exclude; the
     consistent region is contained in this set for every rule."""
     if param is None:
+        left = [p for p in problem.param_names if p not in (fixed or {})]
+        if not left:
+            raise ValidationError("no parameter left to sweep")
         if len(problem.param_names) != 1 and fixed is None:
             raise ValidationError("name the parameter to sweep")
-        param = next(p for p in problem.param_names if p not in (fixed or {}))
+        param = left[0]
     family = _single_param_family(problem, param, fixed)
     points = [parse_rational(g) for g in grid]
-    if bounds is not None:
-        lo, hi = parse_rational(bounds[0]), parse_rational(bounds[1])
-        for pt in points:
-            if pt < lo or pt > hi:
-                raise ValidationError(f"grid point {format_rational(pt)} outside declared range")
     return tuple(not dominates(substitute_params(family, {param: pt}), rule, observation)
                  for pt in points)
 

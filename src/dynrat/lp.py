@@ -2,13 +2,11 @@
 
 A small dense two-phase simplex over exact rationals with Bland's
 anti-cycling pivot rule, so every solve terminates and is bit-for-bit
-deterministic.  Programs maximize; variables carry a lower bound or none.
-Internally every column is nonnegative: a variable with a lower bound is
-shifted to start at zero, one without is split into two nonnegative parts.
-The programs built here declare lower bounds only; their density rows
-already cap every entry at 1.  Strict inequalities never appear in a
-program; callers decide strictness by comparing the exact optimal value
-against zero afterwards.
+deterministic.  Programs maximize over numbered columns, each nonnegative or
+free; constraints and the objective map a column to its coefficient.  A
+bound other than zero is a constraint row like any other.  Strict
+inequalities never appear in a program; callers decide strictness by
+comparing the exact optimal value against zero afterwards.
 
 An optimal solution carries one dual multiplier per constraint, read from
 the final objective row, so the optimum comes with its own certificate:
@@ -29,14 +27,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
-from .model import (
-    DecisionProblem,
-    ValidationError,
-    format_rational,
-    parse_rational,
-)
+from .model import DecisionProblem, ValidationError, parse_rational
 
 _SENSES = ("<=", "==", ">=")
 
@@ -54,75 +47,81 @@ def pivot_tally() -> int:
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[tuple[str, Fraction], ...]
+    """``sum(c * x[k] for k, c in coeffs.items()) <sense> rhs``, with no zero
+    coefficient."""
+
+    coeffs: dict[int, Fraction]
     sense: str
     rhs: Fraction
-    name: str = ""
 
 
 @dataclass
 class LinearProgram:
-    """A named-variable LP with exact rational data, to be maximized.
+    """An LP over numbered columns with exact rational data, to be maximized.
 
-    Each variable has a lower bound or ``None`` (free).  Constraints
-    reference declared variables only.
+    ``variables[k]`` tells whether column k is free; otherwise it is
+    nonnegative.  Constraints and the objective reference declared columns
+    only.
     """
 
-    variables: dict[str, Optional[Fraction]] = field(default_factory=dict)
+    variables: list[bool] = field(default_factory=list)
     constraints: list[Constraint] = field(default_factory=list)
-    objective: dict[str, Fraction] = field(default_factory=dict)
+    objective: dict[int, Fraction] = field(default_factory=dict)
 
-    def add_variable(self, name: str, lower: Union[None, int, str, Fraction] = None) -> str:
-        if name in self.variables:
-            raise ValidationError(f"variable {name!r} declared twice")
-        self.variables[name] = None if lower is None else parse_rational(lower)
-        return name
+    def add_variable(self, free: bool = False) -> int:
+        self.variables.append(free)
+        return len(self.variables) - 1
+
+    def _coeffs(
+        self, coeffs: Mapping[int, Union[int, str, Fraction]], what: str
+    ) -> dict[int, Fraction]:
+        out = {}
+        for k, c in coeffs.items():
+            if not (isinstance(k, int) and 0 <= k < len(self.variables)):
+                raise ValidationError(f"{what} references undeclared column {k!r}")
+            q = parse_rational(c)
+            if q != 0:
+                out[k] = q
+        return out
 
     def add_constraint(
         self,
-        coeffs: Mapping[str, Union[int, str, Fraction]],
+        coeffs: Mapping[int, Union[int, str, Fraction]],
         sense: str,
         rhs: Union[int, str, Fraction],
-        name: str = "",
     ) -> None:
         if sense not in _SENSES:
             raise ValidationError(f"bad constraint sense {sense!r}")
-        items = []
-        for var, c in coeffs.items():
-            if var not in self.variables:
-                raise ValidationError(f"constraint references undeclared variable {var!r}")
-            q = parse_rational(c)
-            if q != 0:
-                items.append((var, q))
-        self.constraints.append(Constraint(tuple(items), sense, parse_rational(rhs), name))
+        self.constraints.append(
+            Constraint(self._coeffs(coeffs, "constraint"), sense, parse_rational(rhs)))
 
-    def set_objective(self, coeffs: Mapping[str, Union[int, str, Fraction]]) -> None:
-        for var in coeffs:
-            if var not in self.variables:
-                raise ValidationError(f"objective references undeclared variable {var!r}")
-        self.objective = {v: parse_rational(c) for v, c in coeffs.items() if parse_rational(c) != 0}
+    def set_objective(self, coeffs: Mapping[int, Union[int, str, Fraction]]) -> None:
+        self.objective = self._coeffs(coeffs, "objective")
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    """``duals`` holds one multiplier per entry of the program's
-    ``constraints`` when the status is optimal: nonnegative on ``<=`` rows,
-    nonpositive on ``>=`` rows, free on ``==`` rows (see `check_duals`)."""
+    """``assignment`` holds one value per column and ``duals`` one multiplier
+    per entry of the program's ``constraints`` when the status is optimal:
+    nonnegative on ``<=`` rows, nonpositive on ``>=`` rows, free on ``==``
+    rows (see `check_duals`)."""
 
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Optional[Fraction]
-    assignment: Optional[dict[str, Fraction]]
+    assignment: Optional[tuple[Fraction, ...]]
     pivots: int
     duals: Optional[tuple[Fraction, ...]] = None
 
 
-def check_solution(lp: LinearProgram, assignment: Mapping[str, Fraction]) -> bool:
-    """Exact feasibility check of an assignment against bounds and constraints."""
-    for var, lo in lp.variables.items():
-        if lo is not None and assignment[var] < lo:
-            return False
+def check_solution(lp: LinearProgram, assignment: Sequence[Fraction]) -> bool:
+    """Exact feasibility check of one value per column against the signs
+    and constraints."""
+    if len(assignment) != len(lp.variables):
+        return False
+    if any(x < 0 for x, free in zip(assignment, lp.variables) if not free):
+        return False
     for con in lp.constraints:
-        lhs = sum((c * assignment[v] for v, c in con.coeffs), Fraction(0))
+        lhs = sum((c * assignment[k] for k, c in con.coeffs.items()), Fraction(0))
         if con.sense == "<=" and lhs > con.rhs:
             return False
         if con.sense == ">=" and lhs < con.rhs:
@@ -136,10 +135,10 @@ def check_duals(lp: LinearProgram, sol: LpSolution) -> bool:
     """Exact check that ``sol.duals`` prove ``sol.value`` an upper bound.
 
     With y the duals and d = c - A^T y the reduced costs, it checks that
-    each y has its row's sign, that d <= 0 on lower-bounded variables and
-    d = 0 on free ones, and that b^T y + sum(lo * d) equals the value.  Then
-    every feasible x has c^T x = d^T x + y^T A x <= sum(lo * d) + b^T y, so
-    an assignment reaching the value is optimal.
+    each y has its row's sign, that d <= 0 on nonnegative columns and d = 0
+    on free ones, and that b^T y equals the value.  Then every feasible x
+    has c^T x = d^T x + y^T A x <= b^T y, so an assignment reaching the
+    value is optimal.
     """
     if sol.duals is None or len(sol.duals) != len(lp.constraints):
         return False
@@ -150,43 +149,18 @@ def check_duals(lp: LinearProgram, sol: LpSolution) -> bool:
             return False
         if y:
             bound += y * con.rhs
-            for var, c in con.coeffs:
-                reduced[var] = reduced.get(var, 0) - y * c
-    for var, lo in lp.variables.items():
-        d = reduced.get(var, 0)
-        if lo is None and d != 0 or lo is not None and d > 0:
+            for k, c in con.coeffs.items():
+                reduced[k] = reduced.get(k, 0) - y * c
+    for k, free in enumerate(lp.variables):
+        d = reduced.get(k, 0)
+        if (d != 0) if free else (d > 0):
             return False
-        if lo is not None:
-            bound += lo * d
     return bound == sol.value
-
-
-def dump_lp(lp: LinearProgram) -> str:
-    """Human-readable text form, for debugging only."""
-    lines = ["max " + (" + ".join(
-        f"{format_rational(c)}*{v}" for v, c in lp.objective.items()) or "0")]
-    for con in lp.constraints:
-        lhs = " + ".join(f"{format_rational(c)}*{v}" for v, c in con.coeffs) or "0"
-        lines.append(f"  {lhs} {con.sense} {format_rational(con.rhs)}"
-                     + (f"  [{con.name}]" if con.name else ""))
-    for var, lo in lp.variables.items():
-        lines.append(f"  {var} >= {format_rational(lo)}" if lo is not None else f"  {var} free")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # Simplex
 # ---------------------------------------------------------------------------
-
-def _int_row(entries: dict[int, Fraction], width: int) -> list:
-    """A tableau row ``[nums, den]`` of ``width`` slots holding exactly the
-    given rationals, and zero elsewhere."""
-    den = math.lcm(*(v.denominator for v in entries.values()))
-    nums = [0] * width
-    for k, v in entries.items():
-        nums[k] = v.numerator * (den // v.denominator)
-    return [nums, den]
-
 
 def _store(row: list, nums: list[int], den: int) -> None:
     """Set ``row`` to ``nums / den`` (``den > 0``) in lowest terms."""
@@ -217,11 +191,11 @@ def _eliminate(row: list, j: int, pivot: list[tuple[int, int]], pd: int) -> None
 class _Solver:
     """Two-phase primal simplex over nonnegative columns, with Bland's rule.
 
-    Each variable becomes one or two internal columns, all bounded below by
-    zero and unbounded above: a variable with a lower bound is shifted
-    (x = lo + x~), one without is split (x = x+ - x-).  Entering steps always
-    increase a column from zero, which keeps the ratio test and Bland's rule
-    in their textbook forms.
+    A nonnegative program column is one internal column; a free one is split
+    into two (x = x+ - x-), the second right after the first.  Slack,
+    surplus and artificial columns follow, in row order.  Entering steps
+    always increase a column from zero, which keeps the ratio test and
+    Bland's rule in their textbook forms.
 
     Every tableau row, the objective rows included, is a pair ``[nums, den]``
     of Python ints: entry ``k`` is ``nums[k] / den`` with ``den > 0`` and the
@@ -235,39 +209,26 @@ class _Solver:
         self.lp = lp
         self.pivots = 0
 
-        # Map user variables to internal columns (all with lower bound 0):
-        # (column, lo) for x = lo + x~, (column, None) for x = x+ - x-, with
-        # x- in the next column.
-        self.records: dict[str, tuple[int, Optional[Fraction]]] = {}
+        # Internal column of each program column.
+        self.starts: list[int] = []
         col = 0
-        for name, lo in lp.variables.items():
-            self.records[name] = (col, lo)
-            col += 1 if lo is not None else 2
+        for free in lp.variables:
+            self.starts.append(col)
+            col += 2 if free else 1
         self.artificial: list = [False] * col  # per column: bool
 
-        # Transform each constraint into internal coordinates.  A row is
-        # negated when its right-hand side is negative, or zero on a ">="
-        # row, so that its starting basic column is a slack ("<=") or an
+        # A row is negated when its right-hand side is negative, or zero on a
+        # ">=" row, so that its starting basic column is a slack ("<=") or an
         # artificial (">=" with a surplus, "=="), at value rhs >= 0.  That
         # basic column is where the row's dual is read: ``dual_cols`` holds
         # (column, sign) per constraint, None for a row without
         # coefficients, whose dual is 0.
-        ncols = col
         self.infeasible_row = False
         self.dual_cols: list[Optional[tuple[int, int]]] = []
-        rows: list[tuple[dict, Fraction, int]] = []
+        rows: list[tuple[Constraint, int, bool, int]] = []  # sign, surplus, basic
         for con in lp.constraints:
-            coeffs: dict[int, Fraction] = {}
             sense, rhs = con.sense, con.rhs
-            for var, c in con.coeffs:
-                j, lo = self.records[var]
-                coeffs[j] = coeffs.get(j, 0) + c
-                if lo is None:
-                    coeffs[j + 1] = coeffs.get(j + 1, 0) - c
-                elif lo:
-                    rhs -= c * lo
-            coeffs = {j: v for j, v in coeffs.items() if v != 0}
-            if not coeffs:
+            if not con.coeffs:
                 ok = (rhs >= 0) if sense == "<=" else (rhs <= 0) if sense == ">=" else (rhs == 0)
                 if not ok:
                     self.infeasible_row = True
@@ -275,40 +236,47 @@ class _Solver:
                 continue
             sign = 1
             if rhs < 0 or (sense == ">=" and rhs == 0):
-                coeffs = {j: -v for j, v in coeffs.items()}
-                rhs = -rhs
-                sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
                 sign = -1
+                sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
             if sense == ">=":
-                coeffs[ncols] = Fraction(-1)  # surplus
-                self.artificial.append(False)
-                ncols += 1
-            coeffs[ncols] = Fraction(1)
+                self.artificial.append(False)  # surplus
+                col += 1
             self.artificial.append(sense != "<=")
-            rows.append((coeffs, rhs, ncols))
-            self.dual_cols.append((ncols, sign))
-            ncols += 1
+            rows.append((con, sign, sense == ">=", col))
+            self.dual_cols.append((col, sign))
+            col += 1
 
-        self.ncols = ncols
+        # Each row goes straight into integers over the lcm of its
+        # denominators, which leaves it in lowest terms.
+        self.ncols = col
         self.matrix: list[list] = []
         self.basis: list[int] = []
-        for coeffs, rhs, basic in rows:
-            coeffs[ncols] = rhs
-            self.matrix.append(_int_row(coeffs, ncols + 1))
+        for con, sign, surplus, basic in rows:
+            den = math.lcm(con.rhs.denominator, *(c.denominator for c in con.coeffs.values()))
+            nums = self._nums(con.coeffs, den, sign)
+            if surplus:
+                nums[basic - 1] = -den
+            nums[basic] = den
+            nums[-1] = sign * con.rhs.numerator * (den // con.rhs.denominator)
+            self.matrix.append([nums, den])
             self.basis.append(basic)
 
-        # Phase-2 objective in internal coordinates.  The starting basis is
-        # slacks/artificials, none of which appear in the user objective, so
-        # this row is already priced out.
-        obj: dict[int, Fraction] = {ncols: Fraction(0)}
-        for var, c in lp.objective.items():
-            j, lo = self.records[var]
-            obj[j] = c
-            if lo is None:
-                obj[j + 1] = -c
-            else:
-                obj[ncols] -= c * lo
-        self.obj = _int_row(obj, ncols + 1)
+        # Phase-2 objective.  The starting basis is slacks/artificials, none
+        # of which appear in the objective, so this row is already priced out.
+        den = math.lcm(*(c.denominator for c in lp.objective.values()))
+        self.obj = [self._nums(lp.objective, den), den]
+
+    def _nums(self, coeffs: Mapping[int, Fraction], den: int, sign: int = 1) -> list[int]:
+        """Numerators over ``den`` of ``sign * coeffs`` in internal columns,
+        with a zero right-hand side."""
+        nums = [0] * (self.ncols + 1)
+        for k, c in coeffs.items():
+            v = sign * c.numerator * (den // c.denominator)
+            j = self.starts[k]
+            nums[j] = v
+            if self.lp.variables[k]:
+                nums[j + 1] = -v
+        return nums
 
     # -- tableau mechanics ----------------------------------------------------
 
@@ -386,12 +354,12 @@ class _Solver:
         for (nums, den), b in zip(self.matrix, self.basis):
             values[b] = Fraction(nums[-1], den)
 
-        assignment: dict[str, Fraction] = {}
-        for name, (j, lo) in self.records.items():
-            assignment[name] = values[j] - values[j + 1] if lo is None else values[j] + lo
-
+        assignment = tuple(
+            values[j] - values[j + 1] if free else values[j]
+            for j, free in zip(self.starts, self.lp.variables)
+        )
         value = sum(
-            (c * assignment[v] for v, c in self.lp.objective.items()), Fraction(0)
+            (c * assignment[k] for k, c in self.lp.objective.items()), Fraction(0)
         )
         if not check_solution(self.lp, assignment):  # pragma: no cover - solver bug
             raise RuntimeError("simplex returned an assignment violating the program")
@@ -450,53 +418,43 @@ def solve(lp: LinearProgram) -> LpSolution:
 @dataclass(frozen=True)
 class DeviationPolytope:
     """Reusable constraint block whose feasible set is exactly the deviation
-    rule kernels of a problem: one nonnegative variable per kernel entry,
-    row-sum equalities (which cap every entry at 1), and prefix-marginal
-    equalities between inputs that share a history."""
+    rule kernels of a problem with ``n`` leaves: one nonnegative column per
+    kernel entry, entry (i, j) in column i * n + j, row-sum equalities (which
+    cap every entry at 1), and prefix-marginal equalities between inputs
+    that share a history."""
 
-    problem: DecisionProblem
-    var_names: tuple[tuple[str, ...], ...]
+    n: int
     constraints: tuple[Constraint, ...]
 
     def install(self, lp: LinearProgram) -> None:
-        for row in self.var_names:
-            for name in row:
-                lp.add_variable(name, lower=0)
-        for con in self.constraints:
-            lp.add_constraint(dict(con.coeffs), con.sense, con.rhs, con.name)
+        """Make the kernel entries the first n * n columns of an empty
+        ``lp`` and add the block's rows."""
+        if lp.variables:
+            raise ValidationError("the deviation polytope needs a program without columns")
+        lp.variables.extend([False] * (self.n * self.n))
+        lp.constraints.extend(self.constraints)
 
-    def var(self, a_index: int, b_index: int) -> str:
-        return self.var_names[a_index][b_index]
+    def var(self, i: int, j: int) -> int:
+        """The column of kernel entry (i, j)."""
+        return i * self.n + j
 
-    def extract_matrix(self, assignment: Mapping[str, Fraction]) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(
-            tuple(assignment[name] for name in row) for row in self.var_names
-        )
+    def extract_matrix(self, assignment: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], ...]:
+        n = self.n
+        return tuple(tuple(assignment[i * n:(i + 1) * n]) for i in range(n))
 
 
 def deviation_polytope_constraints(problem: DecisionProblem) -> DeviationPolytope:
-    leaves = problem.leaves
-    names = tuple(
-        tuple(f"D[{b.label}|{a.label}]" for b in leaves) for a in leaves
-    )
+    n = len(problem.leaves)
     one = Fraction(1)
-    constraints: list[Constraint] = []
-    for i, a in enumerate(leaves):
-        constraints.append(
-            Constraint(tuple((names[i][j], one) for j in range(len(leaves))),
-                       "==", one, f"density[{a.label}]")
-        )
+    constraints = [
+        Constraint({i * n + j: one for j in range(n)}, "==", one) for i in range(n)
+    ]
     for t in range(1, problem.periods):
-        out_classes = problem.prefix_classes(t)
-        for prefix, members in problem.prefix_classes(t):
+        classes = problem.prefix_classes(t)
+        for _, members in classes:
             for a_i, a_k in zip(members, members[1:]):
-                for out_prefix, out_members in out_classes:
-                    coeffs = [(names[a_i][j], one) for j in out_members]
-                    coeffs += [(names[a_k][j], -one) for j in out_members]
-                    constraints.append(
-                        Constraint(
-                            tuple(coeffs), "==", Fraction(0),
-                            f"adapted[t={t},{','.join(prefix)}:{','.join(out_prefix)}]",
-                        )
-                    )
-    return DeviationPolytope(problem, names, tuple(constraints))
+                for _, out_members in classes:
+                    coeffs = {a_i * n + j: one for j in out_members}
+                    coeffs.update((a_k * n + j, -one) for j in out_members)
+                    constraints.append(Constraint(coeffs, "==", Fraction(0)))
+    return DeviationPolytope(n, tuple(constraints))

@@ -44,6 +44,29 @@ from .rationalize import ObedientTriple
 # First-class information structures and strategies
 # ---------------------------------------------------------------------------
 
+def _signals(doc: Mapping, what: str) -> tuple[tuple[tuple[str, ...], ...], dict[str, int]]:
+    """The signal sets of a JSON document, and the index of each comma-joined
+    signal sequence in product order; no two sequences may share a name."""
+    sets = doc["signals"]
+    if not (isinstance(sets, list) and all(
+            isinstance(s, list) and all(isinstance(x, str) for x in s) for s in sets)):
+        raise ValidationError(f"{what} 'signals' must be a list of lists of labels")
+    signal_sets = tuple(tuple(s) for s in sets)
+    seqs = tuple(product(*signal_sets))
+    seq_index = {",".join(s): i for i, s in enumerate(seqs)}
+    if len(seq_index) != len(seqs):
+        raise ValidationError(f"{what} 'signals' give two signal sequences one name")
+    return signal_sets, seq_index
+
+
+def _rows(doc: Mapping, what: str) -> Mapping:
+    """The 'kernel' of a JSON document, checked to be an object of objects."""
+    rows = doc["kernel"]
+    if not (isinstance(rows, Mapping) and all(isinstance(r, Mapping) for r in rows.values())):
+        raise ValidationError(f"{what} 'kernel' must be an object of objects")
+    return rows
+
+
 @dataclass(frozen=True)
 class InformationStructure:
     """A prior and a kernel from states to full signal sequences.
@@ -80,16 +103,16 @@ class InformationStructure:
 
     @staticmethod
     def from_json_dict(problem: DecisionProblem, doc: Mapping) -> "InformationStructure":
-        signal_sets = tuple(tuple(s) for s in doc["signals"])
-        seqs = tuple(product(*signal_sets))
-        seq_index = {",".join(s): i for i, s in enumerate(seqs)}
+        signal_sets, seq_index = _signals(doc, "information structure")
+        if not isinstance(doc["prior"], Mapping):
+            raise ValidationError("information structure 'prior' must be an object")
         prior = [Fraction(0)] * len(problem.states)
         for state, q in doc["prior"].items():
             if state not in problem.state_index:
                 raise ValidationError(f"unknown state {state!r}")
             prior[problem.state_index[state]] = parse_rational(q)
-        kernel = [[Fraction(0)] * len(seqs) for _ in problem.states]
-        for state, row in doc["kernel"].items():
+        kernel = [[Fraction(0)] * len(seq_index) for _ in problem.states]
+        for state, row in _rows(doc, "information structure").items():
             if state not in problem.state_index:
                 raise ValidationError(f"unknown state {state!r}")
             for seq_id, q in row.items():
@@ -148,11 +171,9 @@ class Strategy:
 
     @staticmethod
     def from_json_dict(problem: DecisionProblem, doc: Mapping) -> "Strategy":
-        signal_sets = tuple(tuple(s) for s in doc["signals"])
-        seqs = tuple(product(*signal_sets))
-        seq_index = {",".join(s): i for i, s in enumerate(seqs)}
-        kernel = [[Fraction(0)] * len(problem.leaves) for _ in seqs]
-        for seq_id, row in doc["kernel"].items():
+        signal_sets, seq_index = _signals(doc, "strategy")
+        kernel = [[Fraction(0)] * len(problem.leaves) for _ in seq_index]
+        for seq_id, row in _rows(doc, "strategy").items():
             if seq_id not in seq_index:
                 raise ValidationError(f"unknown signal sequence {seq_id!r}")
             for leaf, q in row.items():

@@ -176,24 +176,20 @@ def apparently_dominated(
     _require_parameter_free(problem)
     a = problem.sequence(a)
     prog = lpmod.LinearProgram()
-    names = [f"alpha[{b.label}]" for b in problem.leaves]
-    for name in names:
-        prog.add_variable(name, lower=0)
-    prog.add_variable("margin")
-    prog.add_constraint({n: 1 for n in names}, "==", 1, "density")
+    alpha = [prog.add_variable() for _ in problem.leaves]
+    margin = prog.add_variable(free=True)
+    prog.add_constraint({k: 1 for k in alpha}, "==", 1)
     for state in problem.states:
-        coeffs = {n: utility(problem, b, state) for n, b in zip(names, problem.leaves)}
-        coeffs["margin"] = Fraction(-1)
-        prog.add_constraint(coeffs, ">=", utility(problem, a, state), f"beats[{state}]")
-    prog.set_objective({"margin": 1})
+        coeffs = {k: utility(problem, b, state) for k, b in zip(alpha, problem.leaves)}
+        coeffs[margin] = Fraction(-1)
+        prog.add_constraint(coeffs, ">=", utility(problem, a, state))
+    prog.set_objective({margin: 1})
     sol = lpmod.solve(prog)
     if sol.status != "optimal":  # pragma: no cover - program is always bounded/feasible
         raise InternalInconsistencyError(f"margin program ended {sol.status}")
     if sol.value <= 0:
         return None
-    lottery = tuple(
-        (b, sol.assignment[n]) for n, b in zip(names, problem.leaves) if sol.assignment[n] != 0
-    )
+    lottery = tuple((b, x) for b, x in zip(problem.leaves, sol.assignment) if x != 0)
     return ApparentDominanceWitness(lottery, sol.value)
 
 
@@ -245,43 +241,43 @@ def _dominance(problem: DecisionProblem, observed: Observation) -> _Dominance:
     """
     _require_parameter_free(problem)
     leaves, states = problem.leaves, problem.states
+    n = len(leaves)
     poly = lpmod.deviation_polytope_constraints(problem)
     prog = lpmod.LinearProgram()
     poly.install(prog)
     table = [[utility(problem, b, s) for s in states] for b in leaves]
 
-    def gain(i: int, s: int) -> dict[str, Fraction]:
+    def gain(i: int, s: int) -> dict[int, Fraction]:
         return {poly.var(i, j): table[j][s] - table[i][s]
-                for j in range(len(leaves)) if table[j][s] != table[i][s]}
+                for j in range(n) if table[j][s] != table[i][s]}
 
-    objective: dict[str, Fraction] = {}
+    objective: dict[int, Fraction] = {}
     gain_rows = []
     if isinstance(observed, JointDistribution):
         for i, row in enumerate(observed.matrix):
             for s, w in enumerate(row):
                 if w == 0:
                     continue
-                for name, c in gain(i, s).items():
-                    objective[name] = objective.get(name, Fraction(0)) + w * c
+                for k, c in gain(i, s).items():
+                    objective[k] = objective.get(k, Fraction(0)) + w * c
     else:
         if isinstance(observed, MarginalDistribution):
-            levels = {i: f"k[{b.label}]" for i, b in enumerate(leaves)}
+            levels = {i: prog.add_variable(free=True) for i in range(n)}
             objective = dict(zip(levels.values(), observed.weights))
         else:
             observed = problem.sequence(observed)
-            levels = {problem.leaf_index[observed]: "k"}
-            objective = {"k": Fraction(1)}
-        for name in levels.values():
-            prog.add_variable(name)
-        for i, b in enumerate(leaves):
-            for s, state in enumerate(states):
+            k = prog.add_variable(free=True)
+            levels = {problem.leaf_index[observed]: k}
+            objective = {k: Fraction(1)}
+        for i in range(n):
+            for s in range(len(states)):
                 coeffs = gain(i, s)
                 if i in levels:
                     coeffs[levels[i]] = Fraction(-1)
                 elif not coeffs:
                     continue
                 gain_rows.append((len(prog.constraints), i, s))
-                prog.add_constraint(coeffs, ">=", 0, f"gain[{b.label},{state}]")
+                prog.add_constraint(coeffs, ">=", 0)
     prog.set_objective(objective)
 
     sol = lpmod.solve(prog)
@@ -306,12 +302,9 @@ def dominating_rule(problem: DecisionProblem, observed: Observation) -> Optional
 # Obedience polytope (information side)
 # ---------------------------------------------------------------------------
 
-def _gamma_var(a: ActionSequence, state: str) -> str:
-    return f"gamma[{a.label}|{state}]"
-
-
 def _obedience_program(problem: DecisionProblem) -> lpmod.LinearProgram:
-    """The obedient joint laws gamma, in dual form over the rule polytope.
+    """The obedient joint laws gamma, in dual form over the rule polytope;
+    gamma(i, s) is column i * |states| + s.
 
     gamma is obedient iff no rule gains on average: max <C(gamma), D> <= 0
     over the deviation polytope {A D = b, D >= 0}, where C(gamma)[i][j] =
@@ -323,27 +316,24 @@ def _obedience_program(problem: DecisionProblem) -> lpmod.LinearProgram:
     poly = lpmod.deviation_polytope_constraints(problem)
     leaves, states = problem.leaves, problem.states
     prog = lpmod.LinearProgram()
-    gamma = [[_gamma_var(a, s) for s in states] for a in leaves]
-    for row in gamma:
-        for n in row:
-            prog.add_variable(n, lower=0)
-    prog.add_constraint({n: 1 for row in gamma for n in row}, "==", 1, "density")
-    columns: dict[str, dict[str, Fraction]] = {}  # kernel entry -> its A^T row
-    bound: dict[str, Fraction] = {}
-    for k, con in enumerate(poly.constraints):
-        y = prog.add_variable(f"y[{k}]")
-        for var, c in con.coeffs:
-            columns.setdefault(var, {})[y] = c
+    gamma = [[prog.add_variable() for _ in states] for _ in leaves]
+    prog.add_constraint({k: 1 for row in gamma for k in row}, "==", 1)
+    columns: list[dict[int, Fraction]] = [{} for _ in range(poly.n ** 2)]  # A^T rows
+    bound: dict[int, Fraction] = {}
+    for con in poly.constraints:
+        y = prog.add_variable(free=True)
+        for k, c in con.coeffs.items():
+            columns[k][y] = c
         if con.rhs != 0:
             bound[y] = con.rhs
     table = [[utility(problem, a, s) for s in states] for a in leaves]
-    for i, a in enumerate(leaves):
-        for j, b in enumerate(leaves):
+    for i in range(len(leaves)):
+        for j in range(len(leaves)):
             coeffs = dict(columns[poly.var(i, j)])
             for s in range(len(states)):
                 coeffs[gamma[i][s]] = table[i][s] - table[j][s]
-            prog.add_constraint(coeffs, ">=", 0, f"obedience[{a.label}->{b.label}]")
-    prog.add_constraint(bound, "<=", 0, "no-gain")
+            prog.add_constraint(coeffs, ">=", 0)
+    prog.add_constraint(bound, "<=", 0)
     return prog
 
 
@@ -358,15 +348,16 @@ def max_positive_marginal(
     _require_parameter_free(problem)
     a = problem.sequence(a)
     prog = _obedience_program(problem)
-    prog.set_objective({_gamma_var(a, s): 1 for s in problem.states})
+    width = len(problem.states)
+    first = problem.leaf_index[a] * width
+    prog.set_objective(dict.fromkeys(range(first, first + width), 1))
     sol = lpmod.solve(prog)
     if sol.status != "optimal":  # pragma: no cover - polytope is never empty
         raise InternalInconsistencyError(f"obedience program ended {sol.status}")
     if sol.value <= 0:
         return Fraction(0), None
     return sol.value, JointDistribution(problem.leaves, problem.states, tuple(
-        tuple(sol.assignment[_gamma_var(b, s)] for s in problem.states)
-        for b in problem.leaves))
+        sol.assignment[i * width:(i + 1) * width] for i in range(len(problem.leaves))))
 
 
 def obedient_triple_from_joint(joint: JointDistribution) -> ObedientTriple:

@@ -224,7 +224,7 @@ def enumerated_obedience_optimum(problem: m.DecisionProblem, weights: dict) -> F
     preprocessing of the rows and no duality."""
     prog = lp.LinearProgram()
     gamma = {
-        (b, s): prog.add_variable(f"g[{b.label}|{s}]", lower=0)
+        (b, s): prog.add_variable()
         for b in problem.leaves for s in problem.states
     }
     prog.add_constraint({n: 1 for n in gamma.values()}, "==", 1)

@@ -128,9 +128,12 @@ def test_lambda_D_set_identity_and_bounds(example2):
     all_x = dv.PureDeviationRule.from_mapping(
         probe, {"w,x": "x", "w,y": "x", "x": "x", "y": "x"})
     assert an.lambda_D_set(example2, all_x, probe.sequence("w,y"), ["1"]) == (True,)
-    with pytest.raises(m.ValidationError, match="outside declared range"):
-        an.lambda_D_set(example2, ident, probe.sequence("w,x"), ["2"],
-                        bounds=(F(0), F(1)))
+    # nothing left to sweep: every parameter pinned, or none to begin with
+    with pytest.raises(m.ValidationError, match="no parameter left to sweep"):
+        an.lambda_D_set(example2, ident, probe.sequence("w,x"), ["1/2"],
+                        fixed={"delta": "1/2"})
+    with pytest.raises(m.ValidationError, match="no parameter left to sweep"):
+        an.lambda_D_set(probe, ident, probe.sequence("w,x"), ["1/2"], fixed={})
 
 
 def test_lambda_D_set_joint_law(example2):

@@ -17,6 +17,8 @@ PROBLEMS = ROOT / "problems"
 GOLDEN = ROOT / "tests" / "golden"
 EX1 = str(PROBLEMS / "example1.json")
 EX2 = str(PROBLEMS / "example2.json")
+EX1_STRUCTURE = str(PROBLEMS / "example1_structure.json")
+EX1_STRATEGY = str(PROBLEMS / "example1_obedient_strategy.json")
 
 
 def run_cli(capsys, *args):
@@ -116,6 +118,12 @@ def _edited(name: str, edit) -> dict:
     return report
 
 
+def _shipped(path: str, edit) -> dict:
+    doc = json.loads(Path(path).read_text())
+    edit(doc)
+    return doc
+
+
 MALFORMED = {
     "report-is-a-list": ("verify-witness", []),
     "witness-is-a-number": ("verify-witness", _edited(
@@ -141,6 +149,19 @@ MALFORMED = {
     "joint-file-is-a-list": ("check-joint", [["invest,pull_back", "good", "1"]]),
     "joint-file-is-flat": ("check-joint", {"invest,pull_back": "1/2",
                                            "invest,invest": "1/2"}),
+    # `simulate --structure` or `--strategy`, the other file being the shipped one
+    "structure-signals-is-a-number": ("simulate --structure", _shipped(
+        EX1_STRUCTURE, lambda d: d.update(signals=5))),
+    "structure-prior-is-a-list": ("simulate --structure", _shipped(
+        EX1_STRUCTURE, lambda d: d.update(prior=["1/2", "1/2"]))),
+    "structure-kernel-row-is-a-number": ("simulate --structure", _shipped(
+        EX1_STRUCTURE, lambda d: d["kernel"].update(good=5))),
+    "strategy-signal-is-a-number": ("simulate --strategy", _shipped(
+        EX1_STRATEGY, lambda d: d.update(signals=[["s"], ["g", 5]]))),
+    "strategy-kernel-row-is-a-number": ("simulate --strategy", _shipped(
+        EX1_STRATEGY, lambda d: d["kernel"].update({"s,g": 5}))),
+    "strategy-signal-label-repeats": ("simulate --strategy", _shipped(
+        EX1_STRATEGY, lambda d: d.update(signals=[["s"], ["g", "g"]]))),
     "problem-is-a-directory": ("check-seq", None),
     "problem-is-not-utf8": ("check-seq", b'{"periods": 1, "states": ["\xe9"]}'),
 }
@@ -160,6 +181,10 @@ def test_malformed_input_exits_2(capsys, tmp_path, case):
         argv = [command, str(path)]
     elif command == "check-seq":
         argv = [command, str(path), "--seq", "a"]
+    elif command.startswith("simulate"):
+        files = {"--structure": EX1_STRUCTURE, "--strategy": EX1_STRATEGY}
+        files[command.split()[1]] = str(path)
+        argv = ["simulate", EX1, *itertools.chain(*files.items()), "-n", "4"]
     else:
         argv = [command, EX1, "--dist-file", str(path)]
     code, out, err = run_cli(capsys, *argv)

@@ -2,6 +2,8 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from dynrat import deviation as dv
 from dynrat import lp as L
 from dynrat import model as m
@@ -11,21 +13,29 @@ from conftest import random_problem
 
 def test_single_variable_box():
     prog = L.LinearProgram()
-    prog.add_variable("x", lower=0)
-    prog.add_constraint({"x": 1}, "<=", "3/7")
-    prog.set_objective({"x": 1})
+    x = prog.add_variable()
+    prog.add_constraint({x: 1}, "<=", "3/7")
+    prog.set_objective({x: 1})
     sol = L.solve(prog)
     assert sol.status == "optimal" and sol.value == F(3, 7)
+    assert sol.assignment == (F(3, 7),)
+    # only declared columns may carry a coefficient
+    with pytest.raises(m.ValidationError, match="undeclared column 1"):
+        prog.add_constraint({x: 1, 1: 2}, "<=", 1)
+    with pytest.raises(m.ValidationError, match="undeclared column -1"):
+        prog.set_objective({-1: 1})
+    with pytest.raises(m.ValidationError, match="undeclared column 'x'"):
+        prog.set_objective({"x": 1})
+    assert len(prog.constraints) == 1 and prog.objective == {x: 1}
 
 
 def test_symmetric_binding():
     prog = L.LinearProgram()
-    prog.add_variable("x", lower=0)
-    prog.add_variable("y", lower=0)
-    prog.add_constraint({"x": 1}, "<=", 1)
-    prog.add_constraint({"y": 1}, "<=", 2)
-    prog.add_constraint({"x": 1, "y": -1}, "==", 0)
-    prog.set_objective({"x": 1, "y": 1})
+    x, y = prog.add_variable(), prog.add_variable()
+    prog.add_constraint({x: 1}, "<=", 1)
+    prog.add_constraint({y: 1}, "<=", 2)
+    prog.add_constraint({x: 1, y: -1}, "==", 0)
+    prog.set_objective({x: 1, y: 1})
     sol = L.solve(prog)
     assert sol.value == 2
     assert L.check_duals(prog, sol)
@@ -33,71 +43,63 @@ def test_symmetric_binding():
 
 def test_duals_certify_the_optimum():
     # max 2x + y + z, x + y <= 5, x + z == 2, -y + z >= -3 (stored negated),
-    # y >= 1 (shifted), z free (split)
+    # y >= 1 (a row), z free (split)
     prog = L.LinearProgram()
-    prog.add_variable("x", lower=0)
-    prog.add_variable("y", lower=1)
-    prog.add_variable("z")
-    prog.add_constraint({"x": 1, "y": 1}, "<=", 5)
-    prog.add_constraint({"x": 1, "z": 1}, "==", 2)
-    prog.add_constraint({"y": -1, "z": 1}, ">=", -3)
+    x, y, z = prog.add_variable(), prog.add_variable(), prog.add_variable(free=True)
+    prog.add_constraint({x: 1, y: 1}, "<=", 5)
+    prog.add_constraint({x: 1, z: 1}, "==", 2)
+    prog.add_constraint({y: -1, z: 1}, ">=", -3)
     prog.add_constraint({}, "<=", 4)  # no coefficients: dual 0
-    prog.set_objective({"x": 2, "y": 1, "z": 1})
+    prog.add_constraint({y: 1}, ">=", 1)
+    prog.set_objective({x: 2, y: 1, z: 1})
     sol = L.solve(prog)
-    assert sol.value == 7 and len(sol.duals) == 4
+    assert sol.value == 7 and len(sol.duals) == 5
     assert sol.duals[3] == 0
     assert L.check_duals(prog, sol)
     # any single perturbed dual breaks the certificate: a reduced cost or
     # the dual bound moves
-    for r in range(4):
+    for r in range(5):
         for step in (F(1, 7), F(-1, 7)):
             duals = list(sol.duals)
             duals[r] += step
             assert not L.check_duals(prog, L.LpSolution(
                 sol.status, sol.value, sol.assignment, sol.pivots, tuple(duals)))
     assert not L.check_duals(prog, L.LpSolution(
-        sol.status, sol.value, sol.assignment, sol.pivots, sol.duals[:3]))
+        sol.status, sol.value, sol.assignment, sol.pivots, sol.duals[:4]))
 
 
 def test_statuses():
     prog = L.LinearProgram()
-    prog.add_variable("x", lower=1)
-    prog.add_constraint({"x": 1}, "<=", 0)
-    prog.set_objective({"x": 1})
+    x = prog.add_variable()
+    prog.add_constraint({x: 1}, ">=", 1)
+    prog.add_constraint({x: 1}, "<=", 0)
+    prog.set_objective({x: 1})
     assert L.solve(prog).status == "infeasible"
 
     prog = L.LinearProgram()
-    prog.add_variable("x", lower=0)
-    prog.set_objective({"x": 1})
+    x = prog.add_variable()
+    prog.set_objective({x: 1})
     assert L.solve(prog).status == "unbounded"
-
-
-def test_dump_is_readable():
-    prog = L.LinearProgram()
-    prog.add_variable("x", lower="3/2")
-    prog.add_constraint({"x": 2}, "<=", 1, name="cap")
-    prog.set_objective({"x": 1})
-    text = L.dump_lp(prog)
-    assert "max" in text and "cap" in text and "3/2" in text
 
 
 def test_free_variable_and_min():
     prog = L.LinearProgram()
-    prog.add_variable("k")
-    prog.add_variable("a", lower=0)
-    prog.add_constraint({"a": 1}, "<=", 1)
-    prog.add_constraint({"k": 1, "a": -1}, "<=", "-1/3")
-    prog.set_objective({"k": 1})
+    k = prog.add_variable(free=True)
+    a = prog.add_variable()
+    prog.add_constraint({a: 1}, "<=", 1)
+    prog.add_constraint({k: 1, a: -1}, "<=", "-1/3")
+    prog.set_objective({k: 1})
     assert L.solve(prog).value == F(2, 3)
-    prog.set_objective({"k": -1})  # minimize k
+    prog.set_objective({k: -1})  # minimize k
     assert L.solve(prog).status == "unbounded"
 
     prog = L.LinearProgram()
-    prog.add_variable("x", lower=-2)
-    prog.add_constraint({"x": 1}, "<=", 5)
-    prog.set_objective({"x": -1})  # minimize x
+    x = prog.add_variable(free=True)
+    prog.add_constraint({x: 1}, ">=", -2)
+    prog.add_constraint({x: 1}, "<=", 5)
+    prog.set_objective({x: -1})  # minimize x
     sol = L.solve(prog)
-    assert sol.value == 2 and sol.assignment["x"] == -2
+    assert sol.value == 2 and sol.assignment == (-2,)
     assert L.check_duals(prog, sol)
 
 
@@ -120,8 +122,8 @@ def _gauss(A, b):
     return [M[r][n] for r in range(n)]
 
 
-def _vertex_optimum(names, bounds, rows, obj):
-    n = len(names)
+def _vertex_optimum(bounds, rows, obj):
+    n = len(bounds)
     all_rows = []
     for i, (lo, hi) in enumerate(bounds):
         unit = [F(0)] * n
@@ -156,25 +158,27 @@ def test_random_programs_match_vertex_enumeration():
     rng = random.Random(101)
     for _ in range(120):
         n = rng.randint(1, 4)
-        names = [f"v{i}" for i in range(n)]
         bounds = [(F(rng.randint(-3, 0)), F(rng.randint(1, 4))) for _ in range(n)]
         prog = L.LinearProgram()
-        for name, (lo, hi) in zip(names, bounds):
-            prog.add_variable(name, lower=lo)
-            prog.add_constraint({name: 1}, "<=", hi)
+        cols = []
+        for lo, hi in bounds:
+            cols.append(prog.add_variable(free=lo < 0))
+            if lo:
+                prog.add_constraint({cols[-1]: 1}, ">=", lo)
+            prog.add_constraint({cols[-1]: 1}, "<=", hi)
         rows = []
         for _ in range(rng.randint(0, 4)):
             coeff = [F(rng.randint(-3, 3)) for _ in range(n)]
             sense = rng.choice(["<=", ">=", "=="])
             rhs = F(rng.randint(-4, 4), rng.randint(1, 3))
             rows.append((coeff, sense, rhs))
-            prog.add_constraint(dict(zip(names, coeff)), sense, rhs)
+            prog.add_constraint(dict(zip(cols, coeff)), sense, rhs)
         obj = [F(rng.randint(-3, 3)) for _ in range(n)]
         if rng.choice(["max", "min"]) == "min":
             obj = [-c for c in obj]
-        prog.set_objective(dict(zip(names, obj)))
+        prog.set_objective(dict(zip(cols, obj)))
         got = L.solve(prog)
-        want = _vertex_optimum(names, bounds, rows, obj)
+        want = _vertex_optimum(bounds, rows, obj)
         if want is None:
             assert got.status == "infeasible"
         else:
@@ -193,16 +197,23 @@ def test_solutions_verify_and_repeat_bit_for_bit(example1):
     second = L.solve(prog)
     assert first == second
     assert L.check_solution(prog, first.assignment)
+    # one value per column, no more and no fewer
+    assert not L.check_solution(prog, first.assignment[:-1])
+    assert not L.check_solution(prog, first.assignment + (F(0),))
+    # the polytope's columns come first: it refuses a program that has some
+    with pytest.raises(m.ValidationError, match="without columns"):
+        poly.install(prog)
+    assert len(prog.variables) == 9
 
 
 def test_polytope_shape_example1(example1):
     poly = L.deviation_polytope_constraints(example1)
-    density = [c for c in poly.constraints if c.name.startswith("density")]
-    adapted = [c for c in poly.constraints if c.name.startswith("adapted")]
+    density = [c for c in poly.constraints if c.rhs == 1]
+    adapted = [c for c in poly.constraints if c.rhs == 0]
     assert len(density) == 3
     # one pair of rows (the two invest continuations) x two first-period classes
     assert len(adapted) == 2
-    assert all(len(row) == 3 for row in poly.var_names)
+    assert poly.n == 3
 
 
 def test_polytope_vacuous_for_static_problems():
@@ -211,7 +222,7 @@ def test_polytope_vacuous_for_static_problems():
            "utility": {"a": {"s": 1}, "b": {"s": 0}}}
     static = m.load_problem(json.dumps(doc))
     poly = L.deviation_polytope_constraints(static)
-    assert all(c.name.startswith("density") for c in poly.constraints)
+    assert all(c.rhs == 1 for c in poly.constraints)
 
 
 def test_polytope_membership(example1, example2):
@@ -224,10 +235,10 @@ def test_polytope_membership(example1, example2):
         n = len(problem.leaves)
         for rule in dv.enumerate_pure_rules(problem):
             mat = rule.to_rule().matrix
-            asg = {poly.var(i, j): mat[i][j] for i in range(n) for j in range(n)}
+            asg = [mat[i][j] for i in range(n) for j in range(n)]
             assert L.check_solution(prog, asg)
             i, j = rng.randrange(n), rng.randrange(n)
-            bad = dict(asg)
+            bad = list(asg)
             bad[poly.var(i, j)] = asg[poly.var(i, j)] + F(1, 7)
             assert not L.check_solution(prog, bad)
     # the half-and-half rewrite of waiting sits inside the block
@@ -238,11 +249,7 @@ def test_polytope_membership(example1, example2):
     hedge = dv.DeviationRule.from_mapping(half, {
         "w,x": {"x": "1/2", "y": "1/2"}, "w,y": {"x": "1/2", "y": "1/2"},
         "x": "y", "y": "y"})
-    asg = {
-        poly.var(i, j): hedge.matrix[i][j]
-        for i in range(len(example2.leaves))
-        for j in range(len(example2.leaves))
-    }
+    asg = [w for row in hedge.matrix for w in row]
     assert L.check_solution(prog, asg)
 
 
@@ -281,7 +288,7 @@ def test_polytope_feasibility_equals_adaptedness_on_random_problems():
         poly.install(prog)
         n = len(p.leaves)
         rule = random_rule(rng, p)
-        asg = {poly.var(i, j): rule.matrix[i][j] for i in range(n) for j in range(n)}
+        asg = [rule.matrix[i][j] for i in range(n) for j in range(n)]
         assert L.check_solution(prog, asg)
         # arbitrary row-stochastic kernels: block membership <=> adaptedness
         for _ in range(4):
@@ -291,53 +298,56 @@ def test_polytope_feasibility_equals_adaptedness_on_random_problems():
                 if sum(raw) == 0:
                     raw[rng.randrange(n)] = 1
                 rows.append(tuple(F(x, sum(raw)) for x in raw))
-            asg = {poly.var(i, j): rows[i][j] for i in range(n) for j in range(n)}
+            asg = [rows[i][j] for i in range(n) for j in range(n)]
             assert L.check_solution(prog, asg) == dv.is_adapted(p, tuple(rows))
 
 
 def test_fractional_boxes_match_vertex_enumeration():
     # fractional and degenerate (fixed) boxes, fractional coefficients and
-    # objectives.  Each box is declared in one of three ways: a lower bound
-    # with the upper side as a "<=" row; no bound, with the upper side as a
-    # negated ">=" row and the lower side as a ">=" row; or no bound, with
-    # both sides as plain rows.  So duals are read from shifted and split
-    # free columns and from rows the solver stores negated.
+    # objectives.  Each box is declared in one of three ways: a column that
+    # is nonnegative, or free when the box reaches below zero, with each
+    # nonzero side as a row; a free column with the upper side as a negated
+    # ">=" row and the lower side as a ">=" row; or a free column with both
+    # sides as plain rows.  So duals are read from nonnegative and split free
+    # columns and from rows the solver stores negated.
     rng = random.Random(303)
     for _ in range(150):
         n = rng.randint(1, 4)
-        names = [f"v{i}" for i in range(n)]
         bounds = []
         for _ in range(n):
             lo = F(rng.randint(-4, 1), rng.randint(1, 3))
             width = F(0) if rng.random() < 0.2 else F(rng.randint(1, 6), 3)
             bounds.append((lo, lo + width))
         prog = L.LinearProgram()
-        for name, (lo, hi) in zip(names, bounds):
+        cols = []
+        for lo, hi in bounds:
             declared = rng.choice(["lower", "lower", "negated", "none"])
             if declared == "lower":
-                prog.add_variable(name, lower=lo)
-                prog.add_constraint({name: 1}, "<=", hi)
+                cols.append(prog.add_variable(free=lo < 0))
+                if lo:
+                    prog.add_constraint({cols[-1]: 1}, ">=", lo)
+                prog.add_constraint({cols[-1]: 1}, "<=", hi)
             elif declared == "negated":
-                prog.add_variable(name)
-                prog.add_constraint({name: -1}, ">=", -hi)
-                prog.add_constraint({name: 1}, ">=", lo)
+                cols.append(prog.add_variable(free=True))
+                prog.add_constraint({cols[-1]: -1}, ">=", -hi)
+                prog.add_constraint({cols[-1]: 1}, ">=", lo)
             else:
-                prog.add_variable(name)
-                prog.add_constraint({name: 1}, ">=", lo)
-                prog.add_constraint({name: 1}, "<=", hi)
+                cols.append(prog.add_variable(free=True))
+                prog.add_constraint({cols[-1]: 1}, ">=", lo)
+                prog.add_constraint({cols[-1]: 1}, "<=", hi)
         rows = []
         for _ in range(rng.randint(0, 4)):
             coeff = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
             sense = rng.choice(["<=", ">=", "=="])
             rhs = F(rng.randint(-4, 4), rng.randint(1, 5))
             rows.append((coeff, sense, rhs))
-            prog.add_constraint(dict(zip(names, coeff)), sense, rhs)
+            prog.add_constraint(dict(zip(cols, coeff)), sense, rhs)
         obj = [F(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(n)]
         if rng.choice(["max", "min"]) == "min":
             obj = [-c for c in obj]
-        prog.set_objective(dict(zip(names, obj)))
+        prog.set_objective(dict(zip(cols, obj)))
         got = L.solve(prog)
-        want = _vertex_optimum(names, bounds, rows, obj)
+        want = _vertex_optimum(bounds, rows, obj)
         if want is None:
             assert got.status == "infeasible"
         else:

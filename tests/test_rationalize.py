@@ -109,7 +109,9 @@ def test_compact_obedience_matches_enumerated_rows():
                 p, {(leaf, s): 1 for s in p.states}), leaf.label
         weights = {(a, s): rng.randint(-3, 3) for a in p.leaves for s in p.states}
         prog = rz._obedience_program(p)
-        prog.set_objective({rz._gamma_var(a, s): w for (a, s), w in weights.items()})
+        prog.set_objective({  # gamma(i, s) is column i * |states| + s
+            p.leaf_index[a] * len(p.states) + p.state_index[s]: w
+            for (a, s), w in weights.items()})
         assert lp.solve(prog).value == enumerated_obedience_optimum(p, weights)
 
 
