@@ -207,6 +207,8 @@ def _load_problem_and_params(args) -> tuple[DecisionProblem, dict]:
         if "=" not in item:
             raise UsageError(f"--param expects NAME=VALUE, got {item!r}")
         name, _, value = item.partition("=")
+        if name in params:
+            raise ValidationError(f"parameter {name!r} given twice")
         params[name] = parse_rational(value)
     return base, params
 
@@ -275,6 +277,8 @@ def _run_query(args) -> dict:
                             tol=args.tol, grid=args.grid, **{kind: echoed})
 
     elif args.command == "enumerate-rules":
+        if args.max_rules < 0:
+            raise UsageError(f"--max-rules must be at least 0, got {args.max_rules}")
         rules = deviation.enumerate_pure_rules(inst, args.max_rules)
         rules_enumerated = len(rules)
         result = {"count": len(rules), "rules": [r.to_json_dict() for r in rules]}

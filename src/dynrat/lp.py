@@ -11,14 +11,19 @@ comparing the exact optimal value against zero afterwards.
 An optimal solution carries one dual multiplier per constraint, read from
 the final objective row, so the optimum comes with its own certificate:
 `check_solution` re-checks the primal assignment and `check_duals` the
-multipliers, both exactly.
+multipliers, both exactly and both against the program as built, not the
+solver's rows.
 
-The tableau is fraction-free in the manner of Edmonds and Bareiss: each row
-is a list of Python ints over one positive common denominator, kept in
-lowest terms, so a pivot is integer multiply-and-subtract plus one gcd per
-row.  Ratio-test steps are compared as exact rationals, the same values a
-`Fraction` tableau would hold, so the pivot sequence does not depend on the
-representation.  All inputs and outputs are plain `Fraction`s.
+The arithmetic is integer throughout, fraction-free in the manner of
+Edmonds and Bareiss.  Each tableau row is a list of Python ints over one
+positive common denominator, kept in lowest terms, so a pivot is integer
+multiply-and-subtract plus one gcd per row.  Ratio-test steps are compared
+by cross-multiplying numerators, which orders them exactly as the rationals
+a `Fraction` tableau would hold, so the pivot sequence does not depend on
+the representation.  The checks put the assignment or the duals over one
+common denominator and each row over the lcm of its own, and compare
+integer dot products.  `Fraction`s appear only at the boundary: in the
+program the caller builds and in the values of an `LpSolution`.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Mapping, Optional, Sequence, Union
+from typing import Collection, Mapping, Optional, Sequence, Union
 
 from .model import DecisionProblem, ValidationError, parse_rational
 
@@ -113,20 +118,36 @@ class LpSolution:
     duals: Optional[tuple[Fraction, ...]] = None
 
 
+def _over_lcm(values: Collection[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over the lcm of their denominators,
+    and that lcm."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def check_solution(lp: LinearProgram, assignment: Sequence[Fraction]) -> bool:
     """Exact feasibility check of one value per column against the signs
-    and constraints."""
+    and every entry of ``lp.constraints``.
+
+    The assignment goes over one common denominator and each constraint
+    over the lcm of its own, so a row is one integer dot product compared
+    with its scaled right-hand side.
+    """
     if len(assignment) != len(lp.variables):
         return False
-    if any(x < 0 for x, free in zip(assignment, lp.variables) if not free):
+    xs, xden = _over_lcm(assignment)
+    if any(x < 0 for x, free in zip(xs, lp.variables) if not free):
         return False
     for con in lp.constraints:
-        lhs = sum((c * assignment[k] for k, c in con.coeffs.items()), Fraction(0))
-        if con.sense == "<=" and lhs > con.rhs:
+        rhs = con.rhs
+        den = math.lcm(rhs.denominator, *(c.denominator for c in con.coeffs.values()))
+        lhs = sum(c.numerator * (den // c.denominator) * xs[k] for k, c in con.coeffs.items())
+        scaled = rhs.numerator * (den // rhs.denominator) * xden
+        if con.sense == "<=" and lhs > scaled:
             return False
-        if con.sense == ">=" and lhs < con.rhs:
+        if con.sense == ">=" and lhs < scaled:
             return False
-        if con.sense == "==" and lhs != con.rhs:
+        if con.sense == "==" and lhs != scaled:
             return False
     return True
 
@@ -138,24 +159,33 @@ def check_duals(lp: LinearProgram, sol: LpSolution) -> bool:
     each y has its row's sign, that d <= 0 on nonnegative columns and d = 0
     on free ones, and that b^T y equals the value.  Then every feasible x
     has c^T x = d^T x + y^T A x <= b^T y, so an assignment reaching the
-    value is optimal.
+    value is optimal.  The duals go over one common denominator, and the
+    objective and the rows with a nonzero dual over one lcm of theirs, so
+    d and b^T y are checked as integers at one positive scale.
     """
-    if sol.duals is None or len(sol.duals) != len(lp.constraints):
+    if sol.duals is None or len(sol.duals) != len(lp.constraints) or sol.value is None:
         return False
-    reduced = dict(lp.objective)
-    bound = Fraction(0)
-    for con, y in zip(lp.constraints, sol.duals):
+    ys, yden = _over_lcm(sol.duals)
+    used = [(con, y) for con, y in zip(lp.constraints, ys) if y]
+    for con, y in used:
         if (con.sense == "<=" and y < 0) or (con.sense == ">=" and y > 0):
             return False
-        if y:
-            bound += y * con.rhs
-            for k, c in con.coeffs.items():
-                reduced[k] = reduced.get(k, 0) - y * c
+    den = math.lcm(
+        *(c.denominator for c in lp.objective.values()),
+        *(q.denominator for con, _ in used for q in chain((con.rhs,), con.coeffs.values())))
+    # d and b^T y times den * yden
+    reduced = {k: c.numerator * (den // c.denominator) * yden
+               for k, c in lp.objective.items()}
+    bound = 0
+    for con, y in used:
+        bound += y * con.rhs.numerator * (den // con.rhs.denominator)
+        for k, c in con.coeffs.items():
+            reduced[k] = reduced.get(k, 0) - y * c.numerator * (den // c.denominator)
     for k, free in enumerate(lp.variables):
         d = reduced.get(k, 0)
         if (d != 0) if free else (d > 0):
             return False
-    return bound == sol.value
+    return bound * sol.value.denominator == sol.value.numerator * den * yden
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +232,10 @@ class _Solver:
     row in lowest terms.  The last slot holds the right-hand side; objective
     rows hold minus the objective's current value there, so pivots and
     pricing apply one integer update to every row alike.  The basic column of
-    a constraint row has entry exactly 1 (``nums[b] == den``).
+    a constraint row has entry exactly 1 (``nums[b] == den``).  An optimum's
+    value is read from the objective row, checked against c^T x in
+    integers, and turned into `Fraction`s, with the assignment and the
+    duals, only when it is returned.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -215,6 +248,7 @@ class _Solver:
         for free in lp.variables:
             self.starts.append(col)
             col += 2 if free else 1
+        self.nstruct = col
         self.artificial: list = [False] * col  # per column: bool
 
         # A row is negated when its right-hand side is negative, or zero on a
@@ -227,7 +261,7 @@ class _Solver:
         self.dual_cols: list[Optional[tuple[int, int]]] = []
         rows: list[tuple[Constraint, int, bool, int]] = []  # sign, surplus, basic
         for con in lp.constraints:
-            sense, rhs = con.sense, con.rhs
+            sense, rhs = con.sense, con.rhs.numerator
             if not con.coeffs:
                 ok = (rhs >= 0) if sense == "<=" else (rhs <= 0) if sense == ">=" else (rhs == 0)
                 if not ok:
@@ -309,16 +343,21 @@ class _Solver:
 
             # Ratio test: the smallest (step, basic column) over the rows
             # whose entry in the entering column is positive.  A row's
-            # entries share its denominator, so each step is a ratio of
-            # numerators.
-            candidates = [
-                (Fraction(nums[-1], nums[entering]), self.basis[r], r)
-                for r, (nums, _) in enumerate(self.matrix)
-                if nums[entering] > 0
-            ]
-            if not candidates:
+            # entries share its denominator, so its step is rhs / e over its
+            # numerators, and two steps compare by cross-multiplying.
+            r = None
+            for i, (nums, _) in enumerate(self.matrix):
+                e = nums[entering]
+                if e <= 0:
+                    continue
+                if r is not None:
+                    lhs, rhs = nums[-1] * step_e, step_rhs * e
+                    if lhs > rhs or (lhs == rhs and self.basis[i] > self.basis[r]):
+                        continue
+                r, step_rhs, step_e = i, nums[-1], e
+            if r is None:
                 return "unbounded"
-            _, leaving, r = min(candidates)
+            leaving = self.basis[r]
 
             self.pivots += 1
             _PIVOT_TALLY[0] += 1
@@ -350,22 +389,26 @@ class _Solver:
         if status == "unbounded":
             return LpSolution("unbounded", None, None, self.pivots)
 
-        values = [Fraction(0)] * self.ncols
-        for (nums, den), b in zip(self.matrix, self.basis):
-            values[b] = Fraction(nums[-1], den)
-
-        assignment = tuple(
-            values[j] - values[j + 1] if free else values[j]
-            for j, free in zip(self.starts, self.lp.variables)
-        )
-        value = sum(
-            (c * assignment[k] for k, c in self.lp.objective.items()), Fraction(0)
-        )
+        # Basic values over one common denominator: xs[k] / xden is column
+        # k's value.
+        basic = [(b, nums[-1], den) for (nums, den), b in zip(self.matrix, self.basis)
+                 if b < self.nstruct]
+        xden = math.lcm(*(den for _, _, den in basic))
+        values = [0] * self.nstruct
+        for b, num, den in basic:
+            values[b] = num * (xden // den)
+        xs = [values[j] - values[j + 1] if free else values[j]
+              for j, free in zip(self.starts, self.lp.variables)]
+        assignment = tuple(Fraction(x, xden) for x in xs)
         if not check_solution(self.lp, assignment):  # pragma: no cover - solver bug
             raise RuntimeError("simplex returned an assignment violating the program")
+        # The value is read from the objective row and must equal c^T x.
         obj_nums, obj_den = self.obj
-        if value != Fraction(-obj_nums[-1], obj_den):  # pragma: no cover - solver bug
+        cs, cden = _over_lcm(self.lp.objective.values())
+        cx = sum(c * xs[k] for k, c in zip(self.lp.objective, cs))
+        if cx * obj_den != -obj_nums[-1] * cden * xden:  # pragma: no cover - solver bug
             raise RuntimeError("objective bookkeeping mismatch")
+        value = Fraction(-obj_nums[-1], obj_den)
         # The objective row is c - y^T A over the internal rows, and a row's
         # starting basic column has entry 1 in that row alone, so the row's
         # multiplier is minus the objective row's entry there, times -1
@@ -403,8 +446,9 @@ class _Solver:
 def solve(lp: LinearProgram) -> LpSolution:
     """Exact optimum of ``lp``; deterministic for identical programs.
 
-    Optimal assignments are re-verified against every constraint before being
-    returned, so a reported optimum is always exactly feasible.  Its duals
+    Optimal assignments are re-verified against every constraint, and the
+    value against the objective, before being returned, so a reported
+    optimum is always exactly feasible and attained.  Its duals
     are read from the tableau and not re-verified here; `check_duals` does
     that where a caller relies on them.
     """

@@ -108,6 +108,17 @@ def test_exit_codes(capsys):
     assert code == 2
 
 
+def test_negative_rule_cap_is_a_usage_error(capsys, monkeypatch):
+    # a negative cap is refused before any enumeration runs
+    def refuse(*args):
+        raise AssertionError("enumeration ran")
+
+    monkeypatch.setattr(cli.deviation, "enumerate_pure_rules", refuse)
+    code, out, err = run_cli(capsys, "enumerate-rules", EX1, "--max-rules", "-1")
+    assert code == 1 and "usage error" in err and "--max-rules must be at least 0" in err
+    assert out == ""
+
+
 def _golden_report(name: str) -> dict:
     return json.loads((GOLDEN / f"{name}.json").read_text())
 
@@ -162,8 +173,11 @@ MALFORMED = {
         EX1_STRATEGY, lambda d: d["kernel"].update({"s,g": 5}))),
     "strategy-signal-label-repeats": ("simulate --strategy", _shipped(
         EX1_STRATEGY, lambda d: d.update(signals=[["s"], ["g", "g"]]))),
-    "problem-is-a-directory": ("check-seq", None),
-    "problem-is-not-utf8": ("check-seq", b'{"periods": 1, "states": ["\xe9"]}'),
+    "problem-is-a-directory": ("check-seq --seq a", None),
+    "problem-is-not-utf8": ("check-seq --seq a", b'{"periods": 1, "states": ["\xe9"]}'),
+    # one name with two values: neither may win silently
+    "param-given-twice": ("check-seq --seq w,x --param delta=3/4 --param delta=9/10",
+                          json.loads(Path(EX2).read_text())),
 }
 
 
@@ -179,8 +193,8 @@ def test_malformed_input_exits_2(capsys, tmp_path, case):
         path.write_text(json.dumps(content))
     if command == "verify-witness":
         argv = [command, str(path)]
-    elif command == "check-seq":
-        argv = [command, str(path), "--seq", "a"]
+    elif command.startswith("check-seq"):
+        argv = ["check-seq", str(path), *command.split()[1:]]
     elif command.startswith("simulate"):
         files = {"--structure": EX1_STRUCTURE, "--strategy": EX1_STRATEGY}
         files[command.split()[1]] = str(path)

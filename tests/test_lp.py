@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -152,31 +153,38 @@ def _vertex_optimum(bounds, rows, obj):
     return best
 
 
+def _integer_program(rng):
+    """A random program with integer boxes and coefficients, and its boxes,
+    rows and objective for `_vertex_optimum`.  Minimizing is maximizing the
+    negated objective."""
+    n = rng.randint(1, 4)
+    bounds = [(F(rng.randint(-3, 0)), F(rng.randint(1, 4))) for _ in range(n)]
+    prog = L.LinearProgram()
+    cols = []
+    for lo, hi in bounds:
+        cols.append(prog.add_variable(free=lo < 0))
+        if lo:
+            prog.add_constraint({cols[-1]: 1}, ">=", lo)
+        prog.add_constraint({cols[-1]: 1}, "<=", hi)
+    rows = []
+    for _ in range(rng.randint(0, 4)):
+        coeff = [F(rng.randint(-3, 3)) for _ in range(n)]
+        sense = rng.choice(["<=", ">=", "=="])
+        rhs = F(rng.randint(-4, 4), rng.randint(1, 3))
+        rows.append((coeff, sense, rhs))
+        prog.add_constraint(dict(zip(cols, coeff)), sense, rhs)
+    obj = [F(rng.randint(-3, 3)) for _ in range(n)]
+    if rng.choice(["max", "min"]) == "min":
+        obj = [-c for c in obj]
+    prog.set_objective(dict(zip(cols, obj)))
+    return prog, bounds, rows, obj
+
+
 def test_random_programs_match_vertex_enumeration():
-    # each optimum also carries duals that certify it; minimizing is
-    # maximizing the negated objective
+    # each optimum also carries duals that certify it
     rng = random.Random(101)
     for _ in range(120):
-        n = rng.randint(1, 4)
-        bounds = [(F(rng.randint(-3, 0)), F(rng.randint(1, 4))) for _ in range(n)]
-        prog = L.LinearProgram()
-        cols = []
-        for lo, hi in bounds:
-            cols.append(prog.add_variable(free=lo < 0))
-            if lo:
-                prog.add_constraint({cols[-1]: 1}, ">=", lo)
-            prog.add_constraint({cols[-1]: 1}, "<=", hi)
-        rows = []
-        for _ in range(rng.randint(0, 4)):
-            coeff = [F(rng.randint(-3, 3)) for _ in range(n)]
-            sense = rng.choice(["<=", ">=", "=="])
-            rhs = F(rng.randint(-4, 4), rng.randint(1, 3))
-            rows.append((coeff, sense, rhs))
-            prog.add_constraint(dict(zip(cols, coeff)), sense, rhs)
-        obj = [F(rng.randint(-3, 3)) for _ in range(n)]
-        if rng.choice(["max", "min"]) == "min":
-            obj = [-c for c in obj]
-        prog.set_objective(dict(zip(cols, obj)))
+        prog, bounds, rows, obj = _integer_program(rng)
         got = L.solve(prog)
         want = _vertex_optimum(bounds, rows, obj)
         if want is None:
@@ -302,9 +310,48 @@ def test_polytope_feasibility_equals_adaptedness_on_random_problems():
             assert L.check_solution(prog, asg) == dv.is_adapted(p, tuple(rows))
 
 
+def _fractional_program(rng):
+    """Like `_integer_program`, with fractional and degenerate (fixed) boxes,
+    fractional coefficients and objectives."""
+    n = rng.randint(1, 4)
+    bounds = []
+    for _ in range(n):
+        lo = F(rng.randint(-4, 1), rng.randint(1, 3))
+        width = F(0) if rng.random() < 0.2 else F(rng.randint(1, 6), 3)
+        bounds.append((lo, lo + width))
+    prog = L.LinearProgram()
+    cols = []
+    for lo, hi in bounds:
+        declared = rng.choice(["lower", "lower", "negated", "none"])
+        if declared == "lower":
+            cols.append(prog.add_variable(free=lo < 0))
+            if lo:
+                prog.add_constraint({cols[-1]: 1}, ">=", lo)
+            prog.add_constraint({cols[-1]: 1}, "<=", hi)
+        elif declared == "negated":
+            cols.append(prog.add_variable(free=True))
+            prog.add_constraint({cols[-1]: -1}, ">=", -hi)
+            prog.add_constraint({cols[-1]: 1}, ">=", lo)
+        else:
+            cols.append(prog.add_variable(free=True))
+            prog.add_constraint({cols[-1]: 1}, ">=", lo)
+            prog.add_constraint({cols[-1]: 1}, "<=", hi)
+    rows = []
+    for _ in range(rng.randint(0, 4)):
+        coeff = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+        sense = rng.choice(["<=", ">=", "=="])
+        rhs = F(rng.randint(-4, 4), rng.randint(1, 5))
+        rows.append((coeff, sense, rhs))
+        prog.add_constraint(dict(zip(cols, coeff)), sense, rhs)
+    obj = [F(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(n)]
+    if rng.choice(["max", "min"]) == "min":
+        obj = [-c for c in obj]
+    prog.set_objective(dict(zip(cols, obj)))
+    return prog, bounds, rows, obj
+
+
 def test_fractional_boxes_match_vertex_enumeration():
-    # fractional and degenerate (fixed) boxes, fractional coefficients and
-    # objectives.  Each box is declared in one of three ways: a column that
+    # Each box is declared in one of three ways: a column that
     # is nonnegative, or free when the box reaches below zero, with each
     # nonzero side as a row; a free column with the upper side as a negated
     # ">=" row and the lower side as a ">=" row; or a free column with both
@@ -312,40 +359,7 @@ def test_fractional_boxes_match_vertex_enumeration():
     # columns and from rows the solver stores negated.
     rng = random.Random(303)
     for _ in range(150):
-        n = rng.randint(1, 4)
-        bounds = []
-        for _ in range(n):
-            lo = F(rng.randint(-4, 1), rng.randint(1, 3))
-            width = F(0) if rng.random() < 0.2 else F(rng.randint(1, 6), 3)
-            bounds.append((lo, lo + width))
-        prog = L.LinearProgram()
-        cols = []
-        for lo, hi in bounds:
-            declared = rng.choice(["lower", "lower", "negated", "none"])
-            if declared == "lower":
-                cols.append(prog.add_variable(free=lo < 0))
-                if lo:
-                    prog.add_constraint({cols[-1]: 1}, ">=", lo)
-                prog.add_constraint({cols[-1]: 1}, "<=", hi)
-            elif declared == "negated":
-                cols.append(prog.add_variable(free=True))
-                prog.add_constraint({cols[-1]: -1}, ">=", -hi)
-                prog.add_constraint({cols[-1]: 1}, ">=", lo)
-            else:
-                cols.append(prog.add_variable(free=True))
-                prog.add_constraint({cols[-1]: 1}, ">=", lo)
-                prog.add_constraint({cols[-1]: 1}, "<=", hi)
-        rows = []
-        for _ in range(rng.randint(0, 4)):
-            coeff = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
-            sense = rng.choice(["<=", ">=", "=="])
-            rhs = F(rng.randint(-4, 4), rng.randint(1, 5))
-            rows.append((coeff, sense, rhs))
-            prog.add_constraint(dict(zip(cols, coeff)), sense, rhs)
-        obj = [F(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(n)]
-        if rng.choice(["max", "min"]) == "min":
-            obj = [-c for c in obj]
-        prog.set_objective(dict(zip(cols, obj)))
+        prog, bounds, rows, obj = _fractional_program(rng)
         got = L.solve(prog)
         want = _vertex_optimum(bounds, rows, obj)
         if want is None:
@@ -355,3 +369,161 @@ def test_fractional_boxes_match_vertex_enumeration():
             assert got.value == want
             assert L.check_solution(prog, got.assignment)
             assert L.check_duals(prog, got)
+
+
+# -- the integer checks against plain Fraction arithmetic ---------------------
+
+def _fraction_violations(prog, assignment):
+    """What a plain-`Fraction` check finds wrong with ``assignment``: the
+    nonnegative columns it makes negative and the rows it violates."""
+    bad = [("sign", k) for k, (x, free) in enumerate(zip(assignment, prog.variables))
+           if not free and x < 0]
+    for r, con in enumerate(prog.constraints):
+        lhs = sum((c * assignment[k] for k, c in con.coeffs.items()), F(0))
+        if con.sense == "<=" and lhs > con.rhs or con.sense == ">=" and lhs < con.rhs or (
+                con.sense == "==" and lhs != con.rhs):
+            bad.append(("row", r))
+    return bad
+
+
+def _fraction_duals_certify(prog, sol):
+    """`check_duals` in plain `Fraction` arithmetic."""
+    reduced = dict(prog.objective)
+    bound = F(0)
+    for con, y in zip(prog.constraints, sol.duals):
+        if (con.sense == "<=" and y < 0) or (con.sense == ">=" and y > 0):
+            return False
+        if y:
+            bound += y * con.rhs
+            for k, c in con.coeffs.items():
+                reduced[k] = reduced.get(k, 0) - y * c
+    for k, free in enumerate(prog.variables):
+        d = reduced.get(k, 0)
+        if (d != 0) if free else (d > 0):
+            return False
+    return bound == sol.value
+
+
+LARGE = (10**30 + 57, 2**89 - 1, 3**61)
+
+
+def _rescaled(prog, rng):
+    """``prog`` with each row and the objective multiplied by a positive
+    rational with a large numerator and denominator: the same feasible set
+    and optimal assignments, over large denominators."""
+    def factor():
+        return F(rng.choice(LARGE), rng.choice(LARGE))
+
+    out = L.LinearProgram(list(prog.variables))
+    for con in prog.constraints:
+        f = factor()
+        out.add_constraint({k: c * f for k, c in con.coeffs.items()}, con.sense, con.rhs * f)
+    f = factor()
+    out.set_objective({k: c * f for k, c in prog.objective.items()})
+    return out
+
+
+def _seeded_optima():
+    """Each optimum of the seeded random programs above, then of the same
+    programs rescaled by `_rescaled`."""
+    for seed, count, make in ((101, 120, _integer_program), (303, 150, _fractional_program)):
+        rng, scale_rng = random.Random(seed), random.Random(seed + 1)
+        for _ in range(count):
+            prog = make(rng)[0]
+            sol = L.solve(prog)
+            if sol.status == "optimal":
+                yield prog, sol
+                big = _rescaled(prog, scale_rng)
+                big_sol = L.solve(big)
+                assert big_sol.assignment == sol.assignment
+                yield big, big_sol
+
+
+STEPS = [F(sign, 10**k) for k in (0, 1, 10, 30) for sign in (1, -1)]
+
+
+def test_integer_checks_agree_with_fraction_arithmetic():
+    # each optimum and each of its coordinates, duals and value moved by
+    # +-1/10^k: the integer checks say what plain Fraction sums say
+    single_row = accepted = dual_rejected = 0
+    for prog, sol in _seeded_optima():
+        assert L.check_solution(prog, sol.assignment) and L.check_duals(prog, sol)
+        for k in range(len(sol.assignment)):
+            for step in STEPS:
+                moved = list(sol.assignment)
+                moved[k] += step
+                bad = _fraction_violations(prog, moved)
+                assert L.check_solution(prog, moved) == (not bad), (prog, moved, bad)
+                single_row += len(bad) == 1 and bad[0][0] == "row"
+                accepted += not bad
+        for r in range(len(sol.duals)):
+            for step in STEPS:
+                duals = list(sol.duals)
+                duals[r] += step
+                moved = replace(sol, duals=tuple(duals))
+                want = _fraction_duals_certify(prog, moved)
+                assert L.check_duals(prog, moved) == want, (prog, moved)
+                dual_rejected += not want
+        for step in STEPS:
+            assert not L.check_duals(prog, replace(sol, value=sol.value + step))
+    # the perturbations reach both verdicts, and single-row violations
+    assert single_row > 1000 and accepted > 1000 and dual_rejected > 1000
+
+
+def test_boundary_accepted_and_each_single_row_violation_rejected():
+    # every row is tight at the assignment, over large denominators; moving
+    # one row's right-hand side by 1/10^k past the assignment violates that
+    # row alone
+    p, q = 2**89 - 1, 3**61
+    asg = (F(7, p), F(0), F(-5, q), F(0))
+    rows = [({0: F(1, 3), 2: F(2, 10**30 + 57)}, "<="),
+            ({0: F(-4, q), 1: 1, 2: F(p, 7)}, ">="),
+            ({0: 1, 1: F(1, p), 2: 1}, "==")]
+
+    def program(moved_row=None, shift=0):
+        prog = L.LinearProgram([False, False, True, False])  # the last is in no row
+        for r, (coeffs, sense) in enumerate(rows):
+            rhs = sum(c * asg[k] for k, c in coeffs.items())
+            prog.add_constraint(coeffs, sense, rhs + (shift if r == moved_row else 0))
+        return prog
+
+    assert L.check_solution(program(), asg)
+    for r, (_, sense) in enumerate(rows):
+        for k in (1, 10, 30):
+            past = F(-1 if sense == "<=" else 1, 10**k)
+            assert not L.check_solution(program(r, past), asg)
+            assert L.check_solution(program(r, -past), asg) == (sense != "==")
+    # a nonnegative column exactly at 0 is on its bound, just below is not
+    assert not L.check_solution(program(), asg[:3] + (F(-1, 10**30),))
+
+
+def test_ratio_test_ties_go_to_the_smallest_basic_column(monkeypatch):
+    # max 2x + 3y over rows with rhs 0 and one bounding row: every step is 0.
+    # At the second pivot three rows tie; the one whose basic column is x
+    # leaves, though it is neither the first nor the last of them.  Each
+    # choice is the old rule's: the smallest (Fraction step, basic column).
+    prog = L.LinearProgram()
+    x, y, z = prog.add_variable(), prog.add_variable(), prog.add_variable()
+    prog.add_constraint({x: -2, z: 2}, "<=", 0)
+    prog.add_constraint({x: 2, y: 2, z: -1}, "<=", 0)
+    prog.add_constraint({x: -2, y: 2, z: -2}, "<=", 0)
+    prog.add_constraint({x: 1, y: 1, z: 1}, "<=", 1)
+    prog.set_objective({x: 2, y: 3})
+    pivots = []
+    real_pivot = L._Solver._pivot
+
+    def pivot(self, r, j, objs):
+        candidates = [(F(nums[-1], nums[j]), self.basis[i], i)
+                      for i, (nums, _) in enumerate(self.matrix) if nums[j] > 0]
+        step, leaving, row = min(candidates)
+        assert (row, leaving) == (r, self.basis[r])
+        pivots.append((j, leaving, step, [b for s, b, _ in candidates if s == step]))
+        real_pivot(self, r, j, objs)
+
+    monkeypatch.setattr(L._Solver, "_pivot", pivot)
+    sol = L.solve(prog)
+    # columns 0-2 are x, y, z and 3-6 the slacks of the four rows
+    assert pivots == [(0, 4, 0, [4]), (1, 0, 0, [3, 0, 5]), (2, 3, 0, [3]), (0, 1, 0, [1])]
+    assert sol.pivots == 4
+    assert sol.value == 0 and sol.assignment == (0, 0, 0)
+    assert L.check_duals(prog, sol)
