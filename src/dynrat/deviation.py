@@ -10,6 +10,8 @@ observation; `dominates` picks the one that matches.
 
 from __future__ import annotations
 
+import functools
+import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +26,7 @@ from .model import (
     MarginalDistribution,
     Observation,
     ValidationError,
+    _require_parameter_free,
     format_rational,
     lottery_utility,
     parse_rational,
@@ -50,13 +53,6 @@ class SizeGuardError(RuntimeError):
 # Adaptedness
 # ---------------------------------------------------------------------------
 
-def _prefix_groups(seqs: Sequence[tuple[str, ...]], t: int) -> list[list[int]]:
-    groups: dict[tuple[str, ...], list[int]] = {}
-    for i, s in enumerate(seqs):
-        groups.setdefault(s[:t], []).append(i)
-    return list(groups.values())
-
-
 def matrix_is_adapted(
     in_seqs: Sequence[tuple[str, ...]],
     out_seqs: Sequence[tuple[str, ...]],
@@ -64,17 +60,22 @@ def matrix_is_adapted(
     periods: int,
 ) -> bool:
     """Whether a row-stochastic kernel from ``in_seqs`` to ``out_seqs`` has
-    period-t output marginals that depend only on the first t input entries."""
+    period-t output marginals that depend only on the first t input entries.
+
+    Each row's period-t marginal is summed from its nonzero entries only and
+    kept as a map from output prefix to its nonzero mass, so a sparse kernel
+    costs its support, not the square of the leaf count."""
+    support = [[(j, w) for j, w in enumerate(row) if w] for row in matrix]
     for t in range(1, periods):
-        out_groups = _prefix_groups(out_seqs, t)
-        for in_group in _prefix_groups(in_seqs, t):
-            if len(in_group) < 2:
-                continue
-            ref = [sum(matrix[in_group[0]][j] for j in og) for og in out_groups]
-            for i in in_group[1:]:
-                got = [sum(matrix[i][j] for j in og) for og in out_groups]
-                if got != ref:
-                    return False
+        first: dict[tuple[str, ...], dict[tuple[str, ...], Fraction]] = {}
+        for seq, row in zip(in_seqs, support):
+            sums: dict[tuple[str, ...], Fraction] = {}
+            for j, w in row:
+                key = out_seqs[j][:t]
+                sums[key] = sums.get(key, 0) + w
+            marginal = {key: w for key, w in sums.items() if w}
+            if first.setdefault(seq[:t], marginal) != marginal:
+                return False
     return True
 
 
@@ -107,9 +108,10 @@ def _resolve_kernel(problem: DecisionProblem, kernel) -> tuple[tuple[Fraction, .
         if len(matrix) != n or any(len(r) != n for r in matrix):
             raise ValidationError("kernel matrix must be square over the leaves")
     for row in matrix:
-        if any(w < 0 for w in row):
+        support = [w for w in row if w]
+        if any(w < 0 for w in support):
             raise ValidationError("kernel weights must be nonnegative")
-        if sum(row, Fraction(0)) != 1:
+        if sum(support) != 1:
             raise ValidationError("kernel rows must sum to exactly 1")
     return matrix
 
@@ -144,9 +146,10 @@ class DeviationRule:
         if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
             raise ValidationError("deviation rule matrix shape mismatch")
         for row in self.matrix:
-            if any(w < 0 for w in row):
+            support = [w for w in row if w]
+            if any(w < 0 for w in support):
                 raise ValidationError("deviation rule weights must be nonnegative")
-            if sum(row, Fraction(0)) != 1:
+            if sum(support) != 1:
                 raise ValidationError("deviation rule rows must sum to 1")
         entries = [l.entries for l in self.leaves]
         if not matrix_is_adapted(entries, entries, self.matrix, len(entries[0]) if entries else 0):
@@ -272,6 +275,68 @@ def count_pure_rules(problem: DecisionProblem) -> int:
         return cache[key]
 
     return count((), ())
+
+
+def best_joint_deviation(
+    problem: DecisionProblem, joint: JointDistribution
+) -> tuple[Fraction, PureDeviationRule]:
+    """The most any adapted rule gains on average under ``joint``, and a pure
+    rule that gains it, by backward induction with no LP.
+
+    A rule's output prefix may depend on the recommended (input) prefix, so
+    the best rule is a best response to that prefix as a signal: over aligned
+    pairs, V(h, g) = sum over the input children h' of h of the max over the
+    output children g' of g of V(h', g'), with V(i, j) = sum_s joint(i, s)
+    u(j, s) at the leaves.  The gain is V((), ()) minus the law's own
+    expected utility.  The rule takes the argmaxes, ties going to the first
+    output child in document order.  Input subtrees without mass are
+    skipped, and each of their leaves goes to the first completion of its
+    output prefix.  The law and the utilities are each put over one lcm, so
+    the induction adds and compares Python ints.
+    """
+    _require_parameter_free(problem)
+    if joint.leaves != problem.leaves or joint.states != problem.states:
+        raise ValidationError("joint law shapes do not match the problem")
+    periods = problem.periods
+    table = [[utility(problem, b, s) for s in problem.states] for b in problem.leaves]
+    uden = math.lcm(*(u.denominator for row in table for u in row))
+    pay = {b.entries: [u.numerator * (uden // u.denominator) for u in row]
+           for b, row in zip(problem.leaves, table)}
+    wden = math.lcm(*(w.denominator for row in joint.matrix for w in row))
+    mass = {a.entries: [w.numerator * (wden // w.denominator) for w in row]
+            for a, row in zip(problem.leaves, joint.matrix) if any(row)}
+    live = {a[:t] for a in mass for t in range(periods + 1)}
+    kids = functools.cache(functools.partial(_prefix_children, problem))
+    choice: dict[tuple[tuple[str, ...], tuple[str, ...]], tuple[str, ...]] = {}
+
+    def value(h: tuple[str, ...], g: tuple[str, ...]) -> int:
+        if len(h) == periods:
+            return sum(x * y for x, y in zip(mass[h], pay[g]))
+        total = 0
+        for hc in kids(h):
+            if hc not in live:
+                continue
+            best = None
+            for gc in kids(g):
+                v = value(hc, gc)
+                if best is None or v > best:
+                    best, choice[hc, g] = v, gc
+            total += best
+        return total
+
+    outputs: dict[tuple[str, ...], ActionSequence] = {}
+
+    def follow(h: tuple[str, ...], g: tuple[str, ...]) -> None:
+        if len(h) == periods:
+            outputs[h] = ActionSequence(g)
+            return
+        for hc in kids(h):
+            follow(hc, choice.get((hc, g)) or kids(g)[0])
+
+    gain = value((), ()) - sum(sum(x * y for x, y in zip(row, pay[a])) for a, row in mass.items())
+    follow((), ())
+    rule = PureDeviationRule(problem.leaves, tuple(outputs[b.entries] for b in problem.leaves))
+    return Fraction(gain, wden * uden), rule
 
 
 _ENUM_CACHE: "weakref.WeakKeyDictionary[DecisionProblem, tuple[PureDeviationRule, ...]]" = (

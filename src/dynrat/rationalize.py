@@ -10,14 +10,21 @@ action-state law.  It always hands back evidence:
 * possible: an obedient triple, a prior plus recommendation kernel under
   which following recommendations is exactly optimal.
 
-Each verdict solves one exact rational LP, the dominance program of its data
-type: the best deviation rule over the rule polytope (`dominating_rule`
-returns that rule alone).  A positive optimum yields the rule.  At optimum 0
-the program's duals, checked exactly by `lp.check_duals`, are the obedient
-information structure (for a joint law, the law itself): the paper's
+A joint law needs no LP.  A rule may condition on the recommended prefix,
+so the best rule against a joint law is a best response to that prefix as a
+signal, and `deviation.best_joint_deviation` finds it exactly by backward
+induction over aligned prefix pairs, in time polynomial in their number and
+with no enumeration.  A positive gain yields the rule; otherwise the law
+itself is the obedient witness.
+
+A sequence or a marginal needs one exact rational LP, the dominance program
+of its data type: the best deviation rule over the rule polytope
+(`dominating_rule` returns that rule alone).  A positive optimum yields the
+rule.  At optimum 0 the program's duals, checked exactly by
+`lp.check_duals`, are the obedient information structure: the paper's
 theorem is this one LP duality.  This module is the one place that tells
-the three kinds of observation apart when it builds a program.  Strictness
-is decided by comparing the optimal value against zero, never by epsilon.
+the three kinds of observation apart when it decides.  Strictness is
+decided by comparing the exact optimal gain against zero, never by epsilon.
 The obedience program, the same duality written from the information side,
 serves `maxprob` only.
 """
@@ -29,7 +36,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from . import lp as lpmod
-from .deviation import DeviationRule, dominates
+from .deviation import DeviationRule, best_joint_deviation, dominates
 from .model import (
     ActionSequence,
     DecisionProblem,
@@ -195,12 +202,11 @@ def apparently_dominated(
 
 @dataclass(frozen=True)
 class _Dominance:
-    """A solved dominance program of ``observed`` and its rule (None when no
-    rule gains).  ``gain_rows`` lists (row, leaf index, state index) of the
-    rows "the rule's gain at this leaf in this state is at least the leaf's
-    level"."""
+    """A solved dominance program of an observed sequence or marginal and
+    its rule (None when no rule gains).  ``gain_rows`` lists (row, leaf
+    index, state index) of the rows "the rule's gain at this leaf in this
+    state is at least the leaf's level"."""
 
-    observed: Observation
     prog: lpmod.LinearProgram
     sol: lpmod.LpSolution
     rule: Optional[DeviationRule]
@@ -208,8 +214,7 @@ class _Dominance:
 
     def obedient_joint(self, problem: DecisionProblem) -> JointDistribution:
         """At value 0, an obedient joint law that induces the observation:
-        a joint law itself, or else the gain rows' multipliers, negated and
-        scaled to mass 1.
+        the gain rows' multipliers, negated and scaled to mass 1.
 
         With g(i, s) minus the multiplier of row (i, s), the polytope rows'
         multipliers y satisfy A^T y >= C(g) and b^T y = 0 (C as in
@@ -217,8 +222,6 @@ class _Dominance:
         levels are free, so their reduced costs are 0: g has mass exactly 1
         on the observed sequence, or exactly the observed marginal.
         """
-        if isinstance(self.observed, JointDistribution):
-            return self.observed
         if not lpmod.check_duals(self.prog, self.sol):  # pragma: no cover - solver bug
             raise InternalInconsistencyError("dual certificate fails its check")
         mass = [[Fraction(0)] * len(problem.states) for _ in problem.leaves]
@@ -229,11 +232,23 @@ class _Dominance:
             tuple(g / total for g in row) for row in mass))
 
 
-def _dominance(problem: DecisionProblem, observed: Observation) -> _Dominance:
-    """Solve the dominance program of an observed sequence, marginal or
-    joint law, over the deviation polytope.
+def _checked(problem: DecisionProblem, rule: DeviationRule, observed: Observation) -> DeviationRule:
+    if not dominates(problem, rule, observed):  # pragma: no cover - search bug
+        raise InternalInconsistencyError("extracted rule fails its own dominance check")
+    return rule
 
-    * joint law: maximize the rule's expected gain.
+
+def _joint_rule(problem: DecisionProblem, joint: JointDistribution) -> Optional[DeviationRule]:
+    """The best rule against a joint law, by backward induction, when its
+    gain is strictly positive."""
+    gain, pure = best_joint_deviation(problem, joint)
+    return _checked(problem, pure.to_rule(), joint) if gain > 0 else None
+
+
+def _dominance(problem: DecisionProblem, observed: Observation) -> _Dominance:
+    """Solve the dominance program of an observed sequence or marginal over
+    the deviation polytope.
+
     * sequence a: maximize one level k that bounds a's gain from below in
       every state, while every other leaf's gain stays nonnegative.
     * marginal: one level per leaf, bounding its gain in every state;
@@ -246,38 +261,25 @@ def _dominance(problem: DecisionProblem, observed: Observation) -> _Dominance:
     prog = lpmod.LinearProgram()
     poly.install(prog)
     table = [[utility(problem, b, s) for s in states] for b in leaves]
-
-    def gain(i: int, s: int) -> dict[int, Fraction]:
-        return {poly.var(i, j): table[j][s] - table[i][s]
-                for j in range(n) if table[j][s] != table[i][s]}
-
-    objective: dict[int, Fraction] = {}
-    gain_rows = []
-    if isinstance(observed, JointDistribution):
-        for i, row in enumerate(observed.matrix):
-            for s, w in enumerate(row):
-                if w == 0:
-                    continue
-                for k, c in gain(i, s).items():
-                    objective[k] = objective.get(k, Fraction(0)) + w * c
+    if isinstance(observed, MarginalDistribution):
+        levels = {i: prog.add_variable(free=True) for i in range(n)}
+        objective = dict(zip(levels.values(), observed.weights))
     else:
-        if isinstance(observed, MarginalDistribution):
-            levels = {i: prog.add_variable(free=True) for i in range(n)}
-            objective = dict(zip(levels.values(), observed.weights))
-        else:
-            observed = problem.sequence(observed)
-            k = prog.add_variable(free=True)
-            levels = {problem.leaf_index[observed]: k}
-            objective = {k: Fraction(1)}
-        for i in range(n):
-            for s in range(len(states)):
-                coeffs = gain(i, s)
-                if i in levels:
-                    coeffs[levels[i]] = Fraction(-1)
-                elif not coeffs:
-                    continue
-                gain_rows.append((len(prog.constraints), i, s))
-                prog.add_constraint(coeffs, ">=", 0)
+        observed = problem.sequence(observed)
+        k = prog.add_variable(free=True)
+        levels = {problem.leaf_index[observed]: k}
+        objective = {k: Fraction(1)}
+    gain_rows = []
+    for i in range(n):
+        for s in range(len(states)):
+            coeffs = {poly.var(i, j): table[j][s] - table[i][s]
+                      for j in range(n) if table[j][s] != table[i][s]}
+            if i in levels:
+                coeffs[levels[i]] = Fraction(-1)
+            elif not coeffs:
+                continue
+            gain_rows.append((len(prog.constraints), i, s))
+            prog.add_constraint(coeffs, ">=", 0)
     prog.set_objective(objective)
 
     sol = lpmod.solve(prog)
@@ -285,16 +287,17 @@ def _dominance(problem: DecisionProblem, observed: Observation) -> _Dominance:
         raise InternalInconsistencyError(f"dominance program ended {sol.status}")
     rule = None
     if sol.value > 0:
-        rule = DeviationRule(leaves, poly.extract_matrix(sol.assignment))
-        if not dominates(problem, rule, observed):  # pragma: no cover - solver bug
-            raise InternalInconsistencyError("extracted rule fails its own dominance check")
-    return _Dominance(observed, prog, sol, rule, tuple(gain_rows))
+        rule = _checked(problem, DeviationRule(leaves, poly.extract_matrix(sol.assignment)),
+                        observed)
+    return _Dominance(prog, sol, rule, tuple(gain_rows))
 
 
 def dominating_rule(problem: DecisionProblem, observed: Observation) -> Optional[DeviationRule]:
     """The rule that gains most on ``observed`` by the criterion of its kind
     (`deviation.dominates`), when that gain is strictly positive; None when
     no rule dominates, that is, when ``observed`` is rationalizable."""
+    if isinstance(observed, JointDistribution):
+        return _joint_rule(problem, observed)
     return _dominance(problem, observed).rule
 
 
@@ -379,9 +382,15 @@ def obedient_triple_from_joint(joint: JointDistribution) -> ObedientTriple:
 
 
 def decide(problem: DecisionProblem, observed: Observation) -> Verdict:
-    """Decide whether ``observed`` is rationalizable, with one LP: a
-    dominating rule, or an obedient triple that induces the observation
-    (positive mass on a sequence, or exactly a marginal or joint law)."""
+    """Decide whether ``observed`` is rationalizable: a dominating rule, or
+    an obedient triple that induces the observation (positive mass on a
+    sequence, or exactly a marginal or joint law).  A joint law is decided
+    by backward induction, a sequence or a marginal by one LP."""
+    if isinstance(observed, JointDistribution):
+        rule = _joint_rule(problem, observed)
+        if rule is not None:
+            return Verdict(False, rule)
+        return Verdict(True, obedient_triple_from_joint(observed))
     found = _dominance(problem, observed)
     if found.rule is not None:
         return Verdict(False, found.rule)

@@ -137,6 +137,22 @@ def random_problem(
         return problem
 
 
+def complete_tree_doc(branching, n_states: int, seed: int) -> dict:
+    """A problem document: a complete tree with ``branching[t]`` actions in
+    period t, and payoffs drawn from the integers in [-5, 5]."""
+    rng = random.Random(seed)
+
+    def build(depth):
+        return {"abcd"[k]: "leaf" if depth + 1 == len(branching) else build(depth + 1)
+                for k in range(branching[depth])}
+
+    states = [f"s{i}" for i in range(n_states)]
+    leaves = [",".join(path) for path in itertools.product(
+        *("abcd"[:b] for b in branching))]
+    return {"periods": len(branching), "states": states, "tree": build(0),
+            "utility": {leaf: {s: rng.randint(-5, 5) for s in states} for leaf in leaves}}
+
+
 def random_joint(rng: random.Random, problem: m.DecisionProblem) -> m.JointDistribution:
     cells = [(a, s) for a in problem.leaves for s in problem.states]
     raw = [rng.randint(0, 6) if rng.random() < 0.8 else 0 for _ in cells]
@@ -234,6 +250,28 @@ def enumerated_obedience_optimum(problem: m.DecisionProblem, weights: dict) -> F
             for b, out in zip(problem.leaves, rule.outputs) for s in problem.states
         }, ">=", 0)
     prog.set_objective({gamma[cell]: w for cell, w in weights.items()})
+    sol = lp.solve(prog)
+    assert sol.status == "optimal"
+    return sol.value
+
+
+# ---------------------------------------------------------------------------
+# Joint dominance LP (reference for the backward-induction best rule)
+# ---------------------------------------------------------------------------
+
+def joint_dominance_optimum(problem: m.DecisionProblem, joint: m.JointDistribution) -> Fraction:
+    """Maximum over the deviation polytope of a rule's expected gain under
+    ``joint``: the kernel entry (i, j) earns sum_s joint(i, s) (u(j, s) -
+    u(i, s)).  One exact LP, with no prefix-pair recursion."""
+    poly = lp.deviation_polytope_constraints(problem)
+    prog = lp.LinearProgram()
+    poly.install(prog)
+    leaves, states = problem.leaves, problem.states
+    prog.set_objective({
+        poly.var(i, j): sum((w * (m.utility(problem, b, s) - m.utility(problem, a, s))
+                             for s, w in zip(states, joint.matrix[i])), Fraction(0))
+        for i, a in enumerate(leaves) for j, b in enumerate(leaves)
+    })
     sol = lp.solve(prog)
     assert sol.status == "optimal"
     return sol.value

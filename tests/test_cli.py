@@ -1,7 +1,6 @@
 import itertools
 import json
 import os
-import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +10,8 @@ import pytest
 
 from dynrat import cli, oracle, rationalize
 from dynrat.model import format_rational, load_problem
+
+from conftest import complete_tree_doc
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -398,21 +399,9 @@ def test_closed_stdout_exits_without_traceback():
 
 
 def complete_tree(tmp_path, branching, n_states, seed) -> str:
-    """A problem file: a complete tree with ``branching[t]`` actions in period
-    t, and payoffs drawn from the integers in [-5, 5]."""
-    rng = random.Random(seed)
-
-    def build(depth):
-        return {"abcd"[k]: "leaf" if depth + 1 == len(branching) else build(depth + 1)
-                for k in range(branching[depth])}
-
-    states = [f"s{i}" for i in range(n_states)]
-    leaves = [",".join(path) for path in itertools.product(
-        *("abcd"[:b] for b in branching))]
-    doc = {"periods": len(branching), "states": states, "tree": build(0),
-           "utility": {leaf: {s: rng.randint(-5, 5) for s in states} for leaf in leaves}}
+    """A problem file holding `conftest.complete_tree_doc`."""
     path = tmp_path / f"tree-{'-'.join(map(str, branching))}-{seed}.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(complete_tree_doc(branching, n_states, seed)))
     return str(path)
 
 

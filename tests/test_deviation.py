@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -6,7 +7,15 @@ import pytest
 from dynrat import deviation as dv
 from dynrat import model as m
 
-from conftest import random_problem, random_pure_rule, random_rule, reference_rule_count
+from conftest import (
+    complete_tree_doc,
+    joint_dominance_optimum,
+    random_joint,
+    random_problem,
+    random_pure_rule,
+    random_rule,
+    reference_rule_count,
+)
 
 
 def all_to(problem, label):
@@ -215,3 +224,88 @@ def test_unadapted_pure_mapping_rejected(example1):
             "invest,invest": "invest,invest",
             "not_invest": "not_invest",
         })
+
+
+def dense_matrix_is_adapted(in_seqs, out_seqs, matrix, periods):
+    """Adaptedness by summing every entry of every row over every output
+    prefix group, zeros included."""
+    def groups(seqs, t):
+        found = {}
+        for i, seq in enumerate(seqs):
+            found.setdefault(seq[:t], []).append(i)
+        return list(found.values())
+
+    for t in range(1, periods):
+        out_groups = groups(out_seqs, t)
+        for in_group in groups(in_seqs, t):
+            ref = [sum(matrix[in_group[0]][j] for j in og) for og in out_groups]
+            for i in in_group[1:]:
+                if [sum(matrix[i][j] for j in og) for og in out_groups] != ref:
+                    return False
+    return True
+
+
+def test_sparse_adaptedness_matches_dense_reference():
+    rng = random.Random(61)
+    verdicts = set()
+    for _ in range(60):
+        p = random_problem(rng, max_leaves=6)
+        entries = [leaf.entries for leaf in p.leaves]
+        n = len(entries)
+        rule = random_rule(rng, p).matrix
+        kernels = [rule]
+        for _ in range(4):
+            # move part of one entry's mass to another entry of its row
+            moved = [list(row) for row in rule]
+            i = rng.randrange(n)
+            j = rng.choice([j for j in range(n) if moved[i][j]])
+            k = rng.randrange(n)
+            d = moved[i][j] * F(rng.randint(1, 4), 4)
+            moved[i][j] -= d
+            moved[i][k] += d
+            kernels.append(moved)
+            # a signed move: the row still sums to 1 and may gain a zero sum
+            signed = [list(row) for row in rule]
+            signed[i][k] += d
+            signed[i][rng.randrange(n)] -= d
+            kernels.append(signed)
+        for kernel in kernels:
+            expected = dense_matrix_is_adapted(entries, entries, kernel, p.periods)
+            assert dv.matrix_is_adapted(entries, entries, kernel, p.periods) == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def rule_gain(problem, rule, joint):
+    return sum((w * dv.improvement(problem, rule, a, s)
+                for a, row in zip(joint.leaves, joint.matrix)
+                for s, w in zip(joint.states, row) if w), F(0))
+
+
+def test_backward_induction_matches_the_joint_dominance_lp():
+    rng = random.Random(67)
+    problems = [random_problem(rng, max_leaves=6) for _ in range(150)]
+    problems.append(m.load_problem(json.dumps(complete_tree_doc((3, 3, 3), 2, seed=1))))
+    padded = zero_mass = positive = 0
+    for p in problems:
+        joint = random_joint(rng, p)
+        gain, pure = dv.best_joint_deviation(p, joint)
+        assert gain == joint_dominance_optimum(p, joint)
+        rule = pure.to_rule()
+        entries = [leaf.entries for leaf in p.leaves]
+        assert dense_matrix_is_adapted(entries, entries, rule.matrix, p.periods)
+        assert rule_gain(p, rule, joint) == gain
+        assert all(w in (0, 1) for row in rule.matrix for w in row)
+        assert dv.dominates_joint(p, rule, joint) == (gain > 0)
+        padded += any(m.PAD in leaf.entries for leaf in p.leaves)
+        zero_mass += any(not any(row) for row in joint.matrix)
+        positive += gain > 0
+    # the sweep exercised padded trees, leaves without mass and both verdicts
+    assert padded and zero_mass and positive and positive < len(problems)
+
+
+def test_backward_induction_rejects_a_law_of_another_problem(example1, example2):
+    half = m.instantiate(example2, {"delta": "1/2"})
+    joint = m.JointDistribution.from_mapping(example1, {("invest,pull_back", "good"): 1})
+    with pytest.raises(m.ValidationError, match="shapes"):
+        dv.best_joint_deviation(half, joint)

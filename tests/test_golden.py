@@ -132,11 +132,20 @@ def test_golden_witnesses_verify(name):
 @pytest.mark.parametrize("name", sorted(
     n for n, argv in CASES.items() if argv[0] in ("check-seq", "check-marginal", "check-joint")))
 def test_each_verdict_solves_one_program(name, monkeypatch):
+    """A sequence or a marginal verdict solves its dominance LP; a joint
+    verdict is backward induction and solves none."""
     solves = []
     real_solve = lp.solve
-    monkeypatch.setattr(lp, "solve", lambda prog: solves.append(prog) or real_solve(prog))
+
+    def solve(prog):
+        if CASES[name][0] == "check-joint":
+            raise AssertionError("a joint verdict solved an LP")
+        solves.append(prog)
+        return real_solve(prog)
+
+    monkeypatch.setattr(lp, "solve", solve)
     render(CASES[name])
-    assert len(solves) == 1
+    assert len(solves) == (0 if CASES[name][0] == "check-joint" else 1)
 
 
 def test_golden_cases_cover_both_verdicts():
