@@ -3,8 +3,10 @@
 * the largest probability with which a sequence can appear under obedient
   behavior,
 * parameter regions consistent with an observation of any kind (grid scan
-  plus bisection of every sign change, each reported interval backed by an
-  exact sample test with `rationalize.dominating_rule`),
+  plus bisection of every sign change; each sample is decided by a
+  certificate checked exactly at that sample, carried from an earlier sample
+  while it still holds and otherwise found afresh by
+  `rationalize.certificate`),
 * rule-wise consistency screens over a parameter grid
   (`deviation.dominates`), and
 * increasing convex payoff transforms for risk-attitude comparisons.
@@ -16,18 +18,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .deviation import AnyRule, dominates
+from .deviation import AnyRule, DeviationRule, best_joint_deviation, dominates
 from .model import (
     ActionSequence,
     AffineExpr,
     DecisionProblem,
+    JointDistribution,
     Observation,
     ValidationError,
     format_rational,
     parse_rational,
     substitute_params,
 )
-from .rationalize import dominating_rule, max_positive_marginal
+from .rationalize import certificate, max_positive_marginal
 
 
 def max_rationalizable_probability(problem: DecisionProblem, a: ActionSequence) -> Fraction:
@@ -181,14 +184,19 @@ class IdentifiedSet:
                 raise ValidationError("identified-set intervals must tile the range")
 
     def tag_at(self, point: Fraction) -> str:
-        """Tag of the interval containing ``point`` ("gap" wins at seams)."""
+        """Tag of the interval containing ``point`` ("gap" wins at seams).
+
+        A point outside the swept range was never tested, so it has no tag.
+        """
         point = parse_rational(point)
-        hit = "out"
+        hit = None
         for lo, hi, tag in self.intervals:
             if lo <= point <= hi:
                 if tag == "gap":
                     return "gap"
                 hit = tag
+        if hit is None:
+            raise ValidationError(f"{format_rational(point)} lies outside the swept range")
         return hit
 
     def to_json_dict(self) -> dict:
@@ -217,7 +225,18 @@ def identified_set(
     Scans an equispaced rational grid, then bisects every cell whose endpoints
     disagree until the bracketing gap is at most ``tolerance`` (default: range
     width / 1024).  Non-monotone families are handled; each reported interval
-    is certified by its sampled endpoints only.
+    is certified by its sampled points only.
+
+    Each sample's verdict rests on an exact certificate checked at that
+    sample.  The sweep carries the last dominating rule and the last
+    obedient joint law that `rationalize.certificate` found (the law read
+    from the dominance program's duals and checked by `lp.check_duals`).  At
+    a new point the rule is tried first (`deviation.dominates`: "out"), then
+    the law (`deviation.best_joint_deviation` gains nothing: it is obedient
+    here, and it induces the observation whatever the parameter, so "in");
+    only when neither passes is the point decided afresh.  Joint data is its
+    own law, so it is not carried: its check is the fresh decision.
+    Every sample gets the verdict a fresh decision would give it.
     """
     lo = parse_rational(lo)
     hi = parse_rational(hi)
@@ -230,8 +249,23 @@ def identified_set(
         raise ValidationError("need at least two grid points")
     family = _single_param_family(problem, param, fixed)
 
+    rule: Optional[DeviationRule] = None
+    law: Optional[JointDistribution] = None
+
     def test(point: Fraction) -> bool:
-        return dominating_rule(substitute_params(family, {param: point}), observation) is None
+        nonlocal rule, law
+        at = substitute_params(family, {param: point})
+        if rule is not None and dominates(at, rule, observation):
+            return False
+        if law is not None and best_joint_deviation(at, law)[0] <= 0:
+            return True
+        found = certificate(at, observation)
+        if isinstance(found, DeviationRule):
+            rule = found
+            return False
+        if found is not observation:  # joint data: checking it is deciding it
+            law = found
+        return True
 
     step = (hi - lo) / (grid_points - 1)
     grid = [lo + i * step for i in range(grid_points)]

@@ -176,7 +176,8 @@ def _build_parser() -> _Parser:
     s.add_argument("--marginal", help="observed marginal, inline leaf:p/q,...")
     s.add_argument("--joint", help="observed joint, inline leaf@state:p/q,...")
     s.add_argument("--sweep", required=True, help="parameter to sweep")
-    s.add_argument("--range", required=True, metavar="LO:HI", dest="sweep_range")
+    s.add_argument("--range", required=True, metavar="LO:HI", dest="sweep_range",
+                   help="sweep range; write --range=LO:HI when LO is negative")
     s.add_argument("--tol", default=None, help="bracketing tolerance (default range/1024)")
     s.add_argument("--grid", type=int, default=33, help="number of scan points")
 

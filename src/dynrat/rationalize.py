@@ -10,6 +10,9 @@ action-state law.  It always hands back evidence:
 * possible: an obedient triple, a prior plus recommendation kernel under
   which following recommendations is exactly optimal.
 
+`certificate` hands back the same evidence unwrapped: the rule, or the
+obedient joint law that the triple conditions.
+
 A joint law needs no LP.  A rule may condition on the recommended prefix,
 so the best rule against a joint law is a best response to that prefix as a
 signal, and `deviation.best_joint_deviation` finds it exactly by backward
@@ -381,17 +384,25 @@ def obedient_triple_from_joint(joint: JointDistribution) -> ObedientTriple:
     return ObedientTriple(joint.leaves, joint.states, prior, tuple(rec))
 
 
-def decide(problem: DecisionProblem, observed: Observation) -> Verdict:
-    """Decide whether ``observed`` is rationalizable: a dominating rule, or
-    an obedient triple that induces the observation (positive mass on a
-    sequence, or exactly a marginal or joint law).  A joint law is decided
-    by backward induction, a sequence or a marginal by one LP."""
+def certificate(
+    problem: DecisionProblem, observed: Observation
+) -> Union[DeviationRule, JointDistribution]:
+    """The checked certificate that decides ``observed``: a dominating rule,
+    or else an obedient joint law that induces the observation (positive
+    mass on a sequence, or exactly a marginal or joint law).  A joint law is
+    decided by backward induction and is its own witness; a sequence or a
+    marginal by one LP, whose duals give the law."""
     if isinstance(observed, JointDistribution):
         rule = _joint_rule(problem, observed)
-        if rule is not None:
-            return Verdict(False, rule)
-        return Verdict(True, obedient_triple_from_joint(observed))
+        return observed if rule is None else rule
     found = _dominance(problem, observed)
-    if found.rule is not None:
-        return Verdict(False, found.rule)
-    return Verdict(True, obedient_triple_from_joint(found.obedient_joint(problem)))
+    return found.obedient_joint(problem) if found.rule is None else found.rule
+
+
+def decide(problem: DecisionProblem, observed: Observation) -> Verdict:
+    """Decide whether ``observed`` is rationalizable: a dominating rule, or
+    an obedient triple that induces the observation (see `certificate`)."""
+    found = certificate(problem, observed)
+    if isinstance(found, DeviationRule):
+        return Verdict(False, found)
+    return Verdict(True, obedient_triple_from_joint(found))

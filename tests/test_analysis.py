@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -5,6 +6,7 @@ import pytest
 
 from dynrat import analysis as an
 from dynrat import deviation as dv
+from dynrat import lp
 from dynrat import model as m
 from dynrat import rationalize as rz
 
@@ -203,6 +205,18 @@ def test_identified_set_constant_family():
     assert iset_b.intervals == ((F(0), F(1), "out"),)
 
 
+def test_tag_at_refuses_untested_points(example2):
+    probe = m.instantiate(example2, {"delta": 1})
+    iset = an.identified_set(example2, probe.sequence("w,x"), "delta", "1/2", 1,
+                             grid_points=5, tolerance="1/32")
+    assert iset.tag_at("1/2") == "out" and iset.tag_at(1) == "in"
+    for point in ("0", "1/4", "33/32", "2"):
+        with pytest.raises(m.ValidationError, match="outside the swept range"):
+            iset.tag_at(point)
+    with pytest.raises(m.ValidationError, match="outside the swept range"):
+        an.IdentifiedSet("delta", ()).tag_at(0)
+
+
 def test_identified_set_fixed_parameters(example3):
     probe = m.instantiate(example3, {"R": 3, "c": 2})
     obs = probe.sequence("effort,effort")
@@ -241,3 +255,126 @@ def test_identified_set_serialization(example2):
     doc = iset.to_json_dict()
     assert doc["param"] == "delta"
     assert all(set(iv) == {"lo", "hi", "tag"} for iv in doc["intervals"])
+
+
+# ---------------------------------------------------------------------------
+# Sweeps with carried certificates against fresh decisions
+# ---------------------------------------------------------------------------
+
+def fresh_identified_set(family, observation, param, lo, hi, tolerance, grid_points):
+    """The sweep without carried certificates: every sample decided afresh
+    by `dominating_rule`, with the same grid and bisection."""
+    def test(point):
+        return rz.dominating_rule(m.instantiate(family, {param: point}), observation) is None
+
+    step = (hi - lo) / (grid_points - 1)
+    grid = [lo + i * step for i in range(grid_points)]
+    verdicts = [test(g) for g in grid]
+    intervals = []
+    region_start = grid[0]
+    for i in range(len(grid) - 1):
+        if verdicts[i] == verdicts[i + 1]:
+            continue
+        x, y = grid[i], grid[i + 1]
+        while y - x > tolerance:
+            mid = (x + y) / 2
+            if test(mid) == verdicts[i]:
+                x = mid
+            else:
+                y = mid
+        intervals.append((region_start, x, "in" if verdicts[i] else "out"))
+        intervals.append((x, y, "gap"))
+        region_start = y
+    intervals.append((region_start, grid[-1], "in" if verdicts[-1] else "out"))
+    return tuple(intervals)
+
+
+def random_family(rng: random.Random) -> m.DecisionProblem:
+    """A random problem whose payoffs are affine in one parameter ``t``."""
+    doc = m.problem_to_dict(random_problem(rng, max_leaves=4, max_rules=100))
+    doc["params"] = ["t"]
+    doc["utility"] = {
+        leaf: {s: f"{value} + {rng.randint(-3, 3)}*t" for s, value in row.items()}
+        for leaf, row in doc["utility"].items()}
+    return m.load_problem(json.dumps(doc))
+
+
+def test_carried_certificates_keep_every_interval(example2, example3):
+    rng = random.Random(23)
+    cases = []
+    for _ in range(14):
+        family = random_family(rng)
+        probe = m.instantiate(family, {"t": 0})
+        for observation in (rng.choice(probe.leaves), random_marginal(rng, probe),
+                            random_joint(rng, probe)):
+            cases.append((family, observation, "t", F(-2), F(2), {}))
+    probe2 = m.instantiate(example2, {"delta": 1})
+    for observation in (probe2.sequence("w,x"),
+                        m.MarginalDistribution.from_mapping(probe2, {"w,x": "3/4", "w,y": "1/4"}),
+                        m.JointDistribution.from_mapping(
+                            probe2, {("w,x", "X"): "1/2", ("w,y", "Y"): "1/2"})):
+        cases.append((example2, observation, "delta", F(0), F(1), {}))
+    probe3 = m.instantiate(example3, {"R": 4, "c": 1})
+    for leaf in probe3.leaves:
+        cases.append((example3, leaf, "c", F(0), F(8), {"R": 4}))
+    flips = set()
+    for family, observation, param, lo, hi, fixed in cases:
+        got = an.identified_set(family, observation, param, lo, hi, tolerance=F(1, 64),
+                                grid_points=9, fixed=fixed or None)
+        pinned = m.substitute_params(family, {k: F(v) for k, v in fixed.items()})
+        want = fresh_identified_set(pinned, observation, param, lo, hi, F(1, 64), 9)
+        assert got.intervals == want
+        tags = [tag for _, _, tag in want if tag != "gap"]
+        kind = type(observation).__name__
+        flips |= {(kind, a, b) for a, b in zip(tags, tags[1:])}
+    # each carried certificate meets points where it must be refused: a rule
+    # from an "out" stretch at the start of an "in" one, and for sequence and
+    # marginal data a law from an "in" stretch at the start of an "out" one
+    for kind in ("ActionSequence", "MarginalDistribution", "JointDistribution"):
+        assert {(kind, "out", "in"), (kind, "in", "out")} <= flips
+
+
+def test_sweep_reuses_certificates(example2, monkeypatch):
+    solves, points = [], []
+    solve, substitute = lp.solve, an.substitute_params
+    monkeypatch.setattr(lp, "solve", lambda prog: solves.append(1) or solve(prog))
+    monkeypatch.setattr(an, "substitute_params", lambda problem, point: (
+        points.append(point) if "delta" in point else None) or substitute(problem, point))
+    probe = m.instantiate(example2, {"delta": 1})
+    iset = an.identified_set(example2, probe.sequence("w,x"), "delta", 0, 1)
+    assert [tag for _, _, tag in iset.intervals] == ["out", "gap", "in"]
+    assert 0 < len(solves) < len(points)
+
+
+def test_sweep_runs_the_joint_induction_once_per_point(monkeypatch):
+    # joint data is its own law: checking it is deciding it, never twice
+    points, runs = [], []
+    induction, substitute = dv.best_joint_deviation, an.substitute_params
+    counted = lambda problem, joint: runs.append(len(points)) or induction(problem, joint)
+    monkeypatch.setattr(an, "best_joint_deviation", counted)
+    monkeypatch.setattr(rz, "best_joint_deviation", counted)
+    monkeypatch.setattr(an, "substitute_params", lambda problem, point: (
+        points.append(point) if "t" in point else None) or substitute(problem, point))
+    rng = random.Random(29)
+    turned_out = 0
+    for _ in range(10):
+        family = random_family(rng)
+        start = m.instantiate(family, {"t": -2})
+        # each state recommends its best leaf at t = -2: obedient there
+        joint = m.JointDistribution.from_mapping(start, {
+            (max(start.leaves, key=lambda a: m.utility(start, a, s)), s): F(1, len(start.states))
+            for s in start.states})
+        del points[:], runs[:]
+        iset = an.identified_set(family, joint, "t", -2, 2, tolerance="1/64", grid_points=9)
+        assert len(runs) == len(set(runs))
+        turned_out += any(tag == "out" for _, _, tag in iset.intervals)
+    assert turned_out
+
+
+def test_sweep_law_needs_its_dual_check(example2, monkeypatch):
+    # an "in" sample decided afresh carries a law read from the duals, and a
+    # law whose dual certificate fails its check must not be carried
+    monkeypatch.setattr(lp, "check_duals", lambda prog, sol: False)
+    probe = m.instantiate(example2, {"delta": 1})
+    with pytest.raises(rz.InternalInconsistencyError, match="dual certificate"):
+        an.identified_set(example2, probe.sequence("w,x"), "delta", 0, 1)

@@ -305,6 +305,18 @@ def test_identify(capsys):
     assert [iv["tag"] for iv in intervals] == ["out", "gap", "in"]
 
 
+def test_identify_negative_range(capsys):
+    # "--range -1:1" reads -1:1 as an option; the "=" form passes it as a value
+    code, out, _ = run_cli(capsys, "identify", EX2, "--seq", "w,x", "--sweep",
+                           "delta", "--range=-1:1", "--grid", "5", "--tol", "1/8")
+    assert code == 0
+    report = first_report(out)
+    assert report["query"]["range"] == "-1:1"
+    intervals = report["result"]["identified_set"]["intervals"]
+    assert (intervals[0]["lo"], intervals[-1]["hi"]) == ("-1", "1")
+    assert [iv["tag"] for iv in intervals] == ["out", "gap", "in"]
+
+
 def test_enumerate_rules(capsys):
     code, out, _ = run_cli(capsys, "enumerate-rules", EX1)
     assert code == 0
