@@ -29,6 +29,7 @@ from .model import (
     Observation,
     ParseError,
     ValidationError,
+    _no_duplicate_keys,
     format_rational,
     instantiate,
     load_problem,
@@ -64,14 +65,12 @@ def _split_dist_items(spec: str) -> list[tuple[str, str]]:
 
 
 def _parse_marginal(problem: DecisionProblem, spec: str) -> MarginalDistribution:
-    return MarginalDistribution.from_mapping(
-        problem, {leaf: w for leaf, w in _split_dist_items(spec)}
-    )
+    return MarginalDistribution.from_mapping(problem, _no_duplicate_keys(_split_dist_items(spec)))
 
 
 def _parse_joint(problem: DecisionProblem, spec: str) -> JointDistribution:
     weights = {}
-    for key, w in _split_dist_items(spec):
+    for key, w in _no_duplicate_keys(_split_dist_items(spec)).items():
         if "@" not in key:
             raise UsageError(f"joint cell {key!r} must look like leaf@state")
         leaf, _, state = key.rpartition("@")
@@ -88,7 +87,8 @@ def _object(value, what: str) -> dict:
 
 def _read_json(path: str, what: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return _object(json.load(fh, parse_float=Fraction), what)
+        return _object(json.load(fh, parse_float=Fraction,
+                                 object_pairs_hook=_no_duplicate_keys), what)
 
 
 def _dist_from_json(problem: DecisionProblem, doc, joint: bool):

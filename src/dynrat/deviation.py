@@ -26,11 +26,9 @@ from .model import (
     MarginalDistribution,
     Observation,
     ValidationError,
-    _require_parameter_free,
+    _require_probability_vector,
     format_rational,
-    lottery_utility,
     parse_rational,
-    utility,
 )
 
 #: Default ceiling for pure-rule enumeration.
@@ -81,8 +79,8 @@ def matrix_is_adapted(
 
 def _resolve_kernel(problem: DecisionProblem, kernel) -> tuple[tuple[Fraction, ...], ...]:
     """Normalize a kernel given as a matrix or as a mapping from input leaves
-    to either an output leaf (point mass) or a weight mapping.  Rows must be
-    probability vectors; adaptedness is *not* checked here."""
+    to either an output leaf (point mass) or a weight mapping.  Neither
+    stochasticity nor adaptedness is checked here."""
     leaves = problem.leaves
     n = len(leaves)
     if isinstance(kernel, Mapping):
@@ -107,12 +105,6 @@ def _resolve_kernel(problem: DecisionProblem, kernel) -> tuple[tuple[Fraction, .
         matrix = tuple(tuple(Fraction(v) for v in row) for row in kernel)
         if len(matrix) != n or any(len(r) != n for r in matrix):
             raise ValidationError("kernel matrix must be square over the leaves")
-    for row in matrix:
-        support = [w for w in row if w]
-        if any(w < 0 for w in support):
-            raise ValidationError("kernel weights must be nonnegative")
-        if sum(support) != 1:
-            raise ValidationError("kernel rows must sum to exactly 1")
     return matrix
 
 
@@ -122,6 +114,8 @@ def is_adapted(problem: DecisionProblem, kernel) -> bool:
     Raises `ValidationError` if the kernel is not row-stochastic.
     """
     matrix = _resolve_kernel(problem, kernel)
+    for row in matrix:
+        _require_probability_vector(row, "kernel row")
     entries = [l.entries for l in problem.leaves]
     return matrix_is_adapted(entries, entries, matrix, problem.periods)
 
@@ -146,11 +140,7 @@ class DeviationRule:
         if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
             raise ValidationError("deviation rule matrix shape mismatch")
         for row in self.matrix:
-            support = [w for w in row if w]
-            if any(w < 0 for w in support):
-                raise ValidationError("deviation rule weights must be nonnegative")
-            if sum(support) != 1:
-                raise ValidationError("deviation rule rows must sum to 1")
+            _require_probability_vector(row, "deviation rule row")
         entries = [l.entries for l in self.leaves]
         if not matrix_is_adapted(entries, entries, self.matrix, len(entries[0]) if entries else 0):
             raise ValidationError("kernel is not adapted")
@@ -164,9 +154,6 @@ class DeviationRule:
             return self.leaves.index(a)
         except ValueError:
             raise ValidationError(f"{a.label!r} is not a leaf of this rule") from None
-
-    def weight(self, a: ActionSequence, b: ActionSequence) -> Fraction:
-        return self.matrix[self._index(a)][self._index(b)]
 
     def row(self, a: ActionSequence) -> dict[ActionSequence, Fraction]:
         """The output lottery for input leaf ``a`` (nonzero entries only)."""
@@ -218,15 +205,6 @@ class PureDeviationRule:
             raise ValidationError("pure rule must map every leaf exactly once")
         return PureDeviationRule(problem.leaves, tuple(moves[a] for a in problem.leaves))
 
-    def output(self, a: ActionSequence) -> ActionSequence:
-        try:
-            return self.outputs[self.leaves.index(a)]
-        except ValueError:
-            raise ValidationError(f"{a.label!r} is not a leaf of this rule") from None
-
-    def row(self, a: ActionSequence) -> dict[ActionSequence, Fraction]:
-        return {self.output(a): Fraction(1)}
-
     def to_rule(self) -> DeviationRule:
         n = len(self.leaves)
         index = {leaf: i for i, leaf in enumerate(self.leaves)}
@@ -277,6 +255,11 @@ def count_pure_rules(problem: DecisionProblem) -> int:
     return count((), ())
 
 
+def _require_joint_shape(problem: DecisionProblem, joint: JointDistribution) -> None:
+    if joint.leaves != problem.leaves or joint.states != problem.states:
+        raise ValidationError("joint law shapes do not match the problem")
+
+
 def best_joint_deviation(
     problem: DecisionProblem, joint: JointDistribution
 ) -> tuple[Fraction, PureDeviationRule]:
@@ -294,11 +277,9 @@ def best_joint_deviation(
     output prefix.  The law and the utilities are each put over one lcm, so
     the induction adds and compares Python ints.
     """
-    _require_parameter_free(problem)
-    if joint.leaves != problem.leaves or joint.states != problem.states:
-        raise ValidationError("joint law shapes do not match the problem")
+    table = problem.payoffs
+    _require_joint_shape(problem, joint)
     periods = problem.periods
-    table = [[utility(problem, b, s) for s in problem.states] for b in problem.leaves]
     uden = math.lcm(*(u.denominator for row in table for u in row))
     pay = {b.entries: [u.numerator * (uden // u.denominator) for u in row]
            for b, row in zip(problem.leaves, table)}
@@ -413,46 +394,55 @@ def compose(outer: AnyRule, inner: AnyRule) -> DeviationRule:
     return DeviationRule(inner.leaves, matrix)
 
 
+def gains(problem: DecisionProblem, rule: AnyRule) -> tuple[tuple[Fraction, ...], ...]:
+    """The rule's gain table: ``gains(problem, rule)[i][s]`` is the exact
+    payoff change from following the rule instead of playing leaf i in state
+    s, sum_j D(i, j) u(j, s) - u(i, s), summed over the row's nonzero
+    entries.  Every dominance criterion is a sign test on this table."""
+    if rule.leaves != problem.leaves:
+        raise ValidationError("rule leaves do not match the problem")
+    pay = problem.payoffs
+    if isinstance(rule, PureDeviationRule):
+        moved = [pay[problem.leaf_index[b]] for b in rule.outputs]
+    else:
+        moved = []
+        for row in rule.matrix:
+            support = [(pay[j], w) for j, w in enumerate(row) if w]
+            moved.append([sum(w * u[s] for u, w in support) for s in range(len(problem.states))])
+    return tuple(tuple(x - y for x, y in zip(after, before)) for after, before in zip(moved, pay))
+
+
 def improvement(
     problem: DecisionProblem, rule: AnyRule, a: ActionSequence, state: str
 ) -> Fraction:
     """Exact payoff change from following the rule instead of playing ``a``."""
-    a = problem.sequence(a)
-    return lottery_utility(problem, rule.row(a), state) - utility(problem, a, state)
+    i = problem.leaf_index[problem.sequence(a)]
+    if state not in problem.state_index:
+        raise ValidationError(f"unknown state {state!r}")
+    return gains(problem, rule)[i][problem.state_index[state]]
 
 
 def dominates_sequence(problem: DecisionProblem, rule: AnyRule, a: ActionSequence) -> bool:
     """Strictly improves ``a`` in every state and never hurts any sequence."""
-    a = problem.sequence(a)
-    for b in problem.leaves:
-        for state in problem.states:
-            delta = improvement(problem, rule, b, state)
-            if delta < 0:
-                return False
-            if b == a and delta <= 0:
-                return False
-    return True
+    i = problem.leaf_index[problem.sequence(a)]
+    table = gains(problem, rule)
+    return all(g >= 0 for row in table for g in row) and all(g > 0 for g in table[i])
 
 
 def dominates_joint(problem: DecisionProblem, rule: AnyRule, joint: JointDistribution) -> bool:
     """Strictly positive expected improvement under the observed joint law."""
-    total = Fraction(0)
-    for a, row in zip(joint.leaves, joint.matrix):
-        for state, w in zip(joint.states, row):
-            if w != 0:
-                total += w * improvement(problem, rule, a, state)
-    return total > 0
+    _require_joint_shape(problem, joint)
+    return sum(w * g for weights, row in zip(joint.matrix, gains(problem, rule))
+               for w, g in zip(weights, row) if w) > 0
 
 
 def dominates_marginal(
     problem: DecisionProblem, rule: AnyRule, marginal: MarginalDistribution
 ) -> bool:
     """Strictly positive average of worst-case-over-states improvements."""
-    total = Fraction(0)
-    for a, w in zip(marginal.leaves, marginal.weights):
-        if w != 0:
-            total += w * min(improvement(problem, rule, a, s) for s in problem.states)
-    return total > 0
+    if marginal.leaves != problem.leaves:
+        raise ValidationError("marginal law leaves do not match the problem")
+    return sum(w * min(row) for w, row in zip(marginal.weights, gains(problem, rule)) if w) > 0
 
 
 def dominates(problem: DecisionProblem, rule: AnyRule, observed: Observation) -> bool:

@@ -372,6 +372,15 @@ class DecisionProblem:
     def _utility_map(self) -> dict[tuple[tuple[str, ...], str], AffineExpr]:
         return {(entries, state): expr for entries, state, expr in self.utilities}
 
+    @cached_property
+    def payoffs(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The exact utility table: ``payoffs[i][s]`` is the utility of
+        ``leaves[i]`` in ``states[s]``.  Raises `ValidationError` while the
+        problem has free parameters."""
+        _require_parameter_free(self)
+        return tuple(tuple(self._utility_map[leaf.entries, s].constant for s in self.states)
+                     for leaf in self.leaves)
+
     @property
     def has_params(self) -> bool:
         return bool(self.param_names)
@@ -422,11 +431,15 @@ class DecisionProblem:
 # Observed data
 # ---------------------------------------------------------------------------
 
-def _as_prob_vector(weights: Sequence[Fraction], what: str) -> None:
-    if any(w < 0 for w in weights):
-        raise ValidationError(f"{what} has a negative weight")
-    if sum(weights, Fraction(0)) != 1:
-        raise ValidationError(f"{what} weights must sum to exactly 1")
+def _require_probability_vector(weights: Iterable[Fraction], what: str) -> None:
+    """Raise `ValidationError` unless ``weights`` are nonnegative and sum to
+    exactly 1.  Only nonzero entries are summed, so a sparse row costs its
+    support."""
+    support = [w for w in weights if w]
+    if any(w < 0 for w in support):
+        raise ValidationError(f"{what} must be a probability vector (weights nonnegative)")
+    if sum(support) != 1:
+        raise ValidationError(f"{what} must be a probability vector (weights summing to exactly 1)")
 
 
 @dataclass(frozen=True)
@@ -442,7 +455,7 @@ class JointDistribution:
             len(row) != len(self.states) for row in self.matrix
         ):
             raise ValidationError("joint distribution shape mismatch")
-        _as_prob_vector([w for row in self.matrix for w in row], "joint distribution")
+        _require_probability_vector([w for row in self.matrix for w in row], "joint distribution")
 
     @staticmethod
     def from_mapping(problem: DecisionProblem, weights) -> "JointDistribution":
@@ -452,11 +465,16 @@ class JointDistribution:
             items = [((leaf, state), q) for leaf, row in weights.items() for state, q in row.items()]
         else:
             items = list(weights.items())
+        seen = set()
         for (leaf, state), q in items:
             a = problem.sequence(leaf)
             if state not in problem.state_index:
                 raise ValidationError(f"unknown state {state!r}")
-            grid[problem.leaf_index[a]][problem.state_index[state]] += parse_rational(q)
+            cell = problem.leaf_index[a], problem.state_index[state]
+            if cell in seen:
+                raise ValidationError(f"cell {a.label + '@' + state!r} given twice")
+            seen.add(cell)
+            grid[cell[0]][cell[1]] = parse_rational(q)
         return JointDistribution(problem.leaves, problem.states,
                                  tuple(tuple(row) for row in grid))
 
@@ -492,14 +510,18 @@ class MarginalDistribution:
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.leaves):
             raise ValidationError("marginal distribution shape mismatch")
-        _as_prob_vector(self.weights, "marginal distribution")
+        _require_probability_vector(self.weights, "marginal distribution")
 
     @staticmethod
     def from_mapping(problem: DecisionProblem, weights: Mapping) -> "MarginalDistribution":
         vec = [Fraction(0)] * len(problem.leaves)
+        seen = set()
         for leaf, q in weights.items():
-            a = problem.sequence(leaf)
-            vec[problem.leaf_index[a]] += parse_rational(q)
+            i = problem.leaf_index[problem.sequence(leaf)]
+            if i in seen:
+                raise ValidationError(f"weight of {problem.leaves[i].label!r} given twice")
+            seen.add(i)
+            vec[i] = parse_rational(q)
         return MarginalDistribution(problem.leaves, tuple(vec))
 
     def weight(self, a: ActionSequence) -> Fraction:
@@ -686,8 +708,10 @@ def _require_parameter_free(problem: DecisionProblem) -> None:
 
 def utility(problem: DecisionProblem, a: ActionSequence, state: str) -> Fraction:
     """Exact terminal utility of leaf ``a`` in ``state`` (parameter-free problems)."""
-    _require_parameter_free(problem)
-    return problem.utility_expr(a, state).constant
+    payoffs = problem.payoffs
+    if state not in problem.state_index:
+        raise ValidationError(f"unknown state {state!r}")
+    return payoffs[problem.leaf_index[problem.sequence(a)]][problem.state_index[state]]
 
 
 def lottery_utility(
@@ -699,16 +723,6 @@ def lottery_utility(
 
     ``lottery`` must be a probability vector: nonnegative weights summing to 1.
     """
-    _require_parameter_free(problem)
-    total_weight = Fraction(0)
-    value = Fraction(0)
-    for leaf, q in lottery.items():
-        w = parse_rational(q)
-        if w < 0:
-            raise ValidationError("lottery weights must be nonnegative")
-        a = problem.sequence(leaf)
-        total_weight += w
-        value += w * utility(problem, a, state)
-    if total_weight != 1:
-        raise ValidationError("lottery weights must sum to exactly 1")
-    return value
+    weights = [parse_rational(q) for q in lottery.values()]
+    _require_probability_vector(weights, "lottery")
+    return sum((w * utility(problem, a, state) for a, w in zip(lottery, weights)), Fraction(0))

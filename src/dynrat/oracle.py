@@ -33,9 +33,9 @@ from .model import (
     MarginalDistribution,
     Observation,
     ValidationError,
+    _require_probability_vector,
     format_rational,
     parse_rational,
-    utility,
 )
 from .rationalize import ObedientTriple
 
@@ -88,14 +88,12 @@ class InformationStructure:
                 raise ValidationError("duplicate signal label in one period")
         if len(self.prior) != len(self.states):
             raise ValidationError("prior shape mismatch")
-        if any(p < 0 for p in self.prior) or sum(self.prior, Fraction(0)) != 1:
-            raise ValidationError("prior must be a probability vector")
+        _require_probability_vector(self.prior, "prior")
         n = len(self.sequences)
         if len(self.kernel) != len(self.states) or any(len(r) != n for r in self.kernel):
             raise ValidationError("signal kernel shape mismatch")
         for row in self.kernel:
-            if any(w < 0 for w in row) or sum(row, Fraction(0)) != 1:
-                raise ValidationError("signal kernel rows must be probability vectors")
+            _require_probability_vector(row, "signal kernel row")
 
     @cached_property
     def sequences(self) -> tuple[tuple[str, ...], ...]:
@@ -158,8 +156,7 @@ class Strategy:
         if len(self.kernel) != n_seq or any(len(r) != len(self.leaves) for r in self.kernel):
             raise ValidationError("strategy kernel shape mismatch")
         for row in self.kernel:
-            if any(w < 0 for w in row) or sum(row, Fraction(0)) != 1:
-                raise ValidationError("strategy rows must be probability vectors")
+            _require_probability_vector(row, "strategy row")
         if not matrix_is_adapted(
             self.sequences, [l.entries for l in self.leaves], self.kernel, periods
         ):
@@ -212,8 +209,9 @@ def strategy_value(
 ) -> Fraction:
     """Exact ex-ante expected utility of following ``strategy``."""
     _check_shapes(problem, strategy, structure)
+    pay = problem.payoffs
     total = Fraction(0)
-    for s, state in enumerate(problem.states):
+    for s in range(len(problem.states)):
         p = structure.prior[s]
         if p == 0:
             continue
@@ -222,9 +220,9 @@ def strategy_value(
             if w == 0:
                 continue
             row = strategy.kernel[k]
-            for i, leaf in enumerate(problem.leaves):
+            for i in range(len(problem.leaves)):
                 if row[i] != 0:
-                    total += p * w * row[i] * utility(problem, leaf, state)
+                    total += p * w * row[i] * pay[i][s]
     return total
 
 
@@ -240,10 +238,7 @@ def _optimal_value(
     spaces or not).  Values are weighted by the unnormalized measure
     prior * kernel, which sidesteps conditioning on zero-probability prefixes.
     """
-    utab = {
-        leaf: tuple(utility(problem, leaf, s) for s in problem.states)
-        for leaf in problem.leaves
-    }
+    utab = dict(zip(problem.leaves, problem.payoffs))
     weights = [
         [prior[s] * kernel[s][k] for s in range(len(problem.states))]
         for k in range(len(signal_seqs))
@@ -287,8 +282,6 @@ def optimal_value_dp(problem: DecisionProblem, structure: InformationStructure) 
     """Exact value of the best adapted strategy against ``structure``."""
     if structure.states != problem.states:
         raise ValidationError("information structure states do not match the problem")
-    if problem.has_params:
-        raise ValidationError("instantiate the problem's parameters first")
     return _optimal_value(problem, structure.prior, structure.sequences, structure.kernel)
 
 
@@ -297,15 +290,16 @@ def verify_obedient_optimality(problem: DecisionProblem, triple: ObedientTriple)
     exactly optimal against the information they carry."""
     if triple.leaves != problem.leaves or triple.states != problem.states:
         raise ValidationError("triple shapes do not match the problem")
+    pay = problem.payoffs
     obeyed = Fraction(0)
-    for s, state in enumerate(problem.states):
+    for s in range(len(problem.states)):
         p = triple.prior[s]
         if p == 0:
             continue
-        for i, leaf in enumerate(problem.leaves):
+        for i in range(len(problem.leaves)):
             w = triple.recommendation[s][i]
             if w != 0:
-                obeyed += p * w * utility(problem, leaf, state)
+                obeyed += p * w * pay[i][s]
     best = _optimal_value(
         problem,
         triple.prior,
@@ -346,10 +340,7 @@ def brute_force_rationalizable_joint(
     problem: DecisionProblem, joint: JointDistribution, max_rules: int = DEFAULT_MAX_RULES
 ) -> bool:
     """Obedience by exhaustion: no pure deviation rule gains on average."""
-    utab = {
-        leaf: tuple(utility(problem, leaf, s) for s in problem.states)
-        for leaf in problem.leaves
-    }
+    utab = dict(zip(problem.leaves, problem.payoffs))
     cells = [
         (i, s, w)
         for i, row in enumerate(joint.matrix)

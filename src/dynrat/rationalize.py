@@ -47,10 +47,9 @@ from .model import (
     MarginalDistribution,
     Observation,
     ValidationError,
-    _require_parameter_free,
+    _require_probability_vector,
     format_rational,
     parse_rational,
-    utility,
 )
 
 
@@ -78,9 +77,7 @@ class ApparentDominanceWitness:
     def __post_init__(self) -> None:
         if self.margin <= 0:
             raise ValidationError("apparent-dominance margin must be positive")
-        weights = [w for _, w in self.lottery]
-        if any(w < 0 for w in weights) or sum(weights, Fraction(0)) != 1:
-            raise ValidationError("witness lottery must be a probability vector")
+        _require_probability_vector([w for _, w in self.lottery], "witness lottery")
 
     def as_mapping(self) -> dict[ActionSequence, Fraction]:
         return dict(self.lottery)
@@ -108,15 +105,13 @@ class ObedientTriple:
     def __post_init__(self) -> None:
         if len(self.prior) != len(self.states):
             raise ValidationError("prior shape mismatch")
-        if any(p < 0 for p in self.prior) or sum(self.prior, Fraction(0)) != 1:
-            raise ValidationError("prior must be a probability vector")
+        _require_probability_vector(self.prior, "prior")
         if len(self.recommendation) != len(self.states):
             raise ValidationError("recommendation shape mismatch")
         for row in self.recommendation:
             if len(row) != len(self.leaves):
                 raise ValidationError("recommendation shape mismatch")
-            if any(w < 0 for w in row) or sum(row, Fraction(0)) != 1:
-                raise ValidationError("recommendation rows must be probability vectors")
+            _require_probability_vector(row, "recommendation row")
 
     def induced_joint(self) -> JointDistribution:
         matrix = tuple(
@@ -183,16 +178,16 @@ def apparently_dominated(
 ) -> Optional[ApparentDominanceWitness]:
     """Best uniform-margin lottery against ``a``: maximizes the worst-state
     payoff gap and returns a witness when that optimum is strictly positive."""
-    _require_parameter_free(problem)
+    table = problem.payoffs
     a = problem.sequence(a)
     prog = lpmod.LinearProgram()
     alpha = [prog.add_variable() for _ in problem.leaves]
     margin = prog.add_variable(free=True)
     prog.add_constraint({k: 1 for k in alpha}, "==", 1)
-    for state in problem.states:
-        coeffs = {k: utility(problem, b, state) for k, b in zip(alpha, problem.leaves)}
+    for s, own in enumerate(table[problem.leaf_index[a]]):
+        coeffs = {k: row[s] for k, row in zip(alpha, table)}
         coeffs[margin] = Fraction(-1)
-        prog.add_constraint(coeffs, ">=", utility(problem, a, state))
+        prog.add_constraint(coeffs, ">=", own)
     prog.set_objective({margin: 1})
     sol = lpmod.solve(prog)
     if sol.status != "optimal":  # pragma: no cover - program is always bounded/feasible
@@ -257,13 +252,12 @@ def _dominance(problem: DecisionProblem, observed: Observation) -> _Dominance:
     * marginal: one level per leaf, bounding its gain in every state;
       maximize the marginal-weighted sum of the levels.
     """
-    _require_parameter_free(problem)
+    table = problem.payoffs
     leaves, states = problem.leaves, problem.states
     n = len(leaves)
     poly = lpmod.deviation_polytope_constraints(problem)
     prog = lpmod.LinearProgram()
     poly.install(prog)
-    table = [[utility(problem, b, s) for s in states] for b in leaves]
     if isinstance(observed, MarginalDistribution):
         levels = {i: prog.add_variable(free=True) for i in range(n)}
         objective = dict(zip(levels.values(), observed.weights))
@@ -319,6 +313,7 @@ def _obedience_program(problem: DecisionProblem) -> lpmod.LinearProgram:
     b^T y <= 0: one row per leaf pair plus one, with one y per polytope row,
     so the program grows polynomially with the tree, unlike its pure rules.
     """
+    table = problem.payoffs
     poly = lpmod.deviation_polytope_constraints(problem)
     leaves, states = problem.leaves, problem.states
     prog = lpmod.LinearProgram()
@@ -332,7 +327,6 @@ def _obedience_program(problem: DecisionProblem) -> lpmod.LinearProgram:
             columns[k][y] = c
         if con.rhs != 0:
             bound[y] = con.rhs
-    table = [[utility(problem, a, s) for s in states] for a in leaves]
     for i in range(len(leaves)):
         for j in range(len(leaves)):
             coeffs = dict(columns[poly.var(i, j)])
@@ -351,7 +345,6 @@ def max_positive_marginal(
     Returns the exact maximum and a maximizing joint law (None when the
     maximum is zero, i.e. ``a`` never occurs under obedient behavior).
     """
-    _require_parameter_free(problem)
     a = problem.sequence(a)
     prog = _obedience_program(problem)
     width = len(problem.states)

@@ -179,31 +179,62 @@ MALFORMED = {
     # one name with two values: neither may win silently
     "param-given-twice": ("check-seq --seq w,x --param delta=3/4 --param delta=9/10",
                           json.loads(Path(EX2).read_text())),
+    # a law cell given twice: neither value may win silently, nor may the two
+    # be summed, and the error names the cell
+    "marginal-cell-given-twice": (
+        "check-marginal --dist invest,invest:1/2,invest,invest:1/2,invest,pull_back:1/2",
+        json.loads(Path(EX1).read_text()), "'invest,invest'"),
+    "joint-cell-given-twice": (
+        "check-joint --dist invest,invest@good:1/2,invest,invest@good:1/2,invest,pull_back@bad:1/2",
+        json.loads(Path(EX1).read_text()), "'invest,invest@good'"),
+    "identify-marginal-cell-given-twice": (
+        "identify --marginal w,x:1/2,w,x:1/2,w,y:1/2 --sweep delta --range 0:1",
+        json.loads(Path(EX2).read_text()), "'w,x'"),
+    "identify-joint-cell-given-twice": (
+        "identify --joint w,x@X:1/2,w,x@X:1/2,w,y@Y:1/2 --sweep delta --range 0:1",
+        json.loads(Path(EX2).read_text()), "'w,x@X'"),
+    "marginal-file-repeats-a-key": (
+        "check-marginal",
+        '{"invest,invest": "1/2", "invest,invest": "1/2", "invest,pull_back": "1/2"}',
+        "'invest,invest'"),
+    "joint-file-repeats-a-key": (
+        "check-joint",
+        '{"invest,invest": {"good": "1/2", "good": "1/2"}, "invest,pull_back": {"bad": "1/2"}}',
+        "'good'"),
+    "marginal-file-spells-a-leaf-twice": (
+        "check-marginal", {"not_invest": "1/2", "not_invest,_": "1/2"}, "'not_invest'"),
+    "joint-file-spells-a-leaf-twice": (
+        "check-joint", {"not_invest": {"good": "1/2"}, "not_invest,_": {"good": "1/2"}},
+        "'not_invest@good'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_2(capsys, tmp_path, case):
-    command, content = MALFORMED[case]
+    command, content, *named = MALFORMED[case]
     path = tmp_path / "input.json"
     if content is None:
         path.mkdir()
     elif isinstance(content, bytes):
         path.write_bytes(content)
+    elif isinstance(content, str):
+        path.write_text(content)
     else:
         path.write_text(json.dumps(content))
-    if command == "verify-witness":
-        argv = [command, str(path)]
-    elif command.startswith("check-seq"):
-        argv = ["check-seq", str(path), *command.split()[1:]]
-    elif command.startswith("simulate"):
+    name, *rest = command.split()
+    if name == "verify-witness":
+        argv = [name, str(path)]
+    elif name == "simulate":
         files = {"--structure": EX1_STRUCTURE, "--strategy": EX1_STRATEGY}
-        files[command.split()[1]] = str(path)
+        files[rest[0]] = str(path)
         argv = ["simulate", EX1, *itertools.chain(*files.items()), "-n", "4"]
+    elif rest:  # the file is the problem, and the query is inline
+        argv = [name, str(path), *rest]
     else:
-        argv = [command, EX1, "--dist-file", str(path)]
+        argv = [name, EX1, "--dist-file", str(path)]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and "input error" in err, err
+    assert all(text in err for text in named), err
     assert out == ""
 
 

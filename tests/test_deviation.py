@@ -11,6 +11,7 @@ from conftest import (
     complete_tree_doc,
     joint_dominance_optimum,
     random_joint,
+    random_marginal,
     random_problem,
     random_pure_rule,
     random_rule,
@@ -175,6 +176,70 @@ def test_dominates_marginal(example1):
         example1, {"invest,pull_back": "2/3", "invest,invest": "1/3"})
     assert dv.dominates_marginal(example1, north, heavy)
     assert not dv.dominates_marginal(example1, north, knife)
+
+
+def per_cell_improvement(problem, rule, a, s):
+    """A rule's gain at one leaf and state, one lottery at a time."""
+    if isinstance(rule, dv.PureDeviationRule):
+        rule = rule.to_rule()
+    return m.lottery_utility(problem, rule.row(a), s) - m.utility(problem, a, s)
+
+
+def per_cell_dominates_joint(problem, rule, joint):
+    return sum((w * per_cell_improvement(problem, rule, a, s)
+                for a, row in zip(joint.leaves, joint.matrix)
+                for s, w in zip(joint.states, row) if w), F(0)) > 0
+
+
+def per_cell_dominates_marginal(problem, rule, marginal):
+    return sum((w * min(per_cell_improvement(problem, rule, a, s) for s in problem.states)
+                for a, w in zip(marginal.leaves, marginal.weights) if w), F(0)) > 0
+
+
+def per_cell_dominates_sequence(problem, rule, a):
+    return all(per_cell_improvement(problem, rule, b, s) >= 0
+               for b in problem.leaves for s in problem.states) and all(
+        per_cell_improvement(problem, rule, a, s) > 0 for s in problem.states)
+
+
+def test_gains_match_the_per_cell_formula():
+    rng = random.Random(71)
+    padded = 0
+    verdicts = {"joint": set(), "marginal": set(), "sequence": set()}
+    for _ in range(60):
+        p = random_problem(rng, max_leaves=6)
+        padded += any(m.PAD in leaf.entries for leaf in p.leaves)
+        for rule in (random_rule(rng, p), random_pure_rule(rng, p), dv.identity_rule(p)):
+            assert dv.gains(p, rule) == tuple(
+                tuple(per_cell_improvement(p, rule, a, s) for s in p.states) for a in p.leaves)
+            joint, marginal = random_joint(rng, p), random_marginal(rng, p)
+            want = per_cell_dominates_joint(p, rule, joint)
+            assert dv.dominates_joint(p, rule, joint) == want
+            verdicts["joint"].add(want)
+            want = per_cell_dominates_marginal(p, rule, marginal)
+            assert dv.dominates_marginal(p, rule, marginal) == want
+            verdicts["marginal"].add(want)
+            for a in p.leaves:
+                want = per_cell_dominates_sequence(p, rule, a)
+                assert dv.dominates_sequence(p, rule, a) == want
+                verdicts["sequence"].add(want)
+    # padded trees were drawn, and every criterion said both yes and no
+    assert padded and all(seen == {True, False} for seen in verdicts.values())
+
+
+def test_gains_refuse_mismatched_inputs(example1, example2):
+    half = m.instantiate(example2, {"delta": "1/2"})
+    with pytest.raises(m.ValidationError, match="leaves"):
+        dv.gains(half, dv.identity_rule(example1))
+    with pytest.raises(m.ValidationError, match="unknown state"):
+        dv.improvement(example1, dv.identity_rule(example1), example1.leaves[0], "meh")
+    with pytest.raises(m.ValidationError, match="instantiate"):
+        example2.payoffs
+    point = m.JointDistribution.from_mapping(example1, {("not_invest", "good"): 1})
+    with pytest.raises(m.ValidationError, match="shapes"):
+        dv.dominates_joint(half, dv.identity_rule(half), point)
+    with pytest.raises(m.ValidationError, match="leaves"):
+        dv.dominates_marginal(half, dv.identity_rule(half), point.action_marginal())
 
 
 def test_point_mass_marginal_reduces_to_worst_state():

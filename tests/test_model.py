@@ -218,3 +218,9 @@ def test_distributions_validate(example1):
     assert joint.action_marginal().weights == (F(1, 2), F(0), F(1, 2))
     marginal = m.MarginalDistribution.from_mapping(example1, {"not_invest": 1})
     assert marginal.weight(example1.sequence("not_invest")) == 1
+    # two spellings of one cell are refused, not summed
+    with pytest.raises(m.ValidationError, match="given twice"):
+        m.MarginalDistribution.from_mapping(example1, {"not_invest": "1/2", "not_invest,_": "1/2"})
+    with pytest.raises(m.ValidationError, match="given twice"):
+        m.JointDistribution.from_mapping(
+            example1, {("not_invest", "good"): "1/2", ("not_invest,_", "good"): "1/2"})
