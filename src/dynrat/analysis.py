@@ -237,6 +237,12 @@ def identified_set(
     only when neither passes is the point decided afresh.  Joint data is its
     own law, so it is not carried: its check is the fresh decision.
     Every sample gets the verdict a fresh decision would give it.
+
+    A sample costs no rebuilding: `substitute_params` pins the family
+    without validating it again, evaluates its payoffs in integers from the
+    family's affine table, and shares what depends on the tree alone (the
+    deviation polytope, the prefix tree of the backward induction), which
+    is built once per sweep.  A carried rule keeps its rows in integers.
     """
     lo = parse_rational(lo)
     hi = parse_rational(hi)

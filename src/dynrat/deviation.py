@@ -10,22 +10,21 @@ observation; `dominates` picks the one that matches.
 
 from __future__ import annotations
 
-import functools
-import math
-import weakref
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Mapping, Sequence, Union
 
 from .model import (
-    PAD,
     ActionSequence,
     DecisionProblem,
     JointDistribution,
     MarginalDistribution,
     Observation,
     ValidationError,
+    _over_lcm,
     _require_probability_vector,
     format_rational,
     parse_rational,
@@ -93,8 +92,14 @@ def _resolve_kernel(problem: DecisionProblem, kernel) -> tuple[tuple[Fraction, .
                 raise ValidationError(f"row for {a.label!r} given twice")
             seen.add(i)
             if isinstance(row, Mapping):
+                outs = set()
                 for out, q in row.items():
-                    grid[i][problem.leaf_index[problem.sequence(out)]] += parse_rational(q)
+                    b = problem.sequence(out)
+                    j = problem.leaf_index[b]
+                    if j in outs:
+                        raise ValidationError(f"output {b.label!r} of row {a.label!r} given twice")
+                    outs.add(j)
+                    grid[i][j] = parse_rational(q)
             else:
                 grid[i][problem.leaf_index[problem.sequence(row)]] = Fraction(1)
         if len(seen) != n:
@@ -144,6 +149,14 @@ class DeviationRule:
         entries = [l.entries for l in self.leaves]
         if not matrix_is_adapted(entries, entries, self.matrix, len(entries[0]) if entries else 0):
             raise ValidationError("kernel is not adapted")
+
+    @cached_property
+    def integer_rows(self) -> tuple[list[list[tuple[int, int]]], int]:
+        """``(rows, den)``: each row's nonzero entries as (column, numerator)
+        pairs over one denominator ``den``."""
+        nums, den = _over_lcm([w for row in self.matrix for w in row])
+        n = len(self.matrix)
+        return [[(j, x) for j, x in enumerate(nums[i:i + n]) if x] for i in range(0, n * n, n)], den
 
     @staticmethod
     def from_mapping(problem: DecisionProblem, kernel) -> "DeviationRule":
@@ -230,15 +243,22 @@ def identity_rule(problem: DecisionProblem) -> PureDeviationRule:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def _prefix_children(problem: DecisionProblem, prefix: tuple[str, ...]) -> list[tuple[str, ...]]:
-    history = tuple(e for e in prefix if e != PAD)
-    if PAD in prefix or problem.is_terminal(history):
-        return [prefix + (PAD,)]
-    return [prefix + (a,) for a in problem.actions_at(history)]
+def _prefix_children(problem: DecisionProblem) -> dict[tuple[str, ...], list[tuple[str, ...]]]:
+    """Each padded prefix shorter than the horizon, mapped to its one-longer
+    prefixes in document order (past a terminal history, the next entry is
+    `PAD`).  Depends on the tree alone: use it through `per_tree`."""
+    kids: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+    for leaf in problem.leaves:
+        for t in range(problem.periods):
+            row = kids.setdefault(leaf.entries[:t], [])
+            if not row or row[-1] != leaf.entries[:t + 1]:
+                row.append(leaf.entries[:t + 1])
+    return kids
 
 
 def count_pure_rules(problem: DecisionProblem) -> int:
     """Number of adapted pure rules, by recursion over aligned prefix pairs."""
+    kids = problem.per_tree(_prefix_children)
     cache: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
 
     def count(inp: tuple[str, ...], out: tuple[str, ...]) -> int:
@@ -247,8 +267,8 @@ def count_pure_rules(problem: DecisionProblem) -> int:
         key = (inp, out)
         if key not in cache:
             total = 1
-            for ic in _prefix_children(problem, inp):
-                total *= sum(count(ic, oc) for oc in _prefix_children(problem, out))
+            for ic in kids[inp]:
+                total *= sum(count(ic, oc) for oc in kids[out])
             cache[key] = total
         return cache[key]
 
@@ -274,31 +294,31 @@ def best_joint_deviation(
     expected utility.  The rule takes the argmaxes, ties going to the first
     output child in document order.  Input subtrees without mass are
     skipped, and each of their leaves goes to the first completion of its
-    output prefix.  The law and the utilities are each put over one lcm, so
-    the induction adds and compares Python ints.
+    output prefix.  The law is put over one lcm and the utilities are read
+    from `DecisionProblem.integer_payoffs`, so the induction adds and
+    compares Python ints.
     """
-    table = problem.payoffs
+    table, uden = problem.integer_payoffs
     _require_joint_shape(problem, joint)
     periods = problem.periods
-    uden = math.lcm(*(u.denominator for row in table for u in row))
-    pay = {b.entries: [u.numerator * (uden // u.denominator) for u in row]
-           for b, row in zip(problem.leaves, table)}
-    wden = math.lcm(*(w.denominator for row in joint.matrix for w in row))
-    mass = {a.entries: [w.numerator * (wden // w.denominator) for w in row]
-            for a, row in zip(problem.leaves, joint.matrix) if any(row)}
+    pay = {b.entries: row for b, row in zip(problem.leaves, table)}
+    cells, wden = _over_lcm([w for row in joint.matrix for w in row])
+    width = len(problem.states)
+    rows = [cells[k:k + width] for k in range(0, len(cells), width)]
+    mass = {a.entries: row for a, row in zip(problem.leaves, rows) if any(row)}
     live = {a[:t] for a in mass for t in range(periods + 1)}
-    kids = functools.cache(functools.partial(_prefix_children, problem))
+    kids = problem.per_tree(_prefix_children)
     choice: dict[tuple[tuple[str, ...], tuple[str, ...]], tuple[str, ...]] = {}
 
     def value(h: tuple[str, ...], g: tuple[str, ...]) -> int:
         if len(h) == periods:
             return sum(x * y for x, y in zip(mass[h], pay[g]))
         total = 0
-        for hc in kids(h):
+        for hc in kids[h]:
             if hc not in live:
                 continue
             best = None
-            for gc in kids(g):
+            for gc in kids[g]:
                 v = value(hc, gc)
                 if best is None or v > best:
                     best, choice[hc, g] = v, gc
@@ -311,18 +331,13 @@ def best_joint_deviation(
         if len(h) == periods:
             outputs[h] = ActionSequence(g)
             return
-        for hc in kids(h):
-            follow(hc, choice.get((hc, g)) or kids(g)[0])
+        for hc in kids[h]:
+            follow(hc, choice.get((hc, g)) or kids[g][0])
 
     gain = value((), ()) - sum(sum(x * y for x, y in zip(row, pay[a])) for a, row in mass.items())
     follow((), ())
     rule = PureDeviationRule(problem.leaves, tuple(outputs[b.entries] for b in problem.leaves))
     return Fraction(gain, wden * uden), rule
-
-
-_ENUM_CACHE: "weakref.WeakKeyDictionary[DecisionProblem, tuple[PureDeviationRule, ...]]" = (
-    weakref.WeakKeyDictionary()
-)
 
 
 def enumerate_pure_rules(
@@ -332,22 +347,25 @@ def enumerate_pure_rules(
 
     The order is the lexicographic product of per-prefix output choices taken
     in tree document order, so repeated calls (and separate processes) agree.
-    Raises `SizeGuardError` before materializing anything too large.
+    Raises `SizeGuardError` before materializing anything too large.  The
+    list is built once per tree (`DecisionProblem.per_tree`).
     """
     total = count_pure_rules(problem)
     if total > max_rules:
         raise SizeGuardError(total, max_rules)
-    cached = _ENUM_CACHE.get(problem)
-    if cached is not None:
-        return cached
+    return problem.per_tree(_pure_rules)
+
+
+def _pure_rules(problem: DecisionProblem) -> tuple[PureDeviationRule, ...]:
+    kids = problem.per_tree(_prefix_children)
 
     def options(inp: tuple[str, ...], out: tuple[str, ...]) -> list[dict]:
         if len(inp) == problem.periods:
             return [{ActionSequence(inp): ActionSequence(out)}]
         alternatives = []
-        for ic in _prefix_children(problem, inp):
+        for ic in kids[inp]:
             alts: list[dict] = []
-            for oc in _prefix_children(problem, out):
+            for oc in kids[out]:
                 alts.extend(options(ic, oc))
             alternatives.append(alts)
         merged = []
@@ -358,12 +376,10 @@ def enumerate_pure_rules(
             merged.append(d)
         return merged
 
-    rules = tuple(
+    return tuple(
         PureDeviationRule(problem.leaves, tuple(mapping[a] for a in problem.leaves))
         for mapping in options((), ())
     )
-    _ENUM_CACHE[problem] = rules
-    return rules
 
 
 # ---------------------------------------------------------------------------
@@ -394,22 +410,30 @@ def compose(outer: AnyRule, inner: AnyRule) -> DeviationRule:
     return DeviationRule(inner.leaves, matrix)
 
 
+def _integer_gains(problem: DecisionProblem, rule: AnyRule) -> tuple[list[list[int]], int]:
+    """The gain table of `gains` as integer numerators over one positive
+    denominator: the payoffs' (`DecisionProblem.integer_payoffs`) times the
+    rule's (`DeviationRule.integer_rows`), so no `Fraction` is built."""
+    if rule.leaves != problem.leaves:
+        raise ValidationError("rule leaves do not match the problem")
+    pay, uden = problem.integer_payoffs
+    if isinstance(rule, PureDeviationRule):
+        moved = [pay[problem.leaf_index[b]] for b in rule.outputs]
+        return [[x - y for x, y in zip(after, own)] for after, own in zip(moved, pay)], uden
+    rows, rden = rule.integer_rows
+    width = range(len(problem.states))
+    return [[sum(w * pay[j][s] for j, w in support) - rden * own[s] for s in width]
+            for support, own in zip(rows, pay)], rden * uden
+
+
 def gains(problem: DecisionProblem, rule: AnyRule) -> tuple[tuple[Fraction, ...], ...]:
     """The rule's gain table: ``gains(problem, rule)[i][s]`` is the exact
     payoff change from following the rule instead of playing leaf i in state
     s, sum_j D(i, j) u(j, s) - u(i, s), summed over the row's nonzero
-    entries.  Every dominance criterion is a sign test on this table."""
-    if rule.leaves != problem.leaves:
-        raise ValidationError("rule leaves do not match the problem")
-    pay = problem.payoffs
-    if isinstance(rule, PureDeviationRule):
-        moved = [pay[problem.leaf_index[b]] for b in rule.outputs]
-    else:
-        moved = []
-        for row in rule.matrix:
-            support = [(pay[j], w) for j, w in enumerate(row) if w]
-            moved.append([sum(w * u[s] for u, w in support) for s in range(len(problem.states))])
-    return tuple(tuple(x - y for x, y in zip(after, before)) for after, before in zip(moved, pay))
+    entries.  Every dominance criterion is a sign test on this table, run on
+    its integer numerators."""
+    table, den = _integer_gains(problem, rule)
+    return tuple(tuple(Fraction(g, den) for g in row) for row in table)
 
 
 def improvement(
@@ -425,15 +449,16 @@ def improvement(
 def dominates_sequence(problem: DecisionProblem, rule: AnyRule, a: ActionSequence) -> bool:
     """Strictly improves ``a`` in every state and never hurts any sequence."""
     i = problem.leaf_index[problem.sequence(a)]
-    table = gains(problem, rule)
+    table, _ = _integer_gains(problem, rule)
     return all(g >= 0 for row in table for g in row) and all(g > 0 for g in table[i])
 
 
 def dominates_joint(problem: DecisionProblem, rule: AnyRule, joint: JointDistribution) -> bool:
     """Strictly positive expected improvement under the observed joint law."""
     _require_joint_shape(problem, joint)
-    return sum(w * g for weights, row in zip(joint.matrix, gains(problem, rule))
-               for w, g in zip(weights, row) if w) > 0
+    table, _ = _integer_gains(problem, rule)
+    weights, _ = _over_lcm([w for row in joint.matrix for w in row])
+    return sum(map(operator.mul, weights, (g for row in table for g in row))) > 0
 
 
 def dominates_marginal(
@@ -442,7 +467,9 @@ def dominates_marginal(
     """Strictly positive average of worst-case-over-states improvements."""
     if marginal.leaves != problem.leaves:
         raise ValidationError("marginal law leaves do not match the problem")
-    return sum(w * min(row) for w, row in zip(marginal.weights, gains(problem, rule)) if w) > 0
+    table, _ = _integer_gains(problem, rule)
+    weights, _ = _over_lcm(marginal.weights)
+    return sum(w * min(row) for w, row in zip(weights, table) if w) > 0
 
 
 def dominates(problem: DecisionProblem, rule: AnyRule, observed: Observation) -> bool:

@@ -32,9 +32,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Collection, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
-from .model import DecisionProblem, ValidationError, parse_rational
+from .model import DecisionProblem, ValidationError, _over_lcm, parse_rational
 
 _SENSES = ("<=", "==", ">=")
 
@@ -116,13 +116,6 @@ class LpSolution:
     assignment: Optional[tuple[Fraction, ...]]
     pivots: int
     duals: Optional[tuple[Fraction, ...]] = None
-
-
-def _over_lcm(values: Collection[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of ``values`` over the lcm of their denominators,
-    and that lcm."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def check_solution(lp: LinearProgram, assignment: Sequence[Fraction]) -> bool:

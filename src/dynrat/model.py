@@ -1,11 +1,12 @@
 """Decision problems, action sequences, and observed-choice distributions.
 
-All numeric data is held as exact rationals (`fractions.Fraction`); nothing in
-the core ever rounds.  A decision problem is a finite rooted action tree of
-depth at most ``periods``, a finite state set, and a terminal utility table.
-Histories with no successors are terminal; their root-to-leaf paths are padded
-with the reserved marker ``"_"`` up to ``periods`` entries, so the set of
-padded leaves plays the role of the full action-sequence space.
+All numeric data is exact, held as `fractions.Fraction`s or as integers over
+one common denominator; nothing in the core ever rounds.  A decision problem
+is a finite rooted action tree of depth at most ``periods``, a finite state
+set, and a terminal utility table.  Histories with no successors are
+terminal; their root-to-leaf paths are padded with the reserved marker
+``"_"`` up to ``periods`` entries, so the set of padded leaves plays the role
+of the full action-sequence space.
 
 Utilities may be affine in a vector of named parameters (for example a
 discount factor the analyst wants to estimate); `instantiate` pins the
@@ -15,11 +16,13 @@ parameters and yields a parameter-free problem.
 from __future__ import annotations
 
 import json
+import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Collection, Iterable, Mapping, Sequence, Union
 
 #: Reserved padding marker for entries after a terminal history.
 PAD = "_"
@@ -65,6 +68,13 @@ def parse_rational(value: Union[int, str, Fraction]) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational literal: {value!r}") from exc
     raise ParseError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+def _over_lcm(values: Collection[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over the lcm of their denominators,
+    and that lcm."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def format_rational(q: Fraction) -> str:
@@ -171,8 +181,8 @@ def parse_affine(value: Union[int, str, Fraction], params: Sequence[str]) -> Aff
     constant = Fraction(0)
     coeffs: dict[str, Fraction] = {}
     i = 0
-    first = True
     while i < len(tokens):
+        start = i
         sign = Fraction(1)
         while i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in "+-":
             if tokens[i][1] == "-":
@@ -180,7 +190,8 @@ def parse_affine(value: Union[int, str, Fraction], params: Sequence[str]) -> Aff
             i += 1
         if i >= len(tokens):
             raise ParseError(f"dangling sign in {value!r}")
-        first = False
+        if i == start > 0:
+            raise ParseError(f"expected '+' or '-' between terms in {value!r}")
         coeff = None
         name = None
         kind, tok = tokens[i]
@@ -248,6 +259,17 @@ def _pad(history: Sequence[str], periods: int) -> ActionSequence:
 # ---------------------------------------------------------------------------
 # Decision problems
 # ---------------------------------------------------------------------------
+
+def _leaf_histories(branch_map: Mapping[tuple[str, ...], tuple[str, ...]], history=()):
+    """The terminal histories at or below ``history``, in document
+    (depth-first) order."""
+    actions = branch_map.get(history)
+    if actions is None:
+        yield history
+        return
+    for a in actions:
+        yield from _leaf_histories(branch_map, history + (a,))
+
 
 def _check_label(label: str, what: str) -> None:
     if not isinstance(label, str) or not label:
@@ -317,8 +339,8 @@ class DecisionProblem:
             if history not in reachable:
                 raise ValidationError(f"unreachable history {history!r}")
 
-        leaf_histories = [h for h in self._iter_leaves(branch_map)]
-        expected = {(_pad(h, self.periods).entries, s) for h in leaf_histories for s in self.states}
+        expected = {(_pad(h, self.periods).entries, s)
+                    for h in _leaf_histories(branch_map) for s in self.states}
         seen = set()
         for entries, state, expr in self.utilities:
             key = (entries, state)
@@ -338,17 +360,6 @@ class DecisionProblem:
                 f" in state {state!r}"
             )
 
-    def _iter_leaves(self, branch_map: Mapping[tuple[str, ...], tuple[str, ...]]):
-        def walk(history: tuple[str, ...]):
-            actions = branch_map.get(history)
-            if actions is None:
-                yield history
-                return
-            for a in actions:
-                yield from walk(history + (a,))
-
-        yield from walk(())
-
     # -- derived structure ---------------------------------------------------
 
     @cached_property
@@ -358,7 +369,7 @@ class DecisionProblem:
     @cached_property
     def leaves(self) -> tuple[ActionSequence, ...]:
         """All padded leaves, in document (depth-first) order."""
-        return tuple(_pad(h, self.periods) for h in self._iter_leaves(self.branch_map))
+        return tuple(_pad(h, self.periods) for h in _leaf_histories(self.branch_map))
 
     @cached_property
     def leaf_index(self) -> dict[ActionSequence, int]:
@@ -373,13 +384,72 @@ class DecisionProblem:
         return {(entries, state): expr for entries, state, expr in self.utilities}
 
     @cached_property
+    def integer_payoffs(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The utility table in integers: ``(numerators, den)`` with
+        ``payoffs[i][s] == numerators[i][s] / den``, over the least common
+        denominator.  Raises `ValidationError` while the problem has free
+        parameters."""
+        _require_parameter_free(self)
+        return self._integer_payoffs_at(())
+
+    @cached_property
     def payoffs(self) -> tuple[tuple[Fraction, ...], ...]:
         """The exact utility table: ``payoffs[i][s]`` is the utility of
-        ``leaves[i]`` in ``states[s]``.  Raises `ValidationError` while the
-        problem has free parameters."""
-        _require_parameter_free(self)
-        return tuple(tuple(self._utility_map[leaf.entries, s].constant for s in self.states)
-                     for leaf in self.leaves)
+        ``leaves[i]`` in ``states[s]``."""
+        nums, den = self.integer_payoffs
+        return tuple(tuple(Fraction(n, den) for n in row) for row in nums)
+
+    @cached_property
+    def _affine_table(self) -> tuple[list[list[int]], int]:
+        """Each utility entry, in leaf and state order, as its constant and
+        its coefficient of each declared parameter, over one lcm."""
+        terms = []
+        for leaf in self.leaves:
+            for s in self.states:
+                expr = self._utility_map[leaf.entries, s]
+                coeffs = dict(expr.coeffs)
+                terms += [expr.constant, *(coeffs.get(p, 0) for p in self.param_names)]
+        nums, den = _over_lcm(terms)
+        k = 1 + len(self.param_names)
+        return [nums[i:i + k] for i in range(0, len(nums), k)], den
+
+    def _integer_payoffs_at(
+        self, values: Sequence[Fraction]
+    ) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """`integer_payoffs` with the declared parameters at ``values``: at
+        delta = p/q, c + m*delta over L is (c*q + m*p) over L*q."""
+        entries, den = self._affine_table
+        weights, scale = _over_lcm([1, *values])
+        nums = [sum(map(operator.mul, entry, weights)) for entry in entries]
+        g = math.gcd(den * scale, *nums)
+        width = len(self.states)
+        return (tuple(tuple(n // g for n in nums[k:k + width]) for k in range(0, len(nums), width)),
+                den * scale // g)
+
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup fails: a problem whose parameters
+        # `substitute_params` pinned builds its utility entries, in leaf and
+        # state order, from its integer payoffs when they are first read.
+        if name != "utilities" or "integer_payoffs" not in self.__dict__:
+            raise AttributeError(name)
+        nums, den = self.integer_payoffs
+        self.__dict__[name] = utilities = tuple(
+            (leaf.entries, s, AffineExpr(Fraction(n, den)))
+            for leaf, row in zip(self.leaves, nums) for s, n in zip(self.states, row))
+        return utilities
+
+    @cached_property
+    def _per_tree(self) -> dict:
+        return {}
+
+    def per_tree(self, build: Callable[[DecisionProblem], object]):
+        """``build(self)``, built once per tree: the problems that
+        `substitute_params` pins from this one share it, so ``build`` must
+        read the tree alone, never the utilities."""
+        memo = self._per_tree
+        if build not in memo:
+            memo[build] = build(self)
+        return memo[build]
 
     @property
     def has_params(self) -> bool:
@@ -601,17 +671,7 @@ def problem_from_dict(doc: Mapping) -> DecisionProblem:
                 raise ParseError(f"tree entry {action!r} must be \"leaf\" or an object")
 
     walk(doc["tree"], ())
-    branch_map = dict(branches)
-
-    def leaf_histories(history: tuple[str, ...]):
-        actions = branch_map.get(history)
-        if actions is None:
-            yield history
-            return
-        for a in actions:
-            yield from leaf_histories(history + (a,))
-
-    known = {",".join(h): h for h in leaf_histories(())}
+    known = {",".join(h): h for h in _leaf_histories(dict(branches))}
 
     utility_doc = doc["utility"]
     if not isinstance(utility_doc, Mapping):
@@ -684,19 +744,31 @@ def instantiate(problem: DecisionProblem, point: Mapping[str, Union[int, str, Fr
 
 
 def substitute_params(problem: DecisionProblem, point: Mapping[str, Fraction]) -> DecisionProblem:
-    """Pin a subset of parameters; the remaining ones stay symbolic."""
+    """Pin a subset of parameters; the remaining ones stay symbolic.
+
+    Pinning changes neither the tree, nor the utility entries' keys, nor the
+    parameters they may name, so the result is not validated again: it
+    shares the validated tree of ``problem`` and what is built per tree
+    (`DecisionProblem.per_tree`).  When every parameter is pinned, the
+    payoffs are evaluated in integers from ``problem``'s affine table, built
+    once per family, with no `Fraction` or `AffineExpr` per entry.
+    """
     remaining = tuple(p for p in problem.param_names if p not in point)
-    utilities = tuple(
-        (entries, state, expr.substitute(point))
-        for entries, state, expr in problem.utilities
-    )
-    return DecisionProblem(
-        periods=problem.periods,
-        states=problem.states,
-        param_names=remaining,
-        branches=problem.branches,
-        utilities=utilities,
-    )
+    pinned = object.__new__(DecisionProblem)
+    if remaining:
+        pinned.__dict__["utilities"] = tuple(
+            (entries, state, expr.substitute(point))
+            for entries, state, expr in problem.utilities
+        )
+    else:
+        pinned.__dict__["integer_payoffs"] = problem._integer_payoffs_at(
+            [point[p] for p in problem.param_names])
+    pinned.__dict__.update(
+        {name: getattr(problem, name) for name in ("branch_map", "leaves", "leaf_index",
+                                                   "state_index", "_per_tree")},
+        periods=problem.periods, states=problem.states, param_names=remaining,
+        branches=problem.branches)
+    return pinned
 
 
 def _require_parameter_free(problem: DecisionProblem) -> None:

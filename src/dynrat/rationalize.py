@@ -198,64 +198,37 @@ def apparently_dominated(
     return ApparentDominanceWitness(lottery, sol.value)
 
 
-@dataclass(frozen=True)
-class _Dominance:
-    """A solved dominance program of an observed sequence or marginal and
-    its rule (None when no rule gains).  ``gain_rows`` lists (row, leaf
-    index, state index) of the rows "the rule's gain at this leaf in this
-    state is at least the leaf's level"."""
-
-    prog: lpmod.LinearProgram
-    sol: lpmod.LpSolution
-    rule: Optional[DeviationRule]
-    gain_rows: tuple[tuple[int, int, int], ...]
-
-    def obedient_joint(self, problem: DecisionProblem) -> JointDistribution:
-        """At value 0, an obedient joint law that induces the observation:
-        the gain rows' multipliers, negated and scaled to mass 1.
-
-        With g(i, s) minus the multiplier of row (i, s), the polytope rows'
-        multipliers y satisfy A^T y >= C(g) and b^T y = 0 (C as in
-        ``_obedience_program``), so no rule gains on average under g.  The
-        levels are free, so their reduced costs are 0: g has mass exactly 1
-        on the observed sequence, or exactly the observed marginal.
-        """
-        if not lpmod.check_duals(self.prog, self.sol):  # pragma: no cover - solver bug
-            raise InternalInconsistencyError("dual certificate fails its check")
-        mass = [[Fraction(0)] * len(problem.states) for _ in problem.leaves]
-        for r, i, s in self.gain_rows:
-            mass[i][s] = -self.sol.duals[r]
-        total = sum(map(sum, mass), Fraction(0))
-        return JointDistribution(problem.leaves, problem.states, tuple(
-            tuple(g / total for g in row) for row in mass))
-
-
 def _checked(problem: DecisionProblem, rule: DeviationRule, observed: Observation) -> DeviationRule:
     if not dominates(problem, rule, observed):  # pragma: no cover - search bug
         raise InternalInconsistencyError("extracted rule fails its own dominance check")
     return rule
 
 
-def _joint_rule(problem: DecisionProblem, joint: JointDistribution) -> Optional[DeviationRule]:
-    """The best rule against a joint law, by backward induction, when its
-    gain is strictly positive."""
-    gain, pure = best_joint_deviation(problem, joint)
-    return _checked(problem, pure.to_rule(), joint) if gain > 0 else None
-
-
-def _dominance(problem: DecisionProblem, observed: Observation) -> _Dominance:
+def _dominance(
+    problem: DecisionProblem, observed: Observation
+) -> Union[DeviationRule, JointDistribution]:
     """Solve the dominance program of an observed sequence or marginal over
-    the deviation polytope.
+    the deviation polytope, and read its certificate.
 
     * sequence a: maximize one level k that bounds a's gain from below in
       every state, while every other leaf's gain stays nonnegative.
     * marginal: one level per leaf, bounding its gain in every state;
       maximize the marginal-weighted sum of the levels.
+
+    A positive optimum yields the rule.  At value 0 the certificate is an
+    obedient joint law that induces the observation: the multipliers of the
+    gain rows ("the rule's gain at this leaf in this state is at least the
+    leaf's level"), negated and scaled to mass 1.  With g(i, s) minus the
+    multiplier of row (i, s), the polytope rows' multipliers y satisfy
+    A^T y >= C(g) and b^T y = 0 (C as in ``_obedience_program``), so no rule
+    gains on average under g.  The levels are free, so their reduced costs
+    are 0: g has mass exactly 1 on the observed sequence, or exactly the
+    observed marginal.
     """
-    table = problem.payoffs
+    table, den = problem.integer_payoffs
     leaves, states = problem.leaves, problem.states
     n = len(leaves)
-    poly = lpmod.deviation_polytope_constraints(problem)
+    poly = problem.per_tree(lpmod.deviation_polytope_constraints)
     prog = lpmod.LinearProgram()
     poly.install(prog)
     if isinstance(observed, MarginalDistribution):
@@ -269,7 +242,7 @@ def _dominance(problem: DecisionProblem, observed: Observation) -> _Dominance:
     gain_rows = []
     for i in range(n):
         for s in range(len(states)):
-            coeffs = {poly.var(i, j): table[j][s] - table[i][s]
+            coeffs = {poly.var(i, j): Fraction(table[j][s] - table[i][s], den)
                       for j in range(n) if table[j][s] != table[i][s]}
             if i in levels:
                 coeffs[levels[i]] = Fraction(-1)
@@ -282,20 +255,16 @@ def _dominance(problem: DecisionProblem, observed: Observation) -> _Dominance:
     sol = lpmod.solve(prog)
     if sol.status != "optimal":  # pragma: no cover - identity rule is feasible, gains bounded
         raise InternalInconsistencyError(f"dominance program ended {sol.status}")
-    rule = None
     if sol.value > 0:
-        rule = _checked(problem, DeviationRule(leaves, poly.extract_matrix(sol.assignment)),
+        return _checked(problem, DeviationRule(leaves, poly.extract_matrix(sol.assignment)),
                         observed)
-    return _Dominance(prog, sol, rule, tuple(gain_rows))
-
-
-def dominating_rule(problem: DecisionProblem, observed: Observation) -> Optional[DeviationRule]:
-    """The rule that gains most on ``observed`` by the criterion of its kind
-    (`deviation.dominates`), when that gain is strictly positive; None when
-    no rule dominates, that is, when ``observed`` is rationalizable."""
-    if isinstance(observed, JointDistribution):
-        return _joint_rule(problem, observed)
-    return _dominance(problem, observed).rule
+    if not lpmod.check_duals(prog, sol):  # pragma: no cover - solver bug
+        raise InternalInconsistencyError("dual certificate fails its check")
+    mass = [[Fraction(0)] * len(states) for _ in leaves]
+    for r, i, s in gain_rows:
+        mass[i][s] = -sol.duals[r]
+    total = sum(map(sum, mass), Fraction(0))
+    return JointDistribution(leaves, states, tuple(tuple(g / total for g in row) for row in mass))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +283,7 @@ def _obedience_program(problem: DecisionProblem) -> lpmod.LinearProgram:
     so the program grows polynomially with the tree, unlike its pure rules.
     """
     table = problem.payoffs
-    poly = lpmod.deviation_polytope_constraints(problem)
+    poly = problem.per_tree(lpmod.deviation_polytope_constraints)
     leaves, states = problem.leaves, problem.states
     prog = lpmod.LinearProgram()
     gamma = [[prog.add_variable() for _ in states] for _ in leaves]
@@ -386,10 +355,17 @@ def certificate(
     decided by backward induction and is its own witness; a sequence or a
     marginal by one LP, whose duals give the law."""
     if isinstance(observed, JointDistribution):
-        rule = _joint_rule(problem, observed)
-        return observed if rule is None else rule
-    found = _dominance(problem, observed)
-    return found.obedient_joint(problem) if found.rule is None else found.rule
+        gain, pure = best_joint_deviation(problem, observed)
+        return _checked(problem, pure.to_rule(), observed) if gain > 0 else observed
+    return _dominance(problem, observed)
+
+
+def dominating_rule(problem: DecisionProblem, observed: Observation) -> Optional[DeviationRule]:
+    """The rule that gains most on ``observed`` by the criterion of its kind
+    (`deviation.dominates`), when that gain is strictly positive; None when
+    no rule dominates, that is, when ``observed`` is rationalizable."""
+    found = certificate(problem, observed)
+    return found if isinstance(found, DeviationRule) else None
 
 
 def decide(problem: DecisionProblem, observed: Observation) -> Verdict:

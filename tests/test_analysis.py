@@ -378,3 +378,35 @@ def test_sweep_law_needs_its_dual_check(example2, monkeypatch):
     probe = m.instantiate(example2, {"delta": 1})
     with pytest.raises(rz.InternalInconsistencyError, match="dual certificate"):
         an.identified_set(example2, probe.sequence("w,x"), "delta", 0, 1)
+
+
+def test_sweep_builds_each_tree_piece_once(example2, monkeypatch):
+    # a sweep point shares its family's validated tree, so neither the
+    # problem's validation nor the deviation polytope nor the prefix tree of
+    # the backward induction is built again at each point
+    probe = m.instantiate(example2, {"delta": 1})
+    observations = (probe.sequence("w,x"),
+                    m.MarginalDistribution.from_mapping(probe, {"w,x": "3/4", "w,y": "1/4"}),
+                    m.JointDistribution.from_mapping(
+                        probe, {("w,x", "X"): "1/2", ("w,y", "Y"): "1/2"}))
+    families = [m.problem_from_dict(m.problem_to_dict(example2)) for _ in observations]
+    builds, points = [], []
+
+    def counted(key, build):
+        return lambda *args: builds.append(key) or build(*args)
+
+    monkeypatch.setattr(m.DecisionProblem, "__post_init__",
+                        counted("problem", m.DecisionProblem.__post_init__))
+    monkeypatch.setattr(lp, "deviation_polytope_constraints",
+                        counted("polytope", lp.deviation_polytope_constraints))
+    monkeypatch.setattr(dv, "_prefix_children", counted("children", dv._prefix_children))
+    substitute = an.substitute_params
+    monkeypatch.setattr(an, "substitute_params", lambda problem, point: (
+        points.append(point) if "delta" in point else None) or substitute(problem, point))
+    for family, observation, piece in zip(families, observations,
+                                          ("polytope", "polytope", "children")):
+        del builds[:], points[:]
+        an.identified_set(family, observation, "delta", 0, 1)
+        # one build at most per family, however many points the sweep tests
+        assert piece in builds and len(builds) == len(set(builds)) and len(points) > 30
+        assert "problem" not in builds

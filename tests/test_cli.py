@@ -18,6 +18,7 @@ PROBLEMS = ROOT / "problems"
 GOLDEN = ROOT / "tests" / "golden"
 EX1 = str(PROBLEMS / "example1.json")
 EX2 = str(PROBLEMS / "example2.json")
+EX3 = str(PROBLEMS / "example3.json")
 EX1_STRUCTURE = str(PROBLEMS / "example1_structure.json")
 EX1_STRATEGY = str(PROBLEMS / "example1_obedient_strategy.json")
 
@@ -206,6 +207,17 @@ MALFORMED = {
     "joint-file-spells-a-leaf-twice": (
         "check-joint", {"not_invest": {"good": "1/2"}, "not_invest,_": {"good": "1/2"}},
         "'not_invest@good'"),
+    # a rule's output cell given twice is refused like a law's, not summed
+    "kernel-row-spells-an-output-twice": ("verify-witness", _edited(
+        "ex1-check-marginal-no", lambda r: r["result"]["witness"]["kernel"].update(
+            not_invest={"not_invest": "1/2", "not_invest,_": "1/2"})), "'not_invest'"),
+    # two utility terms side by side are not a sum
+    "utility-terms-without-an-operator": ("check-seq --seq not_invest", _shipped(
+        EX1, lambda d: d["utility"]["invest,invest"].update(good="1 2")), "between terms"),
+    "utility-number-and-parameter-run-together": (
+        "check-seq --seq effort,no_effort --param R=4 --param c=1",
+        _shipped(EX3, lambda d: d["utility"]["effort,effort"].update(hard="2R")),
+        "between terms"),
 }
 
 

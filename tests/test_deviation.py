@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -227,6 +228,60 @@ def test_gains_match_the_per_cell_formula():
     assert padded and all(seen == {True, False} for seen in verdicts.values())
 
 
+def test_integer_sign_tests_match_fraction_arithmetic():
+    # the criteria run on integer gains: their verdicts must be those of
+    # plain Fraction arithmetic, for rules whose rows have different
+    # denominators, fractional marginal weights, and weights that make the
+    # criterion exactly zero (no domination) or tip it either way
+    rng = random.Random(89)
+    mixed_rows = knife_edges = 0
+    verdicts = {"joint": set(), "marginal": set(), "sequence": set()}
+    tips = (F(0), F(1, 10**12), F(-1, 10**12))
+    for _ in range(40):
+        p = random_problem(rng, max_leaves=6)
+        rule = dv.compose(random_rule(rng, p), random_rule(rng, p))
+        mixed_rows += len({math.lcm(*(w.denominator for w in row)) for row in rule.matrix}) > 1
+        cells = [(a, s) for a in p.leaves for s in p.states]
+        gain = {(a, s): per_cell_improvement(p, rule, a, s) for a, s in cells}
+        assert dv.gains(p, rule) == tuple(tuple(gain[a, s] for s in p.states) for a in p.leaves)
+        raw = {a: F(rng.randint(1, 9), rng.randint(1, 9)) for a in p.leaves}
+        marginals = [m.MarginalDistribution.from_mapping(
+            p, {a: w / sum(raw.values()) for a, w in raw.items()})]
+        joints = [random_joint(rng, p)]
+        worst = {a: min(gain[a, s] for s in p.states) for a in p.leaves}
+        for pairs, laws, make in (
+                ([(a, b) for a in p.leaves for b in p.leaves if worst[a] > 0 > worst[b]],
+                 marginals, lambda a, b, w: m.MarginalDistribution.from_mapping(
+                     p, {a: w, b: 1 - w})),
+                ([(c, d) for c in cells for d in cells if gain[c] > 0 > gain[d]],
+                 joints, lambda c, d, w: m.JointDistribution.from_mapping(
+                     p, {c: w, d: 1 - w}))):
+            if not pairs:
+                continue
+            knife_edges += 1
+            x, y = pairs[0]
+            gx, gy = (worst[x], worst[y]) if laws is marginals else (gain[x], gain[y])
+            edge = -gy / (gx - gy)  # edge * gx + (1 - edge) * gy == 0
+            laws += [make(x, y, edge + tip) for tip in tips]
+        for marginal in marginals:
+            want = per_cell_dominates_marginal(p, rule, marginal)
+            assert dv.dominates_marginal(p, rule, marginal) == want
+            verdicts["marginal"].add(want)
+        for joint in joints:
+            want = per_cell_dominates_joint(p, rule, joint)
+            assert dv.dominates_joint(p, rule, joint) == want
+            verdicts["joint"].add(want)
+        for laws in (marginals, joints):
+            if len(laws) > 1:  # exactly zero, tipped up, tipped down
+                assert [dv.dominates(p, rule, law) for law in laws[-3:]] == [False, True, False]
+        for a in p.leaves:
+            want = per_cell_dominates_sequence(p, rule, a)
+            assert dv.dominates_sequence(p, rule, a) == want
+            verdicts["sequence"].add(want)
+    assert mixed_rows and knife_edges
+    assert all(seen == {True, False} for seen in verdicts.values())
+
+
 def test_gains_refuse_mismatched_inputs(example1, example2):
     half = m.instantiate(example2, {"delta": "1/2"})
     with pytest.raises(m.ValidationError, match="leaves"):
@@ -280,6 +335,18 @@ def test_rule_serialization_round_trip(example2):
         assert again == rule
     pure = random_pure_rule(rng, half)
     assert dv.PureDeviationRule.from_mapping(half, pure.to_json_dict()) == pure
+
+
+def test_kernel_row_refuses_an_output_given_twice(example1):
+    # two spellings of one output leaf are refused, not summed into the identity
+    kernel = {"not_invest": {"not_invest": "1/2", "not_invest,_": "1/2"},
+              "invest,pull_back": "invest,pull_back", "invest,invest": "invest,invest"}
+    with pytest.raises(m.ValidationError, match="'not_invest' of row 'not_invest' given twice"):
+        dv.DeviationRule.from_mapping(example1, kernel)
+    with pytest.raises(m.ValidationError, match="given twice"):
+        dv.is_adapted(example1, kernel)
+    kernel["not_invest"] = {"not_invest": "1"}
+    assert dv.DeviationRule.from_mapping(example1, kernel) == dv.identity_rule(example1).to_rule()
 
 
 def test_unadapted_pure_mapping_rejected(example1):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -208,6 +209,20 @@ def test_affine_parse_forms():
         m.parse_affine("q", ("d",))
 
 
+@pytest.mark.parametrize("text", ["1 2", "2R", "1/2 3", "R c", "2*R 3", "-c R"])
+def test_affine_terms_need_an_operator_between_them(text):
+    # two terms side by side are not a sum
+    with pytest.raises(m.ParseError, match="between terms"):
+        m.parse_affine(text, ("R", "c"))
+
+
+def test_affine_signs_still_separate_terms():
+    assert m.parse_affine("-R + 2", ("R",)) == m.AffineExpr.make(F(2), {"R": F(-1)})
+    assert m.parse_affine("1/2*R - -c", ("R", "c")) == m.AffineExpr.make(
+        F(0), {"R": F(1, 2), "c": F(1)})
+    assert m.parse_affine(" 3 ", ()) == m.AffineExpr.make(F(3))
+
+
 def test_distributions_validate(example1):
     with pytest.raises(m.ValidationError, match="sum"):
         m.JointDistribution.from_mapping(example1, {("not_invest", "good"): "1/2"})
@@ -224,3 +239,54 @@ def test_distributions_validate(example1):
     with pytest.raises(m.ValidationError, match="given twice"):
         m.JointDistribution.from_mapping(
             example1, {("not_invest", "good"): "1/2", ("not_invest,_", "good"): "1/2"})
+
+
+def affine_family(rng: random.Random, names) -> m.DecisionProblem:
+    """A random problem (padded trees included) whose payoffs are affine in
+    ``names``, with rational constants and slopes, zero slopes included."""
+    doc = m.problem_to_dict(random_problem(rng, max_leaves=6))
+    doc["params"] = list(names)
+    doc["utility"] = {
+        leaf: {s: " + ".join([str(value)] + [
+            f"{m.format_rational(F(rng.randint(-9, 9), rng.randint(1, 7)))}*{n}" for n in names])
+            for s, value in row.items()}
+        for leaf, row in doc["utility"].items()}
+    return m.load_problem(json.dumps(doc))
+
+
+def test_pinned_problems_equal_fresh_ones():
+    rng = random.Random(61)
+    padded = 0
+    for k in range(40):
+        names = ("t", "u")[:1 + k % 2]
+        family = affine_family(rng, names)
+        padded += any(m.PAD in leaf.entries for leaf in family.leaves)
+        point = {n: F(rng.randint(-20, 20), rng.randint(1, 12)) for n in names}
+        pinned = m.substitute_params(family, point)
+        # every entry evaluated in plain Fraction arithmetic
+        want = {(entries, s): expr.constant + sum((c * point[n] for n, c in expr.coeffs), F(0))
+                for entries, s, expr in family.utilities}
+        table = tuple(tuple(want[leaf.entries, s] for s in family.states)
+                      for leaf in family.leaves)
+        den = math.lcm(*(u.denominator for row in table for u in row))
+        nums = tuple(tuple(u.numerator * (den // u.denominator) for u in row) for row in table)
+        reparsed = m.problem_from_dict(
+            json.loads(json.dumps(m.problem_to_dict(family)), parse_float=F))
+        rebuilt = m.instantiate(reparsed, {n: m.format_rational(q) for n, q in point.items()})
+        fresh = m.problem_from_dict(m.problem_to_dict(pinned))
+        stepwise = pinned
+        if len(names) == 2:
+            half = m.substitute_params(family, {"t": point["t"]})
+            assert half.param_names == ("u",)
+            assert half.utilities == tuple((e, s, x.substitute({"t": point["t"]}))
+                                           for e, s, x in family.utilities)
+            stepwise = m.substitute_params(half, {"u": point["u"]})
+        for problem in (pinned, rebuilt, fresh, stepwise):
+            assert problem.param_names == ()
+            assert problem.leaves == family.leaves
+            assert problem.utilities == fresh.utilities
+            assert problem.payoffs == table
+            assert problem.integer_payoffs == (nums, den)
+        # the pinned problem shares the family's validated tree
+        assert pinned.leaves is family.leaves and pinned.leaf_index is family.leaf_index
+    assert padded
