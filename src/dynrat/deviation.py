@@ -25,6 +25,7 @@ from .model import (
     Observation,
     ValidationError,
     _over_lcm,
+    _require_probability_numerators,
     _require_probability_vector,
     format_rational,
     parse_rational,
@@ -63,10 +64,18 @@ def matrix_is_adapted(
     kept as a map from output prefix to its nonzero mass, so a sparse kernel
     costs its support, not the square of the leaf count."""
     support = [[(j, w) for j, w in enumerate(row) if w] for row in matrix]
+    return _support_is_adapted(in_seqs, out_seqs, support, periods)
+
+
+def _support_is_adapted(in_seqs: Sequence[tuple[str, ...]], out_seqs: Sequence[tuple[str, ...]],
+                        support: Sequence[Sequence[tuple[int, Union[int, Fraction]]]],
+                        periods: int) -> bool:
+    """`matrix_is_adapted` on each row's nonzero ``(column, weight)`` pairs;
+    the weights may be numerators over one common denominator."""
     for t in range(1, periods):
-        first: dict[tuple[str, ...], dict[tuple[str, ...], Fraction]] = {}
+        first: dict[tuple[str, ...], dict[tuple[str, ...], Union[int, Fraction]]] = {}
         for seq, row in zip(in_seqs, support):
-            sums: dict[tuple[str, ...], Fraction] = {}
+            sums: dict[tuple[str, ...], Union[int, Fraction]] = {}
             for j, w in row:
                 key = out_seqs[j][:t]
                 sums[key] = sums.get(key, 0) + w
@@ -134,7 +143,8 @@ class DeviationRule:
     """A row-stochastic, adapted kernel over the padded leaves.
 
     ``matrix[i][j]`` is the probability of rewriting leaf i into leaf j.
-    Construction validates both stochasticity and adaptedness.
+    Construction validates both stochasticity and adaptedness, on the
+    rule's `integer_rows`.
     """
 
     leaves: tuple[ActionSequence, ...]
@@ -144,10 +154,11 @@ class DeviationRule:
         n = len(self.leaves)
         if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
             raise ValidationError("deviation rule matrix shape mismatch")
-        for row in self.matrix:
-            _require_probability_vector(row, "deviation rule row")
+        rows, den = self.integer_rows
+        for row in rows:
+            _require_probability_numerators([x for _, x in row], den, "deviation rule row")
         entries = [l.entries for l in self.leaves]
-        if not matrix_is_adapted(entries, entries, self.matrix, len(entries[0]) if entries else 0):
+        if not _support_is_adapted(entries, entries, rows, len(entries[0]) if entries else 0):
             raise ValidationError("kernel is not adapted")
 
     @cached_property
@@ -294,15 +305,15 @@ def best_joint_deviation(
     expected utility.  The rule takes the argmaxes, ties going to the first
     output child in document order.  Input subtrees without mass are
     skipped, and each of their leaves goes to the first completion of its
-    output prefix.  The law is put over one lcm and the utilities are read
-    from `DecisionProblem.integer_payoffs`, so the induction adds and
-    compares Python ints.
+    output prefix.  The law is read from `JointDistribution.integer_cells`
+    and the utilities from `DecisionProblem.integer_payoffs`, so the
+    induction adds and compares Python ints.
     """
     table, uden = problem.integer_payoffs
     _require_joint_shape(problem, joint)
     periods = problem.periods
     pay = {b.entries: row for b, row in zip(problem.leaves, table)}
-    cells, wden = _over_lcm([w for row in joint.matrix for w in row])
+    cells, wden = joint.integer_cells
     width = len(problem.states)
     rows = [cells[k:k + width] for k in range(0, len(cells), width)]
     mass = {a.entries: row for a, row in zip(problem.leaves, rows) if any(row)}
@@ -457,7 +468,7 @@ def dominates_joint(problem: DecisionProblem, rule: AnyRule, joint: JointDistrib
     """Strictly positive expected improvement under the observed joint law."""
     _require_joint_shape(problem, joint)
     table, _ = _integer_gains(problem, rule)
-    weights, _ = _over_lcm([w for row in joint.matrix for w in row])
+    weights, _ = joint.integer_cells
     return sum(map(operator.mul, weights, (g for row in table for g in row))) > 0
 
 
@@ -468,7 +479,7 @@ def dominates_marginal(
     if marginal.leaves != problem.leaves:
         raise ValidationError("marginal law leaves do not match the problem")
     table, _ = _integer_gains(problem, rule)
-    weights, _ = _over_lcm(marginal.weights)
+    weights, _ = marginal.integer_weights
     return sum(w * min(row) for w, row in zip(weights, table) if w) > 0
 
 

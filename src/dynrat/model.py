@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Collection, Iterable, Mapping, Sequence, Union
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
 
 #: Reserved padding marker for entries after a terminal history.
 PAD = "_"
@@ -32,6 +32,7 @@ Rational = Fraction
 
 _FORBIDDEN_LABEL_CHARS = (",", "@", ":")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 class ParseError(ValueError):
@@ -51,8 +52,18 @@ def parse_rational(value: Union[int, str, Fraction]) -> Fraction:
 
     Accepts ints, `Fraction`s, and strings of the form ``"3"``, ``"-2/7"`` or
     ``"0.85"`` (decimals are read exactly).  Floats are rejected: they carry
-    binary rounding and would poison the strict sign tests downstream.
+    binary rounding and would poison the strict sign tests downstream.  Only
+    strings other than a plain ``[+-]p[/q]`` in ASCII digits reach `Fraction`'s parser.
     """
+    if isinstance(value, str):
+        text = value.strip()
+        plain = _RATIONAL_RE.fullmatch(text)
+        try:
+            if plain is None:
+                return Fraction(text)
+            return Fraction(int(plain[1]), int(plain[2] or 1))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"not a rational literal: {value!r}") from exc
     if isinstance(value, bool):
         raise ParseError("booleans are not numbers")
     if isinstance(value, Fraction):
@@ -61,12 +72,6 @@ def parse_rational(value: Union[int, str, Fraction]) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         raise ParseError(f"refusing inexact float {value!r}; pass a string or fraction")
-    if isinstance(value, str):
-        text = value.strip()
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"not a rational literal: {value!r}") from exc
     raise ParseError(f"cannot interpret {type(value).__name__} as a rational")
 
 
@@ -100,6 +105,8 @@ class AffineExpr:
     coeffs: tuple[tuple[str, Fraction], ...] = ()
 
     def __post_init__(self) -> None:
+        if not self.coeffs:
+            return
         names = [n for n, _ in self.coeffs]
         if len(set(names)) != len(names):
             raise ValidationError("duplicate parameter in affine expression")
@@ -153,70 +160,43 @@ class AffineExpr:
         return " ".join(parts) if parts else "0"
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<op>[+\-*])|(?P<num>\d+(?:\.\d+)?(?:/\d+)?)|(?P<name>[A-Za-z_]\w*))")
+# One term of a utility entry: a run of signs, then a number with an optional
+# ``*name``, or a bare name.  ``\d`` and ``\w`` are Unicode-aware here, as in
+# `Fraction`'s own parser.
+_TERM_RE = re.compile(r"\s*(?P<signs>(?:[+\-]\s*)*)(?:(?P<num>\d+(?:\.\d+)?(?:/\d+)?)"
+                      r"(?:\s*\*\s*(?P<scaled>[A-Za-z_]\w*))?|(?P<name>[A-Za-z_]\w*))")
 
 
 def parse_affine(value: Union[int, str, Fraction], params: Sequence[str]) -> AffineExpr:
     """Parse a utility entry: a number, a rational string, or a term string
-    like ``"R - 2*c"`` whose names must all be declared parameters."""
+    like ``"R - 2*c"`` whose names must all be declared parameters.  Every
+    term after the first needs a sign."""
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return AffineExpr.make(parse_rational(value))
+        return AffineExpr(parse_rational(value))
     if not isinstance(value, str):
         raise ParseError(f"bad utility entry {value!r}")
     text = value.strip()
     if not text:
         raise ParseError("empty utility entry")
-
-    tokens: list[tuple[str, str]] = []
+    terms: dict[Optional[str], Fraction] = {}  # the constant is at key None
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            raise ParseError(f"cannot tokenize utility entry {value!r}")
-        pos = m.end()
-        for kind in ("op", "num", "name"):
-            tok = m.group(kind)
-            if tok is not None:
-                tokens.append((kind, tok))
-    constant = Fraction(0)
-    coeffs: dict[str, Fraction] = {}
-    i = 0
-    while i < len(tokens):
-        start = i
-        sign = Fraction(1)
-        while i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i >= len(tokens):
-            raise ParseError(f"dangling sign in {value!r}")
-        if i == start > 0:
+        term = _TERM_RE.match(text, pos)
+        if term is None:
+            raise ParseError(f"cannot parse utility entry {value!r}")
+        signs, num, scaled, name = term.group("signs", "num", "scaled", "name")
+        if pos and not signs:
             raise ParseError(f"expected '+' or '-' between terms in {value!r}")
-        coeff = None
-        name = None
-        kind, tok = tokens[i]
-        if kind == "num":
-            coeff = parse_rational(tok)
-            i += 1
-            if i < len(tokens) and tokens[i] == ("op", "*"):
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "name":
-                    raise ParseError(f"expected parameter name after '*' in {value!r}")
-                name = tokens[i][1]
-                i += 1
-        elif kind == "name":
-            name = tok
-            coeff = Fraction(1)
-            i += 1
-        else:
-            raise ParseError(f"unexpected token {tok!r} in {value!r}")
-        if name is None:
-            constant += sign * coeff
-        else:
-            if name not in params:
-                raise ValidationError(f"unknown parameter {name!r} in utility entry")
-            coeffs[name] = coeffs.get(name, Fraction(0)) + sign * coeff
-    return AffineExpr.make(constant, coeffs)
+        coeff = parse_rational(num) if num else Fraction(1)
+        if signs.count("-") % 2:
+            coeff = -coeff
+        name = name or scaled
+        if name is not None and name not in params:
+            raise ValidationError(f"unknown parameter {name!r} in utility entry")
+        terms[name] = terms[name] + coeff if name in terms else coeff
+        pos = term.end()
+    constant = terms.pop(None) if None in terms else Fraction(0)
+    return AffineExpr.make(constant, terms) if terms else AffineExpr(constant)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +231,6 @@ class ActionSequence:
 
 
 def _pad(history: Sequence[str], periods: int) -> ActionSequence:
-    if len(history) > periods:
-        raise ValidationError(f"path {tuple(history)!r} longer than {periods} periods")
     return ActionSequence(tuple(history) + (PAD,) * (periods - len(history)))
 
 
@@ -328,33 +306,25 @@ class DecisionProblem:
         if () not in branch_map:
             raise ValidationError("missing root action set")
 
-        reachable = set()
-        stack = [()]
-        while stack:
-            h = stack.pop()
-            reachable.add(h)
-            for a in branch_map.get(h, ()):
-                stack.append(h + (a,))
-        for history in branch_map:
-            if history not in reachable:
+        for history in branch_map:  # reachable: offered by its parent, recursively
+            if history and history[-1] not in branch_map.get(history[:-1], ()):
                 raise ValidationError(f"unreachable history {history!r}")
 
-        expected = {(_pad(h, self.periods).entries, s)
-                    for h in _leaf_histories(branch_map) for s in self.states}
+        padded = {leaf.entries for leaf in self.leaves}
+        states = set(self.states)
         seen = set()
         for entries, state, expr in self.utilities:
             key = (entries, state)
             if key in seen:
                 raise ValidationError(f"duplicate utility entry for {key!r}")
-            if key not in expected:
+            if entries not in padded or state not in states:
                 raise ValidationError(f"utility entry for unknown pair {key!r}")
             bad = [n for n, _ in expr.coeffs if n not in self.param_names]
             if bad:
                 raise ValidationError(f"utility references undeclared parameter {bad[0]!r}")
             seen.add(key)
-        missing = expected - seen
-        if missing:
-            entries, state = sorted(missing)[0]
+        if len(seen) < len(padded) * len(states):
+            entries, state = min((e, s) for e in padded for s in self.states if (e, s) not in seen)
             raise ValidationError(
                 f"missing utility for leaf {','.join(e for e in entries if e != PAD)!r}"
                 f" in state {state!r}"
@@ -472,21 +442,26 @@ class DecisionProblem:
         return tuple((prefix, tuple(idx)) for prefix, idx in groups.items())
 
     def sequence(self, value: Union[str, ActionSequence, Iterable[str]]) -> ActionSequence:
-        """Resolve and validate an action sequence given as a padded sequence,
-        a comma-joined label, or an iterable of action labels."""
+        """Resolve an action sequence given as a leaf, a comma-joined label,
+        or an iterable of action labels: exactly a leaf's actions, optionally
+        followed by `PAD` entries up to ``periods`` entries in all.  Spaces
+        around the entries of a label are ignored."""
         if isinstance(value, ActionSequence):
-            seq = value
+            if value not in self.leaf_index:
+                raise ValidationError(f"{value.label!r} is not a leaf of this problem")
+            return value
+        spellings = self.per_tree(_leaf_spellings)
+        if isinstance(value, str):
+            label = value if value in spellings else ",".join(p.strip() for p in value.split(","))
         else:
-            if isinstance(value, str):
-                parts = tuple(p.strip() for p in value.split(",") if p.strip())
-            else:
-                parts = tuple(value) if isinstance(value, Iterable) else (value,)
-            if not all(isinstance(p, str) for p in parts):
+            parts = tuple(value) if isinstance(value, Iterable) else (value,)
+            if not all(isinstance(p, str) and "," not in p for p in parts):
                 raise ValidationError(f"{value!r} is not an action sequence")
-            seq = _pad(tuple(p for p in parts if p != PAD), self.periods)
-        if seq not in self.leaf_index:
-            raise ValidationError(f"{seq.label!r} is not a leaf of this problem")
-        return seq
+            label = ",".join(parts)
+        try:
+            return spellings[label]
+        except KeyError:
+            raise ValidationError(f"{label!r} is not a leaf of this problem") from None
 
     def utility_expr(self, a: ActionSequence, state: str) -> AffineExpr:
         try:
@@ -497,19 +472,31 @@ class DecisionProblem:
             raise ValidationError(f"unknown leaf {a.entries!r}") from None
 
 
+def _leaf_spellings(problem: DecisionProblem) -> dict[str, ActionSequence]:
+    """Each leaf's label, alone and followed by each number of `PAD` entries
+    that keeps it within ``periods``, mapped to the leaf.  Depends on the
+    tree alone: use it through `per_tree`."""
+    return {",".join(leaf.history + (PAD,) * k): leaf for leaf in problem.leaves
+            for k in range(problem.periods - len(leaf.history) + 1)}
+
+
 # ---------------------------------------------------------------------------
 # Observed data
 # ---------------------------------------------------------------------------
 
-def _require_probability_vector(weights: Iterable[Fraction], what: str) -> None:
-    """Raise `ValidationError` unless ``weights`` are nonnegative and sum to
-    exactly 1.  Only nonzero entries are summed, so a sparse row costs its
-    support."""
-    support = [w for w in weights if w]
-    if any(w < 0 for w in support):
+def _require_probability_numerators(nums: Sequence[int], den: int, what: str) -> None:
+    """Raise `ValidationError` unless the weights ``nums`` over ``den`` are
+    nonnegative and sum to exactly 1."""
+    if any(x < 0 for x in nums):
         raise ValidationError(f"{what} must be a probability vector (weights nonnegative)")
-    if sum(support) != 1:
+    if sum(nums) != den:
         raise ValidationError(f"{what} must be a probability vector (weights summing to exactly 1)")
+
+
+def _require_probability_vector(weights: Iterable[Fraction], what: str) -> None:
+    """`_require_probability_numerators` on ``weights`` over one lcm.  Only
+    nonzero entries are converted, so a sparse row costs its support."""
+    _require_probability_numerators(*_over_lcm([w for w in weights if w]), what)
 
 
 @dataclass(frozen=True)
@@ -525,7 +512,13 @@ class JointDistribution:
             len(row) != len(self.states) for row in self.matrix
         ):
             raise ValidationError("joint distribution shape mismatch")
-        _require_probability_vector([w for row in self.matrix for w in row], "joint distribution")
+        _require_probability_numerators(*self.integer_cells, "joint distribution")
+
+    @cached_property
+    def integer_cells(self) -> tuple[list[int], int]:
+        """``(cells, den)``: the weights, row after row, as numerators over
+        their least common denominator ``den``."""
+        return _over_lcm([w for row in self.matrix for w in row])
 
     @staticmethod
     def from_mapping(problem: DecisionProblem, weights) -> "JointDistribution":
@@ -580,7 +573,13 @@ class MarginalDistribution:
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.leaves):
             raise ValidationError("marginal distribution shape mismatch")
-        _require_probability_vector(self.weights, "marginal distribution")
+        _require_probability_numerators(*self.integer_weights, "marginal distribution")
+
+    @cached_property
+    def integer_weights(self) -> tuple[list[int], int]:
+        """``(weights, den)``: the weights as numerators over their least
+        common denominator ``den``."""
+        return _over_lcm(self.weights)
 
     @staticmethod
     def from_mapping(problem: DecisionProblem, weights: Mapping) -> "MarginalDistribution":
@@ -671,24 +670,23 @@ def problem_from_dict(doc: Mapping) -> DecisionProblem:
                 raise ParseError(f"tree entry {action!r} must be \"leaf\" or an object")
 
     walk(doc["tree"], ())
-    known = {",".join(h): h for h in _leaf_histories(dict(branches))}
+    # each leaf's label, mapped to its padded entries
+    known = {",".join(h): h + (PAD,) * (periods - len(h)) for h in _leaf_histories(dict(branches))}
 
     utility_doc = doc["utility"]
     if not isinstance(utility_doc, Mapping):
         raise ParseError("utility must be an object")
     utilities: list[tuple[tuple[str, ...], str, AffineExpr]] = []
     for leaf_id, row in utility_doc.items():
-        if leaf_id not in known:
+        padded = known.get(leaf_id)
+        if padded is None:
             raise ValidationError(f"utility entry for unknown leaf {leaf_id!r}")
         if not isinstance(row, Mapping):
             raise ParseError(f"utility row for {leaf_id!r} must be an object")
         for state, expr in row.items():
             if state not in states:
                 raise ValidationError(f"utility entry for unknown state {state!r}")
-            padded = _pad(known[leaf_id], periods) if periods >= len(known[leaf_id]) else None
-            if padded is None:
-                raise ValidationError("tree deeper than the number of periods")
-            utilities.append((padded.entries, state, parse_affine(expr, params)))
+            utilities.append((padded, state, parse_affine(expr, params)))
 
     return DecisionProblem(
         periods=periods,

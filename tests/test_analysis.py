@@ -410,3 +410,20 @@ def test_sweep_builds_each_tree_piece_once(example2, monkeypatch):
         # one build at most per family, however many points the sweep tests
         assert piece in builds and len(builds) == len(set(builds)) and len(points) > 30
         assert "problem" not in builds
+
+
+def test_sweep_puts_the_observed_law_over_one_lcm_once(example2, monkeypatch):
+    # the law keeps its integer form, so no sweep point converts it again
+    probe = m.instantiate(example2, {"delta": 1})
+    laws = (m.MarginalDistribution.from_mapping(probe, {"w,x": "3/4", "w,y": "1/4"}),
+            m.JointDistribution.from_mapping(probe, {("w,x", "X"): "1/2", ("w,y", "Y"): "1/2"}))
+    over_lcm = m._over_lcm
+    for law in laws:
+        cells = list(law.weights) if isinstance(law, m.MarginalDistribution) else [
+            w for row in law.matrix for w in row]
+        calls = []
+        counted = lambda values: calls.append(list(values)) or over_lcm(values)  # noqa: E731
+        monkeypatch.setattr(m, "_over_lcm", counted)
+        monkeypatch.setattr(dv, "_over_lcm", counted)
+        an.identified_set(example2, law, "delta", 0, 1)
+        assert calls.count(cells) <= 1

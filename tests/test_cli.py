@@ -211,6 +211,26 @@ MALFORMED = {
     "kernel-row-spells-an-output-twice": ("verify-witness", _edited(
         "ex1-check-marginal-no", lambda r: r["result"]["witness"]["kernel"].update(
             not_invest={"not_invest": "1/2", "not_invest,_": "1/2"})), "'not_invest'"),
+    # a leaf is named by its actions, then at most the padding that fills the
+    # horizon: padding in front of or between actions, an empty entry or one
+    # entry too many names no leaf, wherever a leaf is read
+    "seq-padded-in-front": ("check-seq --seq _,invest,_,pull_back",
+                            json.loads(Path(EX1).read_text()), "'_,invest,_,pull_back'"),
+    "seq-with-an-empty-entry": ("check-seq --seq invest,,pull_back",
+                                json.loads(Path(EX1).read_text()), "'invest,,pull_back'"),
+    "seq-padded-past-the-horizon": ("check-seq --seq not_invest,_,_",
+                                    json.loads(Path(EX1).read_text()), "'not_invest,_,_'"),
+    "marginal-leaf-padded-in-front": (
+        "check-marginal --dist _,invest,invest:1/3,invest,pull_back:2/3",
+        json.loads(Path(EX1).read_text()), "'_,invest,invest'"),
+    "joint-leaf-padded-past-the-horizon": (
+        "check-joint --dist not_invest,_,_@good:1", json.loads(Path(EX1).read_text())),
+    "kernel-row-padded-in-front": ("verify-witness", _edited(
+        "ex2-check-seq-no", lambda r: r["result"]["witness"]["kernel"].update(
+            {"_,w,x": r["result"]["witness"]["kernel"].pop("w,x")})), "'_,w,x'"),
+    "triple-row-padded-past-the-horizon": ("verify-witness", _edited(
+        "ex1-check-seq-pull-back", lambda r: r["result"]["witness"]["recommendation"].update(
+            bad={"invest,pull_back,_": "1"})), "'invest,pull_back,_'"),
     # two utility terms side by side are not a sum
     "utility-terms-without-an-operator": ("check-seq --seq not_invest", _shipped(
         EX1, lambda d: d["utility"]["invest,invest"].update(good="1 2")), "between terms"),

@@ -1,13 +1,14 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from dynrat import model as m
 
-from conftest import random_problem
+from conftest import complete_tree_doc, random_problem
 
 
 def test_example1_loads(example1):
@@ -290,3 +291,142 @@ def test_pinned_problems_equal_fresh_ones():
         # the pinned problem shares the family's validated tree
         assert pinned.leaves is family.leaves and pinned.leaf_index is family.leaf_index
     assert padded
+
+
+@pytest.mark.parametrize("spec", [
+    "_,invest,_,pull_back", "_,invest,pull_back", "invest,,pull_back", "invest,pull_back,",
+    ",not_invest", "not_invest,_,_", ("_", "not_invest"), ("not_invest", "_", "_")])
+def test_sequence_refuses_misplaced_padding(example1, spec):
+    # a leaf's actions, then at most the padding that fills the horizon
+    with pytest.raises(m.ValidationError, match="not a leaf"):
+        example1.sequence(spec)
+
+
+def test_sequence_spellings(example1):
+    leaf = example1.leaves[0]
+    for spec in ("not_invest", "not_invest,_", " not_invest , _ ", ("not_invest",),
+                 ("not_invest", "_"), leaf.entries, leaf):
+        assert example1.sequence(spec) == leaf
+    for spec in (("not_invest,_",), [5], 5, m.ActionSequence(("not_invest", "_", "_"))):
+        with pytest.raises(m.ValidationError):
+            example1.sequence(spec)
+
+
+def test_problem_file_is_padded_once_per_leaf(monkeypatch):
+    text = json.dumps(complete_tree_doc((4, 4), 3, seed=7))
+    pads = []
+    pad = m._pad
+    monkeypatch.setattr(m, "_pad", lambda *args: pads.append(args) or pad(*args))
+    problem = m.load_problem(text)
+    assert len(problem.leaves) == 16 and len(problem.states) == 3
+    assert len(pads) <= 16
+
+
+def test_law_cells_build_no_sequence(monkeypatch):
+    # a law's cells are resolved through the problem's labels
+    problem = m.load_problem(json.dumps(complete_tree_doc((4, 4), 3, seed=7)))
+    built = []
+    monkeypatch.setattr(m.ActionSequence, "__post_init__", lambda seq: built.append(seq))
+    cells = {(leaf.label, s): "1/30" for leaf in problem.leaves[:10] for s in problem.states}
+    law = m.JointDistribution.from_mapping(problem, cells)
+    assert built == []
+    assert len(cells) == 30 and law.integer_cells == ([1] * 30 + [0] * 18, 30)
+
+
+@pytest.mark.parametrize("text", [
+    "+3", "1e3", "1_000", "٣/٤", "3/0", "0.5/2", "-.5", "3.", " -2/7 ", "007/014", "3/-4"])
+def test_parse_rational_agrees_with_fraction(text):
+    try:
+        want = F(text.strip())
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(m.ParseError):
+            m.parse_rational(text)
+    else:
+        assert m.parse_rational(text) == want
+
+
+# The tokenizer parser of utility entries that `parse_affine` replaced, kept
+# as the reference of the accepted language.
+_TOKEN_RE = re.compile(r"\s*(?:(?P<op>[+\-*])|(?P<num>\d+(?:\.\d+)?(?:/\d+)?)|(?P<name>[A-Za-z_]\w*))")
+
+
+def _tokenizer_parse_affine(text: str, params) -> m.AffineExpr:
+    text = text.strip()
+    if not text:
+        raise m.ParseError("empty utility entry")
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN_RE.match(text, pos)
+        if match is None or match.end() == pos:
+            raise m.ParseError("cannot tokenize")
+        pos = match.end()
+        for kind in ("op", "num", "name"):
+            tok = match.group(kind)
+            if tok is not None:
+                tokens.append((kind, tok))
+    constant = F(0)
+    coeffs = {}
+    i = 0
+    while i < len(tokens):
+        start = i
+        sign = F(1)
+        while i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in "+-":
+            if tokens[i][1] == "-":
+                sign = -sign
+            i += 1
+        if i >= len(tokens):
+            raise m.ParseError("dangling sign")
+        if i == start > 0:
+            raise m.ParseError("expected '+' or '-' between terms")
+        coeff = None
+        name = None
+        kind, tok = tokens[i]
+        if kind == "num":
+            try:
+                coeff = F(tok)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise m.ParseError(tok) from exc
+            i += 1
+            if i < len(tokens) and tokens[i] == ("op", "*"):
+                i += 1
+                if i >= len(tokens) or tokens[i][0] != "name":
+                    raise m.ParseError("expected parameter name after '*'")
+                name = tokens[i][1]
+                i += 1
+        elif kind == "name":
+            name = tok
+            coeff = F(1)
+            i += 1
+        else:
+            raise m.ParseError(f"unexpected token {tok!r}")
+        if name is None:
+            constant += sign * coeff
+        else:
+            if name not in params:
+                raise m.ValidationError(f"unknown parameter {name!r}")
+            coeffs[name] = coeffs.get(name, F(0)) + sign * coeff
+    return m.AffineExpr.make(constant, coeffs)
+
+
+def test_parse_affine_accepts_what_the_tokenizer_accepted():
+    # random strings over digits, signs, '/', '.', '*', blanks, declared and
+    # undeclared names and a non-ASCII digit: the same strings are accepted,
+    # with equal values, and every other one is an input error (its class
+    # may differ where a string has more than one fault)
+    rng = random.Random(15)
+    alphabet = [*"0123456789/.+-* ", "\t", "R", "c", "q", "_", "\u0663"]
+    accepted = 0
+    for _ in range(100_000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 9)))
+        try:
+            want = _tokenizer_parse_affine(text, ("R", "c"))
+        except (m.ParseError, m.ValidationError):
+            want = None
+        try:
+            got = m.parse_affine(text, ("R", "c"))
+        except (m.ParseError, m.ValidationError):
+            got = None
+        assert got == want, text
+        accepted += want is not None
+    assert accepted > 10_000
