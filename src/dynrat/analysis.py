@@ -1,12 +1,9 @@
 """Quantities built on top of the rationalizability core.
 
-* the largest probability with which a sequence can appear under obedient
-  behavior,
-* parameter regions consistent with an observation of any kind (grid scan
-  plus bisection of every sign change; each sample is decided by a
-  certificate checked exactly at that sample, carried from an earlier sample
-  while it still holds and otherwise found afresh by
-  `rationalize.certificate`),
+* parameter regions consistent with an observation of any kind (galloping
+  grid scan plus bisection of every sign change; each sample is decided by
+  a certificate that holds there, carried from an earlier sample while it
+  still holds and otherwise found afresh by `rationalize.certificate`),
 * rule-wise consistency screens over a parameter grid
   (`deviation.dominates`), and
 * increasing convex payoff transforms for risk-attitude comparisons.
@@ -20,7 +17,6 @@ from typing import Optional, Sequence, Union
 
 from .deviation import AnyRule, DeviationRule, best_joint_deviation, dominates
 from .model import (
-    ActionSequence,
     AffineExpr,
     DecisionProblem,
     JointDistribution,
@@ -30,17 +26,11 @@ from .model import (
     parse_rational,
     substitute_params,
 )
-from .rationalize import certificate, max_positive_marginal
+from .rationalize import certificate
 
-
-def max_rationalizable_probability(problem: DecisionProblem, a: ActionSequence) -> Fraction:
-    """Largest probability of ``a`` over all obedient joint laws, exactly.
-
-    Zero precisely when ``a`` is truly dominated; one precisely when no
-    lottery beats ``a`` uniformly across states.
-    """
-    value, _ = max_positive_marginal(problem, a)
-    return value
+#: What decides one sweep point: a dominating rule ("out") or an obedient
+#: joint law that induces the observation ("in").
+Certificate = Union[DeviationRule, JointDistribution]
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +226,31 @@ def identified_set(
     here, and it induces the observation whatever the parameter, so "in");
     only when neither passes is the point decided afresh.  Joint data is its
     own law, so it is not carried: its check is the fresh decision.
-    Every sample gets the verdict a fresh decision would give it.
+
+    The grid is scanned by galloping.  Once grid point i is decided by a
+    certificate C, C is checked at points i+1, i+2, i+4, ... until it fails
+    or the grid ends, then by bisection between the last point where it
+    holds and the first where it fails; every point up to the last one
+    where C holds takes C's verdict unchecked.  This is exact, because with
+    the utilities affine in the swept parameter t and the observation
+    fixed, the set of t where C holds is an interval:
+
+    * a rule dominates a sequence where its gains, affine in t, are >= 0
+      everywhere and > 0 at the sequence;
+    * a rule dominates a marginal where sum_i w_i min_s g(i, s; t) > 0, a
+      concave function of t;
+    * a rule dominates a joint law where an affine function of t is > 0;
+    * a law is obedient where the largest gain of a pure rule, a maximum of
+      affine functions of t, hence convex, is <= 0.
+
+    Past the first grid point where C fails it fails everywhere, so it is
+    not tried again on the grid.  Every sample thus gets the verdict a
+    fresh decision would give it; no point is pinned twice, and no
+    certificate is checked twice at one point.  For sequence and marginal
+    data the galloping scan solves the same LPs as a point-by-point scan,
+    in the same order; for joint data, whose own law is checked by a fresh
+    decision, it solves none.  The bisection phase decides each of its
+    points as above.
 
     A sample costs no rebuilding: `substitute_params` pins the family
     without validating it again, evaluates its payoffs in integers from the
@@ -258,24 +272,68 @@ def identified_set(
     rule: Optional[DeviationRule] = None
     law: Optional[JointDistribution] = None
 
-    def test(point: Fraction) -> bool:
+    def fresh(at: DecisionProblem) -> Certificate:
         nonlocal rule, law
-        at = substitute_params(family, {param: point})
-        if rule is not None and dominates(at, rule, observation):
-            return False
-        if law is not None and best_joint_deviation(at, law)[0] <= 0:
-            return True
         found = certificate(at, observation)
         if isinstance(found, DeviationRule):
             rule = found
-            return False
-        if found is not observation:  # joint data: checking it is deciding it
+        elif found is not observation:  # joint data: checking it is deciding it
             law = found
-        return True
+        return found
+
+    def holds(cert: Certificate, at: DecisionProblem) -> bool:
+        if isinstance(cert, DeviationRule):
+            return dominates(at, cert, observation)
+        return best_joint_deviation(at, cert)[0] <= 0
+
+    def decide(at: DecisionProblem, dead: Sequence[Certificate] = ()) -> Certificate:
+        """The certificate that decides ``at``: a carried one that holds
+        there, else a fresh one.  Those in ``dead`` are known to fail."""
+        for carried in (rule, law):
+            if (carried is not None and all(carried is not d for d in dead)
+                    and holds(carried, at)):
+                return carried
+        return fresh(at)
 
     step = (hi - lo) / (grid_points - 1)
     grid = [lo + i * step for i in range(grid_points)]
-    verdicts = [test(g) for g in grid]
+    pinned: dict[int, DecisionProblem] = {}  # grid points where a probe failed
+    found_at: dict[int, Certificate] = {}  # and their fresh decision, for joint data
+
+    def pin(k: int) -> DecisionProblem:
+        at = pinned.pop(k, None)
+        return substitute_params(family, {param: grid[k]}) if at is None else at
+
+    def probe(cert: Certificate, k: int) -> bool:
+        at = pin(k)
+        if cert is observation:  # joint data: the check is the decision
+            found = fresh(at)
+            if found is observation:
+                return True
+            found_at[k] = found
+        elif holds(cert, at):
+            return True
+        pinned[k] = at
+        return False
+
+    verdicts: list[bool] = []
+    dead: list[Certificate] = []
+    while len(verdicts) < grid_points:
+        i = len(verdicts)
+        at = pin(i)
+        cert = found_at.pop(i, None) or decide(at, dead)
+        # cert holds at `good`; it fails at `bad`, or `bad` is past the end
+        good, bad, jump = i, grid_points, 1
+        while good + 1 < bad:
+            k = min(i + jump, grid_points - 1) if bad == grid_points else (good + bad) // 2
+            jump *= 2
+            if probe(cert, k):
+                good = k
+            else:
+                bad = k
+        if bad < grid_points:
+            dead.append(cert)
+        verdicts += [not isinstance(cert, DeviationRule)] * (good + 1 - i)
 
     intervals: list[tuple[Fraction, Fraction, str]] = []
     region_start = grid[0]
@@ -286,7 +344,8 @@ def identified_set(
         vx = verdicts[i]
         while y - x > tol:
             mid = (x + y) / 2
-            if test(mid) == vx:
+            at = substitute_params(family, {param: mid})
+            if (not isinstance(decide(at), DeviationRule)) == vx:
                 x = mid
             else:
                 y = mid

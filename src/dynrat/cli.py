@@ -263,7 +263,7 @@ def _run_query(args) -> dict:
 
     elif args.command == "maxprob":
         seq = inst.sequence(args.seq)
-        value = analysis.max_rationalizable_probability(inst, seq)
+        value, _ = rationalize.max_positive_marginal(inst, seq)
         result = {"value": format_rational(value)}
         query = _query_echo(args, params, seq=args.seq)
 

@@ -116,7 +116,7 @@ def _resolve_kernel(problem: DecisionProblem, kernel) -> tuple[tuple[Fraction, .
             raise ValidationError(f"kernel is missing a row for {missing.label!r}")
         matrix = tuple(tuple(r) for r in grid)
     else:
-        matrix = tuple(tuple(Fraction(v) for v in row) for row in kernel)
+        matrix = tuple(tuple(parse_rational(v) for v in row) for row in kernel)
         if len(matrix) != n or any(len(r) != n for r in matrix):
             raise ValidationError("kernel matrix must be square over the leaves")
     return matrix

@@ -15,15 +15,17 @@ multipliers, both exactly and both against the program as built, not the
 solver's rows.
 
 The arithmetic is integer throughout, fraction-free in the manner of
-Edmonds and Bareiss.  Each tableau row is a list of Python ints over one
-positive common denominator, kept in lowest terms, so a pivot is integer
-multiply-and-subtract plus one gcd per row.  Ratio-test steps are compared
-by cross-multiplying numerators, which orders them exactly as the rationals
-a `Fraction` tableau would hold, so the pivot sequence does not depend on
-the representation.  The checks put the assignment or the duals over one
-common denominator and each row over the lcm of its own, and compare
-integer dot products.  `Fraction`s appear only at the boundary: in the
-program the caller builds and in the values of an `LpSolution`.
+Edmonds and Bareiss.  A program's rows are integers over one positive
+denominator each (`Constraint`): builders write them so with `add_row`, and
+`add_constraint` converts rational data once.  Each row becomes a tableau
+row as it stands, a list of Python ints over that denominator, so a pivot is
+integer multiply-and-subtract plus one gcd per row.  Ratio-test steps are
+compared by cross-multiplying numerators, which orders them exactly as the
+rationals a `Fraction` tableau would hold, so the pivot sequence does not
+depend on the representation.  The checks put the assignment or the duals
+over one common denominator and compare integer dot products with each
+row's own numerators.  `Fraction`s appear only in the objective, in the
+data `add_constraint` converts, and in the values of an `LpSolution`.
 """
 
 from __future__ import annotations
@@ -52,12 +54,14 @@ def pivot_tally() -> int:
 
 @dataclass(frozen=True)
 class Constraint:
-    """``sum(c * x[k] for k, c in coeffs.items()) <sense> rhs``, with no zero
-    coefficient."""
+    """``sum(c * x[k] for k, c in coeffs.items()) / den <sense> rhs / den``:
+    integer coefficients and right-hand side over one positive denominator.
+    Zero coefficients may be left out."""
 
-    coeffs: dict[int, Fraction]
+    coeffs: dict[int, int]
     sense: str
-    rhs: Fraction
+    rhs: int
+    den: int = 1
 
 
 @dataclass
@@ -77,17 +81,23 @@ class LinearProgram:
         self.variables.append(free)
         return len(self.variables) - 1
 
-    def _coeffs(
-        self, coeffs: Mapping[int, Union[int, str, Fraction]], what: str
-    ) -> dict[int, Fraction]:
-        out = {}
-        for k, c in coeffs.items():
-            if not (isinstance(k, int) and 0 <= k < len(self.variables)):
+    def _require_columns(self, coeffs: Mapping, what: str) -> None:
+        ncols = len(self.variables)
+        for k in coeffs:
+            if not (isinstance(k, int) and 0 <= k < ncols):
                 raise ValidationError(f"{what} references undeclared column {k!r}")
-            q = parse_rational(c)
-            if q != 0:
-                out[k] = q
-        return out
+
+    def add_row(self, coeffs: dict[int, int], sense: str, rhs: int = 0, den: int = 1) -> None:
+        """Add ``sum(c * x[k]) / den <sense> rhs / den`` with integer data as
+        it stands: nothing is parsed or reduced, and ``coeffs`` is kept, not
+        copied.  Only the sense, the denominator and the columns are
+        checked."""
+        if sense not in _SENSES:
+            raise ValidationError(f"bad constraint sense {sense!r}")
+        if type(den) is not int or den <= 0:
+            raise ValidationError(f"a row needs a positive integer denominator, not {den!r}")
+        self._require_columns(coeffs, "constraint")
+        self.constraints.append(Constraint(coeffs, sense, rhs, den))
 
     def add_constraint(
         self,
@@ -95,13 +105,16 @@ class LinearProgram:
         sense: str,
         rhs: Union[int, str, Fraction],
     ) -> None:
-        if sense not in _SENSES:
-            raise ValidationError(f"bad constraint sense {sense!r}")
-        self.constraints.append(
-            Constraint(self._coeffs(coeffs, "constraint"), sense, parse_rational(rhs)))
+        """`add_row` for rational data (see `parse_rational`), put over the
+        lcm of its denominators once."""
+        self._require_columns(coeffs, "constraint")
+        nums, den = _over_lcm([parse_rational(q) for q in (rhs, *coeffs.values())])
+        self.add_row({k: x for k, x in zip(coeffs, nums[1:]) if x}, sense, nums[0], den)
 
     def set_objective(self, coeffs: Mapping[int, Union[int, str, Fraction]]) -> None:
-        self.objective = self._coeffs(coeffs, "objective")
+        self._require_columns(coeffs, "objective")
+        values = ((k, parse_rational(c)) for k, c in coeffs.items())
+        self.objective = {k: q for k, q in values if q}
 
 
 @dataclass(frozen=True)
@@ -122,20 +135,22 @@ def check_solution(lp: LinearProgram, assignment: Sequence[Fraction]) -> bool:
     """Exact feasibility check of one value per column against the signs
     and every entry of ``lp.constraints``.
 
-    The assignment goes over one common denominator and each constraint
-    over the lcm of its own, so a row is one integer dot product compared
-    with its scaled right-hand side.
+    The assignment goes over one common denominator, so a row is one
+    integer dot product with its numerators, compared with its scaled
+    right-hand side.
     """
     if len(assignment) != len(lp.variables):
         return False
-    xs, xden = _over_lcm(assignment)
+    return _feasible(lp, *_over_lcm(assignment))
+
+
+def _feasible(lp: LinearProgram, xs: Sequence[int], xden: int) -> bool:
+    """`check_solution` on the assignment ``xs / xden`` (``xden > 0``)."""
     if any(x < 0 for x, free in zip(xs, lp.variables) if not free):
         return False
     for con in lp.constraints:
-        rhs = con.rhs
-        den = math.lcm(rhs.denominator, *(c.denominator for c in con.coeffs.values()))
-        lhs = sum(c.numerator * (den // c.denominator) * xs[k] for k, c in con.coeffs.items())
-        scaled = rhs.numerator * (den // rhs.denominator) * xden
+        lhs = sum(c * xs[k] for k, c in con.coeffs.items())
+        scaled = con.rhs * xden
         if con.sense == "<=" and lhs > scaled:
             return False
         if con.sense == ">=" and lhs < scaled:
@@ -163,17 +178,16 @@ def check_duals(lp: LinearProgram, sol: LpSolution) -> bool:
     for con, y in used:
         if (con.sense == "<=" and y < 0) or (con.sense == ">=" and y > 0):
             return False
-    den = math.lcm(
-        *(c.denominator for c in lp.objective.values()),
-        *(q.denominator for con, _ in used for q in chain((con.rhs,), con.coeffs.values())))
+    cs, cden = _over_lcm(lp.objective.values())
+    den = math.lcm(cden, *(con.den for con, _ in used))
     # d and b^T y times den * yden
-    reduced = {k: c.numerator * (den // c.denominator) * yden
-               for k, c in lp.objective.items()}
+    reduced = {k: c * (den // cden) * yden for k, c in zip(lp.objective, cs)}
     bound = 0
     for con, y in used:
-        bound += y * con.rhs.numerator * (den // con.rhs.denominator)
+        y *= den // con.den
+        bound += y * con.rhs
         for k, c in con.coeffs.items():
-            reduced[k] = reduced.get(k, 0) - y * c.numerator * (den // c.denominator)
+            reduced[k] = reduced.get(k, 0) - y * c
     for k, free in enumerate(lp.variables):
         d = reduced.get(k, 0)
         if (d != 0) if free else (d > 0):
@@ -221,14 +235,15 @@ class _Solver:
     Bland's rule in their textbook forms.
 
     Every tableau row, the objective rows included, is a pair ``[nums, den]``
-    of Python ints: entry ``k`` is ``nums[k] / den`` with ``den > 0`` and the
-    row in lowest terms.  The last slot holds the right-hand side; objective
-    rows hold minus the objective's current value there, so pivots and
-    pricing apply one integer update to every row alike.  The basic column of
-    a constraint row has entry exactly 1 (``nums[b] == den``).  An optimum's
-    value is read from the objective row, checked against c^T x in
-    integers, and turned into `Fraction`s, with the assignment and the
-    duals, only when it is returned.
+    of Python ints: entry ``k`` is ``nums[k] / den`` with ``den > 0``.  A
+    constraint row starts as its program row, over that row's denominator,
+    and is put in lowest terms whenever a pivot rewrites it.  The last slot
+    holds the right-hand side; objective rows hold minus the objective's
+    current value there, so pivots and pricing apply one integer update to
+    every row alike.  The basic column of a constraint row has entry exactly
+    1 (``nums[b] == den``).  An optimum's assignment is checked against the
+    program, and its value against c^T x, in integers; they and the duals
+    become `Fraction`s only when they are returned.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -254,7 +269,7 @@ class _Solver:
         self.dual_cols: list[Optional[tuple[int, int]]] = []
         rows: list[tuple[Constraint, int, bool, int]] = []  # sign, surplus, basic
         for con in lp.constraints:
-            sense, rhs = con.sense, con.rhs.numerator
+            sense, rhs = con.sense, con.rhs
             if not con.coeffs:
                 ok = (rhs >= 0) if sense == "<=" else (rhs <= 0) if sense == ">=" else (rhs == 0)
                 if not ok:
@@ -273,34 +288,32 @@ class _Solver:
             self.dual_cols.append((col, sign))
             col += 1
 
-        # Each row goes straight into integers over the lcm of its
-        # denominators, which leaves it in lowest terms.
+        # Each row is copied as it stands, over its own denominator.
         self.ncols = col
         self.matrix: list[list] = []
         self.basis: list[int] = []
         for con, sign, surplus, basic in rows:
-            den = math.lcm(con.rhs.denominator, *(c.denominator for c in con.coeffs.values()))
-            nums = self._nums(con.coeffs, den, sign)
+            den = con.den
+            nums = self._nums(con.coeffs, sign)
             if surplus:
                 nums[basic - 1] = -den
             nums[basic] = den
-            nums[-1] = sign * con.rhs.numerator * (den // con.rhs.denominator)
+            nums[-1] = sign * con.rhs
             self.matrix.append([nums, den])
             self.basis.append(basic)
 
         # Phase-2 objective.  The starting basis is slacks/artificials, none
         # of which appear in the objective, so this row is already priced out.
-        den = math.lcm(*(c.denominator for c in lp.objective.values()))
-        self.obj = [self._nums(lp.objective, den), den]
+        cs, cden = _over_lcm(lp.objective.values())
+        self.obj = [self._nums(dict(zip(lp.objective, cs))), cden]
 
-    def _nums(self, coeffs: Mapping[int, Fraction], den: int, sign: int = 1) -> list[int]:
-        """Numerators over ``den`` of ``sign * coeffs`` in internal columns,
-        with a zero right-hand side."""
+    def _nums(self, coeffs: Mapping[int, int], sign: int = 1) -> list[int]:
+        """``sign * coeffs`` in internal columns, with a zero right-hand
+        side."""
         nums = [0] * (self.ncols + 1)
         for k, c in coeffs.items():
-            v = sign * c.numerator * (den // c.denominator)
             j = self.starts[k]
-            nums[j] = v
+            nums[j] = v = sign * c
             if self.lp.variables[k]:
                 nums[j + 1] = -v
         return nums
@@ -392,8 +405,7 @@ class _Solver:
             values[b] = num * (xden // den)
         xs = [values[j] - values[j + 1] if free else values[j]
               for j, free in zip(self.starts, self.lp.variables)]
-        assignment = tuple(Fraction(x, xden) for x in xs)
-        if not check_solution(self.lp, assignment):  # pragma: no cover - solver bug
+        if not _feasible(self.lp, xs, xden):  # pragma: no cover - solver bug
             raise RuntimeError("simplex returned an assignment violating the program")
         # The value is read from the objective row and must equal c^T x.
         obj_nums, obj_den = self.obj
@@ -402,6 +414,7 @@ class _Solver:
         if cx * obj_den != -obj_nums[-1] * cden * xden:  # pragma: no cover - solver bug
             raise RuntimeError("objective bookkeeping mismatch")
         value = Fraction(-obj_nums[-1], obj_den)
+        assignment = tuple(Fraction(x, xden) for x in xs)
         # The objective row is c - y^T A over the internal rows, and a row's
         # starting basic column has entry 1 in that row alone, so the row's
         # multiplier is minus the objective row's entry there, times -1
@@ -481,17 +494,18 @@ class DeviationPolytope:
 
 
 def deviation_polytope_constraints(problem: DecisionProblem) -> DeviationPolytope:
+    """The polytope's rows, in integers over 1: built once per tree (through
+    `DecisionProblem.per_tree`) and shared, never changed, by every program
+    that installs them."""
     n = len(problem.leaves)
-    one = Fraction(1)
-    constraints = [
-        Constraint({i * n + j: one for j in range(n)}, "==", one) for i in range(n)
-    ]
+    constraints = [Constraint(dict.fromkeys(range(i * n, i * n + n), 1), "==", 1)
+                   for i in range(n)]
     for t in range(1, problem.periods):
         classes = problem.prefix_classes(t)
         for _, members in classes:
             for a_i, a_k in zip(members, members[1:]):
                 for _, out_members in classes:
-                    coeffs = {a_i * n + j: one for j in out_members}
-                    coeffs.update((a_k * n + j, -one) for j in out_members)
-                    constraints.append(Constraint(coeffs, "==", Fraction(0)))
+                    coeffs = {a_i * n + j: 1 for j in out_members}
+                    coeffs.update((a_k * n + j, -1) for j in out_members)
+                    constraints.append(Constraint(coeffs, "==", 0))
     return DeviationPolytope(n, tuple(constraints))

@@ -117,8 +117,10 @@ class AffineExpr:
 
     @staticmethod
     def make(constant: Fraction, coeffs: Mapping[str, Fraction] | None = None) -> "AffineExpr":
-        items = tuple(sorted((n, Fraction(c)) for n, c in (coeffs or {}).items() if c != 0))
-        return AffineExpr(Fraction(constant), items)
+        """The expression with every number read by `parse_rational` and zero
+        coefficients dropped."""
+        terms = ((n, parse_rational(c)) for n, c in (coeffs or {}).items())
+        return AffineExpr(parse_rational(constant), tuple(sorted((n, c) for n, c in terms if c)))
 
     @property
     def is_constant(self) -> bool:

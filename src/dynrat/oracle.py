@@ -33,6 +33,7 @@ from .model import (
     MarginalDistribution,
     Observation,
     ValidationError,
+    _over_lcm,
     _require_probability_vector,
     format_rational,
     parse_rational,
@@ -226,35 +227,39 @@ def strategy_value(
     return total
 
 
+def _weights(
+    prior: Sequence[Fraction], kernel: Sequence[Sequence[Fraction]]
+) -> tuple[list[list[int]], int]:
+    """The unnormalized measure prior * kernel, signal sequence by state:
+    ``(weights, den)`` with ``weights[k][s] / den == prior[s] * kernel[s][k]``,
+    the prior and the kernel each over one lcm of its own."""
+    ps, pden = _over_lcm(prior)
+    ks, kden = _over_lcm([w for row in kernel for w in row])
+    width = len(kernel[0])
+    return [[p * ks[s * width + k] for s, p in enumerate(ps)] for k in range(width)], pden * kden
+
+
 def _optimal_value(
-    problem: DecisionProblem,
-    prior: Sequence[Fraction],
-    signal_seqs: Sequence[tuple[str, ...]],
-    kernel: Sequence[Sequence[Fraction]],
-) -> Fraction:
+    problem: DecisionProblem, signal_seqs: Sequence[tuple[str, ...]], weights: Sequence[Sequence[int]]
+) -> int:
     """Backward induction over signal prefixes and action histories.
 
     Works for any finite family of full-length signal sequences (product
     spaces or not).  Values are weighted by the unnormalized measure
-    prior * kernel, which sidesteps conditioning on zero-probability prefixes.
+    ``weights`` (see `_weights`), which sidesteps conditioning on
+    zero-probability prefixes.  The utilities come from
+    `DecisionProblem.integer_payoffs`, so the value is an integer over the
+    weights' denominator times the payoffs'.
     """
-    utab = dict(zip(problem.leaves, problem.payoffs))
-    weights = [
-        [prior[s] * kernel[s][k] for s in range(len(problem.states))]
-        for k in range(len(signal_seqs))
-    ]
+    table, _ = problem.integer_payoffs
+    utab = dict(zip(problem.leaves, table))
     pad_leaf = {leaf.history: leaf for leaf in problem.leaves}
 
-    def terminal_mass(seq_ids: Sequence[int], history: tuple[str, ...]) -> Fraction:
-        leaf = pad_leaf[history]
-        total = Fraction(0)
-        for k in seq_ids:
-            for s in range(len(problem.states)):
-                if weights[k][s] != 0:
-                    total += weights[k][s] * utab[leaf][s]
-        return total
+    def terminal_mass(seq_ids: Sequence[int], history: tuple[str, ...]) -> int:
+        pay = utab[pad_leaf[history]]
+        return sum(w * u for k in seq_ids for w, u in zip(weights[k], pay))
 
-    def act(seq_ids: Sequence[int], t: int, history: tuple[str, ...]) -> Fraction:
+    def act(seq_ids: Sequence[int], t: int, history: tuple[str, ...]) -> int:
         # The agent has seen t signals and taken t-1 actions; chooses the next.
         best = None
         for a in problem.actions_at(history):
@@ -265,9 +270,7 @@ def _optimal_value(
                 groups: dict[str, list[int]] = {}
                 for k in seq_ids:
                     groups.setdefault(signal_seqs[k][t], []).append(k)
-                value = sum(
-                    (act(ids, t + 1, h2) for ids in groups.values()), Fraction(0)
-                )
+                value = sum(act(ids, t + 1, h2) for ids in groups.values())
             if best is None or value > best:
                 best = value
         return best
@@ -275,37 +278,28 @@ def _optimal_value(
     groups: dict[str, list[int]] = {}
     for k in range(len(signal_seqs)):
         groups.setdefault(signal_seqs[k][0], []).append(k)
-    return sum((act(ids, 1, ()) for ids in groups.values()), Fraction(0))
+    return sum(act(ids, 1, ()) for ids in groups.values())
 
 
 def optimal_value_dp(problem: DecisionProblem, structure: InformationStructure) -> Fraction:
     """Exact value of the best adapted strategy against ``structure``."""
     if structure.states != problem.states:
         raise ValidationError("information structure states do not match the problem")
-    return _optimal_value(problem, structure.prior, structure.sequences, structure.kernel)
+    weights, wden = _weights(structure.prior, structure.kernel)
+    best = _optimal_value(problem, structure.sequences, weights)
+    return Fraction(best, wden * problem.integer_payoffs[1])
 
 
 def verify_obedient_optimality(problem: DecisionProblem, triple: ObedientTriple) -> bool:
     """Definitive witness check: obeying the triple's recommendations must be
-    exactly optimal against the information they carry."""
+    exactly optimal against the information they carry.  The obeyed and the
+    best value are compared as integers at one scale."""
     if triple.leaves != problem.leaves or triple.states != problem.states:
         raise ValidationError("triple shapes do not match the problem")
-    pay = problem.payoffs
-    obeyed = Fraction(0)
-    for s in range(len(problem.states)):
-        p = triple.prior[s]
-        if p == 0:
-            continue
-        for i in range(len(problem.leaves)):
-            w = triple.recommendation[s][i]
-            if w != 0:
-                obeyed += p * w * pay[i][s]
-    best = _optimal_value(
-        problem,
-        triple.prior,
-        [leaf.entries for leaf in problem.leaves],
-        triple.recommendation,
-    )
+    weights, _ = _weights(triple.prior, triple.recommendation)
+    table, _ = problem.integer_payoffs
+    obeyed = sum(w * u for row, pay in zip(weights, table) for w, u in zip(row, pay))
+    best = _optimal_value(problem, [leaf.entries for leaf in problem.leaves], weights)
     return obeyed == best
 
 

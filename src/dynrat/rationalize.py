@@ -204,11 +204,51 @@ def _checked(problem: DecisionProblem, rule: DeviationRule, observed: Observatio
     return rule
 
 
+def _dominance_program(
+    problem: DecisionProblem, observed: Union[ActionSequence, MarginalDistribution]
+) -> tuple[lpmod.LinearProgram, list[tuple[int, int, int]]]:
+    """The dominance program of an observed leaf or marginal, and its gain
+    rows as (row, leaf, state).
+
+    The deviation polytope's rows come first.  Gain row (i, s) reads
+    sum_j D(i, j) (u(j, s) - u(i, s)) >= level(i), written straight from
+    `DecisionProblem.integer_payoffs` as the integers table[j][s] -
+    table[i][s], with level coefficient -den, over the table's
+    denominator den.  A row with neither a gain nor a level is left out.
+    """
+    table, den = problem.integer_payoffs
+    n = len(problem.leaves)
+    poly = problem.per_tree(lpmod.deviation_polytope_constraints)
+    prog = lpmod.LinearProgram()
+    poly.install(prog)
+    if isinstance(observed, MarginalDistribution):
+        levels = {i: prog.add_variable(free=True) for i in range(n)}
+        prog.set_objective(dict(zip(levels.values(), observed.weights)))
+    else:
+        k = prog.add_variable(free=True)
+        levels = {problem.leaf_index[observed]: k}
+        prog.set_objective({k: 1})
+    columns = list(zip(*table))
+    gain_rows = []
+    for i in range(n):
+        first = poly.var(i, 0)
+        for s, column in enumerate(columns):
+            own = column[i]
+            coeffs = {first + j: u - own for j, u in enumerate(column) if u != own}
+            if i in levels:
+                coeffs[levels[i]] = -den
+            elif not coeffs:
+                continue
+            gain_rows.append((len(prog.constraints), i, s))
+            prog.add_row(coeffs, ">=", 0, den)
+    return prog, gain_rows
+
+
 def _dominance(
     problem: DecisionProblem, observed: Observation
 ) -> Union[DeviationRule, JointDistribution]:
     """Solve the dominance program of an observed sequence or marginal over
-    the deviation polytope, and read its certificate.
+    the deviation polytope (`_dominance_program`), and read its certificate.
 
     * sequence a: maximize one level k that bounds a's gain from below in
       every state, while every other leaf's gain stays nonnegative.
@@ -225,37 +265,15 @@ def _dominance(
     are 0: g has mass exactly 1 on the observed sequence, or exactly the
     observed marginal.
     """
-    table, den = problem.integer_payoffs
-    leaves, states = problem.leaves, problem.states
-    n = len(leaves)
-    poly = problem.per_tree(lpmod.deviation_polytope_constraints)
-    prog = lpmod.LinearProgram()
-    poly.install(prog)
-    if isinstance(observed, MarginalDistribution):
-        levels = {i: prog.add_variable(free=True) for i in range(n)}
-        objective = dict(zip(levels.values(), observed.weights))
-    else:
+    if not isinstance(observed, MarginalDistribution):
         observed = problem.sequence(observed)
-        k = prog.add_variable(free=True)
-        levels = {problem.leaf_index[observed]: k}
-        objective = {k: Fraction(1)}
-    gain_rows = []
-    for i in range(n):
-        for s in range(len(states)):
-            coeffs = {poly.var(i, j): Fraction(table[j][s] - table[i][s], den)
-                      for j in range(n) if table[j][s] != table[i][s]}
-            if i in levels:
-                coeffs[levels[i]] = Fraction(-1)
-            elif not coeffs:
-                continue
-            gain_rows.append((len(prog.constraints), i, s))
-            prog.add_constraint(coeffs, ">=", 0)
-    prog.set_objective(objective)
-
+    leaves, states = problem.leaves, problem.states
+    prog, gain_rows = _dominance_program(problem, observed)
     sol = lpmod.solve(prog)
     if sol.status != "optimal":  # pragma: no cover - identity rule is feasible, gains bounded
         raise InternalInconsistencyError(f"dominance program ended {sol.status}")
     if sol.value > 0:
+        poly = problem.per_tree(lpmod.deviation_polytope_constraints)
         return _checked(problem, DeviationRule(leaves, poly.extract_matrix(sol.assignment)),
                         observed)
     if not lpmod.check_duals(prog, sol):  # pragma: no cover - solver bug
@@ -281,28 +299,32 @@ def _obedience_program(problem: DecisionProblem) -> lpmod.LinearProgram:
     by LP duality this holds iff some free y has A^T y >= C(gamma) and
     b^T y <= 0: one row per leaf pair plus one, with one y per polytope row,
     so the program grows polynomially with the tree, unlike its pure rules.
+    Row (i, j) is written in integers over the payoff table's denominator
+    den: A's entries (integers over 1) times den, and table[i][s] -
+    table[j][s] from `DecisionProblem.integer_payoffs`.
     """
-    table = problem.payoffs
+    table, den = problem.integer_payoffs
     poly = problem.per_tree(lpmod.deviation_polytope_constraints)
-    leaves, states = problem.leaves, problem.states
+    n, width = len(problem.leaves), len(problem.states)
     prog = lpmod.LinearProgram()
-    gamma = [[prog.add_variable() for _ in states] for _ in leaves]
-    prog.add_constraint({k: 1 for row in gamma for k in row}, "==", 1)
-    columns: list[dict[int, Fraction]] = [{} for _ in range(poly.n ** 2)]  # A^T rows
-    bound: dict[int, Fraction] = {}
+    gamma = [[prog.add_variable() for _ in range(width)] for _ in range(n)]
+    prog.add_row({k: 1 for row in gamma for k in row}, "==", 1)
+    columns: list[dict[int, int]] = [{} for _ in range(n * n)]  # A^T rows, times den
+    bound: dict[int, int] = {}
     for con in poly.constraints:
         y = prog.add_variable(free=True)
         for k, c in con.coeffs.items():
-            columns[k][y] = c
-        if con.rhs != 0:
+            columns[k][y] = c * den
+        if con.rhs:
             bound[y] = con.rhs
-    for i in range(len(leaves)):
-        for j in range(len(leaves)):
+    for i, own in enumerate(table):
+        for j, other in enumerate(table):
             coeffs = dict(columns[poly.var(i, j)])
-            for s in range(len(states)):
-                coeffs[gamma[i][s]] = table[i][s] - table[j][s]
-            prog.add_constraint(coeffs, ">=", 0)
-    prog.add_constraint(bound, "<=", 0)
+            for s, (u, v) in enumerate(zip(own, other)):
+                if u != v:
+                    coeffs[gamma[i][s]] = u - v
+            prog.add_row(coeffs, ">=", 0, den)
+    prog.add_row(bound, "<=", 0)
     return prog
 
 

@@ -137,6 +137,16 @@ def random_problem(
         return problem
 
 
+def random_family(rng: random.Random) -> m.DecisionProblem:
+    """A random problem whose payoffs are affine in one parameter ``t``."""
+    doc = m.problem_to_dict(random_problem(rng, max_leaves=4, max_rules=100))
+    doc["params"] = ["t"]
+    doc["utility"] = {
+        leaf: {s: f"{value} + {rng.randint(-3, 3)}*t" for s, value in row.items()}
+        for leaf, row in doc["utility"].items()}
+    return m.load_problem(json.dumps(doc))
+
+
 def complete_tree_doc(branching, n_states: int, seed: int) -> dict:
     """A problem document: a complete tree with ``branching[t]`` actions in
     period t, and payoffs drawn from the integers in [-5, 5]."""
@@ -253,6 +263,150 @@ def enumerated_obedience_optimum(problem: m.DecisionProblem, weights: dict) -> F
     sol = lp.solve(prog)
     assert sol.status == "optimal"
     return sol.value
+
+
+# ---------------------------------------------------------------------------
+# Programs written in Fractions (references for the integer row builders)
+# ---------------------------------------------------------------------------
+
+class FractionProgram:
+    """A program as `Fraction` rows: each a map from column to nonzero
+    coefficient, a sense and a right-hand side, with no integer form."""
+
+    def __init__(self) -> None:
+        self.variables: list[bool] = []
+        self.constraints: list[tuple[dict, str, Fraction]] = []
+        self.objective: dict = {}
+
+    def add_variable(self, free: bool = False) -> int:
+        self.variables.append(free)
+        return len(self.variables) - 1
+
+    def add_constraint(self, coeffs, sense: str, rhs) -> None:
+        self.constraints.append(
+            ({k: Fraction(c) for k, c in coeffs.items() if c != 0}, sense, Fraction(rhs)))
+
+    def set_objective(self, coeffs) -> None:
+        self.objective = {k: Fraction(c) for k, c in coeffs.items() if c != 0}
+
+
+def rational_rows(constraints) -> list[tuple[dict, str, Fraction]]:
+    """Integer rows (`lp.Constraint`), each over its denominator, as
+    `Fraction` rows like `FractionProgram`'s."""
+    return [({k: Fraction(c, con.den) for k, c in con.coeffs.items() if c}, con.sense,
+             Fraction(con.rhs, con.den)) for con in constraints]
+
+
+def reference_polytope_rows(problem: m.DecisionProblem) -> list[tuple[dict, str, Fraction]]:
+    """The deviation polytope's rows in `Fraction`s: row sums, then the
+    prefix-marginal equalities, in the order `lp` builds them."""
+    n = len(problem.leaves)
+    one = Fraction(1)
+    rows = [({i * n + j: one for j in range(n)}, "==", one) for i in range(n)]
+    for t in range(1, problem.periods):
+        classes = problem.prefix_classes(t)
+        for _, members in classes:
+            for a_i, a_k in zip(members, members[1:]):
+                for _, out_members in classes:
+                    coeffs = {a_i * n + j: one for j in out_members}
+                    coeffs.update((a_k * n + j, -one) for j in out_members)
+                    rows.append((coeffs, "==", Fraction(0)))
+    return rows
+
+
+def reference_dominance_program(problem: m.DecisionProblem, observed) -> FractionProgram:
+    """The dominance program of a sequence or a marginal, in `Fraction`s:
+    the polytope, then one gain row per (leaf, state) with a gain or a
+    level, sum_j D(i, j) (u(j, s) - u(i, s)) - level(i) >= 0."""
+    pay = problem.payoffs
+    n = len(problem.leaves)
+    prog = FractionProgram()
+    prog.variables = [False] * (n * n)
+    prog.constraints = reference_polytope_rows(problem)
+    if isinstance(observed, m.MarginalDistribution):
+        levels = {i: prog.add_variable(free=True) for i in range(n)}
+        objective = dict(zip(levels.values(), observed.weights))
+    else:
+        k = prog.add_variable(free=True)
+        levels = {problem.leaf_index[problem.sequence(observed)]: k}
+        objective = {k: Fraction(1)}
+    for i in range(n):
+        for s in range(len(problem.states)):
+            coeffs = {i * n + j: pay[j][s] - pay[i][s] for j in range(n)
+                      if pay[j][s] != pay[i][s]}
+            if i in levels:
+                coeffs[levels[i]] = Fraction(-1)
+            elif not coeffs:
+                continue
+            prog.add_constraint(coeffs, ">=", 0)
+    prog.set_objective(objective)
+    return prog
+
+
+def reference_obedience_program(problem: m.DecisionProblem) -> FractionProgram:
+    """The obedience program in `Fraction`s: gamma columns, their mass row,
+    one free y per polytope row, one row A^T y >= C(gamma) per leaf pair,
+    and b^T y <= 0."""
+    pay = problem.payoffs
+    poly_rows = reference_polytope_rows(problem)
+    n, width = len(problem.leaves), len(problem.states)
+    prog = FractionProgram()
+    gamma = [[prog.add_variable() for _ in range(width)] for _ in range(n)]
+    prog.add_constraint({k: 1 for row in gamma for k in row}, "==", 1)
+    columns: list[dict] = [{} for _ in range(n * n)]
+    bound = {}
+    for coeffs, _, rhs in poly_rows:
+        y = prog.add_variable(free=True)
+        for k, c in coeffs.items():
+            columns[k][y] = c
+        if rhs != 0:
+            bound[y] = rhs
+    for i in range(n):
+        for j in range(n):
+            coeffs = dict(columns[i * n + j])
+            for s in range(width):
+                coeffs[gamma[i][s]] = pay[i][s] - pay[j][s]
+            prog.add_constraint(coeffs, ">=", 0)
+    prog.add_constraint(bound, "<=", 0)
+    return prog
+
+
+# ---------------------------------------------------------------------------
+# Optimal value in Fractions (reference for the oracle's integer induction)
+# ---------------------------------------------------------------------------
+
+def reference_optimal_value(problem: m.DecisionProblem, prior, signal_seqs, kernel) -> Fraction:
+    """The best adapted strategy's value against prior * kernel, by
+    backward induction over signal prefixes in `Fraction` arithmetic."""
+    utab = dict(zip(problem.leaves, problem.payoffs))
+    weights = [[prior[s] * kernel[s][k] for s in range(len(problem.states))]
+               for k in range(len(signal_seqs))]
+    pad_leaf = {leaf.history: leaf for leaf in problem.leaves}
+
+    def terminal_mass(seq_ids, history) -> Fraction:
+        leaf = pad_leaf[history]
+        return sum((weights[k][s] * utab[leaf][s] for k in seq_ids
+                    for s in range(len(problem.states)) if weights[k][s] != 0), Fraction(0))
+
+    def groups_at(seq_ids, t):
+        groups: dict[str, list[int]] = {}
+        for k in seq_ids:
+            groups.setdefault(signal_seqs[k][t], []).append(k)
+        return groups.values()
+
+    def act(seq_ids, t, history) -> Fraction:
+        best = None
+        for a in problem.actions_at(history):
+            h2 = history + (a,)
+            if problem.is_terminal(h2):
+                value = terminal_mass(seq_ids, h2)
+            else:
+                value = sum((act(ids, t + 1, h2) for ids in groups_at(seq_ids, t)), Fraction(0))
+            if best is None or value > best:
+                best = value
+        return best
+
+    return sum((act(ids, 1, ()) for ids in groups_at(range(len(signal_seqs)), 0)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ def test_criterion_1_example1(example1):
     pull_back = example1.sequence("invest,pull_back")
     witness = rz.apparently_dominated(example1, pull_back)
     assert witness is not None and witness.margin == 1
-    assert an.max_rationalizable_probability(example1, pull_back) == F(2, 3)
+    assert rz.max_positive_marginal(example1, pull_back)[0] == F(2, 3)
 
 
 @criterion("2 (second example regressions)")
@@ -85,10 +85,10 @@ def test_criterion_2_example2(example2):
         assert rz.dominating_rule(inst, wx) is None, d
     for d in (F(4, 5), F(9, 10), F(19, 20), F(1)):
         inst = m.instantiate(example2, {"delta": d})
-        assert an.max_rationalizable_probability(inst, wx) == 3 - 2 / d, d
+        assert rz.max_positive_marginal(inst, wx)[0] == 3 - 2 / d, d
     for d in (F(1, 2), F(3, 4)):
         inst = m.instantiate(example2, {"delta": d})
-        assert an.max_rationalizable_probability(inst, wx) == 0, d
+        assert rz.max_positive_marginal(inst, wx)[0] == 0, d
     iset = an.identified_set(example2, wx, "delta", 0, 1, tolerance=F(1, 1024))
     gaps = [iv for iv in iset.intervals if iv[2] == "gap"]
     assert len(gaps) == 1
@@ -104,7 +104,7 @@ def test_criterion_3_example3(example3):
                        (F(5), F(3), F(2, 3))):
         assert 0 < c < R < 2 * c
         inst = m.instantiate(example3, {"R": R, "c": c})
-        got = an.max_rationalizable_probability(inst, inst.sequence("effort,effort"))
+        got = rz.max_positive_marginal(inst, inst.sequence("effort,effort"))[0]
         assert got == want, (R, c)
 
 

@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction as F
 
@@ -10,26 +9,32 @@ from dynrat import lp
 from dynrat import model as m
 from dynrat import rationalize as rz
 
-from conftest import random_convex_increasing, random_joint, random_marginal, random_problem
+from conftest import (
+    random_convex_increasing,
+    random_family,
+    random_joint,
+    random_marginal,
+    random_problem,
+)
 
 
 def test_max_probability_examples(example1, example2, example3):
-    assert an.max_rationalizable_probability(
-        example1, example1.sequence("invest,pull_back")) == F(2, 3)
+    assert rz.max_positive_marginal(
+        example1, example1.sequence("invest,pull_back"))[0] == F(2, 3)
     for d, want in [("4/5", F(1, 2)), ("9/10", F(7, 9)), ("19/20", F(17, 19)),
                     ("1", F(1)), ("1/2", F(0)), ("3/4", F(0))]:
         inst = m.instantiate(example2, {"delta": d})
-        assert an.max_rationalizable_probability(inst, inst.sequence("w,x")) == want
+        assert rz.max_positive_marginal(inst, inst.sequence("w,x"))[0] == want
     for R, c, want in [("3", "2", F(1, 2)), ("7/2", "2", F(3, 4)), ("5", "3", F(2, 3))]:
         inst = m.instantiate(example3, {"R": R, "c": c})
-        assert an.max_rationalizable_probability(
-            inst, inst.sequence("effort,effort")) == want
+        assert rz.max_positive_marginal(
+            inst, inst.sequence("effort,effort"))[0] == want
 
 
 def test_max_probability_extremes(example1):
     # probability one exactly when no lottery beats the sequence uniformly
-    assert an.max_rationalizable_probability(example1, example1.sequence("not_invest")) == 1
-    assert an.max_rationalizable_probability(example1, example1.sequence("invest,invest")) == 1
+    assert rz.max_positive_marginal(example1, example1.sequence("not_invest"))[0] == 1
+    assert rz.max_positive_marginal(example1, example1.sequence("invest,invest"))[0] == 1
 
 
 def test_max_probability_zero_iff_truly_dominated():
@@ -38,7 +43,7 @@ def test_max_probability_zero_iff_truly_dominated():
     for _ in range(25):
         p = random_problem(rng, max_rules=200)
         for leaf in p.leaves:
-            value = an.max_rationalizable_probability(p, leaf)
+            value = rz.max_positive_marginal(p, leaf)[0]
             assert (value == 0) == (rz.dominating_rule(p, leaf) is not None)
             assert (value == 1) == (rz.apparently_dominated(p, leaf) is None)
             zero_seen |= value == 0
@@ -50,7 +55,7 @@ def test_waiting_probability_formula(example2):
     # computed ceiling equals (3 - 2/d) beyond 4/5, zero before
     for d in (F(1, 10), F(2, 5), F(79, 100), F(4, 5), F(17, 20), F(9, 10), F(99, 100), F(1)):
         inst = m.instantiate(example2, {"delta": d})
-        got = an.max_rationalizable_probability(inst, inst.sequence("w,x"))
+        got = rz.max_positive_marginal(inst, inst.sequence("w,x"))[0]
         want = (3 - 2 / d) if d >= F(4, 5) else F(0)
         assert got == want
 
@@ -262,8 +267,9 @@ def test_identified_set_serialization(example2):
 # ---------------------------------------------------------------------------
 
 def fresh_identified_set(family, observation, param, lo, hi, tolerance, grid_points):
-    """The sweep without carried certificates: every sample decided afresh
-    by `dominating_rule`, with the same grid and bisection."""
+    """The sweep without carried certificates or galloping: every sample
+    decided afresh by `dominating_rule` (a fresh `rationalize.certificate`),
+    with the same grid and bisection."""
     def test(point):
         return rz.dominating_rule(m.instantiate(family, {param: point}), observation) is None
 
@@ -289,17 +295,11 @@ def fresh_identified_set(family, observation, param, lo, hi, tolerance, grid_poi
     return tuple(intervals)
 
 
-def random_family(rng: random.Random) -> m.DecisionProblem:
-    """A random problem whose payoffs are affine in one parameter ``t``."""
-    doc = m.problem_to_dict(random_problem(rng, max_leaves=4, max_rules=100))
-    doc["params"] = ["t"]
-    doc["utility"] = {
-        leaf: {s: f"{value} + {rng.randint(-3, 3)}*t" for s, value in row.items()}
-        for leaf, row in doc["utility"].items()}
-    return m.load_problem(json.dumps(doc))
-
-
-def test_carried_certificates_keep_every_interval(example2, example3):
+def test_carried_certificates_keep_every_interval(example2, example3, monkeypatch):
+    # equal intervals mean every grid and bisection verdict is the fresh
+    # one: a grid point lies in an "in" or "out" piece (perhaps of zero
+    # width), and one differing bisection verdict would move a bracket to
+    # the other half, so the gap would not come out the same
     rng = random.Random(23)
     cases = []
     for _ in range(14):
@@ -307,22 +307,38 @@ def test_carried_certificates_keep_every_interval(example2, example3):
         probe = m.instantiate(family, {"t": 0})
         for observation in (rng.choice(probe.leaves), random_marginal(rng, probe),
                             random_joint(rng, probe)):
-            cases.append((family, observation, "t", F(-2), F(2), {}))
+            cases.append((family, observation, "t", F(-2), F(2), {}, 9))
+    # longer grids, where galloping leaves points unchecked
+    for _ in range(6):
+        family = random_family(rng)
+        probe = m.instantiate(family, {"t": 0})
+        for observation in (rng.choice(probe.leaves), random_marginal(rng, probe),
+                            random_joint(rng, probe)):
+            cases.append((family, observation, "t", F(-3), F(3), {}, 17))
     probe2 = m.instantiate(example2, {"delta": 1})
     for observation in (probe2.sequence("w,x"),
                         m.MarginalDistribution.from_mapping(probe2, {"w,x": "3/4", "w,y": "1/4"}),
                         m.JointDistribution.from_mapping(
                             probe2, {("w,x", "X"): "1/2", ("w,y", "Y"): "1/2"})):
-        cases.append((example2, observation, "delta", F(0), F(1), {}))
+        cases.append((example2, observation, "delta", F(0), F(1), {}, 9))
     probe3 = m.instantiate(example3, {"R": 4, "c": 1})
     for leaf in probe3.leaves:
-        cases.append((example3, leaf, "c", F(0), F(8), {"R": 4}))
-    flips = set()
-    for family, observation, param, lo, hi, fixed in cases:
+        cases.append((example3, leaf, "c", F(0), F(8), {"R": 4}, 9))
+    pins = []
+    substitute = an.substitute_params
+    monkeypatch.setattr(an, "substitute_params", lambda problem, point: (
+        pins.append(point) or substitute(problem, point)))
+    flips, unchecked = set(), 0
+    for family, observation, param, lo, hi, fixed, grid_points in cases:
+        del pins[:]
         got = an.identified_set(family, observation, param, lo, hi, tolerance=F(1, 64),
-                                grid_points=9, fixed=fixed or None)
+                                grid_points=grid_points, fixed=fixed or None)
+        swept = [point[param] for point in pins if param in point]
+        assert len(swept) == len(set(swept))  # no point is pinned twice
+        step = (hi - lo) / (grid_points - 1)
+        unchecked += len({lo + i * step for i in range(grid_points)} - set(swept))
         pinned = m.substitute_params(family, {k: F(v) for k, v in fixed.items()})
-        want = fresh_identified_set(pinned, observation, param, lo, hi, F(1, 64), 9)
+        want = fresh_identified_set(pinned, observation, param, lo, hi, F(1, 64), grid_points)
         assert got.intervals == want
         tags = [tag for _, _, tag in want if tag != "gap"]
         kind = type(observation).__name__
@@ -332,6 +348,7 @@ def test_carried_certificates_keep_every_interval(example2, example3):
     # marginal data a law from an "in" stretch at the start of an "out" one
     for kind in ("ActionSequence", "MarginalDistribution", "JointDistribution"):
         assert {(kind, "out", "in"), (kind, "in", "out")} <= flips
+    assert unchecked > 100
 
 
 def test_sweep_reuses_certificates(example2, monkeypatch):
@@ -408,7 +425,8 @@ def test_sweep_builds_each_tree_piece_once(example2, monkeypatch):
         del builds[:], points[:]
         an.identified_set(family, observation, "delta", 0, 1)
         # one build at most per family, however many points the sweep tests
-        assert piece in builds and len(builds) == len(set(builds)) and len(points) > 30
+        # (the galloping grid scan and the bisection pin 18 to 20 points here)
+        assert piece in builds and len(builds) == len(set(builds)) and len(points) > 15
         assert "problem" not in builds
 
 

@@ -35,6 +35,15 @@ def test_is_adapted_investment_examples(example1):
     assert dv.is_adapted(example1, cautious)
 
 
+def test_kernel_matrix_refuses_floats_and_bools(example1):
+    # a kernel given as a matrix reads its entries as a mapping's are read
+    for entry in (0.5, True):
+        with pytest.raises(m.ParseError):
+            dv.DeviationRule.from_mapping(example1, [[entry, 1 - entry, 0], [0, 1, 0], [0, 0, 1]])
+    rule = dv.DeviationRule.from_mapping(example1, [["1/2", "1/2", 0], [0, 1, 0], [0, 0, 1]])
+    assert rule.matrix[0] == (F(1, 2), F(1, 2), 0)
+
+
 def test_is_adapted_hedge_example(example2):
     hedge = {"w,x": {"x": "1/2", "y": "1/2"}, "w,y": {"x": "1/2", "y": "1/2"},
              "x": "y", "y": "y"}

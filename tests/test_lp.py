@@ -30,6 +30,33 @@ def test_single_variable_box():
     assert len(prog.constraints) == 1 and prog.objective == {x: 1}
 
 
+def test_add_row_takes_integers_over_a_positive_denominator():
+    # x/2 + y/4 <= 3/4 as integers over 4: the row add_constraint makes from
+    # the same rationals (dropping the zero), solved alike
+    rows = L.LinearProgram([False, False, False])
+    rows.add_row({0: 2, 1: 1}, "<=", 3, 4)
+    parsed = L.LinearProgram([False, False, False])
+    parsed.add_constraint({0: "1/2", 1: F(1, 4), 2: 0}, "<=", "3/4")
+    assert rows.constraints == parsed.constraints == [L.Constraint({0: 2, 1: 1}, "<=", 3, 4)]
+    for prog in (rows, parsed):
+        prog.set_objective({0: 1, 1: 1})
+    sol = L.solve(rows)
+    assert sol == L.solve(parsed) and sol.value == 3 and sol.duals == (4,)
+    assert L.check_duals(rows, sol)
+    # an undeclared column, a bad sense and a denominator that is not a
+    # positive integer are refused, and no row is added
+    for coeffs, sense, den, match in (({0: 1, 3: 1}, "<=", 1, "undeclared column 3"),
+                                      ({-1: 1}, "<=", 1, "undeclared column -1"),
+                                      ({0: 1}, "<", 1, "bad constraint sense"),
+                                      ({0: 1}, "<=", 0, "positive integer denominator"),
+                                      ({0: 1}, "<=", -3, "positive integer denominator"),
+                                      ({0: 1}, "<=", F(2), "positive integer denominator"),
+                                      ({0: 1}, "<=", True, "positive integer denominator")):
+        with pytest.raises(m.ValidationError, match=match):
+            rows.add_row(coeffs, sense, 1, den)
+    assert len(rows.constraints) == 1
+
+
 def test_symmetric_binding():
     prog = L.LinearProgram()
     x, y = prog.add_variable(), prog.add_variable()
@@ -373,15 +400,21 @@ def test_fractional_boxes_match_vertex_enumeration():
 
 # -- the integer checks against plain Fraction arithmetic ---------------------
 
+def _rational(con):
+    """A program row's coefficients and right-hand side as `Fraction`s."""
+    return {k: F(c, con.den) for k, c in con.coeffs.items()}, F(con.rhs, con.den)
+
+
 def _fraction_violations(prog, assignment):
     """What a plain-`Fraction` check finds wrong with ``assignment``: the
     nonnegative columns it makes negative and the rows it violates."""
     bad = [("sign", k) for k, (x, free) in enumerate(zip(assignment, prog.variables))
            if not free and x < 0]
     for r, con in enumerate(prog.constraints):
-        lhs = sum((c * assignment[k] for k, c in con.coeffs.items()), F(0))
-        if con.sense == "<=" and lhs > con.rhs or con.sense == ">=" and lhs < con.rhs or (
-                con.sense == "==" and lhs != con.rhs):
+        coeffs, rhs = _rational(con)
+        lhs = sum((c * assignment[k] for k, c in coeffs.items()), F(0))
+        if con.sense == "<=" and lhs > rhs or con.sense == ">=" and lhs < rhs or (
+                con.sense == "==" and lhs != rhs):
             bad.append(("row", r))
     return bad
 
@@ -394,8 +427,9 @@ def _fraction_duals_certify(prog, sol):
         if (con.sense == "<=" and y < 0) or (con.sense == ">=" and y > 0):
             return False
         if y:
-            bound += y * con.rhs
-            for k, c in con.coeffs.items():
+            coeffs, rhs = _rational(con)
+            bound += y * rhs
+            for k, c in coeffs.items():
                 reduced[k] = reduced.get(k, 0) - y * c
     for k, free in enumerate(prog.variables):
         d = reduced.get(k, 0)
@@ -417,7 +451,8 @@ def _rescaled(prog, rng):
     out = L.LinearProgram(list(prog.variables))
     for con in prog.constraints:
         f = factor()
-        out.add_constraint({k: c * f for k, c in con.coeffs.items()}, con.sense, con.rhs * f)
+        coeffs, rhs = _rational(con)
+        out.add_constraint({k: c * f for k, c in coeffs.items()}, con.sense, rhs * f)
     f = factor()
     out.set_objective({k: c * f for k, c in prog.objective.items()})
     return out

@@ -199,6 +199,15 @@ def test_problem_round_trip(example2, example3):
         assert again.param_names == problem.param_names
 
 
+def test_affine_make_refuses_floats_and_bools():
+    # every number goes through parse_rational: no float or bool is read as
+    # a binary fraction or as 1
+    for constant, coeffs in ((0.1, {}), (True, {}), (0, {"x": 0.5}), (0, {"x": True})):
+        with pytest.raises(m.ParseError):
+            m.AffineExpr.make(constant, coeffs)
+    assert m.AffineExpr.make("1/2", {"x": 0, "a": F(3)}) == m.AffineExpr(F(1, 2), (("a", F(3)),))
+
+
 def test_affine_parse_forms():
     expr = m.parse_affine("R - 2*c", ("R", "c"))
     assert expr.constant == 0

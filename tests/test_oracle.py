@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -13,6 +14,7 @@ from conftest import (
     exhaustive_optimal_value,
     random_joint,
     random_problem,
+    reference_optimal_value,
 )
 
 
@@ -181,6 +183,45 @@ def test_verify_obedient_optimality_one_leaf():
     one = m.load_problem(json.dumps(doc))
     triple = rz.ObedientTriple(one.leaves, one.states, (F(1),), ((F(1),),))
     assert oc.verify_obedient_optimality(one, triple)
+
+
+def _probabilities(rng, n):
+    raw = [rng.randint(0, 4) for _ in range(n)]
+    if not any(raw):
+        raw[rng.randrange(n)] = 1
+    return tuple(F(x, sum(raw)) for x in raw)
+
+
+def test_integer_induction_matches_the_fraction_recursion():
+    # the oracle's induction in integers gives the Fraction recursion's
+    # value, against product-space signals and against a triple's
+    # recommendations, obedient or not; priors may put zero on a state
+    rng = random.Random(53)
+    outcomes = []
+    for _ in range(30):
+        p = random_problem(rng, max_rules=200)
+        sets = tuple(tuple(f"t{t}{i}" for i in range(rng.randint(1, 2)))
+                     for t in range(p.periods))
+        n_seq = math.prod(map(len, sets))
+        structure = oc.InformationStructure(
+            p.states, _probabilities(rng, len(p.states)), sets,
+            tuple(_probabilities(rng, n_seq) for _ in p.states))
+        assert oc.optimal_value_dp(p, structure) == reference_optimal_value(
+            p, structure.prior, structure.sequences, structure.kernel)
+        triples = [rz.ObedientTriple(p.leaves, p.states, _probabilities(rng, len(p.states)),
+                                     tuple(_probabilities(rng, len(p.leaves)) for _ in p.states))]
+        verdict = rz.decide(p, random_joint(rng, p))
+        if verdict.rationalizable:
+            triples.append(verdict.witness)
+        for triple in triples:
+            obeyed = sum((q * w * m.utility(p, a, s)
+                          for q, row, s in zip(triple.prior, triple.recommendation, p.states)
+                          for a, w in zip(p.leaves, row)), F(0))
+            best = reference_optimal_value(p, triple.prior, [a.entries for a in p.leaves],
+                                           triple.recommendation)
+            outcomes.append(oc.verify_obedient_optimality(p, triple))
+            assert outcomes[-1] == (obeyed == best)
+    assert True in outcomes and False in outcomes
 
 
 def test_brute_force_examples(example1):

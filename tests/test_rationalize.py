@@ -7,7 +7,17 @@ from dynrat import model as m
 from dynrat import oracle as oc
 from dynrat import rationalize as rz
 
-from conftest import enumerated_obedience_optimum, random_joint, random_marginal, random_problem
+from conftest import (
+    enumerated_obedience_optimum,
+    random_family,
+    random_joint,
+    random_marginal,
+    random_problem,
+    rational_rows,
+    reference_dominance_program,
+    reference_obedience_program,
+    reference_polytope_rows,
+)
 
 
 def knife_edge_joint(example1):
@@ -280,3 +290,38 @@ def test_witnesses_are_sound_on_random_instances():
             assert oc.verify_obedient_optimality(p, verdict.witness)
         else:
             assert dv.dominates_sequence(p, verdict.witness, leaf)
+
+
+def test_integer_rows_equal_the_fraction_builders(example2):
+    # the dominance and obedience programs and the polytope, written in
+    # integers, hold the Fraction builders' rows: the same columns, row
+    # order, senses and rational values, on random problems and on pinned
+    # sweep points (whose payoffs come from the family's affine table)
+    rng = random.Random(41)
+    problems = [random_problem(rng, max_rules=200) for _ in range(12)]
+    for _ in range(4):
+        family = random_family(rng)
+        problems += [m.substitute_params(family, {"t": F(rng.randint(-9, 9), rng.randint(1, 4))})
+                     for _ in range(3)]
+    problems += [m.substitute_params(example2, {"delta": d}) for d in (F(0), F(4, 5), F(31, 32))]
+    for p in problems:
+        poly = lp.deviation_polytope_constraints(p)
+        assert rational_rows(poly.constraints) == reference_polytope_rows(p)
+        for observed in (rng.choice(p.leaves), random_marginal(rng, p)):
+            prog, gain_rows = rz._dominance_program(p, observed)
+            ref = reference_dominance_program(p, observed)
+            assert rational_rows(prog.constraints) == ref.constraints
+            assert prog.variables == ref.variables and prog.objective == ref.objective
+            assert [r for r, _, _ in gain_rows] == list(range(len(poly.constraints),
+                                                             len(prog.constraints)))
+            # rows over the payoffs' denominator, not in lowest terms, solve
+            # as the same rows put over their own lcm: the same pivots,
+            # optimum and duals
+            over_lcm = lp.LinearProgram(list(ref.variables))
+            for coeffs, sense, rhs in ref.constraints:
+                over_lcm.add_constraint(coeffs, sense, rhs)
+            over_lcm.set_objective(ref.objective)
+            assert lp.solve(prog) == lp.solve(over_lcm)
+        prog, ref = rz._obedience_program(p), reference_obedience_program(p)
+        assert rational_rows(prog.constraints) == ref.constraints
+        assert prog.variables == ref.variables

@@ -76,8 +76,7 @@ def test_constant_payoffs_make_everything_rationalizable():
     for leaf in flat.leaves:
         assert rz.dominating_rule(flat, leaf) is None
         assert rz.apparently_dominated(flat, leaf) is None
-        from dynrat.analysis import max_rationalizable_probability
-        assert max_rationalizable_probability(flat, leaf) == 1
+        assert rz.max_positive_marginal(flat, leaf)[0] == 1
     marginal = m.MarginalDistribution.from_mapping(
         flat, {leaf: F(1, 3) for leaf in flat.leaves})
     assert rz.dominating_rule(flat, marginal) is None
