@@ -10,12 +10,13 @@ observation; `dominates` picks the one that matches.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .model import (
     ActionSequence,
@@ -154,6 +155,9 @@ class DeviationRule:
         n = len(self.leaves)
         if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
             raise ValidationError("deviation rule matrix shape mismatch")
+        self._check_rows()
+
+    def _check_rows(self) -> None:
         rows, den = self.integer_rows
         for row in rows:
             _require_probability_numerators([x for _, x in row], den, "deviation rule row")
@@ -164,10 +168,37 @@ class DeviationRule:
     @cached_property
     def integer_rows(self) -> tuple[list[list[tuple[int, int]]], int]:
         """``(rows, den)``: each row's nonzero entries as (column, numerator)
-        pairs over one denominator ``den``."""
+        pairs over one denominator ``den``, the least one."""
         nums, den = _over_lcm([w for row in self.matrix for w in row])
         n = len(self.matrix)
         return [[(j, x) for j, x in enumerate(nums[i:i + n]) if x] for i in range(0, n * n, n)], den
+
+    @staticmethod
+    def from_integer_rows(leaves: tuple[ActionSequence, ...],
+                          rows: Sequence[Sequence[tuple[int, int]]], den: int) -> "DeviationRule":
+        """The rule whose row i has the nonzero entries ``rows[i]``, as
+        (column, numerator) pairs over ``den``, checked like any other; its
+        `matrix` is built only when it is read."""
+        n = len(leaves)
+        if len(rows) != n or den <= 0 or any(not 0 <= j < n for row in rows for j, _ in row):
+            raise ValidationError("deviation rule matrix shape mismatch")
+        g = math.gcd(den, *(x for row in rows for _, x in row))
+        rule = object.__new__(DeviationRule)
+        rule.__dict__.update(leaves=leaves, integer_rows=(
+            [[(j, x // g) for j, x in row if x] for row in rows], den // g))
+        rule._check_rows()
+        return rule
+
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup fails: a rule built by
+        # `from_integer_rows` builds its matrix when it is first read.
+        if name != "matrix" or "integer_rows" not in self.__dict__:
+            raise AttributeError(name)
+        rows, den = self.integer_rows
+        n = len(rows)
+        self.__dict__[name] = matrix = tuple(
+            tuple(Fraction(row.get(j, 0), den) for j in range(n)) for row in map(dict, rows))
+        return matrix
 
     @staticmethod
     def from_mapping(problem: DecisionProblem, kernel) -> "DeviationRule":
@@ -230,14 +261,9 @@ class PureDeviationRule:
         return PureDeviationRule(problem.leaves, tuple(moves[a] for a in problem.leaves))
 
     def to_rule(self) -> DeviationRule:
-        n = len(self.leaves)
         index = {leaf: i for i, leaf in enumerate(self.leaves)}
-        matrix = []
-        for out in self.outputs:
-            row = [Fraction(0)] * n
-            row[index[out]] = Fraction(1)
-            matrix.append(tuple(row))
-        return DeviationRule(self.leaves, tuple(matrix))
+        return DeviationRule.from_integer_rows(
+            self.leaves, [[(index[out], 1)] for out in self.outputs], 1)
 
     def to_json_dict(self) -> dict:
         return {a.label: b.label for a, b in zip(self.leaves, self.outputs)}
@@ -293,9 +319,10 @@ def _require_joint_shape(problem: DecisionProblem, joint: JointDistribution) -> 
 
 def best_joint_deviation(
     problem: DecisionProblem, joint: JointDistribution
-) -> tuple[Fraction, PureDeviationRule]:
-    """The most any adapted rule gains on average under ``joint``, and a pure
-    rule that gains it, by backward induction with no LP.
+) -> tuple[Fraction, Callable[[], PureDeviationRule]]:
+    """The most any adapted rule gains on average under ``joint``, by
+    backward induction with no LP, and a function that builds a pure rule
+    that gains it, so a caller that reads the gain alone builds no rule.
 
     A rule's output prefix may depend on the recommended (input) prefix, so
     the best rule is a best response to that prefix as a signal: over aligned
@@ -336,8 +363,6 @@ def best_joint_deviation(
             total += best
         return total
 
-    outputs: dict[tuple[str, ...], ActionSequence] = {}
-
     def follow(h: tuple[str, ...], g: tuple[str, ...]) -> None:
         if len(h) == periods:
             outputs[h] = ActionSequence(g)
@@ -345,9 +370,12 @@ def best_joint_deviation(
         for hc in kids[h]:
             follow(hc, choice.get((hc, g)) or kids[g][0])
 
+    def rule() -> PureDeviationRule:
+        follow((), ())
+        return PureDeviationRule(problem.leaves, tuple(outputs[b.entries] for b in problem.leaves))
+
+    outputs: dict[tuple[str, ...], ActionSequence] = {}
     gain = value((), ()) - sum(sum(x * y for x, y in zip(row, pay[a])) for a, row in mass.items())
-    follow((), ())
-    rule = PureDeviationRule(problem.leaves, tuple(outputs[b.entries] for b in problem.leaves))
     return Fraction(gain, wden * uden), rule
 
 

@@ -25,7 +25,7 @@ rationals a `Fraction` tableau would hold, so the pivot sequence does not
 depend on the representation.  The checks put the assignment or the duals
 over one common denominator and compare integer dot products with each
 row's own numerators.  `Fraction`s appear only in the objective, in the
-data `add_constraint` converts, and in the values of an `LpSolution`.
+data `add_constraint` converts, and in an `LpSolution`'s value.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .model import DecisionProblem, ValidationError, _over_lcm, parse_rational
 
@@ -119,16 +119,36 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """``assignment`` holds one value per column and ``duals`` one multiplier
-    per entry of the program's ``constraints`` when the status is optimal:
-    nonnegative on ``<=`` rows, nonpositive on ``>=`` rows, free on ``==``
-    rows (see `check_duals`)."""
+    """``integer_assignment`` holds one value per column and
+    ``integer_duals`` one multiplier per entry of the program's
+    ``constraints`` when the status is optimal, each as ``(numerators,
+    den)`` in lowest terms: nonnegative on ``<=`` rows, nonpositive on
+    ``>=`` rows, free on ``==`` rows (see `check_duals`).  `assignment` and
+    `duals` read them as `Fraction`s."""
 
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Optional[Fraction]
-    assignment: Optional[tuple[Fraction, ...]]
     pivots: int
-    duals: Optional[tuple[Fraction, ...]] = None
+    integer_assignment: Optional[tuple[tuple[int, ...], int]] = None
+    integer_duals: Optional[tuple[tuple[int, ...], int]] = None
+
+    @property
+    def assignment(self) -> Optional[tuple[Fraction, ...]]:
+        return _fractions(self.integer_assignment)
+
+    @property
+    def duals(self) -> Optional[tuple[Fraction, ...]]:
+        return _fractions(self.integer_duals)
+
+
+def _fractions(over: Optional[tuple[tuple[int, ...], int]]) -> Optional[tuple[Fraction, ...]]:
+    return None if over is None else tuple(Fraction(x, over[1]) for x in over[0])
+
+
+def _lowest(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """``nums / den`` (``den > 0``) over the least positive denominator."""
+    g = math.gcd(den, *nums)
+    return tuple(x // g for x in nums), den // g
 
 
 def check_solution(lp: LinearProgram, assignment: Sequence[Fraction]) -> bool:
@@ -167,13 +187,15 @@ def check_duals(lp: LinearProgram, sol: LpSolution) -> bool:
     each y has its row's sign, that d <= 0 on nonnegative columns and d = 0
     on free ones, and that b^T y equals the value.  Then every feasible x
     has c^T x = d^T x + y^T A x <= b^T y, so an assignment reaching the
-    value is optimal.  The duals go over one common denominator, and the
+    value is optimal.  The duals come over one common denominator, and the
     objective and the rows with a nonzero dual over one lcm of theirs, so
     d and b^T y are checked as integers at one positive scale.
     """
-    if sol.duals is None or len(sol.duals) != len(lp.constraints) or sol.value is None:
+    if sol.integer_duals is None or sol.value is None:
         return False
-    ys, yden = _over_lcm(sol.duals)
+    ys, yden = sol.integer_duals
+    if len(ys) != len(lp.constraints) or yden <= 0:
+        return False
     used = [(con, y) for con, y in zip(lp.constraints, ys) if y]
     for con, y in used:
         if (con.sense == "<=" and y < 0) or (con.sense == ">=" and y > 0):
@@ -242,8 +264,8 @@ class _Solver:
     current value there, so pivots and pricing apply one integer update to
     every row alike.  The basic column of a constraint row has entry exactly
     1 (``nums[b] == den``).  An optimum's assignment is checked against the
-    program, and its value against c^T x, in integers; they and the duals
-    become `Fraction`s only when they are returned.
+    program, and its value against c^T x, in integers, and both it and the
+    duals are returned as integers.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -380,7 +402,7 @@ class _Solver:
 
     def solve(self) -> LpSolution:
         if self.infeasible_row:
-            return LpSolution("infeasible", None, None, self.pivots)
+            return LpSolution("infeasible", None, self.pivots)
 
         if any(self.artificial[b] for b in self.basis):
             p1_row = [[-1 if a else 0 for a in self.artificial] + [0], 1]
@@ -388,12 +410,12 @@ class _Solver:
             status = self._run(p1_row, [self.obj], phase1=True)
             assert status == "optimal"  # phase-1 objective is bounded above by 0
             if p1_row[0][-1] != 0:
-                return LpSolution("infeasible", None, None, self.pivots)
+                return LpSolution("infeasible", None, self.pivots)
             self._drop_artificials([p1_row, self.obj])
 
         status = self._run(self.obj, [], phase1=False)
         if status == "unbounded":
-            return LpSolution("unbounded", None, None, self.pivots)
+            return LpSolution("unbounded", None, self.pivots)
 
         # Basic values over one common denominator: xs[k] / xden is column
         # k's value.
@@ -413,18 +435,14 @@ class _Solver:
         cx = sum(c * xs[k] for k, c in zip(self.lp.objective, cs))
         if cx * obj_den != -obj_nums[-1] * cden * xden:  # pragma: no cover - solver bug
             raise RuntimeError("objective bookkeeping mismatch")
-        value = Fraction(-obj_nums[-1], obj_den)
-        assignment = tuple(Fraction(x, xden) for x in xs)
         # The objective row is c - y^T A over the internal rows, and a row's
         # starting basic column has entry 1 in that row alone, so the row's
         # multiplier is minus the objective row's entry there, times -1
         # again if the row was stored negated.  This holds for rows dropped
         # as redundant too.
-        duals = tuple(
-            Fraction(0) if rec is None else Fraction(-rec[1] * obj_nums[rec[0]], obj_den)
-            for rec in self.dual_cols
-        )
-        return LpSolution("optimal", value, assignment, self.pivots, duals)
+        ys = [0 if rec is None else -rec[1] * obj_nums[rec[0]] for rec in self.dual_cols]
+        return LpSolution("optimal", Fraction(-obj_nums[-1], obj_den), self.pivots,
+                          _lowest(xs, xden), _lowest(ys, obj_den))
 
     def _drop_artificials(self, objs: list) -> None:
         keep_rows = []
@@ -467,36 +485,40 @@ def solve(lp: LinearProgram) -> LpSolution:
 
 @dataclass(frozen=True)
 class DeviationPolytope:
-    """Reusable constraint block whose feasible set is exactly the deviation
-    rule kernels of a problem with ``n`` leaves: one nonnegative column per
+    """Constraint rows whose feasible set is exactly the deviation rule
+    kernels of a problem with ``n`` leaves: one nonnegative column per
     kernel entry, entry (i, j) in column i * n + j, row-sum equalities (which
     cap every entry at 1), and prefix-marginal equalities between inputs
-    that share a history."""
+    that share a history.  These never link inputs with different first
+    actions, so the rows split into ``blocks``, the inputs of each
+    first-period action."""
 
     n: int
     constraints: tuple[Constraint, ...]
+    blocks: tuple[tuple[int, ...], ...]
 
-    def install(self, lp: LinearProgram) -> None:
-        """Make the kernel entries the first n * n columns of an empty
-        ``lp`` and add the block's rows."""
-        if lp.variables:
-            raise ValidationError("the deviation polytope needs a program without columns")
-        lp.variables.extend([False] * (self.n * self.n))
-        lp.constraints.extend(self.constraints)
+    def inputs(self, leaves: Iterable[int]) -> tuple[int, ...]:
+        """The inputs of every block that holds one of ``leaves``."""
+        leaves = set(leaves)
+        return tuple(i for block in self.blocks if leaves.intersection(block) for i in block)
 
-    def var(self, i: int, j: int) -> int:
-        """The column of kernel entry (i, j)."""
-        return i * self.n + j
-
-    def extract_matrix(self, assignment: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], ...]:
+    def rows_on(self, inputs: Sequence[int]) -> tuple[Constraint, ...]:
+        """The rows of the blocks that ``inputs`` make up, in order, with
+        kernel entry (inputs[p], j) in column p * n + j."""
         n = self.n
-        return tuple(tuple(assignment[i * n:(i + 1) * n]) for i in range(n))
+        if len(inputs) == n:
+            return self.constraints
+        first = {i: p * n for p, i in enumerate(inputs)}
+        return tuple(
+            Constraint({first[k // n] + k % n: c for k, c in con.coeffs.items()},
+                       con.sense, con.rhs, con.den)
+            for con in self.constraints if next(iter(con.coeffs)) // n in first)
 
 
 def deviation_polytope_constraints(problem: DecisionProblem) -> DeviationPolytope:
     """The polytope's rows, in integers over 1: built once per tree (through
     `DecisionProblem.per_tree`) and shared, never changed, by every program
-    that installs them."""
+    that uses them."""
     n = len(problem.leaves)
     constraints = [Constraint(dict.fromkeys(range(i * n, i * n + n), 1), "==", 1)
                    for i in range(n)]
@@ -508,4 +530,5 @@ def deviation_polytope_constraints(problem: DecisionProblem) -> DeviationPolytop
                     coeffs = {a_i * n + j: 1 for j in out_members}
                     coeffs.update((a_k * n + j, -1) for j in out_members)
                     constraints.append(Constraint(coeffs, "==", 0))
-    return DeviationPolytope(n, tuple(constraints))
+    blocks = tuple(members for _, members in problem.prefix_classes(1))
+    return DeviationPolytope(n, tuple(constraints), blocks)

@@ -523,6 +523,32 @@ class JointDistribution:
         return _over_lcm([w for row in self.matrix for w in row])
 
     @staticmethod
+    def from_integer_cells(leaves: tuple[ActionSequence, ...], states: tuple[str, ...],
+                           cells: Sequence[int], den: int) -> "JointDistribution":
+        """The law with weights ``cells / den``, row after row, checked like
+        any other; its `matrix` is built only when it is read."""
+        if len(cells) != len(leaves) * len(states) or den <= 0:
+            raise ValidationError("joint distribution shape mismatch")
+        g = math.gcd(den, *cells)
+        law = object.__new__(JointDistribution)
+        law.__dict__.update(leaves=leaves, states=states,
+                            integer_cells=([x // g for x in cells], den // g))
+        _require_probability_numerators(*law.integer_cells, "joint distribution")
+        return law
+
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup fails: a law built by
+        # `from_integer_cells` builds its matrix when it is first read.
+        if name != "matrix" or "integer_cells" not in self.__dict__:
+            raise AttributeError(name)
+        cells, den = self.integer_cells
+        width = len(self.states)
+        self.__dict__[name] = matrix = tuple(
+            tuple(Fraction(x, den) for x in cells[k:k + width])
+            for k in range(0, len(cells), width))
+        return matrix
+
+    @staticmethod
     def from_mapping(problem: DecisionProblem, weights) -> "JointDistribution":
         """Build from ``{(leaf, state): q}`` or nested ``{leaf: {state: q}}``."""
         grid = [[Fraction(0)] * len(problem.states) for _ in problem.leaves]

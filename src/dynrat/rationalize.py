@@ -30,6 +30,11 @@ the three kinds of observation apart when it decides.  Strictness is
 decided by comparing the exact optimal gain against zero, never by epsilon.
 The obedience program, the same duality written from the information side,
 serves `maxprob` only.
+
+Both programs span only the first-action blocks that the data touch: a
+rule is adapted, so no polytope row links two blocks.  Elsewhere the
+identity rows are feasible and gain 0, so the optimum is the whole tree's;
+and a law is obedient if and only if its restriction to each block is.
 """
 
 from __future__ import annotations
@@ -206,32 +211,36 @@ def _checked(problem: DecisionProblem, rule: DeviationRule, observed: Observatio
 
 def _dominance_program(
     problem: DecisionProblem, observed: Union[ActionSequence, MarginalDistribution]
-) -> tuple[lpmod.LinearProgram, list[tuple[int, int, int]]]:
-    """The dominance program of an observed leaf or marginal, and its gain
-    rows as (row, leaf, state).
+) -> tuple[lpmod.LinearProgram, tuple[int, ...], list[tuple[int, int, int]]]:
+    """The dominance program of an observed leaf or marginal over the
+    first-action blocks it touches (the leaf's, or those with marginal
+    mass), their inputs, and its gain rows as (row, leaf, state).
 
-    The deviation polytope's rows come first.  Gain row (i, s) reads
-    sum_j D(i, j) (u(j, s) - u(i, s)) >= level(i), written straight from
-    `DecisionProblem.integer_payoffs` as the integers table[j][s] -
-    table[i][s], with level coefficient -den, over the table's
-    denominator den.  A row with neither a gain nor a level is left out.
+    The blocks' rows come first (`lp.DeviationPolytope.rows_on`).  Gain row
+    (i, s) reads sum_j D(i, j) (u(j, s) - u(i, s)) >= level(i), written
+    straight from `DecisionProblem.integer_payoffs` as the integers
+    table[j][s] - table[i][s], with level coefficient -den, over the
+    table's denominator den.  A row with neither a gain nor a level is left
+    out.  Every other input keeps its identity row, feasible with gain 0.
     """
     table, den = problem.integer_payoffs
     n = len(problem.leaves)
     poly = problem.per_tree(lpmod.deviation_polytope_constraints)
-    prog = lpmod.LinearProgram()
-    poly.install(prog)
-    if isinstance(observed, MarginalDistribution):
-        levels = {i: prog.add_variable(free=True) for i in range(n)}
-        prog.set_objective(dict(zip(levels.values(), observed.weights)))
+    marginal = isinstance(observed, MarginalDistribution)
+    inputs = poly.inputs([i for i, w in enumerate(observed.weights) if w] if marginal
+                         else [problem.leaf_index[observed]])
+    prog = lpmod.LinearProgram([False] * (len(inputs) * n), list(poly.rows_on(inputs)))
+    if marginal:
+        levels = {i: prog.add_variable(free=True) for i in inputs}
+        prog.set_objective({k: observed.weights[i] for i, k in levels.items()})
     else:
         k = prog.add_variable(free=True)
         levels = {problem.leaf_index[observed]: k}
         prog.set_objective({k: 1})
     columns = list(zip(*table))
     gain_rows = []
-    for i in range(n):
-        first = poly.var(i, 0)
+    for p, i in enumerate(inputs):
+        first = p * n
         for s, column in enumerate(columns):
             own = column[i]
             coeffs = {first + j: u - own for j, u in enumerate(column) if u != own}
@@ -241,88 +250,98 @@ def _dominance_program(
                 continue
             gain_rows.append((len(prog.constraints), i, s))
             prog.add_row(coeffs, ">=", 0, den)
-    return prog, gain_rows
+    return prog, inputs, gain_rows
 
 
 def _dominance(
     problem: DecisionProblem, observed: Observation
 ) -> Union[DeviationRule, JointDistribution]:
-    """Solve the dominance program of an observed sequence or marginal over
-    the deviation polytope (`_dominance_program`), and read its certificate.
+    """Solve the dominance program of an observed sequence or marginal
+    (`_dominance_program`), and read its certificate.
 
     * sequence a: maximize one level k that bounds a's gain from below in
       every state, while every other leaf's gain stays nonnegative.
     * marginal: one level per leaf, bounding its gain in every state;
       maximize the marginal-weighted sum of the levels.
 
-    A positive optimum yields the rule.  At value 0 the certificate is an
-    obedient joint law that induces the observation: the multipliers of the
-    gain rows ("the rule's gain at this leaf in this state is at least the
-    leaf's level"), negated and scaled to mass 1.  With g(i, s) minus the
-    multiplier of row (i, s), the polytope rows' multipliers y satisfy
-    A^T y >= C(g) and b^T y = 0 (C as in ``_obedience_program``), so no rule
-    gains on average under g.  The levels are free, so their reduced costs
-    are 0: g has mass exactly 1 on the observed sequence, or exactly the
-    observed marginal.
+    A positive optimum yields the rule, with identity rows outside the
+    touched blocks.  At value 0 the certificate is an obedient joint law
+    that induces the observation: the multipliers of the gain rows ("the
+    rule's gain at this leaf in this state is at least the leaf's level"),
+    negated and scaled to mass 1.  With g(i, s) minus the multiplier of row
+    (i, s), the polytope rows' multipliers y satisfy A^T y >= C(g) and
+    b^T y = 0 (C as in ``_obedience_program``), so no rule gains on average
+    under g on the touched blocks, the only ones where g has mass.  The
+    levels are free, so their reduced costs are 0: g has mass exactly 1 on
+    the observed sequence, or exactly the observed marginal.
     """
     if not isinstance(observed, MarginalDistribution):
         observed = problem.sequence(observed)
     leaves, states = problem.leaves, problem.states
-    prog, gain_rows = _dominance_program(problem, observed)
+    prog, inputs, gain_rows = _dominance_program(problem, observed)
     sol = lpmod.solve(prog)
     if sol.status != "optimal":  # pragma: no cover - identity rule is feasible, gains bounded
         raise InternalInconsistencyError(f"dominance program ended {sol.status}")
     if sol.value > 0:
-        poly = problem.per_tree(lpmod.deviation_polytope_constraints)
-        return _checked(problem, DeviationRule(leaves, poly.extract_matrix(sol.assignment)),
-                        observed)
+        xs, xden = sol.integer_assignment
+        n = len(leaves)
+        rows = [[(i, xden)] for i in range(n)]
+        for p, i in enumerate(inputs):
+            rows[i] = [(j, x) for j, x in enumerate(xs[p * n:p * n + n]) if x]
+        return _checked(problem, DeviationRule.from_integer_rows(leaves, rows, xden), observed)
     if not lpmod.check_duals(prog, sol):  # pragma: no cover - solver bug
         raise InternalInconsistencyError("dual certificate fails its check")
-    mass = [[Fraction(0)] * len(states) for _ in leaves]
+    ys, _ = sol.integer_duals
+    width = len(states)
+    cells = [0] * (len(leaves) * width)
     for r, i, s in gain_rows:
-        mass[i][s] = -sol.duals[r]
-    total = sum(map(sum, mass), Fraction(0))
-    return JointDistribution(leaves, states, tuple(tuple(g / total for g in row) for row in mass))
+        cells[i * width + s] = -ys[r]
+    return JointDistribution.from_integer_cells(leaves, states, cells, sum(cells))
 
 
 # ---------------------------------------------------------------------------
 # Obedience polytope (information side)
 # ---------------------------------------------------------------------------
 
-def _obedience_program(problem: DecisionProblem) -> lpmod.LinearProgram:
-    """The obedient joint laws gamma, in dual form over the rule polytope;
-    gamma(i, s) is column i * |states| + s.
+def _obedience_program(problem: DecisionProblem, inputs: tuple[int, ...]) -> lpmod.LinearProgram:
+    """The obedient joint laws gamma of mass at most 1 on the first-action
+    blocks that ``inputs`` make up, in dual form over their rows;
+    gamma(inputs[p], s) is column p * |states| + s.
 
     gamma is obedient iff no rule gains on average: max <C(gamma), D> <= 0
     over the deviation polytope {A D = b, D >= 0}, where C(gamma)[i][j] =
-    sum_s gamma(i, s) (u(j, s) - u(i, s)).  The identity rule is feasible, so
-    by LP duality this holds iff some free y has A^T y >= C(gamma) and
-    b^T y <= 0: one row per leaf pair plus one, with one y per polytope row,
-    so the program grows polynomially with the tree, unlike its pure rules.
-    Row (i, j) is written in integers over the payoff table's denominator
-    den: A's entries (integers over 1) times den, and table[i][s] -
-    table[j][s] from `DecisionProblem.integer_payoffs`.
+    sum_s gamma(i, s) (u(j, s) - u(i, s)).  The identity rule is feasible,
+    so by LP duality this holds iff some free y has A^T y >= C(gamma) and
+    b^T y <= 0: one row per (input, leaf) pair plus one, with one y per
+    polytope row of the blocks, so the program grows polynomially with the
+    tree, unlike its pure rules.  Row (i, j) is written in integers over
+    the payoff table's denominator den: A's entries (integers over 1) times
+    den, and table[i][s] - table[j][s] from
+    `DecisionProblem.integer_payoffs`.  The other rows are homogeneous, so
+    the mass row ``<= 1`` gives a positive maximum at mass 1, as ``== 1``
+    would, and blocks that host no obedient law stay feasible, at 0.
     """
     table, den = problem.integer_payoffs
     poly = problem.per_tree(lpmod.deviation_polytope_constraints)
     n, width = len(problem.leaves), len(problem.states)
     prog = lpmod.LinearProgram()
-    gamma = [[prog.add_variable() for _ in range(width)] for _ in range(n)]
-    prog.add_row({k: 1 for row in gamma for k in row}, "==", 1)
-    columns: list[dict[int, int]] = [{} for _ in range(n * n)]  # A^T rows, times den
+    gamma = [[prog.add_variable() for _ in range(width)] for _ in inputs]
+    prog.add_row({k: 1 for row in gamma for k in row}, "<=", 1)
+    columns: list[dict[int, int]] = [{} for _ in range(len(inputs) * n)]  # A^T rows, times den
     bound: dict[int, int] = {}
-    for con in poly.constraints:
+    for con in poly.rows_on(inputs):
         y = prog.add_variable(free=True)
         for k, c in con.coeffs.items():
             columns[k][y] = c * den
         if con.rhs:
             bound[y] = con.rhs
-    for i, own in enumerate(table):
+    for p, i in enumerate(inputs):
+        own = table[i]
         for j, other in enumerate(table):
-            coeffs = dict(columns[poly.var(i, j)])
+            coeffs = dict(columns[p * n + j])
             for s, (u, v) in enumerate(zip(own, other)):
                 if u != v:
-                    coeffs[gamma[i][s]] = u - v
+                    coeffs[gamma[p][s]] = u - v
             prog.add_row(coeffs, ">=", 0, den)
     prog.add_row(bound, "<=", 0)
     return prog
@@ -334,20 +353,28 @@ def max_positive_marginal(
     """Maximize the probability of ``a`` over all obedient joint laws.
 
     Returns the exact maximum and a maximizing joint law (None when the
-    maximum is zero, i.e. ``a`` never occurs under obedient behavior).
+    maximum is zero, i.e. ``a`` never occurs under obedient behavior).  An
+    obedient law's restriction to ``a``'s block, scaled to mass 1, is
+    obedient and gives ``a`` no less, so that block's program suffices.
     """
     a = problem.sequence(a)
-    prog = _obedience_program(problem)
+    poly = problem.per_tree(lpmod.deviation_polytope_constraints)
+    inputs = poly.inputs([problem.leaf_index[a]])
+    prog = _obedience_program(problem, inputs)
     width = len(problem.states)
-    first = problem.leaf_index[a] * width
+    first = inputs.index(problem.leaf_index[a]) * width
     prog.set_objective(dict.fromkeys(range(first, first + width), 1))
     sol = lpmod.solve(prog)
-    if sol.status != "optimal":  # pragma: no cover - polytope is never empty
+    if sol.status != "optimal":  # pragma: no cover - gamma = 0 is feasible, mass bounded
         raise InternalInconsistencyError(f"obedience program ended {sol.status}")
     if sol.value <= 0:
         return Fraction(0), None
-    return sol.value, JointDistribution(problem.leaves, problem.states, tuple(
-        sol.assignment[i * width:(i + 1) * width] for i in range(len(problem.leaves))))
+    xs, xden = sol.integer_assignment
+    cells = [0] * (len(problem.leaves) * width)
+    for p, i in enumerate(inputs):
+        cells[i * width:(i + 1) * width] = xs[p * width:(p + 1) * width]
+    return sol.value, JointDistribution.from_integer_cells(problem.leaves, problem.states,
+                                                          cells, xden)
 
 
 def obedient_triple_from_joint(joint: JointDistribution) -> ObedientTriple:
@@ -377,8 +404,8 @@ def certificate(
     decided by backward induction and is its own witness; a sequence or a
     marginal by one LP, whose duals give the law."""
     if isinstance(observed, JointDistribution):
-        gain, pure = best_joint_deviation(problem, observed)
-        return _checked(problem, pure.to_rule(), observed) if gain > 0 else observed
+        gain, rule = best_joint_deviation(problem, observed)
+        return _checked(problem, rule().to_rule(), observed) if gain > 0 else observed
     return _dominance(problem, observed)
 
 

@@ -243,17 +243,23 @@ def random_convex_increasing(rng: random.Random):
 # Enumerated obedience program (reference for the compact dual program)
 # ---------------------------------------------------------------------------
 
-def enumerated_obedience_optimum(problem: m.DecisionProblem, weights: dict) -> Fraction:
+def enumerated_obedience_optimum(problem: m.DecisionProblem, weights: dict,
+                                 support=None) -> Fraction:
     """Maximum of sum weights[leaf, state] * gamma(leaf, state) over the
-    obedient joint laws gamma, straight from the definition: one row per
-    adapted pure rule saying that the rule gains nothing on average, with no
-    preprocessing of the rows and no duality."""
+    obedient joint laws gamma with no mass off the leaves ``support``
+    (default: every leaf), or None when there is no such law; straight from
+    the definition: one row per adapted pure rule saying that the rule gains
+    nothing on average, with no preprocessing of the rows and no duality."""
+    support = problem.leaves if support is None else support
     prog = lp.LinearProgram()
     gamma = {
         (b, s): prog.add_variable()
         for b in problem.leaves for s in problem.states
     }
     prog.add_constraint({n: 1 for n in gamma.values()}, "==", 1)
+    for b in problem.leaves:
+        if b not in support:
+            prog.add_constraint({gamma[b, s]: 1 for s in problem.states}, "==", 0)
     for rule in dv.enumerate_pure_rules(problem):
         prog.add_constraint({
             gamma[b, s]: m.utility(problem, b, s) - m.utility(problem, out, s)
@@ -261,6 +267,8 @@ def enumerated_obedience_optimum(problem: m.DecisionProblem, weights: dict) -> F
         }, ">=", 0)
     prog.set_objective({gamma[cell]: w for cell, w in weights.items()})
     sol = lp.solve(prog)
+    if sol.status == "infeasible":
+        return None
     assert sol.status == "optimal"
     return sol.value
 
@@ -289,6 +297,14 @@ class FractionProgram:
     def set_objective(self, coeffs) -> None:
         self.objective = {k: Fraction(c) for k, c in coeffs.items() if c != 0}
 
+    def as_lp(self) -> lp.LinearProgram:
+        """The same program, each row put over the lcm of its denominators."""
+        prog = lp.LinearProgram(list(self.variables))
+        for coeffs, sense, rhs in self.constraints:
+            prog.add_constraint(coeffs, sense, rhs)
+        prog.set_objective(self.objective)
+        return prog
+
 
 def rational_rows(constraints) -> list[tuple[dict, str, Fraction]]:
     """Integer rows (`lp.Constraint`), each over its denominator, as
@@ -297,42 +313,59 @@ def rational_rows(constraints) -> list[tuple[dict, str, Fraction]]:
              Fraction(con.rhs, con.den)) for con in constraints]
 
 
-def reference_polytope_rows(problem: m.DecisionProblem) -> list[tuple[dict, str, Fraction]]:
+def reference_inputs(problem: m.DecisionProblem, leaves) -> list[int]:
+    """The leaves that share their first action with one of ``leaves``, by
+    index in leaf order: the inputs of the first-action blocks they touch."""
+    firsts = {a.entries[0] for a in leaves}
+    return [i for i, b in enumerate(problem.leaves) if b.entries[0] in firsts]
+
+
+def reference_polytope_rows(problem: m.DecisionProblem,
+                            inputs=None) -> list[tuple[dict, str, Fraction]]:
     """The deviation polytope's rows in `Fraction`s: row sums, then the
-    prefix-marginal equalities, in the order `lp` builds them."""
+    prefix-marginal equalities, in the order `lp` builds them.  Only the
+    rows of ``inputs`` (default: every leaf), with kernel entry
+    (inputs[p], j) in column p * n + j."""
     n = len(problem.leaves)
+    inputs = range(n) if inputs is None else inputs
+    col = {i: p * n for p, i in enumerate(inputs)}
     one = Fraction(1)
-    rows = [({i * n + j: one for j in range(n)}, "==", one) for i in range(n)]
+    rows = [({col[i] + j: one for j in range(n)}, "==", one) for i in inputs]
     for t in range(1, problem.periods):
         classes = problem.prefix_classes(t)
         for _, members in classes:
             for a_i, a_k in zip(members, members[1:]):
+                if a_i not in col:
+                    continue
                 for _, out_members in classes:
-                    coeffs = {a_i * n + j: one for j in out_members}
-                    coeffs.update((a_k * n + j, -one) for j in out_members)
+                    coeffs = {col[a_i] + j: one for j in out_members}
+                    coeffs.update((col[a_k] + j, -one) for j in out_members)
                     rows.append((coeffs, "==", Fraction(0)))
     return rows
 
 
-def reference_dominance_program(problem: m.DecisionProblem, observed) -> FractionProgram:
+def reference_dominance_program(problem: m.DecisionProblem, observed,
+                                inputs=None) -> FractionProgram:
     """The dominance program of a sequence or a marginal, in `Fraction`s:
-    the polytope, then one gain row per (leaf, state) with a gain or a
-    level, sum_j D(i, j) (u(j, s) - u(i, s)) - level(i) >= 0."""
+    the polytope's rows on ``inputs`` (default: every leaf), then one gain
+    row per input and state with a gain or a level, sum_j D(i, j) (u(j, s)
+    - u(i, s)) - level(i) >= 0.  A marginal has one level per input."""
     pay = problem.payoffs
     n = len(problem.leaves)
+    inputs = list(range(n)) if inputs is None else inputs
     prog = FractionProgram()
-    prog.variables = [False] * (n * n)
-    prog.constraints = reference_polytope_rows(problem)
+    prog.variables = [False] * (len(inputs) * n)
+    prog.constraints = reference_polytope_rows(problem, inputs)
     if isinstance(observed, m.MarginalDistribution):
-        levels = {i: prog.add_variable(free=True) for i in range(n)}
-        objective = dict(zip(levels.values(), observed.weights))
+        levels = {i: prog.add_variable(free=True) for i in inputs}
+        objective = {levels[i]: observed.weights[i] for i in inputs}
     else:
         k = prog.add_variable(free=True)
         levels = {problem.leaf_index[problem.sequence(observed)]: k}
         objective = {k: Fraction(1)}
-    for i in range(n):
+    for p, i in enumerate(inputs):
         for s in range(len(problem.states)):
-            coeffs = {i * n + j: pay[j][s] - pay[i][s] for j in range(n)
+            coeffs = {p * n + j: pay[j][s] - pay[i][s] for j in range(n)
                       if pay[j][s] != pay[i][s]}
             if i in levels:
                 coeffs[levels[i]] = Fraction(-1)
@@ -343,17 +376,19 @@ def reference_dominance_program(problem: m.DecisionProblem, observed) -> Fractio
     return prog
 
 
-def reference_obedience_program(problem: m.DecisionProblem) -> FractionProgram:
-    """The obedience program in `Fraction`s: gamma columns, their mass row,
-    one free y per polytope row, one row A^T y >= C(gamma) per leaf pair,
-    and b^T y <= 0."""
+def reference_obedience_program(problem: m.DecisionProblem, inputs=None) -> FractionProgram:
+    """The obedience program in `Fraction`s: gamma columns on ``inputs``
+    (default: every leaf), their mass row <= 1, one free y per polytope row
+    on them, one row A^T y >= C(gamma) per (input, leaf) pair, and
+    b^T y <= 0."""
     pay = problem.payoffs
-    poly_rows = reference_polytope_rows(problem)
     n, width = len(problem.leaves), len(problem.states)
+    inputs = list(range(n)) if inputs is None else inputs
+    poly_rows = reference_polytope_rows(problem, inputs)
     prog = FractionProgram()
-    gamma = [[prog.add_variable() for _ in range(width)] for _ in range(n)]
-    prog.add_constraint({k: 1 for row in gamma for k in row}, "==", 1)
-    columns: list[dict] = [{} for _ in range(n * n)]
+    gamma = [[prog.add_variable() for _ in range(width)] for _ in inputs]
+    prog.add_constraint({k: 1 for row in gamma for k in row}, "<=", 1)
+    columns: list[dict] = [{} for _ in range(len(inputs) * n)]
     bound = {}
     for coeffs, _, rhs in poly_rows:
         y = prog.add_variable(free=True)
@@ -361,11 +396,11 @@ def reference_obedience_program(problem: m.DecisionProblem) -> FractionProgram:
             columns[k][y] = c
         if rhs != 0:
             bound[y] = rhs
-    for i in range(n):
+    for p, i in enumerate(inputs):
         for j in range(n):
-            coeffs = dict(columns[i * n + j])
+            coeffs = dict(columns[p * n + j])
             for s in range(width):
-                coeffs[gamma[i][s]] = pay[i][s] - pay[j][s]
+                coeffs[gamma[p][s]] = pay[i][s] - pay[j][s]
             prog.add_constraint(coeffs, ">=", 0)
     prog.add_constraint(bound, "<=", 0)
     return prog
@@ -413,16 +448,21 @@ def reference_optimal_value(problem: m.DecisionProblem, prior, signal_seqs, kern
 # Joint dominance LP (reference for the backward-induction best rule)
 # ---------------------------------------------------------------------------
 
+def polytope_program(poly: lp.DeviationPolytope) -> lp.LinearProgram:
+    """A program over the whole deviation polytope: kernel entry (i, j) in
+    column i * n + j, and the polytope's rows."""
+    return lp.LinearProgram([False] * (poly.n * poly.n), list(poly.constraints))
+
+
 def joint_dominance_optimum(problem: m.DecisionProblem, joint: m.JointDistribution) -> Fraction:
     """Maximum over the deviation polytope of a rule's expected gain under
     ``joint``: the kernel entry (i, j) earns sum_s joint(i, s) (u(j, s) -
     u(i, s)).  One exact LP, with no prefix-pair recursion."""
-    poly = lp.deviation_polytope_constraints(problem)
-    prog = lp.LinearProgram()
-    poly.install(prog)
+    prog = polytope_program(lp.deviation_polytope_constraints(problem))
     leaves, states = problem.leaves, problem.states
+    n = len(leaves)
     prog.set_objective({
-        poly.var(i, j): sum((w * (m.utility(problem, b, s) - m.utility(problem, a, s))
+        i * n + j: sum((w * (m.utility(problem, b, s) - m.utility(problem, a, s))
                              for s, w in zip(states, joint.matrix[i])), Fraction(0))
         for i, a in enumerate(leaves) for j, b in enumerate(leaves)
     })

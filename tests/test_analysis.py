@@ -445,3 +445,35 @@ def test_sweep_puts_the_observed_law_over_one_lcm_once(example2, monkeypatch):
         monkeypatch.setattr(dv, "_over_lcm", counted)
         an.identified_set(example2, law, "delta", 0, 1)
         assert calls.count(cells) <= 1
+
+
+def test_sweep_reads_certificates_in_integers(example2, monkeypatch):
+    # over sequence or marginal data the sweep reads each rule and each law
+    # from the solver's integers and checks a carried law by its gain
+    # alone: no Fraction assignment, duals or matrix, and no pure rule
+    probe = m.instantiate(example2, {"delta": 1})
+    built, made, runs = [], [], []
+
+    def counted(record, key, fn):
+        return lambda *args: record.append(key) or fn(*args)
+
+    monkeypatch.setattr(dv.PureDeviationRule, "__post_init__",
+                        counted(built, "pure rule", dv.PureDeviationRule.__post_init__))
+    monkeypatch.setattr(dv.DeviationRule, "__getattr__",
+                        counted(built, "rule matrix", dv.DeviationRule.__getattr__))
+    monkeypatch.setattr(m.JointDistribution, "__getattr__",
+                        counted(built, "law matrix", m.JointDistribution.__getattr__))
+    for name in ("assignment", "duals"):
+        read = getattr(lp.LpSolution, name).fget
+        monkeypatch.setattr(lp.LpSolution, name, property(counted(built, name, read)))
+    monkeypatch.setattr(rz.DeviationRule, "from_integer_rows",
+                        counted(made, "rule", dv.DeviationRule.from_integer_rows))
+    monkeypatch.setattr(rz.JointDistribution, "from_integer_cells",
+                        counted(made, "law", m.JointDistribution.from_integer_cells))
+    monkeypatch.setattr(an, "best_joint_deviation",
+                        counted(runs, "law check", dv.best_joint_deviation))
+    for observation in (probe.sequence("w,x"),
+                        m.MarginalDistribution.from_mapping(probe, {"w,x": "3/4", "w,y": "1/4"})):
+        iset = an.identified_set(example2, observation, "delta", 0, 1)
+        assert [tag for _, _, tag in iset.intervals] == ["out", "gap", "in"]
+    assert set(made) == {"rule", "law"} and runs and not built

@@ -430,9 +430,9 @@ def test_backward_induction_matches_the_joint_dominance_lp():
     padded = zero_mass = positive = 0
     for p in problems:
         joint = random_joint(rng, p)
-        gain, pure = dv.best_joint_deviation(p, joint)
+        gain, follow = dv.best_joint_deviation(p, joint)
         assert gain == joint_dominance_optimum(p, joint)
-        rule = pure.to_rule()
+        rule = follow().to_rule()
         entries = [leaf.entries for leaf in p.leaves]
         assert dense_matrix_is_adapted(entries, entries, rule.matrix, p.periods)
         assert rule_gain(p, rule, joint) == gain

@@ -105,6 +105,26 @@ ANSWERS = {
 }
 
 
+# Each sequence or marginal verdict's program columns, written out by hand:
+# the inputs of the first-action blocks the data touch, times the leaves
+# (example 1 and example 3 have 3 leaves, example 2 has 4), plus one level
+# for the sequence or per input.  ex2-check-marginal-yes touches the blocks
+# of w and x, and ex2-check-seq-no that of w.
+COLUMNS = {
+    "ex1-check-seq-pull-back": 2 * 3 + 1,
+    "ex1-check-seq-invest": 2 * 3 + 1,
+    "ex1-check-marginal-no": 2 * 3 + 2,
+    "ex1-check-marginal-yes": 2 * 3 + 2,
+    "ex2-check-seq-no": 2 * 4 + 1,
+    "ex2-check-seq-yes": 2 * 4 + 1,
+    "ex2-check-marginal-no": 2 * 4 + 2,
+    "ex2-check-marginal-yes": 3 * 4 + 3,
+    "ex3-check-seq-yes": 2 * 3 + 1,
+    "ex3-check-seq-no": 2 * 3 + 1,
+    "ex3-check-marginal-yes": 2 * 3 + 2,
+}
+
+
 def render(argv: list[str]) -> str:
     """The report line of one CLI run, minus timing.  Reports do not echo the
     problem's path, so they do not depend on where the repository lives."""
@@ -132,8 +152,9 @@ def test_golden_witnesses_verify(name):
 @pytest.mark.parametrize("name", sorted(
     n for n, argv in CASES.items() if argv[0] in ("check-seq", "check-marginal", "check-joint")))
 def test_each_verdict_solves_one_program(name, monkeypatch):
-    """A sequence or a marginal verdict solves its dominance LP; a joint
-    verdict is backward induction and solves none."""
+    """A sequence or a marginal verdict solves its dominance LP, over the
+    blocks its data touch; a joint verdict is backward induction and solves
+    none."""
     solves = []
     real_solve = lp.solve
 
@@ -146,6 +167,8 @@ def test_each_verdict_solves_one_program(name, monkeypatch):
     monkeypatch.setattr(lp, "solve", solve)
     render(CASES[name])
     assert len(solves) == (0 if CASES[name][0] == "check-joint" else 1)
+    assert [len(prog.variables) for prog in solves] == (
+        [] if CASES[name][0] == "check-joint" else [COLUMNS[name]])
 
 
 def test_golden_cases_cover_both_verdicts():

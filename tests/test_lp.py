@@ -9,7 +9,14 @@ from dynrat import deviation as dv
 from dynrat import lp as L
 from dynrat import model as m
 
-from conftest import random_problem
+from conftest import polytope_program, random_problem
+
+
+def with_duals(sol, duals):
+    """``sol`` with other duals, in the canonical integer form the solver
+    gives: numerators over the least common denominator."""
+    nums, den = m._over_lcm(duals)
+    return replace(sol, integer_duals=(tuple(nums), den))
 
 
 def test_single_variable_box():
@@ -42,6 +49,9 @@ def test_add_row_takes_integers_over_a_positive_denominator():
         prog.set_objective({0: 1, 1: 1})
     sol = L.solve(rows)
     assert sol == L.solve(parsed) and sol.value == 3 and sol.duals == (4,)
+    # the assignment and the duals are held in lowest terms, so equal
+    # solutions are equal field by field
+    assert sol.integer_assignment == ((0, 3, 0), 1) and sol.integer_duals == ((4,), 1)
     assert L.check_duals(rows, sol)
     # an undeclared column, a bad sense and a denominator that is not a
     # positive integer are refused, and no row is added
@@ -90,10 +100,11 @@ def test_duals_certify_the_optimum():
         for step in (F(1, 7), F(-1, 7)):
             duals = list(sol.duals)
             duals[r] += step
-            assert not L.check_duals(prog, L.LpSolution(
-                sol.status, sol.value, sol.assignment, sol.pivots, tuple(duals)))
-    assert not L.check_duals(prog, L.LpSolution(
-        sol.status, sol.value, sol.assignment, sol.pivots, sol.duals[:4]))
+            assert not L.check_duals(prog, with_duals(sol, duals))
+    assert not L.check_duals(prog, with_duals(sol, sol.duals[:4]))
+    # the duals' denominator must be positive
+    ys, yden = sol.integer_duals
+    assert not L.check_duals(prog, replace(sol, integer_duals=(tuple(-y for y in ys), -yden)))
 
 
 def test_statuses():
@@ -225,9 +236,8 @@ def test_random_programs_match_vertex_enumeration():
 
 def test_solutions_verify_and_repeat_bit_for_bit(example1):
     poly = L.deviation_polytope_constraints(example1)
-    prog = L.LinearProgram()
-    poly.install(prog)
-    prog.set_objective({poly.var(1, 0): 1, poly.var(2, 2): "1/3"})
+    prog = polytope_program(poly)
+    prog.set_objective({1 * 3 + 0: 1, 2 * 3 + 2: "1/3"})
     first = L.solve(prog)
     second = L.solve(prog)
     assert first == second
@@ -235,9 +245,6 @@ def test_solutions_verify_and_repeat_bit_for_bit(example1):
     # one value per column, no more and no fewer
     assert not L.check_solution(prog, first.assignment[:-1])
     assert not L.check_solution(prog, first.assignment + (F(0),))
-    # the polytope's columns come first: it refuses a program that has some
-    with pytest.raises(m.ValidationError, match="without columns"):
-        poly.install(prog)
     assert len(prog.variables) == 9
 
 
@@ -264,9 +271,7 @@ def test_polytope_membership(example1, example2):
     # every enumerated pure kernel satisfies the block; perturbations break it
     rng = random.Random(13)
     for problem in (example1, example2):
-        poly = L.deviation_polytope_constraints(problem)
-        prog = L.LinearProgram()
-        poly.install(prog)
+        prog = polytope_program(L.deviation_polytope_constraints(problem))
         n = len(problem.leaves)
         for rule in dv.enumerate_pure_rules(problem):
             mat = rule.to_rule().matrix
@@ -274,12 +279,10 @@ def test_polytope_membership(example1, example2):
             assert L.check_solution(prog, asg)
             i, j = rng.randrange(n), rng.randrange(n)
             bad = list(asg)
-            bad[poly.var(i, j)] = asg[poly.var(i, j)] + F(1, 7)
+            bad[i * n + j] = asg[i * n + j] + F(1, 7)
             assert not L.check_solution(prog, bad)
     # the half-and-half rewrite of waiting sits inside the block
-    poly = L.deviation_polytope_constraints(example2)
-    prog = L.LinearProgram()
-    poly.install(prog)
+    prog = polytope_program(L.deviation_polytope_constraints(example2))
     half = m.instantiate(example2, {"delta": "1/2"})
     hedge = dv.DeviationRule.from_mapping(half, {
         "w,x": {"x": "1/2", "y": "1/2"}, "w,y": {"x": "1/2", "y": "1/2"},
@@ -299,17 +302,17 @@ def test_polytope_vertices_are_pure_kernels(example1):
         poly = L.deviation_polytope_constraints(problem)
         n = len(problem.leaves)
         for _ in range(12):
-            prog = L.LinearProgram()
-            poly.install(prog)
+            prog = polytope_program(poly)
             objective = {
-                poly.var(i, j): F(rng.randint(-5, 5), rng.randint(1, 4))
+                i * n + j: F(rng.randint(-5, 5), rng.randint(1, 4))
                 for i in range(n)
                 for j in range(n)
             }
             prog.set_objective(objective)
             sol = L.solve(prog)
             assert sol.status == "optimal"
-            assert poly.extract_matrix(sol.assignment) in pure_kernels
+            kernel = tuple(sol.assignment[i * n:i * n + n] for i in range(n))
+            assert kernel in pure_kernels
 
 
 def test_polytope_feasibility_equals_adaptedness_on_random_problems():
@@ -318,9 +321,7 @@ def test_polytope_feasibility_equals_adaptedness_on_random_problems():
 
     for _ in range(10):
         p = random_problem(rng, max_rules=250)
-        poly = L.deviation_polytope_constraints(p)
-        prog = L.LinearProgram()
-        poly.install(prog)
+        prog = polytope_program(L.deviation_polytope_constraints(p))
         n = len(p.leaves)
         rule = random_rule(rng, p)
         asg = [rule.matrix[i][j] for i in range(n) for j in range(n)]
@@ -495,7 +496,7 @@ def test_integer_checks_agree_with_fraction_arithmetic():
             for step in STEPS:
                 duals = list(sol.duals)
                 duals[r] += step
-                moved = replace(sol, duals=tuple(duals))
+                moved = with_duals(sol, duals)
                 want = _fraction_duals_certify(prog, moved)
                 assert L.check_duals(prog, moved) == want, (prog, moved)
                 dual_rejected += not want

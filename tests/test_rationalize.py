@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -15,6 +16,7 @@ from conftest import (
     random_problem,
     rational_rows,
     reference_dominance_program,
+    reference_inputs,
     reference_obedience_program,
     reference_polytope_rows,
 )
@@ -111,18 +113,28 @@ def test_compact_obedience_matches_enumerated_rows():
     # the max-prob of every leaf, plus one random linear objective per
     # problem, which reaches faces of the obedient set the max-probs do not
     rng = random.Random(107)
+    hosted = split = 0
     for _ in range(40):
         p = random_problem(rng, max_rules=200)
         for leaf in p.leaves:
             value, _ = rz.max_positive_marginal(p, leaf)
             assert value == enumerated_obedience_optimum(
                 p, {(leaf, s): 1 for s in p.states}), leaf.label
-        weights = {(a, s): rng.randint(-3, 3) for a in p.leaves for s in p.states}
-        prog = rz._obedience_program(p)
-        prog.set_objective({  # gamma(i, s) is column i * |states| + s
-            p.leaf_index[a] * len(p.states) + p.state_index[s]: w
-            for (a, s), w in weights.items()})
-        assert lp.solve(prog).value == enumerated_obedience_optimum(p, weights)
+        # the objective is shifted by 4, so every law of mass 1 scores above
+        # 0: the program's mass row "<= 1" binds at the optimum, which is
+        # the enumerated one over the laws on a random union of blocks, or
+        # 0 where those blocks host no obedient law
+        weights = {(a, s): rng.randint(-3, 3) + 4 for a in p.leaves for s in p.states}
+        inputs = reference_inputs(p, rng.sample(p.leaves, rng.randint(1, len(p.leaves))))
+        prog = rz._obedience_program(p, tuple(inputs))
+        prog.set_objective({  # gamma(inputs[q], s) is column q * |states| + s
+            q * len(p.states) + t: weights[p.leaves[i], s]
+            for q, i in enumerate(inputs) for t, s in enumerate(p.states)})
+        want = enumerated_obedience_optimum(p, weights, [p.leaves[i] for i in inputs])
+        assert lp.solve(prog).value == (0 if want is None else want)
+        hosted += want is not None
+        split += want is not None and len(inputs) < len(p.leaves)
+    assert split and hosted < 40
 
 
 def test_rationalize_marginal(example1):
@@ -308,20 +320,72 @@ def test_integer_rows_equal_the_fraction_builders(example2):
         poly = lp.deviation_polytope_constraints(p)
         assert rational_rows(poly.constraints) == reference_polytope_rows(p)
         for observed in (rng.choice(p.leaves), random_marginal(rng, p)):
-            prog, gain_rows = rz._dominance_program(p, observed)
-            ref = reference_dominance_program(p, observed)
+            prog, inputs, gain_rows = rz._dominance_program(p, observed)
+            touched = ([observed] if isinstance(observed, m.ActionSequence) else
+                       [a for a, w in zip(p.leaves, observed.weights) if w])
+            assert list(inputs) == reference_inputs(p, touched)
+            ref = reference_dominance_program(p, observed, inputs)
             assert rational_rows(prog.constraints) == ref.constraints
             assert prog.variables == ref.variables and prog.objective == ref.objective
-            assert [r for r, _, _ in gain_rows] == list(range(len(poly.constraints),
+            assert [r for r, _, _ in gain_rows] == list(range(len(poly.rows_on(inputs)),
                                                              len(prog.constraints)))
             # rows over the payoffs' denominator, not in lowest terms, solve
             # as the same rows put over their own lcm: the same pivots,
             # optimum and duals
-            over_lcm = lp.LinearProgram(list(ref.variables))
-            for coeffs, sense, rhs in ref.constraints:
-                over_lcm.add_constraint(coeffs, sense, rhs)
-            over_lcm.set_objective(ref.objective)
-            assert lp.solve(prog) == lp.solve(over_lcm)
-        prog, ref = rz._obedience_program(p), reference_obedience_program(p)
+            assert lp.solve(prog) == lp.solve(ref.as_lp())
+        inputs = reference_inputs(p, [rng.choice(p.leaves)])
+        prog = rz._obedience_program(p, tuple(inputs))
+        ref = reference_obedience_program(p, inputs)
         assert rational_rows(prog.constraints) == ref.constraints
         assert prog.variables == ref.variables
+        everywhere = rz._obedience_program(p, tuple(range(len(p.leaves))))
+        assert rational_rows(everywhere.constraints) == reference_obedience_program(p).constraints
+
+
+def test_the_block_split_is_exact():
+    # the dominance program over the touched first-action blocks has the
+    # whole tree's optimum, for a leaf and for a marginal, on random
+    # problems and pinned sweep points; a marginal that touches every
+    # block builds the whole tree's program row for row
+    rng = random.Random(43)
+    problems = [random_problem(rng, max_rules=200) for _ in range(20)]
+    for _ in range(4):
+        family = random_family(rng)
+        problems += [m.substitute_params(family, {"t": F(rng.randint(-9, 9), rng.randint(1, 4))})
+                     for _ in range(3)]
+    split = 0
+    for p in problems:
+        for observed in (rng.choice(p.leaves), random_marginal(rng, p)):
+            prog, inputs, _ = rz._dominance_program(p, observed)
+            assert lp.solve(prog).value == lp.solve(reference_dominance_program(p, observed)
+                                                    .as_lp()).value
+            split += len(inputs) < len(p.leaves)
+        firsts = {}
+        for a in p.leaves:
+            firsts.setdefault(a.entries[0], a)
+        every_block = m.MarginalDistribution.from_mapping(
+            p, {a: F(1, len(firsts)) for a in firsts.values()})
+        prog, inputs, _ = rz._dominance_program(p, every_block)
+        ref = reference_dominance_program(p, every_block)
+        assert inputs == tuple(range(len(p.leaves)))
+        assert rational_rows(prog.constraints) == ref.constraints
+        assert prog.variables == ref.variables and prog.objective == ref.objective
+    assert split
+
+
+def test_maxprob_is_zero_on_a_block_without_an_obedient_law():
+    # "b" beats both leaves after "a" in every state, so no obedient law
+    # puts mass on a's block: its program stays feasible, at gamma = 0, and
+    # answers 0, as the whole tree does
+    p = m.load_problem(json.dumps({
+        "periods": 2, "states": ["s", "t"], "tree": {"a": {"x": "leaf", "y": "leaf"}, "b": "leaf"},
+        "utility": {"a,x": {"s": 0, "t": 1}, "a,y": {"s": 1, "t": 0}, "b": {"s": 2, "t": 2}}}))
+    block = [p.sequence("a,x"), p.sequence("a,y")]
+    assert enumerated_obedience_optimum(p, {}, block) is None
+    for leaf in block:
+        assert enumerated_obedience_optimum(p, {(leaf, s): 1 for s in p.states}) == 0
+        assert rz.max_positive_marginal(p, leaf) == (0, None)
+    prog = rz._obedience_program(p, (0, 1))
+    prog.set_objective(dict.fromkeys(range(4), 1))  # the block's mass
+    assert lp.solve(prog).value == 0
+    assert rz.max_positive_marginal(p, p.sequence("b"))[0] == 1
