@@ -71,12 +71,13 @@ CASES = {
                            "--dist", "effort,effort@hard:1/2,no_effort@easy:1/2"],
     "ex3-identify-seq": ["identify", EX3, "--param", "R=4", "--seq", "effort,no_effort",
                          "--sweep", "c", "--range", "0:8", "--grid", "9", "--tol", "1/16"],
+    "ex1-enumerate-rules": ["enumerate-rules", EX1],
 }
 
 
 # Each case's answer, written out by hand: the verdict of a check, the value
-# of `maxprob`, the intervals of `identify`.  Regenerating the files cannot
-# flip one of these unnoticed.
+# of `maxprob`, the intervals of `identify`, the count of `enumerate-rules`.
+# Regenerating the files cannot flip one of these unnoticed.
 EX2_DELTA_SET = [("0", "51/64", "out"), ("51/64", "13/16", "gap"), ("13/16", "1", "in")]
 ANSWERS = {
     "ex1-check-seq-pull-back": True,
@@ -102,6 +103,7 @@ ANSWERS = {
     "ex3-check-marginal-yes": True,
     "ex3-check-joint-no": False,
     "ex3-identify-seq": [("0", "4", "in"), ("4", "65/16", "gap"), ("65/16", "8", "out")],
+    "ex1-enumerate-rules": 15,
 }
 
 
@@ -187,6 +189,8 @@ def test_golden_answers_match_the_table():
             return result["rationalizable"]
         if "value" in result:
             return result["value"]
+        if "count" in result:
+            return result["count"]
         return [(iv["lo"], iv["hi"], iv["tag"])
                 for iv in result["identified_set"]["intervals"]]
 
