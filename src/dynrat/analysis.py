@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .deviation import AnyRule, DeviationRule, best_joint_deviation, dominates
+from .deviation import DeviationRule, best_joint_deviation, dominates
 from .model import (
     AffineExpr,
     DecisionProblem,
@@ -130,7 +130,7 @@ def _single_param_family(
 
 def lambda_D_set(
     problem: DecisionProblem,
-    rule: AnyRule,
+    rule: DeviationRule,
     observation: Observation,
     grid: Sequence[Union[int, str, Fraction]],
     *,

@@ -282,7 +282,10 @@ def _run_query(args) -> dict:
             raise UsageError(f"--max-rules must be at least 0, got {args.max_rules}")
         rules = deviation.enumerate_pure_rules(inst, args.max_rules)
         rules_enumerated = len(rules)
-        result = {"count": len(rules), "rules": [r.to_json_dict() for r in rules]}
+        # a pure rule's row is one unit entry: it is shown as its output leaf
+        result = {"count": len(rules), "rules": [
+            {a.label: r.leaves[row[0][0]].label for a, row in zip(r.leaves, r.rows)}
+            for r in rules]}
         query = _query_echo(args, params)
 
     elif args.command == "simulate":

@@ -6,6 +6,11 @@ may depend only on the intended play up to period t.  Rules compose like
 stochastic matrices and are the certificates that observed behavior cannot be
 rationalized, via the three `dominates_*` criteria below, one per kind of
 observation; `dominates` picks the one that matches.
+
+A rule is one type, `DeviationRule`, stored as its integers: each row's
+nonzero (column, numerator) pairs over one denominator.  A pure rule, as
+`enumerate_pure_rules`, `identity_rule` and `best_joint_deviation` build
+it, is the same type with one unit entry per row.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .model import (
     MarginalDistribution,
     Observation,
     ValidationError,
+    _leaf_weights,
     _over_lcm,
     _require_probability_numerators,
     _require_probability_vector,
@@ -86,41 +92,32 @@ def _support_is_adapted(in_seqs: Sequence[tuple[str, ...]], out_seqs: Sequence[t
     return True
 
 
-def _resolve_kernel(problem: DecisionProblem, kernel) -> tuple[tuple[Fraction, ...], ...]:
-    """Normalize a kernel given as a matrix or as a mapping from input leaves
-    to either an output leaf (point mass) or a weight mapping.  Neither
+def _resolve_kernel(problem: DecisionProblem, kernel) -> list[list[tuple[int, Fraction]]]:
+    """The rows of a kernel given as a matrix or as a mapping from input
+    leaves to either an output leaf (point mass) or a weight mapping, each
+    as its nonzero (column, weight) pairs in column order.  Neither
     stochasticity nor adaptedness is checked here."""
     leaves = problem.leaves
     n = len(leaves)
-    if isinstance(kernel, Mapping):
-        grid = [[Fraction(0)] * n for _ in range(n)]
-        seen = set()
-        for key, row in kernel.items():
-            a = problem.sequence(key)
-            i = problem.leaf_index[a]
-            if i in seen:
-                raise ValidationError(f"row for {a.label!r} given twice")
-            seen.add(i)
-            if isinstance(row, Mapping):
-                outs = set()
-                for out, q in row.items():
-                    b = problem.sequence(out)
-                    j = problem.leaf_index[b]
-                    if j in outs:
-                        raise ValidationError(f"output {b.label!r} of row {a.label!r} given twice")
-                    outs.add(j)
-                    grid[i][j] = parse_rational(q)
-            else:
-                grid[i][problem.leaf_index[problem.sequence(row)]] = Fraction(1)
-        if len(seen) != n:
-            missing = next(l for j, l in enumerate(leaves) if j not in seen)
-            raise ValidationError(f"kernel is missing a row for {missing.label!r}")
-        matrix = tuple(tuple(r) for r in grid)
-    else:
-        matrix = tuple(tuple(parse_rational(v) for v in row) for row in kernel)
+    if not isinstance(kernel, Mapping):
+        matrix = [[parse_rational(v) for v in row] for row in kernel]
         if len(matrix) != n or any(len(r) != n for r in matrix):
             raise ValidationError("kernel matrix must be square over the leaves")
-    return matrix
+        return [[(j, w) for j, w in enumerate(row) if w] for row in matrix]
+    rows: list = [None] * n
+    for key, row in kernel.items():
+        a = problem.sequence(key)
+        i = problem.leaf_index[a]
+        if rows[i] is not None:
+            raise ValidationError(f"row for {a.label!r} given twice")
+        if not isinstance(row, Mapping):
+            rows[i] = [(problem.leaf_index[problem.sequence(row)], Fraction(1))]
+            continue
+        weights = _leaf_weights(problem, row, f"row {a.label!r}")
+        rows[i] = sorted((j, w) for j, w in weights.items() if w)
+    if None in rows:
+        raise ValidationError(f"kernel is missing a row for {leaves[rows.index(None)].label!r}")
+    return rows
 
 
 def is_adapted(problem: DecisionProblem, kernel) -> bool:
@@ -128,152 +125,78 @@ def is_adapted(problem: DecisionProblem, kernel) -> bool:
 
     Raises `ValidationError` if the kernel is not row-stochastic.
     """
-    matrix = _resolve_kernel(problem, kernel)
-    for row in matrix:
-        _require_probability_vector(row, "kernel row")
+    rows = _resolve_kernel(problem, kernel)
+    for row in rows:
+        _require_probability_vector([w for _, w in row], "kernel row")
     entries = [l.entries for l in problem.leaves]
-    return matrix_is_adapted(entries, entries, matrix, problem.periods)
+    return _support_is_adapted(entries, entries, rows, problem.periods)
 
 
 # ---------------------------------------------------------------------------
-# Rule types
+# Rules
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DeviationRule:
     """A row-stochastic, adapted kernel over the padded leaves.
 
-    ``matrix[i][j]`` is the probability of rewriting leaf i into leaf j.
-    Construction validates both stochasticity and adaptedness, on the
-    rule's `integer_rows`.
+    Row i, the lottery that leaf i is rewritten into, is ``rows[i]``: its
+    nonzero entries as (column, numerator) pairs in column order, over the
+    one denominator ``den``.  A pure rule has one ``(j, 1)`` entry per row
+    over den 1.  Construction puts the rows in lowest terms, so equal
+    kernels compare and hash equal however they were built, and validates
+    both stochasticity and adaptedness.
     """
 
     leaves: tuple[ActionSequence, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+    den: int
 
     def __post_init__(self) -> None:
         n = len(self.leaves)
-        if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
-            raise ValidationError("deviation rule matrix shape mismatch")
-        self._check_rows()
-
-    def _check_rows(self) -> None:
-        rows, den = self.integer_rows
-        for row in rows:
-            _require_probability_numerators([x for _, x in row], den, "deviation rule row")
+        if len(self.rows) != n or self.den <= 0:
+            raise ValidationError("deviation rule shape mismatch")
+        g = math.gcd(self.den, *(x for row in self.rows for _, x in row))
+        rows = tuple(tuple(sorted((j, x // g) for j, x in row if x)) for row in self.rows)
+        for row in rows:  # each in column order: check its ends and neighbours
+            if row and (row[0][0] < 0 or row[-1][0] >= n) or len(row) > 1 and any(
+                    a == b for (a, _), (b, _) in zip(row, row[1:])):
+                raise ValidationError("deviation rule shape mismatch")
+            _require_probability_numerators([x for _, x in row], self.den // g,
+                                            "deviation rule row")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "den", self.den // g)
         entries = [l.entries for l in self.leaves]
         if not _support_is_adapted(entries, entries, rows, len(entries[0]) if entries else 0):
             raise ValidationError("kernel is not adapted")
 
     @cached_property
-    def integer_rows(self) -> tuple[list[list[tuple[int, int]]], int]:
-        """``(rows, den)``: each row's nonzero entries as (column, numerator)
-        pairs over one denominator ``den``, the least one."""
-        nums, den = _over_lcm([w for row in self.matrix for w in row])
-        n = len(self.matrix)
-        return [[(j, x) for j, x in enumerate(nums[i:i + n]) if x] for i in range(0, n * n, n)], den
-
-    @staticmethod
-    def from_integer_rows(leaves: tuple[ActionSequence, ...],
-                          rows: Sequence[Sequence[tuple[int, int]]], den: int) -> "DeviationRule":
-        """The rule whose row i has the nonzero entries ``rows[i]``, as
-        (column, numerator) pairs over ``den``, checked like any other; its
-        `matrix` is built only when it is read."""
-        n = len(leaves)
-        if len(rows) != n or den <= 0 or any(not 0 <= j < n for row in rows for j, _ in row):
-            raise ValidationError("deviation rule matrix shape mismatch")
-        g = math.gcd(den, *(x for row in rows for _, x in row))
-        rule = object.__new__(DeviationRule)
-        rule.__dict__.update(leaves=leaves, integer_rows=(
-            [[(j, x // g) for j, x in row if x] for row in rows], den // g))
-        rule._check_rows()
-        return rule
-
-    def __getattr__(self, name: str):
-        # Reached only when normal lookup fails: a rule built by
-        # `from_integer_rows` builds its matrix when it is first read.
-        if name != "matrix" or "integer_rows" not in self.__dict__:
-            raise AttributeError(name)
-        rows, den = self.integer_rows
-        n = len(rows)
-        self.__dict__[name] = matrix = tuple(
-            tuple(Fraction(row.get(j, 0), den) for j in range(n)) for row in map(dict, rows))
-        return matrix
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """``matrix[i][j]``: the probability of rewriting leaf i into leaf j."""
+        n = len(self.rows)
+        return tuple(tuple(Fraction(row.get(j, 0), self.den) for j in range(n))
+                     for row in map(dict, self.rows))
 
     @staticmethod
     def from_mapping(problem: DecisionProblem, kernel) -> "DeviationRule":
-        return DeviationRule(problem.leaves, _resolve_kernel(problem, kernel))
-
-    def _index(self, a: ActionSequence) -> int:
-        try:
-            return self.leaves.index(a)
-        except ValueError:
-            raise ValidationError(f"{a.label!r} is not a leaf of this rule") from None
-
-    def row(self, a: ActionSequence) -> dict[ActionSequence, Fraction]:
-        """The output lottery for input leaf ``a`` (nonzero entries only)."""
-        i = self._index(a)
-        return {b: w for b, w in zip(self.leaves, self.matrix[i]) if w != 0}
+        rows = _resolve_kernel(problem, kernel)
+        nums, den = _over_lcm([w for row in rows for _, w in row])
+        it = iter(nums)
+        return DeviationRule(problem.leaves,
+                             tuple(tuple((j, next(it)) for j, _ in row) for row in rows), den)
 
     def to_json_dict(self) -> dict:
-        out: dict[str, dict[str, str]] = {}
-        for a, row in zip(self.leaves, self.matrix):
-            out[a.label] = {
-                b.label: format_rational(w)
-                for b, w in zip(self.leaves, row)
-                if w != 0
-            }
-        return out
+        return {a.label: {self.leaves[j].label: format_rational(Fraction(x, self.den))
+                          for j, x in row}
+                for a, row in zip(self.leaves, self.rows)}
 
     @staticmethod
     def from_json_dict(problem: DecisionProblem, doc: Mapping) -> "DeviationRule":
         return DeviationRule.from_mapping(problem, doc)
 
 
-@dataclass(frozen=True)
-class PureDeviationRule:
-    """A deterministic deviation rule: one output leaf per input leaf, with the
-    output's period-t prefix a function of the input's period-t prefix."""
-
-    leaves: tuple[ActionSequence, ...]
-    outputs: tuple[ActionSequence, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.outputs) != len(self.leaves):
-            raise ValidationError("pure rule must map every leaf")
-        leaf_set = set(self.leaves)
-        for out in self.outputs:
-            if out not in leaf_set:
-                raise ValidationError(f"output {out.label!r} is not a leaf")
-        periods = len(self.leaves[0].entries) if self.leaves else 0
-        for t in range(1, periods):
-            seen: dict[tuple[str, ...], tuple[str, ...]] = {}
-            for a, b in zip(self.leaves, self.outputs):
-                prev = seen.setdefault(a.entries[:t], b.entries[:t])
-                if prev != b.entries[:t]:
-                    raise ValidationError("pure rule is not adapted")
-
-    @staticmethod
-    def from_mapping(problem: DecisionProblem, mapping: Mapping) -> "PureDeviationRule":
-        moves = {problem.sequence(k): problem.sequence(v) for k, v in mapping.items()}
-        if set(moves) != set(problem.leaves):
-            raise ValidationError("pure rule must map every leaf exactly once")
-        return PureDeviationRule(problem.leaves, tuple(moves[a] for a in problem.leaves))
-
-    def to_rule(self) -> DeviationRule:
-        index = {leaf: i for i, leaf in enumerate(self.leaves)}
-        return DeviationRule.from_integer_rows(
-            self.leaves, [[(index[out], 1)] for out in self.outputs], 1)
-
-    def to_json_dict(self) -> dict:
-        return {a.label: b.label for a, b in zip(self.leaves, self.outputs)}
-
-
-AnyRule = Union[DeviationRule, PureDeviationRule]
-
-
-def identity_rule(problem: DecisionProblem) -> PureDeviationRule:
-    return PureDeviationRule(problem.leaves, problem.leaves)
+def identity_rule(problem: DecisionProblem) -> DeviationRule:
+    return DeviationRule(problem.leaves, tuple(((i, 1),) for i in range(len(problem.leaves))), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +242,7 @@ def _require_joint_shape(problem: DecisionProblem, joint: JointDistribution) -> 
 
 def best_joint_deviation(
     problem: DecisionProblem, joint: JointDistribution
-) -> tuple[Fraction, Callable[[], PureDeviationRule]]:
+) -> tuple[Fraction, Callable[[], DeviationRule]]:
     """The most any adapted rule gains on average under ``joint``, by
     backward induction with no LP, and a function that builds a pure rule
     that gains it, so a caller that reads the gain alone builds no rule.
@@ -332,7 +255,7 @@ def best_joint_deviation(
     expected utility.  The rule takes the argmaxes, ties going to the first
     output child in document order.  Input subtrees without mass are
     skipped, and each of their leaves goes to the first completion of its
-    output prefix.  The law is read from `JointDistribution.integer_cells`
+    output prefix.  The law is read from its integer `JointDistribution.cells`
     and the utilities from `DecisionProblem.integer_payoffs`, so the
     induction adds and compares Python ints.
     """
@@ -340,7 +263,7 @@ def best_joint_deviation(
     _require_joint_shape(problem, joint)
     periods = problem.periods
     pay = {b.entries: row for b, row in zip(problem.leaves, table)}
-    cells, wden = joint.integer_cells
+    cells, wden = joint.cells, joint.den
     width = len(problem.states)
     rows = [cells[k:k + width] for k in range(0, len(cells), width)]
     mass = {a.entries: row for a, row in zip(problem.leaves, rows) if any(row)}
@@ -365,23 +288,23 @@ def best_joint_deviation(
 
     def follow(h: tuple[str, ...], g: tuple[str, ...]) -> None:
         if len(h) == periods:
-            outputs[h] = ActionSequence(g)
+            outputs[h] = ((problem.leaf_index[ActionSequence(g)], 1),)
             return
         for hc in kids[h]:
             follow(hc, choice.get((hc, g)) or kids[g][0])
 
-    def rule() -> PureDeviationRule:
+    def rule() -> DeviationRule:
         follow((), ())
-        return PureDeviationRule(problem.leaves, tuple(outputs[b.entries] for b in problem.leaves))
+        return DeviationRule(problem.leaves, tuple(outputs[b.entries] for b in problem.leaves), 1)
 
-    outputs: dict[tuple[str, ...], ActionSequence] = {}
+    outputs: dict[tuple[str, ...], tuple[tuple[int, int]]] = {}
     gain = value((), ()) - sum(sum(x * y for x, y in zip(row, pay[a])) for a, row in mass.items())
     return Fraction(gain, wden * uden), rule
 
 
 def enumerate_pure_rules(
     problem: DecisionProblem, max_rules: int = DEFAULT_MAX_RULES
-) -> tuple[PureDeviationRule, ...]:
+) -> tuple[DeviationRule, ...]:
     """The complete list of adapted pure rules, in a fixed order.
 
     The order is the lexicographic product of per-prefix output choices taken
@@ -395,12 +318,13 @@ def enumerate_pure_rules(
     return problem.per_tree(_pure_rules)
 
 
-def _pure_rules(problem: DecisionProblem) -> tuple[PureDeviationRule, ...]:
+def _pure_rules(problem: DecisionProblem) -> tuple[DeviationRule, ...]:
     kids = problem.per_tree(_prefix_children)
+    index = {leaf.entries: i for i, leaf in enumerate(problem.leaves)}
 
     def options(inp: tuple[str, ...], out: tuple[str, ...]) -> list[dict]:
         if len(inp) == problem.periods:
-            return [{ActionSequence(inp): ActionSequence(out)}]
+            return [{inp: ((index[out], 1),)}]
         alternatives = []
         for ic in kids[inp]:
             alts: list[dict] = []
@@ -416,7 +340,7 @@ def _pure_rules(problem: DecisionProblem) -> tuple[PureDeviationRule, ...]:
         return merged
 
     return tuple(
-        PureDeviationRule(problem.leaves, tuple(mapping[a] for a in problem.leaves))
+        DeviationRule(problem.leaves, tuple(mapping[a.entries] for a in problem.leaves), 1)
         for mapping in options((), ())
     )
 
@@ -425,47 +349,34 @@ def _pure_rules(problem: DecisionProblem) -> tuple[PureDeviationRule, ...]:
 # Composition and dominance
 # ---------------------------------------------------------------------------
 
-def _as_matrix(rule: AnyRule) -> tuple[tuple[Fraction, ...], ...]:
-    if isinstance(rule, PureDeviationRule):
-        return rule.to_rule().matrix
-    return rule.matrix
-
-
-def compose(outer: AnyRule, inner: AnyRule) -> DeviationRule:
+def compose(outer: DeviationRule, inner: DeviationRule) -> DeviationRule:
     """The rule applying ``inner`` first and ``outer`` to its output; kernels
     multiply, and the result is adapted whenever both factors are."""
     if tuple(outer.leaves) != tuple(inner.leaves):
         raise ValidationError("rules are defined over different leaf sets")
-    a = _as_matrix(inner)
-    b = _as_matrix(outer)
-    n = len(inner.leaves)
-    matrix = tuple(
-        tuple(
-            sum((a[x][y] * b[y][z] for y in range(n) if a[x][y] != 0), Fraction(0))
-            for z in range(n)
-        )
-        for x in range(n)
-    )
-    return DeviationRule(inner.leaves, matrix)
+    rows = []
+    for row in inner.rows:
+        product_row: dict[int, int] = {}
+        for y, a in row:
+            for z, b in outer.rows[y]:
+                product_row[z] = product_row.get(z, 0) + a * b
+        rows.append(tuple(product_row.items()))
+    return DeviationRule(inner.leaves, tuple(rows), inner.den * outer.den)
 
 
-def _integer_gains(problem: DecisionProblem, rule: AnyRule) -> tuple[list[list[int]], int]:
+def _integer_gains(problem: DecisionProblem, rule: DeviationRule) -> tuple[list[list[int]], int]:
     """The gain table of `gains` as integer numerators over one positive
     denominator: the payoffs' (`DecisionProblem.integer_payoffs`) times the
-    rule's (`DeviationRule.integer_rows`), so no `Fraction` is built."""
+    rule's (`DeviationRule.den`), so no `Fraction` is built."""
     if rule.leaves != problem.leaves:
         raise ValidationError("rule leaves do not match the problem")
     pay, uden = problem.integer_payoffs
-    if isinstance(rule, PureDeviationRule):
-        moved = [pay[problem.leaf_index[b]] for b in rule.outputs]
-        return [[x - y for x, y in zip(after, own)] for after, own in zip(moved, pay)], uden
-    rows, rden = rule.integer_rows
     width = range(len(problem.states))
-    return [[sum(w * pay[j][s] for j, w in support) - rden * own[s] for s in width]
-            for support, own in zip(rows, pay)], rden * uden
+    return [[sum(w * pay[j][s] for j, w in support) - rule.den * own[s] for s in width]
+            for support, own in zip(rule.rows, pay)], rule.den * uden
 
 
-def gains(problem: DecisionProblem, rule: AnyRule) -> tuple[tuple[Fraction, ...], ...]:
+def gains(problem: DecisionProblem, rule: DeviationRule) -> tuple[tuple[Fraction, ...], ...]:
     """The rule's gain table: ``gains(problem, rule)[i][s]`` is the exact
     payoff change from following the rule instead of playing leaf i in state
     s, sum_j D(i, j) u(j, s) - u(i, s), summed over the row's nonzero
@@ -476,7 +387,7 @@ def gains(problem: DecisionProblem, rule: AnyRule) -> tuple[tuple[Fraction, ...]
 
 
 def improvement(
-    problem: DecisionProblem, rule: AnyRule, a: ActionSequence, state: str
+    problem: DecisionProblem, rule: DeviationRule, a: ActionSequence, state: str
 ) -> Fraction:
     """Exact payoff change from following the rule instead of playing ``a``."""
     i = problem.leaf_index[problem.sequence(a)]
@@ -485,23 +396,22 @@ def improvement(
     return gains(problem, rule)[i][problem.state_index[state]]
 
 
-def dominates_sequence(problem: DecisionProblem, rule: AnyRule, a: ActionSequence) -> bool:
+def dominates_sequence(problem: DecisionProblem, rule: DeviationRule, a: ActionSequence) -> bool:
     """Strictly improves ``a`` in every state and never hurts any sequence."""
     i = problem.leaf_index[problem.sequence(a)]
     table, _ = _integer_gains(problem, rule)
     return all(g >= 0 for row in table for g in row) and all(g > 0 for g in table[i])
 
 
-def dominates_joint(problem: DecisionProblem, rule: AnyRule, joint: JointDistribution) -> bool:
+def dominates_joint(problem: DecisionProblem, rule: DeviationRule, joint: JointDistribution) -> bool:
     """Strictly positive expected improvement under the observed joint law."""
     _require_joint_shape(problem, joint)
     table, _ = _integer_gains(problem, rule)
-    weights, _ = joint.integer_cells
-    return sum(map(operator.mul, weights, (g for row in table for g in row))) > 0
+    return sum(map(operator.mul, joint.cells, (g for row in table for g in row))) > 0
 
 
 def dominates_marginal(
-    problem: DecisionProblem, rule: AnyRule, marginal: MarginalDistribution
+    problem: DecisionProblem, rule: DeviationRule, marginal: MarginalDistribution
 ) -> bool:
     """Strictly positive average of worst-case-over-states improvements."""
     if marginal.leaves != problem.leaves:
@@ -511,7 +421,7 @@ def dominates_marginal(
     return sum(w * min(row) for w, row in zip(weights, table) if w) > 0
 
 
-def dominates(problem: DecisionProblem, rule: AnyRule, observed: Observation) -> bool:
+def dominates(problem: DecisionProblem, rule: DeviationRule, observed: Observation) -> bool:
     """The dominance criterion that matches the kind of ``observed``."""
     if isinstance(observed, JointDistribution):
         return dominates_joint(problem, rule, observed)

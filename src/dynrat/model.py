@@ -27,9 +27,6 @@ from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, 
 #: Reserved padding marker for entries after a terminal history.
 PAD = "_"
 
-#: Exact scalar type used throughout the package.
-Rational = Fraction
-
 _FORBIDDEN_LABEL_CHARS = (",", "@", ":")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -501,91 +498,89 @@ def _require_probability_vector(weights: Iterable[Fraction], what: str) -> None:
     _require_probability_numerators(*_over_lcm([w for w in weights if w]), what)
 
 
+def _leaf_weights(problem: DecisionProblem, row: Mapping, what: str) -> dict[int, Fraction]:
+    """A row ``{leaf: q}`` as leaf index -> weight.  Two spellings of one
+    leaf (``not_invest`` and ``not_invest,_``) are refused, not resolved by
+    the last one; ``what`` names the row in the error."""
+    weights: dict[int, Fraction] = {}
+    for leaf, q in row.items():
+        a = problem.sequence(leaf)
+        i = problem.leaf_index[a]
+        if i in weights:
+            raise ValidationError(f"leaf {a.label!r} of {what} given twice")
+        weights[i] = parse_rational(q)
+    return weights
+
+
 @dataclass(frozen=True)
 class JointDistribution:
-    """An observed joint distribution over (action sequence, state) cells."""
+    """An observed joint distribution over (action sequence, state) cells.
+
+    ``cells`` holds the weights row after row (leaf by leaf, each row state
+    by state) as numerators over the one denominator ``den``.  Construction
+    puts them in lowest terms, so equal laws compare and hash equal however
+    they were built, and checks that they form a probability vector.
+    """
 
     leaves: tuple[ActionSequence, ...]
     states: tuple[str, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
+    cells: tuple[int, ...]
+    den: int
 
     def __post_init__(self) -> None:
-        if len(self.matrix) != len(self.leaves) or any(
-            len(row) != len(self.states) for row in self.matrix
-        ):
+        if len(self.cells) != len(self.leaves) * len(self.states) or self.den <= 0:
             raise ValidationError("joint distribution shape mismatch")
-        _require_probability_numerators(*self.integer_cells, "joint distribution")
+        g = math.gcd(self.den, *self.cells)
+        object.__setattr__(self, "cells", tuple(x // g for x in self.cells))
+        object.__setattr__(self, "den", self.den // g)
+        _require_probability_numerators(self.cells, self.den, "joint distribution")
 
     @cached_property
-    def integer_cells(self) -> tuple[list[int], int]:
-        """``(cells, den)``: the weights, row after row, as numerators over
-        their least common denominator ``den``."""
-        return _over_lcm([w for row in self.matrix for w in row])
-
-    @staticmethod
-    def from_integer_cells(leaves: tuple[ActionSequence, ...], states: tuple[str, ...],
-                           cells: Sequence[int], den: int) -> "JointDistribution":
-        """The law with weights ``cells / den``, row after row, checked like
-        any other; its `matrix` is built only when it is read."""
-        if len(cells) != len(leaves) * len(states) or den <= 0:
-            raise ValidationError("joint distribution shape mismatch")
-        g = math.gcd(den, *cells)
-        law = object.__new__(JointDistribution)
-        law.__dict__.update(leaves=leaves, states=states,
-                            integer_cells=([x // g for x in cells], den // g))
-        _require_probability_numerators(*law.integer_cells, "joint distribution")
-        return law
-
-    def __getattr__(self, name: str):
-        # Reached only when normal lookup fails: a law built by
-        # `from_integer_cells` builds its matrix when it is first read.
-        if name != "matrix" or "integer_cells" not in self.__dict__:
-            raise AttributeError(name)
-        cells, den = self.integer_cells
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """``matrix[i][s]``: the weight of leaf i in state s."""
         width = len(self.states)
-        self.__dict__[name] = matrix = tuple(
-            tuple(Fraction(x, den) for x in cells[k:k + width])
-            for k in range(0, len(cells), width))
-        return matrix
+        return tuple(tuple(Fraction(x, self.den) for x in self.cells[k:k + width])
+                     for k in range(0, len(self.cells), width))
 
     @staticmethod
     def from_mapping(problem: DecisionProblem, weights) -> "JointDistribution":
         """Build from ``{(leaf, state): q}`` or nested ``{leaf: {state: q}}``."""
-        grid = [[Fraction(0)] * len(problem.states) for _ in problem.leaves]
         if weights and all(isinstance(v, Mapping) for v in weights.values()):
             items = [((leaf, state), q) for leaf, row in weights.items() for state, q in row.items()]
         else:
             items = list(weights.items())
-        seen = set()
+        width = len(problem.states)
+        given: dict[int, Fraction] = {}  # cell index -> weight
         for (leaf, state), q in items:
             a = problem.sequence(leaf)
             if state not in problem.state_index:
                 raise ValidationError(f"unknown state {state!r}")
-            cell = problem.leaf_index[a], problem.state_index[state]
-            if cell in seen:
+            k = problem.leaf_index[a] * width + problem.state_index[state]
+            if k in given:
                 raise ValidationError(f"cell {a.label + '@' + state!r} given twice")
-            seen.add(cell)
-            grid[cell[0]][cell[1]] = parse_rational(q)
-        return JointDistribution(problem.leaves, problem.states,
-                                 tuple(tuple(row) for row in grid))
+            given[k] = parse_rational(q)
+        nums, den = _over_lcm(given.values())
+        cells = [0] * (len(problem.leaves) * width)
+        for k, x in zip(given, nums):
+            cells[k] = x
+        return JointDistribution(problem.leaves, problem.states, cells, den)
 
     def weight(self, a: ActionSequence, state: str) -> Fraction:
-        return self.matrix[self.leaves.index(a)][self.states.index(state)]
+        k = self.leaves.index(a) * len(self.states) + self.states.index(state)
+        return Fraction(self.cells[k], self.den)
 
     def action_marginal(self) -> "MarginalDistribution":
-        return MarginalDistribution(
-            self.leaves, tuple(sum(row, Fraction(0)) for row in self.matrix)
-        )
-
-    def state_marginal(self) -> tuple[Fraction, ...]:
-        return tuple(
-            sum((row[j] for row in self.matrix), Fraction(0)) for j in range(len(self.states))
-        )
+        width = len(self.states)
+        return MarginalDistribution(self.leaves, tuple(
+            Fraction(sum(self.cells[k:k + width]), self.den)
+            for k in range(0, len(self.cells), width)))
 
     def to_json_dict(self) -> dict:
+        width = len(self.states)
         out: dict[str, dict[str, str]] = {}
-        for leaf, row in zip(self.leaves, self.matrix):
-            cells = {s: format_rational(w) for s, w in zip(self.states, row) if w != 0}
+        for leaf, k in zip(self.leaves, range(0, len(self.cells), width)):
+            cells = {s: format_rational(Fraction(x, self.den))
+                     for s, x in zip(self.states, self.cells[k:k + width]) if x}
             if cells:
                 out[leaf.label] = cells
         return out

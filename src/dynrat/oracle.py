@@ -21,7 +21,7 @@ from typing import Mapping, Sequence, Union
 
 from .deviation import (
     DEFAULT_MAX_RULES,
-    AnyRule,
+    DeviationRule,
     dominates,
     enumerate_pure_rules,
     matrix_is_adapted,
@@ -33,6 +33,7 @@ from .model import (
     MarginalDistribution,
     Observation,
     ValidationError,
+    _leaf_weights,
     _over_lcm,
     _require_probability_vector,
     format_rational,
@@ -174,8 +175,8 @@ class Strategy:
         for seq_id, row in _rows(doc, "strategy").items():
             if seq_id not in seq_index:
                 raise ValidationError(f"unknown signal sequence {seq_id!r}")
-            for leaf, q in row.items():
-                kernel[seq_index[seq_id]][problem.leaf_index[problem.sequence(leaf)]] = parse_rational(q)
+            for i, q in _leaf_weights(problem, row, f"strategy row {seq_id!r}").items():
+                kernel[seq_index[seq_id]][i] = q
         return Strategy(signal_sets, problem.leaves, tuple(tuple(r) for r in kernel))
 
     def to_json_dict(self) -> dict:
@@ -304,7 +305,7 @@ def verify_obedient_optimality(problem: DecisionProblem, triple: ObedientTriple)
 
 
 def verify_witness(
-    problem: DecisionProblem, witness: Union[ObedientTriple, AnyRule], observed: Observation
+    problem: DecisionProblem, witness: Union[ObedientTriple, DeviationRule], observed: Observation
 ) -> tuple[bool, str]:
     """Re-check a verdict's certificate against the observation, without LPs.
 
@@ -325,27 +326,27 @@ def verify_witness(
     elif isinstance(observed, MarginalDistribution):
         if induced.action_marginal() != observed:
             return False, "witness induces a different marginal"
-    elif not any(induced.matrix[problem.leaf_index[problem.sequence(observed)]]):
-        return False, "witness puts zero probability on the sequence"
+    else:
+        i, width = problem.leaf_index[problem.sequence(observed)], len(problem.states)
+        if not any(induced.cells[i * width:(i + 1) * width]):
+            return False, "witness puts zero probability on the sequence"
     return True, "obedient triple re-checked"
 
 
 def brute_force_rationalizable_joint(
     problem: DecisionProblem, joint: JointDistribution, max_rules: int = DEFAULT_MAX_RULES
 ) -> bool:
-    """Obedience by exhaustion: no pure deviation rule gains on average."""
-    utab = dict(zip(problem.leaves, problem.payoffs))
-    cells = [
-        (i, s, w)
-        for i, row in enumerate(joint.matrix)
-        for s, w in enumerate(row)
-        if w != 0
-    ]
-    leaves = problem.leaves
+    """Obedience by exhaustion: no pure deviation rule gains on average.
+    Each rule's row i is one unit entry, whose column is the leaf that i
+    is rewritten into."""
+    utab = problem.payoffs
+    width = len(problem.states)
+    cells = [(k // width, k % width, Fraction(x, joint.den))
+             for k, x in enumerate(joint.cells) if x]
     for rule in enumerate_pure_rules(problem, max_rules):
         total = Fraction(0)
         for i, s, w in cells:
-            total += w * (utab[leaves[i]][s] - utab[rule.outputs[i]][s])
+            total += w * (utab[i][s] - utab[rule.rows[i][0][0]][s])
         if total < 0:
             return False
     return True
@@ -395,13 +396,11 @@ def simulate(
     state_thresholds = _thresholds(structure.prior)
     signal_thresholds = [_thresholds(row) for row in structure.kernel]
     play_thresholds = [_thresholds(row) for row in strategy.kernel]
-    counts = [[0] * len(problem.states) for _ in problem.leaves]
+    width = len(problem.states)
+    counts = [0] * (len(problem.leaves) * width)
     for _ in range(n):
         s = _draw(rng, state_thresholds)
         k = _draw(rng, signal_thresholds[s])
         i = _draw(rng, play_thresholds[k])
-        counts[i][s] += 1
-    matrix = tuple(
-        tuple(Fraction(c, n) for c in row) for row in counts
-    )
-    return JointDistribution(problem.leaves, problem.states, matrix)
+        counts[i * width + s] += 1
+    return JointDistribution(problem.leaves, problem.states, counts, n)

@@ -52,6 +52,8 @@ from .model import (
     MarginalDistribution,
     Observation,
     ValidationError,
+    _leaf_weights,
+    _over_lcm,
     _require_probability_vector,
     format_rational,
     parse_rational,
@@ -119,11 +121,11 @@ class ObedientTriple:
             _require_probability_vector(row, "recommendation row")
 
     def induced_joint(self) -> JointDistribution:
-        matrix = tuple(
-            tuple(self.prior[s] * self.recommendation[s][i] for s in range(len(self.states)))
-            for i in range(len(self.leaves))
-        )
-        return JointDistribution(self.leaves, self.states, matrix)
+        ps, pden = _over_lcm(self.prior)
+        rs, rden = _over_lcm([w for row in self.recommendation for w in row])
+        n = len(self.leaves)
+        return JointDistribution(self.leaves, self.states, tuple(
+            p * rs[s * n + i] for i in range(n) for s, p in enumerate(ps)), pden * rden)
 
     def to_json_dict(self) -> dict:
         return {
@@ -151,8 +153,8 @@ class ObedientTriple:
         rec = [[Fraction(0)] * len(problem.leaves) for _ in problem.states]
         for s, row in doc["recommendation"].items():
             si = problem.state_index[s]
-            for leaf, q in row.items():
-                rec[si][problem.leaf_index[problem.sequence(leaf)]] = parse_rational(q)
+            for i, q in _leaf_weights(problem, row, f"recommendation {s!r}").items():
+                rec[si][i] = q
         return ObedientTriple(
             problem.leaves, problem.states, tuple(prior), tuple(tuple(r) for r in rec)
         )
@@ -288,7 +290,7 @@ def _dominance(
         rows = [[(i, xden)] for i in range(n)]
         for p, i in enumerate(inputs):
             rows[i] = [(j, x) for j, x in enumerate(xs[p * n:p * n + n]) if x]
-        return _checked(problem, DeviationRule.from_integer_rows(leaves, rows, xden), observed)
+        return _checked(problem, DeviationRule(leaves, rows, xden), observed)
     if not lpmod.check_duals(prog, sol):  # pragma: no cover - solver bug
         raise InternalInconsistencyError("dual certificate fails its check")
     ys, _ = sol.integer_duals
@@ -296,7 +298,7 @@ def _dominance(
     cells = [0] * (len(leaves) * width)
     for r, i, s in gain_rows:
         cells[i * width + s] = -ys[r]
-    return JointDistribution.from_integer_cells(leaves, states, cells, sum(cells))
+    return JointDistribution(leaves, states, cells, sum(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +375,7 @@ def max_positive_marginal(
     cells = [0] * (len(problem.leaves) * width)
     for p, i in enumerate(inputs):
         cells[i * width:(i + 1) * width] = xs[p * width:(p + 1) * width]
-    return sol.value, JointDistribution.from_integer_cells(problem.leaves, problem.states,
-                                                          cells, xden)
+    return sol.value, JointDistribution(problem.leaves, problem.states, cells, xden)
 
 
 def obedient_triple_from_joint(joint: JointDistribution) -> ObedientTriple:
@@ -383,15 +384,18 @@ def obedient_triple_from_joint(joint: JointDistribution) -> ObedientTriple:
     States with zero prior mass get a deterministic placeholder row (point
     mass on the first leaf); the induced joint law is unchanged.
     """
-    prior = joint.state_marginal()
+    width = len(joint.states)
+    columns = [joint.cells[s::width] for s in range(width)]
     rec = []
-    for s, p in enumerate(prior):
-        if p == 0:
+    for column in columns:
+        mass = sum(column)
+        if mass == 0:
             row = [Fraction(0)] * len(joint.leaves)
             row[0] = Fraction(1)
         else:
-            row = [cells[s] / p for cells in joint.matrix]
+            row = [Fraction(x, mass) for x in column]
         rec.append(tuple(row))
+    prior = tuple(Fraction(sum(column), joint.den) for column in columns)
     return ObedientTriple(joint.leaves, joint.states, prior, tuple(rec))
 
 
@@ -405,7 +409,7 @@ def certificate(
     marginal by one LP, whose duals give the law."""
     if isinstance(observed, JointDistribution):
         gain, rule = best_joint_deviation(problem, observed)
-        return _checked(problem, rule().to_rule(), observed) if gain > 0 else observed
+        return _checked(problem, rule(), observed) if gain > 0 else observed
     return _dominance(problem, observed)
 
 

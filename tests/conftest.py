@@ -183,7 +183,7 @@ def random_marginal(rng: random.Random, problem: m.DecisionProblem) -> m.Margina
     )
 
 
-def random_pure_rule(rng: random.Random, problem: m.DecisionProblem) -> dv.PureDeviationRule:
+def random_pure_rule(rng: random.Random, problem: m.DecisionProblem) -> dv.DeviationRule:
     """Sample an adapted pure rule by walking aligned prefixes top-down."""
     T = problem.periods
 
@@ -203,7 +203,8 @@ def random_pure_rule(rng: random.Random, problem: m.DecisionProblem) -> dv.PureD
             walk(ic, rng.choice(children(out)))
 
     walk((), ())
-    return dv.PureDeviationRule(problem.leaves, tuple(mapping[a] for a in problem.leaves))
+    return dv.DeviationRule(problem.leaves, tuple(
+        ((problem.leaf_index[mapping[a]], 1),) for a in problem.leaves), 1)
 
 
 def random_rule(rng: random.Random, problem: m.DecisionProblem) -> dv.DeviationRule:
@@ -214,12 +215,12 @@ def random_rule(rng: random.Random, problem: m.DecisionProblem) -> dv.DeviationR
     n = len(problem.leaves)
     matrix = [[Fraction(0)] * n for _ in range(n)]
     for part, x in zip(parts, raw):
-        pm = part.to_rule().matrix
+        pm = part.matrix
         w = Fraction(x, total)
         for i in range(n):
             for j in range(n):
                 matrix[i][j] += w * pm[i][j]
-    return dv.DeviationRule(problem.leaves, tuple(tuple(r) for r in matrix))
+    return dv.DeviationRule.from_mapping(problem, matrix)
 
 
 def random_convex_increasing(rng: random.Random):
@@ -262,8 +263,8 @@ def enumerated_obedience_optimum(problem: m.DecisionProblem, weights: dict,
             prog.add_constraint({gamma[b, s]: 1 for s in problem.states}, "==", 0)
     for rule in dv.enumerate_pure_rules(problem):
         prog.add_constraint({
-            gamma[b, s]: m.utility(problem, b, s) - m.utility(problem, out, s)
-            for b, out in zip(problem.leaves, rule.outputs) for s in problem.states
+            gamma[b, s]: m.utility(problem, b, s) - m.utility(problem, problem.leaves[j], s)
+            for b, ((j, _),) in zip(problem.leaves, rule.rows) for s in problem.states
         }, ">=", 0)
     prog.set_objective({gamma[cell]: w for cell, w in weights.items()})
     sol = lp.solve(prog)

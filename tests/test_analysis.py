@@ -132,7 +132,7 @@ def test_lambda_D_set_identity_and_bounds(example2):
     ident = dv.identity_rule(probe)
     assert an.lambda_D_set(example2, ident, probe.sequence("w,x"),
                            ["0", "1/2", "1"]) == (True, True, True)
-    all_x = dv.PureDeviationRule.from_mapping(
+    all_x = dv.DeviationRule.from_mapping(
         probe, {"w,x": "x", "w,y": "x", "x": "x", "y": "x"})
     assert an.lambda_D_set(example2, all_x, probe.sequence("w,y"), ["1"]) == (True,)
     # nothing left to sweep: every parameter pinned, or none to begin with
@@ -147,7 +147,7 @@ def test_lambda_D_set_joint_law(example2):
     # the rule that sends every leaf to x is the witness of a "no" at 3/4
     probe = m.instantiate(example2, {"delta": 1})
     joint = m.JointDistribution.from_mapping(probe, {("w,x", "X"): "1/2", ("w,y", "Y"): "1/2"})
-    all_x = dv.PureDeviationRule.from_mapping(
+    all_x = dv.DeviationRule.from_mapping(
         probe, {"w,x": "x", "w,y": "x", "x": "x", "y": "x"})
     grid = [F(i, 8) for i in range(9)]
     got = an.lambda_D_set(example2, all_x, joint, grid)
@@ -448,30 +448,28 @@ def test_sweep_puts_the_observed_law_over_one_lcm_once(example2, monkeypatch):
 
 
 def test_sweep_reads_certificates_in_integers(example2, monkeypatch):
-    # over sequence or marginal data the sweep reads each rule and each law
+    # over sequence or marginal data the sweep builds each rule and each law
     # from the solver's integers and checks a carried law by its gain
-    # alone: no Fraction assignment, duals or matrix, and no pure rule
+    # alone: no Fraction assignment, duals or matrix, and no rule from the
+    # backward induction
     probe = m.instantiate(example2, {"delta": 1})
     built, made, runs = [], [], []
 
     def counted(record, key, fn):
         return lambda *args: record.append(key) or fn(*args)
 
-    monkeypatch.setattr(dv.PureDeviationRule, "__post_init__",
-                        counted(built, "pure rule", dv.PureDeviationRule.__post_init__))
-    monkeypatch.setattr(dv.DeviationRule, "__getattr__",
-                        counted(built, "rule matrix", dv.DeviationRule.__getattr__))
-    monkeypatch.setattr(m.JointDistribution, "__getattr__",
-                        counted(built, "law matrix", m.JointDistribution.__getattr__))
+    def law_check(*args):
+        gain, rule = dv.best_joint_deviation(*args)
+        return gain, counted(built, "induction rule", rule)
+
+    for cls, key in ((dv.DeviationRule, "rule"), (m.JointDistribution, "law")):
+        monkeypatch.setattr(cls, "matrix", property(counted(built, key + " matrix",
+                                                            cls.matrix.func)))
+        monkeypatch.setattr(cls, "__post_init__", counted(made, key, cls.__post_init__))
     for name in ("assignment", "duals"):
         read = getattr(lp.LpSolution, name).fget
         monkeypatch.setattr(lp.LpSolution, name, property(counted(built, name, read)))
-    monkeypatch.setattr(rz.DeviationRule, "from_integer_rows",
-                        counted(made, "rule", dv.DeviationRule.from_integer_rows))
-    monkeypatch.setattr(rz.JointDistribution, "from_integer_cells",
-                        counted(made, "law", m.JointDistribution.from_integer_cells))
-    monkeypatch.setattr(an, "best_joint_deviation",
-                        counted(runs, "law check", dv.best_joint_deviation))
+    monkeypatch.setattr(an, "best_joint_deviation", counted(runs, "law check", law_check))
     for observation in (probe.sequence("w,x"),
                         m.MarginalDistribution.from_mapping(probe, {"w,x": "3/4", "w,y": "1/4"})):
         iset = an.identified_set(example2, observation, "delta", 0, 1)

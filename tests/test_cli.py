@@ -211,6 +211,14 @@ MALFORMED = {
     "kernel-row-spells-an-output-twice": ("verify-witness", _edited(
         "ex1-check-marginal-no", lambda r: r["result"]["witness"]["kernel"].update(
             not_invest={"not_invest": "1/2", "not_invest,_": "1/2"})), "'not_invest'"),
+    # so is a leaf spelled twice in a recommendation or a strategy row: the
+    # last spelling may not win silently
+    "triple-row-spells-a-leaf-twice": ("verify-witness", _edited(
+        "ex1-check-joint-yes", lambda r: r["result"]["witness"]["recommendation"]["good"].update(
+            {"not_invest": "1/2", "not_invest,_": "0"})), "'not_invest'", "given twice"),
+    "strategy-row-spells-a-leaf-twice": ("simulate --strategy", _shipped(
+        EX1_STRATEGY, lambda d: d["kernel"]["s,g"].update(
+            {"not_invest": "1/2", "not_invest,_": "0"})), "'not_invest'", "given twice"),
     # a leaf is named by its actions, then at most the padding that fills the
     # horizon: padding in front of or between actions, an empty entry or one
     # entry too many names no leaf, wherever a leaf is read

@@ -21,7 +21,7 @@ from conftest import (
 
 
 def all_to(problem, label):
-    return dv.PureDeviationRule.from_mapping(
+    return dv.DeviationRule.from_mapping(
         problem, {leaf: label for leaf in problem.leaves}
     )
 
@@ -71,10 +71,11 @@ def test_enumeration_counts(example1, example2):
 
 def test_enumeration_properties(example1):
     rules = dv.enumerate_pure_rules(example1)
-    assert len(set(r.outputs for r in rules)) == len(rules)
-    assert sum(1 for r in rules if r.outputs == example1.leaves) == 1
+    assert len(set(r.rows for r in rules)) == len(rules)
+    assert all(r.den == 1 and all(len(row) == 1 for row in r.rows) for r in rules)
+    assert sum(1 for r in rules if r == dv.identity_rule(example1)) == 1
     for r in rules:
-        assert dv.is_adapted(example1, r.to_rule().matrix)
+        assert dv.is_adapted(example1, r.matrix)
     assert dv.enumerate_pure_rules(example1) == rules  # stable order
 
 
@@ -94,10 +95,10 @@ def test_size_guard(example2):
 def test_compose_identity_laws(example1):
     ident = dv.identity_rule(example1)
     north = all_to(example1, "not_invest")
-    assert dv.compose(ident, north).matrix == north.to_rule().matrix
-    assert dv.compose(north, ident).matrix == north.to_rule().matrix
+    assert dv.compose(ident, north).matrix == north.matrix
+    assert dv.compose(north, ident).matrix == north.matrix
     # a constant rule absorbs whatever runs first
-    assert dv.compose(north, dv.identity_rule(example1)).matrix == north.to_rule().matrix
+    assert dv.compose(north, dv.identity_rule(example1)).matrix == north.matrix
 
 
 def test_compose_closure_and_associativity():
@@ -133,9 +134,9 @@ def test_improvement_values(example1, example2):
 def test_improvement_table_for_one_sided_rewrites(example2):
     half = m.instantiate(example2, {"delta": "1/2"})
     wx = half.sequence("w,x")
-    to_x = dv.PureDeviationRule.from_mapping(
+    to_x = dv.DeviationRule.from_mapping(
         half, {"w,x": "x", "w,y": "x", "x": "x", "y": "y"})
-    to_y = dv.PureDeviationRule.from_mapping(
+    to_y = dv.DeviationRule.from_mapping(
         half, {"w,x": "y", "w,y": "y", "x": "x", "y": "y"})
     assert dv.improvement(half, to_x, wx, "X") == F(5, 2)   # 5 - 5d
     assert dv.improvement(half, to_x, wx, "Y") == F(3, 2)   # 3 - 3d
@@ -190,9 +191,8 @@ def test_dominates_marginal(example1):
 
 def per_cell_improvement(problem, rule, a, s):
     """A rule's gain at one leaf and state, one lottery at a time."""
-    if isinstance(rule, dv.PureDeviationRule):
-        rule = rule.to_rule()
-    return m.lottery_utility(problem, rule.row(a), s) - m.utility(problem, a, s)
+    row = {b: w for b, w in zip(rule.leaves, rule.matrix[rule.leaves.index(a)]) if w != 0}
+    return m.lottery_utility(problem, row, s) - m.utility(problem, a, s)
 
 
 def per_cell_dominates_joint(problem, rule, joint):
@@ -343,7 +343,7 @@ def test_rule_serialization_round_trip(example2):
         again = dv.DeviationRule.from_json_dict(half, rule.to_json_dict())
         assert again == rule
     pure = random_pure_rule(rng, half)
-    assert dv.PureDeviationRule.from_mapping(half, pure.to_json_dict()) == pure
+    assert dv.DeviationRule.from_mapping(half, pure.to_json_dict()) == pure
 
 
 def test_kernel_row_refuses_an_output_given_twice(example1):
@@ -355,12 +355,12 @@ def test_kernel_row_refuses_an_output_given_twice(example1):
     with pytest.raises(m.ValidationError, match="given twice"):
         dv.is_adapted(example1, kernel)
     kernel["not_invest"] = {"not_invest": "1"}
-    assert dv.DeviationRule.from_mapping(example1, kernel) == dv.identity_rule(example1).to_rule()
+    assert dv.DeviationRule.from_mapping(example1, kernel) == dv.identity_rule(example1)
 
 
 def test_unadapted_pure_mapping_rejected(example1):
     with pytest.raises(m.ValidationError, match="adapted"):
-        dv.PureDeviationRule.from_mapping(example1, {
+        dv.DeviationRule.from_mapping(example1, {
             "invest,pull_back": "not_invest",
             "invest,invest": "invest,invest",
             "not_invest": "not_invest",
@@ -432,7 +432,7 @@ def test_backward_induction_matches_the_joint_dominance_lp():
         joint = random_joint(rng, p)
         gain, follow = dv.best_joint_deviation(p, joint)
         assert gain == joint_dominance_optimum(p, joint)
-        rule = follow().to_rule()
+        rule = follow()
         entries = [leaf.entries for leaf in p.leaves]
         assert dense_matrix_is_adapted(entries, entries, rule.matrix, p.periods)
         assert rule_gain(p, rule, joint) == gain

@@ -274,7 +274,7 @@ def test_polytope_membership(example1, example2):
         prog = polytope_program(L.deviation_polytope_constraints(problem))
         n = len(problem.leaves)
         for rule in dv.enumerate_pure_rules(problem):
-            mat = rule.to_rule().matrix
+            mat = rule.matrix
             asg = [mat[i][j] for i in range(n) for j in range(n)]
             assert L.check_solution(prog, asg)
             i, j = rng.randrange(n), rng.randrange(n)
@@ -298,7 +298,7 @@ def test_polytope_vertices_are_pure_kernels(example1):
     problems = [example1] + [
         random_problem(rng, min_leaves=4, max_rules=250) for _ in range(6)]
     for problem in problems:
-        pure_kernels = {r.to_rule().matrix for r in dv.enumerate_pure_rules(problem)}
+        pure_kernels = {r.matrix for r in dv.enumerate_pure_rules(problem)}
         poly = L.deviation_polytope_constraints(problem)
         n = len(problem.leaves)
         for _ in range(12):

@@ -339,7 +339,7 @@ def test_law_cells_build_no_sequence(monkeypatch):
     cells = {(leaf.label, s): "1/30" for leaf in problem.leaves[:10] for s in problem.states}
     law = m.JointDistribution.from_mapping(problem, cells)
     assert built == []
-    assert len(cells) == 30 and law.integer_cells == ([1] * 30 + [0] * 18, 30)
+    assert len(cells) == 30 and (law.cells, law.den) == ((1,) * 30 + (0,) * 18, 30)
 
 
 @pytest.mark.parametrize("text", [

@@ -91,7 +91,8 @@ def test_intermediately_dominated(example1):
     assert rule is not None
     # the optimum is the all-to-not_invest rewrite, uniquely
     north = example1.sequence("not_invest")
-    assert all(rule.row(a) == {north: F(1)} for a in example1.leaves)
+    assert all({b: w for b, w in zip(rule.leaves, rule.matrix[example1.leaf_index[a]]) if w != 0}
+               == {north: F(1)} for a in example1.leaves)
     knife = m.MarginalDistribution.from_mapping(
         example1, {"invest,pull_back": "2/3", "invest,invest": "1/3"})
     assert rz.dominating_rule(example1, knife) is None
@@ -284,12 +285,74 @@ def test_rationalizable_joints_form_convex_set():
                 and oc.brute_force_rationalizable_joint(p, g2)):
             continue
         t = F(rng.randint(1, 6), 7)
-        mix = m.JointDistribution(p.leaves, p.states, tuple(
-            tuple(t * a + (1 - t) * b for a, b in zip(r1, r2))
-            for r1, r2 in zip(g1.matrix, g2.matrix)
-        ))
+        mix = m.JointDistribution.from_mapping(p, {
+            (leaf, s): t * a + (1 - t) * b
+            for leaf, r1, r2 in zip(p.leaves, g1.matrix, g2.matrix)
+            for s, a, b in zip(p.states, r1, r2)
+        })
         assert rz.dominating_rule(p, mix) is None
         done += 1
+
+
+def test_one_rule_is_one_value_whichever_constructor_built_it(example3):
+    # the dominance LP's rule against "effort, effort" sends every leaf to
+    # no_effort; so does one mapping (keys shuffled, leaves spelled with
+    # padding, weights not in lowest terms) and one enumerated pure rule
+    p = m.instantiate(example3, {"R": 1, "c": 2})
+    from_lp = rz.dominating_rule(p, p.sequence("effort,effort"))
+    mapped = dv.DeviationRule.from_mapping(p, {
+        "no_effort,_": "no_effort", "effort,no_effort": {"no_effort,_": "1"},
+        "effort,effort": {"effort,effort": "0", "no_effort": "3/3"}})
+    stay_out = ((p.leaf_index[p.sequence("no_effort")], 1),)
+    enumerated = [r for r in dv.enumerate_pure_rules(p) if set(r.rows) == {stay_out}]
+    copies = [from_lp, mapped, *enumerated]
+    assert len(copies) == 3 and all(c == from_lp for c in copies)
+    assert len({hash(c) for c in copies}) == 1
+    assert (from_lp.rows, from_lp.den) == ((stay_out,) * 3, 1)
+
+
+def test_one_mixed_rule_is_one_value_whichever_constructor_built_it(example2):
+    # the LP's rule against waiting at delta = 3/4 mixes x and y 5:3; so do
+    # a mapping with unreduced weights and the LP's integers put over twice
+    # their denominator, each row reversed and given an explicit zero
+    p = m.instantiate(example2, {"delta": "3/4"})
+    from_lp = rz.dominating_rule(p, p.sequence("w,x"))
+    mapped = dv.DeviationRule.from_mapping(p, {
+        "y": "y", "x,_": {"x": 1}, "w,y": {"y": "6/16", "x": "10/16"},
+        "w,x": {"x": "5/8", "y": "3/8"}})
+    x, y, wy = (p.leaf_index[p.sequence(a)] for a in ("x", "y", "w,y"))
+    scaled = dv.DeviationRule(p.leaves, [
+        [(j, 2 * w) for j, w in reversed(row)] + [(wy, 0)] for row in from_lp.rows],
+        2 * from_lp.den)
+    assert from_lp == mapped == scaled and hash(from_lp) == hash(mapped) == hash(scaled)
+    assert from_lp.rows[p.leaf_index[p.sequence("w,x")]] == ((x, 5), (y, 3))
+    assert from_lp.den == 8
+
+
+def test_one_law_is_one_value_whichever_constructor_built_it(example1):
+    # the dominance duals' obedient law for each investing sequence, the
+    # same law from a mapping (keys shuffled, padding, explicit zeros) and
+    # from the triple it conditions into; the point mass also from draws
+    ii, ip = example1.sequence("invest,invest"), example1.sequence("invest,pull_back")
+    given = ({"not_invest,_": {"bad": "0"}, "invest,invest": {"bad": 0, "good": "3/3"}},
+             {"invest,invest": {"good": "2/6"}, "not_invest,_": {"good": 0},
+              "invest,pull_back": {"good": "1/6", "bad": "3/6"}})
+    for observed, mapping in zip((ii, ip), given):
+        law = rz.certificate(example1, observed)
+        assert isinstance(law, m.JointDistribution)
+        copies = [law, m.JointDistribution.from_mapping(example1, mapping),
+                  rz.obedient_triple_from_joint(law).induced_joint()]
+        if observed == ii:
+            signals = {"signals": [["s"], ["g"]]}
+            structure = oc.InformationStructure.from_json_dict(example1, {
+                **signals, "prior": {"good": "1"},
+                "kernel": {"good": {"s,g": "1"}, "bad": {"s,g": "1"}}})
+            strategy = oc.Strategy.from_json_dict(example1, {
+                **signals, "kernel": {"s,g": {"invest,invest": "1"}}})
+            copies.append(oc.simulate(example1, strategy, structure, 7, seed=0))
+        assert all(c == law for c in copies)
+        assert len({hash(c) for c in copies}) == 1
+    assert len(copies) == 3 and law.den == 6
 
 
 def test_witnesses_are_sound_on_random_instances():
