@@ -17,11 +17,11 @@ from typing import Optional, Sequence, Union
 
 from .deviation import DeviationRule, best_joint_deviation, dominates
 from .model import (
-    AffineExpr,
     DecisionProblem,
     JointDistribution,
     Observation,
     ValidationError,
+    _over_lcm,
     format_rational,
     parse_rational,
     substitute_params,
@@ -88,20 +88,12 @@ class PiecewiseLinearFunction:
 
 def risk_transform(problem: DecisionProblem, f: PiecewiseLinearFunction) -> DecisionProblem:
     """Apply ``f`` to every terminal utility; models a less risk-averse agent
-    with the same ordinal ranking of certain outcomes."""
+    with the same ordinal ranking of certain outcomes.  The result shares
+    ``problem``'s tree."""
     if problem.has_params:
         raise ValidationError("instantiate the problem's parameters first")
-    utilities = tuple(
-        (entries, state, AffineExpr.make(f(expr.constant)))
-        for entries, state, expr in problem.utilities
-    )
-    return DecisionProblem(
-        periods=problem.periods,
-        states=problem.states,
-        param_names=(),
-        branches=problem.branches,
-        utilities=utilities,
-    )
+    nums, den = _over_lcm([f(Fraction(row[0], problem.den)) for row in problem.table])
+    return DecisionProblem(problem.tree, problem.states, (), tuple(zip(nums)), den)
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +244,12 @@ def identified_set(
     decision, it solves none.  The bisection phase decides each of its
     points as above.
 
-    A sample costs no rebuilding: `substitute_params` pins the family
-    without validating it again, evaluates its payoffs in integers from the
-    family's affine table, and shares what depends on the tree alone (the
-    deviation polytope, the prefix tree of the backward induction), which
-    is built once per sweep.  A carried rule keeps its rows in integers.
+    A sample costs no rebuilding: `substitute_params` evaluates the
+    family's integer table at the sample and builds a problem on the
+    family's tree, which is not validated again, and it shares what depends
+    on the tree alone (the deviation polytope, the prefix tree of the
+    backward induction), which is built once per sweep.  A carried rule
+    keeps its rows in integers.
     """
     lo = parse_rational(lo)
     hi = parse_rational(hi)

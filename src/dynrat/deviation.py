@@ -29,6 +29,7 @@ from .model import (
     JointDistribution,
     MarginalDistribution,
     Observation,
+    Tree,
     ValidationError,
     _leaf_weights,
     _over_lcm,
@@ -129,7 +130,7 @@ def is_adapted(problem: DecisionProblem, kernel) -> bool:
     for row in rows:
         _require_probability_vector([w for _, w in row], "kernel row")
     entries = [l.entries for l in problem.leaves]
-    return _support_is_adapted(entries, entries, rows, problem.periods)
+    return _support_is_adapted(entries, entries, rows, problem.tree.periods)
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +204,13 @@ def identity_rule(problem: DecisionProblem) -> DeviationRule:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def _prefix_children(problem: DecisionProblem) -> dict[tuple[str, ...], list[tuple[str, ...]]]:
+def _prefix_children(tree: Tree) -> dict[tuple[str, ...], list[tuple[str, ...]]]:
     """Each padded prefix shorter than the horizon, mapped to its one-longer
     prefixes in document order (past a terminal history, the next entry is
-    `PAD`).  Depends on the tree alone: use it through `per_tree`."""
+    `PAD`); built once per tree (`Tree.per_tree`)."""
     kids: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-    for leaf in problem.leaves:
-        for t in range(problem.periods):
+    for leaf in tree.leaves:
+        for t in range(tree.periods):
             row = kids.setdefault(leaf.entries[:t], [])
             if not row or row[-1] != leaf.entries[:t + 1]:
                 row.append(leaf.entries[:t + 1])
@@ -218,11 +219,11 @@ def _prefix_children(problem: DecisionProblem) -> dict[tuple[str, ...], list[tup
 
 def count_pure_rules(problem: DecisionProblem) -> int:
     """Number of adapted pure rules, by recursion over aligned prefix pairs."""
-    kids = problem.per_tree(_prefix_children)
+    kids = problem.tree.per_tree(_prefix_children)
     cache: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
 
     def count(inp: tuple[str, ...], out: tuple[str, ...]) -> int:
-        if len(inp) == problem.periods:
+        if len(inp) == problem.tree.periods:
             return 1
         key = (inp, out)
         if key not in cache:
@@ -261,14 +262,14 @@ def best_joint_deviation(
     """
     table, uden = problem.integer_payoffs
     _require_joint_shape(problem, joint)
-    periods = problem.periods
+    periods = problem.tree.periods
     pay = {b.entries: row for b, row in zip(problem.leaves, table)}
     cells, wden = joint.cells, joint.den
     width = len(problem.states)
     rows = [cells[k:k + width] for k in range(0, len(cells), width)]
     mass = {a.entries: row for a, row in zip(problem.leaves, rows) if any(row)}
     live = {a[:t] for a in mass for t in range(periods + 1)}
-    kids = problem.per_tree(_prefix_children)
+    kids = problem.tree.per_tree(_prefix_children)
     choice: dict[tuple[tuple[str, ...], tuple[str, ...]], tuple[str, ...]] = {}
 
     def value(h: tuple[str, ...], g: tuple[str, ...]) -> int:
@@ -310,20 +311,20 @@ def enumerate_pure_rules(
     The order is the lexicographic product of per-prefix output choices taken
     in tree document order, so repeated calls (and separate processes) agree.
     Raises `SizeGuardError` before materializing anything too large.  The
-    list is built once per tree (`DecisionProblem.per_tree`).
+    list is built once per tree (`Tree.per_tree`).
     """
     total = count_pure_rules(problem)
     if total > max_rules:
         raise SizeGuardError(total, max_rules)
-    return problem.per_tree(_pure_rules)
+    return problem.tree.per_tree(_pure_rules)
 
 
-def _pure_rules(problem: DecisionProblem) -> tuple[DeviationRule, ...]:
-    kids = problem.per_tree(_prefix_children)
-    index = {leaf.entries: i for i, leaf in enumerate(problem.leaves)}
+def _pure_rules(tree: Tree) -> tuple[DeviationRule, ...]:
+    kids = tree.per_tree(_prefix_children)
+    index = {leaf.entries: i for i, leaf in enumerate(tree.leaves)}
 
     def options(inp: tuple[str, ...], out: tuple[str, ...]) -> list[dict]:
-        if len(inp) == problem.periods:
+        if len(inp) == tree.periods:
             return [{inp: ((index[out], 1),)}]
         alternatives = []
         for ic in kids[inp]:
@@ -340,7 +341,7 @@ def _pure_rules(problem: DecisionProblem) -> tuple[DeviationRule, ...]:
         return merged
 
     return tuple(
-        DeviationRule(problem.leaves, tuple(mapping[a.entries] for a in problem.leaves), 1)
+        DeviationRule(tree.leaves, tuple(mapping[a.entries] for a in tree.leaves), 1)
         for mapping in options((), ())
     )
 
@@ -391,9 +392,7 @@ def improvement(
 ) -> Fraction:
     """Exact payoff change from following the rule instead of playing ``a``."""
     i = problem.leaf_index[problem.sequence(a)]
-    if state not in problem.state_index:
-        raise ValidationError(f"unknown state {state!r}")
-    return gains(problem, rule)[i][problem.state_index[state]]
+    return gains(problem, rule)[i][problem.state_position(state)]
 
 
 def dominates_sequence(problem: DecisionProblem, rule: DeviationRule, a: ActionSequence) -> bool:
@@ -417,8 +416,7 @@ def dominates_marginal(
     if marginal.leaves != problem.leaves:
         raise ValidationError("marginal law leaves do not match the problem")
     table, _ = _integer_gains(problem, rule)
-    weights, _ = marginal.integer_weights
-    return sum(w * min(row) for w, row in zip(weights, table) if w) > 0
+    return sum(w * min(row) for w, row in zip(marginal.weights, table) if w) > 0
 
 
 def dominates(problem: DecisionProblem, rule: DeviationRule, observed: Observation) -> bool:

@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .model import DecisionProblem, ValidationError, _over_lcm, parse_rational
+from .model import Tree, ValidationError, _over_lcm, parse_rational
 
 _SENSES = ("<=", "==", ">=")
 
@@ -515,20 +515,20 @@ class DeviationPolytope:
             for con in self.constraints if next(iter(con.coeffs)) // n in first)
 
 
-def deviation_polytope_constraints(problem: DecisionProblem) -> DeviationPolytope:
+def deviation_polytope_constraints(tree: Tree) -> DeviationPolytope:
     """The polytope's rows, in integers over 1: built once per tree (through
-    `DecisionProblem.per_tree`) and shared, never changed, by every program
-    that uses them."""
-    n = len(problem.leaves)
+    `Tree.per_tree`) and shared, never changed, by every program on any
+    problem over that tree."""
+    n = len(tree.leaves)
     constraints = [Constraint(dict.fromkeys(range(i * n, i * n + n), 1), "==", 1)
                    for i in range(n)]
-    for t in range(1, problem.periods):
-        classes = problem.prefix_classes(t)
+    for t in range(1, tree.periods):
+        classes = tree.prefix_classes(t)
         for _, members in classes:
             for a_i, a_k in zip(members, members[1:]):
                 for _, out_members in classes:
                     coeffs = {a_i * n + j: 1 for j in out_members}
                     coeffs.update((a_k * n + j, -1) for j in out_members)
                     constraints.append(Constraint(coeffs, "==", 0))
-    blocks = tuple(members for _, members in problem.prefix_classes(1))
+    blocks = tuple(members for _, members in tree.prefix_classes(1))
     return DeviationPolytope(n, tuple(constraints), blocks)

@@ -2,15 +2,18 @@
 
 All numeric data is exact, held as `fractions.Fraction`s or as integers over
 one common denominator; nothing in the core ever rounds.  A decision problem
-is a finite rooted action tree of depth at most ``periods``, a finite state
-set, and a terminal utility table.  Histories with no successors are
-terminal; their root-to-leaf paths are padded with the reserved marker
-``"_"`` up to ``periods`` entries, so the set of padded leaves plays the role
-of the full action-sequence space.
+is a finite rooted action tree (`Tree`) of depth at most ``periods``, a
+finite state set, and a terminal utility table.  Histories with no
+successors are terminal; their root-to-leaf paths are padded with the
+reserved marker ``"_"`` up to ``periods`` entries, so the set of padded
+leaves plays the role of the full action-sequence space.
 
 Utilities may be affine in a vector of named parameters (for example a
-discount factor the analyst wants to estimate); `instantiate` pins the
-parameters and yields a parameter-free problem.
+discount factor the analyst wants to estimate).  The table holds each
+entry's constant and coefficients as integers over one denominator;
+`AffineExpr` is only the form a problem file writes an entry in.
+`instantiate` pins the parameters and yields a parameter-free problem on
+the same, already validated, tree.
 """
 
 from __future__ import annotations
@@ -22,12 +25,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
 
 #: Reserved padding marker for entries after a terminal history.
 PAD = "_"
 
-_FORBIDDEN_LABEL_CHARS = (",", "@", ":")
+_FORBIDDEN_LABEL_CHARS = frozenset(",@:")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
@@ -79,6 +83,12 @@ def _over_lcm(values: Collection[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def _chunks(values: Iterable, width: int) -> tuple[tuple, ...]:
+    """``values`` cut into consecutive tuples of ``width`` entries."""
+    it = iter(values)
+    return tuple(zip(*[it] * width))
+
+
 def format_rational(q: Fraction) -> str:
     """Render a `Fraction` as ``"p"`` or ``"p/q"`` (inverse of `parse_rational`)."""
     if q.denominator == 1:
@@ -122,17 +132,6 @@ class AffineExpr:
     @property
     def is_constant(self) -> bool:
         return not self.coeffs
-
-    def substitute(self, point: Mapping[str, Fraction]) -> "AffineExpr":
-        """Pin a subset of parameters, leaving the rest symbolic."""
-        const = self.constant
-        rest: dict[str, Fraction] = {}
-        for name, coeff in self.coeffs:
-            if name in point:
-                const += coeff * point[name]
-            else:
-                rest[name] = coeff
-        return AffineExpr.make(const, rest)
 
     def render(self) -> Union[int, str]:
         """Problem-file form: a bare number when constant, else a term string."""
@@ -253,42 +252,28 @@ def _check_label(label: str, what: str) -> None:
         raise ValidationError(f"{what} must be a nonempty string")
     if label in (PAD, "∅"):
         raise ValidationError(f"{what} {label!r} is reserved for padding")
-    if any(ch in label for ch in _FORBIDDEN_LABEL_CHARS):
+    if not _FORBIDDEN_LABEL_CHARS.isdisjoint(label):
         raise ValidationError(f"{what} {label!r} contains a forbidden character")
 
 
 @dataclass(frozen=True, eq=False)
-class DecisionProblem:
-    """A finite dynamic decision problem.
+class Tree:
+    """A finite rooted action tree of depth at most ``periods``.
 
     ``branches`` lists, in document order, every non-terminal history together
-    with its available actions; the root history is ``()``.  ``utilities``
-    carries one `AffineExpr` per (padded leaf, state) pair.  Instances are
-    immutable and safe to share; identity is used for equality and hashing so
-    they can key caches.
+    with its available actions; the root history is ``()``.  Construction
+    validates the tree once; every problem on it, and every problem that
+    `substitute_params` or `analysis.risk_transform` derives from one, shares
+    it and what is built from it (`per_tree`).  Identity is used for
+    equality and hashing.
     """
 
     periods: int
-    states: tuple[str, ...]
-    param_names: tuple[str, ...]
     branches: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
-    utilities: tuple[tuple[tuple[str, ...], str, AffineExpr], ...]
 
     def __post_init__(self) -> None:
         if self.periods < 1:
             raise ValidationError("periods must be at least 1")
-        if not self.states:
-            raise ValidationError("at least one state is required")
-        if len(set(self.states)) != len(self.states):
-            raise ValidationError("duplicate state label")
-        for s in self.states:
-            _check_label(s, "state label")
-        if len(set(self.param_names)) != len(self.param_names):
-            raise ValidationError("duplicate parameter name")
-        for p in self.param_names:
-            if not _NAME_RE.fullmatch(p):
-                raise ValidationError(f"parameter name {p!r} is not an identifier")
-
         branch_map = {}
         for history, actions in self.branches:
             if history in branch_map:
@@ -309,28 +294,6 @@ class DecisionProblem:
             if history and history[-1] not in branch_map.get(history[:-1], ()):
                 raise ValidationError(f"unreachable history {history!r}")
 
-        padded = {leaf.entries for leaf in self.leaves}
-        states = set(self.states)
-        seen = set()
-        for entries, state, expr in self.utilities:
-            key = (entries, state)
-            if key in seen:
-                raise ValidationError(f"duplicate utility entry for {key!r}")
-            if entries not in padded or state not in states:
-                raise ValidationError(f"utility entry for unknown pair {key!r}")
-            bad = [n for n, _ in expr.coeffs if n not in self.param_names]
-            if bad:
-                raise ValidationError(f"utility references undeclared parameter {bad[0]!r}")
-            seen.add(key)
-        if len(seen) < len(padded) * len(states):
-            entries, state = min((e, s) for e in padded for s in self.states if (e, s) not in seen)
-            raise ValidationError(
-                f"missing utility for leaf {','.join(e for e in entries if e != PAD)!r}"
-                f" in state {state!r}"
-            )
-
-    # -- derived structure ---------------------------------------------------
-
     @cached_property
     def branch_map(self) -> dict[tuple[str, ...], tuple[str, ...]]:
         return dict(self.branches)
@@ -345,84 +308,16 @@ class DecisionProblem:
         return {leaf: i for i, leaf in enumerate(self.leaves)}
 
     @cached_property
-    def state_index(self) -> dict[str, int]:
-        return {s: i for i, s in enumerate(self.states)}
-
-    @cached_property
-    def _utility_map(self) -> dict[tuple[tuple[str, ...], str], AffineExpr]:
-        return {(entries, state): expr for entries, state, expr in self.utilities}
-
-    @cached_property
-    def integer_payoffs(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """The utility table in integers: ``(numerators, den)`` with
-        ``payoffs[i][s] == numerators[i][s] / den``, over the least common
-        denominator.  Raises `ValidationError` while the problem has free
-        parameters."""
-        _require_parameter_free(self)
-        return self._integer_payoffs_at(())
-
-    @cached_property
-    def payoffs(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The exact utility table: ``payoffs[i][s]`` is the utility of
-        ``leaves[i]`` in ``states[s]``."""
-        nums, den = self.integer_payoffs
-        return tuple(tuple(Fraction(n, den) for n in row) for row in nums)
-
-    @cached_property
-    def _affine_table(self) -> tuple[list[list[int]], int]:
-        """Each utility entry, in leaf and state order, as its constant and
-        its coefficient of each declared parameter, over one lcm."""
-        terms = []
-        for leaf in self.leaves:
-            for s in self.states:
-                expr = self._utility_map[leaf.entries, s]
-                coeffs = dict(expr.coeffs)
-                terms += [expr.constant, *(coeffs.get(p, 0) for p in self.param_names)]
-        nums, den = _over_lcm(terms)
-        k = 1 + len(self.param_names)
-        return [nums[i:i + k] for i in range(0, len(nums), k)], den
-
-    def _integer_payoffs_at(
-        self, values: Sequence[Fraction]
-    ) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """`integer_payoffs` with the declared parameters at ``values``: at
-        delta = p/q, c + m*delta over L is (c*q + m*p) over L*q."""
-        entries, den = self._affine_table
-        weights, scale = _over_lcm([1, *values])
-        nums = [sum(map(operator.mul, entry, weights)) for entry in entries]
-        g = math.gcd(den * scale, *nums)
-        width = len(self.states)
-        return (tuple(tuple(n // g for n in nums[k:k + width]) for k in range(0, len(nums), width)),
-                den * scale // g)
-
-    def __getattr__(self, name: str):
-        # Reached only when normal lookup fails: a problem whose parameters
-        # `substitute_params` pinned builds its utility entries, in leaf and
-        # state order, from its integer payoffs when they are first read.
-        if name != "utilities" or "integer_payoffs" not in self.__dict__:
-            raise AttributeError(name)
-        nums, den = self.integer_payoffs
-        self.__dict__[name] = utilities = tuple(
-            (leaf.entries, s, AffineExpr(Fraction(n, den)))
-            for leaf, row in zip(self.leaves, nums) for s, n in zip(self.states, row))
-        return utilities
-
-    @cached_property
     def _per_tree(self) -> dict:
         return {}
 
-    def per_tree(self, build: Callable[[DecisionProblem], object]):
-        """``build(self)``, built once per tree: the problems that
-        `substitute_params` pins from this one share it, so ``build`` must
-        read the tree alone, never the utilities."""
+    def per_tree(self, build: Callable[[Tree], object]):
+        """``build(self)``, built once per tree and shared by every problem
+        on it."""
         memo = self._per_tree
         if build not in memo:
             memo[build] = build(self)
         return memo[build]
-
-    @property
-    def has_params(self) -> bool:
-        return bool(self.param_names)
 
     def is_terminal(self, history: tuple[str, ...]) -> bool:
         return history not in self.branch_map
@@ -462,21 +357,96 @@ class DecisionProblem:
         except KeyError:
             raise ValidationError(f"{label!r} is not a leaf of this problem") from None
 
-    def utility_expr(self, a: ActionSequence, state: str) -> AffineExpr:
-        try:
-            return self._utility_map[(a.entries, state)]
-        except KeyError:
-            if state not in self.state_index:
-                raise ValidationError(f"unknown state {state!r}") from None
-            raise ValidationError(f"unknown leaf {a.entries!r}") from None
 
-
-def _leaf_spellings(problem: DecisionProblem) -> dict[str, ActionSequence]:
+def _leaf_spellings(tree: Tree) -> dict[str, ActionSequence]:
     """Each leaf's label, alone and followed by each number of `PAD` entries
-    that keeps it within ``periods``, mapped to the leaf.  Depends on the
-    tree alone: use it through `per_tree`."""
-    return {",".join(leaf.history + (PAD,) * k): leaf for leaf in problem.leaves
-            for k in range(problem.periods - len(leaf.history) + 1)}
+    that keeps it within ``periods``, mapped to the leaf; built once per
+    tree (`Tree.per_tree`)."""
+    return {",".join(leaf.history + (PAD,) * k): leaf for leaf in tree.leaves
+            for k in range(tree.periods - len(leaf.history) + 1)}
+
+
+@dataclass(frozen=True, eq=False)
+class DecisionProblem:
+    """A finite dynamic decision problem: an action tree, a state set and a
+    utility table, affine in the declared parameters.
+
+    ``table`` has one row per (leaf, state) pair, leaf by leaf and, within
+    a leaf, state by state: the entry's constant, then its coefficient of each
+    parameter in ``param_names``, as integers over the one positive
+    denominator ``den``.  Construction checks the states, the parameter
+    names and the table's shape, and puts the table in lowest terms; the
+    tree was validated when it was built.  Instances are immutable and safe
+    to share; identity is used for equality and hashing so they can key
+    caches.
+    """
+
+    tree: Tree
+    states: tuple[str, ...]
+    param_names: tuple[str, ...]
+    table: tuple[tuple[int, ...], ...]
+    den: int
+
+    def __post_init__(self) -> None:
+        if not self.states:
+            raise ValidationError("at least one state is required")
+        if len(set(self.states)) != len(self.states):
+            raise ValidationError("duplicate state label")
+        for s in self.states:
+            _check_label(s, "state label")
+        if len(set(self.param_names)) != len(self.param_names):
+            raise ValidationError("duplicate parameter name")
+        for p in self.param_names:
+            if not _NAME_RE.fullmatch(p):
+                raise ValidationError(f"parameter name {p!r} is not an identifier")
+        width = 1 + len(self.param_names)
+        if (len(self.table) != len(self.tree.leaves) * len(self.states) or self.den <= 0
+                or set(map(len, self.table)) != {width}):
+            raise ValidationError("utility table shape mismatch")
+        g = math.gcd(self.den, *chain.from_iterable(self.table))
+        if g > 1:
+            object.__setattr__(self, "table", _chunks(
+                [x // g for x in chain.from_iterable(self.table)], width))
+            object.__setattr__(self, "den", self.den // g)
+
+    @property
+    def leaves(self) -> tuple[ActionSequence, ...]:
+        return self.tree.leaves
+
+    @property
+    def leaf_index(self) -> dict[ActionSequence, int]:
+        return self.tree.leaf_index
+
+    def sequence(self, value: Union[str, ActionSequence, Iterable[str]]) -> ActionSequence:
+        return self.tree.sequence(value)
+
+    def state_position(self, state: str) -> int:
+        """The index of ``state`` in ``states``."""
+        try:
+            return self.states.index(state)
+        except ValueError:
+            raise ValidationError(f"unknown state {state!r}") from None
+
+    @cached_property
+    def integer_payoffs(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The utility table in integers: ``(numerators, den)`` with
+        ``payoffs[i][s] == numerators[i][s] / den``, in lowest terms.
+        Raises `ValidationError` while the problem has free parameters."""
+        if self.param_names:
+            raise ValidationError(
+                f"problem still has free parameters {self.param_names!r}; instantiate first")
+        return _chunks(map(operator.itemgetter(0), self.table), len(self.states)), self.den
+
+    @cached_property
+    def payoffs(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The exact utility table: ``payoffs[i][s]`` is the utility of
+        ``leaves[i]`` in ``states[s]``."""
+        nums, den = self.integer_payoffs
+        return tuple(tuple(Fraction(n, den) for n in row) for row in nums)
+
+    @property
+    def has_params(self) -> bool:
+        return bool(self.param_names)
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +523,7 @@ class JointDistribution:
         given: dict[int, Fraction] = {}  # cell index -> weight
         for (leaf, state), q in items:
             a = problem.sequence(leaf)
-            if state not in problem.state_index:
-                raise ValidationError(f"unknown state {state!r}")
-            k = problem.leaf_index[a] * width + problem.state_index[state]
+            k = problem.leaf_index[a] * width + problem.state_position(state)
             if k in given:
                 raise ValidationError(f"cell {a.label + '@' + state!r} given twice")
             given[k] = parse_rational(q)
@@ -570,10 +538,8 @@ class JointDistribution:
         return Fraction(self.cells[k], self.den)
 
     def action_marginal(self) -> "MarginalDistribution":
-        width = len(self.states)
-        return MarginalDistribution(self.leaves, tuple(
-            Fraction(sum(self.cells[k:k + width]), self.den)
-            for k in range(0, len(self.cells), width)))
+        return MarginalDistribution(
+            self.leaves, tuple(map(sum, _chunks(self.cells, len(self.states)))), self.den)
 
     def to_json_dict(self) -> dict:
         width = len(self.states)
@@ -588,43 +554,46 @@ class JointDistribution:
 
 @dataclass(frozen=True)
 class MarginalDistribution:
-    """An observed distribution over action sequences only."""
+    """An observed distribution over action sequences only.
+
+    ``weights[i]`` is the weight of ``leaves[i]`` as a numerator over the
+    one denominator ``den``.  Construction puts them in lowest terms, so
+    equal laws compare and hash equal however they were built, and checks
+    that they form a probability vector.
+    """
 
     leaves: tuple[ActionSequence, ...]
-    weights: tuple[Fraction, ...]
+    weights: tuple[int, ...]
+    den: int
 
     def __post_init__(self) -> None:
-        if len(self.weights) != len(self.leaves):
+        if len(self.weights) != len(self.leaves) or self.den <= 0:
             raise ValidationError("marginal distribution shape mismatch")
-        _require_probability_numerators(*self.integer_weights, "marginal distribution")
-
-    @cached_property
-    def integer_weights(self) -> tuple[list[int], int]:
-        """``(weights, den)``: the weights as numerators over their least
-        common denominator ``den``."""
-        return _over_lcm(self.weights)
+        g = math.gcd(self.den, *self.weights)
+        object.__setattr__(self, "weights", tuple(x // g for x in self.weights))
+        object.__setattr__(self, "den", self.den // g)
+        _require_probability_numerators(self.weights, self.den, "marginal distribution")
 
     @staticmethod
     def from_mapping(problem: DecisionProblem, weights: Mapping) -> "MarginalDistribution":
-        vec = [Fraction(0)] * len(problem.leaves)
-        seen = set()
+        given: dict[int, Fraction] = {}  # leaf index -> weight
         for leaf, q in weights.items():
             i = problem.leaf_index[problem.sequence(leaf)]
-            if i in seen:
+            if i in given:
                 raise ValidationError(f"weight of {problem.leaves[i].label!r} given twice")
-            seen.add(i)
-            vec[i] = parse_rational(q)
-        return MarginalDistribution(problem.leaves, tuple(vec))
+            given[i] = parse_rational(q)
+        nums, den = _over_lcm(given.values())
+        vec = [0] * len(problem.leaves)
+        for i, x in zip(given, nums):
+            vec[i] = x
+        return MarginalDistribution(problem.leaves, vec, den)
 
     def weight(self, a: ActionSequence) -> Fraction:
-        return self.weights[self.leaves.index(a)]
+        return Fraction(self.weights[self.leaves.index(a)], self.den)
 
     def to_json_dict(self) -> dict:
-        return {
-            leaf.label: format_rational(w)
-            for leaf, w in zip(self.leaves, self.weights)
-            if w != 0
-        }
+        return {leaf.label: format_rational(Fraction(w, self.den))
+                for leaf, w in zip(self.leaves, self.weights) if w}
 
 
 #: What an analyst can observe: one action sequence, an action-sequence law,
@@ -693,54 +662,56 @@ def problem_from_dict(doc: Mapping) -> DecisionProblem:
                 raise ParseError(f"tree entry {action!r} must be \"leaf\" or an object")
 
     walk(doc["tree"], ())
-    # each leaf's label, mapped to its padded entries
-    known = {",".join(h): h + (PAD,) * (periods - len(h)) for h in _leaf_histories(dict(branches))}
+    tree = Tree(periods, tuple(branches))
+    known = {leaf.label: leaf.entries for leaf in tree.leaves}
 
     utility_doc = doc["utility"]
     if not isinstance(utility_doc, Mapping):
         raise ParseError("utility must be an object")
-    utilities: list[tuple[tuple[str, ...], str, AffineExpr]] = []
+    exprs: dict[tuple[tuple[str, ...], str], AffineExpr] = {}  # by padded leaf and state
     for leaf_id, row in utility_doc.items():
-        padded = known.get(leaf_id)
-        if padded is None:
+        entries = known.get(leaf_id)
+        if entries is None:
             raise ValidationError(f"utility entry for unknown leaf {leaf_id!r}")
         if not isinstance(row, Mapping):
             raise ParseError(f"utility row for {leaf_id!r} must be an object")
         for state, expr in row.items():
             if state not in states:
                 raise ValidationError(f"utility entry for unknown state {state!r}")
-            utilities.append((padded, state, parse_affine(expr, params)))
-
-    return DecisionProblem(
-        periods=periods,
-        states=tuple(states),
-        param_names=tuple(params),
-        branches=tuple(branches),
-        utilities=tuple(utilities),
-    )
+            exprs[entries, state] = parse_affine(expr, params)
+    terms = []
+    for leaf in tree.leaves:
+        for s in states:
+            expr = exprs.get((leaf.entries, s))
+            if expr is None:
+                raise ValidationError(f"missing utility for leaf {leaf.label!r} in state {s!r}")
+            coeffs = dict(expr.coeffs)
+            terms += [expr.constant, *(coeffs.get(p, 0) for p in params)]
+    nums, den = _over_lcm(terms)
+    return DecisionProblem(tree, tuple(states), tuple(params), _chunks(nums, 1 + len(params)), den)
 
 
 def problem_to_dict(problem: DecisionProblem) -> dict:
-    """Inverse of `problem_from_dict`; reproduces the problem-file schema."""
+    """Inverse of `problem_from_dict`; reproduces the problem-file schema.
+    Each utility entry is rendered from the table by `AffineExpr.render`."""
+    tree, den = problem.tree, problem.den
 
     def subtree(history: tuple[str, ...]):
         node = {}
-        for a in problem.branch_map[history]:
+        for a in tree.branch_map[history]:
             child = history + (a,)
-            node[a] = subtree(child) if child in problem.branch_map else "leaf"
+            node[a] = subtree(child) if child in tree.branch_map else "leaf"
         return node
 
-    utility: dict[str, dict] = {}
-    for leaf in problem.leaves:
-        row = {}
-        for s in problem.states:
-            row[s] = problem.utility_expr(leaf, s).render()
-        utility[leaf.label] = row
+    entries = [AffineExpr.make(Fraction(c, den), {p: Fraction(x, den) for p, x in
+                                                  zip(problem.param_names, coeffs)}).render()
+               for c, *coeffs in problem.table]
     doc = {
-        "periods": problem.periods,
+        "periods": tree.periods,
         "states": list(problem.states),
         "tree": subtree(()),
-        "utility": utility,
+        "utility": {leaf.label: dict(zip(problem.states, row))
+                    for leaf, row in zip(tree.leaves, _chunks(entries, len(problem.states)))},
     }
     if problem.param_names:
         doc["params"] = list(problem.param_names)
@@ -767,44 +738,26 @@ def instantiate(problem: DecisionProblem, point: Mapping[str, Union[int, str, Fr
 def substitute_params(problem: DecisionProblem, point: Mapping[str, Fraction]) -> DecisionProblem:
     """Pin a subset of parameters; the remaining ones stay symbolic.
 
-    Pinning changes neither the tree, nor the utility entries' keys, nor the
-    parameters they may name, so the result is not validated again: it
-    shares the validated tree of ``problem`` and what is built per tree
-    (`DecisionProblem.per_tree`).  When every parameter is pinned, the
-    payoffs are evaluated in integers from ``problem``'s affine table, built
-    once per family, with no `Fraction` or `AffineExpr` per entry.
+    The table stays in integers: each entry's pinned coefficients fold into
+    its constant by one dot product (at t = p/q, c + m*t over L is c*q + m*p
+    over L*q), and the remaining coefficients are scaled to the new
+    denominator.  The result shares ``problem``'s tree, so the tree is not
+    validated again and what is built per tree (`Tree.per_tree`) is shared.
     """
-    remaining = tuple(p for p in problem.param_names if p not in point)
-    pinned = object.__new__(DecisionProblem)
-    if remaining:
-        pinned.__dict__["utilities"] = tuple(
-            (entries, state, expr.substitute(point))
-            for entries, state, expr in problem.utilities
-        )
-    else:
-        pinned.__dict__["integer_payoffs"] = problem._integer_payoffs_at(
-            [point[p] for p in problem.param_names])
-    pinned.__dict__.update(
-        {name: getattr(problem, name) for name in ("branch_map", "leaves", "leaf_index",
-                                                   "state_index", "_per_tree")},
-        periods=problem.periods, states=problem.states, param_names=remaining,
-        branches=problem.branches)
-    return pinned
-
-
-def _require_parameter_free(problem: DecisionProblem) -> None:
-    if problem.has_params:
-        raise ValidationError(
-            f"problem still has free parameters {problem.param_names!r}; instantiate first"
-        )
+    names = problem.param_names
+    weights, scale = _over_lcm([1, *(point.get(p, 0) for p in names)])
+    kept = [k for k, p in enumerate(names, 1) if p not in point]
+    table = problem.table
+    constants = [sum(map(operator.mul, row, weights)) for row in table]
+    return DecisionProblem(problem.tree, problem.states, tuple(names[k - 1] for k in kept),
+                           tuple(zip(constants, *([row[k] * scale for row in table] for k in kept))),
+                           problem.den * scale)
 
 
 def utility(problem: DecisionProblem, a: ActionSequence, state: str) -> Fraction:
     """Exact terminal utility of leaf ``a`` in ``state`` (parameter-free problems)."""
     payoffs = problem.payoffs
-    if state not in problem.state_index:
-        raise ValidationError(f"unknown state {state!r}")
-    return payoffs[problem.leaf_index[problem.sequence(a)]][problem.state_index[state]]
+    return payoffs[problem.leaf_index[problem.sequence(a)]][problem.state_position(state)]
 
 
 def lottery_utility(

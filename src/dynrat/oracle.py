@@ -46,10 +46,17 @@ from .rationalize import ObedientTriple
 # First-class information structures and strategies
 # ---------------------------------------------------------------------------
 
+def _field(doc: Mapping, key: str, what: str):
+    """``doc[key]``, or an input error that names the missing key."""
+    if key not in doc:
+        raise ValidationError(f"{what} has no {key!r}")
+    return doc[key]
+
+
 def _signals(doc: Mapping, what: str) -> tuple[tuple[tuple[str, ...], ...], dict[str, int]]:
     """The signal sets of a JSON document, and the index of each comma-joined
     signal sequence in product order; no two sequences may share a name."""
-    sets = doc["signals"]
+    sets = _field(doc, "signals", what)
     if not (isinstance(sets, list) and all(
             isinstance(s, list) and all(isinstance(x, str) for x in s) for s in sets)):
         raise ValidationError(f"{what} 'signals' must be a list of lists of labels")
@@ -63,7 +70,7 @@ def _signals(doc: Mapping, what: str) -> tuple[tuple[tuple[str, ...], ...], dict
 
 def _rows(doc: Mapping, what: str) -> Mapping:
     """The 'kernel' of a JSON document, checked to be an object of objects."""
-    rows = doc["kernel"]
+    rows = _field(doc, "kernel", what)
     if not (isinstance(rows, Mapping) and all(isinstance(r, Mapping) for r in rows.values())):
         raise ValidationError(f"{what} 'kernel' must be an object of objects")
     return rows
@@ -104,21 +111,19 @@ class InformationStructure:
     @staticmethod
     def from_json_dict(problem: DecisionProblem, doc: Mapping) -> "InformationStructure":
         signal_sets, seq_index = _signals(doc, "information structure")
-        if not isinstance(doc["prior"], Mapping):
+        given = _field(doc, "prior", "information structure")
+        if not isinstance(given, Mapping):
             raise ValidationError("information structure 'prior' must be an object")
         prior = [Fraction(0)] * len(problem.states)
-        for state, q in doc["prior"].items():
-            if state not in problem.state_index:
-                raise ValidationError(f"unknown state {state!r}")
-            prior[problem.state_index[state]] = parse_rational(q)
+        for state, q in given.items():
+            prior[problem.state_position(state)] = parse_rational(q)
         kernel = [[Fraction(0)] * len(seq_index) for _ in problem.states]
         for state, row in _rows(doc, "information structure").items():
-            if state not in problem.state_index:
-                raise ValidationError(f"unknown state {state!r}")
+            s = problem.state_position(state)
             for seq_id, q in row.items():
                 if seq_id not in seq_index:
                     raise ValidationError(f"unknown signal sequence {seq_id!r}")
-                kernel[problem.state_index[state]][seq_index[seq_id]] = parse_rational(q)
+                kernel[s][seq_index[seq_id]] = parse_rational(q)
         return InformationStructure(
             problem.states, tuple(prior), signal_sets, tuple(tuple(r) for r in kernel)
         )
@@ -253,6 +258,7 @@ def _optimal_value(
     weights' denominator times the payoffs'.
     """
     table, _ = problem.integer_payoffs
+    tree = problem.tree
     utab = dict(zip(problem.leaves, table))
     pad_leaf = {leaf.history: leaf for leaf in problem.leaves}
 
@@ -263,9 +269,9 @@ def _optimal_value(
     def act(seq_ids: Sequence[int], t: int, history: tuple[str, ...]) -> int:
         # The agent has seen t signals and taken t-1 actions; chooses the next.
         best = None
-        for a in problem.actions_at(history):
+        for a in tree.actions_at(history):
             h2 = history + (a,)
-            if problem.is_terminal(h2):
+            if tree.is_terminal(h2):
                 value = terminal_mass(seq_ids, h2)
             else:
                 groups: dict[str, list[int]] = {}

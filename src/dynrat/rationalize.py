@@ -149,10 +149,10 @@ class ObedientTriple:
                                   "'recommendation' object of objects")
         prior = [Fraction(0)] * len(problem.states)
         for s, q in doc["prior"].items():
-            prior[problem.state_index[s]] = parse_rational(q)
+            prior[problem.state_position(s)] = parse_rational(q)
         rec = [[Fraction(0)] * len(problem.leaves) for _ in problem.states]
         for s, row in doc["recommendation"].items():
-            si = problem.state_index[s]
+            si = problem.state_position(s)
             for i, q in _leaf_weights(problem, row, f"recommendation {s!r}").items():
                 rec[si][i] = q
         return ObedientTriple(
@@ -227,14 +227,15 @@ def _dominance_program(
     """
     table, den = problem.integer_payoffs
     n = len(problem.leaves)
-    poly = problem.per_tree(lpmod.deviation_polytope_constraints)
+    poly = problem.tree.per_tree(lpmod.deviation_polytope_constraints)
     marginal = isinstance(observed, MarginalDistribution)
     inputs = poly.inputs([i for i, w in enumerate(observed.weights) if w] if marginal
                          else [problem.leaf_index[observed]])
     prog = lpmod.LinearProgram([False] * (len(inputs) * n), list(poly.rows_on(inputs)))
     if marginal:
         levels = {i: prog.add_variable(free=True) for i in inputs}
-        prog.set_objective({k: observed.weights[i] for i, k in levels.items()})
+        prog.set_objective({k: Fraction(observed.weights[i], observed.den)
+                            for i, k in levels.items()})
     else:
         k = prog.add_variable(free=True)
         levels = {problem.leaf_index[observed]: k}
@@ -324,7 +325,7 @@ def _obedience_program(problem: DecisionProblem, inputs: tuple[int, ...]) -> lpm
     would, and blocks that host no obedient law stay feasible, at 0.
     """
     table, den = problem.integer_payoffs
-    poly = problem.per_tree(lpmod.deviation_polytope_constraints)
+    poly = problem.tree.per_tree(lpmod.deviation_polytope_constraints)
     n, width = len(problem.leaves), len(problem.states)
     prog = lpmod.LinearProgram()
     gamma = [[prog.add_variable() for _ in range(width)] for _ in inputs]
@@ -360,7 +361,7 @@ def max_positive_marginal(
     obedient and gives ``a`` no less, so that block's program suffices.
     """
     a = problem.sequence(a)
-    poly = problem.per_tree(lpmod.deviation_polytope_constraints)
+    poly = problem.tree.per_tree(lpmod.deviation_polytope_constraints)
     inputs = poly.inputs([problem.leaf_index[a]])
     prog = _obedience_program(problem, inputs)
     width = len(problem.states)

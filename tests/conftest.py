@@ -48,13 +48,13 @@ def example3() -> m.DecisionProblem:
 
 def reference_rule_count(problem: m.DecisionProblem) -> int:
     """Bottom-up table over aligned (input prefix, output prefix) pairs."""
-    T = problem.periods
+    T = problem.tree.periods
 
     def children(prefix: tuple[str, ...]) -> list[tuple[str, ...]]:
         history = tuple(e for e in prefix if e != PAD)
-        if PAD in prefix or problem.is_terminal(history):
+        if PAD in prefix or problem.tree.is_terminal(history):
             return [prefix + (PAD,)]
-        return [prefix + (a,) for a in problem.actions_at(history)]
+        return [prefix + (a,) for a in problem.tree.actions_at(history)]
 
     prefixes_at: dict[int, list[tuple[str, ...]]] = {0: [()]}
     for t in range(T):
@@ -185,13 +185,13 @@ def random_marginal(rng: random.Random, problem: m.DecisionProblem) -> m.Margina
 
 def random_pure_rule(rng: random.Random, problem: m.DecisionProblem) -> dv.DeviationRule:
     """Sample an adapted pure rule by walking aligned prefixes top-down."""
-    T = problem.periods
+    T = problem.tree.periods
 
     def children(prefix):
         history = tuple(e for e in prefix if e != PAD)
-        if PAD in prefix or problem.is_terminal(history):
+        if PAD in prefix or problem.tree.is_terminal(history):
             return [prefix + (PAD,)]
-        return [prefix + (a,) for a in problem.actions_at(history)]
+        return [prefix + (a,) for a in problem.tree.actions_at(history)]
 
     mapping: dict[m.ActionSequence, m.ActionSequence] = {}
 
@@ -332,8 +332,8 @@ def reference_polytope_rows(problem: m.DecisionProblem,
     col = {i: p * n for p, i in enumerate(inputs)}
     one = Fraction(1)
     rows = [({col[i] + j: one for j in range(n)}, "==", one) for i in inputs]
-    for t in range(1, problem.periods):
-        classes = problem.prefix_classes(t)
+    for t in range(1, problem.tree.periods):
+        classes = problem.tree.prefix_classes(t)
         for _, members in classes:
             for a_i, a_k in zip(members, members[1:]):
                 if a_i not in col:
@@ -359,7 +359,7 @@ def reference_dominance_program(problem: m.DecisionProblem, observed,
     prog.constraints = reference_polytope_rows(problem, inputs)
     if isinstance(observed, m.MarginalDistribution):
         levels = {i: prog.add_variable(free=True) for i in inputs}
-        objective = {levels[i]: observed.weights[i] for i in inputs}
+        objective = {levels[i]: Fraction(observed.weights[i], observed.den) for i in inputs}
     else:
         k = prog.add_variable(free=True)
         levels = {problem.leaf_index[problem.sequence(observed)]: k}
@@ -432,9 +432,9 @@ def reference_optimal_value(problem: m.DecisionProblem, prior, signal_seqs, kern
 
     def act(seq_ids, t, history) -> Fraction:
         best = None
-        for a in problem.actions_at(history):
+        for a in problem.tree.actions_at(history):
             h2 = history + (a,)
-            if problem.is_terminal(h2):
+            if problem.tree.is_terminal(h2):
                 value = terminal_mass(seq_ids, h2)
             else:
                 value = sum((act(ids, t + 1, h2) for ids in groups_at(seq_ids, t)), Fraction(0))
@@ -459,7 +459,7 @@ def joint_dominance_optimum(problem: m.DecisionProblem, joint: m.JointDistributi
     """Maximum over the deviation polytope of a rule's expected gain under
     ``joint``: the kernel entry (i, j) earns sum_s joint(i, s) (u(j, s) -
     u(i, s)).  One exact LP, with no prefix-pair recursion."""
-    prog = polytope_program(lp.deviation_polytope_constraints(problem))
+    prog = polytope_program(lp.deviation_polytope_constraints(problem.tree))
     leaves, states = problem.leaves, problem.states
     n = len(leaves)
     prog.set_objective({
@@ -479,13 +479,13 @@ def joint_dominance_optimum(problem: m.DecisionProblem, joint: m.JointDistributi
 def exhaustive_optimal_value(problem: m.DecisionProblem, structure) -> Fraction:
     """Max expected utility over every adapted pure strategy, by brute force."""
     seqs = structure.sequences
-    T = problem.periods
+    T = problem.tree.periods
 
     def children(prefix):
         history = tuple(e for e in prefix if e != PAD)
-        if PAD in prefix or problem.is_terminal(history):
+        if PAD in prefix or problem.tree.is_terminal(history):
             return [prefix + (PAD,)]
-        return [prefix + (a,) for a in problem.actions_at(history)]
+        return [prefix + (a,) for a in problem.tree.actions_at(history)]
 
     def signal_children(prefix_ids, t):
         groups: dict[str, list[int]] = {}

@@ -184,7 +184,7 @@ def test_criterion_6_oracle_agreement():
         p = random_problem(rng, max_periods=2, max_actions=2, max_states=2,
                            max_leaves=3, max_rules=100)
         sets = tuple(tuple(f"t{t}{k}" for k in range(rng.randint(1, 2)))
-                     for t in range(p.periods))
+                     for t in range(p.tree.periods))
         n_seq = 1
         for s in sets:
             n_seq *= len(s)

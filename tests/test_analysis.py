@@ -81,7 +81,7 @@ def test_risk_transform_values(example1):
     assert [m.utility(kinked, l, "good") for l in kinked.leaves] == [F(0), F(-1), F(4)]
     assert [m.utility(kinked, l, "bad") for l in kinked.leaves] == [F(0), F(-1), F(-2)]
     same = an.risk_transform(example1, an.PiecewiseLinearFunction.identity())
-    assert same.utilities == example1.utilities
+    assert (same.table, same.den) == (example1.table, example1.den)
 
 
 def test_risk_transform_monotonicity_small():
@@ -399,7 +399,7 @@ def test_sweep_law_needs_its_dual_check(example2, monkeypatch):
 
 def test_sweep_builds_each_tree_piece_once(example2, monkeypatch):
     # a sweep point shares its family's validated tree, so neither the
-    # problem's validation nor the deviation polytope nor the prefix tree of
+    # tree's validation nor the deviation polytope nor the prefix tree of
     # the backward induction is built again at each point
     probe = m.instantiate(example2, {"delta": 1})
     observations = (probe.sequence("w,x"),
@@ -412,8 +412,7 @@ def test_sweep_builds_each_tree_piece_once(example2, monkeypatch):
     def counted(key, build):
         return lambda *args: builds.append(key) or build(*args)
 
-    monkeypatch.setattr(m.DecisionProblem, "__post_init__",
-                        counted("problem", m.DecisionProblem.__post_init__))
+    monkeypatch.setattr(m.Tree, "__post_init__", counted("tree", m.Tree.__post_init__))
     monkeypatch.setattr(lp, "deviation_polytope_constraints",
                         counted("polytope", lp.deviation_polytope_constraints))
     monkeypatch.setattr(dv, "_prefix_children", counted("children", dv._prefix_children))
@@ -427,7 +426,7 @@ def test_sweep_builds_each_tree_piece_once(example2, monkeypatch):
         # one build at most per family, however many points the sweep tests
         # (the galloping grid scan and the bisection pin 18 to 20 points here)
         assert piece in builds and len(builds) == len(set(builds)) and len(points) > 15
-        assert "problem" not in builds
+        assert "tree" not in builds
 
 
 def test_sweep_puts_the_observed_law_over_one_lcm_once(example2, monkeypatch):
@@ -437,8 +436,8 @@ def test_sweep_puts_the_observed_law_over_one_lcm_once(example2, monkeypatch):
             m.JointDistribution.from_mapping(probe, {("w,x", "X"): "1/2", ("w,y", "Y"): "1/2"}))
     over_lcm = m._over_lcm
     for law in laws:
-        cells = list(law.weights) if isinstance(law, m.MarginalDistribution) else [
-            w for row in law.matrix for w in row]
+        cells = ([F(w, law.den) for w in law.weights] if isinstance(law, m.MarginalDistribution)
+                 else [w for row in law.matrix for w in row])
         calls = []
         counted = lambda values: calls.append(list(values)) or over_lcm(values)  # noqa: E731
         monkeypatch.setattr(m, "_over_lcm", counted)

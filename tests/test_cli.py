@@ -219,6 +219,18 @@ MALFORMED = {
     "strategy-row-spells-a-leaf-twice": ("simulate --strategy", _shipped(
         EX1_STRATEGY, lambda d: d["kernel"]["s,g"].update(
             {"not_invest": "1/2", "not_invest,_": "0"})), "'not_invest'", "given twice"),
+    # a state the problem lacks, or a key a file lacks, is named in the error
+    "triple-prior-names-an-unknown-state": ("verify-witness", _edited(
+        "ex1-check-joint-yes", lambda r: r["result"]["witness"]["prior"].update(meh="0")),
+        "unknown state 'meh'"),
+    "triple-row-names-an-unknown-state": ("verify-witness", _edited(
+        "ex1-check-joint-yes", lambda r: r["result"]["witness"]["recommendation"].update(
+            meh={"not_invest": "1"})), "unknown state 'meh'"),
+    **{f"{kind}-lacks-{key}": (f"simulate --{kind}", _shipped(
+        path, lambda d, key=key: d.pop(key)), f"has no '{key}'")
+       for kind, path, keys in (("structure", EX1_STRUCTURE, ("signals", "prior", "kernel")),
+                                ("strategy", EX1_STRATEGY, ("signals", "kernel")))
+       for key in keys},
     # a leaf is named by its actions, then at most the padding that fills the
     # horizon: padding in front of or between actions, an empty entry or one
     # entry too many names no leaf, wherever a leaf is read
@@ -523,8 +535,9 @@ def test_maxprob_and_check_marginal_on_three_periods(capsys, tmp_path):
         interior += 1
         # the witness's action marginal is rationalizable by construction
         dist = tmp_path / "marginal.json"
-        dist.write_text(json.dumps({a.label: format_rational(w) for a, w in
-                                    zip(problem.leaves, joint.action_marginal().weights)}))
+        marginal = joint.action_marginal()
+        dist.write_text(json.dumps({a.label: format_rational(Fraction(w, marginal.den))
+                                    for a, w in zip(problem.leaves, marginal.weights)}))
         code, out, err = run_cli(capsys, "check-marginal", tree, "--dist-file", str(dist))
         assert code == 0, err
         report = first_report(out)

@@ -202,7 +202,8 @@ def per_cell_dominates_joint(problem, rule, joint):
 
 
 def per_cell_dominates_marginal(problem, rule, marginal):
-    return sum((w * min(per_cell_improvement(problem, rule, a, s) for s in problem.states)
+    return sum((F(w, marginal.den) * min(per_cell_improvement(problem, rule, a, s)
+                                         for s in problem.states)
                 for a, w in zip(marginal.leaves, marginal.weights) if w), F(0)) > 0
 
 
@@ -411,8 +412,8 @@ def test_sparse_adaptedness_matches_dense_reference():
             signed[i][rng.randrange(n)] -= d
             kernels.append(signed)
         for kernel in kernels:
-            expected = dense_matrix_is_adapted(entries, entries, kernel, p.periods)
-            assert dv.matrix_is_adapted(entries, entries, kernel, p.periods) == expected
+            expected = dense_matrix_is_adapted(entries, entries, kernel, p.tree.periods)
+            assert dv.matrix_is_adapted(entries, entries, kernel, p.tree.periods) == expected
             verdicts.add(expected)
     assert verdicts == {True, False}
 
@@ -434,7 +435,7 @@ def test_backward_induction_matches_the_joint_dominance_lp():
         assert gain == joint_dominance_optimum(p, joint)
         rule = follow()
         entries = [leaf.entries for leaf in p.leaves]
-        assert dense_matrix_is_adapted(entries, entries, rule.matrix, p.periods)
+        assert dense_matrix_is_adapted(entries, entries, rule.matrix, p.tree.periods)
         assert rule_gain(p, rule, joint) == gain
         assert all(w in (0, 1) for row in rule.matrix for w in row)
         assert dv.dominates_joint(p, rule, joint) == (gain > 0)

@@ -235,7 +235,7 @@ def test_random_programs_match_vertex_enumeration():
 
 
 def test_solutions_verify_and_repeat_bit_for_bit(example1):
-    poly = L.deviation_polytope_constraints(example1)
+    poly = L.deviation_polytope_constraints(example1.tree)
     prog = polytope_program(poly)
     prog.set_objective({1 * 3 + 0: 1, 2 * 3 + 2: "1/3"})
     first = L.solve(prog)
@@ -249,7 +249,7 @@ def test_solutions_verify_and_repeat_bit_for_bit(example1):
 
 
 def test_polytope_shape_example1(example1):
-    poly = L.deviation_polytope_constraints(example1)
+    poly = L.deviation_polytope_constraints(example1.tree)
     density = [c for c in poly.constraints if c.rhs == 1]
     adapted = [c for c in poly.constraints if c.rhs == 0]
     assert len(density) == 3
@@ -263,7 +263,7 @@ def test_polytope_vacuous_for_static_problems():
     doc = {"periods": 1, "states": ["s"], "tree": {"a": "leaf", "b": "leaf"},
            "utility": {"a": {"s": 1}, "b": {"s": 0}}}
     static = m.load_problem(json.dumps(doc))
-    poly = L.deviation_polytope_constraints(static)
+    poly = L.deviation_polytope_constraints(static.tree)
     assert all(c.rhs == 1 for c in poly.constraints)
 
 
@@ -271,7 +271,7 @@ def test_polytope_membership(example1, example2):
     # every enumerated pure kernel satisfies the block; perturbations break it
     rng = random.Random(13)
     for problem in (example1, example2):
-        prog = polytope_program(L.deviation_polytope_constraints(problem))
+        prog = polytope_program(L.deviation_polytope_constraints(problem.tree))
         n = len(problem.leaves)
         for rule in dv.enumerate_pure_rules(problem):
             mat = rule.matrix
@@ -282,7 +282,7 @@ def test_polytope_membership(example1, example2):
             bad[i * n + j] = asg[i * n + j] + F(1, 7)
             assert not L.check_solution(prog, bad)
     # the half-and-half rewrite of waiting sits inside the block
-    prog = polytope_program(L.deviation_polytope_constraints(example2))
+    prog = polytope_program(L.deviation_polytope_constraints(example2.tree))
     half = m.instantiate(example2, {"delta": "1/2"})
     hedge = dv.DeviationRule.from_mapping(half, {
         "w,x": {"x": "1/2", "y": "1/2"}, "w,y": {"x": "1/2", "y": "1/2"},
@@ -299,7 +299,7 @@ def test_polytope_vertices_are_pure_kernels(example1):
         random_problem(rng, min_leaves=4, max_rules=250) for _ in range(6)]
     for problem in problems:
         pure_kernels = {r.matrix for r in dv.enumerate_pure_rules(problem)}
-        poly = L.deviation_polytope_constraints(problem)
+        poly = L.deviation_polytope_constraints(problem.tree)
         n = len(problem.leaves)
         for _ in range(12):
             prog = polytope_program(poly)
@@ -321,7 +321,7 @@ def test_polytope_feasibility_equals_adaptedness_on_random_problems():
 
     for _ in range(10):
         p = random_problem(rng, max_rules=250)
-        prog = polytope_program(L.deviation_polytope_constraints(p))
+        prog = polytope_program(L.deviation_polytope_constraints(p.tree))
         n = len(p.leaves)
         rule = random_rule(rng, p)
         asg = [rule.matrix[i][j] for i in range(n) for j in range(n)]

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from dynrat import analysis as an
 from dynrat import model as m
 
 from conftest import complete_tree_doc, random_problem
@@ -82,7 +83,18 @@ def test_instantiate_example2(example2):
 
 def test_instantiate_identity_on_parameter_free(example1):
     inst = m.instantiate(example1, {})
-    assert inst.utilities == example1.utilities
+    assert (inst.table, inst.den) == (example1.table, example1.den)
+
+
+def test_problem_constructor_checks_the_table(example1):
+    tree, states, table, den = example1.tree, example1.states, example1.table, example1.den
+    for bad, bad_den in ((table[1:], den), (table, 0), (tuple((x, 0) for x, in table), den)):
+        with pytest.raises(m.ValidationError, match="shape mismatch"):
+            m.DecisionProblem(tree, states, (), bad, bad_den)
+    # the table is put in lowest terms, on the tree it was given
+    doubled = m.DecisionProblem(tree, states, (), tuple((2 * x,) for x, in table), 2 * den)
+    assert (doubled.table, doubled.den) == (table, den) and doubled.tree is tree
+    assert doubled.integer_payoffs == example1.integer_payoffs
 
 
 def test_instantiate_example3(example3):
@@ -144,13 +156,21 @@ def test_leaves_are_distinct_padded_paths():
         p = random_problem(rng)
         assert len(set(p.leaves)) == len(p.leaves)
         for leaf in p.leaves:
-            assert len(leaf.entries) == p.periods
-            assert p.is_terminal(leaf.history)
+            assert len(leaf.entries) == p.tree.periods
+            assert p.tree.is_terminal(leaf.history)
             # the unpadded prefix walks the tree
             h = ()
             for a in leaf.history:
-                assert a in p.actions_at(h)
+                assert a in p.tree.actions_at(h)
                 h += (a,)
+
+
+def rendered_entries(problem) -> dict:
+    """Each utility entry as `problem_to_dict` renders it, parsed back:
+    ``{(padded leaf, state): AffineExpr}``."""
+    doc = m.problem_to_dict(problem)
+    return {(problem.sequence(label).entries, s): m.parse_affine(value, problem.param_names)
+            for label, row in doc["utility"].items() for s, value in row.items()}
 
 
 def test_instantiate_is_affine(example2, example3):
@@ -162,7 +182,7 @@ def test_instantiate_is_affine(example2, example3):
                 for name in problem.param_names
             }
             inst = m.instantiate(problem, point)
-            for entries, state, expr in problem.utilities:
+            for (entries, state), expr in rendered_entries(problem).items():
                 direct = expr.constant + sum(
                     (c * point[n] for n, c in expr.coeffs), F(0)
                 )
@@ -194,8 +214,9 @@ def test_problem_round_trip(example2, example3):
         again = m.problem_from_dict(
             json.loads(json.dumps(doc), parse_float=F)
         )
-        assert again.branches == problem.branches
-        assert again.utilities == problem.utilities
+        assert again.tree.branches == problem.tree.branches
+        assert (again.table, again.den) == (problem.table, problem.den)
+        assert m.problem_to_dict(again) == doc
         assert again.param_names == problem.param_names
 
 
@@ -240,7 +261,8 @@ def test_distributions_validate(example1):
         example1, {("not_invest", "good"): "1/2", ("invest,invest", "bad"): "1/2"}
     )
     assert joint.weight(example1.sequence("not_invest"), "good") == F(1, 2)
-    assert joint.action_marginal().weights == (F(1, 2), F(0), F(1, 2))
+    marginal = joint.action_marginal()
+    assert (marginal.weights, marginal.den) == ((1, 0, 1), 2)
     marginal = m.MarginalDistribution.from_mapping(example1, {"not_invest": 1})
     assert marginal.weight(example1.sequence("not_invest")) == 1
     # two spellings of one cell are refused, not summed
@@ -274,8 +296,8 @@ def test_pinned_problems_equal_fresh_ones():
         point = {n: F(rng.randint(-20, 20), rng.randint(1, 12)) for n in names}
         pinned = m.substitute_params(family, point)
         # every entry evaluated in plain Fraction arithmetic
-        want = {(entries, s): expr.constant + sum((c * point[n] for n, c in expr.coeffs), F(0))
-                for entries, s, expr in family.utilities}
+        want = {key: expr.constant + sum((c * point[n] for n, c in expr.coeffs), F(0))
+                for key, expr in rendered_entries(family).items()}
         table = tuple(tuple(want[leaf.entries, s] for s in family.states)
                       for leaf in family.leaves)
         den = math.lcm(*(u.denominator for row in table for u in row))
@@ -288,16 +310,21 @@ def test_pinned_problems_equal_fresh_ones():
         if len(names) == 2:
             half = m.substitute_params(family, {"t": point["t"]})
             assert half.param_names == ("u",)
-            assert half.utilities == tuple((e, s, x.substitute({"t": point["t"]}))
-                                           for e, s, x in family.utilities)
+            # t folds into each constant, u keeps its coefficient
+            assert rendered_entries(half) == {
+                key: m.AffineExpr.make(x.constant + dict(x.coeffs).get("t", 0) * point["t"],
+                                       {"u": dict(x.coeffs).get("u", 0)})
+                for key, x in rendered_entries(family).items()}
             stepwise = m.substitute_params(half, {"u": point["u"]})
         for problem in (pinned, rebuilt, fresh, stepwise):
             assert problem.param_names == ()
             assert problem.leaves == family.leaves
-            assert problem.utilities == fresh.utilities
+            assert (problem.table, problem.den) == (fresh.table, fresh.den)
             assert problem.payoffs == table
             assert problem.integer_payoffs == (nums, den)
-        # the pinned problem shares the family's validated tree
+        # the pinned problems share the family's validated tree
+        assert pinned.tree is family.tree and stepwise.tree is family.tree
+        assert an.risk_transform(pinned, an.PiecewiseLinearFunction.identity()).tree is family.tree
         assert pinned.leaves is family.leaves and pinned.leaf_index is family.leaf_index
     assert padded
 

@@ -116,7 +116,7 @@ def test_optimal_value_static_collapse():
         raw = [rng.randint(1, 5) for _ in range(n)]
         prior = tuple(F(x, sum(raw)) for x in raw)
         flat = oc.InformationStructure(
-            p.states, prior, tuple(("u",) for _ in range(p.periods)),
+            p.states, prior, tuple(("u",) for _ in range(p.tree.periods)),
             tuple((F(1),) for _ in range(n)))
         want = max(
             sum((prior[s] * m.utility(p, leaf, state)
@@ -147,7 +147,7 @@ def test_optimal_value_matches_exhaustive_search():
                            max_leaves=3, max_rules=100)
         n_states = len(p.states)
         sets = tuple(tuple(f"t{t}{i}" for i in range(rng.randint(1, 2)))
-                     for t in range(p.periods))
+                     for t in range(p.tree.periods))
         n_seq = 1
         for s in sets:
             n_seq *= len(s)
@@ -201,7 +201,7 @@ def test_integer_induction_matches_the_fraction_recursion():
     for _ in range(30):
         p = random_problem(rng, max_rules=200)
         sets = tuple(tuple(f"t{t}{i}" for i in range(rng.randint(1, 2)))
-                     for t in range(p.periods))
+                     for t in range(p.tree.periods))
         n_seq = math.prod(map(len, sets))
         structure = oc.InformationStructure(
             p.states, _probabilities(rng, len(p.states)), sets,

@@ -380,7 +380,7 @@ def test_integer_rows_equal_the_fraction_builders(example2):
                      for _ in range(3)]
     problems += [m.substitute_params(example2, {"delta": d}) for d in (F(0), F(4, 5), F(31, 32))]
     for p in problems:
-        poly = lp.deviation_polytope_constraints(p)
+        poly = lp.deviation_polytope_constraints(p.tree)
         assert rational_rows(poly.constraints) == reference_polytope_rows(p)
         for observed in (rng.choice(p.leaves), random_marginal(rng, p)):
             prog, inputs, gain_rows = rz._dominance_program(p, observed)

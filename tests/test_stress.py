@@ -88,7 +88,7 @@ def test_dp_dominates_random_adapted_strategies():
         p = random_problem(rng, max_periods=2, max_actions=2, max_states=2,
                            max_leaves=3, max_rules=100)
         sets = tuple(tuple(f"t{t}{k}" for k in range(rng.randint(1, 2)))
-                     for t in range(p.periods))
+                     for t in range(p.tree.periods))
         n_seq = 1
         for s in sets:
             n_seq *= len(s)
@@ -126,13 +126,13 @@ def _random_adapted_strategy(rng, problem, seqs):
     """Map each signal sequence to a leaf, prefix-consistently."""
     from dynrat.model import PAD
 
-    T = problem.periods
+    T = problem.tree.periods
 
     def leaf_children(prefix):
         history = tuple(e for e in prefix if e != PAD)
-        if PAD in prefix or problem.is_terminal(history):
+        if PAD in prefix or problem.tree.is_terminal(history):
             return [prefix + (PAD,)]
-        return [prefix + (a,) for a in problem.actions_at(history)]
+        return [prefix + (a,) for a in problem.tree.actions_at(history)]
 
     mapping: dict[int, m.ActionSequence] = {}
 
