@@ -4,7 +4,9 @@ Given a finite dynamic decision problem and observed behavior (one action
 sequence, a joint action-state law, or an action-sequence law), decide whether
 some prior and sequential information flow make the behavior optimal.  Every
 answer ships with an independently checkable certificate: a dominating
-deviation rule when the answer is no, an obedient triple when it is yes.
+deviation rule when the answer is no, an obedient joint law of recommended
+leaves and states when it is yes (a report spells it as an obedient
+triple, a prior plus recommendation kernel).
 All arithmetic is exact.
 """
 
@@ -43,7 +45,6 @@ from .lp import (
 from .model import (
     PAD,
     ActionSequence,
-    AffineExpr,
     DecisionProblem,
     JointDistribution,
     MarginalDistribution,
@@ -72,13 +73,13 @@ from .oracle import (
 from .rationalize import (
     ApparentDominanceWitness,
     InternalInconsistencyError,
-    ObedientTriple,
     Verdict,
     apparently_dominated,
     decide,
     dominating_rule,
     max_positive_marginal,
-    obedient_triple_from_joint,
+    obedient_triple_from_json,
+    obedient_triple_to_json,
 )
 
 __version__ = "0.1.0"
@@ -86,7 +87,6 @@ __version__ = "0.1.0"
 __all__ = [
     "PAD",
     "ActionSequence",
-    "AffineExpr",
     "ApparentDominanceWitness",
     "Constraint",
     "DEFAULT_MAX_RULES",
@@ -100,7 +100,6 @@ __all__ = [
     "LinearProgram",
     "LpSolution",
     "MarginalDistribution",
-    "ObedientTriple",
     "ParseError",
     "PiecewiseLinearFunction",
     "SizeGuardError",
@@ -132,7 +131,8 @@ __all__ = [
     "load_problem",
     "lottery_utility",
     "max_positive_marginal",
-    "obedient_triple_from_joint",
+    "obedient_triple_from_json",
+    "obedient_triple_to_json",
     "optimal_value_dp",
     "parse_rational",
     "problem_from_dict",

@@ -337,7 +337,7 @@ def _verify_report(doc: dict) -> tuple[bool, str]:
         certificate = deviation.DeviationRule.from_json_dict(
             inst, _object(witness.get("kernel"), "witness 'kernel'"))
     elif witness.get("kind") == "obedient_triple":
-        certificate = rationalize.ObedientTriple.from_json_dict(inst, witness)
+        certificate = rationalize.obedient_triple_from_json(inst, witness)
     else:
         return False, f"unknown witness kind {witness.get('kind')!r}"
     return oracle.verify_witness(inst, certificate, observed)

@@ -10,10 +10,10 @@ leaves plays the role of the full action-sequence space.
 
 Utilities may be affine in a vector of named parameters (for example a
 discount factor the analyst wants to estimate).  The table holds each
-entry's constant and coefficients as integers over one denominator;
-`AffineExpr` is only the form a problem file writes an entry in.
-`instantiate` pins the parameters and yields a parameter-free problem on
-the same, already validated, tree.
+entry's constant and coefficients as integers over one denominator; a
+problem file's entry is read into its row (`parse_affine`) and written
+back from it (`problem_to_dict`).  `instantiate` pins the parameters and
+yields a parameter-free problem on the same, already validated, tree.
 """
 
 from __future__ import annotations
@@ -100,64 +100,6 @@ def format_rational(q: Fraction) -> str:
 # Affine utility entries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AffineExpr:
-    """A utility entry ``constant + sum(coeff * param)`` over named parameters.
-
-    ``coeffs`` holds only nonzero coefficients, ordered by parameter name, so
-    equal expressions compare equal.
-    """
-
-    constant: Fraction
-    coeffs: tuple[tuple[str, Fraction], ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.coeffs:
-            return
-        names = [n for n, _ in self.coeffs]
-        if len(set(names)) != len(names):
-            raise ValidationError("duplicate parameter in affine expression")
-        if any(c == 0 for _, c in self.coeffs):
-            raise ValidationError("zero coefficients must be dropped")
-        if list(names) != sorted(names):
-            raise ValidationError("coefficients must be sorted by parameter name")
-
-    @staticmethod
-    def make(constant: Fraction, coeffs: Mapping[str, Fraction] | None = None) -> "AffineExpr":
-        """The expression with every number read by `parse_rational` and zero
-        coefficients dropped."""
-        terms = ((n, parse_rational(c)) for n, c in (coeffs or {}).items())
-        return AffineExpr(parse_rational(constant), tuple(sorted((n, c) for n, c in terms if c)))
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.coeffs
-
-    def render(self) -> Union[int, str]:
-        """Problem-file form: a bare number when constant, else a term string."""
-        if self.is_constant:
-            if self.constant.denominator == 1:
-                return int(self.constant)
-            return format_rational(self.constant)
-        parts: list[str] = []
-        if self.constant != 0:
-            parts.append(format_rational(self.constant))
-        for name, coeff in self.coeffs:
-            if coeff == 1:
-                term = name
-            elif coeff == -1:
-                term = f"-{name}"
-            else:
-                term = f"{format_rational(coeff)}*{name}"
-            if parts and not term.startswith("-"):
-                parts.append(f"+ {term}")
-            elif parts:
-                parts.append(f"- {term[1:]}")
-            else:
-                parts.append(term)
-        return " ".join(parts) if parts else "0"
-
-
 # One term of a utility entry: a run of signs, then a number with an optional
 # ``*name``, or a bare name.  ``\d`` and ``\w`` are Unicode-aware here, as in
 # `Fraction`'s own parser.
@@ -165,12 +107,15 @@ _TERM_RE = re.compile(r"\s*(?P<signs>(?:[+\-]\s*)*)(?:(?P<num>\d+(?:\.\d+)?(?:/\
                       r"(?:\s*\*\s*(?P<scaled>[A-Za-z_]\w*))?|(?P<name>[A-Za-z_]\w*))")
 
 
-def parse_affine(value: Union[int, str, Fraction], params: Sequence[str]) -> AffineExpr:
+def parse_affine(
+    value: Union[int, str, Fraction], params: Sequence[str]
+) -> tuple[Fraction, dict[str, Fraction]]:
     """Parse a utility entry: a number, a rational string, or a term string
     like ``"R - 2*c"`` whose names must all be declared parameters.  Every
-    term after the first needs a sign."""
+    term after the first needs a sign.  Returns the entry's constant and
+    its nonzero coefficients by parameter name."""
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return AffineExpr(parse_rational(value))
+        return parse_rational(value), {}
     if not isinstance(value, str):
         raise ParseError(f"bad utility entry {value!r}")
     text = value.strip()
@@ -193,8 +138,8 @@ def parse_affine(value: Union[int, str, Fraction], params: Sequence[str]) -> Aff
             raise ValidationError(f"unknown parameter {name!r} in utility entry")
         terms[name] = terms[name] + coeff if name in terms else coeff
         pos = term.end()
-    constant = terms.pop(None) if None in terms else Fraction(0)
-    return AffineExpr.make(constant, terms) if terms else AffineExpr(constant)
+    constant = terms.pop(None, Fraction(0))
+    return constant, {name: c for name, c in terms.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +613,8 @@ def problem_from_dict(doc: Mapping) -> DecisionProblem:
     utility_doc = doc["utility"]
     if not isinstance(utility_doc, Mapping):
         raise ParseError("utility must be an object")
-    exprs: dict[tuple[tuple[str, ...], str], AffineExpr] = {}  # by padded leaf and state
+    # (constant, coefficients) by padded leaf and state
+    exprs: dict[tuple[tuple[str, ...], str], tuple[Fraction, dict[str, Fraction]]] = {}
     for leaf_id, row in utility_doc.items():
         entries = known.get(leaf_id)
         if entries is None:
@@ -682,19 +628,24 @@ def problem_from_dict(doc: Mapping) -> DecisionProblem:
     terms = []
     for leaf in tree.leaves:
         for s in states:
-            expr = exprs.get((leaf.entries, s))
-            if expr is None:
+            entry = exprs.get((leaf.entries, s))
+            if entry is None:
                 raise ValidationError(f"missing utility for leaf {leaf.label!r} in state {s!r}")
-            coeffs = dict(expr.coeffs)
-            terms += [expr.constant, *(coeffs.get(p, 0) for p in params)]
+            constant, coeffs = entry
+            terms += [constant, *(coeffs.get(p, 0) for p in params)]
     nums, den = _over_lcm(terms)
     return DecisionProblem(tree, tuple(states), tuple(params), _chunks(nums, 1 + len(params)), den)
 
 
 def problem_to_dict(problem: DecisionProblem) -> dict:
     """Inverse of `problem_from_dict`; reproduces the problem-file schema.
-    Each utility entry is rendered from the table by `AffineExpr.render`."""
-    tree, den = problem.tree, problem.den
+
+    Each utility entry is rendered from its table row: a bare number when
+    it has no parameter, else its terms in parameter-name order, the
+    constant first unless it is 0, and a coefficient of 1 or -1 written as
+    the sign alone (``"R - 2*c"``)."""
+    tree, den, names = problem.tree, problem.den, problem.param_names
+    order = sorted(range(len(names)), key=names.__getitem__)
 
     def subtree(history: tuple[str, ...]):
         node = {}
@@ -703,9 +654,23 @@ def problem_to_dict(problem: DecisionProblem) -> dict:
             node[a] = subtree(child) if child in tree.branch_map else "leaf"
         return node
 
-    entries = [AffineExpr.make(Fraction(c, den), {p: Fraction(x, den) for p, x in
-                                                  zip(problem.param_names, coeffs)}).render()
-               for c, *coeffs in problem.table]
+    def render(row: tuple[int, ...]) -> Union[int, str]:
+        constant, *coeffs = row
+        terms = [(names[k], coeffs[k]) for k in order if coeffs[k]]
+        if not terms:
+            q = Fraction(constant, den)
+            return q.numerator if q.denominator == 1 else format_rational(q)
+        parts = [format_rational(Fraction(constant, den))] if constant else []
+        for name, x in terms:
+            size = Fraction(abs(x), den)
+            term = name if size == 1 else f"{format_rational(size)}*{name}"
+            if parts:
+                parts.append(f"- {term}" if x < 0 else f"+ {term}")
+            else:
+                parts.append(f"-{term}" if x < 0 else term)
+        return " ".join(parts)
+
+    entries = [render(row) for row in problem.table]
     doc = {
         "periods": tree.periods,
         "states": list(problem.states),

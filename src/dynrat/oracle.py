@@ -3,9 +3,11 @@
 Everything here re-derives answers from first principles, without the linear
 programs: exact expected utility of an explicit (strategy, information
 structure, prior) triple, exact optimal value by backward induction over
-signal prefixes, the re-check of a verdict's certificate against its
-observation (`verify_witness`), a brute-force obedience check that loops
-over every pure deviation rule, and a seeded Monte-Carlo sampler.  The test
+signal prefixes, the re-check of a verdict's certificate (a dominating
+rule, or an obedient joint law whose leaves are the recommendations)
+against its observation (`verify_witness`), a brute-force obedience check
+that loops over every pure deviation rule, and a seeded Monte-Carlo
+sampler.  The module reaches neither `rationalize` nor `lp`.  The test
 suite plays these against the LP-based procedures; agreement is the
 package's main internal consistency guarantee.
 """
@@ -33,13 +35,13 @@ from .model import (
     MarginalDistribution,
     Observation,
     ValidationError,
+    _chunks,
     _leaf_weights,
     _over_lcm,
     _require_probability_vector,
     format_rational,
     parse_rational,
 )
-from .rationalize import ObedientTriple
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +299,14 @@ def optimal_value_dp(problem: DecisionProblem, structure: InformationStructure) 
     return Fraction(best, wden * problem.integer_payoffs[1])
 
 
-def verify_obedient_optimality(problem: DecisionProblem, triple: ObedientTriple) -> bool:
-    """Definitive witness check: obeying the triple's recommendations must be
-    exactly optimal against the information they carry.  The obeyed and the
-    best value are compared as integers at one scale."""
-    if triple.leaves != problem.leaves or triple.states != problem.states:
-        raise ValidationError("triple shapes do not match the problem")
-    weights, _ = _weights(triple.prior, triple.recommendation)
+def verify_obedient_optimality(problem: DecisionProblem, law: JointDistribution) -> bool:
+    """Definitive witness check: with the law's leaves as recommendations,
+    obeying them must be exactly optimal against the information they
+    carry.  The law's cells are the measure the induction weighs by, so the
+    obeyed and the best value are compared as integers at one scale."""
+    if law.leaves != problem.leaves or law.states != problem.states:
+        raise ValidationError("joint law shapes do not match the problem")
+    weights = _chunks(law.cells, len(law.states))
     table, _ = problem.integer_payoffs
     obeyed = sum(w * u for row, pay in zip(weights, table) for w, u in zip(row, pay))
     best = _optimal_value(problem, [leaf.entries for leaf in problem.leaves], weights)
@@ -311,30 +314,31 @@ def verify_obedient_optimality(problem: DecisionProblem, triple: ObedientTriple)
 
 
 def verify_witness(
-    problem: DecisionProblem, witness: Union[ObedientTriple, DeviationRule], observed: Observation
+    problem: DecisionProblem,
+    witness: Union[JointDistribution, DeviationRule],
+    observed: Observation,
 ) -> tuple[bool, str]:
     """Re-check a verdict's certificate against the observation, without LPs.
 
     A rule must dominate ``observed`` by the criterion of its kind.  Obeying
-    a triple must be optimal, and the triple must induce the observation:
-    positive mass on the sequence, or exactly the marginal or the joint law.
-    Returns the outcome and a one-line reason.
+    a law must be optimal, and the law must induce the observation: positive
+    mass on the sequence, or exactly the marginal or the joint law.  Returns
+    the outcome and a one-line reason.
     """
-    if not isinstance(witness, ObedientTriple):
+    if not isinstance(witness, JointDistribution):
         ok = dominates(problem, witness, observed)
         return ok, "dominating rule re-checked" if ok else "rule does not dominate"
     if not verify_obedient_optimality(problem, witness):
         return False, "obeying the recommendations is not optimal"
-    induced = witness.induced_joint()
     if isinstance(observed, JointDistribution):
-        if induced != observed:
+        if witness != observed:
             return False, "witness induces a different joint law"
     elif isinstance(observed, MarginalDistribution):
-        if induced.action_marginal() != observed:
+        if witness.action_marginal() != observed:
             return False, "witness induces a different marginal"
     else:
         i, width = problem.leaf_index[problem.sequence(observed)], len(problem.states)
-        if not any(induced.cells[i * width:(i + 1) * width]):
+        if not any(witness.cells[i * width:(i + 1) * width]):
             return False, "witness puts zero probability on the sequence"
     return True, "obedient triple re-checked"
 

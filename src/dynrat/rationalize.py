@@ -7,11 +7,14 @@ action-state law.  It always hands back evidence:
 
 * impossible: a deviation rule whose improvement criterion is strictly
   positive (checkable by `deviation.dominates`), or
-* possible: an obedient triple, a prior plus recommendation kernel under
-  which following recommendations is exactly optimal.
+* possible: an obedient joint law of recommended leaves and states that
+  induces the observation, under which following the recommendations is
+  exactly optimal (checkable by `oracle.verify_obedient_optimality`).
 
-`certificate` hands back the same evidence unwrapped: the rule, or the
-obedient joint law that the triple conditions.
+`certificate` hands back the same evidence without the verdict.  A report
+spells the law as an obedient triple, a prior plus recommendation kernel:
+`obedient_triple_to_json` conditions the law's integers into it, and
+`obedient_triple_from_json` multiplies them back.
 
 A joint law needs no LP.  A rule may condition on the recommended prefix,
 so the best rule against a joint law is a best response to that prefix as a
@@ -54,6 +57,7 @@ from .model import (
     ValidationError,
     _leaf_weights,
     _over_lcm,
+    _require_probability_numerators,
     _require_probability_vector,
     format_rational,
     parse_rational,
@@ -96,81 +100,65 @@ class ApparentDominanceWitness:
         }
 
 
-@dataclass(frozen=True)
-class ObedientTriple:
-    """A prior and a recommendation kernel under which obeying is optimal.
+def obedient_triple_to_json(law: JointDistribution) -> dict:
+    """The report's ``obedient_triple`` spelling of an obedient law: the
+    prior is the law's state marginal, and each state's recommendation row
+    is its column over its mass.  A state with no mass gets point mass on
+    the first leaf, which leaves the law unchanged."""
+    width = len(law.states)
+    prior, recommendation = {}, {}
+    for s, state in enumerate(law.states):
+        column = law.cells[s::width]
+        mass = sum(column)
+        if mass:
+            prior[state] = format_rational(Fraction(mass, law.den))
+            recommendation[state] = {a.label: format_rational(Fraction(x, mass))
+                                     for a, x in zip(law.leaves, column) if x}
+        else:
+            recommendation[state] = {law.leaves[0].label: "1"}
+    return {"prior": prior, "recommendation": recommendation}
 
-    ``recommendation[s][i]`` is the probability that leaf ``leaves[i]`` is
-    recommended in state ``states[s]``.
-    """
 
-    leaves: tuple[ActionSequence, ...]
-    states: tuple[str, ...]
-    prior: tuple[Fraction, ...]
-    recommendation: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.prior) != len(self.states):
-            raise ValidationError("prior shape mismatch")
-        _require_probability_vector(self.prior, "prior")
-        if len(self.recommendation) != len(self.states):
-            raise ValidationError("recommendation shape mismatch")
-        for row in self.recommendation:
-            if len(row) != len(self.leaves):
-                raise ValidationError("recommendation shape mismatch")
-            _require_probability_vector(row, "recommendation row")
-
-    def induced_joint(self) -> JointDistribution:
-        ps, pden = _over_lcm(self.prior)
-        rs, rden = _over_lcm([w for row in self.recommendation for w in row])
-        n = len(self.leaves)
-        return JointDistribution(self.leaves, self.states, tuple(
-            p * rs[s * n + i] for i in range(n) for s, p in enumerate(ps)), pden * rden)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "prior": {s: format_rational(p) for s, p in zip(self.states, self.prior) if p != 0},
-            "recommendation": {
-                s: {
-                    a.label: format_rational(w)
-                    for a, w in zip(self.leaves, row)
-                    if w != 0
-                }
-                for s, row in zip(self.states, self.recommendation)
-            },
-        }
-
-    @staticmethod
-    def from_json_dict(problem: DecisionProblem, doc: Mapping) -> "ObedientTriple":
-        rows = doc.get("recommendation")
-        if not (isinstance(doc.get("prior"), Mapping) and isinstance(rows, Mapping)
-                and all(isinstance(row, Mapping) for row in rows.values())):
-            raise ValidationError("an obedient triple needs a 'prior' object and a "
-                                  "'recommendation' object of objects")
-        prior = [Fraction(0)] * len(problem.states)
-        for s, q in doc["prior"].items():
-            prior[problem.state_position(s)] = parse_rational(q)
-        rec = [[Fraction(0)] * len(problem.leaves) for _ in problem.states]
-        for s, row in doc["recommendation"].items():
-            si = problem.state_position(s)
-            for i, q in _leaf_weights(problem, row, f"recommendation {s!r}").items():
-                rec[si][i] = q
-        return ObedientTriple(
-            problem.leaves, problem.states, tuple(prior), tuple(tuple(r) for r in rec)
-        )
+def obedient_triple_from_json(problem: DecisionProblem, doc: Mapping) -> JointDistribution:
+    """The law that an ``obedient_triple`` spells: cell (i, s) is prior(s)
+    times recommendation(s, i), in integers (the prior over one lcm, every
+    row over another).  The prior and every row, a massless state's too,
+    must be probability vectors."""
+    rows = doc.get("recommendation")
+    if not (isinstance(doc.get("prior"), Mapping) and isinstance(rows, Mapping)
+            and all(isinstance(row, Mapping) for row in rows.values())):
+        raise ValidationError("an obedient triple needs a 'prior' object and a "
+                              "'recommendation' object of objects")
+    n, width = len(problem.leaves), len(problem.states)
+    prior = [Fraction(0)] * width
+    for s, q in doc["prior"].items():
+        prior[problem.state_position(s)] = parse_rational(q)
+    kernel = [Fraction(0)] * (width * n)  # state s's row is kernel[s * n:(s + 1) * n]
+    for s, row in rows.items():
+        first = problem.state_position(s) * n
+        for i, q in _leaf_weights(problem, row, f"recommendation {s!r}").items():
+            kernel[first + i] = q
+    ps, pden = _over_lcm(prior)
+    _require_probability_numerators(ps, pden, "prior")
+    ks, kden = _over_lcm(kernel)
+    for s in range(width):
+        _require_probability_numerators(ks[s * n:(s + 1) * n], kden, "recommendation row")
+    return JointDistribution(problem.leaves, problem.states, [
+        p * ks[s * n + i] for i in range(n) for s, p in enumerate(ps)], pden * kden)
 
 
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of a rationalizability test plus its independently checkable
-    certificate: an obedient triple when possible, a dominating rule when not."""
+    certificate: an obedient joint law when possible, a dominating rule when
+    not.  The report spells the law as an obedient triple."""
 
     rationalizable: bool
-    witness: Union[ObedientTriple, DeviationRule]
+    witness: Union[JointDistribution, DeviationRule]
 
     def to_json_dict(self) -> dict:
         if self.rationalizable:
-            body = {"kind": "obedient_triple", **self.witness.to_json_dict()}
+            body = {"kind": "obedient_triple", **obedient_triple_to_json(self.witness)}
         else:
             body = {"kind": "deviation_rule", "kernel": self.witness.to_json_dict()}
         return {"rationalizable": self.rationalizable, "witness": body}
@@ -379,27 +367,6 @@ def max_positive_marginal(
     return sol.value, JointDistribution(problem.leaves, problem.states, cells, xden)
 
 
-def obedient_triple_from_joint(joint: JointDistribution) -> ObedientTriple:
-    """Condition a joint law into (prior, recommendation kernel).
-
-    States with zero prior mass get a deterministic placeholder row (point
-    mass on the first leaf); the induced joint law is unchanged.
-    """
-    width = len(joint.states)
-    columns = [joint.cells[s::width] for s in range(width)]
-    rec = []
-    for column in columns:
-        mass = sum(column)
-        if mass == 0:
-            row = [Fraction(0)] * len(joint.leaves)
-            row[0] = Fraction(1)
-        else:
-            row = [Fraction(x, mass) for x in column]
-        rec.append(tuple(row))
-    prior = tuple(Fraction(sum(column), joint.den) for column in columns)
-    return ObedientTriple(joint.leaves, joint.states, prior, tuple(rec))
-
-
 def certificate(
     problem: DecisionProblem, observed: Observation
 ) -> Union[DeviationRule, JointDistribution]:
@@ -424,8 +391,6 @@ def dominating_rule(problem: DecisionProblem, observed: Observation) -> Optional
 
 def decide(problem: DecisionProblem, observed: Observation) -> Verdict:
     """Decide whether ``observed`` is rationalizable: a dominating rule, or
-    an obedient triple that induces the observation (see `certificate`)."""
+    an obedient joint law that induces the observation (see `certificate`)."""
     found = certificate(problem, observed)
-    if isinstance(found, DeviationRule):
-        return Verdict(False, found)
-    return Verdict(True, obedient_triple_from_joint(found))
+    return Verdict(not isinstance(found, DeviationRule), found)

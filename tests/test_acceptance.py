@@ -51,11 +51,11 @@ def log_rule(problem, rule, check, *context):
     assert check(problem, rule, *context)
 
 
-def log_triple(problem, triple, positive_on=None):
-    WITNESS_LOG.append(("triple", problem, triple, None, (positive_on,)))
-    assert oc.verify_obedient_optimality(problem, triple)
+def log_law(problem, law, positive_on=None):
+    WITNESS_LOG.append(("law", problem, law, None, (positive_on,)))
+    assert oc.verify_obedient_optimality(problem, law)
     if positive_on is not None:
-        mass = sum(triple.induced_joint().matrix[problem.leaf_index[positive_on]], F(0))
+        mass = sum(law.matrix[problem.leaf_index[positive_on]], F(0))
         assert mass > 0
 
 
@@ -64,7 +64,7 @@ def test_criterion_1_example1(example1):
     for leaf in example1.leaves:
         verdict = rz.decide(example1, leaf)
         assert verdict.rationalizable, leaf.label
-        log_triple(example1, verdict.witness, positive_on=leaf)
+        log_law(example1, verdict.witness, positive_on=leaf)
     pull_back = example1.sequence("invest,pull_back")
     witness = rz.apparently_dominated(example1, pull_back)
     assert witness is not None and witness.margin == 1
@@ -118,8 +118,8 @@ def test_criterion_4_sequence_dichotomy():
             if not verdict.rationalizable:
                 log_rule(p, verdict.witness, dv.dominates_sequence, leaf)
             else:
-                assert oc.brute_force_rationalizable_joint(p, verdict.witness.induced_joint())
-                log_triple(p, verdict.witness, positive_on=leaf)
+                assert oc.brute_force_rationalizable_joint(p, verdict.witness)
+                log_law(p, verdict.witness, positive_on=leaf)
 
 
 @criterion("4b (joint-law dichotomy, 200 instances)")
@@ -134,7 +134,7 @@ def test_criterion_4_joint_dichotomy():
         if rule is not None:
             log_rule(p, rule, dv.dominates_joint, joint)
         else:
-            log_triple(p, rz.obedient_triple_from_joint(joint))
+            log_law(p, joint)
 
 
 @criterion("4c (marginal-law dichotomy, 200 instances)")
@@ -147,29 +147,29 @@ def test_criterion_4_marginal_dichotomy():
         if not verdict.rationalizable:
             log_rule(p, verdict.witness, dv.dominates_marginal, marginal)
         else:
-            joint = verdict.witness.induced_joint()
+            joint = verdict.witness
             assert joint.action_marginal() == marginal, i
             assert oc.brute_force_rationalizable_joint(p, joint), i
-            log_triple(p, verdict.witness)
+            log_law(p, verdict.witness)
 
 
 @criterion("5 (every emitted witness re-verifies)")
 def test_criterion_5_witness_soundness():
     assert len(WITNESS_LOG) > 400  # criteria 1-4 really did emit certificates
-    rules = triples = 0
+    rules = laws = 0
     for kind, problem, payload, check, context in WITNESS_LOG:
         if kind == "rule":
             rules += 1
             assert check(problem, payload, *context)
         else:
-            triples += 1
+            laws += 1
             assert oc.verify_obedient_optimality(problem, payload)
             positive_on = context[0]
             if positive_on is not None:
-                row = payload.induced_joint().matrix[problem.leaf_index[positive_on]]
+                row = payload.matrix[problem.leaf_index[positive_on]]
                 assert sum(row, F(0)) > 0
-    assert rules > 0 and triples > 0
-    print(f"  re-verified {rules} dominating rules and {triples} obedient triples")
+    assert rules > 0 and laws > 0
+    print(f"  re-verified {rules} dominating rules and {laws} obedient laws")
 
 
 @criterion("6 (oracle agreement)")

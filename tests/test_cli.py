@@ -231,6 +231,17 @@ MALFORMED = {
        for kind, path, keys in (("structure", EX1_STRUCTURE, ("signals", "prior", "kernel")),
                                 ("strategy", EX1_STRATEGY, ("signals", "kernel")))
        for key in keys},
+    # the prior and every recommendation row must be probability vectors,
+    # also the row of a state without mass ("hard" in this report)
+    "triple-prior-sums-below-1": ("verify-witness", _edited(
+        "ex3-check-seq-yes", lambda r: r["result"]["witness"].update(prior={"easy": "1/2"})),
+        "prior must be a probability vector"),
+    "triple-massless-row-sums-below-1": ("verify-witness", _edited(
+        "ex3-check-seq-yes", lambda r: r["result"]["witness"]["recommendation"].update(
+            hard={"no_effort": "1/2"})), "recommendation row must be a probability vector"),
+    "triple-massless-row-missing": ("verify-witness", _edited(
+        "ex3-check-seq-yes", lambda r: r["result"]["witness"]["recommendation"].pop("hard")),
+        "recommendation row must be a probability vector"),
     # a leaf is named by its actions, then at most the padding that fills the
     # horizon: padding in front of or between actions, an empty entry or one
     # entry too many names no leaf, wherever a leaf is read
@@ -528,8 +539,7 @@ def test_maxprob_and_check_marginal_on_three_periods(capsys, tmp_path):
         assert best == value
         if value == 0:
             continue
-        triple = rationalize.obedient_triple_from_joint(joint)
-        assert oracle.verify_obedient_optimality(problem, triple)
+        assert oracle.verify_obedient_optimality(problem, joint)
         if value == 1:
             continue
         interior += 1
@@ -542,7 +552,7 @@ def test_maxprob_and_check_marginal_on_three_periods(capsys, tmp_path):
         assert code == 0, err
         report = first_report(out)
         assert report["result"]["rationalizable"] is True
-        triple = rationalize.ObedientTriple.from_json_dict(problem, report["result"]["witness"])
-        assert oracle.verify_obedient_optimality(problem, triple)
-        assert triple.induced_joint().action_marginal() == joint.action_marginal()
+        law = rationalize.obedient_triple_from_json(problem, report["result"]["witness"])
+        assert oracle.verify_obedient_optimality(problem, law)
+        assert law.action_marginal() == joint.action_marginal()
     assert interior > 0

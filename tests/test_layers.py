@@ -3,8 +3,10 @@
 `dynrat.oracle` re-derives answers without the decision procedures, so the
 modules that decide (`deviation`, which holds the joint backward induction,
 and `rationalize`) must not import it, directly or through another module of
-the package.  The scan reads the source, so a lazy import inside a function
-counts too.
+the package.  Nor may the oracle reach `rationalize` or the LP solver `lp`:
+it takes a certificate as data and re-checks it without the programs that
+found it.
+The scan reads the source, so a lazy import inside a function counts too.
 """
 
 from __future__ import annotations
@@ -47,10 +49,17 @@ def reachable(module: str) -> set[str]:
 
 
 def test_scan_sees_the_known_imports():
-    assert {"deviation", "rationalize"} <= package_imports("oracle")
+    assert {"deviation", "model"} <= package_imports("oracle")
     assert {"lp", "deviation", "model"} <= package_imports("rationalize")
 
 
 def test_deciding_modules_never_import_the_oracle():
     for module in ("deviation", "rationalize"):
         assert "oracle" not in reachable(module), module
+
+
+def test_the_oracle_reaches_neither_rationalize_nor_lp():
+    assert {"rationalize", "lp"}.isdisjoint(reachable("oracle"))
+    # the scan follows imports through other modules: `analysis` reaches
+    # `lp` only through `rationalize`
+    assert "lp" not in package_imports("analysis") and "lp" in reachable("analysis")

@@ -167,7 +167,7 @@ def test_leaves_are_distinct_padded_paths():
 
 def rendered_entries(problem) -> dict:
     """Each utility entry as `problem_to_dict` renders it, parsed back:
-    ``{(padded leaf, state): AffineExpr}``."""
+    ``{(padded leaf, state): (constant, coefficients)}``."""
     doc = m.problem_to_dict(problem)
     return {(problem.sequence(label).entries, s): m.parse_affine(value, problem.param_names)
             for label, row in doc["utility"].items() for s, value in row.items()}
@@ -182,10 +182,8 @@ def test_instantiate_is_affine(example2, example3):
                 for name in problem.param_names
             }
             inst = m.instantiate(problem, point)
-            for (entries, state), expr in rendered_entries(problem).items():
-                direct = expr.constant + sum(
-                    (c * point[n] for n, c in expr.coeffs), F(0)
-                )
+            for (entries, state), (constant, coeffs) in rendered_entries(problem).items():
+                direct = constant + sum((c * point[n] for n, c in coeffs.items()), F(0))
                 got = m.utility(inst, m.ActionSequence(entries), state)
                 assert got == direct
 
@@ -220,22 +218,27 @@ def test_problem_round_trip(example2, example3):
         assert again.param_names == problem.param_names
 
 
-def test_affine_make_refuses_floats_and_bools():
+def test_parse_affine_refuses_floats_and_bools():
     # every number goes through parse_rational: no float or bool is read as
-    # a binary fraction or as 1
-    for constant, coeffs in ((0.1, {}), (True, {}), (0, {"x": 0.5}), (0, {"x": True})):
+    # a binary fraction or as 1, in an entry or in a problem's table
+    for value in (0.1, True, False):
         with pytest.raises(m.ParseError):
-            m.AffineExpr.make(constant, coeffs)
-    assert m.AffineExpr.make("1/2", {"x": 0, "a": F(3)}) == m.AffineExpr(F(1, 2), (("a", F(3)),))
+            m.parse_affine(value, ("x",))
+        doc = {"periods": 1, "states": ["s"], "tree": {"a": "leaf"},
+               "utility": {"a": {"s": value}}}
+        with pytest.raises(m.ParseError):
+            m.problem_from_dict(doc)
+    # zero coefficients are dropped
+    assert m.parse_affine("1/2 + 0*x + 3*a", ("x", "a")) == (F(1, 2), {"a": F(3)})
+    assert m.parse_affine("x - x", ("x",)) == (F(0), {})
+    assert m.parse_affine(F(5, 2), ("x",)) == (F(5, 2), {})
 
 
 def test_affine_parse_forms():
-    expr = m.parse_affine("R - 2*c", ("R", "c"))
-    assert expr.constant == 0
-    assert dict(expr.coeffs) == {"R": F(1), "c": F(-2)}
-    assert m.parse_affine("-c", ("c",)).coeffs == (("c", F(-1)),)
-    assert m.parse_affine("3/2", ()).constant == F(3, 2)
-    assert m.parse_affine("0.25 + 1/2*d", ("d",)).constant == F(1, 4)
+    assert m.parse_affine("R - 2*c", ("R", "c")) == (F(0), {"R": F(1), "c": F(-2)})
+    assert m.parse_affine("-c", ("c",)) == (F(0), {"c": F(-1)})
+    assert m.parse_affine("3/2", ()) == (F(3, 2), {})
+    assert m.parse_affine("0.25 + 1/2*d", ("d",)) == (F(1, 4), {"d": F(1, 2)})
     with pytest.raises(m.ValidationError, match="unknown parameter"):
         m.parse_affine("q", ("d",))
 
@@ -248,10 +251,9 @@ def test_affine_terms_need_an_operator_between_them(text):
 
 
 def test_affine_signs_still_separate_terms():
-    assert m.parse_affine("-R + 2", ("R",)) == m.AffineExpr.make(F(2), {"R": F(-1)})
-    assert m.parse_affine("1/2*R - -c", ("R", "c")) == m.AffineExpr.make(
-        F(0), {"R": F(1, 2), "c": F(1)})
-    assert m.parse_affine(" 3 ", ()) == m.AffineExpr.make(F(3))
+    assert m.parse_affine("-R + 2", ("R",)) == (F(2), {"R": F(-1)})
+    assert m.parse_affine("1/2*R - -c", ("R", "c")) == (F(0), {"R": F(1, 2), "c": F(1)})
+    assert m.parse_affine(" 3 ", ()) == (F(3), {})
 
 
 def test_distributions_validate(example1):
@@ -296,8 +298,8 @@ def test_pinned_problems_equal_fresh_ones():
         point = {n: F(rng.randint(-20, 20), rng.randint(1, 12)) for n in names}
         pinned = m.substitute_params(family, point)
         # every entry evaluated in plain Fraction arithmetic
-        want = {key: expr.constant + sum((c * point[n] for n, c in expr.coeffs), F(0))
-                for key, expr in rendered_entries(family).items()}
+        want = {key: constant + sum((c * point[n] for n, c in coeffs.items()), F(0))
+                for key, (constant, coeffs) in rendered_entries(family).items()}
         table = tuple(tuple(want[leaf.entries, s] for s in family.states)
                       for leaf in family.leaves)
         den = math.lcm(*(u.denominator for row in table for u in row))
@@ -312,9 +314,9 @@ def test_pinned_problems_equal_fresh_ones():
             assert half.param_names == ("u",)
             # t folds into each constant, u keeps its coefficient
             assert rendered_entries(half) == {
-                key: m.AffineExpr.make(x.constant + dict(x.coeffs).get("t", 0) * point["t"],
-                                       {"u": dict(x.coeffs).get("u", 0)})
-                for key, x in rendered_entries(family).items()}
+                key: (constant + coeffs.get("t", 0) * point["t"],
+                      {"u": coeffs["u"]} if "u" in coeffs else {})
+                for key, (constant, coeffs) in rendered_entries(family).items()}
             stepwise = m.substitute_params(half, {"u": point["u"]})
         for problem in (pinned, rebuilt, fresh, stepwise):
             assert problem.param_names == ()
@@ -386,7 +388,7 @@ def test_parse_rational_agrees_with_fraction(text):
 _TOKEN_RE = re.compile(r"\s*(?:(?P<op>[+\-*])|(?P<num>\d+(?:\.\d+)?(?:/\d+)?)|(?P<name>[A-Za-z_]\w*))")
 
 
-def _tokenizer_parse_affine(text: str, params) -> m.AffineExpr:
+def _tokenizer_parse_affine(text: str, params) -> tuple[F, dict[str, F]]:
     text = text.strip()
     if not text:
         raise m.ParseError("empty utility entry")
@@ -442,7 +444,7 @@ def _tokenizer_parse_affine(text: str, params) -> m.AffineExpr:
             if name not in params:
                 raise m.ValidationError(f"unknown parameter {name!r}")
             coeffs[name] = coeffs.get(name, F(0)) + sign * coeff
-    return m.AffineExpr.make(constant, coeffs)
+    return constant, {name: c for name, c in coeffs.items() if c}
 
 
 def test_parse_affine_accepts_what_the_tokenizer_accepted():
@@ -466,3 +468,70 @@ def test_parse_affine_accepts_what_the_tokenizer_accepted():
         assert got == want, text
         accepted += want is not None
     assert accepted > 10_000
+
+
+# The renderer of utility entries that `problem_to_dict` replaced, which
+# wrote each entry through a `Fraction` expression object, kept as the
+# reference of the written form.
+def _reference_render(constant: F, coeffs: dict[str, F]):
+    coeffs = sorted((name, c) for name, c in coeffs.items() if c)
+    if not coeffs:
+        if constant.denominator == 1:
+            return int(constant)
+        return m.format_rational(constant)
+    parts: list[str] = []
+    if constant != 0:
+        parts.append(m.format_rational(constant))
+    for name, coeff in coeffs:
+        if coeff == 1:
+            term = name
+        elif coeff == -1:
+            term = f"-{name}"
+        else:
+            term = f"{m.format_rational(coeff)}*{name}"
+        if parts and not term.startswith("-"):
+            parts.append(f"+ {term}")
+        elif parts:
+            parts.append(f"- {term[1:]}")
+        else:
+            parts.append(term)
+    return " ".join(parts) if parts else "0"
+
+
+def _kind(q: F) -> str:
+    return str(q) if q in (0, 1, -1) else "whole" if q.denominator == 1 else "fraction"
+
+
+def test_problem_to_dict_renders_as_the_reference():
+    # random integer tables over random denominators: zero, whole and
+    # fractional constants, coefficients of 0, 1, -1, whole and fractional,
+    # and one to three parameters declared out of name order
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(300):
+        base = random_problem(rng, max_leaves=6)
+        names = rng.sample(["zeta", "R", "c", "alpha", "b_2"], rng.randint(1, 3))
+        if names == sorted(names):
+            names.reverse()
+        den = rng.choice([1, 2, 3, 6, 12])
+
+        def entry():
+            return rng.choice([0, 0, den, -den, rng.randint(-30, 30)])
+
+        rows = [tuple(entry() for _ in range(1 + len(names)))
+                for _ in range(len(base.leaves) * len(base.states))]
+        p = m.DecisionProblem(base.tree, base.states, tuple(names), tuple(rows), den)
+        doc = m.problem_to_dict(p)
+        for leaf, row_states in zip(p.leaves, zip(*[iter(p.table)] * len(p.states))):
+            for state, (c, *xs) in zip(p.states, row_states):
+                constant = F(c, p.den)
+                coeffs = {n: F(x, p.den) for n, x in zip(names, xs)}
+                got = doc["utility"][leaf.label][state]
+                assert got == _reference_render(constant, coeffs), (got, constant, coeffs)
+                seen.add(("constant", _kind(constant)))
+                seen.update(("coeff", _kind(q)) for q in coeffs.values())
+        again = m.problem_from_dict(json.loads(json.dumps(doc), parse_float=F))
+        assert (again.table, again.den) == (p.table, p.den)
+    assert {("constant", "0"), ("constant", "whole"), ("constant", "fraction"),
+            ("coeff", "0"), ("coeff", "1"), ("coeff", "-1"), ("coeff", "whole"),
+            ("coeff", "fraction")} <= seen

@@ -169,11 +169,9 @@ def test_verify_obedient_optimality(example1):
         ("invest,pull_back", "good"): "1/6",
         ("invest,invest", "good"): "1/3",
     })
-    assert oc.verify_obedient_optimality(example1, rz.obedient_triple_from_joint(knife))
-    pushy = rz.ObedientTriple(
-        example1.leaves, example1.states, (F(1), F(0)),
-        ((F(0), F(1), F(0)), (F(1), F(0), F(0))),
-    )
+    assert oc.verify_obedient_optimality(example1, knife)
+    # prior (1, 0); "good" recommends invest,pull_back, "bad" not_invest
+    pushy = law_of(example1, (F(1), F(0)), ((F(0), F(1), F(0)), (F(1), F(0), F(0))))
     assert not oc.verify_obedient_optimality(example1, pushy)
 
 
@@ -181,8 +179,26 @@ def test_verify_obedient_optimality_one_leaf():
     doc = {"periods": 1, "states": ["s"], "tree": {"a": "leaf"},
            "utility": {"a": {"s": "-9"}}}
     one = m.load_problem(json.dumps(doc))
-    triple = rz.ObedientTriple(one.leaves, one.states, (F(1),), ((F(1),),))
-    assert oc.verify_obedient_optimality(one, triple)
+    law = law_of(one, (F(1),), ((F(1),),))
+    assert oc.verify_obedient_optimality(one, law)
+
+
+def law_of(problem, prior, rows):
+    """The joint law prior * kernel: cell (leaf i, state s) is
+    ``prior[s] * rows[s][i]``."""
+    return m.JointDistribution.from_mapping(problem, {
+        (a, state): q * w for state, q, row in zip(problem.states, prior, rows)
+        for a, w in zip(problem.leaves, row)})
+
+
+def conditioned(law):
+    """The law's prior and its recommendation rows, each state's column over
+    its mass (point mass on the first leaf where it has none)."""
+    columns = list(zip(*law.matrix))
+    prior = [sum(column, F(0)) for column in columns]
+    rows = [[w / q for w in column] if q else [F(1)] + [F(0)] * (len(column) - 1)
+            for q, column in zip(prior, columns)]
+    return prior, rows
 
 
 def _probabilities(rng, n):
@@ -194,7 +210,7 @@ def _probabilities(rng, n):
 
 def test_integer_induction_matches_the_fraction_recursion():
     # the oracle's induction in integers gives the Fraction recursion's
-    # value, against product-space signals and against a triple's
+    # value, against product-space signals and against a law's
     # recommendations, obedient or not; priors may put zero on a state
     rng = random.Random(53)
     outcomes = []
@@ -208,18 +224,18 @@ def test_integer_induction_matches_the_fraction_recursion():
             tuple(_probabilities(rng, n_seq) for _ in p.states))
         assert oc.optimal_value_dp(p, structure) == reference_optimal_value(
             p, structure.prior, structure.sequences, structure.kernel)
-        triples = [rz.ObedientTriple(p.leaves, p.states, _probabilities(rng, len(p.states)),
-                                     tuple(_probabilities(rng, len(p.leaves)) for _ in p.states))]
+        laws = [law_of(p, _probabilities(rng, len(p.states)),
+                       [_probabilities(rng, len(p.leaves)) for _ in p.states])]
         verdict = rz.decide(p, random_joint(rng, p))
         if verdict.rationalizable:
-            triples.append(verdict.witness)
-        for triple in triples:
+            laws.append(verdict.witness)
+        for law in laws:
+            prior, rows = conditioned(law)
             obeyed = sum((q * w * m.utility(p, a, s)
-                          for q, row, s in zip(triple.prior, triple.recommendation, p.states)
+                          for q, row, s in zip(prior, rows, p.states)
                           for a, w in zip(p.leaves, row)), F(0))
-            best = reference_optimal_value(p, triple.prior, [a.entries for a in p.leaves],
-                                           triple.recommendation)
-            outcomes.append(oc.verify_obedient_optimality(p, triple))
+            best = reference_optimal_value(p, prior, [a.entries for a in p.leaves], rows)
+            outcomes.append(oc.verify_obedient_optimality(p, law))
             assert outcomes[-1] == (obeyed == best)
     assert True in outcomes and False in outcomes
 

@@ -143,7 +143,7 @@ def test_rationalize_marginal(example1):
         example1, {"invest,pull_back": "2/3", "invest,invest": "1/3"})
     verdict = rz.decide(example1, knife)
     assert verdict.rationalizable
-    joint = verdict.witness.induced_joint()
+    joint = verdict.witness
     assert joint.action_marginal() == knife
     assert oc.brute_force_rationalizable_joint(example1, joint)
     heavy = m.MarginalDistribution.from_mapping(
@@ -156,38 +156,54 @@ def test_rationalize_marginal(example1):
 def test_rationalize_joint(example1):
     knife = knife_edge_joint(example1)
     verdict = rz.decide(example1, knife)
-    assert verdict.rationalizable and verdict.witness.induced_joint() == knife
+    assert verdict.rationalizable and verdict.witness == knife
     point = m.JointDistribution.from_mapping(example1, {("invest,pull_back", "good"): 1})
     verdict = rz.decide(example1, point)
     assert not verdict.rationalizable
     assert dv.dominates_joint(example1, verdict.witness, point)
 
 
-def test_obedient_triple_from_joint(example1):
-    triple = rz.obedient_triple_from_joint(knife_edge_joint(example1))
-    assert triple.prior == (F(1, 2), F(1, 2))
-    good = dict(zip(example1.leaves, triple.recommendation[0]))
-    bad = dict(zip(example1.leaves, triple.recommendation[1]))
-    assert good[example1.sequence("invest,pull_back")] == F(1, 3)
-    assert good[example1.sequence("invest,invest")] == F(2, 3)
-    assert bad[example1.sequence("invest,pull_back")] == 1
-    assert triple.induced_joint() == knife_edge_joint(example1)
+def test_obedient_triple_json_round_trip(example1):
+    knife = knife_edge_joint(example1)
+    triple = rz.obedient_triple_to_json(knife)
+    assert triple["prior"] == {"good": "1/2", "bad": "1/2"}
+    good, bad = triple["recommendation"]["good"], triple["recommendation"]["bad"]
+    assert good == {"invest,pull_back": "1/3", "invest,invest": "2/3"}
+    assert bad == {"invest,pull_back": "1"}
+    assert rz.obedient_triple_from_json(example1, triple) == knife
 
     point = m.JointDistribution.from_mapping(example1, {("invest,invest", "good"): 1})
-    t2 = rz.obedient_triple_from_joint(point)
-    assert t2.prior == (F(1), F(0))
+    t2 = rz.obedient_triple_to_json(point)
+    assert t2["prior"] == {"good": "1"}
     # the zero-probability state gets a deterministic placeholder row
-    assert t2.recommendation[1][0] == 1
-    assert t2.induced_joint() == point
+    assert t2["recommendation"]["bad"] == {"not_invest": "1"}
+    assert rz.obedient_triple_from_json(example1, t2) == point
+
+    # random laws, most with states of no mass, survive the round trip
+    rng = random.Random(29)
+    massless = 0
+    for _ in range(40):
+        p = random_problem(rng, max_rules=200)
+        law = random_joint(rng, p)
+        if rng.random() < 0.7:  # keep one state's column only
+            width, keep = len(p.states), rng.randrange(len(p.states))
+            cells = [x if k % width == keep else 0 for k, x in enumerate(law.cells)]
+            if not any(cells):
+                cells[keep] = 1
+            law = m.JointDistribution(p.leaves, p.states, cells, sum(cells))
+        doc = json.loads(json.dumps(rz.obedient_triple_to_json(law)))
+        massless += len(doc["prior"]) < len(p.states)
+        assert rz.obedient_triple_from_json(p, doc) == law
+    assert massless > 10
 
 
 def test_rationalize_sequence_investment(example1):
     for leaf in example1.leaves:
         verdict = rz.decide(example1, leaf)
         assert verdict.rationalizable
-        triple = verdict.witness
-        assert oc.verify_obedient_optimality(example1, triple)
-        mass = sum(triple.induced_joint().matrix[example1.leaf_index[leaf]], F(0))
+        law = verdict.witness
+        assert oc.verify_obedient_optimality(example1, law)
+        mass = sum(law.matrix[example1.leaf_index[leaf]], F(0))
         assert mass > 0
 
 
@@ -222,7 +238,7 @@ def test_sequence_dichotomy_small():
             verdict = rz.decide(p, leaf)
             assert verdict.rationalizable == (rz.max_positive_marginal(p, leaf)[0] > 0)
             if verdict.rationalizable:
-                joint = verdict.witness.induced_joint()
+                joint = verdict.witness
                 assert sum(joint.matrix[p.leaf_index[leaf]], F(0)) > 0
                 assert oc.brute_force_rationalizable_joint(p, joint)
             else:
@@ -245,7 +261,7 @@ def test_marginal_dichotomy_small():
         marginal = random_marginal(rng, p)
         verdict = rz.decide(p, marginal)
         if verdict.rationalizable:
-            joint = verdict.witness.induced_joint()
+            joint = verdict.witness
             assert joint.action_marginal() == marginal
             assert oc.brute_force_rationalizable_joint(p, joint)
         else:
@@ -332,7 +348,7 @@ def test_one_mixed_rule_is_one_value_whichever_constructor_built_it(example2):
 def test_one_law_is_one_value_whichever_constructor_built_it(example1):
     # the dominance duals' obedient law for each investing sequence, the
     # same law from a mapping (keys shuffled, padding, explicit zeros) and
-    # from the triple it conditions into; the point mass also from draws
+    # from the report's triple that spells it; the point mass also from draws
     ii, ip = example1.sequence("invest,invest"), example1.sequence("invest,pull_back")
     given = ({"not_invest,_": {"bad": "0"}, "invest,invest": {"bad": 0, "good": "3/3"}},
              {"invest,invest": {"good": "2/6"}, "not_invest,_": {"good": 0},
@@ -341,7 +357,7 @@ def test_one_law_is_one_value_whichever_constructor_built_it(example1):
         law = rz.certificate(example1, observed)
         assert isinstance(law, m.JointDistribution)
         copies = [law, m.JointDistribution.from_mapping(example1, mapping),
-                  rz.obedient_triple_from_joint(law).induced_joint()]
+                  rz.obedient_triple_from_json(example1, rz.obedient_triple_to_json(law))]
         if observed == ii:
             signals = {"signals": [["s"], ["g"]]}
             structure = oc.InformationStructure.from_json_dict(example1, {

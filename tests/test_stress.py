@@ -30,7 +30,7 @@ def test_dichotomies_with_tie_heavy_payoffs():
             verdict = rz.decide(p, leaf)
             if verdict.rationalizable:
                 assert oc.verify_obedient_optimality(p, verdict.witness), (i, leaf.label)
-                joint = verdict.witness.induced_joint()
+                joint = verdict.witness
                 assert sum(joint.matrix[p.leaf_index[leaf]], F(0)) > 0
             else:
                 assert dv.dominates_sequence(p, verdict.witness, leaf), (i, leaf.label)
@@ -41,7 +41,7 @@ def test_dichotomies_with_tie_heavy_payoffs():
         verdict = rz.decide(p, marginal)
         if verdict.rationalizable:
             assert oc.verify_obedient_optimality(p, verdict.witness), i
-            assert verdict.witness.induced_joint().action_marginal() == marginal
+            assert verdict.witness.action_marginal() == marginal
         else:
             assert dv.dominates_marginal(p, verdict.witness, marginal), i
 
@@ -61,7 +61,7 @@ def test_dichotomies_on_larger_instances():
             if not verdict.rationalizable:
                 assert dv.dominates_sequence(p, verdict.witness, leaf)
             else:
-                joint = verdict.witness.induced_joint()
+                joint = verdict.witness
                 assert sum(joint.matrix[p.leaf_index[leaf]], F(0)) > 0
                 assert oc.brute_force_rationalizable_joint(p, joint)
 
