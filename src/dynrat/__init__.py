@@ -23,13 +23,9 @@ from .deviation import (
     SizeGuardError,
     compose,
     dominates,
-    dominates_joint,
-    dominates_marginal,
-    dominates_sequence,
     enumerate_pure_rules,
     gains,
     identity_rule,
-    improvement,
     is_adapted,
 )
 from .lp import (
@@ -54,11 +50,9 @@ from .model import (
     format_rational,
     instantiate,
     load_problem,
-    lottery_utility,
     parse_rational,
     problem_from_dict,
     problem_to_dict,
-    utility,
 )
 from .oracle import (
     InformationStructure,
@@ -115,21 +109,16 @@ __all__ = [
     "decide",
     "deviation_polytope_constraints",
     "dominates",
-    "dominates_joint",
-    "dominates_marginal",
-    "dominates_sequence",
     "dominating_rule",
     "enumerate_pure_rules",
     "format_rational",
     "gains",
     "identified_set",
     "identity_rule",
-    "improvement",
     "instantiate",
     "is_adapted",
     "lambda_D_set",
     "load_problem",
-    "lottery_utility",
     "max_positive_marginal",
     "obedient_triple_from_json",
     "obedient_triple_to_json",
@@ -141,7 +130,6 @@ __all__ = [
     "simulate",
     "solve",
     "strategy_value",
-    "utility",
     "verify_obedient_optimality",
     "verify_witness",
 ]

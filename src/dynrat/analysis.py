@@ -225,15 +225,13 @@ def identified_set(
     holds and the first where it fails; every point up to the last one
     where C holds takes C's verdict unchecked.  This is exact, because with
     the utilities affine in the swept parameter t and the observation
-    fixed, the set of t where C holds is an interval:
-
-    * a rule dominates a sequence where its gains, affine in t, are >= 0
-      everywhere and > 0 at the sequence;
-    * a rule dominates a marginal where sum_i w_i min_s g(i, s; t) > 0, a
-      concave function of t;
-    * a rule dominates a joint law where an affine function of t is > 0;
-    * a law is obedient where the largest gain of a pure rule, a maximum of
-      affine functions of t, hence convex, is <= 0.
+    fixed, the set of t where C holds is an interval.  A rule's gains are
+    affine in t, and the observation's consistency rows do not depend on
+    t.  Each row's level (`deviation.dominates`) is a minimum of gains, so
+    sum e * level is concave, and each cell in no row gives an affine
+    constraint: the rule dominates on an interval.  A law is obedient
+    where the largest gain of a pure rule, a maximum of affine functions
+    of t, is <= 0, again an interval.
 
     Past the first grid point where C fails it fails everywhere, so it is
     not tried again on the grid.  Every sample thus gets the verdict a

@@ -317,8 +317,7 @@ def _run_query(args) -> dict:
 # Witness re-verification
 # ---------------------------------------------------------------------------
 
-def _verify_report(doc: dict) -> tuple[bool, str]:
-    problem = problem_from_dict(_object(doc.get("problem"), "report 'problem'"))
+def _verify_report(problem: DecisionProblem, doc: dict) -> tuple[bool, str]:
     result = _object(doc.get("result"), "report 'result'")
     if "witness" not in result:
         return False, "report carries no witness"
@@ -350,10 +349,11 @@ def run(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
         if args.command == "verify-witness":
             doc = _read_json(args.report, "report")
-            ok, detail = _verify_report(doc)
+            problem = problem_from_dict(_object(doc.get("problem"), "report 'problem'"))
+            ok, detail = _verify_report(problem, doc)
             report = {
                 "query": {"command": "verify-witness"},
-                "problem": doc.get("problem"),
+                "problem": problem_to_dict(problem),
                 "result": {"valid": ok, "detail": detail},
                 "stats": {"lp_pivots": 0, "rules_enumerated": 0},
             }

@@ -4,8 +4,9 @@ A deviation rule rewrites each intended action sequence into a lottery over
 action sequences, subject to adaptedness: the rewritten play up to period t
 may depend only on the intended play up to period t.  Rules compose like
 stochastic matrices and are the certificates that observed behavior cannot be
-rationalized, via the three `dominates_*` criteria below, one per kind of
-observation; `dominates` picks the one that matches.
+rationalized: `dominates` is one sign test on a rule's gains against the
+observation's consistency rows (`model.consistency`), whatever the kind of
+observation.
 
 A rule is one type, `DeviationRule`, stored as its integers: each row's
 nonzero (column, numerator) pairs over one denominator.  A pure rule, as
@@ -16,7 +17,6 @@ it, is the same type with one unit entry per row.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -27,14 +27,16 @@ from .model import (
     ActionSequence,
     DecisionProblem,
     JointDistribution,
-    MarginalDistribution,
     Observation,
     Tree,
     ValidationError,
+    _chunks,
     _leaf_weights,
     _over_lcm,
+    _require_joint_shape,
     _require_probability_numerators,
     _require_probability_vector,
+    consistency,
     format_rational,
     parse_rational,
 )
@@ -236,11 +238,6 @@ def count_pure_rules(problem: DecisionProblem) -> int:
     return count((), ())
 
 
-def _require_joint_shape(problem: DecisionProblem, joint: JointDistribution) -> None:
-    if joint.leaves != problem.leaves or joint.states != problem.states:
-        raise ValidationError("joint law shapes do not match the problem")
-
-
 def best_joint_deviation(
     problem: DecisionProblem, joint: JointDistribution
 ) -> tuple[Fraction, Callable[[], DeviationRule]]:
@@ -365,64 +362,43 @@ def compose(outer: DeviationRule, inner: DeviationRule) -> DeviationRule:
     return DeviationRule(inner.leaves, tuple(rows), inner.den * outer.den)
 
 
-def _integer_gains(problem: DecisionProblem, rule: DeviationRule) -> tuple[list[list[int]], int]:
-    """The gain table of `gains` as integer numerators over one positive
-    denominator: the payoffs' (`DecisionProblem.integer_payoffs`) times the
-    rule's (`DeviationRule.den`), so no `Fraction` is built."""
+def _integer_gains(problem: DecisionProblem, rule: DeviationRule) -> tuple[list[int], int]:
+    """The gain table of `gains`, cell by cell as `JointDistribution.cells`
+    numbers them, in integer numerators over one positive denominator: the
+    payoffs' (`DecisionProblem.integer_payoffs`) times the rule's."""
     if rule.leaves != problem.leaves:
         raise ValidationError("rule leaves do not match the problem")
     pay, uden = problem.integer_payoffs
     width = range(len(problem.states))
-    return [[sum(w * pay[j][s] for j, w in support) - rule.den * own[s] for s in width]
-            for support, own in zip(rule.rows, pay)], rule.den * uden
+    return [sum(w * pay[j][s] for j, w in support) - rule.den * own[s]
+            for support, own in zip(rule.rows, pay) for s in width], rule.den * uden
 
 
 def gains(problem: DecisionProblem, rule: DeviationRule) -> tuple[tuple[Fraction, ...], ...]:
     """The rule's gain table: ``gains(problem, rule)[i][s]`` is the exact
     payoff change from following the rule instead of playing leaf i in state
     s, sum_j D(i, j) u(j, s) - u(i, s), summed over the row's nonzero
-    entries.  Every dominance criterion is a sign test on this table, run on
-    its integer numerators."""
-    table, den = _integer_gains(problem, rule)
-    return tuple(tuple(Fraction(g, den) for g in row) for row in table)
-
-
-def improvement(
-    problem: DecisionProblem, rule: DeviationRule, a: ActionSequence, state: str
-) -> Fraction:
-    """Exact payoff change from following the rule instead of playing ``a``."""
-    i = problem.leaf_index[problem.sequence(a)]
-    return gains(problem, rule)[i][problem.state_position(state)]
-
-
-def dominates_sequence(problem: DecisionProblem, rule: DeviationRule, a: ActionSequence) -> bool:
-    """Strictly improves ``a`` in every state and never hurts any sequence."""
-    i = problem.leaf_index[problem.sequence(a)]
-    table, _ = _integer_gains(problem, rule)
-    return all(g >= 0 for row in table for g in row) and all(g > 0 for g in table[i])
-
-
-def dominates_joint(problem: DecisionProblem, rule: DeviationRule, joint: JointDistribution) -> bool:
-    """Strictly positive expected improvement under the observed joint law."""
-    _require_joint_shape(problem, joint)
-    table, _ = _integer_gains(problem, rule)
-    return sum(map(operator.mul, joint.cells, (g for row in table for g in row))) > 0
-
-
-def dominates_marginal(
-    problem: DecisionProblem, rule: DeviationRule, marginal: MarginalDistribution
-) -> bool:
-    """Strictly positive average of worst-case-over-states improvements."""
-    if marginal.leaves != problem.leaves:
-        raise ValidationError("marginal law leaves do not match the problem")
-    table, _ = _integer_gains(problem, rule)
-    return sum(w * min(row) for w, row in zip(marginal.weights, table) if w) > 0
+    entries.  `dominates` is a sign test on this table, run on its integer
+    numerators."""
+    cells, den = _integer_gains(problem, rule)
+    return _chunks([Fraction(g, den) for g in cells], len(problem.states))
 
 
 def dominates(problem: DecisionProblem, rule: DeviationRule, observed: Observation) -> bool:
-    """The dominance criterion that matches the kind of ``observed``."""
-    if isinstance(observed, JointDistribution):
-        return dominates_joint(problem, rule, observed)
-    if isinstance(observed, MarginalDistribution):
-        return dominates_marginal(problem, rule, observed)
-    return dominates_sequence(problem, rule, observed)
+    """Whether ``rule`` proves that no obedient law induces ``observed``
+    (by Farkas' lemma, some rule does whenever none does): with G its
+    integer gains and E gamma = e the observation's consistency rows
+    (`model.consistency`), no cell in no row has G < 0, and sum e * level
+    > 0, a row's level being its least G.  For a sequence: G > 0 at it and
+    G >= 0 elsewhere; a marginal: sum_i w_i min_s G(i, s) > 0; a joint
+    law: sum g * G > 0."""
+    rows = consistency(problem, observed)
+    cells, _ = _integer_gains(problem, rule)
+    total = free = 0  # free: the first cell past the last row
+    for start, stop, e in rows:
+        if free < start and min(cells[free:start]) < 0:
+            return False
+        if e:
+            total += e * min(cells[start:stop])
+        free = stop
+    return min(cells[free:], default=0) >= 0 and total > 0

@@ -162,8 +162,8 @@ class ActionSequence:
 
     @property
     def history(self) -> tuple[str, ...]:
-        """The unpadded path."""
-        return tuple(e for e in self.entries if e != PAD)
+        """The unpadded path (padding only ever trails, see `__post_init__`)."""
+        return self.entries[:self.entries.index(PAD)] if PAD in self.entries else self.entries
 
     @property
     def label(self) -> str:
@@ -546,6 +546,31 @@ class MarginalDistribution:
 Observation = Union[ActionSequence, MarginalDistribution, JointDistribution]
 
 
+def _require_joint_shape(problem: DecisionProblem, joint: JointDistribution) -> None:
+    if joint.leaves != problem.leaves or joint.states != problem.states:
+        raise ValidationError("joint law shapes do not match the problem")
+
+
+def consistency(problem: DecisionProblem, observed: Observation) -> tuple[tuple[int, int, int], ...]:
+    """The observation as consistency rows E gamma = e on a law gamma over
+    the (leaf, state) cells, numbered as in `JointDistribution.cells`: each
+    row one run ``(start, stop, e)`` of one leaf's cells with its integer
+    entry of e, the runs disjoint and in cell order.  A sequence is one row,
+    its cells, with e = 1 (the obedient laws are a cone); a marginal is one
+    row per leaf, and a joint law one row per cell, with e its weight.
+    The one place that tells the kinds of observation apart."""
+    width = len(problem.states)
+    if isinstance(observed, JointDistribution):
+        _require_joint_shape(problem, observed)
+        return tuple((k, k + 1, x) for k, x in enumerate(observed.cells))
+    if isinstance(observed, MarginalDistribution):
+        if observed.leaves != problem.leaves:
+            raise ValidationError("marginal law leaves do not match the problem")
+        return tuple((i * width, i * width + width, w) for i, w in enumerate(observed.weights))
+    start = problem.leaf_index[problem.sequence(observed)] * width
+    return ((start, start + width, 1),)
+
+
 # ---------------------------------------------------------------------------
 # Problem files
 # ---------------------------------------------------------------------------
@@ -654,16 +679,17 @@ def problem_to_dict(problem: DecisionProblem) -> dict:
             node[a] = subtree(child) if child in tree.branch_map else "leaf"
         return node
 
+    def number(x: int) -> Union[int, str]:  # x / den, built as a Fraction only if needed
+        return x // den if x % den == 0 else format_rational(Fraction(x, den))
+
     def render(row: tuple[int, ...]) -> Union[int, str]:
         constant, *coeffs = row
         terms = [(names[k], coeffs[k]) for k in order if coeffs[k]]
         if not terms:
-            q = Fraction(constant, den)
-            return q.numerator if q.denominator == 1 else format_rational(q)
-        parts = [format_rational(Fraction(constant, den))] if constant else []
+            return number(constant)
+        parts = [str(number(constant))] if constant else []
         for name, x in terms:
-            size = Fraction(abs(x), den)
-            term = name if size == 1 else f"{format_rational(size)}*{name}"
+            term = name if abs(x) == den else f"{number(abs(x))}*{name}"
             if parts:
                 parts.append(f"- {term}" if x < 0 else f"+ {term}")
             else:
@@ -717,23 +743,3 @@ def substitute_params(problem: DecisionProblem, point: Mapping[str, Fraction]) -
     return DecisionProblem(problem.tree, problem.states, tuple(names[k - 1] for k in kept),
                            tuple(zip(constants, *([row[k] * scale for row in table] for k in kept))),
                            problem.den * scale)
-
-
-def utility(problem: DecisionProblem, a: ActionSequence, state: str) -> Fraction:
-    """Exact terminal utility of leaf ``a`` in ``state`` (parameter-free problems)."""
-    payoffs = problem.payoffs
-    return payoffs[problem.leaf_index[problem.sequence(a)]][problem.state_position(state)]
-
-
-def lottery_utility(
-    problem: DecisionProblem,
-    lottery: Mapping[Union[str, ActionSequence], Fraction],
-    state: str,
-) -> Fraction:
-    """Expected utility of a lottery over leaves, exactly.
-
-    ``lottery`` must be a probability vector: nonnegative weights summing to 1.
-    """
-    weights = [parse_rational(q) for q in lottery.values()]
-    _require_probability_vector(weights, "lottery")
-    return sum((w * utility(problem, a, state) for a, w in zip(lottery, weights)), Fraction(0))

@@ -32,13 +32,14 @@ from .model import (
     ActionSequence,
     DecisionProblem,
     JointDistribution,
-    MarginalDistribution,
     Observation,
     ValidationError,
     _chunks,
     _leaf_weights,
     _over_lcm,
+    _require_joint_shape,
     _require_probability_vector,
+    consistency,
     format_rational,
     parse_rational,
 )
@@ -304,8 +305,7 @@ def verify_obedient_optimality(problem: DecisionProblem, law: JointDistribution)
     obeying them must be exactly optimal against the information they
     carry.  The law's cells are the measure the induction weighs by, so the
     obeyed and the best value are compared as integers at one scale."""
-    if law.leaves != problem.leaves or law.states != problem.states:
-        raise ValidationError("joint law shapes do not match the problem")
+    _require_joint_shape(problem, law)
     weights = _chunks(law.cells, len(law.states))
     table, _ = problem.integer_payoffs
     obeyed = sum(w * u for row, pay in zip(weights, table) for w, u in zip(row, pay))
@@ -320,26 +320,21 @@ def verify_witness(
 ) -> tuple[bool, str]:
     """Re-check a verdict's certificate against the observation, without LPs.
 
-    A rule must dominate ``observed`` by the criterion of its kind.  Obeying
-    a law must be optimal, and the law must induce the observation: positive
-    mass on the sequence, or exactly the marginal or the joint law.  Returns
-    the outcome and a one-line reason.
+    A rule must dominate ``observed`` (`deviation.dominates`).  Obeying a
+    law must be optimal, and its mass on the observation's consistency rows
+    (`model.consistency`) a positive multiple of their e, by cross-multiplied
+    integers.  Returns the outcome and a one-line reason.
     """
     if not isinstance(witness, JointDistribution):
         ok = dominates(problem, witness, observed)
         return ok, "dominating rule re-checked" if ok else "rule does not dominate"
     if not verify_obedient_optimality(problem, witness):
         return False, "obeying the recommendations is not optimal"
-    if isinstance(observed, JointDistribution):
-        if witness != observed:
-            return False, "witness induces a different joint law"
-    elif isinstance(observed, MarginalDistribution):
-        if witness.action_marginal() != observed:
-            return False, "witness induces a different marginal"
-    else:
-        i, width = problem.leaf_index[problem.sequence(observed)], len(problem.states)
-        if not any(witness.cells[i * width:(i + 1) * width]):
-            return False, "witness puts zero probability on the sequence"
+    rows = consistency(problem, observed)
+    mass = [sum(witness.cells[start:stop]) for start, stop, _ in rows]
+    got, want = sum(mass), sum(e for _, _, e in rows)
+    if not got or any(x * want != e * got for x, (_, _, e) in zip(mass, rows)):
+        return False, "witness does not induce the observation"
     return True, "obedient triple re-checked"
 
 

@@ -23,14 +23,14 @@ induction over aligned prefix pairs, in time polynomial in their number and
 with no enumeration.  A positive gain yields the rule; otherwise the law
 itself is the obedient witness.
 
-A sequence or a marginal needs one exact rational LP, the dominance program
-of its data type: the best deviation rule over the rule polytope
-(`dominating_rule` returns that rule alone).  A positive optimum yields the
-rule.  At optimum 0 the program's duals, checked exactly by
-`lp.check_duals`, are the obedient information structure: the paper's
-theorem is this one LP duality.  This module is the one place that tells
-the three kinds of observation apart when it decides.  Strictness is
-decided by comparing the exact optimal gain against zero, never by epsilon.
+A sequence or a marginal needs one exact rational LP, the dominance
+program: the best deviation rule over the rule polytope against the
+observation's consistency rows (`model.consistency`; `dominating_rule`
+returns that rule alone).  A positive optimum yields the rule.  At optimum
+0 the program's duals, checked exactly by `lp.check_duals`, are the
+obedient information structure: the paper's theorem is this one LP
+duality.  Strictness is decided by comparing the exact optimal gain
+against zero, never by epsilon.
 The obedience program, the same duality written from the information side,
 serves `maxprob` only.
 
@@ -52,13 +52,13 @@ from .model import (
     ActionSequence,
     DecisionProblem,
     JointDistribution,
-    MarginalDistribution,
     Observation,
     ValidationError,
     _leaf_weights,
     _over_lcm,
     _require_probability_numerators,
     _require_probability_vector,
+    consistency,
     format_rational,
     parse_rational,
 )
@@ -200,34 +200,37 @@ def _checked(problem: DecisionProblem, rule: DeviationRule, observed: Observatio
 
 
 def _dominance_program(
-    problem: DecisionProblem, observed: Union[ActionSequence, MarginalDistribution]
+    problem: DecisionProblem, observed: Observation
 ) -> tuple[lpmod.LinearProgram, tuple[int, ...], list[tuple[int, int, int]]]:
-    """The dominance program of an observed leaf or marginal over the
-    first-action blocks it touches (the leaf's, or those with marginal
-    mass), their inputs, and its gain rows as (row, leaf, state).
+    """The dominance program of an observation, built from its consistency
+    rows E gamma = e (`model.consistency`) alone, over the first-action
+    blocks that hold a leaf of a row with e != 0; with the blocks' inputs,
+    and its gain rows as (row, leaf, state).
 
-    The blocks' rows come first (`lp.DeviationPolytope.rows_on`).  Gain row
-    (i, s) reads sum_j D(i, j) (u(j, s) - u(i, s)) >= level(i), written
-    straight from `DecisionProblem.integer_payoffs` as the integers
-    table[j][s] - table[i][s], with level coefficient -den, over the
-    table's denominator den.  A row with neither a gain nor a level is left
-    out.  Every other input keeps its identity row, feasible with gain 0.
+    Maximize sum e * level / sum e over the rules D of the blocks' polytope
+    rows (`lp.DeviationPolytope.rows_on`, first) and one free level per
+    row on their inputs, in input order.  Gain row (i, s) reads sum_j
+    D(i, j) (u(j, s) - u(i, s)) >= the level of (i, s)'s row, or 0 off
+    the rows, in the integers table[j][s] - table[i][s] of
+    `DecisionProblem.integer_payoffs` and level coefficient -den, over its
+    denominator den.  A row with neither a gain nor a level is left out.
+    Every other input keeps its identity row, feasible with gain 0.
     """
     table, den = problem.integer_payoffs
-    n = len(problem.leaves)
+    n, width = len(problem.leaves), len(problem.states)
+    rows = consistency(problem, observed)
     poly = problem.tree.per_tree(lpmod.deviation_polytope_constraints)
-    marginal = isinstance(observed, MarginalDistribution)
-    inputs = poly.inputs([i for i, w in enumerate(observed.weights) if w] if marginal
-                         else [problem.leaf_index[observed]])
+    inputs = poly.inputs(start // width for start, _, e in rows if e)
     prog = lpmod.LinearProgram([False] * (len(inputs) * n), list(poly.rows_on(inputs)))
-    if marginal:
-        levels = {i: prog.add_variable(free=True) for i in inputs}
-        prog.set_objective({k: Fraction(observed.weights[i], observed.den)
-                            for i, k in levels.items()})
-    else:
-        k = prog.add_variable(free=True)
-        levels = {problem.leaf_index[observed]: k}
-        prog.set_objective({k: 1})
+    inside, total = set(inputs), sum(e for _, _, e in rows)
+    levels: dict[int, int] = {}  # cell -> the level column of its row
+    objective = {}
+    for start, stop, e in rows:
+        if start // width in inside:
+            k = prog.add_variable(free=True)
+            objective[k] = Fraction(e, total)
+            levels.update(dict.fromkeys(range(start, stop), k))
+    prog.set_objective(objective)
     columns = list(zip(*table))
     gain_rows = []
     for p, i in enumerate(inputs):
@@ -235,8 +238,9 @@ def _dominance_program(
         for s, column in enumerate(columns):
             own = column[i]
             coeffs = {first + j: u - own for j, u in enumerate(column) if u != own}
-            if i in levels:
-                coeffs[levels[i]] = -den
+            level = levels.get(i * width + s)
+            if level is not None:
+                coeffs[level] = -den
             elif not coeffs:
                 continue
             gain_rows.append((len(prog.constraints), i, s))
@@ -247,27 +251,17 @@ def _dominance_program(
 def _dominance(
     problem: DecisionProblem, observed: Observation
 ) -> Union[DeviationRule, JointDistribution]:
-    """Solve the dominance program of an observed sequence or marginal
-    (`_dominance_program`), and read its certificate.
-
-    * sequence a: maximize one level k that bounds a's gain from below in
-      every state, while every other leaf's gain stays nonnegative.
-    * marginal: one level per leaf, bounding its gain in every state;
-      maximize the marginal-weighted sum of the levels.
+    """Solve the dominance program of an observation (`_dominance_program`),
+    and read its certificate.
 
     A positive optimum yields the rule, with identity rows outside the
-    touched blocks.  At value 0 the certificate is an obedient joint law
-    that induces the observation: the multipliers of the gain rows ("the
-    rule's gain at this leaf in this state is at least the leaf's level"),
-    negated and scaled to mass 1.  With g(i, s) minus the multiplier of row
-    (i, s), the polytope rows' multipliers y satisfy A^T y >= C(g) and
-    b^T y = 0 (C as in ``_obedience_program``), so no rule gains on average
-    under g on the touched blocks, the only ones where g has mass.  The
-    levels are free, so their reduced costs are 0: g has mass exactly 1 on
-    the observed sequence, or exactly the observed marginal.
+    touched blocks.  At value 0 the certificate is an obedient joint law:
+    g(i, s), minus the multiplier of gain row (i, s), scaled to mass 1.
+    The polytope rows' multipliers y satisfy A^T y >= C(g) and b^T y = 0
+    (C as in ``_obedience_program``), so no rule gains on average under g
+    on the touched blocks, the only ones where g has mass.  The levels are
+    free, so their reduced costs are 0: E g = e / sum e.
     """
-    if not isinstance(observed, MarginalDistribution):
-        observed = problem.sequence(observed)
     leaves, states = problem.leaves, problem.states
     prog, inputs, gain_rows = _dominance_program(problem, observed)
     sol = lpmod.solve(prog)
@@ -382,9 +376,9 @@ def certificate(
 
 
 def dominating_rule(problem: DecisionProblem, observed: Observation) -> Optional[DeviationRule]:
-    """The rule that gains most on ``observed`` by the criterion of its kind
-    (`deviation.dominates`), when that gain is strictly positive; None when
-    no rule dominates, that is, when ``observed`` is rationalizable."""
+    """The rule that gains most on ``observed``, when it dominates
+    (`deviation.dominates`); None when no rule dominates, that is, when
+    ``observed`` is rationalizable."""
     found = certificate(problem, observed)
     return found if isinstance(found, DeviationRule) else None
 

@@ -77,6 +77,58 @@ def reference_rule_count(problem: m.DecisionProblem) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Utilities and dominance criteria in Fractions (references for the integer
+# gains and the one consistency-row sign test)
+# ---------------------------------------------------------------------------
+
+def utility(problem: m.DecisionProblem, a, state: str) -> Fraction:
+    """Exact terminal utility of leaf ``a`` in ``state`` (parameter-free problems)."""
+    return problem.payoffs[problem.leaf_index[problem.sequence(a)]][problem.state_position(state)]
+
+
+def lottery_utility(problem: m.DecisionProblem, lottery, state: str) -> Fraction:
+    """Expected utility of a lottery over leaves, which must be a probability
+    vector: nonnegative weights summing to 1."""
+    weights = [m.parse_rational(q) for q in lottery.values()]
+    m._require_probability_vector(weights, "lottery")
+    return sum((w * utility(problem, a, state) for a, w in zip(lottery, weights)), Fraction(0))
+
+
+def improvement(problem: m.DecisionProblem, rule: dv.DeviationRule, a, state: str) -> Fraction:
+    """The payoff change from following the rule instead of playing ``a``."""
+    i = problem.leaf_index[problem.sequence(a)]
+    return dv.gains(problem, rule)[i][problem.state_position(state)]
+
+
+def reference_dominates_sequence(problem, rule, a) -> bool:
+    """The rule improves ``a`` strictly in every state and hurts no cell."""
+    table = dv.gains(problem, rule)
+    return (all(g >= 0 for row in table for g in row)
+            and all(g > 0 for g in table[problem.leaf_index[problem.sequence(a)]]))
+
+
+def reference_dominates_marginal(problem, rule, marginal) -> bool:
+    """The marginal-weighted worst-state gains are positive on average."""
+    return sum((Fraction(w, marginal.den) * min(row)
+                for w, row in zip(marginal.weights, dv.gains(problem, rule))), Fraction(0)) > 0
+
+
+def reference_dominates_joint(problem, rule, joint) -> bool:
+    """The expected gain under the joint law is positive."""
+    return sum((w * g for law_row, row in zip(joint.matrix, dv.gains(problem, rule))
+                for w, g in zip(law_row, row)), Fraction(0)) > 0
+
+
+def reference_dominates(problem, rule, observed) -> bool:
+    """The per-kind criterion that matches ``observed``."""
+    if isinstance(observed, m.JointDistribution):
+        return reference_dominates_joint(problem, rule, observed)
+    if isinstance(observed, m.MarginalDistribution):
+        return reference_dominates_marginal(problem, rule, observed)
+    return reference_dominates_sequence(problem, rule, observed)
+
+
+# ---------------------------------------------------------------------------
 # Random instances
 # ---------------------------------------------------------------------------
 
@@ -263,7 +315,7 @@ def enumerated_obedience_optimum(problem: m.DecisionProblem, weights: dict,
             prog.add_constraint({gamma[b, s]: 1 for s in problem.states}, "==", 0)
     for rule in dv.enumerate_pure_rules(problem):
         prog.add_constraint({
-            gamma[b, s]: m.utility(problem, b, s) - m.utility(problem, problem.leaves[j], s)
+            gamma[b, s]: utility(problem, b, s) - utility(problem, problem.leaves[j], s)
             for b, ((j, _),) in zip(problem.leaves, rule.rows) for s in problem.states
         }, ">=", 0)
     prog.set_objective({gamma[cell]: w for cell, w in weights.items()})
@@ -463,7 +515,7 @@ def joint_dominance_optimum(problem: m.DecisionProblem, joint: m.JointDistributi
     leaves, states = problem.leaves, problem.states
     n = len(leaves)
     prog.set_objective({
-        i * n + j: sum((w * (m.utility(problem, b, s) - m.utility(problem, a, s))
+        i * n + j: sum((w * (utility(problem, b, s) - utility(problem, a, s))
                              for s, w in zip(states, joint.matrix[i])), Fraction(0))
         for i, a in enumerate(leaves) for j, b in enumerate(leaves)
     })
@@ -532,7 +584,7 @@ def exhaustive_optimal_value(problem: m.DecisionProblem, structure) -> Fraction:
             for k in all_ids:
                 w = structure.kernel[s][k]
                 if w != 0:
-                    value += p * w * m.utility(problem, mapping[k], state)
+                    value += p * w * utility(problem, mapping[k], state)
         if best is None or value > best:
             best = value
     return best

@@ -79,7 +79,7 @@ def test_criterion_2_example2(example2):
         inst = m.instantiate(example2, {"delta": d})
         rule = rz.dominating_rule(inst, wx)
         assert rule is not None, d
-        log_rule(inst, rule, dv.dominates_sequence, wx)
+        log_rule(inst, rule, dv.dominates, wx)
     for d in (F(4, 5), F(9, 10), F(1)):
         inst = m.instantiate(example2, {"delta": d})
         assert rz.dominating_rule(inst, wx) is None, d
@@ -116,7 +116,7 @@ def test_criterion_4_sequence_dichotomy():
         for leaf in p.leaves:
             verdict = rz.decide(p, leaf)
             if not verdict.rationalizable:
-                log_rule(p, verdict.witness, dv.dominates_sequence, leaf)
+                log_rule(p, verdict.witness, dv.dominates, leaf)
             else:
                 assert oc.brute_force_rationalizable_joint(p, verdict.witness)
                 log_law(p, verdict.witness, positive_on=leaf)
@@ -132,7 +132,7 @@ def test_criterion_4_joint_dichotomy():
         obedient = oc.brute_force_rationalizable_joint(p, joint)
         assert (rule is None) == obedient, i
         if rule is not None:
-            log_rule(p, rule, dv.dominates_joint, joint)
+            log_rule(p, rule, dv.dominates, joint)
         else:
             log_law(p, joint)
 
@@ -145,7 +145,7 @@ def test_criterion_4_marginal_dichotomy():
         marginal = random_marginal(rng, p)
         verdict = rz.decide(p, marginal)
         if not verdict.rationalizable:
-            log_rule(p, verdict.witness, dv.dominates_marginal, marginal)
+            log_rule(p, verdict.witness, dv.dominates, marginal)
         else:
             joint = verdict.witness
             assert joint.action_marginal() == marginal, i

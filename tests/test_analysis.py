@@ -15,6 +15,7 @@ from conftest import (
     random_joint,
     random_marginal,
     random_problem,
+    utility,
 )
 
 
@@ -78,8 +79,8 @@ def test_piecewise_linear_validation_and_eval():
 def test_risk_transform_values(example1):
     f = an.PiecewiseLinearFunction((F(0),), (F(1), F(2)), F(0))
     kinked = an.risk_transform(example1, f)
-    assert [m.utility(kinked, l, "good") for l in kinked.leaves] == [F(0), F(-1), F(4)]
-    assert [m.utility(kinked, l, "bad") for l in kinked.leaves] == [F(0), F(-1), F(-2)]
+    assert [utility(kinked, l, "good") for l in kinked.leaves] == [F(0), F(-1), F(4)]
+    assert [utility(kinked, l, "bad") for l in kinked.leaves] == [F(0), F(-1), F(-2)]
     same = an.risk_transform(example1, an.PiecewiseLinearFunction.identity())
     assert (same.table, same.den) == (example1.table, example1.den)
 
@@ -152,7 +153,7 @@ def test_lambda_D_set_joint_law(example2):
     grid = [F(i, 8) for i in range(9)]
     got = an.lambda_D_set(example2, all_x, joint, grid)
     assert got == tuple(
-        not dv.dominates_joint(m.instantiate(example2, {"delta": g}), all_x, joint)
+        not dv.dominates(m.instantiate(example2, {"delta": g}), all_x, joint)
         for g in grid)
     assert got[6] is False and got[7] is True  # 3/4 excluded, 7/8 not
 
@@ -379,7 +380,7 @@ def test_sweep_runs_the_joint_induction_once_per_point(monkeypatch):
         start = m.instantiate(family, {"t": -2})
         # each state recommends its best leaf at t = -2: obedient there
         joint = m.JointDistribution.from_mapping(start, {
-            (max(start.leaves, key=lambda a: m.utility(start, a, s)), s): F(1, len(start.states))
+            (max(start.leaves, key=lambda a: utility(start, a, s)), s): F(1, len(start.states))
             for s in start.states})
         del points[:], runs[:]
         iset = an.identified_set(family, joint, "t", -2, 2, tolerance="1/64", grid_points=9)

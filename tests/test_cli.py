@@ -321,16 +321,16 @@ TAMPERED = {
     "zero-mass-on-the-sequence": (
         "ex1-check-seq-invest",
         lambda r: r["query"].update(seq="invest,pull_back"),
-        "witness puts zero probability on the sequence"),
+        "witness does not induce the observation"),
     "a-different-marginal": (
         "ex1-check-marginal-yes",
         lambda r: r["query"].update(dist={"invest,pull_back": "1/3", "invest,invest": "2/3"}),
-        "witness induces a different marginal"),
+        "witness does not induce the observation"),
     "a-different-joint-law": (
         "ex1-check-joint-yes",
         lambda r: r["query"].update(
             dist={"invest,pull_back": {"bad": "1/2"}, "invest,invest": {"good": "1/2"}}),
-        "witness induces a different joint law"),
+        "witness does not induce the observation"),
 }
 
 
@@ -342,6 +342,22 @@ def test_verify_witness_rejects_tampered_reports(capsys, tmp_path, case):
     code, out, err = run_cli(capsys, "verify-witness", str(path))
     assert code == 0, err
     assert first_report(out)["result"] == {"valid": False, "detail": detail}
+
+
+def test_verify_witness_echoes_a_decimal_problem_canonically(capsys, tmp_path):
+    # JSON decimals are read as exact Fractions; the report echoes the
+    # parsed problem in its canonical spelling, not the raw document
+    report = _edited("ex1-check-seq-invest",
+                     lambda r: r["problem"]["utility"]["invest,invest"].update(bad=-2.0))
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert '"bad": -2.0' in path.read_text()
+    code, out, err = run_cli(capsys, "verify-witness", str(path))
+    assert code == 0, err
+    echoed = first_report(out)
+    assert echoed["result"]["valid"] is True
+    assert echoed["problem"] == _golden_report("ex1-check-seq-invest")["problem"]
+    assert echoed["problem"]["utility"]["invest,invest"]["bad"] == -2
 
 
 def test_parser_keeps_no_state_between_runs(capsys):

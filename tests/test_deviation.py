@@ -10,13 +10,16 @@ from dynrat import model as m
 
 from conftest import (
     complete_tree_doc,
+    improvement,
     joint_dominance_optimum,
+    lottery_utility,
     random_joint,
     random_marginal,
     random_problem,
     random_pure_rule,
     random_rule,
     reference_rule_count,
+    utility,
 )
 
 
@@ -115,20 +118,20 @@ def test_compose_closure_and_associativity():
 
 def test_improvement_values(example1, example2):
     north = all_to(example1, "not_invest")
-    assert dv.improvement(
+    assert improvement(
         example1, north, example1.sequence("invest,invest"), "good"
     ) == F(-2)
     ident = dv.identity_rule(example1)
     for a in example1.leaves:
         for s in example1.states:
-            assert dv.improvement(example1, ident, a, s) == 0
+            assert improvement(example1, ident, a, s) == 0
     half = m.instantiate(example2, {"delta": "1/2"})
     hedge = dv.DeviationRule.from_mapping(half, {
         "w,x": {"x": "1/2", "y": "1/2"}, "w,y": {"x": "1/2", "y": "1/2"},
         "x": "x", "y": "y"})
     # half-and-half rewrite of waiting: gain 4 - 5*delta in the matching state
-    assert dv.improvement(half, hedge, half.sequence("w,x"), "X") == F(3, 2)
-    assert dv.improvement(half, hedge, half.sequence("w,x"), "Y") == F(5, 2)
+    assert improvement(half, hedge, half.sequence("w,x"), "X") == F(3, 2)
+    assert improvement(half, hedge, half.sequence("w,x"), "Y") == F(5, 2)
 
 
 def test_improvement_table_for_one_sided_rewrites(example2):
@@ -138,19 +141,19 @@ def test_improvement_table_for_one_sided_rewrites(example2):
         half, {"w,x": "x", "w,y": "x", "x": "x", "y": "y"})
     to_y = dv.DeviationRule.from_mapping(
         half, {"w,x": "y", "w,y": "y", "x": "x", "y": "y"})
-    assert dv.improvement(half, to_x, wx, "X") == F(5, 2)   # 5 - 5d
-    assert dv.improvement(half, to_x, wx, "Y") == F(3, 2)   # 3 - 3d
-    assert dv.improvement(half, to_y, wx, "X") == F(1, 2)   # 3 - 5d
-    assert dv.improvement(half, to_y, wx, "Y") == F(7, 2)   # 5 - 3d
+    assert improvement(half, to_x, wx, "X") == F(5, 2)   # 5 - 5d
+    assert improvement(half, to_x, wx, "Y") == F(3, 2)   # 3 - 3d
+    assert improvement(half, to_y, wx, "X") == F(1, 2)   # 3 - 5d
+    assert improvement(half, to_y, wx, "Y") == F(7, 2)   # 5 - 3d
     # mixing the two rewrites mixes the improvements entry-wise
     lam = F(3, 4)
     mixed = dv.DeviationRule.from_mapping(half, {
         "w,x": {"x": lam, "y": 1 - lam}, "w,y": {"x": lam, "y": 1 - lam},
         "x": "x", "y": "y"})
     for state in half.states:
-        assert dv.improvement(half, mixed, wx, state) == lam * dv.improvement(
+        assert improvement(half, mixed, wx, state) == lam * improvement(
             half, to_x, wx, state
-        ) + (1 - lam) * dv.improvement(half, to_y, wx, state)
+        ) + (1 - lam) * improvement(half, to_y, wx, state)
 
 
 def test_dominates_sequence(example1, example2):
@@ -158,25 +161,25 @@ def test_dominates_sequence(example1, example2):
     hedge = dv.DeviationRule.from_mapping(half, {
         "w,x": {"x": "1/2", "y": "1/2"}, "w,y": {"x": "1/2", "y": "1/2"},
         "x": "x", "y": "y"})
-    assert dv.dominates_sequence(half, hedge, half.sequence("w,x"))
-    assert dv.dominates_sequence(half, hedge, half.sequence("w,y"))
+    assert dv.dominates(half, hedge, half.sequence("w,x"))
+    assert dv.dominates(half, hedge, half.sequence("w,y"))
     north = all_to(example1, "not_invest")
-    assert not dv.dominates_sequence(example1, north, example1.sequence("invest,pull_back"))
+    assert not dv.dominates(example1, north, example1.sequence("invest,pull_back"))
     for a in example1.leaves:
-        assert not dv.dominates_sequence(example1, dv.identity_rule(example1), a)
+        assert not dv.dominates(example1, dv.identity_rule(example1), a)
 
 
 def test_dominates_joint(example1):
     north = all_to(example1, "not_invest")
     point = m.JointDistribution.from_mapping(example1, {("invest,pull_back", "good"): 1})
-    assert dv.dominates_joint(example1, north, point)
+    assert dv.dominates(example1, north, point)
     knife_edge = m.JointDistribution.from_mapping(example1, {
         ("invest,pull_back", "bad"): "1/2",
         ("invest,pull_back", "good"): "1/6",
         ("invest,invest", "good"): "1/3",
     })
-    assert not dv.dominates_joint(example1, north, knife_edge)
-    assert not dv.dominates_joint(example1, dv.identity_rule(example1), point)
+    assert not dv.dominates(example1, north, knife_edge)
+    assert not dv.dominates(example1, dv.identity_rule(example1), point)
 
 
 def test_dominates_marginal(example1):
@@ -185,14 +188,14 @@ def test_dominates_marginal(example1):
         example1, {"invest,pull_back": "3/4", "invest,invest": "1/4"})
     knife = m.MarginalDistribution.from_mapping(
         example1, {"invest,pull_back": "2/3", "invest,invest": "1/3"})
-    assert dv.dominates_marginal(example1, north, heavy)
-    assert not dv.dominates_marginal(example1, north, knife)
+    assert dv.dominates(example1, north, heavy)
+    assert not dv.dominates(example1, north, knife)
 
 
 def per_cell_improvement(problem, rule, a, s):
     """A rule's gain at one leaf and state, one lottery at a time."""
     row = {b: w for b, w in zip(rule.leaves, rule.matrix[rule.leaves.index(a)]) if w != 0}
-    return m.lottery_utility(problem, row, s) - m.utility(problem, a, s)
+    return lottery_utility(problem, row, s) - utility(problem, a, s)
 
 
 def per_cell_dominates_joint(problem, rule, joint):
@@ -225,14 +228,14 @@ def test_gains_match_the_per_cell_formula():
                 tuple(per_cell_improvement(p, rule, a, s) for s in p.states) for a in p.leaves)
             joint, marginal = random_joint(rng, p), random_marginal(rng, p)
             want = per_cell_dominates_joint(p, rule, joint)
-            assert dv.dominates_joint(p, rule, joint) == want
+            assert dv.dominates(p, rule, joint) == want
             verdicts["joint"].add(want)
             want = per_cell_dominates_marginal(p, rule, marginal)
-            assert dv.dominates_marginal(p, rule, marginal) == want
+            assert dv.dominates(p, rule, marginal) == want
             verdicts["marginal"].add(want)
             for a in p.leaves:
                 want = per_cell_dominates_sequence(p, rule, a)
-                assert dv.dominates_sequence(p, rule, a) == want
+                assert dv.dominates(p, rule, a) == want
                 verdicts["sequence"].add(want)
     # padded trees were drawn, and every criterion said both yes and no
     assert padded and all(seen == {True, False} for seen in verdicts.values())
@@ -275,18 +278,18 @@ def test_integer_sign_tests_match_fraction_arithmetic():
             laws += [make(x, y, edge + tip) for tip in tips]
         for marginal in marginals:
             want = per_cell_dominates_marginal(p, rule, marginal)
-            assert dv.dominates_marginal(p, rule, marginal) == want
+            assert dv.dominates(p, rule, marginal) == want
             verdicts["marginal"].add(want)
         for joint in joints:
             want = per_cell_dominates_joint(p, rule, joint)
-            assert dv.dominates_joint(p, rule, joint) == want
+            assert dv.dominates(p, rule, joint) == want
             verdicts["joint"].add(want)
         for laws in (marginals, joints):
             if len(laws) > 1:  # exactly zero, tipped up, tipped down
                 assert [dv.dominates(p, rule, law) for law in laws[-3:]] == [False, True, False]
         for a in p.leaves:
             want = per_cell_dominates_sequence(p, rule, a)
-            assert dv.dominates_sequence(p, rule, a) == want
+            assert dv.dominates(p, rule, a) == want
             verdicts["sequence"].add(want)
     assert mixed_rows and knife_edges
     assert all(seen == {True, False} for seen in verdicts.values())
@@ -297,14 +300,14 @@ def test_gains_refuse_mismatched_inputs(example1, example2):
     with pytest.raises(m.ValidationError, match="leaves"):
         dv.gains(half, dv.identity_rule(example1))
     with pytest.raises(m.ValidationError, match="unknown state"):
-        dv.improvement(example1, dv.identity_rule(example1), example1.leaves[0], "meh")
+        improvement(example1, dv.identity_rule(example1), example1.leaves[0], "meh")
     with pytest.raises(m.ValidationError, match="instantiate"):
         example2.payoffs
     point = m.JointDistribution.from_mapping(example1, {("not_invest", "good"): 1})
     with pytest.raises(m.ValidationError, match="shapes"):
-        dv.dominates_joint(half, dv.identity_rule(half), point)
+        dv.dominates(half, dv.identity_rule(half), point)
     with pytest.raises(m.ValidationError, match="leaves"):
-        dv.dominates_marginal(half, dv.identity_rule(half), point.action_marginal())
+        dv.dominates(half, dv.identity_rule(half), point.action_marginal())
 
 
 def test_point_mass_marginal_reduces_to_worst_state():
@@ -314,8 +317,8 @@ def test_point_mass_marginal_reduces_to_worst_state():
         rule = random_rule(rng, p)
         for a in p.leaves:
             point = m.MarginalDistribution.from_mapping(p, {a: 1})
-            worst = min(dv.improvement(p, rule, a, s) for s in p.states)
-            assert dv.dominates_marginal(p, rule, point) == (worst > 0)
+            worst = min(improvement(p, rule, a, s) for s in p.states)
+            assert dv.dominates(p, rule, point) == (worst > 0)
 
 
 def test_dominance_strictness_chain():
@@ -325,14 +328,14 @@ def test_dominance_strictness_chain():
         p = random_problem(rng, max_rules=250)
         rule = random_pure_rule(rng, p)
         for a in p.leaves:
-            if not dv.dominates_sequence(p, rule, a):
+            if not dv.dominates(p, rule, a):
                 continue
             hits += 1
             point = m.MarginalDistribution.from_mapping(p, {a: 1})
-            assert dv.dominates_marginal(p, rule, point)
+            assert dv.dominates(p, rule, point)
             joint = m.JointDistribution.from_mapping(
                 p, {(a, s): F(1, len(p.states)) for s in p.states})
-            assert dv.dominates_joint(p, rule, joint)
+            assert dv.dominates(p, rule, joint)
     assert hits > 0  # the sweep actually exercised the chain
 
 
@@ -419,7 +422,7 @@ def test_sparse_adaptedness_matches_dense_reference():
 
 
 def rule_gain(problem, rule, joint):
-    return sum((w * dv.improvement(problem, rule, a, s)
+    return sum((w * improvement(problem, rule, a, s)
                 for a, row in zip(joint.leaves, joint.matrix)
                 for s, w in zip(joint.states, row) if w), F(0))
 
@@ -438,7 +441,7 @@ def test_backward_induction_matches_the_joint_dominance_lp():
         assert dense_matrix_is_adapted(entries, entries, rule.matrix, p.tree.periods)
         assert rule_gain(p, rule, joint) == gain
         assert all(w in (0, 1) for row in rule.matrix for w in row)
-        assert dv.dominates_joint(p, rule, joint) == (gain > 0)
+        assert dv.dominates(p, rule, joint) == (gain > 0)
         padded += any(m.PAD in leaf.entries for leaf in p.leaves)
         zero_mass += any(not any(row) for row in joint.matrix)
         positive += gain > 0

@@ -9,7 +9,7 @@ import pytest
 from dynrat import analysis as an
 from dynrat import model as m
 
-from conftest import complete_tree_doc, random_problem
+from conftest import complete_tree_doc, lottery_utility, random_problem, utility
 
 
 def test_example1_loads(example1):
@@ -76,8 +76,8 @@ def test_unknown_keys_rejected():
 def test_instantiate_example2(example2):
     inst = m.instantiate(example2, {"delta": "4/5"})
     wx = inst.sequence("w,x")
-    assert m.utility(inst, wx, "X") == F(4)
-    assert m.utility(inst, wx, "Y") == F(12, 5)
+    assert utility(inst, wx, "X") == F(4)
+    assert utility(inst, wx, "Y") == F(12, 5)
     assert inst.param_names == ()
 
 
@@ -99,8 +99,8 @@ def test_problem_constructor_checks_the_table(example1):
 
 def test_instantiate_example3(example3):
     inst = m.instantiate(example3, {"R": 3, "c": 2})
-    hard = [m.utility(inst, l, "hard") for l in inst.leaves]
-    easy = [m.utility(inst, l, "easy") for l in inst.leaves]
+    hard = [utility(inst, l, "hard") for l in inst.leaves]
+    easy = [utility(inst, l, "easy") for l in inst.leaves]
     assert hard == [F(0), F(-2), F(-1)]
     assert easy == [F(0), F(1), F(-1)]
 
@@ -113,28 +113,28 @@ def test_instantiate_parameter_errors(example2):
 
 
 def test_utility_lookups(example1, example2):
-    assert m.utility(example1, example1.sequence("invest,invest"), "good") == 2
-    assert m.utility(example1, example1.sequence("not_invest"), "bad") == 0
+    assert utility(example1, example1.sequence("invest,invest"), "good") == 2
+    assert utility(example1, example1.sequence("not_invest"), "bad") == 0
     half = m.instantiate(example2, {"delta": "1/2"})
-    assert m.utility(half, half.sequence("w,y"), "Y") == F(5, 2)
+    assert utility(half, half.sequence("w,y"), "Y") == F(5, 2)
     with pytest.raises(m.ValidationError, match="instantiate"):
-        m.utility(example2, example2.leaves[0], "X")
+        utility(example2, example2.leaves[0], "X")
     with pytest.raises(m.ValidationError, match="unknown state"):
-        m.utility(example1, example1.leaves[0], "meh")
+        utility(example1, example1.leaves[0], "meh")
 
 
 def test_lottery_utility(example1, example2):
     half = m.instantiate(example2, {"delta": "1/2"})
-    assert m.lottery_utility(half, {"x": F(1, 2), "y": F(1, 2)}, "X") == 4
-    assert m.lottery_utility(example1, {l: F(1, 3) for l in example1.leaves}, "good") == F(1, 3)
+    assert lottery_utility(half, {"x": F(1, 2), "y": F(1, 2)}, "X") == 4
+    assert lottery_utility(example1, {l: F(1, 3) for l in example1.leaves}, "good") == F(1, 3)
     point = {example1.leaves[2]: F(1)}
-    assert m.lottery_utility(example1, point, "bad") == m.utility(
+    assert lottery_utility(example1, point, "bad") == utility(
         example1, example1.leaves[2], "bad"
     )
     with pytest.raises(m.ValidationError, match="sum"):
-        m.lottery_utility(example1, {example1.leaves[0]: F(1, 2)}, "good")
+        lottery_utility(example1, {example1.leaves[0]: F(1, 2)}, "good")
     with pytest.raises(m.ValidationError, match="nonnegative"):
-        m.lottery_utility(
+        lottery_utility(
             example1, {example1.leaves[0]: F(2), example1.leaves[1]: F(-1)}, "good"
         )
 
@@ -184,7 +184,7 @@ def test_instantiate_is_affine(example2, example3):
             inst = m.instantiate(problem, point)
             for (entries, state), (constant, coeffs) in rendered_entries(problem).items():
                 direct = constant + sum((c * point[n] for n, c in coeffs.items()), F(0))
-                got = m.utility(inst, m.ActionSequence(entries), state)
+                got = utility(inst, m.ActionSequence(entries), state)
                 assert got == direct
 
 
@@ -201,9 +201,9 @@ def test_lottery_utility_is_linear(example1):
         t = F(rng.randint(0, 7), 7)
         mix = {l: t * alpha[l] + (1 - t) * beta[l] for l in leaves}
         for state in example1.states:
-            assert m.lottery_utility(example1, mix, state) == t * m.lottery_utility(
+            assert lottery_utility(example1, mix, state) == t * lottery_utility(
                 example1, alpha, state
-            ) + (1 - t) * m.lottery_utility(example1, beta, state)
+            ) + (1 - t) * lottery_utility(example1, beta, state)
 
 
 def test_problem_round_trip(example2, example3):

@@ -15,6 +15,7 @@ from conftest import (
     random_joint,
     random_problem,
     reference_optimal_value,
+    utility,
 )
 
 
@@ -92,7 +93,7 @@ def test_strategy_value_no_information_collapse(example1):
         kernel = [[F(0)] * len(example1.leaves)]
         kernel[0][i] = F(1)
         constant = oc.Strategy(flat.signal_sets, example1.leaves, tuple(map(tuple, kernel)))
-        want = F(1, 3) * m.utility(example1, leaf, "good") + F(2, 3) * m.utility(
+        want = F(1, 3) * utility(example1, leaf, "good") + F(2, 3) * utility(
             example1, leaf, "bad")
         assert oc.strategy_value(example1, constant, flat) == want
 
@@ -119,7 +120,7 @@ def test_optimal_value_static_collapse():
             p.states, prior, tuple(("u",) for _ in range(p.tree.periods)),
             tuple((F(1),) for _ in range(n)))
         want = max(
-            sum((prior[s] * m.utility(p, leaf, state)
+            sum((prior[s] * utility(p, leaf, state)
                  for s, state in enumerate(p.states)), F(0))
             for leaf in p.leaves
         )
@@ -231,7 +232,7 @@ def test_integer_induction_matches_the_fraction_recursion():
             laws.append(verdict.witness)
         for law in laws:
             prior, rows = conditioned(law)
-            obeyed = sum((q * w * m.utility(p, a, s)
+            obeyed = sum((q * w * utility(p, a, s)
                           for q, row, s in zip(prior, rows, p.states)
                           for a, w in zip(p.leaves, row)), F(0))
             best = reference_optimal_value(p, prior, [a.entries for a in p.leaves], rows)

@@ -9,16 +9,22 @@ from dynrat import oracle as oc
 from dynrat import rationalize as rz
 
 from conftest import (
+    complete_tree_doc,
     enumerated_obedience_optimum,
+    lottery_utility,
     random_family,
     random_joint,
     random_marginal,
     random_problem,
+    random_pure_rule,
+    random_rule,
     rational_rows,
     reference_dominance_program,
+    reference_dominates,
     reference_inputs,
     reference_obedience_program,
     reference_polytope_rows,
+    utility,
 )
 
 
@@ -50,11 +56,11 @@ def test_apparently_dominated_example2(example2):
     assert lottery[late.sequence("x")] == F(19, 20)
     # the witness margin is exactly the worst-state payoff gap it achieves
     for state in late.states:
-        gap = m.lottery_utility(late, lottery, state) - m.utility(late, wx, state)
+        gap = lottery_utility(late, lottery, state) - utility(late, wx, state)
         assert gap >= witness.margin
     # betting on x alone is a valid (smaller-margin) certificate too
     assert min(
-        m.utility(late, late.sequence("x"), s) - m.utility(late, wx, s)
+        utility(late, late.sequence("x"), s) - utility(late, wx, s)
         for s in late.states
     ) == F(3, 10)
 
@@ -64,7 +70,7 @@ def test_truly_dominated_example2(example2):
         inst = m.instantiate(example2, {"delta": d})
         rule = rz.dominating_rule(inst, inst.sequence("w,x"))
         assert rule is not None
-        assert dv.dominates_sequence(inst, rule, inst.sequence("w,x"))
+        assert dv.dominates(inst, rule, inst.sequence("w,x"))
     for d in ("4/5", "9/10", "1"):
         inst = m.instantiate(example2, {"delta": d})
         assert rz.dominating_rule(inst, inst.sequence("w,x")) is None
@@ -78,7 +84,7 @@ def test_truly_dominated_example1(example1):
 def test_dominated_on_average(example1):
     point = m.JointDistribution.from_mapping(example1, {("invest,pull_back", "good"): 1})
     rule = rz.dominating_rule(example1, point)
-    assert rule is not None and dv.dominates_joint(example1, rule, point)
+    assert rule is not None and dv.dominates(example1, rule, point)
     assert rz.dominating_rule(example1, knife_edge_joint(example1)) is None
     best = m.JointDistribution.from_mapping(example1, {("invest,invest", "good"): 1})
     assert rz.dominating_rule(example1, best) is None
@@ -150,7 +156,7 @@ def test_rationalize_marginal(example1):
         example1, {"invest,pull_back": "3/4", "invest,invest": "1/4"})
     verdict = rz.decide(example1, heavy)
     assert not verdict.rationalizable
-    assert dv.dominates_marginal(example1, verdict.witness, heavy)
+    assert dv.dominates(example1, verdict.witness, heavy)
 
 
 def test_rationalize_joint(example1):
@@ -160,7 +166,7 @@ def test_rationalize_joint(example1):
     point = m.JointDistribution.from_mapping(example1, {("invest,pull_back", "good"): 1})
     verdict = rz.decide(example1, point)
     assert not verdict.rationalizable
-    assert dv.dominates_joint(example1, verdict.witness, point)
+    assert dv.dominates(example1, verdict.witness, point)
 
 
 def test_obedient_triple_json_round_trip(example1):
@@ -211,7 +217,7 @@ def test_rationalize_sequence_waiting(example2):
     inst = m.instantiate(example2, {"delta": "3/4"})
     verdict = rz.decide(inst, inst.sequence("w,x"))
     assert not verdict.rationalizable
-    assert dv.dominates_sequence(inst, verdict.witness, inst.sequence("w,x"))
+    assert dv.dominates(inst, verdict.witness, inst.sequence("w,x"))
     boundary = m.instantiate(example2, {"delta": "4/5"})
     verdict = rz.decide(boundary, boundary.sequence("w,x"))
     assert verdict.rationalizable
@@ -242,7 +248,7 @@ def test_sequence_dichotomy_small():
                 assert sum(joint.matrix[p.leaf_index[leaf]], F(0)) > 0
                 assert oc.brute_force_rationalizable_joint(p, joint)
             else:
-                assert dv.dominates_sequence(p, verdict.witness, leaf)
+                assert dv.dominates(p, verdict.witness, leaf)
 
 
 def test_joint_dichotomy_small():
@@ -265,7 +271,7 @@ def test_marginal_dichotomy_small():
             assert joint.action_marginal() == marginal
             assert oc.brute_force_rationalizable_joint(p, joint)
         else:
-            assert dv.dominates_marginal(p, verdict.witness, marginal)
+            assert dv.dominates(p, verdict.witness, marginal)
 
 
 def test_true_dominance_implies_apparent():
@@ -380,7 +386,7 @@ def test_witnesses_are_sound_on_random_instances():
         if verdict.rationalizable:
             assert oc.verify_obedient_optimality(p, verdict.witness)
         else:
-            assert dv.dominates_sequence(p, verdict.witness, leaf)
+            assert dv.dominates(p, verdict.witness, leaf)
 
 
 def test_integer_rows_equal_the_fraction_builders(example2):
@@ -468,3 +474,44 @@ def test_maxprob_is_zero_on_a_block_without_an_obedient_law():
     prog.set_objective(dict.fromkeys(range(4), 1))  # the block's mass
     assert lp.solve(prog).value == 0
     assert rz.max_positive_marginal(p, p.sequence("b"))[0] == 1
+
+
+def test_the_dominance_program_of_a_joint_law_is_the_backward_induction():
+    # one builder for every observation: given a joint law, whose rows are
+    # its cells, the dominance program's optimum is the induction's gain
+    rng = random.Random(59)
+    problems = [random_problem(rng, max_leaves=6) for _ in range(300)]
+    problems.append(m.load_problem(json.dumps(complete_tree_doc((3, 3), 2, seed=1))))
+    positive = split = 0
+    for p in problems:
+        joint = random_joint(rng, p)
+        prog, inputs, _ = rz._dominance_program(p, joint)
+        sol = lp.solve(prog)
+        gain, _ = dv.best_joint_deviation(p, joint)
+        assert sol.status == "optimal" and sol.value == gain
+        positive += gain > 0
+        split += len(inputs) < len(p.leaves)
+    assert 0 < positive < len(problems) and split
+
+
+def test_dominates_agrees_with_the_per_kind_references():
+    # the one sign test on consistency rows gives each kind's criterion, on
+    # random rules and on the rules that `certificate` finds
+    rng = random.Random(61)
+    verdicts = {kind: set() for kind in ("sequence", "marginal", "joint")}
+    found = dict.fromkeys(verdicts, 0)
+    for _ in range(120):
+        p = random_problem(rng, max_leaves=6)
+        observations = [("sequence", a) for a in p.leaves]
+        observations += [("marginal", random_marginal(rng, p)), ("joint", random_joint(rng, p))]
+        rules = [random_rule(rng, p), random_pure_rule(rng, p), dv.identity_rule(p)]
+        for kind, observed in observations:
+            certified = rz.certificate(p, observed)
+            if isinstance(certified, dv.DeviationRule):
+                found[kind] += 1
+                assert reference_dominates(p, certified, observed)
+            for rule in rules + [certified] * isinstance(certified, dv.DeviationRule):
+                want = reference_dominates(p, rule, observed)
+                assert dv.dominates(p, rule, observed) == want
+                verdicts[kind].add(want)
+    assert all(seen == {True, False} for seen in verdicts.values()) and all(found.values())

@@ -33,7 +33,7 @@ def test_dichotomies_with_tie_heavy_payoffs():
                 joint = verdict.witness
                 assert sum(joint.matrix[p.leaf_index[leaf]], F(0)) > 0
             else:
-                assert dv.dominates_sequence(p, verdict.witness, leaf), (i, leaf.label)
+                assert dv.dominates(p, verdict.witness, leaf), (i, leaf.label)
         joint = random_joint(rng, p)
         assert (rz.dominating_rule(p, joint) is None) == \
             oc.brute_force_rationalizable_joint(p, joint)
@@ -43,7 +43,7 @@ def test_dichotomies_with_tie_heavy_payoffs():
             assert oc.verify_obedient_optimality(p, verdict.witness), i
             assert verdict.witness.action_marginal() == marginal
         else:
-            assert dv.dominates_marginal(p, verdict.witness, marginal), i
+            assert dv.dominates(p, verdict.witness, marginal), i
 
 
 def test_dichotomies_on_larger_instances():
@@ -59,7 +59,7 @@ def test_dichotomies_on_larger_instances():
         for leaf in (p.leaves[0], p.leaves[-1]):
             verdict = rz.decide(p, leaf)
             if not verdict.rationalizable:
-                assert dv.dominates_sequence(p, verdict.witness, leaf)
+                assert dv.dominates(p, verdict.witness, leaf)
             else:
                 joint = verdict.witness
                 assert sum(joint.matrix[p.leaf_index[leaf]], F(0)) > 0
