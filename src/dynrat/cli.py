@@ -333,7 +333,7 @@ def _verify_report(problem: DecisionProblem, doc: dict) -> tuple[bool, str]:
                             else _object(query.get("dist"), "query 'dist'"))
     witness = _object(result["witness"], "witness")
     if witness.get("kind") == "deviation_rule":
-        certificate = deviation.DeviationRule.from_json_dict(
+        certificate = deviation.DeviationRule.from_mapping(
             inst, _object(witness.get("kernel"), "witness 'kernel'"))
     elif witness.get("kind") == "obedient_triple":
         certificate = rationalize.obedient_triple_from_json(inst, witness)

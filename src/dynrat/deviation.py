@@ -193,10 +193,6 @@ class DeviationRule:
                           for j, x in row}
                 for a, row in zip(self.leaves, self.rows)}
 
-    @staticmethod
-    def from_json_dict(problem: DecisionProblem, doc: Mapping) -> "DeviationRule":
-        return DeviationRule.from_mapping(problem, doc)
-
 
 def identity_rule(problem: DecisionProblem) -> DeviationRule:
     return DeviationRule(problem.leaves, tuple(((i, 1),) for i in range(len(problem.leaves))), 1)

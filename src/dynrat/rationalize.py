@@ -31,10 +31,15 @@ returns that rule alone).  A positive optimum yields the rule.  At optimum
 obedient information structure: the paper's theorem is this one LP
 duality.  Strictness is decided by comparing the exact optimal gain
 against zero, never by epsilon.
-The obedience program, the same duality written from the information side,
-serves `maxprob` only.
 
-Both programs span only the first-action blocks that the data touch: a
+`max_positive_marginal` (``maxprob``) solves the same program's budget
+variant: the rules span a cone and every gain row may fall to -1.  Its
+optimum l* is the least mass of an obedient law with mass 1 on the
+sequence, read from the duals by the same checked helper, so the answer
+is 1 / l*.  It is unbounded exactly when no such law exists, and then
+(Farkas) a ray of the cone, scaled to a rule, dominates the sequence.
+
+The program spans only the first-action blocks that the data touch: a
 rule is adapted, so no polytope row links two blocks.  Elsewhere the
 identity rows are feasible and gain 0, so the optimum is the whole tree's;
 and a law is obedient if and only if its restriction to each block is.
@@ -200,7 +205,7 @@ def _checked(problem: DecisionProblem, rule: DeviationRule, observed: Observatio
 
 
 def _dominance_program(
-    problem: DecisionProblem, observed: Observation
+    problem: DecisionProblem, observed: Observation, budget: bool = False
 ) -> tuple[lpmod.LinearProgram, tuple[int, ...], list[tuple[int, int, int]]]:
     """The dominance program of an observation, built from its consistency
     rows E gamma = e (`model.consistency`) alone, over the first-action
@@ -215,6 +220,14 @@ def _dominance_program(
     `DecisionProblem.integer_payoffs` and level coefficient -den, over its
     denominator den.  A row with neither a gain nor a level is left out.
     Every other input keeps its identity row, feasible with gain 0.
+
+    With ``budget`` the rules span a cone: the polytope rows read
+    A D - lam b = 0, with one more column lam >= 0 after D's (new rows;
+    the shared ones are never changed), and every gain row gets the
+    right-hand side -1, -den over den.  By LP duality the optimum is then
+    the least mass of an obedient law g with E g = e / sum e, its
+    certificate is g itself (`_obedient_law`), and the program is
+    unbounded when no obedient law meets the rows: a rule then dominates.
     """
     table, den = problem.integer_payoffs
     n, width = len(problem.leaves), len(problem.states)
@@ -222,6 +235,10 @@ def _dominance_program(
     poly = problem.tree.per_tree(lpmod.deviation_polytope_constraints)
     inputs = poly.inputs(start // width for start, _, e in rows if e)
     prog = lpmod.LinearProgram([False] * (len(inputs) * n), list(poly.rows_on(inputs)))
+    if budget:
+        lam = prog.add_variable()
+        prog.constraints = [lpmod.Constraint({**con.coeffs, lam: -con.rhs}, "==", 0, con.den)
+                            if con.rhs else con for con in prog.constraints]
     inside, total = set(inputs), sum(e for _, _, e in rows)
     levels: dict[int, int] = {}  # cell -> the level column of its row
     objective = {}
@@ -244,25 +261,44 @@ def _dominance_program(
             elif not coeffs:
                 continue
             gain_rows.append((len(prog.constraints), i, s))
-            prog.add_row(coeffs, ">=", 0, den)
+            prog.add_row(coeffs, ">=", -den if budget else 0, den)
     return prog, inputs, gain_rows
+
+
+def _obedient_law(
+    problem: DecisionProblem, prog: lpmod.LinearProgram, sol: lpmod.LpSolution,
+    gain_rows: list[tuple[int, int, int]],
+) -> JointDistribution:
+    """The obedient law that an optimum of a dominance program certifies,
+    once `lp.check_duals` has passed its duals: g(i, s), minus the
+    multiplier of gain row (i, s), scaled to mass 1.
+
+    The polytope rows' multipliers y satisfy A^T y >= C(g), where C(g)[i][j]
+    = sum_s g(i, s) (u(j, s) - u(i, s)), and b^T y <= 0: b^T y is a
+    verdict program's optimum 0, and the reduced cost of a budget
+    program's column lam.  So no rule gains on average under g on the
+    touched blocks, the only ones where g has mass.  The levels are free,
+    so their reduced costs are 0: E g = e / sum e.
+    """
+    if not lpmod.check_duals(prog, sol):  # pragma: no cover - solver bug
+        raise InternalInconsistencyError("dual certificate fails its check")
+    ys, _ = sol.integer_duals
+    width = len(problem.states)
+    cells = [0] * (len(problem.leaves) * width)
+    for r, i, s in gain_rows:
+        cells[i * width + s] = -ys[r]
+    return JointDistribution(problem.leaves, problem.states, cells, sum(cells))
 
 
 def _dominance(
     problem: DecisionProblem, observed: Observation
 ) -> Union[DeviationRule, JointDistribution]:
     """Solve the dominance program of an observation (`_dominance_program`),
-    and read its certificate.
-
-    A positive optimum yields the rule, with identity rows outside the
-    touched blocks.  At value 0 the certificate is an obedient joint law:
-    g(i, s), minus the multiplier of gain row (i, s), scaled to mass 1.
-    The polytope rows' multipliers y satisfy A^T y >= C(g) and b^T y = 0
-    (C as in ``_obedience_program``), so no rule gains on average under g
-    on the touched blocks, the only ones where g has mass.  The levels are
-    free, so their reduced costs are 0: E g = e / sum e.
+    and read its certificate: at a positive optimum the rule, with identity
+    rows outside the touched blocks; at value 0 the obedient law of its
+    duals (`_obedient_law`).
     """
-    leaves, states = problem.leaves, problem.states
+    leaves = problem.leaves
     prog, inputs, gain_rows = _dominance_program(problem, observed)
     sol = lpmod.solve(prog)
     if sol.status != "optimal":  # pragma: no cover - identity rule is feasible, gains bounded
@@ -274,62 +310,7 @@ def _dominance(
         for p, i in enumerate(inputs):
             rows[i] = [(j, x) for j, x in enumerate(xs[p * n:p * n + n]) if x]
         return _checked(problem, DeviationRule(leaves, rows, xden), observed)
-    if not lpmod.check_duals(prog, sol):  # pragma: no cover - solver bug
-        raise InternalInconsistencyError("dual certificate fails its check")
-    ys, _ = sol.integer_duals
-    width = len(states)
-    cells = [0] * (len(leaves) * width)
-    for r, i, s in gain_rows:
-        cells[i * width + s] = -ys[r]
-    return JointDistribution(leaves, states, cells, sum(cells))
-
-
-# ---------------------------------------------------------------------------
-# Obedience polytope (information side)
-# ---------------------------------------------------------------------------
-
-def _obedience_program(problem: DecisionProblem, inputs: tuple[int, ...]) -> lpmod.LinearProgram:
-    """The obedient joint laws gamma of mass at most 1 on the first-action
-    blocks that ``inputs`` make up, in dual form over their rows;
-    gamma(inputs[p], s) is column p * |states| + s.
-
-    gamma is obedient iff no rule gains on average: max <C(gamma), D> <= 0
-    over the deviation polytope {A D = b, D >= 0}, where C(gamma)[i][j] =
-    sum_s gamma(i, s) (u(j, s) - u(i, s)).  The identity rule is feasible,
-    so by LP duality this holds iff some free y has A^T y >= C(gamma) and
-    b^T y <= 0: one row per (input, leaf) pair plus one, with one y per
-    polytope row of the blocks, so the program grows polynomially with the
-    tree, unlike its pure rules.  Row (i, j) is written in integers over
-    the payoff table's denominator den: A's entries (integers over 1) times
-    den, and table[i][s] - table[j][s] from
-    `DecisionProblem.integer_payoffs`.  The other rows are homogeneous, so
-    the mass row ``<= 1`` gives a positive maximum at mass 1, as ``== 1``
-    would, and blocks that host no obedient law stay feasible, at 0.
-    """
-    table, den = problem.integer_payoffs
-    poly = problem.tree.per_tree(lpmod.deviation_polytope_constraints)
-    n, width = len(problem.leaves), len(problem.states)
-    prog = lpmod.LinearProgram()
-    gamma = [[prog.add_variable() for _ in range(width)] for _ in inputs]
-    prog.add_row({k: 1 for row in gamma for k in row}, "<=", 1)
-    columns: list[dict[int, int]] = [{} for _ in range(len(inputs) * n)]  # A^T rows, times den
-    bound: dict[int, int] = {}
-    for con in poly.rows_on(inputs):
-        y = prog.add_variable(free=True)
-        for k, c in con.coeffs.items():
-            columns[k][y] = c * den
-        if con.rhs:
-            bound[y] = con.rhs
-    for p, i in enumerate(inputs):
-        own = table[i]
-        for j, other in enumerate(table):
-            coeffs = dict(columns[p * n + j])
-            for s, (u, v) in enumerate(zip(own, other)):
-                if u != v:
-                    coeffs[gamma[p][s]] = u - v
-            prog.add_row(coeffs, ">=", 0, den)
-    prog.add_row(bound, "<=", 0)
-    return prog
+    return _obedient_law(problem, prog, sol, gain_rows)
 
 
 def max_positive_marginal(
@@ -338,27 +319,20 @@ def max_positive_marginal(
     """Maximize the probability of ``a`` over all obedient joint laws.
 
     Returns the exact maximum and a maximizing joint law (None when the
-    maximum is zero, i.e. ``a`` never occurs under obedient behavior).  An
-    obedient law's restriction to ``a``'s block, scaled to mass 1, is
-    obedient and gives ``a`` no less, so that block's program suffices.
+    maximum is zero, i.e. ``a`` never occurs under obedient behavior).  The
+    budget program of ``a`` (`_dominance_program`) finds the least mass
+    l* of an obedient law with mass 1 on ``a``, so the maximum is 1 / l*,
+    attained by that law scaled to mass 1.  It is unbounded exactly when
+    no obedient law puts mass on ``a``: then a rule dominates ``a``
+    (Farkas), and the maximum is 0.
     """
-    a = problem.sequence(a)
-    poly = problem.tree.per_tree(lpmod.deviation_polytope_constraints)
-    inputs = poly.inputs([problem.leaf_index[a]])
-    prog = _obedience_program(problem, inputs)
-    width = len(problem.states)
-    first = inputs.index(problem.leaf_index[a]) * width
-    prog.set_objective(dict.fromkeys(range(first, first + width), 1))
+    prog, _, gain_rows = _dominance_program(problem, a, budget=True)
     sol = lpmod.solve(prog)
-    if sol.status != "optimal":  # pragma: no cover - gamma = 0 is feasible, mass bounded
-        raise InternalInconsistencyError(f"obedience program ended {sol.status}")
-    if sol.value <= 0:
+    if sol.status == "unbounded":
         return Fraction(0), None
-    xs, xden = sol.integer_assignment
-    cells = [0] * (len(problem.leaves) * width)
-    for p, i in enumerate(inputs):
-        cells[i * width:(i + 1) * width] = xs[p * width:(p + 1) * width]
-    return sol.value, JointDistribution(problem.leaves, problem.states, cells, xden)
+    if sol.status != "optimal":  # pragma: no cover - the zero rule is feasible
+        raise InternalInconsistencyError(f"budget program ended {sol.status}")
+    return 1 / sol.value, _obedient_law(problem, prog, sol, gain_rows)
 
 
 def certificate(

@@ -293,7 +293,7 @@ def random_convex_increasing(rng: random.Random):
 
 
 # ---------------------------------------------------------------------------
-# Enumerated obedience program (reference for the compact dual program)
+# Enumerated obedience program (reference for `maxprob`'s budget program)
 # ---------------------------------------------------------------------------
 
 def enumerated_obedience_optimum(problem: m.DecisionProblem, weights: dict,
@@ -398,17 +398,23 @@ def reference_polytope_rows(problem: m.DecisionProblem,
 
 
 def reference_dominance_program(problem: m.DecisionProblem, observed,
-                                inputs=None) -> FractionProgram:
+                                inputs=None, budget=False) -> FractionProgram:
     """The dominance program of a sequence or a marginal, in `Fraction`s:
     the polytope's rows on ``inputs`` (default: every leaf), then one gain
     row per input and state with a gain or a level, sum_j D(i, j) (u(j, s)
-    - u(i, s)) - level(i) >= 0.  A marginal has one level per input."""
+    - u(i, s)) - level(i) >= 0.  A marginal has one level per input.  With
+    ``budget``, a column lam >= 0 follows D's, the polytope rows read
+    A D - lam b = 0 and the gain rows >= -1."""
     pay = problem.payoffs
     n = len(problem.leaves)
     inputs = list(range(n)) if inputs is None else inputs
     prog = FractionProgram()
     prog.variables = [False] * (len(inputs) * n)
     prog.constraints = reference_polytope_rows(problem, inputs)
+    if budget:
+        lam = prog.add_variable()
+        prog.constraints = [({**coeffs, lam: -rhs} if rhs else coeffs, sense, Fraction(0))
+                            for coeffs, sense, rhs in prog.constraints]
     if isinstance(observed, m.MarginalDistribution):
         levels = {i: prog.add_variable(free=True) for i in inputs}
         objective = {levels[i]: Fraction(observed.weights[i], observed.den) for i in inputs}
@@ -424,38 +430,8 @@ def reference_dominance_program(problem: m.DecisionProblem, observed,
                 coeffs[levels[i]] = Fraction(-1)
             elif not coeffs:
                 continue
-            prog.add_constraint(coeffs, ">=", 0)
+            prog.add_constraint(coeffs, ">=", -1 if budget else 0)
     prog.set_objective(objective)
-    return prog
-
-
-def reference_obedience_program(problem: m.DecisionProblem, inputs=None) -> FractionProgram:
-    """The obedience program in `Fraction`s: gamma columns on ``inputs``
-    (default: every leaf), their mass row <= 1, one free y per polytope row
-    on them, one row A^T y >= C(gamma) per (input, leaf) pair, and
-    b^T y <= 0."""
-    pay = problem.payoffs
-    n, width = len(problem.leaves), len(problem.states)
-    inputs = list(range(n)) if inputs is None else inputs
-    poly_rows = reference_polytope_rows(problem, inputs)
-    prog = FractionProgram()
-    gamma = [[prog.add_variable() for _ in range(width)] for _ in inputs]
-    prog.add_constraint({k: 1 for row in gamma for k in row}, "<=", 1)
-    columns: list[dict] = [{} for _ in range(len(inputs) * n)]
-    bound = {}
-    for coeffs, _, rhs in poly_rows:
-        y = prog.add_variable(free=True)
-        for k, c in coeffs.items():
-            columns[k][y] = c
-        if rhs != 0:
-            bound[y] = rhs
-    for p, i in enumerate(inputs):
-        for j in range(n):
-            coeffs = dict(columns[p * n + j])
-            for s in range(width):
-                coeffs[gamma[p][s]] = pay[i][s] - pay[j][s]
-            prog.add_constraint(coeffs, ">=", 0)
-    prog.add_constraint(bound, "<=", 0)
     return prog
 
 

@@ -344,7 +344,7 @@ def test_rule_serialization_round_trip(example2):
     rng = random.Random(3)
     for _ in range(5):
         rule = random_rule(rng, half)
-        again = dv.DeviationRule.from_json_dict(half, rule.to_json_dict())
+        again = dv.DeviationRule.from_mapping(half, rule.to_json_dict())
         assert again == rule
     pure = random_pure_rule(rng, half)
     assert dv.DeviationRule.from_mapping(half, pure.to_json_dict()) == pure

@@ -22,7 +22,6 @@ from conftest import (
     reference_dominance_program,
     reference_dominates,
     reference_inputs,
-    reference_obedience_program,
     reference_polytope_rows,
     utility,
 )
@@ -117,31 +116,28 @@ def test_max_positive_marginal(example1, example2):
 
 
 def test_compact_obedience_matches_enumerated_rows():
-    # the max-prob of every leaf, plus one random linear objective per
-    # problem, which reaches faces of the obedient set the max-probs do not
+    # the max-prob of every leaf equals the enumerated one, and a positive
+    # one's law, read from the budget program's duals, is obedient, puts
+    # exactly the max-prob on the leaf and has no mass off the leaf's block
     rng = random.Random(107)
-    hosted = split = 0
+    positive = zero = split = 0
     for _ in range(40):
         p = random_problem(rng, max_rules=200)
         for leaf in p.leaves:
-            value, _ = rz.max_positive_marginal(p, leaf)
+            value, law = rz.max_positive_marginal(p, leaf)
             assert value == enumerated_obedience_optimum(
                 p, {(leaf, s): 1 for s in p.states}), leaf.label
-        # the objective is shifted by 4, so every law of mass 1 scores above
-        # 0: the program's mass row "<= 1" binds at the optimum, which is
-        # the enumerated one over the laws on a random union of blocks, or
-        # 0 where those blocks host no obedient law
-        weights = {(a, s): rng.randint(-3, 3) + 4 for a in p.leaves for s in p.states}
-        inputs = reference_inputs(p, rng.sample(p.leaves, rng.randint(1, len(p.leaves))))
-        prog = rz._obedience_program(p, tuple(inputs))
-        prog.set_objective({  # gamma(inputs[q], s) is column q * |states| + s
-            q * len(p.states) + t: weights[p.leaves[i], s]
-            for q, i in enumerate(inputs) for t, s in enumerate(p.states)})
-        want = enumerated_obedience_optimum(p, weights, [p.leaves[i] for i in inputs])
-        assert lp.solve(prog).value == (0 if want is None else want)
-        hosted += want is not None
-        split += want is not None and len(inputs) < len(p.leaves)
-    assert split and hosted < 40
+            if value == 0:
+                assert law is None
+                zero += 1
+                continue
+            positive += 1
+            assert oc.verify_obedient_optimality(p, law)
+            assert sum(law.matrix[p.leaf_index[leaf]], F(0)) == value
+            block = reference_inputs(p, [leaf])
+            assert all(not any(law.matrix[i]) for i in range(len(p.leaves)) if i not in block)
+            split += len(block) < len(p.leaves)
+    assert positive and zero and split
 
 
 def test_rationalize_marginal(example1):
@@ -235,8 +231,10 @@ def test_one_leaf_problem_is_trivially_rationalizable():
 
 
 def test_sequence_dichotomy_small():
-    # the verdict agrees with the obedience program, a different LP, and
-    # each witness passes the oracle's checks
+    # the verdict agrees with maxprob, the budget variant of the verdict's
+    # program, whose independent reference is `enumerated_obedience_optimum`
+    # (test_compact_obedience_matches_enumerated_rows), and each witness
+    # passes the oracle's checks
     rng = random.Random(71)
     for _ in range(30):
         p = random_problem(rng, max_rules=200)
@@ -390,8 +388,8 @@ def test_witnesses_are_sound_on_random_instances():
 
 
 def test_integer_rows_equal_the_fraction_builders(example2):
-    # the dominance and obedience programs and the polytope, written in
-    # integers, hold the Fraction builders' rows: the same columns, row
+    # the dominance program, its budget variant and the polytope, written
+    # in integers, hold the Fraction builders' rows: the same columns, row
     # order, senses and rational values, on random problems and on pinned
     # sweep points (whose payoffs come from the family's affine table)
     rng = random.Random(41)
@@ -404,12 +402,14 @@ def test_integer_rows_equal_the_fraction_builders(example2):
     for p in problems:
         poly = lp.deviation_polytope_constraints(p.tree)
         assert rational_rows(poly.constraints) == reference_polytope_rows(p)
-        for observed in (rng.choice(p.leaves), random_marginal(rng, p)):
-            prog, inputs, gain_rows = rz._dominance_program(p, observed)
+        for observed, budget in ((rng.choice(p.leaves), False),
+                                 (random_marginal(rng, p), False),
+                                 (rng.choice(p.leaves), True)):
+            prog, inputs, gain_rows = rz._dominance_program(p, observed, budget)
             touched = ([observed] if isinstance(observed, m.ActionSequence) else
                        [a for a, w in zip(p.leaves, observed.weights) if w])
             assert list(inputs) == reference_inputs(p, touched)
-            ref = reference_dominance_program(p, observed, inputs)
+            ref = reference_dominance_program(p, observed, inputs, budget)
             assert rational_rows(prog.constraints) == ref.constraints
             assert prog.variables == ref.variables and prog.objective == ref.objective
             assert [r for r, _, _ in gain_rows] == list(range(len(poly.rows_on(inputs)),
@@ -418,13 +418,11 @@ def test_integer_rows_equal_the_fraction_builders(example2):
             # as the same rows put over their own lcm: the same pivots,
             # optimum and duals
             assert lp.solve(prog) == lp.solve(ref.as_lp())
-        inputs = reference_inputs(p, [rng.choice(p.leaves)])
-        prog = rz._obedience_program(p, tuple(inputs))
-        ref = reference_obedience_program(p, inputs)
-        assert rational_rows(prog.constraints) == ref.constraints
-        assert prog.variables == ref.variables
-        everywhere = rz._obedience_program(p, tuple(range(len(p.leaves))))
-        assert rational_rows(everywhere.constraints) == reference_obedience_program(p).constraints
+        # the last program, the budget one, ends on its leaf's block as on
+        # the whole tree
+        whole = lp.solve(reference_dominance_program(p, observed, budget=True).as_lp())
+        block = lp.solve(prog)
+        assert (block.status, block.value) == (whole.status, whole.value)
 
 
 def test_the_block_split_is_exact():
@@ -460,8 +458,8 @@ def test_the_block_split_is_exact():
 
 def test_maxprob_is_zero_on_a_block_without_an_obedient_law():
     # "b" beats both leaves after "a" in every state, so no obedient law
-    # puts mass on a's block: its program stays feasible, at gamma = 0, and
-    # answers 0, as the whole tree does
+    # puts mass on a's block: the budget program of either leaf on that
+    # block is unbounded, and maxprob answers 0, as the whole tree does
     p = m.load_problem(json.dumps({
         "periods": 2, "states": ["s", "t"], "tree": {"a": {"x": "leaf", "y": "leaf"}, "b": "leaf"},
         "utility": {"a,x": {"s": 0, "t": 1}, "a,y": {"s": 1, "t": 0}, "b": {"s": 2, "t": 2}}}))
@@ -469,11 +467,31 @@ def test_maxprob_is_zero_on_a_block_without_an_obedient_law():
     assert enumerated_obedience_optimum(p, {}, block) is None
     for leaf in block:
         assert enumerated_obedience_optimum(p, {(leaf, s): 1 for s in p.states}) == 0
+        prog, inputs, _ = rz._dominance_program(p, leaf, budget=True)
+        assert inputs == (0, 1) and lp.solve(prog).status == "unbounded"
         assert rz.max_positive_marginal(p, leaf) == (0, None)
-    prog = rz._obedience_program(p, (0, 1))
-    prog.set_objective(dict.fromkeys(range(4), 1))  # the block's mass
-    assert lp.solve(prog).value == 0
     assert rz.max_positive_marginal(p, p.sequence("b"))[0] == 1
+
+
+def test_maxprob_leaves_the_shared_polytope_rows_untouched():
+    # the budget program writes its homogeneous rows as copies: after
+    # maxprob on every leaf, the tree's shared polytope rows are as built,
+    # and the verdict program on that tree is the one a fresh tree builds;
+    # the one-block tree's program spans the shared rows themselves
+    docs = [complete_tree_doc((1, 2, 2), 2, seed=3), complete_tree_doc((2, 2), 2, seed=4)]
+    for doc in docs:
+        p = m.load_problem(json.dumps(doc))
+        poly = p.tree.per_tree(lp.deviation_polytope_constraints)
+        before = [(dict(con.coeffs), con.sense, con.rhs, con.den) for con in poly.constraints]
+        for leaf in p.leaves:
+            rz.max_positive_marginal(p, leaf)
+        assert p.tree.per_tree(lp.deviation_polytope_constraints) is poly
+        assert [(con.coeffs, con.sense, con.rhs, con.den) for con in poly.constraints] == before
+        fresh = m.load_problem(json.dumps(doc))
+        for leaf in p.leaves:
+            again = fresh.sequence(leaf.label)
+            assert rz._dominance_program(p, leaf) == rz._dominance_program(fresh, again)
+            assert rz.decide(p, leaf) == rz.decide(fresh, again)
 
 
 def test_the_dominance_program_of_a_joint_law_is_the_backward_induction():
