@@ -17,11 +17,12 @@ it, is the same type with one unit entry per row.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Callable, Mapping, Sequence, Union
+from typing import Union
 
 from .model import (
     ActionSequence,
@@ -31,14 +32,13 @@ from .model import (
     Tree,
     ValidationError,
     _chunks,
+    _format,
     _leaf_weights,
     _over_lcm,
+    _ratio,
     _require_joint_shape,
     _require_probability_numerators,
-    _require_probability_vector,
     consistency,
-    format_rational,
-    parse_rational,
 )
 
 #: Default ceiling for pure-rule enumeration.
@@ -95,32 +95,35 @@ def _support_is_adapted(in_seqs: Sequence[tuple[str, ...]], out_seqs: Sequence[t
     return True
 
 
-def _resolve_kernel(problem: DecisionProblem, kernel) -> list[list[tuple[int, Fraction]]]:
+def _resolve_kernel(problem: DecisionProblem, kernel) -> tuple[list[list[tuple[int, int]]], int]:
     """The rows of a kernel given as a matrix or as a mapping from input
     leaves to either an output leaf (point mass) or a weight mapping, each
-    as its nonzero (column, weight) pairs in column order.  Neither
-    stochasticity nor adaptedness is checked here."""
+    as its nonzero (column, numerator) pairs in column order, and their one
+    denominator.  Neither stochasticity nor adaptedness is checked here."""
     leaves = problem.leaves
     n = len(leaves)
     if not isinstance(kernel, Mapping):
-        matrix = [[parse_rational(v) for v in row] for row in kernel]
+        matrix = [[_ratio(v) for v in row] for row in kernel]
         if len(matrix) != n or any(len(r) != n for r in matrix):
             raise ValidationError("kernel matrix must be square over the leaves")
-        return [[(j, w) for j, w in enumerate(row) if w] for row in matrix]
-    rows: list = [None] * n
-    for key, row in kernel.items():
-        a = problem.sequence(key)
-        i = problem.leaf_index[a]
-        if rows[i] is not None:
-            raise ValidationError(f"row for {a.label!r} given twice")
-        if not isinstance(row, Mapping):
-            rows[i] = [(problem.leaf_index[problem.sequence(row)], Fraction(1))]
-            continue
-        weights = _leaf_weights(problem, row, f"row {a.label!r}")
-        rows[i] = sorted((j, w) for j, w in weights.items() if w)
-    if None in rows:
-        raise ValidationError(f"kernel is missing a row for {leaves[rows.index(None)].label!r}")
-    return rows
+        rows = [[(j, w) for j, w in enumerate(row) if w[0]] for row in matrix]
+    else:
+        rows = [None] * n
+        for key, row in kernel.items():
+            a = problem.sequence(key)
+            i = problem.leaf_index[a]
+            if rows[i] is not None:
+                raise ValidationError(f"row for {a.label!r} given twice")
+            if not isinstance(row, Mapping):
+                rows[i] = [(problem.leaf_index[problem.sequence(row)], (1, 1))]
+                continue
+            weights = _leaf_weights(problem, row, f"row {a.label!r}")
+            rows[i] = sorted((j, w) for j, w in weights.items() if w[0])
+        if None in rows:
+            raise ValidationError(f"kernel is missing a row for {leaves[rows.index(None)].label!r}")
+    nums, den = _over_lcm([w for row in rows for _, w in row])
+    it = iter(nums)
+    return [[(j, next(it)) for j, _ in row] for row in rows], den
 
 
 def is_adapted(problem: DecisionProblem, kernel) -> bool:
@@ -128,11 +131,11 @@ def is_adapted(problem: DecisionProblem, kernel) -> bool:
 
     Raises `ValidationError` if the kernel is not row-stochastic.
     """
-    rows = _resolve_kernel(problem, kernel)
+    rows, den = _resolve_kernel(problem, kernel)
     for row in rows:
-        _require_probability_vector([w for _, w in row], "kernel row")
+        _require_probability_numerators([x for _, x in row], den, "kernel row")
     entries = [l.entries for l in problem.leaves]
-    return _support_is_adapted(entries, entries, rows, problem.tree.periods)
+    return _support_is_adapted(entries, entries, rows, problem.tree.depth)
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +185,10 @@ class DeviationRule:
 
     @staticmethod
     def from_mapping(problem: DecisionProblem, kernel) -> "DeviationRule":
-        rows = _resolve_kernel(problem, kernel)
-        nums, den = _over_lcm([w for row in rows for _, w in row])
-        it = iter(nums)
-        return DeviationRule(problem.leaves,
-                             tuple(tuple((j, next(it)) for j, _ in row) for row in rows), den)
+        return DeviationRule(problem.leaves, *_resolve_kernel(problem, kernel))
 
     def to_json_dict(self) -> dict:
-        return {a.label: {self.leaves[j].label: format_rational(Fraction(x, self.den))
-                          for j, x in row}
+        return {a.label: {self.leaves[j].label: _format(x, self.den) for j, x in row}
                 for a, row in zip(self.leaves, self.rows)}
 
 
@@ -208,7 +206,7 @@ def _prefix_children(tree: Tree) -> dict[tuple[str, ...], list[tuple[str, ...]]]
     `PAD`); built once per tree (`Tree.per_tree`)."""
     kids: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
     for leaf in tree.leaves:
-        for t in range(tree.periods):
+        for t in range(tree.depth):
             row = kids.setdefault(leaf.entries[:t], [])
             if not row or row[-1] != leaf.entries[:t + 1]:
                 row.append(leaf.entries[:t + 1])
@@ -221,7 +219,7 @@ def count_pure_rules(problem: DecisionProblem) -> int:
     cache: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
 
     def count(inp: tuple[str, ...], out: tuple[str, ...]) -> int:
-        if len(inp) == problem.tree.periods:
+        if len(inp) == problem.tree.depth:
             return 1
         key = (inp, out)
         if key not in cache:
@@ -255,18 +253,18 @@ def best_joint_deviation(
     """
     table, uden = problem.integer_payoffs
     _require_joint_shape(problem, joint)
-    periods = problem.tree.periods
+    depth = problem.tree.depth
     pay = {b.entries: row for b, row in zip(problem.leaves, table)}
     cells, wden = joint.cells, joint.den
     width = len(problem.states)
     rows = [cells[k:k + width] for k in range(0, len(cells), width)]
     mass = {a.entries: row for a, row in zip(problem.leaves, rows) if any(row)}
-    live = {a[:t] for a in mass for t in range(periods + 1)}
+    live = {a[:t] for a in mass for t in range(depth + 1)}
     kids = problem.tree.per_tree(_prefix_children)
     choice: dict[tuple[tuple[str, ...], tuple[str, ...]], tuple[str, ...]] = {}
 
     def value(h: tuple[str, ...], g: tuple[str, ...]) -> int:
-        if len(h) == periods:
+        if len(h) == depth:
             return sum(x * y for x, y in zip(mass[h], pay[g]))
         total = 0
         for hc in kids[h]:
@@ -281,7 +279,7 @@ def best_joint_deviation(
         return total
 
     def follow(h: tuple[str, ...], g: tuple[str, ...]) -> None:
-        if len(h) == periods:
+        if len(h) == depth:
             outputs[h] = ((problem.leaf_index[ActionSequence(g)], 1),)
             return
         for hc in kids[h]:
@@ -317,7 +315,7 @@ def _pure_rules(tree: Tree) -> tuple[DeviationRule, ...]:
     index = {leaf.entries: i for i, leaf in enumerate(tree.leaves)}
 
     def options(inp: tuple[str, ...], out: tuple[str, ...]) -> list[dict]:
-        if len(inp) == tree.periods:
+        if len(inp) == tree.depth:
             return [{inp: ((index[out], 1),)}]
         alternatives = []
         for ic in kids[inp]:

@@ -31,12 +31,13 @@ data `add_constraint` converts, and in an `LpSolution`'s value.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Optional, Union
 
-from .model import Tree, ValidationError, _over_lcm, parse_rational
+from .model import Tree, ValidationError, _over_lcm, _ratio, parse_rational
 
 _SENSES = ("<=", "==", ">=")
 
@@ -108,7 +109,7 @@ class LinearProgram:
         """`add_row` for rational data (see `parse_rational`), put over the
         lcm of its denominators once."""
         self._require_columns(coeffs, "constraint")
-        nums, den = _over_lcm([parse_rational(q) for q in (rhs, *coeffs.values())])
+        nums, den = _over_lcm([_ratio(q) for q in (rhs, *coeffs.values())])
         self.add_row({k: x for k, x in zip(coeffs, nums[1:]) if x}, sense, nums[0], den)
 
     def set_objective(self, coeffs: Mapping[int, Union[int, str, Fraction]]) -> None:
@@ -161,7 +162,7 @@ def check_solution(lp: LinearProgram, assignment: Sequence[Fraction]) -> bool:
     """
     if len(assignment) != len(lp.variables):
         return False
-    return _feasible(lp, *_over_lcm(assignment))
+    return _feasible(lp, *_over_lcm([q.as_integer_ratio() for q in assignment]))
 
 
 def _feasible(lp: LinearProgram, xs: Sequence[int], xden: int) -> bool:
@@ -200,7 +201,7 @@ def check_duals(lp: LinearProgram, sol: LpSolution) -> bool:
     for con, y in used:
         if (con.sense == "<=" and y < 0) or (con.sense == ">=" and y > 0):
             return False
-    cs, cden = _over_lcm(lp.objective.values())
+    cs, cden = _over_lcm([c.as_integer_ratio() for c in lp.objective.values()])
     den = math.lcm(cden, *(con.den for con, _ in used))
     # d and b^T y times den * yden
     reduced = {k: c * (den // cden) * yden for k, c in zip(lp.objective, cs)}
@@ -326,7 +327,7 @@ class _Solver:
 
         # Phase-2 objective.  The starting basis is slacks/artificials, none
         # of which appear in the objective, so this row is already priced out.
-        cs, cden = _over_lcm(lp.objective.values())
+        cs, cden = _over_lcm([c.as_integer_ratio() for c in lp.objective.values()])
         self.obj = [self._nums(dict(zip(lp.objective, cs))), cden]
 
     def _nums(self, coeffs: Mapping[int, int], sign: int = 1) -> list[int]:
@@ -431,7 +432,7 @@ class _Solver:
             raise RuntimeError("simplex returned an assignment violating the program")
         # The value is read from the objective row and must equal c^T x.
         obj_nums, obj_den = self.obj
-        cs, cden = _over_lcm(self.lp.objective.values())
+        cs, cden = _over_lcm([c.as_integer_ratio() for c in self.lp.objective.values()])
         cx = sum(c * xs[k] for k, c in zip(self.lp.objective, cs))
         if cx * obj_den != -obj_nums[-1] * cden * xden:  # pragma: no cover - solver bug
             raise RuntimeError("objective bookkeeping mismatch")
@@ -522,7 +523,7 @@ def deviation_polytope_constraints(tree: Tree) -> DeviationPolytope:
     n = len(tree.leaves)
     constraints = [Constraint(dict.fromkeys(range(i * n, i * n + n), 1), "==", 1)
                    for i in range(n)]
-    for t in range(1, tree.periods):
+    for t in range(1, tree.depth):
         classes = tree.prefix_classes(t)
         for _, members in classes:
             for a_i, a_k in zip(members, members[1:]):

@@ -1,19 +1,21 @@
 """Decision problems, action sequences, and observed-choice distributions.
 
 All numeric data is exact, held as `fractions.Fraction`s or as integers over
-one common denominator; nothing in the core ever rounds.  A decision problem
+one common denominator; nothing in the core ever rounds.  Literals are read
+once, as integers (`_ratio`), into the rows they feed under one lcm, and
+integers are written back by one gcd each (`_format`).  A decision problem
 is a finite rooted action tree (`Tree`) of depth at most ``periods``, a
 finite state set, and a terminal utility table.  Histories with no
 successors are terminal; their root-to-leaf paths are padded with the
-reserved marker ``"_"`` up to ``periods`` entries, so the set of padded
+reserved marker ``"_"`` up to the tree's depth, so the set of padded
 leaves plays the role of the full action-sequence space.
 
 Utilities may be affine in a vector of named parameters (for example a
 discount factor the analyst wants to estimate).  The table holds each
 entry's constant and coefficients as integers over one denominator; a
-problem file's entry is read into its row (`parse_affine`) and written
-back from it (`problem_to_dict`).  `instantiate` pins the parameters and
-yields a parameter-free problem on the same, already validated, tree.
+problem file's entry is read into its row (`_affine`) and written back from
+it (`problem_to_dict`).  `instantiate` pins the parameters and yields a
+parameter-free problem on the same, already validated, tree.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ import json
 import math
 import operator
 import re
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
+from typing import Optional, Union
 
 #: Reserved padding marker for entries after a terminal history.
 PAD = "_"
@@ -48,39 +51,54 @@ class ValidationError(ValueError):
 # Exact rationals
 # ---------------------------------------------------------------------------
 
-def parse_rational(value: Union[int, str, Fraction]) -> Fraction:
-    """Convert an exact representation to a `Fraction`.
+def _literal(value) -> Optional[tuple[int, int]]:
+    """An int, a `Fraction` or a plain ASCII ``[+-]p[/q]`` string with q > 0
+    as ``(numerator, denominator)`` in lowest terms; None for any other value."""
+    if type(value) is int:
+        return value, 1
+    if not isinstance(value, str):  # a str first: `Fraction`'s check goes through its ABC
+        return value.as_integer_ratio() if isinstance(value, Fraction) else None
+    plain = _RATIONAL_RE.fullmatch(value.strip())
+    if plain is None:
+        return None
+    p, q = int(plain[1]), int(plain[2] or 1)
+    g = math.gcd(p, q)
+    return (p // g, q // g) if q else None
+
+
+def _ratio(value: Union[int, str, Fraction]) -> tuple[int, int]:
+    """An exact literal as ``(numerator, denominator)`` in lowest terms.
 
     Accepts ints, `Fraction`s, and strings of the form ``"3"``, ``"-2/7"`` or
     ``"0.85"`` (decimals are read exactly).  Floats are rejected: they carry
     binary rounding and would poison the strict sign tests downstream.  Only
     strings other than a plain ``[+-]p[/q]`` in ASCII digits reach `Fraction`'s parser.
     """
-    if isinstance(value, str):
-        text = value.strip()
-        plain = _RATIONAL_RE.fullmatch(text)
-        try:
-            if plain is None:
-                return Fraction(text)
-            return Fraction(int(plain[1]), int(plain[2] or 1))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"not a rational literal: {value!r}") from exc
+    pair = _literal(value)
+    if pair is not None:
+        return pair
     if isinstance(value, bool):
         raise ParseError("booleans are not numbers")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, float):
         raise ParseError(f"refusing inexact float {value!r}; pass a string or fraction")
-    raise ParseError(f"cannot interpret {type(value).__name__} as a rational")
+    if not isinstance(value, (str, int)):
+        raise ParseError(f"cannot interpret {type(value).__name__} as a rational")
+    try:
+        return Fraction(value.strip() if isinstance(value, str) else value).as_integer_ratio()
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"not a rational literal: {value!r}") from exc
 
 
-def _over_lcm(values: Collection[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of ``values`` over the lcm of their denominators,
-    and that lcm."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+def parse_rational(value: Union[int, str, Fraction]) -> Fraction:
+    """An exact literal (see `_ratio`) as a `Fraction`."""
+    return Fraction(*_ratio(value))
+
+
+def _over_lcm(pairs: Collection[tuple[int, int]]) -> tuple[list[int], int]:
+    """The numerators of ``(numerator, denominator)`` pairs over the lcm of
+    their denominators, and that lcm."""
+    den = math.lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
 
 
 def _chunks(values: Iterable, width: int) -> tuple[tuple, ...]:
@@ -89,11 +107,15 @@ def _chunks(values: Iterable, width: int) -> tuple[tuple, ...]:
     return tuple(zip(*[it] * width))
 
 
+def _format(x: int, den: int) -> str:
+    """``x / den`` (den > 0) as ``"p"`` or ``"p/q"`` in lowest terms, by one gcd."""
+    g = math.gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
 def format_rational(q: Fraction) -> str:
     """Render a `Fraction` as ``"p"`` or ``"p/q"`` (inverse of `parse_rational`)."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return _format(q.numerator, q.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -114,14 +136,24 @@ def parse_affine(
     like ``"R - 2*c"`` whose names must all be declared parameters.  Every
     term after the first needs a sign.  Returns the entry's constant and
     its nonzero coefficients by parameter name."""
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return parse_rational(value), {}
+    constant, *coeffs = _affine(value, params)
+    return Fraction(*constant), {p: Fraction(*c) for p, c in zip(params, coeffs) if c[0]}
+
+
+def _affine(value, params: Sequence[str]) -> list[tuple[int, int]]:
+    """`parse_affine` as ``(numerator, denominator)`` pairs: the constant,
+    then the coefficient of each of ``params``.  A plain number
+    (`_literal`) skips the term parser."""
+    plain = _literal(value)
+    if plain is not None:
+        return [plain] + [(0, 1)] * len(params)
     if not isinstance(value, str):
         raise ParseError(f"bad utility entry {value!r}")
     text = value.strip()
     if not text:
         raise ParseError("empty utility entry")
-    terms: dict[Optional[str], Fraction] = {}  # the constant is at key None
+    column = {name: k for k, name in enumerate(params, 1)}
+    terms = [(0, 1)] * (1 + len(params))
     pos = 0
     while pos < len(text):
         term = _TERM_RE.match(text, pos)
@@ -130,16 +162,15 @@ def parse_affine(
         signs, num, scaled, name = term.group("signs", "num", "scaled", "name")
         if pos and not signs:
             raise ParseError(f"expected '+' or '-' between terms in {value!r}")
-        coeff = parse_rational(num) if num else Fraction(1)
-        if signs.count("-") % 2:
-            coeff = -coeff
+        x, d = _ratio(num) if num else (1, 1)
         name = name or scaled
-        if name is not None and name not in params:
+        k = 0 if name is None else column.get(name)
+        if k is None:
             raise ValidationError(f"unknown parameter {name!r} in utility entry")
-        terms[name] = terms[name] + coeff if name in terms else coeff
+        y, e = terms[k]  # y/e -+ x/d
+        terms[k] = (y * d - x * e if signs.count("-") % 2 else y * d + x * e, e * d)
         pos = term.end()
-    constant = terms.pop(None, Fraction(0))
-    return constant, {name: c for name, c in terms.items() if c}
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +179,7 @@ def parse_affine(
 
 @dataclass(frozen=True)
 class ActionSequence:
-    """A root-to-leaf path padded with `PAD` to the problem's period count."""
+    """A root-to-leaf path padded with `PAD` to the depth of its tree."""
 
     entries: tuple[str, ...]
 
@@ -206,7 +237,9 @@ class Tree:
     """A finite rooted action tree of depth at most ``periods``.
 
     ``branches`` lists, in document order, every non-terminal history together
-    with its available actions; the root history is ``()``.  Construction
+    with its available actions; the root history is ``()``.  Leaves are padded,
+    and what is built period by period runs, up to the tree's `depth`;
+    ``periods`` only bounds the padding a label may carry.  Construction
     validates the tree once; every problem on it, and every problem that
     `substitute_params` or `analysis.risk_transform` derives from one, shares
     it and what is built from it (`per_tree`).  Identity is used for
@@ -246,7 +279,14 @@ class Tree:
     @cached_property
     def leaves(self) -> tuple[ActionSequence, ...]:
         """All padded leaves, in document (depth-first) order."""
-        return tuple(_pad(h, self.periods) for h in _leaf_histories(self.branch_map))
+        histories = tuple(_leaf_histories(self.branch_map))
+        depth = max(map(len, histories))
+        return tuple(_pad(h, depth) for h in histories)
+
+    @property
+    def depth(self) -> int:
+        """The length of the longest leaf history, at most ``periods``."""
+        return len(self.leaves[0].entries)
 
     @cached_property
     def leaf_index(self) -> dict[ActionSequence, int]:
@@ -286,29 +326,28 @@ class Tree:
         followed by `PAD` entries up to ``periods`` entries in all.  Spaces
         around the entries of a label are ignored."""
         if isinstance(value, ActionSequence):
-            if value not in self.leaf_index:
-                raise ValidationError(f"{value.label!r} is not a leaf of this problem")
-            return value
-        spellings = self.per_tree(_leaf_spellings)
+            if value in self.leaf_index:
+                return value
+            value = value.entries
+        labels = self.per_tree(_leaf_labels)
         if isinstance(value, str):
-            label = value if value in spellings else ",".join(p.strip() for p in value.split(","))
+            label = value if value in labels else ",".join(p.strip() for p in value.split(","))
         else:
             parts = tuple(value) if isinstance(value, Iterable) else (value,)
             if not all(isinstance(p, str) and "," not in p for p in parts):
                 raise ValidationError(f"{value!r} is not an action sequence")
             label = ",".join(parts)
-        try:
-            return spellings[label]
-        except KeyError:
-            raise ValidationError(f"{label!r} is not a leaf of this problem") from None
+        leaf = labels.get(label)
+        if leaf is None and label.count(",") < self.periods:  # padded: strip the padding
+            leaf = labels.get(re.sub(f"(?:,{PAD})+$", "", label))
+        if leaf is None:
+            raise ValidationError(f"{label!r} is not a leaf of this problem")
+        return leaf
 
 
-def _leaf_spellings(tree: Tree) -> dict[str, ActionSequence]:
-    """Each leaf's label, alone and followed by each number of `PAD` entries
-    that keeps it within ``periods``, mapped to the leaf; built once per
-    tree (`Tree.per_tree`)."""
-    return {",".join(leaf.history + (PAD,) * k): leaf for leaf in tree.leaves
-            for k in range(tree.periods - len(leaf.history) + 1)}
+def _leaf_labels(tree: Tree) -> dict[str, ActionSequence]:
+    """Each leaf's label mapped to the leaf; built once per tree (`Tree.per_tree`)."""
+    return {leaf.label: leaf for leaf in tree.leaves}
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,20 +449,20 @@ def _require_probability_numerators(nums: Sequence[int], den: int, what: str) ->
 def _require_probability_vector(weights: Iterable[Fraction], what: str) -> None:
     """`_require_probability_numerators` on ``weights`` over one lcm.  Only
     nonzero entries are converted, so a sparse row costs its support."""
-    _require_probability_numerators(*_over_lcm([w for w in weights if w]), what)
+    _require_probability_numerators(*_over_lcm([w.as_integer_ratio() for w in weights if w]), what)
 
 
-def _leaf_weights(problem: DecisionProblem, row: Mapping, what: str) -> dict[int, Fraction]:
-    """A row ``{leaf: q}`` as leaf index -> weight.  Two spellings of one
-    leaf (``not_invest`` and ``not_invest,_``) are refused, not resolved by
-    the last one; ``what`` names the row in the error."""
-    weights: dict[int, Fraction] = {}
+def _leaf_weights(problem: DecisionProblem, row: Mapping, what: str) -> dict[int, tuple[int, int]]:
+    """A row ``{leaf: q}`` as leaf index -> weight, read by `_ratio`.  Two
+    spellings of one leaf (``not_invest`` and ``not_invest,_``) are refused,
+    not resolved by the last one; ``what`` names the row in the error."""
+    weights: dict[int, tuple[int, int]] = {}
     for leaf, q in row.items():
         a = problem.sequence(leaf)
         i = problem.leaf_index[a]
         if i in weights:
             raise ValidationError(f"leaf {a.label!r} of {what} given twice")
-        weights[i] = parse_rational(q)
+        weights[i] = _ratio(q)
     return weights
 
 
@@ -465,13 +504,13 @@ class JointDistribution:
         else:
             items = list(weights.items())
         width = len(problem.states)
-        given: dict[int, Fraction] = {}  # cell index -> weight
+        given: dict[int, tuple[int, int]] = {}  # cell index -> weight
         for (leaf, state), q in items:
             a = problem.sequence(leaf)
             k = problem.leaf_index[a] * width + problem.state_position(state)
             if k in given:
                 raise ValidationError(f"cell {a.label + '@' + state!r} given twice")
-            given[k] = parse_rational(q)
+            given[k] = _ratio(q)
         nums, den = _over_lcm(given.values())
         cells = [0] * (len(problem.leaves) * width)
         for k, x in zip(given, nums):
@@ -490,7 +529,7 @@ class JointDistribution:
         width = len(self.states)
         out: dict[str, dict[str, str]] = {}
         for leaf, k in zip(self.leaves, range(0, len(self.cells), width)):
-            cells = {s: format_rational(Fraction(x, self.den))
+            cells = {s: _format(x, self.den)
                      for s, x in zip(self.states, self.cells[k:k + width]) if x}
             if cells:
                 out[leaf.label] = cells
@@ -521,12 +560,12 @@ class MarginalDistribution:
 
     @staticmethod
     def from_mapping(problem: DecisionProblem, weights: Mapping) -> "MarginalDistribution":
-        given: dict[int, Fraction] = {}  # leaf index -> weight
+        given: dict[int, tuple[int, int]] = {}  # leaf index -> weight
         for leaf, q in weights.items():
             i = problem.leaf_index[problem.sequence(leaf)]
             if i in given:
                 raise ValidationError(f"weight of {problem.leaves[i].label!r} given twice")
-            given[i] = parse_rational(q)
+            given[i] = _ratio(q)
         nums, den = _over_lcm(given.values())
         vec = [0] * len(problem.leaves)
         for i, x in zip(given, nums):
@@ -537,7 +576,7 @@ class MarginalDistribution:
         return Fraction(self.weights[self.leaves.index(a)], self.den)
 
     def to_json_dict(self) -> dict:
-        return {leaf.label: format_rational(Fraction(w, self.den))
+        return {leaf.label: _format(w, self.den)
                 for leaf, w in zip(self.leaves, self.weights) if w}
 
 
@@ -638,8 +677,8 @@ def problem_from_dict(doc: Mapping) -> DecisionProblem:
     utility_doc = doc["utility"]
     if not isinstance(utility_doc, Mapping):
         raise ParseError("utility must be an object")
-    # (constant, coefficients) by padded leaf and state
-    exprs: dict[tuple[tuple[str, ...], str], tuple[Fraction, dict[str, Fraction]]] = {}
+    # each entry's row as (numerator, denominator) pairs, by padded leaf and state
+    exprs: dict[tuple[tuple[str, ...], str], list[tuple[int, int]]] = {}
     for leaf_id, row in utility_doc.items():
         entries = known.get(leaf_id)
         if entries is None:
@@ -649,15 +688,14 @@ def problem_from_dict(doc: Mapping) -> DecisionProblem:
         for state, expr in row.items():
             if state not in states:
                 raise ValidationError(f"utility entry for unknown state {state!r}")
-            exprs[entries, state] = parse_affine(expr, params)
+            exprs[entries, state] = _affine(expr, params)
     terms = []
     for leaf in tree.leaves:
         for s in states:
             entry = exprs.get((leaf.entries, s))
             if entry is None:
                 raise ValidationError(f"missing utility for leaf {leaf.label!r} in state {s!r}")
-            constant, coeffs = entry
-            terms += [constant, *(coeffs.get(p, 0) for p in params)]
+            terms += entry
     nums, den = _over_lcm(terms)
     return DecisionProblem(tree, tuple(states), tuple(params), _chunks(nums, 1 + len(params)), den)
 
@@ -679,8 +717,8 @@ def problem_to_dict(problem: DecisionProblem) -> dict:
             node[a] = subtree(child) if child in tree.branch_map else "leaf"
         return node
 
-    def number(x: int) -> Union[int, str]:  # x / den, built as a Fraction only if needed
-        return x // den if x % den == 0 else format_rational(Fraction(x, den))
+    def number(x: int) -> Union[int, str]:  # x / den
+        return x // den if x % den == 0 else _format(x, den)
 
     def render(row: tuple[int, ...]) -> Union[int, str]:
         constant, *coeffs = row
@@ -716,17 +754,17 @@ def problem_to_dict(problem: DecisionProblem) -> dict:
 def instantiate(problem: DecisionProblem, point: Mapping[str, Union[int, str, Fraction]]) -> DecisionProblem:
     """Evaluate every utility entry at ``point``, which must pin every declared
     parameter exactly once.  The result is parameter-free."""
-    values = {name: parse_rational(v) for name, v in point.items()}
-    unknown = set(values) - set(problem.param_names)
+    unknown = set(point) - set(problem.param_names)
     if unknown:
         raise ValidationError(f"unknown parameter {sorted(unknown)[0]!r}")
-    missing = set(problem.param_names) - set(values)
+    missing = set(problem.param_names) - set(point)
     if missing:
         raise ValidationError(f"missing parameter {sorted(missing)[0]!r}")
-    return substitute_params(problem, values)
+    return substitute_params(problem, point)
 
 
-def substitute_params(problem: DecisionProblem, point: Mapping[str, Fraction]) -> DecisionProblem:
+def substitute_params(problem: DecisionProblem,
+                      point: Mapping[str, Union[int, str, Fraction]]) -> DecisionProblem:
     """Pin a subset of parameters; the remaining ones stay symbolic.
 
     The table stays in integers: each entry's pinned coefficients fold into
@@ -736,7 +774,7 @@ def substitute_params(problem: DecisionProblem, point: Mapping[str, Fraction]) -
     validated again and what is built per tree (`Tree.per_tree`) is shared.
     """
     names = problem.param_names
-    weights, scale = _over_lcm([1, *(point.get(p, 0) for p in names)])
+    weights, scale = _over_lcm([(1, 1), *(_ratio(point.get(p, 0)) for p in names)])
     kept = [k for k, p in enumerate(names, 1) if p not in point]
     table = problem.table
     constants = [sum(map(operator.mul, row, weights)) for row in table]

@@ -15,11 +15,12 @@ package's main internal consistency guarantee.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Mapping, Sequence, Union
+from typing import Union
 
 from .deviation import (
     DEFAULT_MAX_RULES,
@@ -152,7 +153,7 @@ class InformationStructure:
 @dataclass(frozen=True)
 class Strategy:
     """An adapted kernel from signal sequences to leaves: play through period t
-    may depend only on the first t signals."""
+    may depend only on the first t signals, one signal set per period."""
 
     signal_sets: tuple[tuple[str, ...], ...]
     leaves: tuple[ActionSequence, ...]
@@ -160,7 +161,7 @@ class Strategy:
 
     def __post_init__(self) -> None:
         periods = len(self.signal_sets)
-        if any(len(leaf.entries) != periods for leaf in self.leaves):
+        if any(len(leaf.entries) > periods for leaf in self.leaves):
             raise ValidationError("strategy periods do not match the leaves")
         n_seq = len(self.sequences)
         if len(self.kernel) != n_seq or any(len(r) != len(self.leaves) for r in self.kernel):
@@ -184,7 +185,7 @@ class Strategy:
             if seq_id not in seq_index:
                 raise ValidationError(f"unknown signal sequence {seq_id!r}")
             for i, q in _leaf_weights(problem, row, f"strategy row {seq_id!r}").items():
-                kernel[seq_index[seq_id]][i] = q
+                kernel[seq_index[seq_id]][i] = Fraction(*q)
         return Strategy(signal_sets, problem.leaves, tuple(tuple(r) for r in kernel))
 
     def to_json_dict(self) -> dict:
@@ -202,6 +203,8 @@ class Strategy:
 
 
 def _check_shapes(problem: DecisionProblem, strategy: Strategy, structure: InformationStructure) -> None:
+    if len(strategy.signal_sets) != problem.tree.periods:
+        raise ValidationError("strategy periods do not match the leaves")
     if structure.states != problem.states:
         raise ValidationError("information structure states do not match the problem")
     if strategy.leaves != problem.leaves:
@@ -242,8 +245,8 @@ def _weights(
     """The unnormalized measure prior * kernel, signal sequence by state:
     ``(weights, den)`` with ``weights[k][s] / den == prior[s] * kernel[s][k]``,
     the prior and the kernel each over one lcm of its own."""
-    ps, pden = _over_lcm(prior)
-    ks, kden = _over_lcm([w for row in kernel for w in row])
+    ps, pden = _over_lcm([p.as_integer_ratio() for p in prior])
+    ks, kden = _over_lcm([w.as_integer_ratio() for row in kernel for w in row])
     width = len(kernel[0])
     return [[p * ks[s * width + k] for s, p in enumerate(ps)] for k in range(width)], pden * kden
 

@@ -47,9 +47,10 @@ and a law is obedient if and only if its restriction to each block is.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 from . import lp as lpmod
 from .deviation import DeviationRule, best_joint_deviation, dominates
@@ -59,13 +60,14 @@ from .model import (
     JointDistribution,
     Observation,
     ValidationError,
+    _format,
     _leaf_weights,
     _over_lcm,
+    _ratio,
     _require_probability_numerators,
     _require_probability_vector,
     consistency,
     format_rational,
-    parse_rational,
 )
 
 
@@ -116,8 +118,8 @@ def obedient_triple_to_json(law: JointDistribution) -> dict:
         column = law.cells[s::width]
         mass = sum(column)
         if mass:
-            prior[state] = format_rational(Fraction(mass, law.den))
-            recommendation[state] = {a.label: format_rational(Fraction(x, mass))
+            prior[state] = _format(mass, law.den)
+            recommendation[state] = {a.label: _format(x, mass)
                                      for a, x in zip(law.leaves, column) if x}
         else:
             recommendation[state] = {law.leaves[0].label: "1"}
@@ -135,10 +137,10 @@ def obedient_triple_from_json(problem: DecisionProblem, doc: Mapping) -> JointDi
         raise ValidationError("an obedient triple needs a 'prior' object and a "
                               "'recommendation' object of objects")
     n, width = len(problem.leaves), len(problem.states)
-    prior = [Fraction(0)] * width
+    prior = [(0, 1)] * width
     for s, q in doc["prior"].items():
-        prior[problem.state_position(s)] = parse_rational(q)
-    kernel = [Fraction(0)] * (width * n)  # state s's row is kernel[s * n:(s + 1) * n]
+        prior[problem.state_position(s)] = _ratio(q)
+    kernel = [(0, 1)] * (width * n)  # state s's row is kernel[s * n:(s + 1) * n]
     for s, row in rows.items():
         first = problem.state_position(s) * n
         for i, q in _leaf_weights(problem, row, f"recommendation {s!r}").items():

@@ -237,7 +237,7 @@ def random_marginal(rng: random.Random, problem: m.DecisionProblem) -> m.Margina
 
 def random_pure_rule(rng: random.Random, problem: m.DecisionProblem) -> dv.DeviationRule:
     """Sample an adapted pure rule by walking aligned prefixes top-down."""
-    T = problem.tree.periods
+    T = problem.tree.depth
 
     def children(prefix):
         history = tuple(e for e in prefix if e != PAD)
@@ -507,7 +507,7 @@ def joint_dominance_optimum(problem: m.DecisionProblem, joint: m.JointDistributi
 def exhaustive_optimal_value(problem: m.DecisionProblem, structure) -> Fraction:
     """Max expected utility over every adapted pure strategy, by brute force."""
     seqs = structure.sequences
-    T = problem.tree.periods
+    T = problem.tree.depth
 
     def children(prefix):
         history = tuple(e for e in prefix if e != PAD)

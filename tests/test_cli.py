@@ -12,6 +12,7 @@ from dynrat import cli, oracle, rationalize
 from dynrat.model import format_rational, load_problem
 
 from conftest import complete_tree_doc
+from test_golden import CASES, render
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -175,6 +176,11 @@ MALFORMED = {
         EX1_STRATEGY, lambda d: d["kernel"].update({"s,g": 5}))),
     "strategy-signal-label-repeats": ("simulate --strategy", _shipped(
         EX1_STRATEGY, lambda d: d.update(signals=[["s"], ["g", "g"]]))),
+    # one signal set per declared period: a third one is refused
+    "strategy-has-a-period-too-many": ("simulate --strategy", {
+        "signals": [["s"], ["g", "b"], ["x"]],
+        "kernel": {"s,g,x": {"invest,invest": "1"}, "s,b,x": {"invest,pull_back": "1"}}},
+        "strategy periods do not match"),
     "problem-is-a-directory": ("check-seq --seq a", None),
     "problem-is-not-utf8": ("check-seq --seq a", b'{"periods": 1, "states": ["\xe9"]}'),
     # one name with two values: neither may win silently
@@ -572,3 +578,28 @@ def test_maxprob_and_check_marginal_on_three_periods(capsys, tmp_path):
         assert oracle.verify_obedient_optimality(problem, law)
         assert law.action_marginal() == joint.action_marginal()
     assert interior > 0
+
+
+@pytest.mark.parametrize("periods", [2000, 10**30])
+def test_periods_past_the_depth_change_only_the_echo(capsys, tmp_path, periods):
+    # example 1 declares 2 periods on a tree of depth 2; more periods only
+    # allow more padding in a label, so every golden query on example 1
+    # gives the golden report with the declared periods echoed
+    doc = json.loads(Path(EX1).read_text())
+    path = tmp_path / "example1.json"
+    path.write_text(json.dumps({**doc, "periods": periods}))
+    report = tmp_path / "report.json"
+    for name, argv in CASES.items():
+        if argv[1] != EX1:
+            continue
+        want = _golden_report(name)
+        want["problem"]["periods"] = periods
+        got = render([argv[0], str(path), *argv[2:]])
+        assert json.loads(got) == want, name
+        if "witness" in want["result"]:
+            report.write_text(got)
+            assert json.loads(render(["verify-witness", str(report)]))["result"]["valid"] is True
+    # padding past the tree's depth, within the declared periods
+    code, out, err = run_cli(capsys, "check-seq", str(path), "--seq", "not_invest,_,_")
+    assert code == 0, err
+    assert first_report(out)["result"]["rationalizable"] is True

@@ -15,7 +15,7 @@ from conftest import polytope_program, random_problem
 def with_duals(sol, duals):
     """``sol`` with other duals, in the canonical integer form the solver
     gives: numerators over the least common denominator."""
-    nums, den = m._over_lcm(duals)
+    nums, den = m._over_lcm([y.as_integer_ratio() for y in duals])
     return replace(sol, integer_duals=(tuple(nums), den))
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from dynrat import analysis as an
+from dynrat import lp
 from dynrat import model as m
 
 from conftest import complete_tree_doc, lottery_utility, random_problem, utility
@@ -144,6 +145,10 @@ def test_rational_round_trip():
     for _ in range(200):
         q = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
         assert m.parse_rational(m.format_rational(q)) == q
+        # the integer writer: a signed pair with a common factor, zero included
+        k = rng.choice([1, 2, 6, 35])
+        x, den = rng.choice([0, rng.randint(-10**6, 10**6)]) * k, rng.randint(1, 10**6) * k
+        assert m._format(x, den) == m.format_rational(F(x, den))
     assert m.parse_rational("0.85") == F(17, 20)
     assert m.parse_rational("-2/7") == F(-2, 7)
     with pytest.raises(m.ParseError):
@@ -156,7 +161,7 @@ def test_leaves_are_distinct_padded_paths():
         p = random_problem(rng)
         assert len(set(p.leaves)) == len(p.leaves)
         for leaf in p.leaves:
-            assert len(leaf.entries) == p.tree.periods
+            assert len(leaf.entries) == p.tree.depth <= p.tree.periods
             assert p.tree.is_terminal(leaf.history)
             # the unpadded prefix walks the tree
             h = ()
@@ -340,6 +345,29 @@ def test_sequence_refuses_misplaced_padding(example1, spec):
         example1.sequence(spec)
 
 
+def test_periods_past_the_depth_bound_only_the_padding(example1):
+    # the leaves and what is built per period follow the tree's depth, so
+    # a header of 10**30 periods builds nothing in proportion to it; a label
+    # may carry padding up to the declared periods
+    doc = m.problem_to_dict(example1)
+    rows = len(lp.deviation_polytope_constraints(example1.tree).constraints)
+    for periods in (2, 3, 2000, 10**30):
+        p = m.problem_from_dict({**doc, "periods": periods})
+        assert p.tree.periods == periods and p.tree.depth == 2
+        assert [leaf.entries for leaf in p.leaves] == [leaf.entries for leaf in example1.leaves]
+        assert len(p.tree.per_tree(m._leaf_labels)) == 3
+        assert len(lp.deviation_polytope_constraints(p.tree).constraints) == rows
+        assert m.problem_to_dict(p) == {**doc, "periods": periods}
+        for pads in (1, 2, 1999, 2000):
+            for spec in (",".join(["not_invest"] + ["_"] * pads), ("not_invest",) + ("_",) * pads,
+                         m.ActionSequence(("not_invest",) + ("_",) * pads)):
+                if 1 + pads <= periods:
+                    assert p.sequence(spec) == p.leaves[0]
+                else:
+                    with pytest.raises(m.ValidationError, match="not a leaf"):
+                        p.sequence(spec)
+
+
 def test_sequence_spellings(example1):
     leaf = example1.leaves[0]
     for spec in ("not_invest", "not_invest,_", " not_invest , _ ", ("not_invest",),
@@ -372,15 +400,25 @@ def test_law_cells_build_no_sequence(monkeypatch):
 
 
 @pytest.mark.parametrize("text", [
-    "+3", "1e3", "1_000", "٣/٤", "3/0", "0.5/2", "-.5", "3.", " -2/7 ", "007/014", "3/-4"])
+    "+3", "1e3", "1_000", "٣/٤", "3/0", "0/0", "0.5/2", "-.5", "3.", " -2/7 ", "007/014",
+    "-0/5", "3/-4", 7, -12, F(-3, 6), True, False, 0.5, None])
 def test_parse_rational_agrees_with_fraction(text):
+    # `_ratio` reads the same literals as a numerator and a denominator in
+    # lowest terms; ints and Fractions pass, bools and floats do not
     try:
-        want = F(text.strip())
+        if isinstance(text, str):
+            want = F(text.strip())
+        elif isinstance(text, (int, F)) and not isinstance(text, bool):
+            want = F(text)
+        else:
+            raise ValueError(text)
     except (ValueError, ZeroDivisionError):
-        with pytest.raises(m.ParseError):
-            m.parse_rational(text)
+        for read in (m.parse_rational, m._ratio):
+            with pytest.raises(m.ParseError):
+                read(text)
     else:
         assert m.parse_rational(text) == want
+        assert m._ratio(text) == (want.numerator, want.denominator)
 
 
 # The tokenizer parser of utility entries that `parse_affine` replaced, kept
@@ -452,10 +490,13 @@ def test_parse_affine_accepts_what_the_tokenizer_accepted():
     # undeclared names and a non-ASCII digit: the same strings are accepted,
     # with equal values, and every other one is an input error (its class
     # may differ where a string has more than one fault)
+    # A problem file's entry reads into the same table row: the accepted
+    # strings as the entries of problems of 1000 leaves each, and a refused
+    # one is never read as a plain number, so it reaches the term parser.
     rng = random.Random(15)
     alphabet = [*"0123456789/.+-* ", "\t", "R", "c", "q", "_", "\u0663"]
-    accepted = 0
-    for _ in range(100_000):
+    accepted = []
+    for k in range(100_000):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 9)))
         try:
             want = _tokenizer_parse_affine(text, ("R", "c"))
@@ -466,8 +507,26 @@ def test_parse_affine_accepts_what_the_tokenizer_accepted():
         except (m.ParseError, m.ValidationError):
             got = None
         assert got == want, text
-        accepted += want is not None
-    assert accepted > 10_000
+        if want is not None:
+            accepted.append((text, want))
+        elif k % 1000 == 0:
+            doc = {"periods": 1, "states": ["s"], "params": ["R", "c"],
+                   "tree": {"a": "leaf"}, "utility": {"a": {"s": text}}}
+            with pytest.raises((m.ParseError, m.ValidationError)):
+                m.problem_from_dict(doc)
+        else:
+            assert m._literal(text) is None, text
+    assert len(accepted) > 10_000
+    for start in range(0, len(accepted), 1000):
+        batch = accepted[start:start + 1000]
+        labels = [f"a{i}" for i in range(len(batch))]
+        p = m.problem_from_dict({
+            "periods": 1, "states": ["s"], "params": ["R", "c"],
+            "tree": dict.fromkeys(labels, "leaf"),
+            "utility": {label: {"s": text} for label, (text, _) in zip(labels, batch)}})
+        for row, (text, (constant, coeffs)) in zip(p.table, batch):
+            want = (constant, coeffs.get("R", F(0)), coeffs.get("c", F(0)))
+            assert all(x * q.denominator == q.numerator * p.den for x, q in zip(row, want)), text
 
 
 # The renderer of utility entries that `problem_to_dict` replaced, which

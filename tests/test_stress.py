@@ -126,7 +126,7 @@ def _random_adapted_strategy(rng, problem, seqs):
     """Map each signal sequence to a leaf, prefix-consistently."""
     from dynrat.model import PAD
 
-    T = problem.tree.periods
+    T = problem.tree.depth
 
     def leaf_children(prefix):
         history = tuple(e for e in prefix if e != PAD)
