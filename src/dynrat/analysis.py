@@ -92,8 +92,7 @@ def risk_transform(problem: DecisionProblem, f: PiecewiseLinearFunction) -> Deci
     ``problem``'s tree."""
     if problem.has_params:
         raise ValidationError("instantiate the problem's parameters first")
-    nums, den = _over_lcm([f(Fraction(row[0], problem.den)).as_integer_ratio()
-                           for row in problem.table])
+    nums, den = _over_lcm([f(Fraction(row[0], problem.den)).as_integer_ratio() for row in problem.table])
     return DecisionProblem(problem.tree, problem.states, (), tuple(zip(nums)), den)
 
 

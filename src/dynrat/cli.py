@@ -87,8 +87,11 @@ def _object(value, what: str) -> dict:
 
 def _read_json(path: str, what: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return _object(json.load(fh, parse_float=Fraction,
-                                 object_pairs_hook=_no_duplicate_keys), what)
+        try:
+            doc = json.load(fh, parse_float=Fraction, object_pairs_hook=_no_duplicate_keys)
+        except ValueError as exc:  # also undecodable text or a number past int()'s digit limit
+            raise ParseError(f"invalid JSON: {exc}") from exc
+    return _object(doc, what)
 
 
 def _dist_from_json(problem: DecisionProblem, doc, joint: bool):
@@ -362,8 +365,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ValidationError, OSError, UnicodeDecodeError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (ParseError, ValidationError, OSError, UnicodeDecodeError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except deviation.SizeGuardError as exc:

@@ -61,7 +61,10 @@ def _literal(value) -> Optional[tuple[int, int]]:
     plain = _RATIONAL_RE.fullmatch(value.strip())
     if plain is None:
         return None
-    p, q = int(plain[1]), int(plain[2] or 1)
+    try:
+        p, q = int(plain[1]), int(plain[2] or 1)
+    except ValueError:  # past int()'s digit limit: `_ratio`'s parser refuses it
+        return None
     g = math.gcd(p, q)
     return (p // g, q // g) if q else None
 
@@ -129,21 +132,12 @@ _TERM_RE = re.compile(r"\s*(?P<signs>(?:[+\-]\s*)*)(?:(?P<num>\d+(?:\.\d+)?(?:/\
                       r"(?:\s*\*\s*(?P<scaled>[A-Za-z_]\w*))?|(?P<name>[A-Za-z_]\w*))")
 
 
-def parse_affine(
-    value: Union[int, str, Fraction], params: Sequence[str]
-) -> tuple[Fraction, dict[str, Fraction]]:
-    """Parse a utility entry: a number, a rational string, or a term string
+def _affine(value: Union[int, str, Fraction], params: Sequence[str]) -> list[tuple[int, int]]:
+    """Read a utility entry: a number, a rational string, or a term string
     like ``"R - 2*c"`` whose names must all be declared parameters.  Every
-    term after the first needs a sign.  Returns the entry's constant and
-    its nonzero coefficients by parameter name."""
-    constant, *coeffs = _affine(value, params)
-    return Fraction(*constant), {p: Fraction(*c) for p, c in zip(params, coeffs) if c[0]}
-
-
-def _affine(value, params: Sequence[str]) -> list[tuple[int, int]]:
-    """`parse_affine` as ``(numerator, denominator)`` pairs: the constant,
-    then the coefficient of each of ``params``.  A plain number
-    (`_literal`) skips the term parser."""
+    term after the first needs a sign.  Returns ``(numerator, denominator)``
+    pairs: the entry's constant, then its coefficient of each of ``params``.
+    A plain number (`_literal`) skips the term parser."""
     plain = _literal(value)
     if plain is not None:
         return [plain] + [(0, 1)] * len(params)
@@ -167,8 +161,9 @@ def _affine(value, params: Sequence[str]) -> list[tuple[int, int]]:
         k = 0 if name is None else column.get(name)
         if k is None:
             raise ValidationError(f"unknown parameter {name!r} in utility entry")
-        y, e = terms[k]  # y/e -+ x/d
-        terms[k] = (y * d - x * e if signs.count("-") % 2 else y * d + x * e, e * d)
+        y, e = terms[k]  # y/e -+ x/d over lcm(e, d)
+        m = math.lcm(e, d)
+        terms[k] = (y * (m // e) + (-x if signs.count("-") % 2 else x) * (m // d), m)
         pos = term.end()
     return terms
 
@@ -279,18 +274,20 @@ class Tree:
     @cached_property
     def leaves(self) -> tuple[ActionSequence, ...]:
         """All padded leaves, in document (depth-first) order."""
-        histories = tuple(_leaf_histories(self.branch_map))
-        depth = max(map(len, histories))
-        return tuple(_pad(h, depth) for h in histories)
+        return tuple(_pad(h, self.depth) for h in _leaf_histories(self.branch_map))
 
-    @property
+    @cached_property
     def depth(self) -> int:
         """The length of the longest leaf history, at most ``periods``."""
-        return len(self.leaves[0].entries)
+        return max(map(len, _leaf_histories(self.branch_map)))
 
     @cached_property
     def leaf_index(self) -> dict[ActionSequence, int]:
         return {leaf: i for i, leaf in enumerate(self.leaves)}
+
+    @cached_property
+    def _labels(self) -> dict[str, ActionSequence]:
+        return {leaf.label: leaf for leaf in self.leaves}
 
     @cached_property
     def _per_tree(self) -> dict:
@@ -329,7 +326,7 @@ class Tree:
             if value in self.leaf_index:
                 return value
             value = value.entries
-        labels = self.per_tree(_leaf_labels)
+        labels = self._labels
         if isinstance(value, str):
             label = value if value in labels else ",".join(p.strip() for p in value.split(","))
         else:
@@ -343,11 +340,6 @@ class Tree:
         if leaf is None:
             raise ValidationError(f"{label!r} is not a leaf of this problem")
         return leaf
-
-
-def _leaf_labels(tree: Tree) -> dict[str, ActionSequence]:
-    """Each leaf's label mapped to the leaf; built once per tree (`Tree.per_tree`)."""
-    return {leaf.label: leaf for leaf in tree.leaves}
 
 
 @dataclass(frozen=True, eq=False)
@@ -560,12 +552,7 @@ class MarginalDistribution:
 
     @staticmethod
     def from_mapping(problem: DecisionProblem, weights: Mapping) -> "MarginalDistribution":
-        given: dict[int, tuple[int, int]] = {}  # leaf index -> weight
-        for leaf, q in weights.items():
-            i = problem.leaf_index[problem.sequence(leaf)]
-            if i in given:
-                raise ValidationError(f"weight of {problem.leaves[i].label!r} given twice")
-            given[i] = _ratio(q)
+        given = _leaf_weights(problem, weights, "the marginal law")
         nums, den = _over_lcm(given.values())
         vec = [0] * len(problem.leaves)
         for i, x in zip(given, nums):
@@ -631,7 +618,7 @@ def load_problem(text: str) -> DecisionProblem:
     """
     try:
         doc = json.loads(text, parse_float=Fraction, object_pairs_hook=_no_duplicate_keys)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also a number past int()'s digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("problem file must be a JSON object")

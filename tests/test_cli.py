@@ -183,6 +183,10 @@ MALFORMED = {
         "strategy periods do not match"),
     "problem-is-a-directory": ("check-seq --seq a", None),
     "problem-is-not-utf8": ("check-seq --seq a", b'{"periods": 1, "states": ["\xe9"]}'),
+    # numbers past int()'s digit limit, where no Python value can stand in
+    "problem-with-a-5000-digit-int": ("check-seq --seq not_invest",
+                                      Path(EX1).read_text().replace("-2", "1" * 5000)),
+    "law-with-a-5000-digit-decimal": ("check-marginal", '{"not_invest": 0.' + "1" * 5000 + "}"),
     # one name with two values: neither may win silently
     "param-given-twice": ("check-seq --seq w,x --param delta=3/4 --param delta=9/10",
                           json.loads(Path(EX2).read_text())),

@@ -2,10 +2,11 @@
 
 Each run takes one golden report, or one golden case's problem or law file,
 and changes it once: a value swapped for another JSON value (huge ints,
-bools, decimals, ``"1/0"``, or a copy of another part of the document), a
-key deleted or renamed, or a list item duplicated.  Malformed input must
-exit 2 and never escape as a traceback, and a mutated report that
-`verify-witness` accepts must agree with a fresh decision of its own query.
+strings of 5000 digits, bools, decimals, ``"1/0"``, or a copy of another
+part of the document), a key deleted or renamed, or a list item duplicated.
+Malformed input must exit 2 and never escape as a traceback, and a mutated
+report that `verify-witness` accepts must agree with a fresh decision of
+its own query.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from test_golden import CASES, GOLDEN
 
 # Replacement values; JSON decimals are read back as exact Fractions.
 VALUES = [None, True, False, 0, 1, -1, 2, 10**30, -(10**30), 0.5, -2.0, "1/0", "0/0", "1/2",
-          "-2/7", "0.85", "1e3", "", "_", "leaf", "x", [], {}, [1, 2], {"x": "leaf"}]
+          "-2/7", "0.85", "1e3", "", "_", "leaf", "x", [], {}, [1, 2], {"x": "leaf"},
+          "1" * 5000, "1/" + "1" * 5000]
 
 
 def _nodes(doc, path=()):
