@@ -392,7 +392,7 @@ def dominates(problem: DecisionProblem, rule: DeviationRule, observed: Observati
     for start, stop, e in rows:
         if free < start and min(cells[free:start]) < 0:
             return False
-        if e:
-            total += e * min(cells[start:stop])
+        if e:  # a one-cell row's level is its cell: no slice to take
+            total += e * (cells[start] if stop - start == 1 else min(cells[start:stop]))
         free = stop
     return min(cells[free:], default=0) >= 0 and total > 0

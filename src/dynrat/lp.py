@@ -19,7 +19,10 @@ Edmonds and Bareiss.  A program's rows are integers over one positive
 denominator each (`Constraint`): builders write them so with `add_row`, and
 `add_constraint` converts rational data once.  Each row becomes a tableau
 row as it stands, a list of Python ints over that denominator, so a pivot is
-integer multiply-and-subtract plus one gcd per row.  Ratio-test steps are
+integer multiply-and-subtract: the multiplier and the pivot row's
+denominator are first divided by their gcd, and a row is put in lowest terms
+only once its denominator is longer than `REDUCE_BITS`, which spares most
+rows of small programs a gcd over every entry.  Ratio-test steps are
 compared by cross-multiplying numerators, which orders them exactly as the
 rationals a `Fraction` tableau would hold, so the pivot sequence does not
 depend on the representation.  The checks put the assignment or the duals
@@ -42,6 +45,13 @@ from .model import Tree, ValidationError, _over_lcm, _ratio, parse_rational
 _SENSES = ("<=", "==", ">=")
 
 _PIVOT_TALLY = [0]
+
+#: Bit length past which a tableau row's denominator is divided out by the
+#: gcd of the row.  Below it the row keeps whatever common factor its
+#: numerators and denominator share: the ratio test, Bland's rule and the
+#: read-out of an optimum compare or reduce a row's numerators against its
+#: own denominator, so a row's scale changes no pivot and no answer.
+REDUCE_BITS = 128
 
 
 def pivot_tally() -> int:
@@ -223,8 +233,9 @@ def check_duals(lp: LinearProgram, sol: LpSolution) -> bool:
 # ---------------------------------------------------------------------------
 
 def _store(row: list, nums: list[int], den: int) -> None:
-    """Set ``row`` to ``nums / den`` (``den > 0``) in lowest terms."""
-    if den != 1:
+    """Set ``row`` to ``nums / den`` (``den > 0``), put in lowest terms only
+    once ``den`` is longer than `REDUCE_BITS`."""
+    if den.bit_length() > REDUCE_BITS:
         g = math.gcd(den, *nums)
         if g != 1:
             nums = [x // g for x in nums]
@@ -236,11 +247,16 @@ def _store(row: list, nums: list[int], den: int) -> None:
 def _eliminate(row: list, j: int, pivot: list[tuple[int, int]], pd: int) -> None:
     """Zero entry ``j`` of ``row`` by subtracting ``row``'s entry ``j`` times
     the pivot row: ``nums * pd - f * pivot_nums`` over ``den * pd``, where
-    ``f = nums[j]``.  The pivot row has denominator ``pd`` and entry 1 at
-    column ``j``; ``pivot`` lists its nonzero ``(column, numerator)`` pairs,
-    the only places that need a subtraction."""
+    ``f = nums[j]``, with ``f`` and ``pd`` first divided by their gcd.  The
+    pivot row has denominator ``pd`` and entry 1 at column ``j``; ``pivot``
+    lists its nonzero ``(column, numerator)`` pairs, the only places that
+    need a subtraction."""
     nums, den = row
     f = nums[j]
+    g = math.gcd(f, pd)
+    if g != 1:
+        f //= g
+        pd //= g
     if pd != 1:
         nums = [a * pd for a in nums]
     for k, b in pivot:
@@ -260,7 +276,10 @@ class _Solver:
     Every tableau row, the objective rows included, is a pair ``[nums, den]``
     of Python ints: entry ``k`` is ``nums[k] / den`` with ``den > 0``.  A
     constraint row starts as its program row, over that row's denominator,
-    and is put in lowest terms whenever a pivot rewrites it.  The last slot
+    and a pivot that rewrites it puts it in lowest terms only once its
+    denominator is longer than `REDUCE_BITS`, so a row's numerators and
+    denominator may share a factor; nothing reads one without the other,
+    and pivots and answers do not depend on it.  The last slot
     holds the right-hand side; objective rows hold minus the objective's
     current value there, so pivots and pricing apply one integer update to
     every row alike.  The basic column of a constraint row has entry exactly

@@ -482,6 +482,11 @@ class JointDistribution:
         _require_probability_numerators(self.cells, self.den, "joint distribution")
 
     @cached_property
+    def consistency_rows(self) -> tuple[tuple[int, int, int], ...]:
+        """The law's rows in `consistency`, one per cell, built once."""
+        return tuple((k, k + 1, x) for k, x in enumerate(self.cells))
+
+    @cached_property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         """``matrix[i][s]``: the weight of leaf i in state s."""
         width = len(self.states)
@@ -492,17 +497,22 @@ class JointDistribution:
     def from_mapping(problem: DecisionProblem, weights) -> "JointDistribution":
         """Build from ``{(leaf, state): q}`` or nested ``{leaf: {state: q}}``."""
         if weights and all(isinstance(v, Mapping) for v in weights.values()):
-            items = [((leaf, state), q) for leaf, row in weights.items() for state, q in row.items()]
+            rows = [(leaf, row.items()) for leaf, row in weights.items()]
         else:
-            items = list(weights.items())
+            by_leaf: dict = {}
+            for (leaf, state), q in weights.items():
+                by_leaf.setdefault(leaf, []).append((state, q))
+            rows = by_leaf.items()
         width = len(problem.states)
         given: dict[int, tuple[int, int]] = {}  # cell index -> weight
-        for (leaf, state), q in items:
+        for leaf, row in rows:  # each leaf as given is resolved once
             a = problem.sequence(leaf)
-            k = problem.leaf_index[a] * width + problem.state_position(state)
-            if k in given:
-                raise ValidationError(f"cell {a.label + '@' + state!r} given twice")
-            given[k] = _ratio(q)
+            first = problem.leaf_index[a] * width
+            for state, q in row:
+                k = first + problem.state_position(state)
+                if k in given:
+                    raise ValidationError(f"cell {a.label + '@' + state!r} given twice")
+                given[k] = _ratio(q)
         nums, den = _over_lcm(given.values())
         cells = [0] * (len(problem.leaves) * width)
         for k, x in zip(given, nums):
@@ -588,7 +598,7 @@ def consistency(problem: DecisionProblem, observed: Observation) -> tuple[tuple[
     width = len(problem.states)
     if isinstance(observed, JointDistribution):
         _require_joint_shape(problem, observed)
-        return tuple((k, k + 1, x) for k, x in enumerate(observed.cells))
+        return observed.consistency_rows
     if isinstance(observed, MarginalDistribution):
         if observed.leaves != problem.leaves:
             raise ValidationError("marginal law leaves do not match the problem")

@@ -352,6 +352,39 @@ def test_carried_certificates_keep_every_interval(example2, example3, monkeypatc
     assert unchecked > 100
 
 
+# An all-"in" marginal sweep over t in [0, 2] (one seeded identify workload
+# problem, written out): the law the dominance program finds at t is obedient
+# at or below t only, so a left-to-right scan pays one LP per grid point.
+T1_LIKE = {
+    "periods": 2, "states": ["s0", "s1", "s2"], "params": ["t"],
+    "tree": {"a": "leaf", "b": {"a": "leaf", "b": "leaf"}},
+    "utility": {"a": {"s0": "1 - 2*t", "s1": "7/4 - 5/2*t", "s2": "-33/4"},
+                "b,a": {"s0": "-4 - t", "s1": "-23/4 + 5/4*t", "s2": "3"},
+                "b,b": {"s0": "2*t", "s1": "-9/2 - 5/4*t", "s2": "-7 + 5/2*t"}},
+}
+
+
+def test_sweep_decides_the_far_end_after_a_one_point_law(monkeypatch):
+    family = m.problem_from_dict(T1_LIKE)
+    probe = m.instantiate(family, {"t": 0})
+    marginal = m.MarginalDistribution.from_mapping(probe, {"a": "1/7", "b,a": "2/7", "b,b": "4/7"})
+    points = [m.instantiate(family, {"t": F(k, 16)}) for k in range(33)]
+    for k, at in enumerate(points):
+        law = rz.certificate(at, marginal)
+        assert isinstance(law, m.JointDistribution)
+        assert [dv.best_joint_deviation(p, law)[0] <= 0 for p in points[k:]] == (
+            [True] + [False] * (32 - k) if k >= 4 else [True] * (5 - k) + [False] * 28)
+    solves = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda prog: solves.append(1) or solve(prog))
+    iset = an.identified_set(family, marginal, "t", 0, 2)
+    # the law of t = 0 covers [0, 1/4], the one of 5/16 only its own point;
+    # the law of the last point then covers all the rest (29 LPs from the left)
+    assert len(solves) <= 3
+    assert iset.intervals == fresh_identified_set(family, marginal, "t", F(0), F(2), F(1, 512), 33)
+    assert iset.intervals == ((F(0), F(2), "in"),)
+
+
 def test_sweep_reuses_certificates(example2, monkeypatch):
     solves, points = [], []
     solve, substitute = lp.solve, an.substitute_params

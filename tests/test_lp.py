@@ -8,6 +8,7 @@ import pytest
 from dynrat import deviation as dv
 from dynrat import lp as L
 from dynrat import model as m
+from dynrat import rationalize as rz
 
 from conftest import polytope_program, random_problem
 
@@ -563,3 +564,24 @@ def test_ratio_test_ties_go_to_the_smallest_basic_column(monkeypatch):
     assert sol.pivots == 4
     assert sol.value == 0 and sol.assignment == (0, 0, 0)
     assert L.check_duals(prog, sol)
+
+
+def test_row_scale_changes_no_pivot_and_no_answer(monkeypatch):
+    # rows put in lowest terms at every rewrite, past the default bit length
+    # only, or never: the same pivots, assignments, duals and values
+    rng = random.Random(41)
+    programs = []
+    solve = L.solve
+    monkeypatch.setattr(L, "solve", lambda prog: programs.append(prog) or solve(prog))
+    for _ in range(12):
+        problem = random_problem(rng, max_leaves=6)
+        for a in problem.leaves[:3]:
+            rz.certificate(problem, a)
+    monkeypatch.setattr(L, "solve", solve)
+    assert len(programs) > 20
+    answers = []
+    for bits in (0, L.REDUCE_BITS, 10**6):
+        monkeypatch.setattr(L, "REDUCE_BITS", bits)
+        answers.append([L.solve(prog) for prog in programs])
+    assert answers[0] == answers[1] == answers[2]
+    assert sum(sol.pivots for sol in answers[0]) > 2 * len(programs)

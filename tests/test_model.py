@@ -289,6 +289,26 @@ def test_distributions_validate(example1):
             example1, {("not_invest", "good"): "1/2", ("not_invest,_", "good"): "1/2"})
 
 
+def test_joint_from_mapping_resolves_each_leaf_once(example1, monkeypatch):
+    # the nested form names a leaf once for all its states: one lookup each
+    looked_up = []
+    sequence = m.Tree.sequence
+    monkeypatch.setattr(m.Tree, "sequence", lambda tree, value: (
+        looked_up.append(value) or sequence(tree, value)))
+    joint = m.JointDistribution.from_mapping(example1, {
+        "invest,pull_back": {"bad": "1/2", "good": "1/6"}, "invest,invest": {"good": "1/3"}})
+    assert sorted(looked_up) == ["invest,invest", "invest,pull_back"]
+    assert joint.weight(example1.sequence("invest,pull_back"), "good") == F(1, 6)
+    # and its consistency rows are built once per law, not once per check
+    assert m.consistency(example1, joint) is m.consistency(example1, joint)
+    # a leaf spelled twice and an unknown state are still refused
+    with pytest.raises(m.ValidationError, match="'not_invest@good' given twice"):
+        m.JointDistribution.from_mapping(
+            example1, {"not_invest": {"good": "1/2"}, "not_invest,_": {"good": "1/2"}})
+    with pytest.raises(m.ValidationError, match="unknown state 'meh'"):
+        m.JointDistribution.from_mapping(example1, {"not_invest": {"good": "1/2", "meh": "1/2"}})
+
+
 def affine_family(rng: random.Random, names) -> m.DecisionProblem:
     """A random problem (padded trees included) whose payoffs are affine in
     ``names``, with rational constants and slopes, zero slopes included."""

@@ -2,6 +2,8 @@ import json
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from dynrat import deviation as dv
 from dynrat import lp
 from dynrat import model as m
@@ -533,3 +535,18 @@ def test_dominates_agrees_with_the_per_kind_references():
                 assert dv.dominates(p, rule, observed) == want
                 verdicts[kind].add(want)
     assert all(seen == {True, False} for seen in verdicts.values()) and all(found.values())
+
+
+@pytest.mark.parametrize("branching, dominance, budget", [
+    ((2, 2, 2), 17, 14), ((4, 4), 58, 19), ((2, 2, 2, 2), 48, 85), ((3, 3, 3), 112, 82)])
+def test_baseline_table_pivot_counts(branching, dominance, budget):
+    # the ROADMAP baseline table's pivots: the tableau's arithmetic may
+    # change, its pivot sequence may not
+    problem = m.problem_from_dict(complete_tree_doc(branching, 2, seed=1))
+    seq = problem.sequence(problem.leaves[1])
+    counts = []
+    for query in (rz.dominating_rule, rz.max_positive_marginal):
+        before = lp.pivot_tally()
+        query(problem, seq)
+        counts.append(lp.pivot_tally() - before)
+    assert counts == [dominance, budget]
