@@ -4,9 +4,10 @@ A deviation rule rewrites each intended action sequence into a lottery over
 action sequences, subject to adaptedness: the rewritten play up to period t
 may depend only on the intended play up to period t.  Rules compose like
 stochastic matrices and are the certificates that observed behavior cannot be
-rationalized: `dominates` is one sign test on a rule's gains against the
-observation's consistency rows (`model.consistency`), whatever the kind of
-observation.
+rationalized: `dominates` is one sign test (`gains_dominate`) on a rule's
+gains against the observation's consistency rows (`model.consistency`),
+whatever the kind of observation; on a one-parameter family it runs on the
+rule's affine gains (`affine_gains`) with nothing pinned.
 
 A rule is one type, `DeviationRule`, stored as its integers: each row's
 nonzero (column, numerator) pairs over one denominator.  A pure rule, as
@@ -356,16 +357,34 @@ def compose(outer: DeviationRule, inner: DeviationRule) -> DeviationRule:
     return DeviationRule(inner.leaves, tuple(rows), inner.den * outer.den)
 
 
+def _column_gains(pay: Sequence[Sequence[int]], rule: DeviationRule) -> list[int]:
+    """The rule's gains on an integer payoff table ``pay[i][s]``, cell by
+    cell as `JointDistribution.cells` numbers them, over rule.den times its
+    denominator."""
+    width = range(len(pay[0]))
+    return [sum(w * pay[j][s] for j, w in support) - rule.den * own[s]
+            for support, own in zip(rule.rows, pay) for s in width]
+
+
 def _integer_gains(problem: DecisionProblem, rule: DeviationRule) -> tuple[list[int], int]:
-    """The gain table of `gains`, cell by cell as `JointDistribution.cells`
-    numbers them, in integer numerators over one positive denominator: the
-    payoffs' (`DecisionProblem.integer_payoffs`) times the rule's."""
+    """The gain table of `gains` in integer numerators over one positive
+    denominator: on the payoffs of `DecisionProblem.integer_payoffs`."""
     if rule.leaves != problem.leaves:
         raise ValidationError("rule leaves do not match the problem")
     pay, uden = problem.integer_payoffs
-    width = range(len(problem.states))
-    return [sum(w * pay[j][s] for j, w in support) - rule.den * own[s]
-            for support, own in zip(rule.rows, pay) for s in width], rule.den * uden
+    return _column_gains(pay, rule), rule.den * uden
+
+
+def affine_gains(family: DecisionProblem, rule: DeviationRule) -> tuple[list[int], list[int]]:
+    """A rule's integer gains (A, B) on the constant and the slope column of
+    a one-parameter family's table.  Pinned at t = p/q, an entry is c*q +
+    m*p over a positive denominator, so the rule's integer gains there are
+    q*A + p*B times a positive factor, which no sign test sees."""
+    if rule.leaves != family.leaves or len(family.param_names) != 1:
+        raise ValidationError("rule leaves do not match the one-parameter family")
+    width = len(family.states)
+    return tuple(_column_gains(_chunks([row[k] for row in family.table], width), rule)
+                 for k in (0, 1))
 
 
 def gains(problem: DecisionProblem, rule: DeviationRule) -> tuple[tuple[Fraction, ...], ...]:
@@ -380,14 +399,19 @@ def gains(problem: DecisionProblem, rule: DeviationRule) -> tuple[tuple[Fraction
 
 def dominates(problem: DecisionProblem, rule: DeviationRule, observed: Observation) -> bool:
     """Whether ``rule`` proves that no obedient law induces ``observed``
-    (by Farkas' lemma, some rule does whenever none does): with G its
-    integer gains and E gamma = e the observation's consistency rows
-    (`model.consistency`), no cell in no row has G < 0, and sum e * level
-    > 0, a row's level being its least G.  For a sequence: G > 0 at it and
-    G >= 0 elsewhere; a marginal: sum_i w_i min_s G(i, s) > 0; a joint
-    law: sum g * G > 0."""
+    (by Farkas' lemma, some rule does whenever none does): the sign test
+    `gains_dominate` on its integer gains against the observation's
+    consistency rows (`model.consistency`)."""
     rows = consistency(problem, observed)
-    cells, _ = _integer_gains(problem, rule)
+    return gains_dominate(_integer_gains(problem, rule)[0], rows)
+
+
+def gains_dominate(cells: Sequence[int], rows: Sequence[tuple[int, int, int]]) -> bool:
+    """The one sign test of dominance, on a rule's gains G, cell by cell in
+    any positive units, and consistency rows E gamma = e: no cell in no row
+    has G < 0, and sum e * level > 0, a row's level being its least G.  For
+    a sequence: G > 0 at it and G >= 0 elsewhere; a marginal: sum_i w_i
+    min_s G(i, s) > 0; a joint law: sum g * G > 0."""
     total = free = 0  # free: the first cell past the last row
     for start, stop, e in rows:
         if free < start and min(cells[free:start]) < 0:

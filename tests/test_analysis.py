@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -15,6 +16,7 @@ from conftest import (
     random_joint,
     random_marginal,
     random_problem,
+    random_rule,
     utility,
 )
 
@@ -166,7 +168,6 @@ def test_lambda_D_set_contains_identified_region(example2):
     grid = [F(i, 8) for i in range(9)]
     exact = [rz.dominating_rule(m.instantiate(example2, {"delta": g}), wx) is None
              for g in grid]
-    from conftest import random_rule
     for _ in range(6):
         rule = random_rule(rng, probe)
         screen = an.lambda_D_set(example2, rule, wx, grid)
@@ -441,7 +442,7 @@ def test_sweep_builds_each_tree_piece_once(example2, monkeypatch):
                     m.JointDistribution.from_mapping(
                         probe, {("w,x", "X"): "1/2", ("w,y", "Y"): "1/2"}))
     families = [m.problem_from_dict(m.problem_to_dict(example2)) for _ in observations]
-    builds, points = [], []
+    builds = []
 
     def counted(key, build):
         return lambda *args: builds.append(key) or build(*args)
@@ -450,16 +451,16 @@ def test_sweep_builds_each_tree_piece_once(example2, monkeypatch):
     monkeypatch.setattr(lp, "deviation_polytope_constraints",
                         counted("polytope", lp.deviation_polytope_constraints))
     monkeypatch.setattr(dv, "_prefix_children", counted("children", dv._prefix_children))
-    substitute = an.substitute_params
-    monkeypatch.setattr(an, "substitute_params", lambda problem, point: (
-        points.append(point) if "delta" in point else None) or substitute(problem, point))
     for family, observation, piece in zip(families, observations,
                                           ("polytope", "polytope", "children")):
-        del builds[:], points[:]
-        an.identified_set(family, observation, "delta", 0, 1)
-        # one build at most per family, however many points the sweep tests
-        # (the galloping grid scan and the bisection pin 18 to 20 points here)
-        assert piece in builds and len(builds) == len(set(builds)) and len(points) > 15
+        del builds[:]
+        iset = an.identified_set(family, observation, "delta", 0, 1)
+        # one build at most per family, however many samples the sweep
+        # decides: its 33 grid points, and each gap's bisection halves the
+        # grid step down to the gap's width
+        samples = 33 + sum((F(1, 32) / (hi - lo)).numerator.bit_length() - 1
+                           for lo, hi, tag in iset.intervals if tag == "gap")
+        assert piece in builds and len(builds) == len(set(builds)) and samples > 15
         assert "tree" not in builds
 
 
@@ -510,3 +511,126 @@ def test_sweep_reads_certificates_in_integers(example2, monkeypatch):
         iset = an.identified_set(example2, observation, "delta", 0, 1)
         assert [tag for _, _, tag in iset.intervals] == ["out", "gap", "in"]
     assert set(made) == {"rule", "law"} and runs and not built
+
+
+def test_bisection_tries_every_rule_met(example3, monkeypatch):
+    # example 3 at R = 1, an identify workload case: the bisection points
+    # c = 15/32 and 33/32 are dominated by the rules found at c = 0 and
+    # c = 17/16 on the grid, not by the last rule met, so they need no LP
+    family = m.substitute_params(example3, {"R": 1})
+    probe = m.instantiate(family, {"c": 0})
+    marginal = m.MarginalDistribution.from_mapping(
+        probe, {"effort,no_effort": "2/3", "no_effort": "1/3"})
+    solves = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda prog: solves.append(1) or solve(prog))
+    iset = an.identified_set(example3, marginal, "c", 0, 2, fixed={"R": 1})
+    assert len(solves) == 3
+    assert iset.intervals == fresh_identified_set(family, marginal, "c", F(0), F(2),
+                                                  F(1, 512), 33)
+
+
+def test_affine_sign_test_agrees_with_dominates():
+    # the sweep's rule check at t = p/q, on the family's constant and slope
+    # gains with nothing pinned, is `dominates` on the family pinned at t
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(12):
+        family = random_family(rng)
+        probe = m.instantiate(family, {"t": 0})
+        for observation in (rng.choice(probe.leaves), random_marginal(rng, probe),
+                            random_joint(rng, probe)):
+            rows = m.consistency(family, observation)
+            rules = [random_rule(rng, probe) for _ in range(3)]
+            points = [F(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(4)]
+            for t in points:
+                found = rz.dominating_rule(m.instantiate(family, {"t": t}), observation)
+                rules += [found] if found is not None else []
+            points += [t + F(sign, 10**12 + 39) for t in points for sign in (-1, 1)]
+            points += [F(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)) for _ in range(4)]
+            for rule in rules:
+                gains = dv.affine_gains(family, rule)
+                for t in points:
+                    want = dv.dominates(m.substitute_params(family, {"t": t}), rule, observation)
+                    assert an._dominates_at(gains, rows, t) == want
+                    seen.add((type(observation).__name__, want))
+    assert len(seen) == 6  # each kind of observation, dominated and not
+    with pytest.raises(m.ValidationError, match="one-parameter family"):
+        dv.affine_gains(m.instantiate(family, {"t": 0}), rules[0])
+
+
+def one_state_family(utility: dict) -> m.DecisionProblem:
+    """A one-period, one-state family in t with one leaf per entry."""
+    return m.load_problem(json.dumps({
+        "periods": 1, "states": ["s"], "params": ["t"],
+        "tree": {leaf: "leaf" for leaf in utility},
+        "utility": {leaf: {"s": u} for leaf, u in utility.items()}}))
+
+
+def check_obedient_interval(family, joint, lo, hi, param="t"):
+    """`_obedient_interval` against the backward induction on the pinned
+    family: obedient at both ends, not just beyond them, nowhere when it is
+    empty; and the sweep's every grid and bisection verdict is the fresh one."""
+    def obedient(t):
+        return dv.best_joint_deviation(m.substitute_params(family, {param: t}), joint)[0] <= 0
+
+    pins = []
+    first, last = an._obedient_interval(family, joint, lo, hi, lambda t: (
+        pins.append(t) or m.substitute_params(family, {param: t})))
+    assert len(pins) == len(set(pins))
+    step = (hi - lo) / 8
+    if first > last:
+        assert not any(obedient(lo + k * step) for k in range(9))
+    else:
+        assert lo <= first <= last <= hi and obedient(first) and obedient(last)
+        nudge = F(1, 10**12 + 39)
+        assert first == lo or not obedient(first - nudge)
+        assert last == hi or not obedient(last + nudge)
+    iset = an.identified_set(family, joint, param, lo, hi, tolerance=F(1, 64), grid_points=9)
+    assert iset.intervals == fresh_identified_set(family, joint, param, lo, hi, F(1, 64), 9)
+    return first, last, len(pins)
+
+
+def test_joint_interval_matches_the_induction():
+    ends = {}
+    rng = random.Random(37)
+    for k in range(16):
+        family = random_family(rng)
+        start = m.instantiate(family, {"t": -2})
+        best = {s: max(start.leaves, key=lambda a: utility(start, a, s)) for s in start.states}
+        joint = (random_joint(rng, start) if k % 2 else m.JointDistribution.from_mapping(
+            start, {(best[s], s): F(1, len(start.states)) for s in start.states}))
+        first, last, _ = check_obedient_interval(family, joint, F(-2), F(2))
+        ends["empty" if first > last else "inside" if F(-2) < first or last < F(2)
+             else "whole"] = True
+    assert {"empty", "inside"} <= set(ends)
+    # a family whose slopes are all 0: the law is obedient everywhere or nowhere
+    flat = m.problem_from_dict({**m.problem_to_dict(random_problem(rng, max_leaves=4)),
+                                "params": ["t"]})
+    assert all(row[1] == 0 for row in flat.table)
+    probe = m.instantiate(flat, {"t": 0})
+    obedient = m.JointDistribution.from_mapping(probe, {
+        (max(probe.leaves, key=lambda a: utility(probe, a, s)), s): F(1, len(probe.states))
+        for s in probe.states})
+    assert check_obedient_interval(flat, obedient, F(-1), F(1))[:2] == (F(-1), F(1))
+    family = one_state_family({"a": 0, "b": 1})
+    law = m.JointDistribution.from_mapping(m.instantiate(family, {"t": 0}), {("a", "s"): 1})
+    first, last, runs = check_obedient_interval(family, law, F(-1), F(1))
+    assert first > last and runs == 1
+
+
+def test_joint_interval_shapes(example2):
+    family = one_state_family({"a": 0, "b": "t", "c": "-t"})
+    at_a = m.JointDistribution.from_mapping(m.instantiate(family, {"t": 0}), {("a", "s"): 1})
+    # obedient at t = 0 alone, and nowhere in [1, 2]
+    assert check_obedient_interval(family, at_a, F(-1), F(1))[:2] == (0, 0)
+    first, last, _ = check_obedient_interval(family, at_a, F(1), F(2))
+    assert first > last
+    # obedient on the whole range: two inductions, one at each end
+    family = one_state_family({"a": 2, "b": "t"})
+    at_a = m.JointDistribution.from_mapping(m.instantiate(family, {"t": 0}), {("a", "s"): 1})
+    assert check_obedient_interval(family, at_a, F(-1), F(1)) == (-1, 1, 2)
+    # the golden identify report's law: exactly [4/5, 1], in three inductions
+    probe = m.instantiate(example2, {"delta": 1})
+    joint = m.JointDistribution.from_mapping(probe, {("w,x", "X"): "1/2", ("w,y", "Y"): "1/2"})
+    assert check_obedient_interval(example2, joint, F(0), F(1), "delta") == (F(4, 5), 1, 3)
