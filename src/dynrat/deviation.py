@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Union
 
 from .model import (
     ActionSequence,
@@ -62,31 +61,20 @@ class SizeGuardError(RuntimeError):
 # Adaptedness
 # ---------------------------------------------------------------------------
 
-def matrix_is_adapted(
-    in_seqs: Sequence[tuple[str, ...]],
-    out_seqs: Sequence[tuple[str, ...]],
-    matrix: Sequence[Sequence[Fraction]],
-    periods: int,
-) -> bool:
-    """Whether a row-stochastic kernel from ``in_seqs`` to ``out_seqs`` has
-    period-t output marginals that depend only on the first t input entries.
+def _support_is_adapted(in_seqs: Sequence[tuple[str, ...]], out_seqs: Sequence[tuple[str, ...]],
+                        support: Sequence[Sequence[tuple[int, int]]], periods: int) -> bool:
+    """Whether a row-stochastic kernel from ``in_seqs`` to ``out_seqs``,
+    given by each row's nonzero ``(column, numerator)`` pairs over one
+    common denominator, has period-t output marginals that depend only on
+    the first t input entries.
 
     Each row's period-t marginal is summed from its nonzero entries only and
     kept as a map from output prefix to its nonzero mass, so a sparse kernel
     costs its support, not the square of the leaf count."""
-    support = [[(j, w) for j, w in enumerate(row) if w] for row in matrix]
-    return _support_is_adapted(in_seqs, out_seqs, support, periods)
-
-
-def _support_is_adapted(in_seqs: Sequence[tuple[str, ...]], out_seqs: Sequence[tuple[str, ...]],
-                        support: Sequence[Sequence[tuple[int, Union[int, Fraction]]]],
-                        periods: int) -> bool:
-    """`matrix_is_adapted` on each row's nonzero ``(column, weight)`` pairs;
-    the weights may be numerators over one common denominator."""
     for t in range(1, periods):
-        first: dict[tuple[str, ...], dict[tuple[str, ...], Union[int, Fraction]]] = {}
+        first: dict[tuple[str, ...], dict[tuple[str, ...], int]] = {}
         for seq, row in zip(in_seqs, support):
-            sums: dict[tuple[str, ...], Union[int, Fraction]] = {}
+            sums: dict[tuple[str, ...], int] = {}
             for j, w in row:
                 key = out_seqs[j][:t]
                 sums[key] = sums.get(key, 0) + w

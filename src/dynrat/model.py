@@ -405,20 +405,14 @@ class DecisionProblem:
 
     @cached_property
     def integer_payoffs(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """The utility table in integers: ``(numerators, den)`` with
-        ``payoffs[i][s] == numerators[i][s] / den``, in lowest terms.
+        """The utility table in integers: ``(numerators, den)``, where
+        ``numerators[i][s] / den`` is the utility of ``leaves[i]`` in
+        ``states[s]``, in lowest terms.
         Raises `ValidationError` while the problem has free parameters."""
         if self.param_names:
             raise ValidationError(
                 f"problem still has free parameters {self.param_names!r}; instantiate first")
         return _chunks(map(operator.itemgetter(0), self.table), len(self.states)), self.den
-
-    @cached_property
-    def payoffs(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The exact utility table: ``payoffs[i][s]`` is the utility of
-        ``leaves[i]`` in ``states[s]``."""
-        nums, den = self.integer_payoffs
-        return tuple(tuple(Fraction(n, den) for n in row) for row in nums)
 
     @property
     def has_params(self) -> bool:

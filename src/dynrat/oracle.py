@@ -7,27 +7,31 @@ signal prefixes, the re-check of a verdict's certificate (a dominating
 rule, or an obedient joint law whose leaves are the recommendations)
 against its observation (`verify_witness`), a brute-force obedience check
 that loops over every pure deviation rule, and a seeded Monte-Carlo
-sampler.  The module reaches neither `rationalize` nor `lp`.  The test
+sampler.  Structures, strategies, laws and payoffs are read as their
+integers, and a `Fraction` is built only for a value that is returned.
+The module reaches neither `rationalize` nor `lp`.  The test
 suite plays these against the LP-based procedures; agreement is the
 package's main internal consistency guarantee.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_right
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, chain, product
 from typing import Union
 
 from .deviation import (
     DEFAULT_MAX_RULES,
     DeviationRule,
+    _support_is_adapted,
     dominates,
     enumerate_pure_rules,
-    matrix_is_adapted,
 )
 from .model import (
     ActionSequence,
@@ -36,13 +40,13 @@ from .model import (
     Observation,
     ValidationError,
     _chunks,
+    _format,
     _leaf_weights,
     _over_lcm,
+    _ratio,
     _require_joint_shape,
-    _require_probability_vector,
+    _require_probability_numerators,
     consistency,
-    format_rational,
-    parse_rational,
 )
 
 
@@ -80,18 +84,26 @@ def _rows(doc: Mapping, what: str) -> Mapping:
     return rows
 
 
+def _lowest(rows: Sequence[Sequence[int]], den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer rows over ``den`` put in lowest terms by one gcd."""
+    g = math.gcd(den, *chain.from_iterable(rows))
+    return tuple(tuple(x // g for x in row) for row in rows), den // g
+
+
 @dataclass(frozen=True)
 class InformationStructure:
-    """A prior and a kernel from states to full signal sequences.
-
-    Signals form a per-period product space; ``kernel[s][k]`` is the
-    probability of the k-th sequence (product order) in state ``states[s]``.
+    """A prior and a kernel from states to full signal sequences (one signal
+    set per period, in product order), as integers in lowest terms:
+    ``prior[s] / prior_den`` is the probability of ``states[s]``, and
+    ``kernel[s][k] / kernel_den`` that of the k-th sequence in that state.
     """
 
     states: tuple[str, ...]
-    prior: tuple[Fraction, ...]
+    prior: tuple[int, ...]
+    prior_den: int
     signal_sets: tuple[tuple[str, ...], ...]
-    kernel: tuple[tuple[Fraction, ...], ...]
+    kernel: tuple[tuple[int, ...], ...]
+    kernel_den: int
 
     def __post_init__(self) -> None:
         if not self.signal_sets or any(not s for s in self.signal_sets):
@@ -99,14 +111,21 @@ class InformationStructure:
         for sset in self.signal_sets:
             if len(set(sset)) != len(sset):
                 raise ValidationError("duplicate signal label in one period")
-        if len(self.prior) != len(self.states):
+        if len(self.prior) != len(self.states) or self.prior_den <= 0:
             raise ValidationError("prior shape mismatch")
-        _require_probability_vector(self.prior, "prior")
+        _require_probability_numerators(self.prior, self.prior_den, "prior")
         n = len(self.sequences)
-        if len(self.kernel) != len(self.states) or any(len(r) != n for r in self.kernel):
+        if (len(self.kernel) != len(self.states) or any(len(r) != n for r in self.kernel)
+                or self.kernel_den <= 0):
             raise ValidationError("signal kernel shape mismatch")
         for row in self.kernel:
-            _require_probability_vector(row, "signal kernel row")
+            _require_probability_numerators(row, self.kernel_den, "signal kernel row")
+        (prior,), prior_den = _lowest((self.prior,), self.prior_den)
+        kernel, kernel_den = _lowest(self.kernel, self.kernel_den)
+        object.__setattr__(self, "prior", prior)
+        object.__setattr__(self, "prior_den", prior_den)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "kernel_den", kernel_den)
 
     @cached_property
     def sequences(self) -> tuple[tuple[str, ...], ...]:
@@ -118,33 +137,30 @@ class InformationStructure:
         given = _field(doc, "prior", "information structure")
         if not isinstance(given, Mapping):
             raise ValidationError("information structure 'prior' must be an object")
-        prior = [Fraction(0)] * len(problem.states)
+        prior = [(0, 1)] * len(problem.states)
         for state, q in given.items():
-            prior[problem.state_position(state)] = parse_rational(q)
-        kernel = [[Fraction(0)] * len(seq_index) for _ in problem.states]
+            prior[problem.state_position(state)] = _ratio(q)
+        n = len(seq_index)
+        kernel = [(0, 1)] * (len(problem.states) * n)  # state s's row is kernel[s * n:(s + 1) * n]
         for state, row in _rows(doc, "information structure").items():
-            s = problem.state_position(state)
+            first = problem.state_position(state) * n
             for seq_id, q in row.items():
                 if seq_id not in seq_index:
                     raise ValidationError(f"unknown signal sequence {seq_id!r}")
-                kernel[s][seq_index[seq_id]] = parse_rational(q)
-        return InformationStructure(
-            problem.states, tuple(prior), signal_sets, tuple(tuple(r) for r in kernel)
-        )
+                kernel[first + seq_index[seq_id]] = _ratio(q)
+        ps, pden = _over_lcm(prior)
+        ks, kden = _over_lcm(kernel)
+        return InformationStructure(problem.states, tuple(ps), pden, signal_sets,
+                                    _chunks(ks, n), kden)
 
     def to_json_dict(self) -> dict:
         return {
             "signals": [list(s) for s in self.signal_sets],
-            "prior": {
-                s: format_rational(p)
-                for s, p in zip(self.states, self.prior) if p != 0
-            },
+            "prior": {s: _format(p, self.prior_den)
+                      for s, p in zip(self.states, self.prior) if p},
             "kernel": {
-                state: {
-                    ",".join(seq): format_rational(w)
-                    for seq, w in zip(self.sequences, row)
-                    if w != 0
-                }
+                state: {",".join(seq): _format(w, self.kernel_den)
+                        for seq, w in zip(self.sequences, row) if w}
                 for state, row in zip(self.states, self.kernel)
             },
         }
@@ -152,26 +168,33 @@ class InformationStructure:
 
 @dataclass(frozen=True)
 class Strategy:
-    """An adapted kernel from signal sequences to leaves: play through period t
-    may depend only on the first t signals, one signal set per period."""
+    """An adapted kernel from signal sequences to leaves, as integers in
+    lowest terms: ``kernel[k][i] / den`` is the probability of playing
+    ``leaves[i]`` after the k-th sequence.  Play through period t may depend
+    only on the first t signals, one signal set per period."""
 
     signal_sets: tuple[tuple[str, ...], ...]
     leaves: tuple[ActionSequence, ...]
-    kernel: tuple[tuple[Fraction, ...], ...]
+    kernel: tuple[tuple[int, ...], ...]
+    den: int
 
     def __post_init__(self) -> None:
         periods = len(self.signal_sets)
         if any(len(leaf.entries) > periods for leaf in self.leaves):
             raise ValidationError("strategy periods do not match the leaves")
         n_seq = len(self.sequences)
-        if len(self.kernel) != n_seq or any(len(r) != len(self.leaves) for r in self.kernel):
+        if (len(self.kernel) != n_seq or any(len(r) != len(self.leaves) for r in self.kernel)
+                or self.den <= 0):
             raise ValidationError("strategy kernel shape mismatch")
         for row in self.kernel:
-            _require_probability_vector(row, "strategy row")
-        if not matrix_is_adapted(
-            self.sequences, [l.entries for l in self.leaves], self.kernel, periods
-        ):
+            _require_probability_numerators(row, self.den, "strategy row")
+        support = [[(i, x) for i, x in enumerate(row) if x] for row in self.kernel]
+        if not _support_is_adapted(self.sequences, [l.entries for l in self.leaves],
+                                   support, periods):
             raise ValidationError("strategy is not adapted")
+        kernel, den = _lowest(self.kernel, self.den)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "den", den)
 
     @cached_property
     def sequences(self) -> tuple[tuple[str, ...], ...]:
@@ -180,31 +203,36 @@ class Strategy:
     @staticmethod
     def from_json_dict(problem: DecisionProblem, doc: Mapping) -> "Strategy":
         signal_sets, seq_index = _signals(doc, "strategy")
-        kernel = [[Fraction(0)] * len(problem.leaves) for _ in seq_index]
+        n = len(problem.leaves)
+        kernel = [(0, 1)] * (len(seq_index) * n)  # sequence k's row is kernel[k * n:(k + 1) * n]
         for seq_id, row in _rows(doc, "strategy").items():
             if seq_id not in seq_index:
                 raise ValidationError(f"unknown signal sequence {seq_id!r}")
+            first = seq_index[seq_id] * n
             for i, q in _leaf_weights(problem, row, f"strategy row {seq_id!r}").items():
-                kernel[seq_index[seq_id]][i] = Fraction(*q)
-        return Strategy(signal_sets, problem.leaves, tuple(tuple(r) for r in kernel))
+                kernel[first + i] = q
+        nums, den = _over_lcm(kernel)
+        return Strategy(signal_sets, problem.leaves, _chunks(nums, n), den)
 
     def to_json_dict(self) -> dict:
         return {
             "signals": [list(s) for s in self.signal_sets],
             "kernel": {
-                ",".join(seq): {
-                    leaf.label: format_rational(w)
-                    for leaf, w in zip(self.leaves, row)
-                    if w != 0
-                }
+                ",".join(seq): {leaf.label: _format(w, self.den)
+                                for leaf, w in zip(self.leaves, row) if w}
                 for seq, row in zip(self.sequences, self.kernel)
             },
         }
 
 
+def _check_periods(problem: DecisionProblem, signal_sets: Sequence, what: str) -> None:
+    """Signals cover the tree's depth, in no more periods than declared."""
+    if not problem.tree.depth <= len(signal_sets) <= problem.tree.periods:
+        raise ValidationError(f"{what} periods do not match the leaves")
+
+
 def _check_shapes(problem: DecisionProblem, strategy: Strategy, structure: InformationStructure) -> None:
-    if len(strategy.signal_sets) != problem.tree.periods:
-        raise ValidationError("strategy periods do not match the leaves")
+    _check_periods(problem, strategy.signal_sets, "strategy")
     if structure.states != problem.states:
         raise ValidationError("information structure states do not match the problem")
     if strategy.leaves != problem.leaves:
@@ -217,38 +245,24 @@ def _check_shapes(problem: DecisionProblem, strategy: Strategy, structure: Infor
 # Exact evaluation
 # ---------------------------------------------------------------------------
 
+def _weights(structure: InformationStructure) -> tuple[list[list[int]], int]:
+    """The unnormalized measure prior * kernel, signal sequence by state:
+    ``(weights, den)`` with ``weights[k][s] / den == prior[s] * kernel[s][k]``."""
+    return ([[p * w for p, w in zip(structure.prior, column)] for column in zip(*structure.kernel)],
+            structure.prior_den * structure.kernel_den)
+
+
 def strategy_value(
     problem: DecisionProblem, strategy: Strategy, structure: InformationStructure
 ) -> Fraction:
-    """Exact ex-ante expected utility of following ``strategy``."""
+    """Exact ex-ante expected utility of following ``strategy``, summed in
+    integers."""
     _check_shapes(problem, strategy, structure)
-    pay = problem.payoffs
-    total = Fraction(0)
-    for s in range(len(problem.states)):
-        p = structure.prior[s]
-        if p == 0:
-            continue
-        for k in range(len(structure.sequences)):
-            w = structure.kernel[s][k]
-            if w == 0:
-                continue
-            row = strategy.kernel[k]
-            for i in range(len(problem.leaves)):
-                if row[i] != 0:
-                    total += p * w * row[i] * pay[i][s]
-    return total
-
-
-def _weights(
-    prior: Sequence[Fraction], kernel: Sequence[Sequence[Fraction]]
-) -> tuple[list[list[int]], int]:
-    """The unnormalized measure prior * kernel, signal sequence by state:
-    ``(weights, den)`` with ``weights[k][s] / den == prior[s] * kernel[s][k]``,
-    the prior and the kernel each over one lcm of its own."""
-    ps, pden = _over_lcm([p.as_integer_ratio() for p in prior])
-    ks, kden = _over_lcm([w.as_integer_ratio() for row in kernel for w in row])
-    width = len(kernel[0])
-    return [[p * ks[s * width + k] for s, p in enumerate(ps)] for k in range(width)], pden * kden
+    weights, wden = _weights(structure)
+    table, uden = problem.integer_payoffs
+    total = sum(x * sum(w * u for w, u in zip(weights[k], table[i]))
+                for k, row in enumerate(strategy.kernel) for i, x in enumerate(row) if x)
+    return Fraction(total, wden * strategy.den * uden)
 
 
 def _optimal_value(
@@ -272,33 +286,27 @@ def _optimal_value(
         pay = utab[pad_leaf[history]]
         return sum(w * u for k in seq_ids for w, u in zip(weights[k], pay))
 
+    def observe(seq_ids: Sequence[int], t: int, history: tuple[str, ...]) -> int:
+        # The agent has taken t actions and sees signal t + 1, then acts.
+        groups: dict[str, list[int]] = {}
+        for k in seq_ids:
+            groups.setdefault(signal_seqs[k][t], []).append(k)
+        return sum(act(ids, t + 1, history) for ids in groups.values())
+
     def act(seq_ids: Sequence[int], t: int, history: tuple[str, ...]) -> int:
         # The agent has seen t signals and taken t-1 actions; chooses the next.
-        best = None
-        for a in tree.actions_at(history):
-            h2 = history + (a,)
-            if tree.is_terminal(h2):
-                value = terminal_mass(seq_ids, h2)
-            else:
-                groups: dict[str, list[int]] = {}
-                for k in seq_ids:
-                    groups.setdefault(signal_seqs[k][t], []).append(k)
-                value = sum(act(ids, t + 1, h2) for ids in groups.values())
-            if best is None or value > best:
-                best = value
-        return best
+        return max(terminal_mass(seq_ids, h2) if tree.is_terminal(h2) else observe(seq_ids, t, h2)
+                   for h2 in (history + (a,) for a in tree.actions_at(history)))
 
-    groups: dict[str, list[int]] = {}
-    for k in range(len(signal_seqs)):
-        groups.setdefault(signal_seqs[k][0], []).append(k)
-    return sum(act(ids, 1, ()) for ids in groups.values())
+    return observe(range(len(signal_seqs)), 0, ())
 
 
 def optimal_value_dp(problem: DecisionProblem, structure: InformationStructure) -> Fraction:
     """Exact value of the best adapted strategy against ``structure``."""
     if structure.states != problem.states:
         raise ValidationError("information structure states do not match the problem")
-    weights, wden = _weights(structure.prior, structure.kernel)
+    _check_periods(problem, structure.signal_sets, "information structure")
+    weights, wden = _weights(structure)
     best = _optimal_value(problem, structure.sequences, weights)
     return Fraction(best, wden * problem.integer_payoffs[1])
 
@@ -346,16 +354,14 @@ def brute_force_rationalizable_joint(
 ) -> bool:
     """Obedience by exhaustion: no pure deviation rule gains on average.
     Each rule's row i is one unit entry, whose column is the leaf that i
-    is rewritten into."""
-    utab = problem.payoffs
+    is rewritten into; the gain is summed over the law's integer cells and
+    `integer_payoffs`, whose positive denominators leave its sign as it is."""
+    _require_joint_shape(problem, joint)
+    table, _ = problem.integer_payoffs
     width = len(problem.states)
-    cells = [(k // width, k % width, Fraction(x, joint.den))
-             for k, x in enumerate(joint.cells) if x]
+    cells = [(k // width, k % width, x) for k, x in enumerate(joint.cells) if x]
     for rule in enumerate_pure_rules(problem, max_rules):
-        total = Fraction(0)
-        for i, s, w in cells:
-            total += w * (utab[i][s] - utab[rule.rows[i][0][0]][s])
-        if total < 0:
+        if sum(x * (table[i][s] - table[rule.rows[i][0][0]][s]) for i, s, x in cells) < 0:
             return False
     return True
 
@@ -364,26 +370,11 @@ def brute_force_rationalizable_joint(
 # Simulation
 # ---------------------------------------------------------------------------
 
-def _thresholds(weights: Sequence[Fraction]) -> list[int]:
-    # 64-bit inversion thresholds; exact for dyadic weights, otherwise the
-    # per-cell bias is below 2**-64 and irrelevant at any feasible n.
-    scale = 1 << 64
-    acc = Fraction(0)
-    out = []
-    for w in weights:
-        acc += w
-        out.append((acc.numerator * scale) // acc.denominator)
-    if out:
-        out[-1] = scale
-    return out
-
-
-def _draw(rng: random.Random, thresholds: list[int]) -> int:
-    x = rng.getrandbits(64)
-    for i, t in enumerate(thresholds):
-        if x < t:
-            return i
-    return len(thresholds) - 1
+def _thresholds(weights: Sequence[int], den: int) -> list[int]:
+    # 64-bit inversion thresholds of a probability vector's numerators over
+    # den, the last 2**64; exact for dyadic weights, otherwise the per-cell
+    # bias is below 2**-64 and irrelevant at any feasible n.
+    return [(acc << 64) // den for acc in accumulate(weights)]
 
 
 def simulate(
@@ -401,14 +392,14 @@ def simulate(
     if n < 1:
         raise ValidationError("need at least one draw")
     rng = random.Random(seed)
-    state_thresholds = _thresholds(structure.prior)
-    signal_thresholds = [_thresholds(row) for row in structure.kernel]
-    play_thresholds = [_thresholds(row) for row in strategy.kernel]
+    state_thresholds = _thresholds(structure.prior, structure.prior_den)
+    signal_thresholds = [_thresholds(row, structure.kernel_den) for row in structure.kernel]
+    play_thresholds = [_thresholds(row, strategy.den) for row in strategy.kernel]
     width = len(problem.states)
     counts = [0] * (len(problem.leaves) * width)
-    for _ in range(n):
-        s = _draw(rng, state_thresholds)
-        k = _draw(rng, signal_thresholds[s])
-        i = _draw(rng, play_thresholds[k])
+    for _ in range(n):  # each draw is the first cell whose threshold exceeds 64 random bits
+        s = bisect_right(state_thresholds, rng.getrandbits(64))
+        k = bisect_right(signal_thresholds[s], rng.getrandbits(64))
+        i = bisect_right(play_thresholds[k], rng.getrandbits(64))
         counts[i * width + s] += 1
     return JointDistribution(problem.leaves, problem.states, counts, n)

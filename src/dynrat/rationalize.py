@@ -179,17 +179,19 @@ def apparently_dominated(
     problem: DecisionProblem, a: ActionSequence
 ) -> Optional[ApparentDominanceWitness]:
     """Best uniform-margin lottery against ``a``: maximizes the worst-state
-    payoff gap and returns a witness when that optimum is strictly positive."""
-    table = problem.payoffs
+    payoff gap and returns a witness when that optimum is strictly positive.
+    State s's row reads sum_b alpha(b) u(b, s) - margin >= u(a, s), in the
+    integers of `DecisionProblem.integer_payoffs` over their denominator."""
+    table, den = problem.integer_payoffs
     a = problem.sequence(a)
     prog = lpmod.LinearProgram()
     alpha = [prog.add_variable() for _ in problem.leaves]
     margin = prog.add_variable(free=True)
-    prog.add_constraint({k: 1 for k in alpha}, "==", 1)
+    prog.add_row(dict.fromkeys(alpha, 1), "==", 1)
     for s, own in enumerate(table[problem.leaf_index[a]]):
-        coeffs = {k: row[s] for k, row in zip(alpha, table)}
-        coeffs[margin] = Fraction(-1)
-        prog.add_constraint(coeffs, ">=", own)
+        coeffs = {k: row[s] for k, row in zip(alpha, table) if row[s]}
+        coeffs[margin] = -den
+        prog.add_row(coeffs, ">=", own, den)
     prog.set_objective({margin: 1})
     sol = lpmod.solve(prog)
     if sol.status != "optimal":  # pragma: no cover - program is always bounded/feasible

@@ -7,8 +7,10 @@ so that agreement between the two is evidence, not tautology.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +20,7 @@ import pytest
 from dynrat import model as m
 from dynrat import deviation as dv
 from dynrat import lp
+from dynrat import oracle as oc
 from dynrat.model import PAD, format_rational
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
@@ -81,9 +84,21 @@ def reference_rule_count(problem: m.DecisionProblem) -> int:
 # gains and the one consistency-row sign test)
 # ---------------------------------------------------------------------------
 
+def as_fractions(rows, den: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Integer rows over ``den`` as rows of `Fraction`s."""
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+
+@functools.cache
+def payoffs(problem: m.DecisionProblem) -> tuple[tuple[Fraction, ...], ...]:
+    """The utility table in `Fraction`s: ``payoffs(problem)[i][s]`` is the
+    utility of leaf i in state s (parameter-free problems)."""
+    return as_fractions(*problem.integer_payoffs)
+
+
 def utility(problem: m.DecisionProblem, a, state: str) -> Fraction:
     """Exact terminal utility of leaf ``a`` in ``state`` (parameter-free problems)."""
-    return problem.payoffs[problem.leaf_index[problem.sequence(a)]][problem.state_position(state)]
+    return payoffs(problem)[problem.leaf_index[problem.sequence(a)]][problem.state_position(state)]
 
 
 def lottery_utility(problem: m.DecisionProblem, lottery, state: str) -> Fraction:
@@ -405,7 +420,7 @@ def reference_dominance_program(problem: m.DecisionProblem, observed,
     - u(i, s)) - level(i) >= 0.  A marginal has one level per input.  With
     ``budget``, a column lam >= 0 follows D's, the polytope rows read
     A D - lam b = 0 and the gain rows >= -1."""
-    pay = problem.payoffs
+    pay = payoffs(problem)
     n = len(problem.leaves)
     inputs = list(range(n)) if inputs is None else inputs
     prog = FractionProgram()
@@ -436,13 +451,83 @@ def reference_dominance_program(problem: m.DecisionProblem, observed,
 
 
 # ---------------------------------------------------------------------------
+# Structures and strategies from rationals, and their values and sampling
+# thresholds in Fractions (references for the oracle's integers)
+# ---------------------------------------------------------------------------
+
+def _over_one_lcm(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Rows of rationals as integer rows over the lcm of all their
+    denominators, and that lcm; each row keeps its length."""
+    rows = [[Fraction(q) for q in row] for row in rows]
+    den = math.lcm(*(q.denominator for row in rows for q in row))
+    return tuple(tuple(int(q * den) for q in row) for row in rows), den
+
+
+def structure_of(states, prior, signal_sets, kernel) -> oc.InformationStructure:
+    """The information structure with a rational ``prior`` and rational
+    ``kernel`` rows, one per state."""
+    (nums,), den = _over_one_lcm([prior])
+    rows, kden = _over_one_lcm(kernel)
+    return oc.InformationStructure(tuple(states), nums, den, tuple(signal_sets), rows, kden)
+
+
+def strategy_of(signal_sets, leaves, kernel) -> oc.Strategy:
+    """The strategy with rational ``kernel`` rows, one per signal sequence."""
+    return oc.Strategy(tuple(signal_sets), tuple(leaves), *_over_one_lcm(kernel))
+
+
+def fraction_prior(structure: oc.InformationStructure) -> tuple[Fraction, ...]:
+    return as_fractions([structure.prior], structure.prior_den)[0]
+
+
+def fraction_kernel(structure: oc.InformationStructure) -> tuple[tuple[Fraction, ...], ...]:
+    return as_fractions(structure.kernel, structure.kernel_den)
+
+
+def reference_strategy_value(problem: m.DecisionProblem, strategy, structure) -> Fraction:
+    """Exact ex-ante expected utility of following ``strategy``, summed cell
+    by cell in `Fraction` arithmetic."""
+    pay = payoffs(problem)
+    prior, kernel = fraction_prior(structure), fraction_kernel(structure)
+    play = as_fractions(strategy.kernel, strategy.den)
+    total = Fraction(0)
+    for s in range(len(problem.states)):
+        p = prior[s]
+        if p == 0:
+            continue
+        for k in range(len(structure.sequences)):
+            w = kernel[s][k]
+            if w == 0:
+                continue
+            row = play[k]
+            for i in range(len(problem.leaves)):
+                if row[i] != 0:
+                    total += p * w * row[i] * pay[i][s]
+    return total
+
+
+def reference_thresholds(weights) -> list[int]:
+    """64-bit inversion thresholds of `Fraction` weights: the running sum
+    times 2**64, rounded down, with the last set to 2**64."""
+    scale = 1 << 64
+    acc = Fraction(0)
+    out = []
+    for w in weights:
+        acc += w
+        out.append((acc.numerator * scale) // acc.denominator)
+    if out:
+        out[-1] = scale
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Optimal value in Fractions (reference for the oracle's integer induction)
 # ---------------------------------------------------------------------------
 
 def reference_optimal_value(problem: m.DecisionProblem, prior, signal_seqs, kernel) -> Fraction:
     """The best adapted strategy's value against prior * kernel, by
     backward induction over signal prefixes in `Fraction` arithmetic."""
-    utab = dict(zip(problem.leaves, problem.payoffs))
+    utab = dict(zip(problem.leaves, payoffs(problem)))
     weights = [[prior[s] * kernel[s][k] for s in range(len(problem.states))]
                for k in range(len(signal_seqs))]
     pad_leaf = {leaf.history: leaf for leaf in problem.leaves}
@@ -547,6 +632,7 @@ def exhaustive_optimal_value(problem: m.DecisionProblem, structure) -> Fraction:
         for out in children(()):
             alts.extend(assignments(group, 1, out))
         per_group.append(alts)
+    prior, kernel = fraction_prior(structure), fraction_kernel(structure)
     best = None
     for combo in itertools.product(*per_group):
         mapping: dict = {}
@@ -554,11 +640,11 @@ def exhaustive_optimal_value(problem: m.DecisionProblem, structure) -> Fraction:
             mapping.update(part)
         value = Fraction(0)
         for s, state in enumerate(problem.states):
-            p = structure.prior[s]
+            p = prior[s]
             if p == 0:
                 continue
             for k in all_ids:
-                w = structure.kernel[s][k]
+                w = kernel[s][k]
                 if w != 0:
                     value += p * w * utility(problem, mapping[k], state)
         if best is None or value > best:

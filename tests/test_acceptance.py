@@ -26,6 +26,7 @@ from conftest import (
     random_marginal,
     random_problem,
     reference_rule_count,
+    structure_of,
 )
 
 # (kind, problem, payload, context) entries appended by criteria 1-4
@@ -196,7 +197,7 @@ def test_criterion_6_oracle_agreement():
             kernel.append(tuple(F(x, sum(raw)) for x in raw))
         raw = [rng.randint(1, 4) for _ in p.states]
         prior = tuple(F(x, sum(raw)) for x in raw)
-        structure = oc.InformationStructure(p.states, prior, sets, tuple(kernel))
+        structure = structure_of(p.states, prior, sets, tuple(kernel))
         assert oc.optimal_value_dp(p, structure) == \
             exhaustive_optimal_value(p, structure), i
 

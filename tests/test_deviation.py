@@ -302,7 +302,7 @@ def test_gains_refuse_mismatched_inputs(example1, example2):
     with pytest.raises(m.ValidationError, match="unknown state"):
         improvement(example1, dv.identity_rule(example1), example1.leaves[0], "meh")
     with pytest.raises(m.ValidationError, match="instantiate"):
-        example2.payoffs
+        example2.integer_payoffs
     point = m.JointDistribution.from_mapping(example1, {("not_invest", "good"): 1})
     with pytest.raises(m.ValidationError, match="shapes"):
         dv.dominates(half, dv.identity_rule(half), point)
@@ -416,7 +416,9 @@ def test_sparse_adaptedness_matches_dense_reference():
             kernels.append(signed)
         for kernel in kernels:
             expected = dense_matrix_is_adapted(entries, entries, kernel, p.tree.periods)
-            assert dv.matrix_is_adapted(entries, entries, kernel, p.tree.periods) == expected
+            den = math.lcm(*(F(w).denominator for row in kernel for w in row))
+            support = [[(j, int(w * den)) for j, w in enumerate(row) if w] for row in kernel]
+            assert dv._support_is_adapted(entries, entries, support, p.tree.periods) == expected
             verdicts.add(expected)
     assert verdicts == {True, False}
 

@@ -16,6 +16,7 @@ import copy
 import io
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 from dynrat import cli, rationalize
@@ -75,7 +76,9 @@ def run(argv: list[str]) -> tuple[int, str]:
 
 
 def fresh_verdict(report: dict) -> bool:
-    """Decide a report's own query afresh."""
+    """Decide a report's own query afresh, with its decimals read as exact
+    Fractions, as `verify-witness` read them."""
+    report = json.loads(json.dumps(report), parse_float=Fraction)
     problem = problem_from_dict(report["problem"])
     query = report["query"]
     params = {n: parse_rational(v) for n, v in query.get("params", {}).items()}

@@ -27,6 +27,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 EX1 = str(ROOT / "problems" / "example1.json")
 EX2 = str(ROOT / "problems" / "example2.json")
 EX3 = str(ROOT / "problems" / "example3.json")
+EX1_STRUCTURE = str(ROOT / "problems" / "example1_structure.json")
+EX1_STRATEGY = str(ROOT / "problems" / "example1_obedient_strategy.json")
 JOINT_YES = "invest,pull_back@bad:1/2,invest,pull_back@good:1/6,invest,invest@good:1/3"
 JOINT_NO = "invest,pull_back@good:1/2,invest,invest@good:1/2"
 
@@ -72,11 +74,14 @@ CASES = {
     "ex3-identify-seq": ["identify", EX3, "--param", "R=4", "--seq", "effort,no_effort",
                          "--sweep", "c", "--range", "0:8", "--grid", "9", "--tol", "1/16"],
     "ex1-enumerate-rules": ["enumerate-rules", EX1],
+    "ex1-simulate": ["simulate", EX1, "--structure", EX1_STRUCTURE, "--strategy",
+                     EX1_STRATEGY, "-n", "1000", "--seed", "7"],
 }
 
 
 # Each case's answer, written out by hand: the verdict of a check, the value
-# of `maxprob`, the intervals of `identify`, the count of `enumerate-rules`.
+# of `maxprob`, the intervals of `identify`, the count of `enumerate-rules`,
+# the draws and the support of `simulate`.
 # Regenerating the files cannot flip one of these unnoticed.
 EX2_DELTA_SET = [("0", "51/64", "out"), ("51/64", "13/16", "gap"), ("13/16", "1", "in")]
 ANSWERS = {
@@ -104,6 +109,10 @@ ANSWERS = {
     "ex3-check-joint-no": False,
     "ex3-identify-seq": [("0", "4", "in"), ("4", "65/16", "gap"), ("65/16", "8", "out")],
     "ex1-enumerate-rules": 15,
+    # the obedient strategy against example 1's structure: bad always reads
+    # b and pulls back, good reads g or b and follows it
+    "ex1-simulate": (1000, [("invest,invest", "good"), ("invest,pull_back", "bad"),
+                            ("invest,pull_back", "good")]),
 }
 
 
@@ -191,6 +200,9 @@ def test_golden_answers_match_the_table():
             return result["value"]
         if "count" in result:
             return result["count"]
+        if "empirical" in result:
+            return result["n"], sorted((leaf, state) for leaf, row in result["empirical"].items()
+                                       for state in row)
         return [(iv["lo"], iv["hi"], iv["tag"])
                 for iv in result["identified_set"]["intervals"]]
 

@@ -10,7 +10,7 @@ from dynrat import analysis as an
 from dynrat import lp
 from dynrat import model as m
 
-from conftest import complete_tree_doc, lottery_utility, random_problem, utility
+from conftest import complete_tree_doc, lottery_utility, payoffs, random_problem, utility
 
 
 def test_example1_loads(example1):
@@ -356,7 +356,7 @@ def test_pinned_problems_equal_fresh_ones():
             assert problem.param_names == ()
             assert problem.leaves == family.leaves
             assert (problem.table, problem.den) == (fresh.table, fresh.den)
-            assert problem.payoffs == table
+            assert payoffs(problem) == table
             assert problem.integer_payoffs == (nums, den)
         # the pinned problems share the family's validated tree
         assert pinned.tree is family.tree and stepwise.tree is family.tree

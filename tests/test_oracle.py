@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -12,9 +13,15 @@ from dynrat import rationalize as rz
 from conftest import (
     PROBLEMS_DIR,
     exhaustive_optimal_value,
+    fraction_kernel,
+    fraction_prior,
     random_joint,
     random_problem,
     reference_optimal_value,
+    reference_strategy_value,
+    reference_thresholds,
+    strategy_of,
+    structure_of,
     utility,
 )
 
@@ -39,7 +46,7 @@ def revealing_structure(problem):
         row = [F(0)] * n
         row[s] = F(1)
         kernel.append(tuple(row))
-    return oc.InformationStructure(
+    return structure_of(
         problem.states,
         tuple(F(1, n) for _ in range(n)),
         (("s",), tuple(f"r{s}" for s in problem.states)),
@@ -49,10 +56,10 @@ def revealing_structure(problem):
 
 def test_structure_validation(example1):
     with pytest.raises(m.ValidationError, match="probability"):
-        oc.InformationStructure(example1.states, (F(1, 2), F(1, 3)),
+        structure_of(example1.states, (F(1, 2), F(1, 3)),
                                 (("a",), ("b",)), ((F(1),), (F(1),)))
     with pytest.raises(m.ValidationError, match="shape"):
-        oc.InformationStructure(example1.states, (F(1, 2), F(1, 2)),
+        structure_of(example1.states, (F(1, 2), F(1, 2)),
                                 (("a",), ("b",)), ((F(1),),))
 
 
@@ -64,12 +71,12 @@ def test_strategy_must_be_adapted(example1):
         (F(1), F(0), F(0)),   # (s,b) -> stay out: first move differs by s2
     )
     with pytest.raises(m.ValidationError, match="adapted"):
-        oc.Strategy(sets, example1.leaves, kernel_bad)
+        strategy_of(sets, example1.leaves, kernel_bad)
     kernel_ok = (
         (F(0), F(0), F(1)),
         (F(0), F(1), F(0)),
     )
-    oc.Strategy(sets, example1.leaves, kernel_ok)
+    strategy_of(sets, example1.leaves, kernel_ok)
 
 
 def test_strategy_value_pessimism(example1, pessimism_structure, obedient_strategy):
@@ -79,7 +86,7 @@ def test_strategy_value_pessimism(example1, pessimism_structure, obedient_strate
 def test_strategy_value_waiting(example2):
     inst = m.instantiate(example2, {"delta": "4/5"})
     structure = revealing_structure(inst)
-    wait_match = oc.Strategy(
+    wait_match = strategy_of(
         structure.signal_sets, inst.leaves,
         ((F(0), F(0), F(1), F(0)), (F(0), F(0), F(0), F(1))),
     )
@@ -87,12 +94,12 @@ def test_strategy_value_waiting(example2):
 
 
 def test_strategy_value_no_information_collapse(example1):
-    flat = oc.InformationStructure(
+    flat = structure_of(
         example1.states, (F(1, 3), F(2, 3)), (("u",), ("u",)), ((F(1),), (F(1),)))
     for i, leaf in enumerate(example1.leaves):
         kernel = [[F(0)] * len(example1.leaves)]
         kernel[0][i] = F(1)
-        constant = oc.Strategy(flat.signal_sets, example1.leaves, tuple(map(tuple, kernel)))
+        constant = strategy_of(flat.signal_sets, example1.leaves, tuple(map(tuple, kernel)))
         want = F(1, 3) * utility(example1, leaf, "good") + F(2, 3) * utility(
             example1, leaf, "bad")
         assert oc.strategy_value(example1, constant, flat) == want
@@ -116,7 +123,7 @@ def test_optimal_value_static_collapse():
         n = len(p.states)
         raw = [rng.randint(1, 5) for _ in range(n)]
         prior = tuple(F(x, sum(raw)) for x in raw)
-        flat = oc.InformationStructure(
+        flat = structure_of(
             p.states, prior, tuple(("u",) for _ in range(p.tree.periods)),
             tuple((F(1),) for _ in range(n)))
         want = max(
@@ -137,7 +144,7 @@ def test_optimal_value_dominates_any_strategy(example1, pessimism_structure):
             row = [F(0)] * len(example1.leaves)
             row[first] = F(1)
             rows.append(tuple(row))
-        constant = oc.Strategy(sets, example1.leaves, tuple(rows))
+        constant = strategy_of(sets, example1.leaves, tuple(rows))
         assert oc.strategy_value(example1, constant, pessimism_structure) <= 0
 
 
@@ -160,7 +167,7 @@ def test_optimal_value_matches_exhaustive_search():
             kernel.append(tuple(F(x, sum(raw)) for x in raw))
         raw = [rng.randint(1, 4) for _ in range(n_states)]
         prior = tuple(F(x, sum(raw)) for x in raw)
-        structure = oc.InformationStructure(p.states, prior, sets, tuple(kernel))
+        structure = structure_of(p.states, prior, sets, tuple(kernel))
         assert oc.optimal_value_dp(p, structure) == exhaustive_optimal_value(p, structure)
 
 
@@ -220,11 +227,11 @@ def test_integer_induction_matches_the_fraction_recursion():
         sets = tuple(tuple(f"t{t}{i}" for i in range(rng.randint(1, 2)))
                      for t in range(p.tree.periods))
         n_seq = math.prod(map(len, sets))
-        structure = oc.InformationStructure(
+        structure = structure_of(
             p.states, _probabilities(rng, len(p.states)), sets,
             tuple(_probabilities(rng, n_seq) for _ in p.states))
         assert oc.optimal_value_dp(p, structure) == reference_optimal_value(
-            p, structure.prior, structure.sequences, structure.kernel)
+            p, fraction_prior(structure), structure.sequences, fraction_kernel(structure))
         laws = [law_of(p, _probabilities(rng, len(p.states)),
                        [_probabilities(rng, len(p.leaves)) for _ in p.states])]
         verdict = rz.decide(p, random_joint(rng, p))
@@ -267,9 +274,9 @@ def test_simulate_deterministic_components(example2):
     inst = m.instantiate(example2, {"delta": "4/5"})
     structure = revealing_structure(inst)
     # point-mass prior, kernel, and strategy: empirical equals theoretical at any n
-    point_structure = oc.InformationStructure(
-        inst.states, (F(1), F(0)), structure.signal_sets, structure.kernel)
-    strategy = oc.Strategy(
+    point_structure = structure_of(
+        inst.states, (F(1), F(0)), structure.signal_sets, fraction_kernel(structure))
+    strategy = strategy_of(
         structure.signal_sets, inst.leaves,
         ((F(0), F(0), F(1), F(0)), (F(0), F(0), F(0), F(1))),
     )
@@ -316,3 +323,112 @@ def test_shape_mismatches_raise(example1, example2, pessimism_structure, obedien
         # structure compatible with the waiting problem, strategy from the
         # investment problem: the leaf check is the one that trips
         oc.strategy_value(inst, obedient_strategy, revealing_structure(inst))
+
+
+def random_strategy(rng, problem, sets):
+    """A random adapted strategy with one signal set per period: a behaviour
+    rule draws each action from the signals seen so far and the play so
+    far, and a leaf's weight is the product along its path."""
+    tree = problem.tree
+    behaviour = {}
+    rows = []
+    for seq in itertools.product(*sets):
+        row = []
+        for leaf in problem.leaves:
+            w, h = F(1), leaf.history
+            for t in range(len(h)):
+                actions = tree.actions_at(h[:t])
+                key = (seq[:t + 1], h[:t])
+                if key not in behaviour:
+                    behaviour[key] = _probabilities(rng, len(actions))
+                w *= behaviour[key][actions.index(h[t])]
+            row.append(w)
+        rows.append(row)
+    return strategy_of(sets, problem.leaves, rows)
+
+
+def random_pair(rng, problem):
+    """A random structure and strategy on ``problem``, with one to three
+    signals in each period of the tree's depth."""
+    sets = tuple(tuple(f"t{t}{i}" for i in range(rng.randint(1, 3)))
+                 for t in range(problem.tree.depth))
+    n_seq = math.prod(map(len, sets))
+    structure = structure_of(problem.states, _probabilities(rng, len(problem.states)), sets,
+                             [_probabilities(rng, n_seq) for _ in problem.states])
+    return structure, random_strategy(rng, problem, sets)
+
+
+def test_integer_value_and_thresholds_match_the_fraction_references():
+    # priors may put zero on a state, and the weights are mostly not dyadic
+    rng = random.Random(59)
+    zero_prior = non_dyadic = 0
+    for _ in range(60):
+        p = random_problem(rng, max_rules=200)
+        structure, strategy = random_pair(rng, p)
+        assert oc.strategy_value(p, strategy, structure) == reference_strategy_value(
+            p, strategy, structure)
+        assert oc.strategy_value(p, strategy, structure) <= oc.optimal_value_dp(p, structure)
+        rows = [(structure.prior, structure.prior_den)]
+        rows += [(row, structure.kernel_den) for row in structure.kernel]
+        rows += [(row, strategy.den) for row in strategy.kernel]
+        for row, den in rows:
+            assert oc._thresholds(row, den) == reference_thresholds([F(x, den) for x in row])
+        zero_prior += 0 in structure.prior
+        non_dyadic += any(den & (den - 1) for _, den in rows)
+    assert zero_prior and non_dyadic
+
+
+def test_json_round_trip_and_lowest_terms():
+    rng = random.Random(71)
+    for _ in range(30):
+        p = random_problem(rng, max_rules=200)
+        structure, strategy = random_pair(rng, p)
+        assert oc.InformationStructure.from_json_dict(p, structure.to_json_dict()) == structure
+        assert oc.Strategy.from_json_dict(p, strategy.to_json_dict()) == strategy
+        # the same weights over a scaled denominator are stored in lowest terms
+        k = rng.randint(2, 9)
+        scaled = oc.InformationStructure(
+            structure.states, tuple(k * x for x in structure.prior), k * structure.prior_den,
+            structure.signal_sets, tuple(tuple(k * x for x in row) for row in structure.kernel),
+            k * structure.kernel_den)
+        assert scaled == structure
+        assert (scaled.prior_den, scaled.kernel_den) == (structure.prior_den, structure.kernel_den)
+        assert oc.Strategy(strategy.signal_sets, strategy.leaves,
+                           tuple(tuple(k * x for x in row) for row in strategy.kernel),
+                           k * strategy.den) == strategy
+        assert math.gcd(structure.prior_den, *structure.prior) == 1
+        assert math.gcd(structure.kernel_den, *itertools.chain(*structure.kernel)) == 1
+        assert math.gcd(strategy.den, *itertools.chain(*strategy.kernel)) == 1
+
+
+def test_optimal_value_refuses_signal_periods_off_the_tree(example1):
+    # one signal period on a tree two deep: the induction would read a
+    # second signal that no sequence has; and three signal periods where
+    # the problem declares two, as `simulate` refuses for a strategy
+    prior = {"good": "1/2", "bad": "1/2"}
+    short = oc.InformationStructure.from_json_dict(example1, {
+        "signals": [["g", "b"]], "prior": prior,
+        "kernel": {"good": {"g": "2/3", "b": "1/3"}, "bad": {"b": "1"}}})
+    long = oc.InformationStructure.from_json_dict(example1, {
+        "signals": [["s"], ["g", "b"], ["x"]], "prior": prior,
+        "kernel": {"good": {"s,g,x": "2/3", "s,b,x": "1/3"}, "bad": {"s,b,x": "1"}}})
+    for structure in (short, long):
+        with pytest.raises(m.ValidationError, match="periods do not match"):
+            oc.optimal_value_dp(example1, structure)
+
+
+def test_brute_force_refuses_a_law_of_another_shape(example1, example2):
+    other = m.JointDistribution.from_mapping(
+        m.instantiate(example2, {"delta": "9/10"}), {("w,x", "X"): "1/2", ("w,y", "Y"): "1/2"})
+    with pytest.raises(m.ValidationError, match="joint law shapes do not match the problem"):
+        oc.brute_force_rationalizable_joint(example1, other)
+    # the golden "yes" law of example 1 with its two state labels swapped
+    knife = m.JointDistribution.from_mapping(example1, {
+        ("invest,pull_back", "bad"): "1/2",
+        ("invest,pull_back", "good"): "1/6",
+        ("invest,invest", "good"): "1/3",
+    })
+    swapped = m.JointDistribution(knife.leaves, knife.states[::-1], knife.cells, knife.den)
+    for check in (oc.brute_force_rationalizable_joint, oc.verify_obedient_optimality):
+        with pytest.raises(m.ValidationError, match="joint law shapes do not match the problem"):
+            check(example1, swapped)

@@ -18,6 +18,8 @@ from conftest import (
     random_joint,
     random_marginal,
     random_problem,
+    strategy_of,
+    structure_of,
 )
 
 
@@ -100,7 +102,7 @@ def test_dp_dominates_random_adapted_strategies():
             kernel.append(tuple(F(x, sum(raw)) for x in raw))
         raw = [rng.randint(1, 4) for _ in p.states]
         prior = tuple(F(x, sum(raw)) for x in raw)
-        structure = oc.InformationStructure(p.states, prior, sets, tuple(kernel))
+        structure = structure_of(p.states, prior, sets, tuple(kernel))
         best = oc.optimal_value_dp(p, structure)
 
         # pure adapted maps are adapted strategies; none beat the DP value
@@ -114,7 +116,7 @@ def test_dp_dominates_random_adapted_strategies():
                 row = [F(0)] * len(p.leaves)
                 row[leaf_index[mapping[k]]] = F(1)
                 rows.append(tuple(row))
-            strategy = oc.Strategy(sets, p.leaves, tuple(rows))
+            strategy = strategy_of(sets, p.leaves, tuple(rows))
             value = oc.strategy_value(p, strategy, structure)
             pure_values.append(value)
             assert value <= best
