@@ -154,6 +154,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dynrat", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.commands = subs.choices  # each subcommand's own parser, by name
 
     s = subs.add_parser("check-seq", help="can a single action sequence be rationalized?")
     _add_common(s)
@@ -201,6 +202,19 @@ def _build_parser() -> _Parser:
     s.add_argument("--seed", type=int, default=0)
 
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed as the full parser parses it.  When the first word
+    names a subcommand, the rest goes straight to that subcommand's parser,
+    which gives the same namespace or raises the same error."""
+    parser = _build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:  # no argument, an option or an unknown command
+        return parser.parse_args(argv)
+    args = sub.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def _load_problem_and_params(args) -> tuple[DecisionProblem, dict]:
@@ -346,10 +360,9 @@ def _verify_report(problem: DecisionProblem, doc: dict) -> tuple[bool, str]:
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     started = time.perf_counter()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         if args.command == "verify-witness":
             doc = _read_json(args.report, "report")
             problem = problem_from_dict(_object(doc.get("problem"), "report 'problem'"))

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from operator import mul
 
 from .model import (
     ActionSequence,
@@ -89,8 +90,7 @@ def _resolve_kernel(problem: DecisionProblem, kernel) -> tuple[list[list[tuple[i
     leaves to either an output leaf (point mass) or a weight mapping, each
     as its nonzero (column, numerator) pairs in column order, and their one
     denominator.  Neither stochasticity nor adaptedness is checked here."""
-    leaves = problem.leaves
-    n = len(leaves)
+    n = len(problem.leaves)
     if not isinstance(kernel, Mapping):
         matrix = [[_ratio(v) for v in row] for row in kernel]
         if len(matrix) != n or any(len(r) != n for r in matrix):
@@ -98,18 +98,18 @@ def _resolve_kernel(problem: DecisionProblem, kernel) -> tuple[list[list[tuple[i
         rows = [[(j, w) for j, w in enumerate(row) if w[0]] for row in matrix]
     else:
         rows = [None] * n
+        position, labels = problem.tree.leaf_position, problem.tree.labels
         for key, row in kernel.items():
-            a = problem.sequence(key)
-            i = problem.leaf_index[a]
+            i = position(key)
             if rows[i] is not None:
-                raise ValidationError(f"row for {a.label!r} given twice")
+                raise ValidationError(f"row for {labels[i]!r} given twice")
             if not isinstance(row, Mapping):
-                rows[i] = [(problem.leaf_index[problem.sequence(row)], (1, 1))]
+                rows[i] = [(position(row), (1, 1))]
                 continue
-            weights = _leaf_weights(problem, row, f"row {a.label!r}")
+            weights = _leaf_weights(problem, row, f"row {labels[i]!r}")
             rows[i] = sorted((j, w) for j, w in weights.items() if w[0])
         if None in rows:
-            raise ValidationError(f"kernel is missing a row for {leaves[rows.index(None)].label!r}")
+            raise ValidationError(f"kernel is missing a row for {labels[rows.index(None)]!r}")
     nums, den = _over_lcm([w for row in rows for _, w in row])
     it = iter(nums)
     return [[(j, next(it)) for j, _ in row] for row in rows], den
@@ -253,33 +253,34 @@ def best_joint_deviation(
     choice: dict[tuple[tuple[str, ...], tuple[str, ...]], tuple[str, ...]] = {}
 
     def value(h: tuple[str, ...], g: tuple[str, ...]) -> int:
-        if len(h) == depth:
-            return sum(x * y for x, y in zip(mass[h], pay[g]))
         total = 0
         for hc in kids[h]:
             if hc not in live:
                 continue
-            best = None
-            for gc in kids[g]:
-                v = value(hc, gc)
-                if best is None or v > best:
-                    best, choice[hc, g] = v, gc
+            if len(hc) == depth:  # the last period: V(i, j) in this loop, not a call per pair
+                row = mass[hc]
+                values = [sum(map(mul, row, pay[gc])) for gc in kids[g]]
+            else:
+                values = [value(hc, gc) for gc in kids[g]]
+            best = max(values)
             total += best
+            choice[hc, g] = kids[g][values.index(best)]  # the first argmax
         return total
 
     def follow(h: tuple[str, ...], g: tuple[str, ...]) -> None:
         if len(h) == depth:
-            outputs[h] = ((problem.leaf_index[ActionSequence(g)], 1),)
+            outputs[h] = g
             return
         for hc in kids[h]:
             follow(hc, choice.get((hc, g)) or kids[g][0])
 
     def rule() -> DeviationRule:
         follow((), ())
-        return DeviationRule(problem.leaves, tuple(outputs[b.entries] for b in problem.leaves), 1)
+        column = {b: j for j, b in enumerate(pay)}  # a leaf's entries -> its index
+        return DeviationRule(problem.leaves, tuple(((column[outputs[b]], 1),) for b in pay), 1)
 
-    outputs: dict[tuple[str, ...], tuple[tuple[int, int]]] = {}
-    gain = value((), ()) - sum(sum(x * y for x, y in zip(row, pay[a])) for a, row in mass.items())
+    outputs: dict[tuple[str, ...], tuple[str, ...]] = {}
+    gain = value((), ()) - sum(sum(map(mul, row, pay[a])) for a, row in mass.items())
     return Fraction(gain, wden * uden), rule
 
 

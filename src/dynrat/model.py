@@ -25,7 +25,7 @@ import math
 import operator
 import re
 from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -174,26 +174,26 @@ def _affine(value: Union[int, str, Fraction], params: Sequence[str]) -> list[tup
 
 @dataclass(frozen=True)
 class ActionSequence:
-    """A root-to-leaf path padded with `PAD` to the depth of its tree."""
+    """A root-to-leaf path padded with `PAD` to the depth of its tree.
+    Its `label`, the unpadded path joined with commas, is joined once, on
+    construction, for every reader and writer of leaves by name."""
 
     entries: tuple[str, ...]
+    label: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen_pad = False
-        for e in self.entries:
-            if e == PAD:
-                seen_pad = True
-            elif seen_pad:
-                raise ValidationError(f"action after padding in {self.entries!r}")
+        entries = self.entries
+        if PAD in entries:
+            n = entries.index(PAD)
+            if entries.count(PAD) != len(entries) - n:
+                raise ValidationError(f"action after padding in {entries!r}")
+            entries = entries[:n]
+        object.__setattr__(self, "label", ",".join(entries))
 
     @property
     def history(self) -> tuple[str, ...]:
         """The unpadded path (padding only ever trails, see `__post_init__`)."""
         return self.entries[:self.entries.index(PAD)] if PAD in self.entries else self.entries
-
-    @property
-    def label(self) -> str:
-        return ",".join(self.history)
 
     def __str__(self) -> str:  # pragma: no cover - repr sugar
         return self.label
@@ -206,17 +206,6 @@ def _pad(history: Sequence[str], periods: int) -> ActionSequence:
 # ---------------------------------------------------------------------------
 # Decision problems
 # ---------------------------------------------------------------------------
-
-def _leaf_histories(branch_map: Mapping[tuple[str, ...], tuple[str, ...]], history=()):
-    """The terminal histories at or below ``history``, in document
-    (depth-first) order."""
-    actions = branch_map.get(history)
-    if actions is None:
-        yield history
-        return
-    for a in actions:
-        yield from _leaf_histories(branch_map, history + (a,))
-
 
 def _check_label(label: str, what: str) -> None:
     if not isinstance(label, str) or not label:
@@ -235,7 +224,9 @@ class Tree:
     with its available actions; the root history is ``()``.  Leaves are padded,
     and what is built period by period runs, up to the tree's `depth`;
     ``periods`` only bounds the padding a label may carry.  Construction
-    validates the tree once; every problem on it, and every problem that
+    validates the tree once and walks it once, for the leaves, the depth
+    and the leaf labels that every reader resolves a leaf's own label
+    through (`leaf_position`); every problem on it, and every problem that
     `substitute_params` or `analysis.risk_transform` derives from one, shares
     it and what is built from it (`per_tree`).  Identity is used for
     equality and hashing.
@@ -243,11 +234,20 @@ class Tree:
 
     periods: int
     branches: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
+    branch_map: dict[tuple[str, ...], tuple[str, ...]] = field(init=False, repr=False)
+    #: The length of the longest leaf history, at most ``periods``.
+    depth: int = field(init=False, repr=False)
+    #: All padded leaves, in document (depth-first) order.
+    leaves: tuple[ActionSequence, ...] = field(init=False, repr=False)
+    #: Each leaf's label, in leaf order.
+    labels: tuple[str, ...] = field(init=False, repr=False)
+    #: Each leaf's label, mapped to the leaf's index.
+    _labels: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.periods < 1:
             raise ValidationError("periods must be at least 1")
-        branch_map = {}
+        branch_map, checked = {}, set()
         for history, actions in self.branches:
             if history in branch_map:
                 raise ValidationError(f"history {history!r} listed twice")
@@ -256,7 +256,9 @@ class Tree:
             if len(set(actions)) != len(actions):
                 raise ValidationError(f"duplicate action label at history {history!r}")
             for a in actions:
-                _check_label(a, "action label")
+                if a not in checked:  # each label once, however many nodes offer it
+                    _check_label(a, "action label")
+            checked.update(actions)
             if len(history) >= self.periods:
                 raise ValidationError("tree deeper than the number of periods")
             branch_map[history] = actions
@@ -267,27 +269,24 @@ class Tree:
             if history and history[-1] not in branch_map.get(history[:-1], ()):
                 raise ValidationError(f"unreachable history {history!r}")
 
-    @cached_property
-    def branch_map(self) -> dict[tuple[str, ...], tuple[str, ...]]:
-        return dict(self.branches)
-
-    @cached_property
-    def leaves(self) -> tuple[ActionSequence, ...]:
-        """All padded leaves, in document (depth-first) order."""
-        return tuple(_pad(h, self.depth) for h in _leaf_histories(self.branch_map))
-
-    @cached_property
-    def depth(self) -> int:
-        """The length of the longest leaf history, at most ``periods``."""
-        return max(map(len, _leaf_histories(self.branch_map)))
+        histories, stack = [], [()]  # the one leaf walk, depth first
+        while stack:
+            history = stack.pop()
+            actions = branch_map.get(history)
+            if actions is None:
+                histories.append(history)
+            else:
+                stack.extend(history + (a,) for a in reversed(actions))
+        depth = max(map(len, histories))
+        leaves = tuple(_pad(h, depth) for h in histories)
+        labels = tuple(leaf.label for leaf in leaves)
+        for name, value in (("branch_map", branch_map), ("depth", depth), ("leaves", leaves),
+                            ("labels", labels), ("_labels", {a: i for i, a in enumerate(labels)})):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def leaf_index(self) -> dict[ActionSequence, int]:
         return {leaf: i for i, leaf in enumerate(self.leaves)}
-
-    @cached_property
-    def _labels(self) -> dict[str, ActionSequence]:
-        return {leaf.label: leaf for leaf in self.leaves}
 
     @cached_property
     def _per_tree(self) -> dict:
@@ -334,12 +333,18 @@ class Tree:
             if not all(isinstance(p, str) and "," not in p for p in parts):
                 raise ValidationError(f"{value!r} is not an action sequence")
             label = ",".join(parts)
-        leaf = labels.get(label)
-        if leaf is None and label.count(",") < self.periods:  # padded: strip the padding
-            leaf = labels.get(re.sub(f"(?:,{PAD})+$", "", label))
-        if leaf is None:
+        i = labels.get(label)
+        if i is None and label.count(",") < self.periods:  # padded: strip the padding
+            i = labels.get(re.sub(f"(?:,{PAD})+$", "", label))
+        if i is None:
             raise ValidationError(f"{label!r} is not a leaf of this problem")
-        return leaf
+        return self.leaves[i]
+
+    def leaf_position(self, value: Union[str, ActionSequence, Iterable[str]]) -> int:
+        """The index of the leaf that `sequence` resolves ``value`` to; a
+        leaf's own label takes one dict lookup."""
+        i = self._labels.get(value) if isinstance(value, str) else None
+        return self.leaf_index[self.sequence(value)] if i is None else i
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,11 +448,11 @@ def _leaf_weights(problem: DecisionProblem, row: Mapping, what: str) -> dict[int
     spellings of one leaf (``not_invest`` and ``not_invest,_``) are refused,
     not resolved by the last one; ``what`` names the row in the error."""
     weights: dict[int, tuple[int, int]] = {}
+    tree = problem.tree
     for leaf, q in row.items():
-        a = problem.sequence(leaf)
-        i = problem.leaf_index[a]
+        i = tree.leaf_position(leaf)
         if i in weights:
-            raise ValidationError(f"leaf {a.label!r} of {what} given twice")
+            raise ValidationError(f"leaf {tree.labels[i]!r} of {what} given twice")
         weights[i] = _ratio(q)
     return weights
 
@@ -497,15 +502,14 @@ class JointDistribution:
             for (leaf, state), q in weights.items():
                 by_leaf.setdefault(leaf, []).append((state, q))
             rows = by_leaf.items()
-        width = len(problem.states)
+        width, tree = len(problem.states), problem.tree
         given: dict[int, tuple[int, int]] = {}  # cell index -> weight
         for leaf, row in rows:  # each leaf as given is resolved once
-            a = problem.sequence(leaf)
-            first = problem.leaf_index[a] * width
+            i = tree.leaf_position(leaf)
             for state, q in row:
-                k = first + problem.state_position(state)
+                k = i * width + problem.state_position(state)
                 if k in given:
-                    raise ValidationError(f"cell {a.label + '@' + state!r} given twice")
+                    raise ValidationError(f"cell {tree.labels[i] + '@' + state!r} given twice")
                 given[k] = _ratio(q)
         nums, den = _over_lcm(given.values())
         cells = [0] * (len(problem.leaves) * width)
@@ -606,12 +610,17 @@ def consistency(problem: DecisionProblem, observed: Observation) -> tuple[tuple[
 # ---------------------------------------------------------------------------
 
 def _no_duplicate_keys(pairs):
-    seen = {}
-    for key, value in pairs:
-        if key in seen:
-            raise ParseError(f"duplicate key {key!r}")
-        seen[key] = value
-    return seen
+    """A JSON object's ``(key, value)`` pairs as a dict; an input error
+    that names the first key given twice.  The pairs are walked only when
+    the dict came out shorter."""
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"duplicate key {key!r}")
+            seen.add(key)
+    return out
 
 
 def load_problem(text: str) -> DecisionProblem:
@@ -663,29 +672,29 @@ def problem_from_dict(doc: Mapping) -> DecisionProblem:
 
     walk(doc["tree"], ())
     tree = Tree(periods, tuple(branches))
-    known = {leaf.label: leaf.entries for leaf in tree.leaves}
+    known = tree._labels  # a leaf is keyed by its label alone
 
     utility_doc = doc["utility"]
     if not isinstance(utility_doc, Mapping):
         raise ParseError("utility must be an object")
-    # each entry's row as (numerator, denominator) pairs, by padded leaf and state
-    exprs: dict[tuple[tuple[str, ...], str], list[tuple[int, int]]] = {}
+    # each entry's row as (numerator, denominator) pairs, by leaf index and state
+    exprs: dict[tuple[int, str], list[tuple[int, int]]] = {}
     for leaf_id, row in utility_doc.items():
-        entries = known.get(leaf_id)
-        if entries is None:
+        i = known.get(leaf_id)
+        if i is None:
             raise ValidationError(f"utility entry for unknown leaf {leaf_id!r}")
         if not isinstance(row, Mapping):
             raise ParseError(f"utility row for {leaf_id!r} must be an object")
         for state, expr in row.items():
             if state not in states:
                 raise ValidationError(f"utility entry for unknown state {state!r}")
-            exprs[entries, state] = _affine(expr, params)
+            exprs[i, state] = _affine(expr, params)
     terms = []
-    for leaf in tree.leaves:
+    for i, label in enumerate(tree.labels):
         for s in states:
-            entry = exprs.get((leaf.entries, s))
+            entry = exprs.get((i, s))
             if entry is None:
-                raise ValidationError(f"missing utility for leaf {leaf.label!r} in state {s!r}")
+                raise ValidationError(f"missing utility for leaf {label!r} in state {s!r}")
             terms += entry
     nums, den = _over_lcm(terms)
     return DecisionProblem(tree, tuple(states), tuple(params), _chunks(nums, 1 + len(params)), den)
@@ -725,13 +734,14 @@ def problem_to_dict(problem: DecisionProblem) -> dict:
                 parts.append(f"-{term}" if x < 0 else term)
         return " ".join(parts)
 
-    entries = [render(row) for row in problem.table]
+    rendered = {row: render(row) for row in set(problem.table)}  # each distinct row once
+    entries = map(rendered.__getitem__, problem.table)
     doc = {
         "periods": tree.periods,
         "states": list(problem.states),
         "tree": subtree(()),
-        "utility": {leaf.label: dict(zip(problem.states, row))
-                    for leaf, row in zip(tree.leaves, _chunks(entries, len(problem.states)))},
+        "utility": {label: dict(zip(problem.states, row))
+                    for label, row in zip(tree.labels, _chunks(entries, len(problem.states)))},
     }
     if problem.param_names:
         doc["params"] = list(problem.param_names)

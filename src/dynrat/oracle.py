@@ -275,15 +275,16 @@ def _optimal_value(
     ``weights`` (see `_weights`), which sidesteps conditioning on
     zero-probability prefixes.  The utilities come from
     `DecisionProblem.integer_payoffs`, so the value is an integer over the
-    weights' denominator times the payoffs'.
+    weights' denominator times the payoffs'.  A sequence of weight 0 adds 0
+    to every total of every group it joins, so the induction starts from
+    the sequences with mass alone.
     """
     table, _ = problem.integer_payoffs
     tree = problem.tree
-    utab = dict(zip(problem.leaves, table))
-    pad_leaf = {leaf.history: leaf for leaf in problem.leaves}
+    payoff_at = {leaf.history: row for leaf, row in zip(problem.leaves, table)}
 
     def terminal_mass(seq_ids: Sequence[int], history: tuple[str, ...]) -> int:
-        pay = utab[pad_leaf[history]]
+        pay = payoff_at[history]
         return sum(w * u for k in seq_ids for w, u in zip(weights[k], pay))
 
     def observe(seq_ids: Sequence[int], t: int, history: tuple[str, ...]) -> int:
@@ -298,7 +299,7 @@ def _optimal_value(
         return max(terminal_mass(seq_ids, h2) if tree.is_terminal(h2) else observe(seq_ids, t, h2)
                    for h2 in (history + (a,) for a in tree.actions_at(history)))
 
-    return observe(range(len(signal_seqs)), 0, ())
+    return observe([k for k, row in enumerate(weights) if any(row)], 0, ())
 
 
 def optimal_value_dp(problem: DecisionProblem, structure: InformationStructure) -> Fraction:

@@ -558,9 +558,81 @@ def reference_optimal_value(problem: m.DecisionProblem, prior, signal_seqs, kern
     return sum((act(ids, 1, ()) for ids in groups_at(range(len(signal_seqs)), 0)), Fraction(0))
 
 
+def reference_integer_optimal_value(problem: m.DecisionProblem, signal_seqs, weights) -> int:
+    """The oracle's integer induction as it was before it skipped the
+    massless signal sequences: it starts from every sequence, so one of
+    weight 0 joins every group its signals lead to."""
+    table, _ = problem.integer_payoffs
+    tree = problem.tree
+    utab = dict(zip(problem.leaves, table))
+    pad_leaf = {leaf.history: leaf for leaf in problem.leaves}
+
+    def terminal_mass(seq_ids, history) -> int:
+        pay = utab[pad_leaf[history]]
+        return sum(w * u for k in seq_ids for w, u in zip(weights[k], pay))
+
+    def observe(seq_ids, t, history) -> int:
+        groups: dict[str, list[int]] = {}
+        for k in seq_ids:
+            groups.setdefault(signal_seqs[k][t], []).append(k)
+        return sum(act(ids, t + 1, history) for ids in groups.values())
+
+    def act(seq_ids, t, history) -> int:
+        return max(terminal_mass(seq_ids, h2) if tree.is_terminal(h2) else observe(seq_ids, t, h2)
+                   for h2 in (history + (a,) for a in tree.actions_at(history)))
+
+    return observe(range(len(signal_seqs)), 0, ())
+
+
 # ---------------------------------------------------------------------------
-# Joint dominance LP (reference for the backward-induction best rule)
+# Joint dominance LP and the recursive induction (references for the
+# backward-induction best rule)
 # ---------------------------------------------------------------------------
+
+def reference_best_joint_deviation(problem: m.DecisionProblem, joint: m.JointDistribution):
+    """`deviation.best_joint_deviation` as it was before it evaluated the
+    last period in its parent's loop: V(h, g) is one call per aligned pair,
+    down to each (input leaf, output leaf) pair.  Returns the gain and the
+    pure rule its argmaxes give, ties to the first output child."""
+    table, uden = problem.integer_payoffs
+    depth = problem.tree.depth
+    pay = {b.entries: row for b, row in zip(problem.leaves, table)}
+    width = len(problem.states)
+    rows = [joint.cells[k:k + width] for k in range(0, len(joint.cells), width)]
+    mass = {a.entries: row for a, row in zip(problem.leaves, rows) if any(row)}
+    live = {a[:t] for a in mass for t in range(depth + 1)}
+    kids = problem.tree.per_tree(dv._prefix_children)
+    choice = {}
+
+    def value(h, g) -> int:
+        if len(h) == depth:
+            return sum(x * y for x, y in zip(mass[h], pay[g]))
+        total = 0
+        for hc in kids[h]:
+            if hc not in live:
+                continue
+            best = None
+            for gc in kids[g]:
+                v = value(hc, gc)
+                if best is None or v > best:
+                    best, choice[hc, g] = v, gc
+            total += best
+        return total
+
+    outputs = {}
+
+    def follow(h, g) -> None:
+        if len(h) == depth:
+            outputs[h] = ((problem.leaf_index[m.ActionSequence(g)], 1),)
+            return
+        for hc in kids[h]:
+            follow(hc, choice.get((hc, g)) or kids[g][0])
+
+    gain = value((), ()) - sum(sum(x * y for x, y in zip(row, pay[a])) for a, row in mass.items())
+    follow((), ())
+    rule = dv.DeviationRule(problem.leaves, tuple(outputs[b.entries] for b in problem.leaves), 1)
+    return Fraction(gain, joint.den * uden), rule
+
 
 def polytope_program(poly: lp.DeviationPolytope) -> lp.LinearProgram:
     """A program over the whole deviation polytope: kernel entry (i, j) in

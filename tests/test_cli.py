@@ -607,3 +607,40 @@ def test_periods_past_the_depth_change_only_the_echo(capsys, tmp_path, periods):
     code, out, err = run_cli(capsys, "check-seq", str(path), "--seq", "not_invest,_,_")
     assert code == 0, err
     assert first_report(out)["result"]["rationalizable"] is True
+
+
+# Command lines the subcommand's own parser must treat as the full parser
+# does: each golden's, and malformed ones
+MALFORMED_ARGV = [
+    [],
+    ["--pretty", "check-seq", EX1, "--seq", "invest,pull_back"],  # an option first
+    ["no-such-command", EX1],
+    ["check-seq", EX1, "--seq", "invest,pull_back", "--bogus"],   # unknown option
+    ["check-seq", EX1],                                            # missing --seq
+    ["maxprob", "--seq", "invest,pull_back"],                      # missing problem
+    ["identify", EX2, "--seq", "w,x", "--sweep", "delta", "--range", "0:1", "--grid", "x"],
+    ["check-seq", EX1, "--seq", "invest,pull_back", "extra"],      # a trailing extra argument
+    ["check-seq", EX1, "--se", "invest,pull_back"],                # an abbreviated option
+    ["check-joint", EX1, "--dist", "invest,invest@good:1", "--dist-f", "x"],
+    ["check-joint", EX1, "--di", "invest,invest@good:1"],          # ambiguous abbreviation
+    ["enumerate-rules", EX1, "--max-rules", "-"],
+    ["simulate", EX1, "--structure", "s.json", "--strategy", "t.json", "-n"],
+    ["verify-witness"],
+    ["verify-witness", "r.json", "--", "--pretty"],
+]
+
+
+@pytest.mark.parametrize("argv", list(CASES.values()) + MALFORMED_ARGV,
+                         ids=list(CASES) + [f"malformed-{k}" for k in range(len(MALFORMED_ARGV))])
+def test_subcommand_parser_matches_the_full_parser(capsys, argv):
+    def parsed(parse):
+        try:
+            return parse(list(argv))
+        except cli.UsageError as exc:
+            return f"usage error: {exc}"
+
+    expected = parsed(cli._build_parser().parse_args)
+    assert parsed(cli._parse_args) == expected
+    if isinstance(expected, str):  # and `run` reports it as a usage error, exit 1
+        assert cli.run(list(argv)) == 1
+        assert capsys.readouterr().err == expected + "\n"

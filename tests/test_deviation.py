@@ -18,6 +18,7 @@ from conftest import (
     random_problem,
     random_pure_rule,
     random_rule,
+    reference_best_joint_deviation,
     reference_rule_count,
     utility,
 )
@@ -449,6 +450,48 @@ def test_backward_induction_matches_the_joint_dominance_lp():
         positive += gain > 0
     # the sweep exercised padded trees, leaves without mass and both verdicts
     assert padded and zero_mass and positive and positive < len(problems)
+
+
+def without_state(rng, problem, joint):
+    """``joint`` with one state's column emptied (some other cell keeps mass)."""
+    width = len(problem.states)
+    s = rng.randrange(width)
+    cells = [0 if k % width == s else x for k, x in enumerate(joint.cells)]
+    if not any(cells):
+        cells[(s + 1) % width] = 1
+    return m.JointDistribution(problem.leaves, problem.states, cells, sum(cells))
+
+
+def test_flat_last_period_matches_the_recursive_induction():
+    # the last period evaluated in its parent's loop gives the recursion's
+    # gain and rule (`reference_best_joint_deviation`): trees 1, 2 and 3
+    # deep, padded ones, laws with massless leaves and with an empty state,
+    # and payoffs in {-1, 0, 1} on every other tree, where argmax ties are
+    # the rule and go to the first output child in both
+    rng = random.Random(71)
+    depths, padded, empty_row, empty_state, tied = set(), 0, 0, 0, 0
+    for k in range(160):
+        p = random_problem(rng, max_leaves=6, **({"value_cap": 1, "denom_cap": 1} if k % 2 else {}))
+        joint = random_joint(rng, p)
+        if len(p.states) > 1 and k % 3 == 0:
+            joint = without_state(rng, p, joint)
+        gain, rule = dv.best_joint_deviation(p, joint)
+        assert (gain, rule()) == reference_best_joint_deviation(p, joint)
+        width = len(p.states)
+        depths.add(p.tree.depth)
+        padded += any(m.PAD in leaf.entries for leaf in p.leaves)
+        empty_row += any(not any(joint.cells[k:k + width]) for k in range(0, len(joint.cells), width))
+        empty_state += any(not any(joint.cells[s::width]) for s in range(width))
+        table = p.integer_payoffs[0]
+        tied += any(len(set(column)) < len(column) for column in zip(*table))
+    assert depths == {1, 2, 3} and padded and empty_row and empty_state and tied
+    # complete trees with 64 leaves: the uniform law, and a random one
+    for branching in ((4, 4, 4), (2, 2, 2, 2, 2, 2)):
+        p = m.load_problem(json.dumps(complete_tree_doc(branching, 2, seed=1)))
+        n = 2 * len(p.leaves)
+        for joint in (m.JointDistribution(p.leaves, p.states, [1] * n, n), random_joint(rng, p)):
+            gain, rule = dv.best_joint_deviation(p, joint)
+            assert (gain, rule()) == reference_best_joint_deviation(p, joint)
 
 
 def test_backward_induction_rejects_a_law_of_another_problem(example1, example2):

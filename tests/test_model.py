@@ -3,6 +3,7 @@ import math
 import random
 import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -290,14 +291,17 @@ def test_distributions_validate(example1):
 
 
 def test_joint_from_mapping_resolves_each_leaf_once(example1, monkeypatch):
-    # the nested form names a leaf once for all its states: one lookup each
-    looked_up = []
-    sequence = m.Tree.sequence
+    # the nested form names a leaf once for all its states: one lookup each,
+    # and a leaf's own label needs no parse (`Tree.sequence`)
+    looked_up, parsed = [], []
+    position, sequence = m.Tree.leaf_position, m.Tree.sequence
+    monkeypatch.setattr(m.Tree, "leaf_position", lambda tree, value: (
+        looked_up.append(value) or position(tree, value)))
     monkeypatch.setattr(m.Tree, "sequence", lambda tree, value: (
-        looked_up.append(value) or sequence(tree, value)))
+        parsed.append(value) or sequence(tree, value)))
     joint = m.JointDistribution.from_mapping(example1, {
         "invest,pull_back": {"bad": "1/2", "good": "1/6"}, "invest,invest": {"good": "1/3"}})
-    assert sorted(looked_up) == ["invest,invest", "invest,pull_back"]
+    assert sorted(looked_up) == ["invest,invest", "invest,pull_back"] and parsed == []
     assert joint.weight(example1.sequence("invest,pull_back"), "good") == F(1, 6)
     # and its consistency rows are built once per law, not once per check
     assert m.consistency(example1, joint) is m.consistency(example1, joint)
@@ -625,3 +629,80 @@ def test_problem_to_dict_renders_as_the_reference():
     assert {("constant", "0"), ("constant", "whole"), ("constant", "fraction"),
             ("coeff", "0"), ("coeff", "1"), ("coeff", "-1"), ("coeff", "whole"),
             ("coeff", "fraction")} <= seen
+
+
+def _readers(problem):
+    """Each reader of leaves by name, as a function of one row ``{leaf:
+    weight}`` on example 1: what it builds from the row, or raises."""
+    from dynrat import deviation as dv
+    from dynrat import oracle as oc
+    from dynrat import rationalize as rz
+
+    labels = [leaf.label for leaf in problem.leaves]
+    return {
+        "law": lambda row: m.JointDistribution.from_mapping(
+            problem, {leaf: {"good": q} for leaf, q in row.items()}),
+        "flat law": lambda row: m.JointDistribution.from_mapping(
+            problem, {(leaf, "good"): q for leaf, q in row.items()}),
+        "marginal": lambda row: m.MarginalDistribution.from_mapping(problem, row),
+        "kernel row": lambda row: dv.DeviationRule.from_mapping(
+            problem, {leaf: row for leaf in labels}),
+        "kernel inputs": lambda row: dv.DeviationRule.from_mapping(
+            problem, {**{leaf: "not_invest" for leaf in row},
+                      **{leaf: "not_invest" for leaf in labels[len(row):]}}),
+        "recommendation": lambda row: rz.obedient_triple_from_json(problem, {
+            "prior": {"good": "1"}, "recommendation": {"good": row, "bad": {"not_invest": "1"}}}),
+        "strategy row": lambda row: oc.Strategy.from_json_dict(problem, {
+            "signals": [["x"], ["y"]], "kernel": {"x,y": row}}),
+    }
+
+
+# (reader, the message of a leaf given twice) for the row
+# {"not_invest": "1/2", "not_invest,_": "1/2"}
+TWICE = {
+    "law": "cell 'not_invest@good' given twice",
+    "flat law": "cell 'not_invest@good' given twice",
+    "marginal": "leaf 'not_invest' of the marginal law given twice",
+    "kernel row": "leaf 'not_invest' of row 'not_invest' given twice",
+    "kernel inputs": "row for 'not_invest' given twice",
+    "recommendation": "leaf 'not_invest' of recommendation 'good' given twice",
+    "strategy row": "leaf 'not_invest' of strategy row 'x,y' given twice",
+}
+
+
+@pytest.mark.parametrize("reader", sorted(TWICE))
+def test_readers_resolve_leaves_through_the_labels(example1, reader):
+    # a leaf's own label, its padded and its spaced spellings name one leaf;
+    # two spellings of one leaf and an unknown leaf are refused
+    read = _readers(example1)[reader]
+    canonical = read({"not_invest": "1/2", "invest,pull_back": "1/2"})
+    for spelled in ({"not_invest,_": "1/2", "invest, pull_back": "1/2"},
+                    {" not_invest , _ ": "1/2", " invest,pull_back": "1/2"}):
+        assert read(spelled) == canonical
+    with pytest.raises(m.ValidationError, match=f"^{re.escape(TWICE[reader])}$"):
+        read({"not_invest": "1/2", "not_invest,_": "1/2"})
+    with pytest.raises(m.ValidationError, match="^'zzz' is not a leaf of this problem$"):
+        read({"zzz": "1"})
+
+
+def test_problem_files_key_a_leaf_by_its_label_alone(example1):
+    # a problem file names each leaf by its label: the padded and the spaced
+    # spellings that the readers of laws and rules accept are unknown leaves
+    doc = m.problem_to_dict(example1)
+    for old, new in (("not_invest", "not_invest,_"), ("invest,pull_back", "invest, pull_back"),
+                     ("invest,invest", "zzz")):
+        utility = {new if leaf == old else leaf: row for leaf, row in doc["utility"].items()}
+        with pytest.raises(m.ValidationError, match=f"^utility entry for unknown leaf {new!r}$"):
+            m.problem_from_dict({**doc, "utility": utility})
+    twice = {**doc["utility"], "not_invest,_": doc["utility"]["not_invest"]}
+    with pytest.raises(m.ValidationError, match="^utility entry for unknown leaf 'not_invest,_'$"):
+        m.problem_from_dict({**doc, "utility": twice})
+
+
+def test_every_golden_problem_round_trips():
+    golden = sorted((Path(__file__).resolve().parent / "golden").glob("*.json"))
+    assert len(golden) >= 20
+    for path in golden:
+        doc = json.loads(path.read_text())["problem"]
+        again = m.problem_to_dict(m.problem_from_dict(doc))
+        assert json.dumps(again, sort_keys=True) == json.dumps(doc, sort_keys=True), path.name

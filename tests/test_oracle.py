@@ -17,6 +17,7 @@ from conftest import (
     fraction_prior,
     random_joint,
     random_problem,
+    reference_integer_optimal_value,
     reference_optimal_value,
     reference_strategy_value,
     reference_thresholds,
@@ -246,6 +247,87 @@ def test_integer_induction_matches_the_fraction_recursion():
             outcomes.append(oc.verify_obedient_optimality(p, law))
             assert outcomes[-1] == (obeyed == best)
     assert True in outcomes and False in outcomes
+
+
+def _probabilities_off(rng, n, off):
+    """A random probability vector of length n with no mass at ``off``."""
+    raw = [0 if k == off else rng.randint(0, 4) for k in range(n)]
+    if not any(raw):
+        raw[(off + 1) % n] = 1
+    return tuple(F(x, sum(raw)) for x in raw)
+
+
+def test_induction_from_the_sequences_with_mass_matches_the_full_start():
+    # the induction starts from the signal sequences with mass alone;
+    # starting from every one (`reference_integer_optimal_value`) gives the
+    # same value against structures with a zero-prior state and a zero
+    # kernel column, and the same verdict on laws with massless leaves
+    rng = random.Random(61)
+    zero_prior = zero_column = massless = 0
+    outcomes = set()
+    for k in range(60):
+        p = random_problem(rng, max_rules=200)
+        sets = tuple(tuple(f"t{t}{i}" for i in range(rng.randint(1, 3)))
+                     for t in range(p.tree.depth))
+        n_seq = math.prod(map(len, sets))
+        off = rng.randrange(n_seq) if n_seq > 1 and k % 2 else None
+        prior = (_probabilities_off(rng, len(p.states), 0) if len(p.states) > 1 and k % 3 == 0
+                 else _probabilities(rng, len(p.states)))
+        structure = structure_of(p.states, prior, sets, tuple(
+            _probabilities(rng, n_seq) if off is None else _probabilities_off(rng, n_seq, off)
+            for _ in p.states))
+        weights, wden = oc._weights(structure)
+        assert oc.optimal_value_dp(p, structure) == F(
+            reference_integer_optimal_value(p, structure.sequences, weights),
+            wden * p.integer_payoffs[1])
+        zero_prior += 0 in structure.prior
+        zero_column += not all(map(any, weights)) and any(map(any, weights))
+        laws = [random_joint(rng, p)]
+        verdict = rz.decide(p, laws[0])
+        if verdict.rationalizable:
+            laws.append(verdict.witness)
+        for law in laws:
+            rows = m._chunks(law.cells, len(p.states))
+            obeyed = sum(w * u for row, pay in zip(rows, p.integer_payoffs[0])
+                         for w, u in zip(row, pay))
+            best = reference_integer_optimal_value(p, [a.entries for a in p.leaves], rows)
+            outcomes.add(oc.verify_obedient_optimality(p, law))
+            assert oc.verify_obedient_optimality(p, law) == (obeyed == best)
+            massless += not all(map(any, rows))
+    assert zero_prior and zero_column and massless and outcomes == {True, False}
+
+
+def test_golden_yes_law_with_one_cell_moved(example1):
+    # the knife-edge law of the ex1-check-joint-yes golden, each cell's mass
+    # moved whole to another cell: the oracle agrees with the full start on
+    # every move, and rejects the law that recommends not investing in the
+    # good state some of the time
+    golden = json.loads((PROBLEMS_DIR.parent / "tests" / "golden" /
+                         "ex1-check-joint-yes.json").read_text())
+    law = rz.obedient_triple_from_json(example1, golden["result"]["witness"])
+    assert oc.verify_obedient_optimality(example1, law)
+    entries = [a.entries for a in example1.leaves]
+    verdicts = []
+    for src, dst in itertools.permutations(range(len(law.cells)), 2):
+        if not law.cells[src]:
+            continue
+        cells = list(law.cells)
+        cells[dst], cells[src] = cells[dst] + cells[src], 0
+        moved = m.JointDistribution(law.leaves, law.states, cells, law.den)
+        rows = m._chunks(moved.cells, len(law.states))
+        obeyed = sum(w * u for row, pay in zip(rows, example1.integer_payoffs[0])
+                     for w, u in zip(row, pay))
+        verdicts.append(oc.verify_obedient_optimality(example1, moved))
+        assert verdicts[-1] == (obeyed == reference_integer_optimal_value(example1, entries, rows))
+    assert False in verdicts and True in verdicts
+    width = len(law.states)
+    good = law.states.index("good")
+    cells = list(law.cells)  # invest,pull_back@good's 1/6 moved to not_invest@good
+    k = example1.leaf_index[example1.sequence("invest,pull_back")] * width + good
+    cells[example1.leaf_index[example1.sequence("not_invest")] * width + good] = cells[k]
+    cells[k] = 0
+    assert not oc.verify_obedient_optimality(
+        example1, m.JointDistribution(law.leaves, law.states, cells, law.den))
 
 
 def test_brute_force_examples(example1):
