@@ -7,6 +7,8 @@
   the induction on the family pinned there; else a fresh one
   (`rationalize.certificate`).  A joint law's obedient interval is found
   once by cutting planes, and each sample is decided by membership.
+  Samples are integers over one denominator per sweep, and the family
+  is built once per sweep; verdicts and intervals are those in rationals.
 * rule-wise consistency screens over a parameter grid (the sign test of
   `deviation.dominates` on the rule's affine gains), and
 * increasing convex payoff transforms for risk-attitude comparisons.
@@ -14,6 +16,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -111,6 +114,8 @@ def risk_transform(problem: DecisionProblem, f: PiecewiseLinearFunction) -> Deci
 def _single_param_family(
     problem: DecisionProblem, param: str, fixed: Optional[dict]
 ) -> DecisionProblem:
+    """``problem`` with ``fixed`` pinned, ``param`` its one parameter left;
+    ``problem`` itself when nothing is fixed."""
     if param not in problem.param_names:
         raise ValidationError(f"unknown parameter {param!r}")
     pinned = {name: parse_rational(v) for name, v in (fixed or {}).items()}
@@ -119,7 +124,7 @@ def _single_param_family(
         raise ValidationError(f"unknown parameter {sorted(unknown)[0]!r}")
     if param in pinned:
         raise ValidationError(f"cannot both sweep and fix {param!r}")
-    family = substitute_params(problem, pinned)
+    family = substitute_params(problem, pinned) if pinned else problem
     others = [p for p in family.param_names if p != param]
     if others:
         raise ValidationError(
@@ -128,11 +133,11 @@ def _single_param_family(
     return family
 
 
-def _dominates_at(gains: AffineGains, rows: Sequence[tuple[int, int, int]], t: Fraction) -> bool:
-    """`deviation.dominates` at t = p/q with nothing pinned: its sign test
-    on the rule's affine gains q*A + p*B (`deviation.affine_gains`)."""
-    q, p = t.denominator, t.numerator
-    return gains_dominate([q * a + p * b for a, b in zip(*gains)], rows)
+def _dominates_at(gains: AffineGains, rows: Sequence[tuple[int, int, int]],
+                  m: int, d: int) -> bool:
+    """`deviation.dominates` at t = m/d (d > 0) with nothing pinned: its
+    sign test on the rule's affine gains d*A + m*B (`deviation.affine_gains`)."""
+    return gains_dominate([d * a + m * b for a, b in zip(*gains)], rows)
 
 
 def lambda_D_set(
@@ -158,7 +163,7 @@ def lambda_D_set(
     family = _single_param_family(problem, param, fixed)
     points = [parse_rational(g) for g in grid]
     gains, rows = affine_gains(family, rule), consistency(family, observation)
-    return tuple(not _dominates_at(gains, rows, pt) for pt in points)
+    return tuple(not _dominates_at(gains, rows, *pt.as_integer_ratio()) for pt in points)
 
 
 def _obedient_interval(family: DecisionProblem, joint: JointDistribution, lo: Fraction,
@@ -181,7 +186,8 @@ def _obedient_interval(family: DecisionProblem, joint: JointDistribution, lo: Fr
             obedient.add(t)
             continue
         gains = affine_gains(family, rule())
-        if not _dominates_at(gains, joint.consistency_rows, t):  # pragma: no cover - bug
+        if not _dominates_at(gains, joint.consistency_rows,  # pragma: no cover - bug
+                             *t.as_integer_ratio()):
             raise InternalInconsistencyError("the induction's rule does not dominate the law")
         alpha, beta = (sum(x * g for x, g in zip(joint.cells, column)) for column in gains)
         if beta > 0:
@@ -266,8 +272,15 @@ def identified_set(
     interval.  A law is obedient where the largest gain of a pure rule, a
     maximum of affine functions of t, is <= 0, again an interval.
 
-    Sequence and marginal data.  A rule is checked at t = p/q with nothing
-    pinned, by the sign test on q*A + p*B ("out").  A law is checked on
+    Every sample is an integer m over one denominator D = lcm(den lo,
+    den hi) * (grid_points - 1) * 2^k, fixed once per sweep, where k
+    halvings bring a grid cell within ``tolerance`` (k = 0 when it is at
+    least the grid step): each cell whose ends disagree is halved k times,
+    at integer midpoints.  A `Fraction` is built only at a pin and for the
+    reported interval ends; samples and intervals are those in rationals.
+
+    Sequence and marginal data.  A rule is checked at t = m/D with nothing
+    pinned, by the sign test on D*A + m*B ("out").  A law is checked on
     the family pinned at t (`substitute_params`): the backward induction
     gains nothing, and the law induces the observation whatever t is
     ("in").  A fresh decision (`rationalize.certificate`) pins t and
@@ -288,15 +301,17 @@ def identified_set(
     every rule met so far, newest first, then the last law met, and is
     decided afresh only when none holds.
 
-    Joint data is its own law, obedient on one interval of [lo, hi] that
-    `_obedient_interval` computes by cutting planes with the induction,
-    pinning only where the induction runs.  Every sample is then decided
-    by membership: "in" between two points where the induction gained
-    nothing, by convexity; "out" where a cut's rule dominates the law.
+    Joint data is its own law, obedient on one interval [first, last] of
+    [lo, hi] that `_obedient_interval` computes by cutting planes with
+    the induction, pinning only where the induction runs.  Every sample
+    is then decided by membership, first * D <= m <= last * D: "in"
+    between two points where the induction gained nothing, by convexity;
+    "out" where a cut's rule dominates the law.
 
-    A pin costs no rebuilding: it shares the family's tree and what is
-    built on it alone (the deviation polytope, the induction's prefix
-    tree), once per sweep.
+    Built once per sweep: the family (``problem`` itself when nothing is
+    fixed), the consistency rows and each rule's affine gains.  A pin
+    shares the family's tree and what is built on it alone (the deviation
+    polytope with its rows per block set, the induction's prefix tree).
     """
     lo = parse_rational(lo)
     hi = parse_rational(hi)
@@ -308,34 +323,38 @@ def identified_set(
     if grid_points < 2:
         raise ValidationError("need at least two grid points")
     family = _single_param_family(problem, param, fixed)
-    step = (hi - lo) / (grid_points - 1)
-    grid = [lo + i * step for i in range(grid_points)]
-    pin = cache(lambda t: substitute_params(family, {param: t}))  # once per sample
+    base = math.lcm(lo.denominator, hi.denominator) * (grid_points - 1)
+    step = int((hi - lo) * base) // (grid_points - 1)  # the grid step, over base
+    # k, the least number of halvings with step / 2^k <= tol * base
+    k = (-(-step * tol.denominator // (base * tol.numerator)) - 1).bit_length()
+    den = base << k  # D
+    grid = range(int(lo * den), int(hi * den) + 1, step << k)
+    pin = cache(lambda m: substitute_params(family, {param: Fraction(m, den)}))  # once per sample
     rows = consistency(family, observation)
     rules: list[AffineGains] = []  # every dominating rule met, oldest first
     law: Optional[JointDistribution] = None  # the last obedient law met
 
-    def fresh(t: Fraction) -> Certificate:
+    def fresh(m: int) -> Certificate:
         nonlocal law
-        found = certificate(pin(t), observation)
+        found = certificate(pin(m), observation)
         if isinstance(found, JointDistribution):
             law = found
             return found
         rules.append(affine_gains(family, found))
         return rules[-1]
 
-    def holds(cert: Certificate, t: Fraction) -> bool:
+    def holds(cert: Certificate, m: int) -> bool:
         if isinstance(cert, JointDistribution):
-            return best_joint_deviation(pin(t), cert)[0] <= 0
-        return _dominates_at(cert, rows, t)
+            return best_joint_deviation(pin(m), cert)[0] <= 0
+        return _dominates_at(cert, rows, m, den)
 
-    def decide(t: Fraction) -> bool:
-        """Whether t is "in", by the first certificate that holds there: a
+    def decide(m: int) -> bool:
+        """Whether m/D is "in", by the first certificate that holds there: a
         rule met so far (newest first), the last law met, else a fresh one."""
         for cert in (*reversed(rules), law):
-            if cert is not None and holds(cert, t):
+            if cert is not None and holds(cert, m):
                 return cert is law
-        return fresh(t) is law
+        return fresh(m) is law
 
     verdicts: list[bool] = [False] * grid_points
 
@@ -348,24 +367,26 @@ def identified_set(
         # cert holds at `good`; it fails at `bad`, or `bad` is `stop`
         good, bad, jump = start, stop, 1
         while abs(bad - good) > 1:
-            k = (start + toward * min(jump, abs(stop - start) - 1) if bad == stop
+            j = (start + toward * min(jump, abs(stop - start) - 1) if bad == stop
                  else (good + bad) // 2)
             jump *= 2
-            if holds(cert, grid[k]):
-                good = k
+            if holds(cert, grid[j]):
+                good = j
             else:
-                bad = k
+                bad = j
         a, b = sorted((start, good))
         verdicts[a:b + 1] = [cert is law] * (b + 1 - a)
         return good
 
     if isinstance(observation, JointDistribution):
-        first, last = _obedient_interval(family, observation, lo, hi, pin)
+        first, last = _obedient_interval(family, observation, lo, hi, lambda t: (
+            substitute_params(family, {param: t})))
+        low, high = math.ceil(first * den), math.floor(last * den)  # m/D in [first, last]
 
-        def inside(t: Fraction) -> bool:
-            return first <= t <= last
+        def inside(m: int) -> bool:
+            return low <= m <= high
 
-        verdicts = [inside(t) for t in grid]
+        verdicts = [inside(m) for m in grid]
     else:
         inside = decide
         # Grid points left .. right - 1 are undecided.  The first law that
@@ -378,15 +399,15 @@ def identified_set(
                 right = cover(right - 1, left)
             left = good + 1
 
-    intervals: list[tuple[Fraction, Fraction, str]] = []
+    intervals: list[tuple[int, int, str]] = []
     region_start = grid[0]
     for i in range(len(grid) - 1):
         if verdicts[i] == verdicts[i + 1]:
             continue
         x, y = grid[i], grid[i + 1]
         vx = verdicts[i]
-        while y - x > tol:
-            mid = (x + y) / 2
+        for _ in range(k):
+            mid = (x + y) // 2
             if inside(mid) == vx:
                 x = mid
             else:
@@ -395,4 +416,5 @@ def identified_set(
         intervals.append((x, y, "gap"))
         region_start = y
     intervals.append((region_start, grid[-1], "in" if verdicts[-1] else "out"))
-    return IdentifiedSet(param, tuple(intervals))
+    return IdentifiedSet(param, tuple((Fraction(a, den), Fraction(b, den), tag)
+                                      for a, b, tag in intervals))

@@ -47,6 +47,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # do not sys.exit from inside the library
         raise UsageError(message)
 
+    def _get_values(self, action, arg_strings):
+        # ``--opt=--`` gives the option the value "--", as Python 3.13 reads
+        # it; earlier versions drop the "--" and store [] unconverted
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            return self._get_value(action, "--")
+        return super()._get_values(action, arg_strings)
+
 
 def _split_dist_items(spec: str) -> list[tuple[str, str]]:
     """Parse ``leaf:weight,...`` where leaf ids may themselves contain commas."""

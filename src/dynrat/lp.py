@@ -516,6 +516,8 @@ class DeviationPolytope:
     n: int
     constraints: tuple[Constraint, ...]
     blocks: tuple[tuple[int, ...], ...]
+    _rows: dict[tuple[int, ...], tuple[Constraint, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def inputs(self, leaves: Iterable[int]) -> tuple[int, ...]:
         """The inputs of every block that holds one of ``leaves``."""
@@ -524,15 +526,20 @@ class DeviationPolytope:
 
     def rows_on(self, inputs: Sequence[int]) -> tuple[Constraint, ...]:
         """The rows of the blocks that ``inputs`` make up, in order, with
-        kernel entry (inputs[p], j) in column p * n + j."""
+        kernel entry (inputs[p], j) in column p * n + j: remapped once per
+        block set and shared, never changed, by every program on the tree."""
         n = self.n
         if len(inputs) == n:
             return self.constraints
-        first = {i: p * n for p, i in enumerate(inputs)}
-        return tuple(
-            Constraint({first[k // n] + k % n: c for k, c in con.coeffs.items()},
-                       con.sense, con.rhs, con.den)
-            for con in self.constraints if next(iter(con.coeffs)) // n in first)
+        inputs = tuple(inputs)
+        rows = self._rows.get(inputs)
+        if rows is None:
+            first = {i: p * n for p, i in enumerate(inputs)}
+            rows = self._rows[inputs] = tuple(
+                Constraint({first[k // n] + k % n: c for k, c in con.coeffs.items()},
+                           con.sense, con.rhs, con.den)
+                for con in self.constraints if next(iter(con.coeffs)) // n in first)
+        return rows
 
 
 def deviation_polytope_constraints(tree: Tree) -> DeviationPolytope:

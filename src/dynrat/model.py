@@ -679,6 +679,7 @@ def problem_from_dict(doc: Mapping) -> DecisionProblem:
         raise ParseError("utility must be an object")
     # each entry's row as (numerator, denominator) pairs, by leaf index and state
     exprs: dict[tuple[int, str], list[tuple[int, int]]] = {}
+    read: dict[str, list[tuple[int, int]]] = {}  # each distinct string entry, read once
     for leaf_id, row in utility_doc.items():
         i = known.get(leaf_id)
         if i is None:
@@ -688,7 +689,12 @@ def problem_from_dict(doc: Mapping) -> DecisionProblem:
         for state, expr in row.items():
             if state not in states:
                 raise ValidationError(f"utility entry for unknown state {state!r}")
-            exprs[i, state] = _affine(expr, params)
+            if isinstance(expr, str):
+                if expr not in read:
+                    read[expr] = _affine(expr, params)
+                exprs[i, state] = read[expr]
+            else:
+                exprs[i, state] = _affine(expr, params)
     terms = []
     for i, label in enumerate(tree.labels):
         for s in states:

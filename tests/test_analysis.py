@@ -268,11 +268,15 @@ def test_identified_set_serialization(example2):
 # Sweeps with carried certificates against fresh decisions
 # ---------------------------------------------------------------------------
 
-def fresh_identified_set(family, observation, param, lo, hi, tolerance, grid_points):
+def fresh_identified_set(family, observation, param, lo, hi, tolerance, grid_points,
+                         tested=None):
     """The sweep without carried certificates or galloping: every sample
     decided afresh by `dominating_rule` (a fresh `rationalize.certificate`),
-    with the same grid and bisection."""
+    with the same grid and bisection, in Fractions.  Each sample is
+    appended to ``tested`` when it is given."""
     def test(point):
+        if tested is not None:
+            tested.append(point)
         return rz.dominating_rule(m.instantiate(family, {param: point}), observation) is None
 
     step = (hi - lo) / (grid_points - 1)
@@ -351,6 +355,103 @@ def test_carried_certificates_keep_every_interval(example2, example3, monkeypatc
     for kind in ("ActionSequence", "MarginalDistribution", "JointDistribution"):
         assert {(kind, "out", "in"), (kind, "in", "out")} <= flips
     assert unchecked > 100
+
+
+# (lo, hi, tolerance, grid points) at the edges of the integer samples
+SAMPLE_EDGES = [
+    (F(-7, 3), F(5, 7), F(1, 64), 9),  # a negative range over unequal denominators
+    (F(-2), F(2), F(1, 3), 9),
+    (F(-2), F(2), F(1, 2), 9),  # the tolerance is the grid step: no bisection
+    (F(-2), F(2), F(3), 9),  # and past it
+    (F(-2), F(2), F(1, 10**40), 5),  # about 130 halvings a gap
+    (F(-2), F(2), F(1, 64), 2),
+    (F(-2), F(2), F(1, 64), 5),
+]
+
+
+@pytest.mark.parametrize("lo, hi, tol, grid_points", SAMPLE_EDGES)
+def test_integer_samples_match_the_fraction_sweep(lo, hi, tol, grid_points, monkeypatch):
+    # the sweep's samples are integers over one denominator: it must give
+    # the intervals of the sweep in Fractions, and pin only at its grid
+    # points and midpoints, or for joint data where the cutting planes do
+    rng = random.Random(41)
+    cases = []
+    for _ in range(3):
+        family = random_family(rng)
+        start = m.instantiate(family, {"t": lo})
+        # each state recommends its best leaf at lo: obedient there
+        best = m.JointDistribution.from_mapping(start, {
+            (max(start.leaves, key=lambda a: utility(start, a, s)), s): F(1, len(start.states))
+            for s in start.states})
+        cases += [(family, observation) for observation in (
+            rng.choice(start.leaves), random_marginal(rng, start), best)]
+    pins = []
+    substitute = an.substitute_params
+    monkeypatch.setattr(an, "substitute_params", lambda problem, point: (
+        pins.append(point["t"]) or substitute(problem, point)))
+    step, gaps = (hi - lo) / (grid_points - 1), set()
+    for family, observation in cases:
+        del pins[:]
+        got = an.identified_set(family, observation, "t", lo, hi, tolerance=tol,
+                                grid_points=grid_points)
+        tested = []
+        want = fresh_identified_set(family, observation, "t", lo, hi, tol, grid_points, tested)
+        assert got.intervals == want
+        if isinstance(observation, m.JointDistribution):
+            cuts = []
+            an._obedient_interval(family, observation, lo, hi, lambda t: (
+                cuts.append(t) or substitute(family, {"t": t})))
+            assert pins == cuts
+        else:
+            assert len(pins) == len(set(pins)) and set(pins) <= set(tested)
+        for x, y, tag in want:
+            if tag == "gap":
+                gaps.add((type(observation).__name__, y - x == step, y - x <= tol))
+    kinds = {kind for kind, _, _ in gaps}
+    assert kinds == {"ActionSequence", "MarginalDistribution", "JointDistribution"}
+    # a gap is one grid cell exactly when the tolerance is not below the step
+    assert {(cell, narrow) for _, cell, narrow in gaps} == {(tol >= step, True)}
+
+
+def test_unfixed_family_is_the_problem_itself(example2, example3):
+    assert an._single_param_family(example2, "delta", None) is example2
+    assert an._single_param_family(example2, "delta", {}) is example2
+    pinned = an._single_param_family(example3, "c", {"R": 4})
+    assert pinned.param_names == ("c",)
+    assert pinned.table == m.substitute_params(example3, {"R": 4}).table
+    for problem, param, fixed, refusal in (
+            (example2, "gamma", None, "unknown parameter 'gamma'"),
+            (example2, "delta", {"gamma": 1}, "unknown parameter 'gamma'"),
+            (example3, "c", {"c": 1}, "cannot both sweep and fix 'c'"),
+            (example3, "c", None, "one-dimensional sweep only: fix parameter 'R' first"),
+            (example3, "c", {}, "one-dimensional sweep only: fix parameter 'R' first")):
+        with pytest.raises(m.ValidationError, match=refusal):
+            an._single_param_family(problem, param, fixed)
+
+
+def test_sweep_remaps_each_block_set_once(monkeypatch):
+    # every LP of a sweep on the same blocks shares one tuple of polytope rows
+    calls = []
+    rows_on = lp.DeviationPolytope.rows_on
+
+    def counted(poly, inputs):
+        calls.append((poly, tuple(inputs), rows_on(poly, inputs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(lp.DeviationPolytope, "rows_on", counted)
+    rng = random.Random(43)
+    for _ in range(8):
+        family = random_family(rng)
+        probe = m.instantiate(family, {"t": 0})
+        for observation in (rng.choice(probe.leaves), random_marginal(rng, probe)):
+            an.identified_set(family, observation, "t", -3, 3, tolerance="1/64",
+                              grid_points=9)
+    shared = 0
+    for poly, inputs, rows in calls:
+        same = [got for other, given, got in calls if other is poly and given == inputs]
+        assert all(got is rows for got in same)
+        shared += len(same) > 1 and len(inputs) < poly.n
+    assert shared
 
 
 # An all-"in" marginal sweep over t in [0, 2] (one seeded identify workload
@@ -552,7 +653,7 @@ def test_affine_sign_test_agrees_with_dominates():
                 gains = dv.affine_gains(family, rule)
                 for t in points:
                     want = dv.dominates(m.substitute_params(family, {"t": t}), rule, observation)
-                    assert an._dominates_at(gains, rows, t) == want
+                    assert an._dominates_at(gains, rows, *t.as_integer_ratio()) == want
                     seen.add((type(observation).__name__, want))
     assert len(seen) == 6  # each kind of observation, dominated and not
     with pytest.raises(m.ValidationError, match="one-parameter family"):

@@ -122,6 +122,31 @@ def test_negative_rule_cap_is_a_usage_error(capsys, monkeypatch):
     assert out == ""
 
 
+# ``--opt=--`` gives the option the value "--" on every Python; before 3.13
+# argparse stored [] and the query raised a traceback
+MISSING_DASH_FILE = "input error: [Errno 2] No such file or directory: '--'"
+DASH_VALUES = [
+    (["identify", EX2, "--seq", "w,x", "--sweep", "delta", "--range=--"],
+     1, "usage error: --range expects LO:HI"),
+    (["identify", EX2, "--seq", "w,x", "--sweep=--", "--range", "0:1"],
+     2, "input error: unknown parameter '--'"),
+    (["check-joint", EX1, "--dist-file=--"], 2, MISSING_DASH_FILE),
+    (["simulate", EX1, "--structure=--", "--strategy", EX1_STRATEGY, "-n", "4"],
+     2, MISSING_DASH_FILE),
+    (["enumerate-rules", EX1, "--max-rules=--"],
+     1, "usage error: argument --max-rules: invalid int value: '--'"),
+]
+
+
+@pytest.mark.parametrize("argv, want, message", DASH_VALUES,
+                         ids=["range", "sweep", "dist-file", "structure", "max-rules"])
+def test_an_option_spelled_equals_dashes_takes_the_value_dashes(capsys, monkeypatch, tmp_path,
+                                                                argv, want, message):
+    monkeypatch.chdir(tmp_path)  # no file named "--"
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (want, "", message + "\n")
+
+
 def _golden_report(name: str) -> dict:
     return json.loads((GOLDEN / f"{name}.json").read_text())
 

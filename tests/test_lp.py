@@ -316,6 +316,31 @@ def test_polytope_vertices_are_pure_kernels(example1):
             assert kernel in pure_kernels
 
 
+def test_rows_on_keeps_one_remap_per_block_set():
+    # each block set's rows are remapped once and kept: they equal a fresh
+    # remap, kernel entry (inputs[p], j) in column p * n + j, and come back
+    # as the same tuple however the inputs are passed
+    rng = random.Random(47)
+    proper = 0
+    for _ in range(8):
+        poly = L.deviation_polytope_constraints(random_problem(rng).tree)
+        n = poly.n
+        for r in range(1, len(poly.blocks) + 1):
+            for chosen in itertools.combinations(poly.blocks, r):
+                inputs = poly.inputs(i for block in chosen for i in block)
+                got = poly.rows_on(inputs)
+                if len(inputs) == n:
+                    assert got is poly.constraints
+                    continue
+                column = {i * n + j: p * n + j for p, i in enumerate(inputs) for j in range(n)}
+                want = [({column[k]: c for k, c in con.coeffs.items()}, con.sense, con.rhs, con.den)
+                        for con in poly.constraints if column.keys() >= con.coeffs.keys()]
+                assert [(con.coeffs, con.sense, con.rhs, con.den) for con in got] == want
+                assert poly.rows_on(list(inputs)) is got
+                proper += 1
+    assert proper > 8
+
+
 def test_polytope_feasibility_equals_adaptedness_on_random_problems():
     rng = random.Random(19)
     from conftest import random_rule
