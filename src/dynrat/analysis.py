@@ -1,14 +1,10 @@
 """Quantities built on top of the rationalizability core.
 
-* parameter regions consistent with an observation of any kind (a
-  galloping grid scan plus bisection of every sign change).  A sequence or
-  marginal sample is decided by a certificate that holds there: a rule met
-  earlier, on its affine gains with nothing pinned; the last law met, by
-  the induction on the family pinned there; else a fresh one
-  (`rationalize.certificate`).  A joint law's obedient interval is found
-  once by cutting planes, and each sample is decided by membership.
-  Samples are integers over one denominator per sweep, and the family
-  is built once per sweep; verdicts and intervals are those in rationals.
+* parameter regions consistent with an observation of any kind (a grid
+  scan plus bisection of every sign change, on integer samples over one
+  denominator per sweep).  Each certificate met, a rule or an obedient
+  law, gets its range of samples once, by cutting planes; a sample in no
+  range is decided afresh (`rationalize.certificate`).
 * rule-wise consistency screens over a parameter grid (the sign test of
   `deviation.dominates` on the rule's affine gains), and
 * increasing convex payoff transforms for risk-attitude comparisons.
@@ -20,9 +16,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import mul
 from typing import Callable, Optional, Sequence, Union
 
-from .deviation import DeviationRule, affine_gains, best_joint_deviation, gains_dominate
+from .deviation import DeviationRule, affine_gains, best_joint_deviation, failed_condition
 from .model import (
     DecisionProblem,
     JointDistribution,
@@ -39,9 +36,9 @@ from .rationalize import InternalInconsistencyError, certificate
 #: A rule's integer gains on a one-parameter family's constant and slope
 #: columns (`deviation.affine_gains`).
 AffineGains = tuple[list[int], list[int]]
-#: What decides one sweep point: a dominating rule, by its affine gains
-#: ("out"), or an obedient joint law that induces the observation ("in").
-Certificate = Union[AffineGains, JointDistribution]
+#: A certificate's cut at sample m: None where it holds, else integers
+#: (c0, c1) with c0 + c1*m < 0 and c0 + c1*x >= 0 wherever it holds.
+Cut = Callable[[int], Optional[tuple[int, int]]]
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +130,10 @@ def _single_param_family(
     return family
 
 
-def _dominates_at(gains: AffineGains, rows: Sequence[tuple[int, int, int]],
-                  m: int, d: int) -> bool:
-    """`deviation.dominates` at t = m/d (d > 0) with nothing pinned: its
-    sign test on the rule's affine gains d*A + m*B (`deviation.affine_gains`)."""
-    return gains_dominate([d * a + m * b for a, b in zip(*gains)], rows)
+def _gains_at(gains: AffineGains, m: int, d: int) -> list[int]:
+    """A rule's integer gains at t = m/d (d > 0), up to a positive factor:
+    d*A + m*B on its affine gains (`deviation.affine_gains`)."""
+    return [d * a + m * b for a, b in zip(*gains)]
 
 
 def lambda_D_set(
@@ -163,40 +159,67 @@ def lambda_D_set(
     family = _single_param_family(problem, param, fixed)
     points = [parse_rational(g) for g in grid]
     gains, rows = affine_gains(family, rule), consistency(family, observation)
-    return tuple(not _dominates_at(gains, rows, *pt.as_integer_ratio()) for pt in points)
+    return tuple(failed_condition(_gains_at(gains, *pt.as_integer_ratio()), rows) is not None
+                 for pt in points)
 
 
-def _obedient_interval(family: DecisionProblem, joint: JointDistribution, lo: Fraction,
-                       hi: Fraction, pin: Callable[[Fraction], DecisionProblem]
-                       ) -> tuple[Fraction, Fraction]:
-    """The interval [first, last] of [lo, hi] where ``joint`` is obedient
-    (empty if first > last), by cutting planes (Kelley 1960).  The law
-    is obedient on an interval S, where the largest gain of a pure rule,
-    a maximum of affine functions of t, is <= 0.  At a point where it
-    gains, the induction's rule gains alpha + beta*t on the law: a cut,
-    S lies where it is <= 0.  [first, last] is where every cut so far is
-    <= 0; the induction runs at an end not yet found obedient, left
-    first, until both are (S = [first, last], by convexity) or none is
-    left.  Each end meets every cut so far, so each cut is a new rule."""
-    first, last, obedient = lo, hi, set()
-    while first <= last and not {first, last} <= obedient:
-        t = last if first in obedient else first
-        gain, rule = best_joint_deviation(pin(t), joint)
+def _rule_cut(gains: AffineGains, rows: Sequence[tuple[int, int, int]], den: int) -> Cut:
+    """A rule's cut at t = m/den: the first sign condition of dominance
+    (`deviation.failed_condition`) that its gains fail there, each gain
+    den*A + m*B; strict reads >= 1, the gains being integers."""
+    def cut(m: int) -> Optional[tuple[int, int]]:
+        failed = failed_condition(_gains_at(gains, m, den), rows)
+        if failed is None:
+            return None
+        alpha, beta = (sum(w * column[c] for c, w in failed[0]) for column in gains)
+        return den * alpha - failed[1], beta
+    return cut
+
+
+def _law_cut(family: DecisionProblem, law: JointDistribution, den: int,
+             pin: Callable[[int], DecisionProblem], met: Callable[[int, AffineGains], None]) -> Cut:
+    """A law's cut at t = m/den: where the induction on the family pinned
+    there (``pin(m)``) gains, its rule gains den*alpha + m*beta on the law,
+    which is obedient only where that is <= 0.  ``met`` is given each such
+    rule's sample and affine gains."""
+    def cut(m: int) -> Optional[tuple[int, int]]:
+        gain, targets = best_joint_deviation(pin(m), law)
         if gain <= 0:
-            obedient.add(t)
+            return None
+        gains = affine_gains(family, targets())
+        met(m, gains)
+        alpha, beta = (sum(map(mul, law.cells, column)) for column in gains)
+        return -den * alpha, -beta
+    return cut
+
+
+def _span(seed: int, first: int, last: int, cut: Cut,
+          ranges: Sequence[tuple[int, int, bool]], verdict: bool) -> tuple[int, int]:
+    """The samples m in [first, last] where a certificate holds, given one,
+    ``seed``, where it does: an interval, found by cutting planes (Kelley
+    1960) from ``cut``.  No certificate holds where one of the other
+    verdict does, so the ``ranges`` (first, last, verdict) of the other
+    verdict bound the search, also those that ``cut`` adds.  The
+    certificate is checked at an end not yet seen to hold, left first,
+    until both do: it holds between them by convexity."""
+    held = {seed}
+    while True:
+        first = max([first, *(b + 1 for a, b, v in ranges if v != verdict and b < seed)])
+        last = min([last, *(a - 1 for a, b, v in ranges if v != verdict and a > seed)])
+        if first in held and last in held:
+            return first, last
+        m = last if first in held else first
+        found = cut(m)
+        if found is None:
+            held.add(m)
             continue
-        gains = affine_gains(family, rule())
-        if not _dominates_at(gains, joint.consistency_rows,  # pragma: no cover - bug
-                             *t.as_integer_ratio()):
-            raise InternalInconsistencyError("the induction's rule does not dominate the law")
-        alpha, beta = (sum(x * g for x, g in zip(joint.cells, column)) for column in gains)
-        if beta > 0:
-            last = min(last, Fraction(-alpha, beta))
-        elif beta < 0:
-            first = max(first, Fraction(-alpha, beta))
-        else:  # the rule gains at every t
-            return hi, lo
-    return first, last
+        c0, c1 = found
+        if c0 + c1 * m >= 0 or c0 + c1 * seed < 0:  # pragma: no cover - bug
+            raise InternalInconsistencyError("a cut must drop its point and keep the seed")
+        if c1 > 0:
+            first = -(c0 // c1)
+        else:
+            last = c0 // -c1
 
 
 @dataclass(frozen=True)
@@ -263,53 +286,35 @@ def identified_set(
     width / 1024).  Non-monotone families are handled; each reported interval
     is certified by its sampled points only.
 
-    Every sample gets the verdict a fresh decision would give it, from an
-    exact certificate, and each certificate holds on an interval of the
-    swept parameter t.  A rule's gains are affine in t
-    (`deviation.affine_gains`) and the consistency rows do not depend on
-    t, so sum e * level is concave and each cell in no row an affine
-    constraint (`deviation.gains_dominate`): the rule dominates on an
-    interval.  A law is obedient where the largest gain of a pure rule, a
-    maximum of affine functions of t, is <= 0, again an interval.
-
     Every sample is an integer m over one denominator D = lcm(den lo,
     den hi) * (grid_points - 1) * 2^k, fixed once per sweep, where k
     halvings bring a grid cell within ``tolerance`` (k = 0 when it is at
     least the grid step): each cell whose ends disagree is halved k times,
     at integer midpoints.  A `Fraction` is built only at a pin and for the
-    reported interval ends; samples and intervals are those in rationals.
+    reported interval ends.
 
-    Sequence and marginal data.  A rule is checked at t = m/D with nothing
-    pinned, by the sign test on D*A + m*B ("out").  A law is checked on
-    the family pinned at t (`substitute_params`): the backward induction
-    gains nothing, and the law induces the observation whatever t is
-    ("in").  A fresh decision (`rationalize.certificate`) pins t and
-    solves one LP, for a rule or a law read from its duals and checked by
-    `lp.check_duals`.  So a sample is pinned only where a law is checked
-    or an LP solved, and never twice.  The grid is galloped from the
-    left: once grid point i is decided afresh by C, C is checked at i+1,
-    i+2, i+4, ... until it fails or the undecided points end, then by
-    bisection, and every point up to the last one where it holds takes
-    its verdict unchecked.  Past the first point where C fails it fails
-    at every point still undecided, so a grid point that no gallop
-    reaches is decided afresh.  The first time a law holds at its own
-    grid point alone, the last grid point is decided next and its
-    certificate galloped leftward, down to the points already decided;
-    where the law found at t is obedient at or below t only, that turns
-    one LP per "in" point into one LP (a turn at rules as well cost more
-    LPs than it saved, on random families).  A bisection point tries
-    every rule met so far, newest first, then the last law met, and is
-    decided afresh only when none holds.
-
-    Joint data is its own law, obedient on one interval [first, last] of
-    [lo, hi] that `_obedient_interval` computes by cutting planes with
-    the induction, pinning only where the induction runs.  Every sample
-    is then decided by membership, first * D <= m <= last * D: "in"
-    between two points where the induction gained nothing, by convexity;
-    "out" where a cut's rule dominates the law.
+    Every sample gets the verdict a fresh decision would give it, from an
+    exact certificate, and each certificate holds on an interval of t,
+    found once by cutting planes (`_span`).  A rule's gains are affine in
+    t (`deviation.affine_gains`), so each sign condition of dominance is
+    affine or concave in t; its cut at a sample is the first condition it
+    fails there (`deviation.failed_condition`).  A law is obedient where
+    the largest gain of a pure rule, a maximum of affine functions of t,
+    is <= 0; its cut at a sample is the gain of the induction's rule on
+    the family pinned there, and that rule, where it dominates the
+    observation, is a certificate too.  A sample is decided by the first
+    range that holds it, else afresh (`rationalize.certificate`: one LP,
+    or one induction for joint data, which is its own law).  Grid points
+    go in order, but the first law found afresh that holds at no later
+    grid point has the last one decided next: where each law holds at or
+    below its own point only, that is one LP in place of one per point.
+    A certificate found afresh at a bisection point is searched only on
+    the side of it that the bracket keeps, the one side read again.  A
+    sample is pinned (`substitute_params`) only to be decided afresh or
+    to check a law, and never twice.
 
     Built once per sweep: the family (``problem`` itself when nothing is
-    fixed), the consistency rows and each rule's affine gains.  A pin
+    fixed), the consistency rows and each certificate's range.  A pin
     shares the family's tree and what is built on it alone (the deviation
     polytope with its rows per block set, the induction's prefix tree).
     """
@@ -328,76 +333,41 @@ def identified_set(
     # k, the least number of halvings with step / 2^k <= tol * base
     k = (-(-step * tol.denominator // (base * tol.numerator)) - 1).bit_length()
     den = base << k  # D
-    grid = range(int(lo * den), int(hi * den) + 1, step << k)
+    cell = step << k  # the grid step, over D
+    grid = range(int(lo * den), int(hi * den) + 1, cell)
     pin = cache(lambda m: substitute_params(family, {param: Fraction(m, den)}))  # once per sample
     rows = consistency(family, observation)
-    rules: list[AffineGains] = []  # every dominating rule met, oldest first
-    law: Optional[JointDistribution] = None  # the last obedient law met
+    ranges: list[tuple[int, int, bool]] = []  # (first, last, "in") of every certificate met
 
-    def fresh(m: int) -> Certificate:
-        nonlocal law
+    def met(m: int, gains: AffineGains) -> None:  # a law's cut rule, found at m
+        if failed_condition(_gains_at(gains, m, den), rows) is None:
+            cut = _rule_cut(gains, rows, den)
+            ranges.append((*_span(m, grid[0], grid[-1], cut, ranges, False), False))
+
+    def decide(m: int, vx: Optional[bool] = None) -> bool:
+        """Whether m/D is "in": by the first range that holds it, else by a
+        fresh certificate, whose range is added; at a bisection point whose
+        bracket's left end is ``vx``, on the side of m the bracket keeps."""
+        for first, last, verdict in ranges:
+            if first <= m <= last:
+                return verdict
         found = certificate(pin(m), observation)
-        if isinstance(found, JointDistribution):
-            law = found
-            return found
-        rules.append(affine_gains(family, found))
-        return rules[-1]
+        verdict = isinstance(found, JointDistribution)
+        first, last = grid[0], grid[-1]
+        if vx is not None:
+            first, last = (m, last) if verdict == vx else (first, m)
+        cut = (_law_cut(family, found, den, pin, met) if verdict else
+               _rule_cut(affine_gains(family, found), rows, den))
+        ranges.append((*_span(m, first, last, cut, ranges, verdict), verdict))
+        return verdict
 
-    def holds(cert: Certificate, m: int) -> bool:
-        if isinstance(cert, JointDistribution):
-            return best_joint_deviation(pin(m), cert)[0] <= 0
-        return _dominates_at(cert, rows, m, den)
-
-    def decide(m: int) -> bool:
-        """Whether m/D is "in", by the first certificate that holds there: a
-        rule met so far (newest first), the last law met, else a fresh one."""
-        for cert in (*reversed(rules), law):
-            if cert is not None and holds(cert, m):
-                return cert is law
-        return fresh(m) is law
-
-    verdicts: list[bool] = [False] * grid_points
-
-    def cover(start: int, stop: int) -> int:
-        """Decide grid point ``start`` afresh and gallop its certificate
-        toward ``stop`` (exclusive, on either side): the last point it
-        reaches."""
-        cert = fresh(grid[start])
-        toward = 1 if stop > start else -1
-        # cert holds at `good`; it fails at `bad`, or `bad` is `stop`
-        good, bad, jump = start, stop, 1
-        while abs(bad - good) > 1:
-            j = (start + toward * min(jump, abs(stop - start) - 1) if bad == stop
-                 else (good + bad) // 2)
-            jump *= 2
-            if holds(cert, grid[j]):
-                good = j
-            else:
-                bad = j
-        a, b = sorted((start, good))
-        verdicts[a:b + 1] = [cert is law] * (b + 1 - a)
-        return good
-
-    if isinstance(observation, JointDistribution):
-        first, last = _obedient_interval(family, observation, lo, hi, lambda t: (
-            substitute_params(family, {param: t})))
-        low, high = math.ceil(first * den), math.floor(last * den)  # m/D in [first, last]
-
-        def inside(m: int) -> bool:
-            return low <= m <= high
-
-        verdicts = [inside(m) for m in grid]
-    else:
-        inside = decide
-        # Grid points left .. right - 1 are undecided.  The first law that
-        # holds at its own point alone turns the scan to the far end: the
-        # last point is decided next and its certificate galloped leftward.
-        left, right = 0, grid_points
-        while left < right:
-            good = cover(left, right)
-            if verdicts[left] and good == left and left + 1 < right == grid_points:
-                right = cover(right - 1, left)
-            left = good + 1
+    verdicts, turn = [], True
+    for m in grid:
+        known = len(ranges)
+        verdicts.append(decide(m))
+        if turn and verdicts[-1] and len(ranges) > known and ranges[-1][1] < m + cell <= grid[-1]:
+            turn = False
+            decide(grid[-1])
 
     intervals: list[tuple[int, int, str]] = []
     region_start = grid[0]
@@ -408,7 +378,7 @@ def identified_set(
         vx = verdicts[i]
         for _ in range(k):
             mid = (x + y) // 2
-            if inside(mid) == vx:
+            if decide(mid, vx) == vx:
                 x = mid
             else:
                 y = mid

@@ -271,11 +271,9 @@ def _run_query(args) -> dict:
         lo, _, hi = args.sweep_range.partition(":")
         if not hi:
             raise UsageError("--range expects LO:HI")
-        # the observation is read at the low end; the sweep pins the swept
-        # parameter afresh at every point
-        inst = _instance(base, {**params, args.sweep: lo})
-    else:
-        inst = _instance(base, params)
+    # an identify observation needs only the tree and the states: it is read
+    # on the family, which the sweep pins at each sample
+    inst = base if args.command == "identify" else _instance(base, params)
     if args.command in _VERDICTS or args.command == "identify":
         kind, spec = _observed_spec(args)
         observed = _observation(inst, kind, spec)

@@ -4,7 +4,7 @@ A deviation rule rewrites each intended action sequence into a lottery over
 action sequences, subject to adaptedness: the rewritten play up to period t
 may depend only on the intended play up to period t.  Rules compose like
 stochastic matrices and are the certificates that observed behavior cannot be
-rationalized: `dominates` is one sign test (`gains_dominate`) on a rule's
+rationalized: `dominates` is one sign test (`failed_condition`) on a rule's
 gains against the observation's consistency rows (`model.consistency`),
 whatever the kind of observation; on a one-parameter family it runs on the
 rule's affine gains (`affine_gains`) with nothing pinned.
@@ -18,12 +18,13 @@ it, is the same type with one unit entry per row.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from operator import mul
+from typing import Optional, Union
 
 from .model import (
     ActionSequence,
@@ -181,8 +182,13 @@ class DeviationRule:
                 for a, row in zip(self.leaves, self.rows)}
 
 
+def pure_rule(problem: DecisionProblem, targets: Iterable[int]) -> DeviationRule:
+    """The pure rule that rewrites leaf i into leaf ``targets[i]``."""
+    return DeviationRule(problem.leaves, tuple(((j, 1),) for j in targets), 1)
+
+
 def identity_rule(problem: DecisionProblem) -> DeviationRule:
-    return DeviationRule(problem.leaves, tuple(((i, 1),) for i in range(len(problem.leaves))), 1)
+    return pure_rule(problem, range(len(problem.leaves)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +229,11 @@ def count_pure_rules(problem: DecisionProblem) -> int:
 
 def best_joint_deviation(
     problem: DecisionProblem, joint: JointDistribution
-) -> tuple[Fraction, Callable[[], DeviationRule]]:
+) -> tuple[int, Callable[[], tuple[int, ...]]]:
     """The most any adapted rule gains on average under ``joint``, by
-    backward induction with no LP, and a function that builds a pure rule
-    that gains it, so a caller that reads the gain alone builds no rule.
+    backward induction with no LP, over ``joint.den * problem.den``, and a
+    function that gives a pure rule that gains it as each leaf's output
+    leaf, so a caller that reads the gain alone builds no rule.
 
     A rule's output prefix may depend on the recommended (input) prefix, so
     the best rule is a best response to that prefix as a signal: over aligned
@@ -244,7 +251,7 @@ def best_joint_deviation(
     _require_joint_shape(problem, joint)
     depth = problem.tree.depth
     pay = {b.entries: row for b, row in zip(problem.leaves, table)}
-    cells, wden = joint.cells, joint.den
+    cells = joint.cells
     width = len(problem.states)
     rows = [cells[k:k + width] for k in range(0, len(cells), width)]
     mass = {a.entries: row for a, row in zip(problem.leaves, rows) if any(row)}
@@ -274,14 +281,14 @@ def best_joint_deviation(
         for hc in kids[h]:
             follow(hc, choice.get((hc, g)) or kids[g][0])
 
-    def rule() -> DeviationRule:
+    def targets() -> tuple[int, ...]:
         follow((), ())
         column = {b: j for j, b in enumerate(pay)}  # a leaf's entries -> its index
-        return DeviationRule(problem.leaves, tuple(((column[outputs[b]], 1),) for b in pay), 1)
+        return tuple(column[outputs[b]] for b in pay)
 
     outputs: dict[tuple[str, ...], tuple[str, ...]] = {}
     gain = value((), ()) - sum(sum(map(mul, row, pay[a])) for a, row in mass.items())
-    return Fraction(gain, wden * uden), rule
+    return gain, targets
 
 
 def enumerate_pure_rules(
@@ -346,13 +353,16 @@ def compose(outer: DeviationRule, inner: DeviationRule) -> DeviationRule:
     return DeviationRule(inner.leaves, tuple(rows), inner.den * outer.den)
 
 
-def _column_gains(pay: Sequence[Sequence[int]], rule: DeviationRule) -> list[int]:
-    """The rule's gains on an integer payoff table ``pay[i][s]``, cell by
-    cell as `JointDistribution.cells` numbers them, over rule.den times its
-    denominator."""
+def _column_gains(pay: Sequence[Sequence[int]], rows: Sequence[Sequence[tuple[int, int]]],
+                  den: int) -> list[int]:
+    """The gains of a rule's ``rows`` over ``den`` on an integer payoff
+    table ``pay[i][s]``, cell by cell as `JointDistribution.cells` numbers
+    them, over den times the table's denominator."""
+    if den == 1:  # a pure rule: one unit entry per row
+        return [x - o for ((j, _),), own in zip(rows, pay) for x, o in zip(pay[j], own)]
     width = range(len(pay[0]))
-    return [sum(w * pay[j][s] for j, w in support) - rule.den * own[s]
-            for support, own in zip(rule.rows, pay) for s in width]
+    return [sum(w * pay[j][s] for j, w in support) - den * own[s]
+            for support, own in zip(rows, pay) for s in width]
 
 
 def _integer_gains(problem: DecisionProblem, rule: DeviationRule) -> tuple[list[int], int]:
@@ -361,18 +371,24 @@ def _integer_gains(problem: DecisionProblem, rule: DeviationRule) -> tuple[list[
     if rule.leaves != problem.leaves:
         raise ValidationError("rule leaves do not match the problem")
     pay, uden = problem.integer_payoffs
-    return _column_gains(pay, rule), rule.den * uden
+    return _column_gains(pay, rule.rows, rule.den), rule.den * uden
 
 
-def affine_gains(family: DecisionProblem, rule: DeviationRule) -> tuple[list[int], list[int]]:
+def affine_gains(family: DecisionProblem, rule: Union[DeviationRule, Sequence[int]]
+                 ) -> tuple[list[int], list[int]]:
     """A rule's integer gains (A, B) on the constant and the slope column of
-    a one-parameter family's table.  Pinned at t = p/q, an entry is c*q +
-    m*p over a positive denominator, so the rule's integer gains there are
-    q*A + p*B times a positive factor, which no sign test sees."""
-    if rule.leaves != family.leaves or len(family.param_names) != 1:
+    a one-parameter family's table; a pure rule may be given as each leaf's
+    output leaf.  Pinned at t = p/q, an entry is c*q + m*p over a positive
+    denominator, so the rule's integer gains there are q*A + p*B times a
+    positive factor, which no sign test sees."""
+    if isinstance(rule, DeviationRule):
+        rows, den, leaves = rule.rows, rule.den, rule.leaves
+    else:  # a pure rule's output leaves
+        rows, den, leaves = [((j, 1),) for j in rule], 1, family.leaves
+    if leaves != family.leaves or len(rows) != len(leaves) or len(family.param_names) != 1:
         raise ValidationError("rule leaves do not match the one-parameter family")
     width = len(family.states)
-    return tuple(_column_gains(_chunks([row[k] for row in family.table], width), rule)
+    return tuple(_column_gains(_chunks([row[k] for row in family.table], width), rows, den)
                  for k in (0, 1))
 
 
@@ -388,24 +404,31 @@ def gains(problem: DecisionProblem, rule: DeviationRule) -> tuple[tuple[Fraction
 
 def dominates(problem: DecisionProblem, rule: DeviationRule, observed: Observation) -> bool:
     """Whether ``rule`` proves that no obedient law induces ``observed``
-    (by Farkas' lemma, some rule does whenever none does): the sign test
-    `gains_dominate` on its integer gains against the observation's
-    consistency rows (`model.consistency`)."""
+    (by Farkas' lemma, some rule does whenever none does): no condition of
+    the sign test `failed_condition` fails on its integer gains against the
+    observation's consistency rows (`model.consistency`)."""
     rows = consistency(problem, observed)
-    return gains_dominate(_integer_gains(problem, rule)[0], rows)
+    return failed_condition(_integer_gains(problem, rule)[0], rows) is None
 
 
-def gains_dominate(cells: Sequence[int], rows: Sequence[tuple[int, int, int]]) -> bool:
+def failed_condition(cells: Sequence[int], rows: Sequence[tuple[int, int, int]]
+                     ) -> Optional[tuple[list[tuple[int, int]], bool]]:
     """The one sign test of dominance, on a rule's gains G, cell by cell in
     any positive units, and consistency rows E gamma = e: no cell in no row
-    has G < 0, and sum e * level > 0, a row's level being its least G.  For
-    a sequence: G > 0 at it and G >= 0 elsewhere; a marginal: sum_i w_i
-    min_s G(i, s) > 0; a joint law: sum g * G > 0."""
+    has G < 0, in cell order, then sum e * level > 0, a row's level being
+    its least G.  For a sequence: G > 0 at it and G >= 0 elsewhere; a
+    marginal: sum_i w_i min_s G(i, s) > 0; a joint law: sum g * G > 0.
+    None when all hold, else the first that fails, as weights (cell, w)
+    and whether it is strict: sum w * G >= 0, or > 0.  The last is given
+    on the cells where the rows' levels are reached."""
     total = free = 0  # free: the first cell past the last row
-    for start, stop, e in rows:
+    for start, stop, e in (*rows, (len(cells), len(cells), 0)):  # and the cells after it
         if free < start and min(cells[free:start]) < 0:
-            return False
+            return [(next(c for c in range(free, start) if cells[c] < 0), 1)], False
         if e:  # a one-cell row's level is its cell: no slice to take
             total += e * (cells[start] if stop - start == 1 else min(cells[start:stop]))
         free = stop
-    return min(cells[free:], default=0) >= 0 and total > 0
+    if total > 0:
+        return None
+    return [(cells.index(min(cells[start:stop]), start, stop), e)
+            for start, stop, e in rows if e], True

@@ -53,7 +53,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import lp as lpmod
-from .deviation import DeviationRule, best_joint_deviation, dominates
+from .deviation import DeviationRule, best_joint_deviation, dominates, pure_rule
 from .model import (
     ActionSequence,
     DecisionProblem,
@@ -348,8 +348,8 @@ def certificate(
     decided by backward induction and is its own witness; a sequence or a
     marginal by one LP, whose duals give the law."""
     if isinstance(observed, JointDistribution):
-        gain, rule = best_joint_deviation(problem, observed)
-        return _checked(problem, rule(), observed) if gain > 0 else observed
+        gain, targets = best_joint_deviation(problem, observed)
+        return _checked(problem, pure_rule(problem, targets()), observed) if gain > 0 else observed
     return _dominance(problem, observed)
 
 

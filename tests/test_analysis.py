@@ -16,6 +16,7 @@ from conftest import (
     random_joint,
     random_marginal,
     random_problem,
+    random_pure_rule,
     random_rule,
     utility,
 )
@@ -265,18 +266,14 @@ def test_identified_set_serialization(example2):
 
 
 # ---------------------------------------------------------------------------
-# Sweeps with carried certificates against fresh decisions
+# Sweeps with certificate ranges against fresh decisions
 # ---------------------------------------------------------------------------
 
-def fresh_identified_set(family, observation, param, lo, hi, tolerance, grid_points,
-                         tested=None):
-    """The sweep without carried certificates or galloping: every sample
-    decided afresh by `dominating_rule` (a fresh `rationalize.certificate`),
-    with the same grid and bisection, in Fractions.  Each sample is
-    appended to ``tested`` when it is given."""
+def fresh_identified_set(family, observation, param, lo, hi, tolerance, grid_points):
+    """The sweep without certificate ranges: every sample decided afresh by
+    `dominating_rule` (a fresh `rationalize.certificate`), with the same
+    grid and bisection, in Fractions."""
     def test(point):
-        if tested is not None:
-            tested.append(point)
         return rz.dominating_rule(m.instantiate(family, {param: point}), observation) is None
 
     step = (hi - lo) / (grid_points - 1)
@@ -314,7 +311,7 @@ def test_carried_certificates_keep_every_interval(example2, example3, monkeypatc
         for observation in (rng.choice(probe.leaves), random_marginal(rng, probe),
                             random_joint(rng, probe)):
             cases.append((family, observation, "t", F(-2), F(2), {}, 9))
-    # longer grids, where galloping leaves points unchecked
+    # longer grids, where ranges leave more points unpinned
     for _ in range(6):
         family = random_family(rng)
         probe = m.instantiate(family, {"t": 0})
@@ -349,9 +346,8 @@ def test_carried_certificates_keep_every_interval(example2, example3, monkeypatc
         tags = [tag for _, _, tag in want if tag != "gap"]
         kind = type(observation).__name__
         flips |= {(kind, a, b) for a, b in zip(tags, tags[1:])}
-    # each carried certificate meets points where it must be refused: a rule
-    # from an "out" stretch at the start of an "in" one, and for sequence and
-    # marginal data a law from an "in" stretch at the start of an "out" one
+    # each kind of certificate meets the end of its range: a rule's "out"
+    # stretch ends at an "in" one and a law's "in" stretch at an "out" one
     for kind in ("ActionSequence", "MarginalDistribution", "JointDistribution"):
         assert {(kind, "out", "in"), (kind, "in", "out")} <= flips
     assert unchecked > 100
@@ -372,8 +368,8 @@ SAMPLE_EDGES = [
 @pytest.mark.parametrize("lo, hi, tol, grid_points", SAMPLE_EDGES)
 def test_integer_samples_match_the_fraction_sweep(lo, hi, tol, grid_points, monkeypatch):
     # the sweep's samples are integers over one denominator: it must give
-    # the intervals of the sweep in Fractions, and pin only at its grid
-    # points and midpoints, or for joint data where the cutting planes do
+    # the intervals of the sweep in Fractions, and pin a sample only to
+    # decide it afresh or to run a law's induction there, never twice
     rng = random.Random(41)
     cases = []
     for _ in range(3):
@@ -385,25 +381,31 @@ def test_integer_samples_match_the_fraction_sweep(lo, hi, tol, grid_points, monk
             for s in start.states})
         cases += [(family, observation) for observation in (
             rng.choice(start.leaves), random_marginal(rng, start), best)]
-    pins = []
-    substitute = an.substitute_params
-    monkeypatch.setattr(an, "substitute_params", lambda problem, point: (
-        pins.append(point["t"]) or substitute(problem, point)))
+    pins, fresh, cuts = [], [], []
+    substitute, certificate, induction = an.substitute_params, an.certificate, an.best_joint_deviation
+
+    def pinned(problem, point):
+        pins.append((substitute(problem, point), point["t"]))
+        return pins[-1][0]
+
+    def at(problem):
+        return next(t for p, t in pins if p is problem)
+
+    monkeypatch.setattr(an, "substitute_params", pinned)
+    monkeypatch.setattr(an, "certificate", lambda problem, observation: (
+        fresh.append(at(problem)) or certificate(problem, observation)))
+    monkeypatch.setattr(an, "best_joint_deviation", lambda problem, law: (
+        cuts.append(at(problem)) or induction(problem, law)))
     step, gaps = (hi - lo) / (grid_points - 1), set()
     for family, observation in cases:
-        del pins[:]
+        del pins[:], fresh[:], cuts[:]
         got = an.identified_set(family, observation, "t", lo, hi, tolerance=tol,
                                 grid_points=grid_points)
-        tested = []
-        want = fresh_identified_set(family, observation, "t", lo, hi, tol, grid_points, tested)
+        want = fresh_identified_set(family, observation, "t", lo, hi, tol, grid_points)
         assert got.intervals == want
-        if isinstance(observation, m.JointDistribution):
-            cuts = []
-            an._obedient_interval(family, observation, lo, hi, lambda t: (
-                cuts.append(t) or substitute(family, {"t": t})))
-            assert pins == cuts
-        else:
-            assert len(pins) == len(set(pins)) and set(pins) <= set(tested)
+        points = [t for _, t in pins]
+        assert len(points) == len(set(points)) and len(fresh) == len(set(fresh))
+        assert set(points) == set(fresh) | set(cuts)
         for x, y, tag in want:
             if tag == "gap":
                 gaps.add((type(observation).__name__, y - x == step, y - x <= tol))
@@ -586,9 +588,8 @@ def test_sweep_puts_the_observed_law_over_one_lcm_once(example2, monkeypatch):
 
 def test_sweep_reads_certificates_in_integers(example2, monkeypatch):
     # over sequence or marginal data the sweep builds each rule and each law
-    # from the solver's integers and checks a carried law by its gain
-    # alone: no Fraction assignment, duals or matrix, and no rule from the
-    # backward induction
+    # from the solver's integers, and a law's cuts from the rules of the
+    # backward induction: no Fraction assignment, duals or matrix
     probe = m.instantiate(example2, {"delta": 1})
     built, made, runs = [], [], []
 
@@ -611,13 +612,14 @@ def test_sweep_reads_certificates_in_integers(example2, monkeypatch):
                         m.MarginalDistribution.from_mapping(probe, {"w,x": "3/4", "w,y": "1/4"})):
         iset = an.identified_set(example2, observation, "delta", 0, 1)
         assert [tag for _, _, tag in iset.intervals] == ["out", "gap", "in"]
-    assert set(made) == {"rule", "law"} and runs and not built
+    assert set(made) == {"rule", "law"} and runs and set(built) == {"induction rule"}
 
 
 def test_bisection_tries_every_rule_met(example3, monkeypatch):
     # example 3 at R = 1, an identify workload case: the bisection points
     # c = 15/32 and 33/32 are dominated by the rules found at c = 0 and
-    # c = 17/16 on the grid, not by the last rule met, so they need no LP
+    # c = 17/16 on the grid, not by the last rule met, so they need no LP;
+    # each rule's range holds them
     family = m.substitute_params(example3, {"R": 1})
     probe = m.instantiate(family, {"c": 0})
     marginal = m.MarginalDistribution.from_mapping(
@@ -626,9 +628,29 @@ def test_bisection_tries_every_rule_met(example3, monkeypatch):
     solve = lp.solve
     monkeypatch.setattr(lp, "solve", lambda prog: solves.append(1) or solve(prog))
     iset = an.identified_set(example3, marginal, "c", 0, 2, fixed={"R": 1})
-    assert len(solves) == 3
+    assert len(solves) <= 2
     assert iset.intervals == fresh_identified_set(family, marginal, "c", F(0), F(2),
                                                   F(1, 512), 33)
+
+
+def test_sweep_checks_laws_only_where_they_may_hold(example2, monkeypatch):
+    # a law's range stops at the ranges of the rules met, and one found at a
+    # bisection point is searched only on the side the bracket keeps: on
+    # example 2 a law is checked three or four times a sweep
+    runs, solves = [], []
+    induction, solve = an.best_joint_deviation, lp.solve
+    monkeypatch.setattr(an, "best_joint_deviation", lambda problem, law: (
+        runs.append(1) or induction(problem, law)))
+    monkeypatch.setattr(lp, "solve", lambda prog: solves.append(1) or solve(prog))
+    probe = m.instantiate(example2, {"delta": 1})
+    for observation, inductions, lps in (
+            (probe.sequence("w,x"), 3, 4),
+            (m.MarginalDistribution.from_mapping(probe, {"w,x": "3/4", "w,y": "1/4"}), 4, 7)):
+        del runs[:], solves[:]
+        iset = an.identified_set(example2, observation, "delta", 0, 1)
+        assert (len(runs), len(solves)) == (inductions, lps)
+        assert iset.intervals == fresh_identified_set(example2, observation, "delta", F(0), F(1),
+                                                      F(1, 1024), 33)
 
 
 def test_affine_sign_test_agrees_with_dominates():
@@ -641,7 +663,6 @@ def test_affine_sign_test_agrees_with_dominates():
         probe = m.instantiate(family, {"t": 0})
         for observation in (rng.choice(probe.leaves), random_marginal(rng, probe),
                             random_joint(rng, probe)):
-            rows = m.consistency(family, observation)
             rules = [random_rule(rng, probe) for _ in range(3)]
             points = [F(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(4)]
             for t in points:
@@ -650,11 +671,11 @@ def test_affine_sign_test_agrees_with_dominates():
             points += [t + F(sign, 10**12 + 39) for t in points for sign in (-1, 1)]
             points += [F(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)) for _ in range(4)]
             for rule in rules:
-                gains = dv.affine_gains(family, rule)
-                for t in points:
-                    want = dv.dominates(m.substitute_params(family, {"t": t}), rule, observation)
-                    assert an._dominates_at(gains, rows, *t.as_integer_ratio()) == want
-                    seen.add((type(observation).__name__, want))
+                want = [dv.dominates(m.substitute_params(family, {"t": t}), rule, observation)
+                        for t in points]
+                assert an.lambda_D_set(family, rule, observation, points) == tuple(
+                    not w for w in want)
+                seen |= {(type(observation).__name__, w) for w in want}
     assert len(seen) == 6  # each kind of observation, dominated and not
     with pytest.raises(m.ValidationError, match="one-parameter family"):
         dv.affine_gains(m.instantiate(family, {"t": 0}), rules[0])
@@ -668,28 +689,30 @@ def one_state_family(utility: dict) -> m.DecisionProblem:
         "utility": {leaf: {"s": u} for leaf, u in utility.items()}}))
 
 
-def check_obedient_interval(family, joint, lo, hi, param="t"):
-    """`_obedient_interval` against the backward induction on the pinned
-    family: obedient at both ends, not just beyond them, nowhere when it is
-    empty; and the sweep's every grid and bisection verdict is the fresh one."""
-    def obedient(t):
-        return dv.best_joint_deviation(m.substitute_params(family, {param: t}), joint)[0] <= 0
-
+def check_obedient_interval(family, joint, lo, hi, param="t", den=24):
+    """A joint law's range by `analysis._span` with `_law_cut` against the
+    backward induction at every sample m/den of [lo, hi], seeded at the
+    last obedient one; and the sweep's every grid and bisection verdict is
+    the fresh one.  Returns the range's ends as Fractions (first > last
+    when it is empty) and the inductions it took, the seed's included."""
+    samples = range(lo * den, hi * den + 1)
     pins = []
-    first, last = an._obedient_interval(family, joint, lo, hi, lambda t: (
-        pins.append(t) or m.substitute_params(family, {param: t})))
-    assert len(pins) == len(set(pins))
-    step = (hi - lo) / 8
-    if first > last:
-        assert not any(obedient(lo + k * step) for k in range(9))
-    else:
-        assert lo <= first <= last <= hi and obedient(first) and obedient(last)
-        nudge = F(1, 10**12 + 39)
-        assert first == lo or not obedient(first - nudge)
-        assert last == hi or not obedient(last + nudge)
+
+    def pin(k):
+        pins.append(k)
+        return m.substitute_params(family, {param: F(k, den)})
+
+    obedient = [k for k in samples if dv.best_joint_deviation(pin(k), joint)[0] <= 0]
     iset = an.identified_set(family, joint, param, lo, hi, tolerance=F(1, 64), grid_points=9)
-    assert iset.intervals == fresh_identified_set(family, joint, param, lo, hi, F(1, 64), 9)
-    return first, last, len(pins)
+    assert iset.intervals == fresh_identified_set(family, joint, param, F(lo), F(hi), F(1, 64), 9)
+    if not obedient:
+        return F(hi), F(lo), 0
+    assert obedient == list(range(obedient[0], obedient[-1] + 1))  # an interval
+    del pins[:]
+    cut = an._law_cut(family, joint, den, pin, lambda k, gains: None)
+    first, last = an._span(obedient[-1], samples[0], samples[-1], cut, [], True)
+    assert (first, last) == (obedient[0], obedient[-1]) and len(pins) == len(set(pins))
+    return F(first, den), F(last, den), len(pins) + 1
 
 
 def test_joint_interval_matches_the_induction():
@@ -701,8 +724,8 @@ def test_joint_interval_matches_the_induction():
         best = {s: max(start.leaves, key=lambda a: utility(start, a, s)) for s in start.states}
         joint = (random_joint(rng, start) if k % 2 else m.JointDistribution.from_mapping(
             start, {(best[s], s): F(1, len(start.states)) for s in start.states}))
-        first, last, _ = check_obedient_interval(family, joint, F(-2), F(2))
-        ends["empty" if first > last else "inside" if F(-2) < first or last < F(2)
+        first, last, _ = check_obedient_interval(family, joint, -2, 2)
+        ends["empty" if first > last else "inside" if -2 < first or last < 2
              else "whole"] = True
     assert {"empty", "inside"} <= set(ends)
     # a family whose slopes are all 0: the law is obedient everywhere or nowhere
@@ -713,25 +736,70 @@ def test_joint_interval_matches_the_induction():
     obedient = m.JointDistribution.from_mapping(probe, {
         (max(probe.leaves, key=lambda a: utility(probe, a, s)), s): F(1, len(probe.states))
         for s in probe.states})
-    assert check_obedient_interval(flat, obedient, F(-1), F(1))[:2] == (F(-1), F(1))
+    assert check_obedient_interval(flat, obedient, -1, 1)[:2] == (-1, 1)
     family = one_state_family({"a": 0, "b": 1})
     law = m.JointDistribution.from_mapping(m.instantiate(family, {"t": 0}), {("a", "s"): 1})
-    first, last, runs = check_obedient_interval(family, law, F(-1), F(1))
-    assert first > last and runs == 1
+    first, last, _ = check_obedient_interval(family, law, -1, 1)
+    assert first > last
 
 
 def test_joint_interval_shapes(example2):
     family = one_state_family({"a": 0, "b": "t", "c": "-t"})
     at_a = m.JointDistribution.from_mapping(m.instantiate(family, {"t": 0}), {("a", "s"): 1})
     # obedient at t = 0 alone, and nowhere in [1, 2]
-    assert check_obedient_interval(family, at_a, F(-1), F(1))[:2] == (0, 0)
-    first, last, _ = check_obedient_interval(family, at_a, F(1), F(2))
+    assert check_obedient_interval(family, at_a, -1, 1) == (0, 0, 3)
+    first, last, _ = check_obedient_interval(family, at_a, 1, 2)
     assert first > last
     # obedient on the whole range: two inductions, one at each end
     family = one_state_family({"a": 2, "b": "t"})
     at_a = m.JointDistribution.from_mapping(m.instantiate(family, {"t": 0}), {("a", "s"): 1})
-    assert check_obedient_interval(family, at_a, F(-1), F(1)) == (-1, 1, 2)
+    assert check_obedient_interval(family, at_a, -1, 1) == (-1, 1, 2)
     # the golden identify report's law: exactly [4/5, 1], in three inductions
     probe = m.instantiate(example2, {"delta": 1})
     joint = m.JointDistribution.from_mapping(probe, {("w,x", "X"): "1/2", ("w,y", "Y"): "1/2"})
-    assert check_obedient_interval(example2, joint, F(0), F(1), "delta") == (F(4, 5), 1, 3)
+    assert check_obedient_interval(example2, joint, 0, 1, "delta", 40) == (F(4, 5), 1, 3)
+
+
+def test_rule_range_is_where_it_dominates():
+    # a rule's range by `analysis._span` with `_rule_cut` is the samples
+    # where `deviation.dominates` holds on the family pinned there, for a
+    # sequence, a marginal with a zero-weight leaf and a joint law; the
+    # samples just past its ends include ties, where the level sum is 0:
+    # the strict condition fails there
+    rng, other = random.Random(47), random.Random(53)
+    den, ties = 24, set()
+    samples = range(-3 * den, 3 * den + 1)
+    for j in range(12):
+        family = random_family(rng)
+        probe = m.instantiate(family, {"t": 0})
+        pinned = {k: m.substitute_params(family, {"t": F(k, den)}) for k in samples}
+        marginal = random_marginal(rng, probe)
+        while all(marginal.weights) and len(probe.leaves) > 1:
+            marginal = random_marginal(rng, probe)
+        # every other joint law is one cell, whose ties fall on the samples
+        joint = random_joint(rng, probe) if j % 2 else m.JointDistribution.from_mapping(
+            probe, {(rng.choice(probe.leaves), rng.choice(probe.states)): 1})
+        for observation in (rng.choice(probe.leaves), marginal, joint):
+            rows = m.consistency(family, observation)
+            found = [rz.dominating_rule(pinned[k], observation) for k in rng.sample(samples, 3)]
+            # a pure rule given by its output leaves has its rule's gains
+            targets = [row[0][0] for row in random_pure_rule(other, probe).rows]
+            assert dv.affine_gains(family, targets) == dv.affine_gains(
+                family, dv.pure_rule(probe, targets))
+            for rule in [r for r in found if r] + [random_rule(rng, probe) for _ in range(2)]:
+                held = [k for k in samples if dv.dominates(pinned[k], rule, observation)]
+                if not held:
+                    continue
+                assert held == list(range(held[0], held[-1] + 1))  # an interval
+                gains = dv.affine_gains(family, rule)
+                cut = an._rule_cut(gains, rows, den)
+                assert an._span(held[len(held) // 2], samples[0], samples[-1], cut, [],
+                                False) == (held[0], held[-1])
+                for k in (held[0] - 1, held[-1] + 1):
+                    if k in samples:
+                        cells = an._gains_at(gains, k, den)
+                        weights, strict = dv.failed_condition(cells, rows)
+                        if sum(w * cells[c] for c, w in weights) == 0:
+                            ties.add((type(observation).__name__, strict))
+    assert {(kind, True) for kind in ("ActionSequence", "MarginalDistribution",
+                                      "JointDistribution")} <= ties

@@ -450,6 +450,37 @@ def test_identify(capsys):
     assert [iv["tag"] for iv in intervals] == ["out", "gap", "in"]
 
 
+def test_identify_reads_its_observation_on_the_family(capsys, monkeypatch):
+    # the observation needs only the tree and the states: no op instantiates
+    # the family to read it, with parameters fixed or not
+    calls = []
+    instantiate = cli.instantiate
+    monkeypatch.setattr(cli, "instantiate", lambda *args: calls.append(args) or instantiate(*args))
+    for argv in (["identify", EX2, "--seq", "w,x", "--sweep", "delta", "--range", "0:1"],
+                 ["identify", EX2, "--marginal", "w,x:1/2,w,y:1/2", "--sweep", "delta",
+                  "--range", "0:1"],
+                 ["identify", EX2, "--joint", "w,x@X:1/2,w,y@Y:1/2", "--sweep", "delta",
+                  "--range", "0:1"],
+                 ["identify", EX3, "--param", "R=4", "--seq", "effort,no_effort",
+                  "--sweep", "c", "--range", "0:8"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--sweep", "c"], "one-dimensional sweep only: fix parameter 'R' first"),
+    (["--sweep", "c", "--param", "R=4", "--param", "R=1"], "parameter 'R' given twice"),
+    (["--sweep", "c", "--param", "R=4", "--param", "foo=1"], "unknown parameter 'foo'"),
+    (["--sweep", "foo", "--param", "R=4"], "unknown parameter 'foo'"),
+    (["--sweep", "c", "--param", "R=4", "--param", "c=1"], "cannot both sweep and fix 'c'"),
+], ids=["unfixed", "twice", "unknown-fixed", "unknown-swept", "swept-and-fixed"])
+def test_identify_refuses_a_family_it_cannot_sweep(capsys, argv, message):
+    code, out, err = run_cli(capsys, "identify", EX3, "--seq", "effort,no_effort",
+                             "--range", "0:8", *argv)
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
 def test_identify_negative_range(capsys):
     # "--range -1:1" reads -1:1 as an option; the "=" form passes it as a value
     code, out, _ = run_cli(capsys, "identify", EX2, "--seq", "w,x", "--sweep",

@@ -437,9 +437,10 @@ def test_backward_induction_matches_the_joint_dominance_lp():
     padded = zero_mass = positive = 0
     for p in problems:
         joint = random_joint(rng, p)
-        gain, follow = dv.best_joint_deviation(p, joint)
+        num, targets = dv.best_joint_deviation(p, joint)
+        gain = F(num, joint.den * p.den)  # the gain is its numerator over joint.den * p.den
         assert gain == joint_dominance_optimum(p, joint)
-        rule = follow()
+        rule = dv.pure_rule(p, targets())
         entries = [leaf.entries for leaf in p.leaves]
         assert dense_matrix_is_adapted(entries, entries, rule.matrix, p.tree.periods)
         assert rule_gain(p, rule, joint) == gain
@@ -475,8 +476,9 @@ def test_flat_last_period_matches_the_recursive_induction():
         joint = random_joint(rng, p)
         if len(p.states) > 1 and k % 3 == 0:
             joint = without_state(rng, p, joint)
-        gain, rule = dv.best_joint_deviation(p, joint)
-        assert (gain, rule()) == reference_best_joint_deviation(p, joint)
+        gain, targets = dv.best_joint_deviation(p, joint)
+        assert (F(gain, joint.den * p.den), dv.pure_rule(p, targets())) == (
+            reference_best_joint_deviation(p, joint))
         width = len(p.states)
         depths.add(p.tree.depth)
         padded += any(m.PAD in leaf.entries for leaf in p.leaves)
@@ -490,8 +492,9 @@ def test_flat_last_period_matches_the_recursive_induction():
         p = m.load_problem(json.dumps(complete_tree_doc(branching, 2, seed=1)))
         n = 2 * len(p.leaves)
         for joint in (m.JointDistribution(p.leaves, p.states, [1] * n, n), random_joint(rng, p)):
-            gain, rule = dv.best_joint_deviation(p, joint)
-            assert (gain, rule()) == reference_best_joint_deviation(p, joint)
+            gain, targets = dv.best_joint_deviation(p, joint)
+            assert (F(gain, joint.den * p.den), dv.pure_rule(p, targets())) == (
+                reference_best_joint_deviation(p, joint))
 
 
 def test_backward_induction_rejects_a_law_of_another_problem(example1, example2):
