@@ -308,6 +308,9 @@ def identified_set(
     go in order, but the first law found afresh that holds at no later
     grid point has the last one decided next: where each law holds at or
     below its own point only, that is one LP in place of one per point.
+    A grid point decided "out" by a rule whose range ends before the next
+    grid point has the sample just past that range decided next: a law
+    found there is searched on its right only.
     A certificate found afresh at a bisection point is searched only on
     the side of it that the bracket keeps, the one side read again.  A
     sample is pinned (`substitute_params`) only to be decided afresh or
@@ -344,13 +347,13 @@ def identified_set(
             cut = _rule_cut(gains, rows, den)
             ranges.append((*_span(m, grid[0], grid[-1], cut, ranges, False), False))
 
-    def decide(m: int, vx: Optional[bool] = None) -> bool:
-        """Whether m/D is "in": by the first range that holds it, else by a
-        fresh certificate, whose range is added; at a bisection point whose
-        bracket's left end is ``vx``, on the side of m the bracket keeps."""
-        for first, last, verdict in ranges:
-            if first <= m <= last:
-                return verdict
+    def decide(m: int, vx: Optional[bool] = None) -> tuple[int, int, bool]:
+        """The first range that holds m, else that of a fresh certificate,
+        which is added; at a bisection point whose bracket's left end is
+        ``vx``, on the side of m the bracket keeps."""
+        for held in ranges:
+            if held[0] <= m <= held[1]:
+                return held
         found = certificate(pin(m), observation)
         verdict = isinstance(found, JointDistribution)
         first, last = grid[0], grid[-1]
@@ -359,15 +362,19 @@ def identified_set(
         cut = (_law_cut(family, found, den, pin, met) if verdict else
                _rule_cut(affine_gains(family, found), rows, den))
         ranges.append((*_span(m, first, last, cut, ranges, verdict), verdict))
-        return verdict
+        return ranges[-1]
 
     verdicts, turn = [], True
     for m in grid:
         known = len(ranges)
-        verdicts.append(decide(m))
-        if turn and verdicts[-1] and len(ranges) > known and ranges[-1][1] < m + cell <= grid[-1]:
-            turn = False
-            decide(grid[-1])
+        _, last, verdict = decide(m)
+        verdicts.append(verdict)
+        if last < m + cell <= grid[-1]:  # the range ends before the next grid point
+            if not verdict:
+                decide(last + 1)
+            elif turn and len(ranges) > known:
+                turn = False
+                decide(grid[-1])
 
     intervals: list[tuple[int, int, str]] = []
     region_start = grid[0]
@@ -378,7 +385,7 @@ def identified_set(
         vx = verdicts[i]
         for _ in range(k):
             mid = (x + y) // 2
-            if decide(mid, vx) == vx:
+            if decide(mid, vx)[2] == vx:
                 x = mid
             else:
                 y = mid

@@ -358,8 +358,6 @@ def _column_gains(pay: Sequence[Sequence[int]], rows: Sequence[Sequence[tuple[in
     """The gains of a rule's ``rows`` over ``den`` on an integer payoff
     table ``pay[i][s]``, cell by cell as `JointDistribution.cells` numbers
     them, over den times the table's denominator."""
-    if den == 1:  # a pure rule: one unit entry per row
-        return [x - o for ((j, _),), own in zip(rows, pay) for x, o in zip(pay[j], own)]
     width = range(len(pay[0]))
     return [sum(w * pay[j][s] for j, w in support) - den * own[s]
             for support, own in zip(rows, pay) for s in width]

@@ -636,7 +636,8 @@ def test_bisection_tries_every_rule_met(example3, monkeypatch):
 def test_sweep_checks_laws_only_where_they_may_hold(example2, monkeypatch):
     # a law's range stops at the ranges of the rules met, and one found at a
     # bisection point is searched only on the side the bracket keeps: on
-    # example 2 a law is checked three or four times a sweep
+    # example 2 a law is checked once a sweep for the sequence, found just
+    # past the first rule's range, and four times for the marginal
     runs, solves = [], []
     induction, solve = an.best_joint_deviation, lp.solve
     monkeypatch.setattr(an, "best_joint_deviation", lambda problem, law: (
@@ -644,7 +645,7 @@ def test_sweep_checks_laws_only_where_they_may_hold(example2, monkeypatch):
     monkeypatch.setattr(lp, "solve", lambda prog: solves.append(1) or solve(prog))
     probe = m.instantiate(example2, {"delta": 1})
     for observation, inductions, lps in (
-            (probe.sequence("w,x"), 3, 4),
+            (probe.sequence("w,x"), 1, 2),
             (m.MarginalDistribution.from_mapping(probe, {"w,x": "3/4", "w,y": "1/4"}), 4, 7)):
         del runs[:], solves[:]
         iset = an.identified_set(example2, observation, "delta", 0, 1)
@@ -694,19 +695,27 @@ def check_obedient_interval(family, joint, lo, hi, param="t", den=24):
     backward induction at every sample m/den of [lo, hi], seeded at the
     last obedient one; and the sweep's every grid and bisection verdict is
     the fresh one.  Returns the range's ends as Fractions (first > last
-    when it is empty) and the inductions it took, the seed's included."""
+    when it is empty) and the inductions it took, the seed's included; for
+    an empty range, those of the whole sweep."""
     samples = range(lo * den, hi * den + 1)
-    pins = []
+    pins, runs = [], []
 
     def pin(k):
         pins.append(k)
         return m.substitute_params(family, {param: F(k, den)})
 
+    def induction(problem, law, run=dv.best_joint_deviation):
+        runs.append(1)
+        return run(problem, law)
+
     obedient = [k for k in samples if dv.best_joint_deviation(pin(k), joint)[0] <= 0]
-    iset = an.identified_set(family, joint, param, lo, hi, tolerance=F(1, 64), grid_points=9)
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (an, rz):
+            patch.setattr(module, "best_joint_deviation", induction)
+        iset = an.identified_set(family, joint, param, lo, hi, tolerance=F(1, 64), grid_points=9)
     assert iset.intervals == fresh_identified_set(family, joint, param, F(lo), F(hi), F(1, 64), 9)
     if not obedient:
-        return F(hi), F(lo), 0
+        return F(hi), F(lo), len(runs)
     assert obedient == list(range(obedient[0], obedient[-1] + 1))  # an interval
     del pins[:]
     cut = an._law_cut(family, joint, den, pin, lambda k, gains: None)
@@ -739,8 +748,8 @@ def test_joint_interval_matches_the_induction():
     assert check_obedient_interval(flat, obedient, -1, 1)[:2] == (-1, 1)
     family = one_state_family({"a": 0, "b": 1})
     law = m.JointDistribution.from_mapping(m.instantiate(family, {"t": 0}), {("a", "s"): 1})
-    first, last, _ = check_obedient_interval(family, law, -1, 1)
-    assert first > last
+    first, last, runs = check_obedient_interval(family, law, -1, 1)
+    assert first > last and runs == 1
 
 
 def test_joint_interval_shapes(example2):
