@@ -33,6 +33,7 @@ from .model import (
     format_rational,
     instantiate,
     load_problem,
+    parse_json,
     parse_rational,
     problem_from_dict,
     problem_to_dict,
@@ -94,11 +95,7 @@ def _object(value, what: str) -> dict:
 
 def _read_json(path: str, what: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh, parse_float=Fraction, object_pairs_hook=_no_duplicate_keys)
-        except ValueError as exc:  # also undecodable text or a number past int()'s digit limit
-            raise ParseError(f"invalid JSON: {exc}") from exc
-    return _object(doc, what)
+        return _object(parse_json(fh), what)
 
 
 def _dist_from_json(problem: DecisionProblem, doc, joint: bool):

@@ -385,9 +385,7 @@ def affine_gains(family: DecisionProblem, rule: Union[DeviationRule, Sequence[in
         rows, den, leaves = [((j, 1),) for j in rule], 1, family.leaves
     if leaves != family.leaves or len(rows) != len(leaves) or len(family.param_names) != 1:
         raise ValidationError("rule leaves do not match the one-parameter family")
-    width = len(family.states)
-    return tuple(_column_gains(_chunks([row[k] for row in family.table], width), rows, den)
-                 for k in (0, 1))
+    return tuple(_column_gains(family.columns[k], rows, den) for k in (0, 1))
 
 
 def gains(problem: DecisionProblem, rule: DeviationRule) -> tuple[tuple[Fraction, ...], ...]:

@@ -40,7 +40,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Optional, Union
 
-from .model import Tree, ValidationError, _over_lcm, _ratio, parse_rational
+from .model import Tree, ValidationError, _lowest, _over_lcm, _ratio, parse_rational
 
 _SENSES = ("<=", "==", ">=")
 
@@ -154,12 +154,6 @@ class LpSolution:
 
 def _fractions(over: Optional[tuple[tuple[int, ...], int]]) -> Optional[tuple[Fraction, ...]]:
     return None if over is None else tuple(Fraction(x, over[1]) for x in over[0])
-
-
-def _lowest(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
-    """``nums / den`` (``den > 0``) over the least positive denominator."""
-    g = math.gcd(den, *nums)
-    return tuple(x // g for x in nums), den // g
 
 
 def check_solution(lp: LinearProgram, assignment: Sequence[Fraction]) -> bool:

@@ -5,7 +5,9 @@ one common denominator; nothing in the core ever rounds.  Literals are read
 once, as integers (`_ratio`), into the rows they feed under one lcm, and
 integers are written back by one gcd each (`_format`).  A decision problem
 is a finite rooted action tree (`Tree`) of depth at most ``periods``, a
-finite state set, and a terminal utility table.  Histories with no
+finite state set, and a terminal utility table.  The tree is read from the
+problem file's nested object by one walk, which validates it in document
+order and records every history's actions and every leaf.  Histories with no
 successors are terminal; their root-to-leaf paths are padded with the
 reserved marker ``"_"`` up to the tree's depth, so the set of padded
 leaves plays the role of the full action-sequence space.
@@ -25,11 +27,11 @@ import math
 import operator
 import re
 from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Optional, Union
+from typing import Optional, TextIO, Union
 
 #: Reserved padding marker for entries after a terminal history.
 PAD = "_"
@@ -108,6 +110,13 @@ def _chunks(values: Iterable, width: int) -> tuple[tuple, ...]:
     """``values`` cut into consecutive tuples of ``width`` entries."""
     it = iter(values)
     return tuple(zip(*[it] * width))
+
+
+def _lowest(nums: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
+    """Integers over ``den`` (> 0) put in lowest terms by one gcd, as a tuple."""
+    nums = tuple(nums)
+    g = math.gcd(den, *nums)
+    return (nums, den) if g == 1 else (tuple([x // g for x in nums]), den // g)
 
 
 def _format(x: int, den: int) -> str:
@@ -220,20 +229,24 @@ def _check_label(label: str, what: str) -> None:
 class Tree:
     """A finite rooted action tree of depth at most ``periods``.
 
-    ``branches`` lists, in document order, every non-terminal history together
-    with its available actions; the root history is ``()``.  Leaves are padded,
-    and what is built period by period runs, up to the tree's `depth`;
-    ``periods`` only bounds the padding a label may carry.  Construction
-    validates the tree once and walks it once, for the leaves, the depth
-    and the leaf labels that every reader resolves a leaf's own label
-    through (`leaf_position`); every problem on it, and every problem that
-    `substitute_params` or `analysis.risk_transform` derives from one, shares
-    it and what is built from it (`per_tree`).  Identity is used for
-    equality and hashing.
+    ``nodes`` is the problem file's nested ``tree`` object: each node maps
+    its actions, in document order, to ``"leaf"`` or to the next node.
+    Construction walks it once, depth first, in document order and without
+    recursion.  At each node it checks that the node is an object, that its
+    action set is not empty, that each label not met before is valid, and
+    the depth bound, so the first fault in document order is raised.  The walk
+    records `branch_map` (every non-terminal history with its actions; the
+    root is ``()``) and the leaves, padded, like what is built period by
+    period, up to the tree's `depth`; ``periods`` only bounds the padding a
+    label may carry.  Every reader resolves a leaf's own label through
+    `labels` (`leaf_position`).  Every problem on the tree, and every
+    problem that `substitute_params` or `analysis.risk_transform` derives
+    from one, shares it and what is built from it (`per_tree`).  Identity
+    is used for equality and hashing.
     """
 
     periods: int
-    branches: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
+    nodes: InitVar[Mapping]
     branch_map: dict[tuple[str, ...], tuple[str, ...]] = field(init=False, repr=False)
     #: The length of the longest leaf history, at most ``periods``.
     depth: int = field(init=False, repr=False)
@@ -244,39 +257,30 @@ class Tree:
     #: Each leaf's label, mapped to the leaf's index.
     _labels: dict[str, int] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, nodes: Mapping) -> None:
         if self.periods < 1:
             raise ValidationError("periods must be at least 1")
-        branch_map, checked = {}, set()
-        for history, actions in self.branches:
-            if history in branch_map:
-                raise ValidationError(f"history {history!r} listed twice")
-            if not actions:
+        branch_map, histories, checked = {}, [], set()
+        stack = [((), nodes)]
+        while stack:
+            history, node = stack.pop()
+            if not isinstance(node, Mapping):
+                if not history:
+                    raise ParseError("tree node at () must be an object")
+                if node != "leaf":
+                    raise ParseError(f"tree entry {history[-1]!r} must be \"leaf\" or an object")
+                histories.append(history)
+                continue
+            if not node:
                 raise ValidationError(f"history {history!r} has an empty action set")
-            if len(set(actions)) != len(actions):
-                raise ValidationError(f"duplicate action label at history {history!r}")
-            for a in actions:
+            for a in node:
                 if a not in checked:  # each label once, however many nodes offer it
                     _check_label(a, "action label")
-            checked.update(actions)
+                    checked.add(a)
             if len(history) >= self.periods:
                 raise ValidationError("tree deeper than the number of periods")
-            branch_map[history] = actions
-        if () not in branch_map:
-            raise ValidationError("missing root action set")
-
-        for history in branch_map:  # reachable: offered by its parent, recursively
-            if history and history[-1] not in branch_map.get(history[:-1], ()):
-                raise ValidationError(f"unreachable history {history!r}")
-
-        histories, stack = [], [()]  # the one leaf walk, depth first
-        while stack:
-            history = stack.pop()
-            actions = branch_map.get(history)
-            if actions is None:
-                histories.append(history)
-            else:
-                stack.extend(history + (a,) for a in reversed(actions))
+            branch_map[history] = tuple(node)
+            stack.extend((history + (a,), child) for a, child in reversed(node.items()))
         depth = max(map(len, histories))
         leaves = tuple(_pad(h, depth) for h in histories)
         labels = tuple(leaf.label for leaf in leaves)
@@ -384,11 +388,10 @@ class DecisionProblem:
         if (len(self.table) != len(self.tree.leaves) * len(self.states) or self.den <= 0
                 or set(map(len, self.table)) != {width}):
             raise ValidationError("utility table shape mismatch")
-        g = math.gcd(self.den, *chain.from_iterable(self.table))
-        if g > 1:
-            object.__setattr__(self, "table", _chunks(
-                [x // g for x in chain.from_iterable(self.table)], width))
-            object.__setattr__(self, "den", self.den // g)
+        nums, den = _lowest(chain.from_iterable(self.table), self.den)
+        if den != self.den:
+            object.__setattr__(self, "table", _chunks(nums, width))
+            object.__setattr__(self, "den", den)
 
     @property
     def leaves(self) -> tuple[ActionSequence, ...]:
@@ -409,6 +412,13 @@ class DecisionProblem:
             raise ValidationError(f"unknown state {state!r}") from None
 
     @cached_property
+    def columns(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The table's columns, each cut leaf by leaf: ``columns[k][i][s]``
+        over ``den`` is entry k (the constant, then the coefficient of each
+        parameter) of ``leaves[i]`` in ``states[s]``."""
+        return tuple(_chunks(column, len(self.states)) for column in zip(*self.table))
+
+    @cached_property
     def integer_payoffs(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The utility table in integers: ``(numerators, den)``, where
         ``numerators[i][s] / den`` is the utility of ``leaves[i]`` in
@@ -417,7 +427,7 @@ class DecisionProblem:
         if self.param_names:
             raise ValidationError(
                 f"problem still has free parameters {self.param_names!r}; instantiate first")
-        return _chunks(map(operator.itemgetter(0), self.table), len(self.states)), self.den
+        return self.columns[0], self.den
 
     @property
     def has_params(self) -> bool:
@@ -475,9 +485,9 @@ class JointDistribution:
     def __post_init__(self) -> None:
         if len(self.cells) != len(self.leaves) * len(self.states) or self.den <= 0:
             raise ValidationError("joint distribution shape mismatch")
-        g = math.gcd(self.den, *self.cells)
-        object.__setattr__(self, "cells", tuple(x // g for x in self.cells))
-        object.__setattr__(self, "den", self.den // g)
+        cells, den = _lowest(self.cells, self.den)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "den", den)
         _require_probability_numerators(self.cells, self.den, "joint distribution")
 
     @cached_property
@@ -553,9 +563,9 @@ class MarginalDistribution:
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.leaves) or self.den <= 0:
             raise ValidationError("marginal distribution shape mismatch")
-        g = math.gcd(self.den, *self.weights)
-        object.__setattr__(self, "weights", tuple(x // g for x in self.weights))
-        object.__setattr__(self, "den", self.den // g)
+        weights, den = _lowest(self.weights, self.den)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "den", den)
         _require_probability_numerators(self.weights, self.den, "marginal distribution")
 
     @staticmethod
@@ -623,16 +633,20 @@ def _no_duplicate_keys(pairs):
     return out
 
 
-def load_problem(text: str) -> DecisionProblem:
-    """Parse and validate a problem file (see the package README for the schema).
-
-    All numeric literals are read exactly; decimal notation never passes
-    through binary floating point.
-    """
+def parse_json(source: Union[str, TextIO]):
+    """A JSON text or text file read exactly (decimals as `Fraction`s, a key
+    given twice refused); any fault of the text, undecodable bytes and
+    nesting past the recursion limit included, is a `ParseError`."""
     try:
-        doc = json.loads(text, parse_float=Fraction, object_pairs_hook=_no_duplicate_keys)
-    except ValueError as exc:  # also a number past int()'s digit limit
+        text = source if isinstance(source, str) else source.read()
+        return json.loads(text, parse_float=Fraction, object_pairs_hook=_no_duplicate_keys)
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+
+
+def load_problem(text: str) -> DecisionProblem:
+    """Parse and validate a problem file (see the package README for the schema)."""
+    doc = parse_json(text)
     if not isinstance(doc, dict):
         raise ParseError("problem file must be a JSON object")
     return problem_from_dict(doc)
@@ -656,22 +670,7 @@ def problem_from_dict(doc: Mapping) -> DecisionProblem:
     if not isinstance(params, list) or not all(isinstance(p, str) for p in params):
         raise ParseError("params must be a list of strings")
 
-    branches: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-
-    def walk(node, history: tuple[str, ...]) -> None:
-        if not isinstance(node, Mapping):
-            raise ParseError(f"tree node at {history!r} must be an object")
-        branches.append((history, tuple(node.keys())))
-        for action, child in node.items():
-            if child == "leaf":
-                continue
-            if isinstance(child, Mapping):
-                walk(child, history + (action,))
-            else:
-                raise ParseError(f"tree entry {action!r} must be \"leaf\" or an object")
-
-    walk(doc["tree"], ())
-    tree = Tree(periods, tuple(branches))
+    tree = Tree(periods, doc["tree"])
     known = tree._labels  # a leaf is keyed by its label alone
 
     utility_doc = doc["utility"]

@@ -16,7 +16,6 @@ package's main internal consistency guarantee.
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_right
 from collections.abc import Mapping, Sequence
@@ -42,6 +41,7 @@ from .model import (
     _chunks,
     _format,
     _leaf_weights,
+    _lowest,
     _over_lcm,
     _ratio,
     _require_joint_shape,
@@ -84,12 +84,6 @@ def _rows(doc: Mapping, what: str) -> Mapping:
     return rows
 
 
-def _lowest(rows: Sequence[Sequence[int]], den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Integer rows over ``den`` put in lowest terms by one gcd."""
-    g = math.gcd(den, *chain.from_iterable(rows))
-    return tuple(tuple(x // g for x in row) for row in rows), den // g
-
-
 @dataclass(frozen=True)
 class InformationStructure:
     """A prior and a kernel from states to full signal sequences (one signal
@@ -120,11 +114,11 @@ class InformationStructure:
             raise ValidationError("signal kernel shape mismatch")
         for row in self.kernel:
             _require_probability_numerators(row, self.kernel_den, "signal kernel row")
-        (prior,), prior_den = _lowest((self.prior,), self.prior_den)
-        kernel, kernel_den = _lowest(self.kernel, self.kernel_den)
+        prior, prior_den = _lowest(self.prior, self.prior_den)
+        kernel, kernel_den = _lowest(chain.from_iterable(self.kernel), self.kernel_den)
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "prior_den", prior_den)
-        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "kernel", _chunks(kernel, n))
         object.__setattr__(self, "kernel_den", kernel_den)
 
     @cached_property
@@ -192,8 +186,8 @@ class Strategy:
         if not _support_is_adapted(self.sequences, [l.entries for l in self.leaves],
                                    support, periods):
             raise ValidationError("strategy is not adapted")
-        kernel, den = _lowest(self.kernel, self.den)
-        object.__setattr__(self, "kernel", kernel)
+        kernel, den = _lowest(chain.from_iterable(self.kernel), self.den)
+        object.__setattr__(self, "kernel", _chunks(kernel, len(self.leaves)))
         object.__setattr__(self, "den", den)
 
     @cached_property

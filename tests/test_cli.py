@@ -304,6 +304,15 @@ MALFORMED = {
         "check-seq --seq effort,no_effort --param R=4 --param c=1",
         _shipped(EX3, lambda d: d["utility"]["effort,effort"].update(hard="2R")),
         "between terms"),
+    # JSON nested 3000 deep, in a problem, a law and a report: invalid JSON
+    # where the decoder stops at the recursion limit (Python 3.10 to 3.12),
+    # else the document's own first fault
+    "problem-tree-nested-3000-deep": (
+        "check-seq --seq a",
+        '{"periods": 1, "states": ["s"], "tree": ' + '{"a": ' * 3000 + '"leaf"' + "}" * 3000
+        + ', "utility": {}}'),
+    "dist-file-nested-3000-deep": ("check-marginal", '{"a": ' * 3000 + '"1"' + "}" * 3000),
+    "report-nested-3000-deep": ("verify-witness", '{"a": ' * 3000 + "1" + "}" * 3000),
 }
 
 
@@ -331,7 +340,7 @@ def test_malformed_input_exits_2(capsys, tmp_path, case):
     else:
         argv = [name, EX1, "--dist-file", str(path)]
     code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and "input error" in err, err
+    assert code == 2 and err.startswith("input error") and err.count("\n") == 1, err
     assert all(text in err for text in named), err
     assert out == ""
 

@@ -62,6 +62,55 @@ def test_depth_beyond_periods_rejected():
         m.load_problem(json.dumps(doc))
 
 
+# One fault each: the tree document (and `periods`), the exception the
+# reader raises, and its message, which the command line prints after
+# "input error: " with exit code 2.
+TREE_FAULTS = {
+    "empty-root": ({}, 1, m.ValidationError, "history () has an empty action set"),
+    "empty-inner-node": ({"a": "leaf", "b": {}}, 2, m.ValidationError,
+                         "history ('b',) has an empty action set"),
+    "root-is-a-string": ("leaf", 1, m.ParseError, "tree node at () must be an object"),
+    "root-is-a-list": ([], 1, m.ParseError, "tree node at () must be an object"),
+    "entry-is-a-number": ({"a": "leaf", "b": 5}, 1, m.ParseError,
+                          "tree entry 'b' must be \"leaf\" or an object"),
+    "inner-entry-is-a-list": ({"a": {"b": ["leaf"]}}, 2, m.ParseError,
+                              "tree entry 'b' must be \"leaf\" or an object"),
+    "padding-label": ({"a": {"_": "leaf"}}, 2, m.ValidationError,
+                      "action label '_' is reserved for padding"),
+    "empty-set-label": ({"∅": "leaf"}, 1, m.ValidationError,
+                        "action label '∅' is reserved for padding"),
+    "comma-label": ({"a,b": "leaf"}, 1, m.ValidationError,
+                    "action label 'a,b' contains a forbidden character"),
+    "at-label": ({"a": {"b@c": "leaf"}}, 2, m.ValidationError,
+                 "action label 'b@c' contains a forbidden character"),
+    "colon-label": ({"a:b": "leaf"}, 1, m.ValidationError,
+                    "action label 'a:b' contains a forbidden character"),
+    "empty-label": ({"a": "leaf", "": "leaf"}, 1, m.ValidationError,
+                    "action label must be a nonempty string"),
+    "too-deep": ({"a": {"b": {"c": "leaf"}}}, 2, m.ValidationError,
+                 "tree deeper than the number of periods"),
+    "periods-0": ({"a": "leaf"}, 0, m.ValidationError, "periods must be at least 1"),
+    # two faults: the first in document order is reported
+    "bad-label-then-bad-entry": ({"a,b": "leaf", "c": 5}, 1, m.ValidationError,
+                                 "action label 'a,b' contains a forbidden character"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TREE_FAULTS))
+def test_tree_faults_are_named_and_exit_2(capsys, tmp_path, case):
+    from dynrat import cli
+
+    tree, periods, error, message = TREE_FAULTS[case]
+    doc = {"periods": periods, "states": ["s"], "tree": tree, "utility": {}}
+    with pytest.raises(error) as raised:
+        m.load_problem(json.dumps(doc))
+    assert type(raised.value) is error and str(raised.value) == message
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    assert cli.run(["check-seq", str(path), "--seq", "a"]) == 2
+    assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+
 def test_unknown_keys_rejected():
     doc = {
         "periods": 1, "states": ["s"], "tree": {"a": "leaf"},
@@ -225,7 +274,7 @@ def test_problem_round_trip(example2, example3):
         again = m.problem_from_dict(
             json.loads(json.dumps(doc), parse_float=F)
         )
-        assert again.tree.branches == problem.tree.branches
+        assert list(again.tree.branch_map.items()) == list(problem.tree.branch_map.items())
         assert (again.table, again.den) == (problem.table, problem.den)
         assert m.problem_to_dict(again) == doc
         assert again.param_names == problem.param_names
