@@ -13,7 +13,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import mul
@@ -22,10 +21,12 @@ from typing import Callable, Optional, Sequence, Union
 from .deviation import DeviationRule, affine_gains, best_joint_deviation, failed_condition
 from .model import (
     DecisionProblem,
+    Frozen,
     JointDistribution,
     Observation,
     ValidationError,
     _over_lcm,
+    _set,
     consistency,
     format_rational,
     parse_rational,
@@ -45,8 +46,7 @@ Cut = Callable[[int], Optional[tuple[int, int]]]
 # Payoff transforms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PiecewiseLinearFunction:
+class PiecewiseLinearFunction(Frozen):
     """An increasing convex piecewise-linear map on the rationals.
 
     ``slopes`` has one more entry than ``breakpoints`` (leftmost segment
@@ -54,21 +54,27 @@ class PiecewiseLinearFunction:
     means every slope is positive; convex means slopes never decrease.
     """
 
+    __slots__ = ("breakpoints", "slopes", "anchor_value")
+    __match_args__ = __slots__
     breakpoints: tuple[Fraction, ...]
     slopes: tuple[Fraction, ...]
     anchor_value: Fraction
 
-    def __post_init__(self) -> None:
-        if not self.breakpoints:
+    def __init__(self, breakpoints: tuple[Fraction, ...], slopes: tuple[Fraction, ...],
+                 anchor_value: Fraction) -> None:
+        if not breakpoints:
             raise ValidationError("at least one breakpoint is required")
-        if any(b >= c for b, c in zip(self.breakpoints, self.breakpoints[1:])):
+        if any(b >= c for b, c in zip(breakpoints, breakpoints[1:])):
             raise ValidationError("breakpoints must be strictly increasing")
-        if len(self.slopes) != len(self.breakpoints) + 1:
+        if len(slopes) != len(breakpoints) + 1:
             raise ValidationError("need one slope per segment")
-        if any(s <= 0 for s in self.slopes):
+        if any(s <= 0 for s in slopes):
             raise ValidationError("transform must be strictly increasing")
-        if any(s > t for s, t in zip(self.slopes, self.slopes[1:])):
+        if any(s > t for s, t in zip(slopes, slopes[1:])):
             raise ValidationError("transform must be convex (slopes non-decreasing)")
+        _set(self, "breakpoints", breakpoints)
+        _set(self, "slopes", slopes)
+        _set(self, "anchor_value", anchor_value)
 
     @staticmethod
     def affine(slope, intercept) -> "PiecewiseLinearFunction":
@@ -222,8 +228,7 @@ def _span(seed: int, first: int, last: int, cut: Cut,
             last = c0 // -c1
 
 
-@dataclass(frozen=True)
-class IdentifiedSet:
+class IdentifiedSet(Frozen):
     """Certified parameter intervals: "in" and "out" pieces separated by
     narrow "gap" pieces around detected boundaries.
 
@@ -231,16 +236,20 @@ class IdentifiedSet:
     interval structure is assumed beyond what the samples show.
     """
 
+    __slots__ = ("param", "intervals")
+    __match_args__ = __slots__
     param: str
     intervals: tuple[tuple[Fraction, Fraction, str], ...]
 
-    def __post_init__(self) -> None:
-        for (lo, hi, tag) in self.intervals:
+    def __init__(self, param: str, intervals: tuple[tuple[Fraction, Fraction, str], ...]) -> None:
+        for (lo, hi, tag) in intervals:
             if lo > hi or tag not in ("in", "out", "gap"):
                 raise ValidationError("malformed identified-set interval")
-        for (_, hi, _), (lo2, _, _) in zip(self.intervals, self.intervals[1:]):
+        for (_, hi, _), (lo2, _, _) in zip(intervals, intervals[1:]):
             if hi != lo2:
                 raise ValidationError("identified-set intervals must tile the range")
+        _set(self, "param", param)
+        _set(self, "intervals", intervals)
 
     def tag_at(self, point: Fraction) -> str:
         """Tag of the interval containing ``point`` ("gap" wins at seams).

@@ -223,7 +223,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 def _load_problem_and_params(args) -> tuple[DecisionProblem, dict]:
     with open(args.problem, "r", encoding="utf-8") as fh:
-        base = load_problem(fh.read())
+        base = load_problem(fh)
     params: dict[str, Fraction] = {}
     for item in args.param:
         if "=" not in item:

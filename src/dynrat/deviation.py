@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -29,6 +28,7 @@ from typing import Optional, Union
 from .model import (
     ActionSequence,
     DecisionProblem,
+    Frozen,
     JointDistribution,
     Observation,
     Tree,
@@ -132,8 +132,7 @@ def is_adapted(problem: DecisionProblem, kernel) -> bool:
 # Rules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DeviationRule:
+class DeviationRule(Frozen):
     """A row-stochastic, adapted kernel over the padded leaves.
 
     Row i, the lottery that leaf i is rewritten into, is ``rows[i]``: its
@@ -144,27 +143,28 @@ class DeviationRule:
     both stochasticity and adaptedness.
     """
 
+    __match_args__ = ("leaves", "rows", "den")
     leaves: tuple[ActionSequence, ...]
     rows: tuple[tuple[tuple[int, int], ...], ...]
     den: int
 
-    def __post_init__(self) -> None:
-        n = len(self.leaves)
-        if len(self.rows) != n or self.den <= 0:
+    def __init__(self, leaves: tuple[ActionSequence, ...],
+                 rows: Sequence[Iterable[tuple[int, int]]], den: int) -> None:
+        n = len(leaves)
+        if len(rows) != n or den <= 0:
             raise ValidationError("deviation rule shape mismatch")
-        g = math.gcd(self.den, *(x for row in self.rows for _, x in row))
-        rows = tuple(tuple(sorted((j, x // g) for j, x in row if x)) for row in self.rows)
+        g = math.gcd(den, *(x for row in rows for _, x in row))
+        rows = tuple(tuple(sorted((j, x // g) for j, x in row if x)) for row in rows)
+        den //= g
         for row in rows:  # each in column order: check its ends and neighbours
             if row and (row[0][0] < 0 or row[-1][0] >= n) or len(row) > 1 and any(
                     a == b for (a, _), (b, _) in zip(row, row[1:])):
                 raise ValidationError("deviation rule shape mismatch")
-            _require_probability_numerators([x for _, x in row], self.den // g,
-                                            "deviation rule row")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "den", self.den // g)
-        entries = [l.entries for l in self.leaves]
+            _require_probability_numerators([x for _, x in row], den, "deviation rule row")
+        entries = [l.entries for l in leaves]
         if not _support_is_adapted(entries, entries, rows, len(entries[0]) if entries else 0):
             raise ValidationError("kernel is not adapted")
+        vars(self).update(leaves=leaves, rows=rows, den=den)
 
     @cached_property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:

@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from typing import Optional, Union
 
-from .model import Tree, ValidationError, _lowest, _over_lcm, _ratio, parse_rational
+from .model import Frozen, Tree, ValidationError, _lowest, _over_lcm, _ratio, _set, parse_rational
 
 _SENSES = ("<=", "==", ">=")
 
@@ -63,30 +62,50 @@ def pivot_tally() -> int:
 # Program model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Frozen):
     """``sum(c * x[k] for k, c in coeffs.items()) / den <sense> rhs / den``:
     integer coefficients and right-hand side over one positive denominator.
     Zero coefficients may be left out."""
 
+    __slots__ = ("coeffs", "sense", "rhs", "den")
+    __match_args__ = __slots__
     coeffs: dict[int, int]
     sense: str
     rhs: int
-    den: int = 1
+    den: int
+
+    def __init__(self, coeffs: dict[int, int], sense: str, rhs: int, den: int = 1) -> None:
+        _set(self, "coeffs", coeffs)
+        _set(self, "sense", sense)
+        _set(self, "rhs", rhs)
+        _set(self, "den", den)
 
 
-@dataclass
 class LinearProgram:
     """An LP over numbered columns with exact rational data, to be maximized.
 
     ``variables[k]`` tells whether column k is free; otherwise it is
     nonnegative.  Constraints and the objective reference declared columns
-    only.
+    only.  Programs compare by their fields and, being mutable, do not hash.
     """
 
-    variables: list[bool] = field(default_factory=list)
-    constraints: list[Constraint] = field(default_factory=list)
-    objective: dict[int, Fraction] = field(default_factory=dict)
+    __slots__ = ("variables", "constraints", "objective")
+    __match_args__ = __slots__
+    __hash__ = None
+    __repr__ = Frozen.__repr__
+
+    def __init__(self, variables: Optional[list[bool]] = None,
+                 constraints: Optional[list[Constraint]] = None,
+                 objective: Optional[dict[int, Fraction]] = None) -> None:
+        self.variables = [] if variables is None else variables
+        self.constraints = [] if constraints is None else constraints
+        self.objective = {} if objective is None else objective
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.variables, self.constraints, self.objective)
+                == (other.variables, other.constraints, other.objective))
 
     def add_variable(self, free: bool = False) -> int:
         self.variables.append(free)
@@ -128,8 +147,7 @@ class LinearProgram:
         self.objective = {k: q for k, q in values if q}
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(Frozen):
     """``integer_assignment`` holds one value per column and
     ``integer_duals`` one multiplier per entry of the program's
     ``constraints`` when the status is optimal, each as ``(numerators,
@@ -137,11 +155,22 @@ class LpSolution:
     ``>=`` rows, free on ``==`` rows (see `check_duals`).  `assignment` and
     `duals` read them as `Fraction`s."""
 
+    __slots__ = ("status", "value", "pivots", "integer_assignment", "integer_duals")
+    __match_args__ = __slots__
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Optional[Fraction]
     pivots: int
-    integer_assignment: Optional[tuple[tuple[int, ...], int]] = None
-    integer_duals: Optional[tuple[tuple[int, ...], int]] = None
+    integer_assignment: Optional[tuple[tuple[int, ...], int]]
+    integer_duals: Optional[tuple[tuple[int, ...], int]]
+
+    def __init__(self, status: str, value: Optional[Fraction], pivots: int,
+                 integer_assignment: Optional[tuple[tuple[int, ...], int]] = None,
+                 integer_duals: Optional[tuple[tuple[int, ...], int]] = None) -> None:
+        _set(self, "status", status)
+        _set(self, "value", value)
+        _set(self, "pivots", pivots)
+        _set(self, "integer_assignment", integer_assignment)
+        _set(self, "integer_duals", integer_duals)
 
     @property
     def assignment(self) -> Optional[tuple[Fraction, ...]]:
@@ -497,8 +526,7 @@ def solve(lp: LinearProgram) -> LpSolution:
 # The deviation-rule polytope
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DeviationPolytope:
+class DeviationPolytope(Frozen):
     """Constraint rows whose feasible set is exactly the deviation rule
     kernels of a problem with ``n`` leaves: one nonnegative column per
     kernel entry, entry (i, j) in column i * n + j, row-sum equalities (which
@@ -507,11 +535,19 @@ class DeviationPolytope:
     actions, so the rows split into ``blocks``, the inputs of each
     first-period action."""
 
+    __slots__ = ("n", "constraints", "blocks", "_rows")
+    __match_args__ = ("n", "constraints", "blocks")
     n: int
     constraints: tuple[Constraint, ...]
     blocks: tuple[tuple[int, ...], ...]
-    _rows: dict[tuple[int, ...], tuple[Constraint, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    _rows: dict[tuple[int, ...], tuple[Constraint, ...]]
+
+    def __init__(self, n: int, constraints: tuple[Constraint, ...],
+                 blocks: tuple[tuple[int, ...], ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "constraints", constraints)
+        _set(self, "blocks", blocks)
+        _set(self, "_rows", {})
 
     def inputs(self, leaves: Iterable[int]) -> tuple[int, ...]:
         """The inputs of every block that holds one of ``leaves``."""

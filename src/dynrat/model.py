@@ -27,7 +27,6 @@ import math
 import operator
 import re
 from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
-from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -178,30 +177,77 @@ def _affine(value: Union[int, str, Fraction], params: Sequence[str]) -> list[tup
 
 
 # ---------------------------------------------------------------------------
+# Immutable types
+# ---------------------------------------------------------------------------
+
+#: How a `Frozen` type's `__init__` sets a field.
+_set = object.__setattr__
+
+
+class Frozen:
+    """The base of dynrat's immutable types.
+
+    A subclass's `__init__` sets each field once, through `_set`, or through
+    ``vars(self).update`` on a type with an instance dict; after that,
+    assigning or deleting an attribute raises `AttributeError`.  A
+    `cached_property` writes to the instance dict itself, so it still caches.
+    ``__match_args__`` names the fields in positional order: the instance
+    shows them in its repr, and compares and hashes by them (a type compared
+    by identity takes `object`'s ``__eq__`` and ``__hash__`` back)."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._key = operator.attrgetter(*cls.__match_args__)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # Action sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ActionSequence:
+class ActionSequence(Frozen):
     """A root-to-leaf path padded with `PAD` to the depth of its tree.
     Its `label`, the unpadded path joined with commas, is joined once, on
     construction, for every reader and writer of leaves by name."""
 
+    __slots__ = ("entries", "label")
+    __match_args__ = ("entries",)
     entries: tuple[str, ...]
-    label: str = field(init=False, repr=False, compare=False)
+    label: str
 
-    def __post_init__(self) -> None:
-        entries = self.entries
+    def __init__(self, entries: tuple[str, ...]) -> None:
+        path = entries
         if PAD in entries:
             n = entries.index(PAD)
             if entries.count(PAD) != len(entries) - n:
                 raise ValidationError(f"action after padding in {entries!r}")
-            entries = entries[:n]
-        object.__setattr__(self, "label", ",".join(entries))
+            path = entries[:n]
+        _set(self, "entries", entries)
+        _set(self, "label", ",".join(path))
 
     @property
     def history(self) -> tuple[str, ...]:
-        """The unpadded path (padding only ever trails, see `__post_init__`)."""
+        """The unpadded path (padding only ever trails, see `__init__`)."""
         return self.entries[:self.entries.index(PAD)] if PAD in self.entries else self.entries
 
     def __str__(self) -> str:  # pragma: no cover - repr sugar
@@ -225,8 +271,7 @@ def _check_label(label: str, what: str) -> None:
         raise ValidationError(f"{what} {label!r} contains a forbidden character")
 
 
-@dataclass(frozen=True, eq=False)
-class Tree:
+class Tree(Frozen):
     """A finite rooted action tree of depth at most ``periods``.
 
     ``nodes`` is the problem file's nested ``tree`` object: each node maps
@@ -245,20 +290,22 @@ class Tree:
     is used for equality and hashing.
     """
 
+    __match_args__ = ("periods",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
     periods: int
-    nodes: InitVar[Mapping]
-    branch_map: dict[tuple[str, ...], tuple[str, ...]] = field(init=False, repr=False)
+    branch_map: dict[tuple[str, ...], tuple[str, ...]]
     #: The length of the longest leaf history, at most ``periods``.
-    depth: int = field(init=False, repr=False)
+    depth: int
     #: All padded leaves, in document (depth-first) order.
-    leaves: tuple[ActionSequence, ...] = field(init=False, repr=False)
+    leaves: tuple[ActionSequence, ...]
     #: Each leaf's label, in leaf order.
-    labels: tuple[str, ...] = field(init=False, repr=False)
+    labels: tuple[str, ...]
     #: Each leaf's label, mapped to the leaf's index.
-    _labels: dict[str, int] = field(init=False, repr=False)
+    _labels: dict[str, int]
 
-    def __post_init__(self, nodes: Mapping) -> None:
-        if self.periods < 1:
+    def __init__(self, periods: int, nodes: Mapping) -> None:
+        if periods < 1:
             raise ValidationError("periods must be at least 1")
         branch_map, histories, checked = {}, [], set()
         stack = [((), nodes)]
@@ -277,16 +324,15 @@ class Tree:
                 if a not in checked:  # each label once, however many nodes offer it
                     _check_label(a, "action label")
                     checked.add(a)
-            if len(history) >= self.periods:
+            if len(history) >= periods:
                 raise ValidationError("tree deeper than the number of periods")
             branch_map[history] = tuple(node)
             stack.extend((history + (a,), child) for a, child in reversed(node.items()))
         depth = max(map(len, histories))
         leaves = tuple(_pad(h, depth) for h in histories)
         labels = tuple(leaf.label for leaf in leaves)
-        for name, value in (("branch_map", branch_map), ("depth", depth), ("leaves", leaves),
-                            ("labels", labels), ("_labels", {a: i for i, a in enumerate(labels)})):
-            object.__setattr__(self, name, value)
+        vars(self).update(periods=periods, branch_map=branch_map, depth=depth, leaves=leaves,
+                          labels=labels, _labels={a: i for i, a in enumerate(labels)})
 
     @cached_property
     def leaf_index(self) -> dict[ActionSequence, int]:
@@ -351,8 +397,7 @@ class Tree:
         return self.leaf_index[self.sequence(value)] if i is None else i
 
 
-@dataclass(frozen=True, eq=False)
-class DecisionProblem:
+class DecisionProblem(Frozen):
     """A finite dynamic decision problem: an action tree, a state set and a
     utility table, affine in the declared parameters.
 
@@ -366,32 +411,36 @@ class DecisionProblem:
     caches.
     """
 
+    __match_args__ = ("tree", "states", "param_names", "table", "den")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
     tree: Tree
     states: tuple[str, ...]
     param_names: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
     den: int
 
-    def __post_init__(self) -> None:
-        if not self.states:
+    def __init__(self, tree: Tree, states: tuple[str, ...], param_names: tuple[str, ...],
+                 table: tuple[tuple[int, ...], ...], den: int) -> None:
+        if not states:
             raise ValidationError("at least one state is required")
-        if len(set(self.states)) != len(self.states):
+        if len(set(states)) != len(states):
             raise ValidationError("duplicate state label")
-        for s in self.states:
+        for s in states:
             _check_label(s, "state label")
-        if len(set(self.param_names)) != len(self.param_names):
+        if len(set(param_names)) != len(param_names):
             raise ValidationError("duplicate parameter name")
-        for p in self.param_names:
+        for p in param_names:
             if not _NAME_RE.fullmatch(p):
                 raise ValidationError(f"parameter name {p!r} is not an identifier")
-        width = 1 + len(self.param_names)
-        if (len(self.table) != len(self.tree.leaves) * len(self.states) or self.den <= 0
-                or set(map(len, self.table)) != {width}):
+        width = 1 + len(param_names)
+        if (len(table) != len(tree.leaves) * len(states) or den <= 0
+                or set(map(len, table)) != {width}):
             raise ValidationError("utility table shape mismatch")
-        nums, den = _lowest(chain.from_iterable(self.table), self.den)
-        if den != self.den:
-            object.__setattr__(self, "table", _chunks(nums, width))
-            object.__setattr__(self, "den", den)
+        nums, lowest = _lowest(chain.from_iterable(table), den)
+        if lowest != den:
+            table, den = _chunks(nums, width), lowest
+        vars(self).update(tree=tree, states=states, param_names=param_names, table=table, den=den)
 
     @property
     def leaves(self) -> tuple[ActionSequence, ...]:
@@ -467,8 +516,7 @@ def _leaf_weights(problem: DecisionProblem, row: Mapping, what: str) -> dict[int
     return weights
 
 
-@dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(Frozen):
     """An observed joint distribution over (action sequence, state) cells.
 
     ``cells`` holds the weights row after row (leaf by leaf, each row state
@@ -477,18 +525,19 @@ class JointDistribution:
     they were built, and checks that they form a probability vector.
     """
 
+    __match_args__ = ("leaves", "states", "cells", "den")
     leaves: tuple[ActionSequence, ...]
     states: tuple[str, ...]
     cells: tuple[int, ...]
     den: int
 
-    def __post_init__(self) -> None:
-        if len(self.cells) != len(self.leaves) * len(self.states) or self.den <= 0:
+    def __init__(self, leaves: tuple[ActionSequence, ...], states: tuple[str, ...],
+                 cells: Sequence[int], den: int) -> None:
+        if len(cells) != len(leaves) * len(states) or den <= 0:
             raise ValidationError("joint distribution shape mismatch")
-        cells, den = _lowest(self.cells, self.den)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "den", den)
-        _require_probability_numerators(self.cells, self.den, "joint distribution")
+        cells, den = _lowest(cells, den)
+        _require_probability_numerators(cells, den, "joint distribution")
+        vars(self).update(leaves=leaves, states=states, cells=cells, den=den)
 
     @cached_property
     def consistency_rows(self) -> tuple[tuple[int, int, int], ...]:
@@ -546,8 +595,7 @@ class JointDistribution:
         return out
 
 
-@dataclass(frozen=True)
-class MarginalDistribution:
+class MarginalDistribution(Frozen):
     """An observed distribution over action sequences only.
 
     ``weights[i]`` is the weight of ``leaves[i]`` as a numerator over the
@@ -556,17 +604,21 @@ class MarginalDistribution:
     that they form a probability vector.
     """
 
+    __slots__ = ("leaves", "weights", "den")
+    __match_args__ = __slots__
     leaves: tuple[ActionSequence, ...]
     weights: tuple[int, ...]
     den: int
 
-    def __post_init__(self) -> None:
-        if len(self.weights) != len(self.leaves) or self.den <= 0:
+    def __init__(self, leaves: tuple[ActionSequence, ...], weights: Sequence[int],
+                 den: int) -> None:
+        if len(weights) != len(leaves) or den <= 0:
             raise ValidationError("marginal distribution shape mismatch")
-        weights, den = _lowest(self.weights, self.den)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "den", den)
-        _require_probability_numerators(self.weights, self.den, "marginal distribution")
+        weights, den = _lowest(weights, den)
+        _require_probability_numerators(weights, den, "marginal distribution")
+        _set(self, "leaves", leaves)
+        _set(self, "weights", weights)
+        _set(self, "den", den)
 
     @staticmethod
     def from_mapping(problem: DecisionProblem, weights: Mapping) -> "MarginalDistribution":
@@ -644,9 +696,10 @@ def parse_json(source: Union[str, TextIO]):
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
-def load_problem(text: str) -> DecisionProblem:
-    """Parse and validate a problem file (see the package README for the schema)."""
-    doc = parse_json(text)
+def load_problem(source: Union[str, TextIO]) -> DecisionProblem:
+    """Parse and validate a problem file's text or the open file, read by
+    `parse_json` (see the package README for the schema)."""
+    doc = parse_json(source)
     if not isinstance(doc, dict):
         raise ParseError("problem file must be a JSON object")
     return problem_from_dict(doc)

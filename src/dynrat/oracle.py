@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, product
@@ -35,6 +34,7 @@ from .deviation import (
 from .model import (
     ActionSequence,
     DecisionProblem,
+    Frozen,
     JointDistribution,
     Observation,
     ValidationError,
@@ -46,6 +46,7 @@ from .model import (
     _ratio,
     _require_joint_shape,
     _require_probability_numerators,
+    _set,
     consistency,
 )
 
@@ -84,14 +85,14 @@ def _rows(doc: Mapping, what: str) -> Mapping:
     return rows
 
 
-@dataclass(frozen=True)
-class InformationStructure:
+class InformationStructure(Frozen):
     """A prior and a kernel from states to full signal sequences (one signal
     set per period, in product order), as integers in lowest terms:
     ``prior[s] / prior_den`` is the probability of ``states[s]``, and
     ``kernel[s][k] / kernel_den`` that of the k-th sequence in that state.
     """
 
+    __match_args__ = ("states", "prior", "prior_den", "signal_sets", "kernel", "kernel_den")
     states: tuple[str, ...]
     prior: tuple[int, ...]
     prior_den: int
@@ -99,27 +100,27 @@ class InformationStructure:
     kernel: tuple[tuple[int, ...], ...]
     kernel_den: int
 
-    def __post_init__(self) -> None:
-        if not self.signal_sets or any(not s for s in self.signal_sets):
+    def __init__(self, states: tuple[str, ...], prior: tuple[int, ...], prior_den: int,
+                 signal_sets: tuple[tuple[str, ...], ...], kernel: tuple[tuple[int, ...], ...],
+                 kernel_den: int) -> None:
+        if not signal_sets or any(not s for s in signal_sets):
             raise ValidationError("every period needs a nonempty signal set")
-        for sset in self.signal_sets:
+        for sset in signal_sets:
             if len(set(sset)) != len(sset):
                 raise ValidationError("duplicate signal label in one period")
-        if len(self.prior) != len(self.states) or self.prior_den <= 0:
+        if len(prior) != len(states) or prior_den <= 0:
             raise ValidationError("prior shape mismatch")
-        _require_probability_numerators(self.prior, self.prior_den, "prior")
+        _require_probability_numerators(prior, prior_den, "prior")
+        _set(self, "signal_sets", signal_sets)
         n = len(self.sequences)
-        if (len(self.kernel) != len(self.states) or any(len(r) != n for r in self.kernel)
-                or self.kernel_den <= 0):
+        if len(kernel) != len(states) or any(len(r) != n for r in kernel) or kernel_den <= 0:
             raise ValidationError("signal kernel shape mismatch")
-        for row in self.kernel:
-            _require_probability_numerators(row, self.kernel_den, "signal kernel row")
-        prior, prior_den = _lowest(self.prior, self.prior_den)
-        kernel, kernel_den = _lowest(chain.from_iterable(self.kernel), self.kernel_den)
-        object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "prior_den", prior_den)
-        object.__setattr__(self, "kernel", _chunks(kernel, n))
-        object.__setattr__(self, "kernel_den", kernel_den)
+        for row in kernel:
+            _require_probability_numerators(row, kernel_den, "signal kernel row")
+        prior, prior_den = _lowest(prior, prior_den)
+        kernel, kernel_den = _lowest(chain.from_iterable(kernel), kernel_den)
+        vars(self).update(states=states, prior=prior, prior_den=prior_den,
+                          kernel=_chunks(kernel, n), kernel_den=kernel_den)
 
     @cached_property
     def sequences(self) -> tuple[tuple[str, ...], ...]:
@@ -160,35 +161,36 @@ class InformationStructure:
         }
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(Frozen):
     """An adapted kernel from signal sequences to leaves, as integers in
     lowest terms: ``kernel[k][i] / den`` is the probability of playing
     ``leaves[i]`` after the k-th sequence.  Play through period t may depend
     only on the first t signals, one signal set per period."""
 
+    __match_args__ = ("signal_sets", "leaves", "kernel", "den")
     signal_sets: tuple[tuple[str, ...], ...]
     leaves: tuple[ActionSequence, ...]
     kernel: tuple[tuple[int, ...], ...]
     den: int
 
-    def __post_init__(self) -> None:
-        periods = len(self.signal_sets)
-        if any(len(leaf.entries) > periods for leaf in self.leaves):
+    def __init__(self, signal_sets: tuple[tuple[str, ...], ...],
+                 leaves: tuple[ActionSequence, ...], kernel: tuple[tuple[int, ...], ...],
+                 den: int) -> None:
+        periods = len(signal_sets)
+        if any(len(leaf.entries) > periods for leaf in leaves):
             raise ValidationError("strategy periods do not match the leaves")
+        _set(self, "signal_sets", signal_sets)
         n_seq = len(self.sequences)
-        if (len(self.kernel) != n_seq or any(len(r) != len(self.leaves) for r in self.kernel)
-                or self.den <= 0):
+        if len(kernel) != n_seq or any(len(r) != len(leaves) for r in kernel) or den <= 0:
             raise ValidationError("strategy kernel shape mismatch")
-        for row in self.kernel:
-            _require_probability_numerators(row, self.den, "strategy row")
-        support = [[(i, x) for i, x in enumerate(row) if x] for row in self.kernel]
-        if not _support_is_adapted(self.sequences, [l.entries for l in self.leaves],
+        for row in kernel:
+            _require_probability_numerators(row, den, "strategy row")
+        support = [[(i, x) for i, x in enumerate(row) if x] for row in kernel]
+        if not _support_is_adapted(self.sequences, [l.entries for l in leaves],
                                    support, periods):
             raise ValidationError("strategy is not adapted")
-        kernel, den = _lowest(chain.from_iterable(self.kernel), self.den)
-        object.__setattr__(self, "kernel", _chunks(kernel, len(self.leaves)))
-        object.__setattr__(self, "den", den)
+        kernel, den = _lowest(chain.from_iterable(kernel), den)
+        vars(self).update(leaves=leaves, kernel=_chunks(kernel, len(leaves)), den=den)
 
     @cached_property
     def sequences(self) -> tuple[tuple[str, ...], ...]:

@@ -48,7 +48,6 @@ and a law is obedient if and only if its restriction to each block is.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -57,6 +56,7 @@ from .deviation import DeviationRule, best_joint_deviation, dominates, pure_rule
 from .model import (
     ActionSequence,
     DecisionProblem,
+    Frozen,
     JointDistribution,
     Observation,
     ValidationError,
@@ -66,6 +66,7 @@ from .model import (
     _ratio,
     _require_probability_numerators,
     _require_probability_vector,
+    _set,
     consistency,
     format_rational,
 )
@@ -84,18 +85,22 @@ class InternalInconsistencyError(RuntimeError):
 # Witness types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ApparentDominanceWitness:
+class ApparentDominanceWitness(Frozen):
     """A lottery beating a sequence strictly in every state, with its worst
     state-by-state margin (always positive)."""
 
+    __slots__ = ("lottery", "margin")
+    __match_args__ = __slots__
     lottery: tuple[tuple[ActionSequence, Fraction], ...]
     margin: Fraction
 
-    def __post_init__(self) -> None:
-        if self.margin <= 0:
+    def __init__(self, lottery: tuple[tuple[ActionSequence, Fraction], ...],
+                 margin: Fraction) -> None:
+        if margin <= 0:
             raise ValidationError("apparent-dominance margin must be positive")
-        _require_probability_vector([w for _, w in self.lottery], "witness lottery")
+        _require_probability_vector([w for _, w in lottery], "witness lottery")
+        _set(self, "lottery", lottery)
+        _set(self, "margin", margin)
 
     def as_mapping(self) -> dict[ActionSequence, Fraction]:
         return dict(self.lottery)
@@ -154,14 +159,20 @@ def obedient_triple_from_json(problem: DecisionProblem, doc: Mapping) -> JointDi
         p * ks[s * n + i] for i in range(n) for s, p in enumerate(ps)], pden * kden)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
     """Outcome of a rationalizability test plus its independently checkable
     certificate: an obedient joint law when possible, a dominating rule when
     not.  The report spells the law as an obedient triple."""
 
+    __slots__ = ("rationalizable", "witness")
+    __match_args__ = __slots__
     rationalizable: bool
     witness: Union[JointDistribution, DeviationRule]
+
+    def __init__(self, rationalizable: bool,
+                 witness: Union[JointDistribution, DeviationRule]) -> None:
+        _set(self, "rationalizable", rationalizable)
+        _set(self, "witness", witness)
 
     def to_json_dict(self) -> dict:
         if self.rationalizable:

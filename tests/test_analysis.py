@@ -550,7 +550,7 @@ def test_sweep_builds_each_tree_piece_once(example2, monkeypatch):
     def counted(key, build):
         return lambda *args: builds.append(key) or build(*args)
 
-    monkeypatch.setattr(m.Tree, "__post_init__", counted("tree", m.Tree.__post_init__))
+    monkeypatch.setattr(m.Tree, "__init__", counted("tree", m.Tree.__init__))
     monkeypatch.setattr(lp, "deviation_polytope_constraints",
                         counted("polytope", lp.deviation_polytope_constraints))
     monkeypatch.setattr(dv, "_prefix_children", counted("children", dv._prefix_children))
@@ -603,7 +603,7 @@ def test_sweep_reads_certificates_in_integers(example2, monkeypatch):
     for cls, key in ((dv.DeviationRule, "rule"), (m.JointDistribution, "law")):
         monkeypatch.setattr(cls, "matrix", property(counted(built, key + " matrix",
                                                             cls.matrix.func)))
-        monkeypatch.setattr(cls, "__post_init__", counted(made, key, cls.__post_init__))
+        monkeypatch.setattr(cls, "__init__", counted(made, key, cls.__init__))
     for name in ("assignment", "duals"):
         read = getattr(lp.LpSolution, name).fget
         monkeypatch.setattr(lp.LpSolution, name, property(counted(built, name, read)))

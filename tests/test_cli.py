@@ -345,6 +345,20 @@ def test_malformed_input_exits_2(capsys, tmp_path, case):
     assert out == ""
 
 
+def test_undecodable_problem_and_dist_files_read_alike(capsys, tmp_path):
+    # a problem file goes through the one JSON reader, as a dist file does,
+    # so the same undecodable bytes give the same one line and exit 2
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"periods": 1, "states": ["\xe9"]}')
+    errors = []
+    for argv in (["check-seq", str(path), "--seq", "a"],
+                 ["check-marginal", EX1, "--dist-file", str(path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1, err
+        errors.append(err)
+    assert errors[0] == errors[1] and errors[0].startswith("input error: invalid JSON: 'utf-8'")
+
+
 EX1_IDENTITY = {leaf: {leaf: "1"} for leaf in ("not_invest", "invest,pull_back", "invest,invest")}
 
 # One golden report per rejection branch of `oracle.verify_witness`, edited
@@ -582,6 +596,18 @@ def test_module_entry_point_prints_a_report():
     )
     assert done.returncode == 0, done.stderr
     assert first_report(done.stdout)["result"]["rationalizable"] is True
+
+
+def test_import_generates_no_code():
+    # the types are plain classes: importing the CLI loads neither the
+    # dataclass machinery nor `inspect`, which only it pulled in
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, dynrat.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=_module_env(), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_closed_stdout_exits_without_traceback():

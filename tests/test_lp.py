@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +16,8 @@ def with_duals(sol, duals):
     """``sol`` with other duals, in the canonical integer form the solver
     gives: numerators over the least common denominator."""
     nums, den = m._over_lcm([y.as_integer_ratio() for y in duals])
-    return replace(sol, integer_duals=(tuple(nums), den))
+    return L.LpSolution(sol.status, sol.value, sol.pivots, sol.integer_assignment,
+                        (tuple(nums), den))
 
 
 def test_single_variable_box():
@@ -105,7 +105,9 @@ def test_duals_certify_the_optimum():
     assert not L.check_duals(prog, with_duals(sol, sol.duals[:4]))
     # the duals' denominator must be positive
     ys, yden = sol.integer_duals
-    assert not L.check_duals(prog, replace(sol, integer_duals=(tuple(-y for y in ys), -yden)))
+    assert not L.check_duals(prog, L.LpSolution(sol.status, sol.value, sol.pivots,
+                                                sol.integer_assignment,
+                                                (tuple(-y for y in ys), -yden)))
 
 
 def test_statuses():
@@ -527,7 +529,9 @@ def test_integer_checks_agree_with_fraction_arithmetic():
                 assert L.check_duals(prog, moved) == want, (prog, moved)
                 dual_rejected += not want
         for step in STEPS:
-            assert not L.check_duals(prog, replace(sol, value=sol.value + step))
+            assert not L.check_duals(prog, L.LpSolution(
+                sol.status, sol.value + step, sol.pivots, sol.integer_assignment,
+                sol.integer_duals))
     # the perturbations reach both verdicts, and single-row violations
     assert single_row > 1000 and accepted > 1000 and dual_rejected > 1000
 

@@ -473,8 +473,9 @@ def test_problem_file_is_padded_once_per_leaf(monkeypatch):
 def test_law_cells_build_no_sequence(monkeypatch):
     # a law's cells are resolved through the problem's labels
     problem = m.load_problem(json.dumps(complete_tree_doc((4, 4), 3, seed=7)))
-    built = []
-    monkeypatch.setattr(m.ActionSequence, "__post_init__", lambda seq: built.append(seq))
+    built, init = [], m.ActionSequence.__init__
+    monkeypatch.setattr(m.ActionSequence, "__init__",
+                        lambda seq, *args: built.append(seq) or init(seq, *args))
     cells = {(leaf.label, s): "1/30" for leaf in problem.leaves[:10] for s in problem.states}
     law = m.JointDistribution.from_mapping(problem, cells)
     assert built == []
