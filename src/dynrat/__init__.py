@@ -8,20 +8,17 @@ deviation rule when the answer is no, an obedient joint law of recommended
 leaves and states when it is yes (a report spells it as an obedient
 triple, a prior plus recommendation kernel).
 All arithmetic is exact.
+
+The names of `structures` (explicit information structures, strategies and
+the sampler) and of `risk` (payoff transforms) are resolved on first
+access, so importing `dynrat`, or running a query, loads neither module.
 """
 
-from .analysis import (
-    IdentifiedSet,
-    PiecewiseLinearFunction,
-    identified_set,
-    lambda_D_set,
-    risk_transform,
-)
+from .analysis import IdentifiedSet, identified_set
 from .deviation import (
     DEFAULT_MAX_RULES,
     DeviationRule,
     SizeGuardError,
-    compose,
     dominates,
     enumerate_pure_rules,
     gains,
@@ -34,7 +31,6 @@ from .lp import (
     LinearProgram,
     LpSolution,
     check_duals,
-    check_solution,
     deviation_polytope_constraints,
     solve,
 )
@@ -54,16 +50,7 @@ from .model import (
     problem_from_dict,
     problem_to_dict,
 )
-from .oracle import (
-    InformationStructure,
-    Strategy,
-    brute_force_rationalizable_joint,
-    optimal_value_dp,
-    simulate,
-    strategy_value,
-    verify_obedient_optimality,
-    verify_witness,
-)
+from .oracle import brute_force_rationalizable_joint, verify_obedient_optimality, verify_witness
 from .rationalize import (
     ApparentDominanceWitness,
     InternalInconsistencyError,
@@ -104,8 +91,6 @@ __all__ = [
     "apparently_dominated",
     "brute_force_rationalizable_joint",
     "check_duals",
-    "check_solution",
-    "compose",
     "decide",
     "deviation_polytope_constraints",
     "dominates",
@@ -117,7 +102,6 @@ __all__ = [
     "identity_rule",
     "instantiate",
     "is_adapted",
-    "lambda_D_set",
     "load_problem",
     "max_positive_marginal",
     "obedient_triple_from_json",
@@ -133,3 +117,28 @@ __all__ = [
     "verify_obedient_optimality",
     "verify_witness",
 ]
+
+# The module that holds each name no query runs, imported on first access.
+_LAZY = {
+    "InformationStructure": "structures",
+    "Strategy": "structures",
+    "optimal_value_dp": "structures",
+    "simulate": "structures",
+    "strategy_value": "structures",
+    "PiecewiseLinearFunction": "risk",
+    "risk_transform": "risk",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return __all__

@@ -1,13 +1,11 @@
-"""Quantities built on top of the rationalizability core.
+"""Parameter regions consistent with an observation.
 
-* parameter regions consistent with an observation of any kind (a grid
-  scan plus bisection of every sign change, on integer samples over one
-  denominator per sweep).  Each certificate met, a rule or an obedient
-  law, gets its range of samples once, by cutting planes; a sample in no
-  range is decided afresh (`rationalize.certificate`).
-* rule-wise consistency screens over a parameter grid (the sign test of
-  `deviation.dominates` on the rule's affine gains), and
-* increasing convex payoff transforms for risk-attitude comparisons.
+`identified_set` sweeps one parameter of a family over an observation of
+any kind: a grid scan plus bisection of every sign change, on integer
+samples over one denominator per sweep.  Each certificate met, a rule or
+an obedient law, gets its range of samples once, by cutting planes; a
+sample in no range is decided afresh (`rationalize.certificate`).  The
+payoff transforms of application 1 live in `risk`.
 """
 
 from __future__ import annotations
@@ -18,14 +16,13 @@ from functools import cache
 from operator import mul
 from typing import Callable, Optional, Sequence, Union
 
-from .deviation import DeviationRule, affine_gains, best_joint_deviation, failed_condition
+from .deviation import affine_gains, best_joint_deviation, failed_condition
 from .model import (
     DecisionProblem,
     Frozen,
     JointDistribution,
     Observation,
     ValidationError,
-    _over_lcm,
     _set,
     consistency,
     format_rational,
@@ -40,74 +37,6 @@ AffineGains = tuple[list[int], list[int]]
 #: A certificate's cut at sample m: None where it holds, else integers
 #: (c0, c1) with c0 + c1*m < 0 and c0 + c1*x >= 0 wherever it holds.
 Cut = Callable[[int], Optional[tuple[int, int]]]
-
-
-# ---------------------------------------------------------------------------
-# Payoff transforms
-# ---------------------------------------------------------------------------
-
-class PiecewiseLinearFunction(Frozen):
-    """An increasing convex piecewise-linear map on the rationals.
-
-    ``slopes`` has one more entry than ``breakpoints`` (leftmost segment
-    first); ``anchor_value`` is the value at the first breakpoint.  Increasing
-    means every slope is positive; convex means slopes never decrease.
-    """
-
-    __slots__ = ("breakpoints", "slopes", "anchor_value")
-    __match_args__ = __slots__
-    breakpoints: tuple[Fraction, ...]
-    slopes: tuple[Fraction, ...]
-    anchor_value: Fraction
-
-    def __init__(self, breakpoints: tuple[Fraction, ...], slopes: tuple[Fraction, ...],
-                 anchor_value: Fraction) -> None:
-        if not breakpoints:
-            raise ValidationError("at least one breakpoint is required")
-        if any(b >= c for b, c in zip(breakpoints, breakpoints[1:])):
-            raise ValidationError("breakpoints must be strictly increasing")
-        if len(slopes) != len(breakpoints) + 1:
-            raise ValidationError("need one slope per segment")
-        if any(s <= 0 for s in slopes):
-            raise ValidationError("transform must be strictly increasing")
-        if any(s > t for s, t in zip(slopes, slopes[1:])):
-            raise ValidationError("transform must be convex (slopes non-decreasing)")
-        _set(self, "breakpoints", breakpoints)
-        _set(self, "slopes", slopes)
-        _set(self, "anchor_value", anchor_value)
-
-    @staticmethod
-    def affine(slope, intercept) -> "PiecewiseLinearFunction":
-        s = parse_rational(slope)
-        i = parse_rational(intercept)
-        return PiecewiseLinearFunction((Fraction(0),), (s, s), i)
-
-    @staticmethod
-    def identity() -> "PiecewiseLinearFunction":
-        return PiecewiseLinearFunction.affine(1, 0)
-
-    def __call__(self, x: Fraction) -> Fraction:
-        x = parse_rational(x)
-        b = self.breakpoints
-        if x <= b[0]:
-            return self.anchor_value - self.slopes[0] * (b[0] - x)
-        value = self.anchor_value
-        for i in range(len(b)):
-            hi = b[i + 1] if i + 1 < len(b) else None
-            if hi is None or x <= hi:
-                return value + self.slopes[i + 1] * (x - b[i])
-            value += self.slopes[i + 1] * (hi - b[i])
-        raise AssertionError("unreachable")
-
-
-def risk_transform(problem: DecisionProblem, f: PiecewiseLinearFunction) -> DecisionProblem:
-    """Apply ``f`` to every terminal utility; models a less risk-averse agent
-    with the same ordinal ranking of certain outcomes.  The result shares
-    ``problem``'s tree."""
-    if problem.has_params:
-        raise ValidationError("instantiate the problem's parameters first")
-    nums, den = _over_lcm([f(Fraction(row[0], problem.den)).as_integer_ratio() for row in problem.table])
-    return DecisionProblem(problem.tree, problem.states, (), tuple(zip(nums)), den)
 
 
 # ---------------------------------------------------------------------------
@@ -140,33 +69,6 @@ def _gains_at(gains: AffineGains, m: int, d: int) -> list[int]:
     """A rule's integer gains at t = m/d (d > 0), up to a positive factor:
     d*A + m*B on its affine gains (`deviation.affine_gains`)."""
     return [d * a + m * b for a, b in zip(*gains)]
-
-
-def lambda_D_set(
-    problem: DecisionProblem,
-    rule: DeviationRule,
-    observation: Observation,
-    grid: Sequence[Union[int, str, Fraction]],
-    *,
-    param: Optional[str] = None,
-    fixed: Optional[dict] = None,
-) -> tuple[bool, ...]:
-    """For each grid point, whether ``rule`` fails to dominate the observation
-    there.  True marks parameter values the rule cannot exclude; the
-    consistent region is contained in this set for every rule.  The rule's
-    gains are taken once on the family and tested at each point unpinned."""
-    if param is None:
-        left = [p for p in problem.param_names if p not in (fixed or {})]
-        if not left:
-            raise ValidationError("no parameter left to sweep")
-        if len(problem.param_names) != 1 and fixed is None:
-            raise ValidationError("name the parameter to sweep")
-        param = left[0]
-    family = _single_param_family(problem, param, fixed)
-    points = [parse_rational(g) for g in grid]
-    gains, rows = affine_gains(family, rule), consistency(family, observation)
-    return tuple(failed_condition(_gains_at(gains, *pt.as_integer_ratio()), rows) is not None
-                 for pt in points)
 
 
 def _rule_cut(gains: AffineGains, rows: Sequence[tuple[int, int, int]], den: int) -> Cut:

@@ -235,22 +235,30 @@ def _load_problem_and_params(args) -> tuple[DecisionProblem, dict]:
     return base, params
 
 
-def _pretty_verdict(result: dict) -> list[str]:
-    lines = []
+def _pretty(result: dict) -> list[str]:
+    """The summary lines that ``--pretty`` appends for each kind of result."""
     if "rationalizable" in result:
         verdict = "rationalizable" if result["rationalizable"] else "NOT rationalizable"
         kind = result["witness"]["kind"].replace("_", " ")
-        lines.append(f"verdict: {verdict} (witness: {kind})")
+        return [f"verdict: {verdict} (witness: {kind})"]
     if "value" in result:
         q = Fraction(result["value"])
-        lines.append(f"value: {result['value']} (~{float(q):.6g})")
-    return lines
+        return [f"value: {result['value']} (~{float(q):.6g})"]
+    if "identified_set" in result:
+        iset = result["identified_set"]
+        return [f"{iv['tag']}: {iset['param']} in [{iv['lo']}, {iv['hi']}]"
+                for iv in iset["intervals"]]
+    if "valid" in result:
+        return [f"valid: {'yes' if result['valid'] else 'no'} ({result['detail']})"]
+    if "count" in result:
+        return [f"rules: {result['count']}"]
+    return [f"draws: {result['n']}, seed: {result['seed']}"]
 
 
 def _emit(report: dict, pretty: bool) -> None:
     print(json.dumps(report, sort_keys=True))
     if pretty:
-        for line in _pretty_verdict(report["result"]):
+        for line in _pretty(report["result"]):
             print(line)
 
 
@@ -308,11 +316,13 @@ def _run_query(args) -> dict:
         query = _query_echo(args, params)
 
     elif args.command == "simulate":
-        structure = oracle.InformationStructure.from_json_dict(
+        from . import structures  # no query loads the sampler
+
+        structure = structures.InformationStructure.from_json_dict(
             inst, _read_json(args.structure, "structure file"))
-        strategy = oracle.Strategy.from_json_dict(
+        strategy = structures.Strategy.from_json_dict(
             inst, _read_json(args.strategy, "strategy file"))
-        empirical = oracle.simulate(inst, strategy, structure, args.n, args.seed)
+        empirical = structures.simulate(inst, strategy, structure, args.n, args.seed)
         result = {"empirical": empirical.to_json_dict(), "n": args.n, "seed": args.seed}
         query = _query_echo(args, params, n=args.n, seed=args.seed,
                             structure=structure.to_json_dict(),

@@ -2,12 +2,12 @@
 
 A deviation rule rewrites each intended action sequence into a lottery over
 action sequences, subject to adaptedness: the rewritten play up to period t
-may depend only on the intended play up to period t.  Rules compose like
-stochastic matrices and are the certificates that observed behavior cannot be
-rationalized: `dominates` is one sign test (`failed_condition`) on a rule's
-gains against the observation's consistency rows (`model.consistency`),
-whatever the kind of observation; on a one-parameter family it runs on the
-rule's affine gains (`affine_gains`) with nothing pinned.
+may depend only on the intended play up to period t.  Rules are the
+certificates that observed behavior cannot be rationalized: `dominates` is
+one sign test (`failed_condition`) on a rule's gains against the
+observation's consistency rows (`model.consistency`), whatever the kind of
+observation; on a one-parameter family it runs on the rule's affine gains
+(`affine_gains`) with nothing pinned.
 
 A rule is one type, `DeviationRule`, stored as its integers: each row's
 nonzero (column, numerator) pairs over one denominator.  A pure rule, as
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from operator import mul
 from typing import Optional, Union
@@ -165,13 +164,6 @@ class DeviationRule(Frozen):
         if not _support_is_adapted(entries, entries, rows, len(entries[0]) if entries else 0):
             raise ValidationError("kernel is not adapted")
         vars(self).update(leaves=leaves, rows=rows, den=den)
-
-    @cached_property
-    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """``matrix[i][j]``: the probability of rewriting leaf i into leaf j."""
-        n = len(self.rows)
-        return tuple(tuple(Fraction(row.get(j, 0), self.den) for j in range(n))
-                     for row in map(dict, self.rows))
 
     @staticmethod
     def from_mapping(problem: DecisionProblem, kernel) -> "DeviationRule":
@@ -335,23 +327,8 @@ def _pure_rules(tree: Tree) -> tuple[DeviationRule, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Composition and dominance
+# Gains and dominance
 # ---------------------------------------------------------------------------
-
-def compose(outer: DeviationRule, inner: DeviationRule) -> DeviationRule:
-    """The rule applying ``inner`` first and ``outer`` to its output; kernels
-    multiply, and the result is adapted whenever both factors are."""
-    if tuple(outer.leaves) != tuple(inner.leaves):
-        raise ValidationError("rules are defined over different leaf sets")
-    rows = []
-    for row in inner.rows:
-        product_row: dict[int, int] = {}
-        for y, a in row:
-            for z, b in outer.rows[y]:
-                product_row[z] = product_row.get(z, 0) + a * b
-        rows.append(tuple(product_row.items()))
-    return DeviationRule(inner.leaves, tuple(rows), inner.den * outer.den)
-
 
 def _column_gains(pay: Sequence[Sequence[int]], rows: Sequence[Sequence[tuple[int, int]]],
                   den: int) -> list[int]:

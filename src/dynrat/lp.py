@@ -10,25 +10,25 @@ comparing the exact optimal value against zero afterwards.
 
 An optimal solution carries one dual multiplier per constraint, read from
 the final objective row, so the optimum comes with its own certificate:
-`check_solution` re-checks the primal assignment and `check_duals` the
-multipliers, both exactly and both against the program as built, not the
-solver's rows.
+the solver re-checks the primal assignment against the program as built
+(`_feasible`), and `check_duals` re-checks the multipliers, both exactly
+and against the program's rows, not the solver's.
 
 The arithmetic is integer throughout, fraction-free in the manner of
 Edmonds and Bareiss.  A program's rows are integers over one positive
-denominator each (`Constraint`): builders write them so with `add_row`, and
-`add_constraint` converts rational data once.  Each row becomes a tableau
-row as it stands, a list of Python ints over that denominator, so a pivot is
-integer multiply-and-subtract: the multiplier and the pivot row's
-denominator are first divided by their gcd, and a row is put in lowest terms
-only once its denominator is longer than `REDUCE_BITS`, which spares most
-rows of small programs a gcd over every entry.  Ratio-test steps are
-compared by cross-multiplying numerators, which orders them exactly as the
-rationals a `Fraction` tableau would hold, so the pivot sequence does not
-depend on the representation.  The checks put the assignment or the duals
-over one common denominator and compare integer dot products with each
-row's own numerators.  `Fraction`s appear only in the objective, in the
-data `add_constraint` converts, and in an `LpSolution`'s value.
+denominator each (`Constraint`), and builders write them so with
+`add_row`.  Each row becomes a tableau row as it stands, a list of Python
+ints over that denominator, so a pivot is integer multiply-and-subtract:
+the multiplier and the pivot row's denominator are first divided by their
+gcd, and a row is put in lowest terms only once its denominator is longer
+than `REDUCE_BITS`, which spares most rows of small programs a gcd over
+every entry.  Ratio-test steps are compared by cross-multiplying
+numerators, which orders them exactly as the rationals a `Fraction`
+tableau would hold, so the pivot sequence does not depend on the
+representation.  The checks put the assignment or the duals over one
+common denominator and compare integer dot products with each row's own
+numerators.  `Fraction`s appear only in the objective and in an
+`LpSolution`'s value.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Optional, Union
 
-from .model import Frozen, Tree, ValidationError, _lowest, _over_lcm, _ratio, _set, parse_rational
+from .model import Frozen, Tree, ValidationError, _lowest, _over_lcm, _set, parse_rational
 
 _SENSES = ("<=", "==", ">=")
 
@@ -129,18 +129,6 @@ class LinearProgram:
         self._require_columns(coeffs, "constraint")
         self.constraints.append(Constraint(coeffs, sense, rhs, den))
 
-    def add_constraint(
-        self,
-        coeffs: Mapping[int, Union[int, str, Fraction]],
-        sense: str,
-        rhs: Union[int, str, Fraction],
-    ) -> None:
-        """`add_row` for rational data (see `parse_rational`), put over the
-        lcm of its denominators once."""
-        self._require_columns(coeffs, "constraint")
-        nums, den = _over_lcm([_ratio(q) for q in (rhs, *coeffs.values())])
-        self.add_row({k: x for k, x in zip(coeffs, nums[1:]) if x}, sense, nums[0], den)
-
     def set_objective(self, coeffs: Mapping[int, Union[int, str, Fraction]]) -> None:
         self._require_columns(coeffs, "objective")
         values = ((k, parse_rational(c)) for k, c in coeffs.items())
@@ -152,8 +140,7 @@ class LpSolution(Frozen):
     ``integer_duals`` one multiplier per entry of the program's
     ``constraints`` when the status is optimal, each as ``(numerators,
     den)`` in lowest terms: nonnegative on ``<=`` rows, nonpositive on
-    ``>=`` rows, free on ``==`` rows (see `check_duals`).  `assignment` and
-    `duals` read them as `Fraction`s."""
+    ``>=`` rows, free on ``==`` rows (see `check_duals`)."""
 
     __slots__ = ("status", "value", "pivots", "integer_assignment", "integer_duals")
     __match_args__ = __slots__
@@ -172,34 +159,12 @@ class LpSolution(Frozen):
         _set(self, "integer_assignment", integer_assignment)
         _set(self, "integer_duals", integer_duals)
 
-    @property
-    def assignment(self) -> Optional[tuple[Fraction, ...]]:
-        return _fractions(self.integer_assignment)
-
-    @property
-    def duals(self) -> Optional[tuple[Fraction, ...]]:
-        return _fractions(self.integer_duals)
-
-
-def _fractions(over: Optional[tuple[tuple[int, ...], int]]) -> Optional[tuple[Fraction, ...]]:
-    return None if over is None else tuple(Fraction(x, over[1]) for x in over[0])
-
-
-def check_solution(lp: LinearProgram, assignment: Sequence[Fraction]) -> bool:
-    """Exact feasibility check of one value per column against the signs
-    and every entry of ``lp.constraints``.
-
-    The assignment goes over one common denominator, so a row is one
-    integer dot product with its numerators, compared with its scaled
-    right-hand side.
-    """
-    if len(assignment) != len(lp.variables):
-        return False
-    return _feasible(lp, *_over_lcm([q.as_integer_ratio() for q in assignment]))
-
 
 def _feasible(lp: LinearProgram, xs: Sequence[int], xden: int) -> bool:
-    """`check_solution` on the assignment ``xs / xden`` (``xden > 0``)."""
+    """Exact feasibility of the assignment ``xs / xden`` (``xden > 0``, one
+    value per column) against the signs and every entry of
+    ``lp.constraints``: each row is one integer dot product with its
+    numerators, compared with its right-hand side times ``xden``."""
     if any(x < 0 for x, free in zip(xs, lp.variables) if not free):
         return False
     for con in lp.constraints:
@@ -215,7 +180,7 @@ def _feasible(lp: LinearProgram, xs: Sequence[int], xden: int) -> bool:
 
 
 def check_duals(lp: LinearProgram, sol: LpSolution) -> bool:
-    """Exact check that ``sol.duals`` prove ``sol.value`` an upper bound.
+    """Exact check that ``sol.integer_duals`` prove ``sol.value`` an upper bound.
 
     With y the duals and d = c - A^T y the reduced costs, it checks that
     each y has its row's sign, that d <= 0 on nonnegative columns and d = 0

@@ -285,7 +285,7 @@ class Tree(Frozen):
     period, up to the tree's `depth`; ``periods`` only bounds the padding a
     label may carry.  Every reader resolves a leaf's own label through
     `labels` (`leaf_position`).  Every problem on the tree, and every
-    problem that `substitute_params` or `analysis.risk_transform` derives
+    problem that `substitute_params` or `risk.risk_transform` derives
     from one, shares it and what is built from it (`per_tree`).  Identity
     is used for equality and hashing.
     """
@@ -543,13 +543,6 @@ class JointDistribution(Frozen):
     def consistency_rows(self) -> tuple[tuple[int, int, int], ...]:
         """The law's rows in `consistency`, one per cell, built once."""
         return tuple((k, k + 1, x) for k, x in enumerate(self.cells))
-
-    @cached_property
-    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """``matrix[i][s]``: the weight of leaf i in state s."""
-        width = len(self.states)
-        return tuple(tuple(Fraction(x, self.den) for x in self.cells[k:k + width])
-                     for k in range(0, len(self.cells), width))
 
     @staticmethod
     def from_mapping(problem: DecisionProblem, weights) -> "JointDistribution":

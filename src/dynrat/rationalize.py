@@ -209,7 +209,8 @@ def apparently_dominated(
         raise InternalInconsistencyError(f"margin program ended {sol.status}")
     if sol.value <= 0:
         return None
-    lottery = tuple((b, x) for b, x in zip(problem.leaves, sol.assignment) if x != 0)
+    xs, xden = sol.integer_assignment
+    lottery = tuple((b, Fraction(x, xden)) for b, x in zip(problem.leaves, xs) if x)
     return ApparentDominanceWitness(lottery, sol.value)
 
 

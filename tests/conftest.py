@@ -2,7 +2,12 @@
 
 The reference implementations here (rule counting, vertex enumeration,
 exhaustive strategy search) deliberately avoid the library's own code paths
-so that agreement between the two is evidence, not tautology.
+so that agreement between the two is evidence, not tautology.  So do the
+rational views and conveniences that no query needs (the package stores
+and reads integers): a law's or a rule's `Fraction` matrix, an optimum's
+`Fraction` values and duals, rational program rows, the feasibility check
+of a rational assignment, rule composition and the rule-wise parameter
+screen.
 """
 
 from __future__ import annotations
@@ -14,13 +19,15 @@ import math
 import random
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
+from dynrat import analysis as an
 from dynrat import model as m
 from dynrat import deviation as dv
 from dynrat import lp
-from dynrat import oracle as oc
+from dynrat import structures as st
 from dynrat.model import PAD, format_rational
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
@@ -43,6 +50,86 @@ def example2() -> m.DecisionProblem:
 @pytest.fixture(scope="session")
 def example3() -> m.DecisionProblem:
     return load_fixture("example3.json")
+
+
+# ---------------------------------------------------------------------------
+# Rational views and conveniences (no query needs them)
+# ---------------------------------------------------------------------------
+
+def fraction_matrix(value) -> tuple[tuple[Fraction, ...], ...]:
+    """A joint law's weights, ``[i][s]`` for leaf i in state s, or a rule's
+    kernel, ``[i][j]`` for rewriting leaf i into leaf j, as `Fraction`s."""
+    if isinstance(value, m.JointDistribution):
+        return as_fractions(m._chunks(value.cells, len(value.states)), value.den)
+    n = len(value.rows)
+    return tuple(tuple(Fraction(row.get(j, 0), value.den) for j in range(n))
+                 for row in map(dict, value.rows))
+
+
+def _fractions(over: Optional[tuple[tuple[int, ...], int]]) -> Optional[tuple[Fraction, ...]]:
+    return None if over is None else tuple(Fraction(x, over[1]) for x in over[0])
+
+
+def fraction_assignment(sol: lp.LpSolution) -> Optional[tuple[Fraction, ...]]:
+    """An optimum's value of each column, as `Fraction`s."""
+    return _fractions(sol.integer_assignment)
+
+
+def fraction_duals(sol: lp.LpSolution) -> Optional[tuple[Fraction, ...]]:
+    """An optimum's multiplier of each constraint, as `Fraction`s."""
+    return _fractions(sol.integer_duals)
+
+
+def add_constraint(prog: lp.LinearProgram, coeffs, sense: str, rhs) -> None:
+    """`LinearProgram.add_row` for rational data (anything `parse_rational`
+    reads), put over the lcm of its denominators once."""
+    prog._require_columns(coeffs, "constraint")
+    nums, den = m._over_lcm([m._ratio(q) for q in (rhs, *coeffs.values())])
+    prog.add_row({k: x for k, x in zip(coeffs, nums[1:]) if x}, sense, nums[0], den)
+
+
+def check_solution(prog: lp.LinearProgram, assignment) -> bool:
+    """Exact feasibility check of one `Fraction` per column against the
+    signs and every entry of ``prog.constraints``, the assignment put over
+    one common denominator."""
+    if len(assignment) != len(prog.variables):
+        return False
+    return lp._feasible(prog, *m._over_lcm([q.as_integer_ratio() for q in assignment]))
+
+
+def compose(outer: dv.DeviationRule, inner: dv.DeviationRule) -> dv.DeviationRule:
+    """The rule applying ``inner`` first and ``outer`` to its output; kernels
+    multiply, and the result is adapted whenever both factors are."""
+    if tuple(outer.leaves) != tuple(inner.leaves):
+        raise m.ValidationError("rules are defined over different leaf sets")
+    rows = []
+    for row in inner.rows:
+        product_row: dict[int, int] = {}
+        for y, a in row:
+            for z, b in outer.rows[y]:
+                product_row[z] = product_row.get(z, 0) + a * b
+        rows.append(tuple(product_row.items()))
+    return dv.DeviationRule(inner.leaves, tuple(rows), inner.den * outer.den)
+
+
+def lambda_D_set(problem: m.DecisionProblem, rule: dv.DeviationRule, observation, grid, *,
+                 param: Optional[str] = None, fixed: Optional[dict] = None) -> tuple[bool, ...]:
+    """For each grid point, whether ``rule`` fails to dominate the observation
+    there.  True marks parameter values the rule cannot exclude; the
+    consistent region is contained in this set for every rule.  The rule's
+    gains are taken once on the family and tested at each point unpinned."""
+    if param is None:
+        left = [p for p in problem.param_names if p not in (fixed or {})]
+        if not left:
+            raise m.ValidationError("no parameter left to sweep")
+        if len(problem.param_names) != 1 and fixed is None:
+            raise m.ValidationError("name the parameter to sweep")
+        param = left[0]
+    family = an._single_param_family(problem, param, fixed)
+    points = [m.parse_rational(g) for g in grid]
+    gains, rows = dv.affine_gains(family, rule), m.consistency(family, observation)
+    return tuple(dv.failed_condition(an._gains_at(gains, *pt.as_integer_ratio()), rows) is not None
+                 for pt in points)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +217,7 @@ def reference_dominates_marginal(problem, rule, marginal) -> bool:
 
 def reference_dominates_joint(problem, rule, joint) -> bool:
     """The expected gain under the joint law is positive."""
-    return sum((w * g for law_row, row in zip(joint.matrix, dv.gains(problem, rule))
+    return sum((w * g for law_row, row in zip(fraction_matrix(joint), dv.gains(problem, rule))
                 for w, g in zip(law_row, row)), Fraction(0)) > 0
 
 
@@ -282,7 +369,7 @@ def random_rule(rng: random.Random, problem: m.DecisionProblem) -> dv.DeviationR
     n = len(problem.leaves)
     matrix = [[Fraction(0)] * n for _ in range(n)]
     for part, x in zip(parts, raw):
-        pm = part.matrix
+        pm = fraction_matrix(part)
         w = Fraction(x, total)
         for i in range(n):
             for j in range(n):
@@ -292,7 +379,7 @@ def random_rule(rng: random.Random, problem: m.DecisionProblem) -> dv.DeviationR
 
 def random_convex_increasing(rng: random.Random):
     """A random valid piecewise-linear transform (increasing, convex)."""
-    from dynrat.analysis import PiecewiseLinearFunction
+    from dynrat.risk import PiecewiseLinearFunction
 
     k = rng.randint(1, 3)
     points = sorted(rng.sample(range(-4, 5), k))
@@ -324,12 +411,12 @@ def enumerated_obedience_optimum(problem: m.DecisionProblem, weights: dict,
         (b, s): prog.add_variable()
         for b in problem.leaves for s in problem.states
     }
-    prog.add_constraint({n: 1 for n in gamma.values()}, "==", 1)
+    add_constraint(prog, {n: 1 for n in gamma.values()}, "==", 1)
     for b in problem.leaves:
         if b not in support:
-            prog.add_constraint({gamma[b, s]: 1 for s in problem.states}, "==", 0)
+            add_constraint(prog, {gamma[b, s]: 1 for s in problem.states}, "==", 0)
     for rule in dv.enumerate_pure_rules(problem):
-        prog.add_constraint({
+        add_constraint(prog, {
             gamma[b, s]: utility(problem, b, s) - utility(problem, problem.leaves[j], s)
             for b, ((j, _),) in zip(problem.leaves, rule.rows) for s in problem.states
         }, ">=", 0)
@@ -369,7 +456,7 @@ class FractionProgram:
         """The same program, each row put over the lcm of its denominators."""
         prog = lp.LinearProgram(list(self.variables))
         for coeffs, sense, rhs in self.constraints:
-            prog.add_constraint(coeffs, sense, rhs)
+            add_constraint(prog, coeffs, sense, rhs)
         prog.set_objective(self.objective)
         return prog
 
@@ -463,24 +550,24 @@ def _over_one_lcm(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(int(q * den) for q in row) for row in rows), den
 
 
-def structure_of(states, prior, signal_sets, kernel) -> oc.InformationStructure:
+def structure_of(states, prior, signal_sets, kernel) -> st.InformationStructure:
     """The information structure with a rational ``prior`` and rational
     ``kernel`` rows, one per state."""
     (nums,), den = _over_one_lcm([prior])
     rows, kden = _over_one_lcm(kernel)
-    return oc.InformationStructure(tuple(states), nums, den, tuple(signal_sets), rows, kden)
+    return st.InformationStructure(tuple(states), nums, den, tuple(signal_sets), rows, kden)
 
 
-def strategy_of(signal_sets, leaves, kernel) -> oc.Strategy:
+def strategy_of(signal_sets, leaves, kernel) -> st.Strategy:
     """The strategy with rational ``kernel`` rows, one per signal sequence."""
-    return oc.Strategy(tuple(signal_sets), tuple(leaves), *_over_one_lcm(kernel))
+    return st.Strategy(tuple(signal_sets), tuple(leaves), *_over_one_lcm(kernel))
 
 
-def fraction_prior(structure: oc.InformationStructure) -> tuple[Fraction, ...]:
+def fraction_prior(structure: st.InformationStructure) -> tuple[Fraction, ...]:
     return as_fractions([structure.prior], structure.prior_den)[0]
 
 
-def fraction_kernel(structure: oc.InformationStructure) -> tuple[tuple[Fraction, ...], ...]:
+def fraction_kernel(structure: st.InformationStructure) -> tuple[tuple[Fraction, ...], ...]:
     return as_fractions(structure.kernel, structure.kernel_den)
 
 
@@ -649,7 +736,7 @@ def joint_dominance_optimum(problem: m.DecisionProblem, joint: m.JointDistributi
     n = len(leaves)
     prog.set_objective({
         i * n + j: sum((w * (utility(problem, b, s) - utility(problem, a, s))
-                             for s, w in zip(states, joint.matrix[i])), Fraction(0))
+                             for s, w in zip(states, fraction_matrix(joint)[i])), Fraction(0))
         for i, a in enumerate(leaves) for j, b in enumerate(leaves)
     })
     sol = lp.solve(prog)

@@ -17,10 +17,13 @@ from dynrat import deviation as dv
 from dynrat import model as m
 from dynrat import oracle as oc
 from dynrat import rationalize as rz
+from dynrat import risk as rk
+from dynrat import structures as st
 
 from conftest import (
     PROBLEMS_DIR,
     exhaustive_optimal_value,
+    fraction_matrix,
     random_convex_increasing,
     random_joint,
     random_marginal,
@@ -56,7 +59,7 @@ def log_law(problem, law, positive_on=None):
     WITNESS_LOG.append(("law", problem, law, None, (positive_on,)))
     assert oc.verify_obedient_optimality(problem, law)
     if positive_on is not None:
-        mass = sum(law.matrix[problem.leaf_index[positive_on]], F(0))
+        mass = sum(fraction_matrix(law)[problem.leaf_index[positive_on]], F(0))
         assert mass > 0
 
 
@@ -167,7 +170,7 @@ def test_criterion_5_witness_soundness():
             assert oc.verify_obedient_optimality(problem, payload)
             positive_on = context[0]
             if positive_on is not None:
-                row = payload.matrix[problem.leaf_index[positive_on]]
+                row = fraction_matrix(payload)[problem.leaf_index[positive_on]]
                 assert sum(row, F(0)) > 0
     assert rules > 0 and laws > 0
     print(f"  re-verified {rules} dominating rules and {laws} obedient laws")
@@ -198,7 +201,7 @@ def test_criterion_6_oracle_agreement():
         raw = [rng.randint(1, 4) for _ in p.states]
         prior = tuple(F(x, sum(raw)) for x in raw)
         structure = structure_of(p.states, prior, sets, tuple(kernel))
-        assert oc.optimal_value_dp(p, structure) == \
+        assert st.optimal_value_dp(p, structure) == \
             exhaustive_optimal_value(p, structure), i
 
 
@@ -217,15 +220,15 @@ def test_criterion_7_risk_monotonicity():
         if rz.dominating_rule(p, leaf) is None:
             continue
         f = random_convex_increasing(rng)
-        transformed = an.risk_transform(p, f)
+        transformed = rk.risk_transform(p, f)
         assert rz.dominating_rule(transformed, leaf) is not None
         checked += 1
     for _ in range(25):
         p = random_problem(rng, max_rules=300)
-        f = an.PiecewiseLinearFunction.affine(
+        f = rk.PiecewiseLinearFunction.affine(
             F(rng.randint(1, 5), rng.randint(1, 3)),
             F(rng.randint(-4, 4), rng.randint(1, 3)))
-        q = an.risk_transform(p, f)
+        q = rk.risk_transform(p, f)
         leaf = rng.choice(p.leaves)
         joint = random_joint(rng, p)
         marginal = random_marginal(rng, p)
@@ -256,10 +259,10 @@ def test_criterion_8_enumeration_counts(example1, example2):
 
 @criterion("9 (seeded simulation sanity)")
 def test_criterion_9_simulation(example1):
-    structure = oc.InformationStructure.from_json_dict(
+    structure = st.InformationStructure.from_json_dict(
         example1, json.loads((PROBLEMS_DIR / "example1_structure.json").read_text()))
-    strategy = oc.Strategy.from_json_dict(
+    strategy = st.Strategy.from_json_dict(
         example1, json.loads((PROBLEMS_DIR / "example1_obedient_strategy.json").read_text()))
-    empirical = oc.simulate(example1, strategy, structure, 100_000, seed=20240801)
-    pull_back = sum(empirical.matrix[1], F(0))
+    empirical = st.simulate(example1, strategy, structure, 100_000, seed=20240801)
+    pull_back = sum(fraction_matrix(empirical)[1], F(0))
     assert abs(pull_back - F(2, 3)) < F(1, 100)

@@ -9,8 +9,11 @@ from dynrat import deviation as dv
 from dynrat import lp
 from dynrat import model as m
 from dynrat import rationalize as rz
+from dynrat import risk as rk
 
 from conftest import (
+    fraction_matrix,
+    lambda_D_set,
     random_convex_increasing,
     random_family,
     random_joint,
@@ -65,26 +68,26 @@ def test_waiting_probability_formula(example2):
 
 
 def test_piecewise_linear_validation_and_eval():
-    f = an.PiecewiseLinearFunction((F(0),), (F(1), F(2)), F(0))
+    f = rk.PiecewiseLinearFunction((F(0),), (F(1), F(2)), F(0))
     assert f(F(-3)) == -3 and f(F(2)) == 4 and f(F(0)) == 0
-    g = an.PiecewiseLinearFunction((F(-1), F(1)), (F(1, 2), F(1), F(3)), F(0))
+    g = rk.PiecewiseLinearFunction((F(-1), F(1)), (F(1, 2), F(1), F(3)), F(0))
     assert g(F(-2)) == -F(1, 2)
     assert g(F(0)) == 1
     assert g(F(2)) == F(2) + F(3)
     with pytest.raises(m.ValidationError, match="convex"):
-        an.PiecewiseLinearFunction((F(0),), (F(2), F(1)), F(0))
+        rk.PiecewiseLinearFunction((F(0),), (F(2), F(1)), F(0))
     with pytest.raises(m.ValidationError, match="increasing"):
-        an.PiecewiseLinearFunction((F(0),), (F(0), F(1)), F(0))
+        rk.PiecewiseLinearFunction((F(0),), (F(0), F(1)), F(0))
     with pytest.raises(m.ValidationError, match="breakpoint"):
-        an.PiecewiseLinearFunction((F(1), F(0)), (F(1), F(1), F(1)), F(0))
+        rk.PiecewiseLinearFunction((F(1), F(0)), (F(1), F(1), F(1)), F(0))
 
 
 def test_risk_transform_values(example1):
-    f = an.PiecewiseLinearFunction((F(0),), (F(1), F(2)), F(0))
-    kinked = an.risk_transform(example1, f)
+    f = rk.PiecewiseLinearFunction((F(0),), (F(1), F(2)), F(0))
+    kinked = rk.risk_transform(example1, f)
     assert [utility(kinked, l, "good") for l in kinked.leaves] == [F(0), F(-1), F(4)]
     assert [utility(kinked, l, "bad") for l in kinked.leaves] == [F(0), F(-1), F(-2)]
-    same = an.risk_transform(example1, an.PiecewiseLinearFunction.identity())
+    same = rk.risk_transform(example1, rk.PiecewiseLinearFunction.identity())
     assert (same.table, same.den) == (example1.table, example1.den)
 
 
@@ -98,7 +101,7 @@ def test_risk_transform_monotonicity_small():
             continue
         found += 1
         f = random_convex_increasing(rng)
-        transformed = an.risk_transform(p, f)
+        transformed = rk.risk_transform(p, f)
         assert rz.dominating_rule(transformed, leaf) is not None
 
 
@@ -106,9 +109,9 @@ def test_positive_affine_preserves_all_verdicts():
     rng = random.Random(13)
     for _ in range(12):
         p = random_problem(rng, max_rules=200)
-        f = an.PiecewiseLinearFunction.affine(
+        f = rk.PiecewiseLinearFunction.affine(
             F(rng.randint(1, 5), rng.randint(1, 3)), F(rng.randint(-4, 4), rng.randint(1, 3)))
-        q = an.risk_transform(p, f)
+        q = rk.risk_transform(p, f)
         leaf = rng.choice(p.leaves)
         joint = random_joint(rng, p)
         marginal = random_marginal(rng, p)
@@ -127,24 +130,24 @@ def test_lambda_D_set_hedge(example2):
     hedge = dv.DeviationRule.from_mapping(probe, {
         "w,x": {"x": "1/2", "y": "1/2"}, "w,y": {"x": "1/2", "y": "1/2"},
         "x": "x", "y": "y"})
-    got = an.lambda_D_set(example2, hedge, probe.sequence("w,x"), ["1/2", "4/5", "9/10"])
+    got = lambda_D_set(example2, hedge, probe.sequence("w,x"), ["1/2", "4/5", "9/10"])
     assert got == (False, True, True)
 
 
 def test_lambda_D_set_identity_and_bounds(example2):
     probe = m.instantiate(example2, {"delta": 1})
     ident = dv.identity_rule(probe)
-    assert an.lambda_D_set(example2, ident, probe.sequence("w,x"),
+    assert lambda_D_set(example2, ident, probe.sequence("w,x"),
                            ["0", "1/2", "1"]) == (True, True, True)
     all_x = dv.DeviationRule.from_mapping(
         probe, {"w,x": "x", "w,y": "x", "x": "x", "y": "x"})
-    assert an.lambda_D_set(example2, all_x, probe.sequence("w,y"), ["1"]) == (True,)
+    assert lambda_D_set(example2, all_x, probe.sequence("w,y"), ["1"]) == (True,)
     # nothing left to sweep: every parameter pinned, or none to begin with
     with pytest.raises(m.ValidationError, match="no parameter left to sweep"):
-        an.lambda_D_set(example2, ident, probe.sequence("w,x"), ["1/2"],
+        lambda_D_set(example2, ident, probe.sequence("w,x"), ["1/2"],
                         fixed={"delta": "1/2"})
     with pytest.raises(m.ValidationError, match="no parameter left to sweep"):
-        an.lambda_D_set(probe, ident, probe.sequence("w,x"), ["1/2"], fixed={})
+        lambda_D_set(probe, ident, probe.sequence("w,x"), ["1/2"], fixed={})
 
 
 def test_lambda_D_set_joint_law(example2):
@@ -154,7 +157,7 @@ def test_lambda_D_set_joint_law(example2):
     all_x = dv.DeviationRule.from_mapping(
         probe, {"w,x": "x", "w,y": "x", "x": "x", "y": "x"})
     grid = [F(i, 8) for i in range(9)]
-    got = an.lambda_D_set(example2, all_x, joint, grid)
+    got = lambda_D_set(example2, all_x, joint, grid)
     assert got == tuple(
         not dv.dominates(m.instantiate(example2, {"delta": g}), all_x, joint)
         for g in grid)
@@ -171,7 +174,7 @@ def test_lambda_D_set_contains_identified_region(example2):
              for g in grid]
     for _ in range(6):
         rule = random_rule(rng, probe)
-        screen = an.lambda_D_set(example2, rule, wx, grid)
+        screen = lambda_D_set(example2, rule, wx, grid)
         for ok_exact, ok_screen in zip(exact, screen):
             if ok_exact:
                 assert ok_screen
@@ -576,7 +579,7 @@ def test_sweep_puts_the_observed_law_over_one_lcm_once(example2, monkeypatch):
     for law in laws:
         cells = [q.as_integer_ratio() for q in (
             [F(w, law.den) for w in law.weights] if isinstance(law, m.MarginalDistribution)
-            else [w for row in law.matrix for w in row])]
+            else [w for row in fraction_matrix(law) for w in row])]
         calls = []
         counted = lambda values: calls.append(list(values)) or over_lcm(values)  # noqa: E731
         for module in (m, dv, an, lp, rz):  # every module that imports it
@@ -600,13 +603,13 @@ def test_sweep_reads_certificates_in_integers(example2, monkeypatch):
         gain, rule = dv.best_joint_deviation(*args)
         return gain, counted(built, "induction rule", rule)
 
+    # the package has no Fraction view for a sweep to read: the tests keep
+    # their own (`conftest.fraction_matrix`, `fraction_assignment`, `fraction_duals`)
+    for cls, name in ((dv.DeviationRule, "matrix"), (m.JointDistribution, "matrix"),
+                      (lp.LpSolution, "assignment"), (lp.LpSolution, "duals")):
+        assert not hasattr(cls, name), name
     for cls, key in ((dv.DeviationRule, "rule"), (m.JointDistribution, "law")):
-        monkeypatch.setattr(cls, "matrix", property(counted(built, key + " matrix",
-                                                            cls.matrix.func)))
         monkeypatch.setattr(cls, "__init__", counted(made, key, cls.__init__))
-    for name in ("assignment", "duals"):
-        read = getattr(lp.LpSolution, name).fget
-        monkeypatch.setattr(lp.LpSolution, name, property(counted(built, name, read)))
     monkeypatch.setattr(an, "best_joint_deviation", counted(runs, "law check", law_check))
     for observation in (probe.sequence("w,x"),
                         m.MarginalDistribution.from_mapping(probe, {"w,x": "3/4", "w,y": "1/4"})):
@@ -674,7 +677,7 @@ def test_affine_sign_test_agrees_with_dominates():
             for rule in rules:
                 want = [dv.dominates(m.substitute_params(family, {"t": t}), rule, observation)
                         for t in points]
-                assert an.lambda_D_set(family, rule, observation, points) == tuple(
+                assert lambda_D_set(family, rule, observation, points) == tuple(
                     not w for w in want)
                 seen |= {(type(observation).__name__, w) for w in want}
     assert len(seen) == 6  # each kind of observation, dominated and not

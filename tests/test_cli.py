@@ -96,6 +96,35 @@ def test_maxprob_pretty(capsys):
     assert any("7/9" in line and "0.77" in line for line in lines[1:])
 
 
+# Every other kind of result and the summary that --pretty appends to it
+PRETTY = {
+    "identify": (["identify", EX2, "--seq", "w,x", "--sweep", "delta", "--range", "0:1"],
+                 ["out: delta in [0, 819/1024]", "gap: delta in [819/1024, 205/256]",
+                  "in: delta in [205/256, 1]"]),
+    "enumerate-rules": (["enumerate-rules", EX1], ["rules: 15"]),
+    "simulate": (["simulate", EX1, "--structure", EX1_STRUCTURE, "--strategy", EX1_STRATEGY,
+                  "-n", "100", "--seed", "7"], ["draws: 100, seed: 7"]),
+    "verify-witness-valid": (["verify-witness", str(GOLDEN / "ex1-check-seq-invest.json")],
+                             ["valid: yes (obedient triple re-checked)"]),
+    "verify-witness-invalid": (["verify-witness", str(GOLDEN / "ex2-identify-seq.json")],
+                               ["valid: no (report carries no witness)"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRETTY))
+def test_pretty_summarizes_every_kind_of_result(capsys, name):
+    argv, want = PRETTY[name]
+    code, plain, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    code, out, err = run_cli(capsys, *argv, "--pretty")
+    assert code == 0, err
+    first, *summary = out.splitlines()
+    report, alone = json.loads(first), first_report(plain)
+    report.pop("timing_ms"), alone.pop("timing_ms")
+    assert report == alone and len(plain.splitlines()) == 1  # the JSON line is unchanged
+    assert summary == want
+
+
 def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "check-seq", EX1, "--seq", "nope")
     assert code == 2 and "not a leaf" in err
@@ -600,14 +629,40 @@ def test_module_entry_point_prints_a_report():
 
 def test_import_generates_no_code():
     # the types are plain classes: importing the CLI loads neither the
-    # dataclass machinery nor `inspect`, which only it pulled in
+    # dataclass machinery nor `inspect`, which only it pulled in; nor does
+    # it load the modules that no query runs, the sampler's `structures`
+    # and the payoff transforms' `risk`
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, dynrat.cli; "
-         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        [sys.executable, "-c", "import json, sys, dynrat.cli; "
+         "print(json.dumps(sorted({'dataclasses', 'inspect'} & set(sys.modules)))); "
+         "print(json.dumps([m for m in sys.modules if m.startswith('dynrat.')]))"],
         capture_output=True, text=True, env=_module_env(), timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    generators, package = map(json.loads, done.stdout.splitlines())
+    assert generators == []
+    assert {"dynrat.cli", "dynrat.oracle", "dynrat.analysis"} <= set(package)
+    assert {"dynrat.structures", "dynrat.risk"}.isdisjoint(package)
+
+
+def test_every_public_name_resolves_to_its_module():
+    # the names of `structures` and `risk` are resolved on first access;
+    # every name is its module's own object, and a star import takes them all
+    import dynrat
+    from dynrat import risk, structures
+
+    modules = [getattr(dynrat, name) for name in (
+        "analysis", "deviation", "lp", "model", "oracle", "rationalize")] + [risk, structures]
+    for name in dynrat.__all__:
+        homes = [mod for mod in modules if name in vars(mod)]
+        assert homes and all(vars(mod)[name] is getattr(dynrat, name) for mod in homes), name
+    assert dir(dynrat) == sorted(dynrat.__all__)
+    names: dict = {}
+    exec("from dynrat import *", names)
+    assert all(names[name] is getattr(dynrat, name) for name in dynrat.__all__)
+    assert dynrat.simulate is structures.simulate and callable(dynrat.simulate)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(dynrat, "no_such_name")
 
 
 def test_closed_stdout_exits_without_traceback():
@@ -626,6 +681,37 @@ def complete_tree(tmp_path, branching, n_states, seed) -> str:
     path = tmp_path / f"tree-{'-'.join(map(str, branching))}-{seed}.json"
     path.write_text(json.dumps(complete_tree_doc(branching, n_states, seed)))
     return str(path)
+
+
+def chain_doc(depth: int) -> tuple[dict, str]:
+    """A chain ``depth`` periods deep, with a ``b`` leaf and a ``c`` branch
+    at each level (a ``c`` leaf at the last), states s and t, and every
+    payoff 0 but the deepest ``b`` leaf's, 1 in s and -1 in t; and the law
+    with all its mass on that leaf in s."""
+    node = {"b": "leaf", "c": "leaf"}
+    for _ in range(depth - 1):
+        node = {"b": "leaf", "c": node}
+    labels = [",".join(["c"] * k + ["b"]) for k in range(depth)] + [",".join(["c"] * depth)]
+    utility = {label: {"s": 0, "t": 0} for label in labels}
+    utility[labels[depth - 1]] = {"s": 1, "t": -1}
+    doc = {"periods": depth, "states": ["s", "t"], "tree": node, "utility": utility}
+    return doc, f"{labels[depth - 1]}@s:1"
+
+
+def test_a_deep_chain_report_is_re_checked(capsys, tmp_path):
+    # the oracle's induction does not recurse: four frames a period once
+    # ended the re-check of this report in RecursionError past depth 180
+    doc, dist = chain_doc(400)
+    problem = tmp_path / "chain.json"
+    problem.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "check-joint", str(problem), "--dist", dist)
+    assert code == 0, err
+    assert first_report(out)["result"]["rationalizable"] is True
+    report = tmp_path / "report.json"
+    report.write_text(out.splitlines()[0])
+    code, out, err = run_cli(capsys, "verify-witness", str(report))
+    assert code == 0, err
+    assert first_report(out)["result"] == {"valid": True, "detail": "obedient triple re-checked"}
 
 
 def test_check_seq_answers_where_rule_enumeration_cannot(capsys, tmp_path):

@@ -10,6 +10,8 @@ from dynrat import model as m
 
 from conftest import (
     complete_tree_doc,
+    compose,
+    fraction_matrix,
     improvement,
     joint_dominance_optimum,
     lottery_utility,
@@ -45,7 +47,7 @@ def test_kernel_matrix_refuses_floats_and_bools(example1):
         with pytest.raises(m.ParseError):
             dv.DeviationRule.from_mapping(example1, [[entry, 1 - entry, 0], [0, 1, 0], [0, 0, 1]])
     rule = dv.DeviationRule.from_mapping(example1, [["1/2", "1/2", 0], [0, 1, 0], [0, 0, 1]])
-    assert rule.matrix[0] == (F(1, 2), F(1, 2), 0)
+    assert fraction_matrix(rule)[0] == (F(1, 2), F(1, 2), 0)
 
 
 def test_is_adapted_hedge_example(example2):
@@ -79,7 +81,7 @@ def test_enumeration_properties(example1):
     assert all(r.den == 1 and all(len(row) == 1 for row in r.rows) for r in rules)
     assert sum(1 for r in rules if r == dv.identity_rule(example1)) == 1
     for r in rules:
-        assert dv.is_adapted(example1, r.matrix)
+        assert dv.is_adapted(example1, fraction_matrix(r))
     assert dv.enumerate_pure_rules(example1) == rules  # stable order
 
 
@@ -99,10 +101,10 @@ def test_size_guard(example2):
 def test_compose_identity_laws(example1):
     ident = dv.identity_rule(example1)
     north = all_to(example1, "not_invest")
-    assert dv.compose(ident, north).matrix == north.matrix
-    assert dv.compose(north, ident).matrix == north.matrix
+    assert fraction_matrix(compose(ident, north)) == fraction_matrix(north)
+    assert fraction_matrix(compose(north, ident)) == fraction_matrix(north)
     # a constant rule absorbs whatever runs first
-    assert dv.compose(north, dv.identity_rule(example1)).matrix == north.matrix
+    assert fraction_matrix(compose(north, dv.identity_rule(example1))) == fraction_matrix(north)
 
 
 def test_compose_closure_and_associativity():
@@ -110,11 +112,10 @@ def test_compose_closure_and_associativity():
     for _ in range(15):
         p = random_problem(rng, max_rules=250)
         d1, d2, d3 = (random_rule(rng, p) for _ in range(3))
-        c = dv.compose(d1, d2)  # construction validates adaptedness
-        assert dv.is_adapted(p, c.matrix)
-        assert dv.compose(d1, dv.compose(d2, d3)).matrix == dv.compose(
-            dv.compose(d1, d2), d3
-        ).matrix
+        c = compose(d1, d2)  # construction validates adaptedness
+        assert dv.is_adapted(p, fraction_matrix(c))
+        assert fraction_matrix(compose(d1, compose(d2, d3))) == fraction_matrix(
+            compose(compose(d1, d2), d3))
 
 
 def test_improvement_values(example1, example2):
@@ -195,13 +196,14 @@ def test_dominates_marginal(example1):
 
 def per_cell_improvement(problem, rule, a, s):
     """A rule's gain at one leaf and state, one lottery at a time."""
-    row = {b: w for b, w in zip(rule.leaves, rule.matrix[rule.leaves.index(a)]) if w != 0}
+    kernel_row = fraction_matrix(rule)[rule.leaves.index(a)]
+    row = {b: w for b, w in zip(rule.leaves, kernel_row) if w != 0}
     return lottery_utility(problem, row, s) - utility(problem, a, s)
 
 
 def per_cell_dominates_joint(problem, rule, joint):
     return sum((w * per_cell_improvement(problem, rule, a, s)
-                for a, row in zip(joint.leaves, joint.matrix)
+                for a, row in zip(joint.leaves, fraction_matrix(joint))
                 for s, w in zip(joint.states, row) if w), F(0)) > 0
 
 
@@ -253,8 +255,9 @@ def test_integer_sign_tests_match_fraction_arithmetic():
     tips = (F(0), F(1, 10**12), F(-1, 10**12))
     for _ in range(40):
         p = random_problem(rng, max_leaves=6)
-        rule = dv.compose(random_rule(rng, p), random_rule(rng, p))
-        mixed_rows += len({math.lcm(*(w.denominator for w in row)) for row in rule.matrix}) > 1
+        rule = compose(random_rule(rng, p), random_rule(rng, p))
+        mixed_rows += len({math.lcm(*(w.denominator for w in row))
+                           for row in fraction_matrix(rule)}) > 1
         cells = [(a, s) for a in p.leaves for s in p.states]
         gain = {(a, s): per_cell_improvement(p, rule, a, s) for a, s in cells}
         assert dv.gains(p, rule) == tuple(tuple(gain[a, s] for s in p.states) for a in p.leaves)
@@ -398,7 +401,7 @@ def test_sparse_adaptedness_matches_dense_reference():
         p = random_problem(rng, max_leaves=6)
         entries = [leaf.entries for leaf in p.leaves]
         n = len(entries)
-        rule = random_rule(rng, p).matrix
+        rule = fraction_matrix(random_rule(rng, p))
         kernels = [rule]
         for _ in range(4):
             # move part of one entry's mass to another entry of its row
@@ -426,7 +429,7 @@ def test_sparse_adaptedness_matches_dense_reference():
 
 def rule_gain(problem, rule, joint):
     return sum((w * improvement(problem, rule, a, s)
-                for a, row in zip(joint.leaves, joint.matrix)
+                for a, row in zip(joint.leaves, fraction_matrix(joint))
                 for s, w in zip(joint.states, row) if w), F(0))
 
 
@@ -442,12 +445,12 @@ def test_backward_induction_matches_the_joint_dominance_lp():
         assert gain == joint_dominance_optimum(p, joint)
         rule = dv.pure_rule(p, targets())
         entries = [leaf.entries for leaf in p.leaves]
-        assert dense_matrix_is_adapted(entries, entries, rule.matrix, p.tree.periods)
+        assert dense_matrix_is_adapted(entries, entries, fraction_matrix(rule), p.tree.periods)
         assert rule_gain(p, rule, joint) == gain
-        assert all(w in (0, 1) for row in rule.matrix for w in row)
+        assert all(w in (0, 1) for row in fraction_matrix(rule) for w in row)
         assert dv.dominates(p, rule, joint) == (gain > 0)
         padded += any(m.PAD in leaf.entries for leaf in p.leaves)
-        zero_mass += any(not any(row) for row in joint.matrix)
+        zero_mass += any(not any(row) for row in fraction_matrix(joint))
         positive += gain > 0
     # the sweep exercised padded trees, leaves without mass and both verdicts
     assert padded and zero_mass and positive and positive < len(problems)

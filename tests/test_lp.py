@@ -9,7 +9,15 @@ from dynrat import lp as L
 from dynrat import model as m
 from dynrat import rationalize as rz
 
-from conftest import polytope_program, random_problem
+from conftest import (
+    add_constraint,
+    check_solution,
+    fraction_assignment,
+    fraction_duals,
+    fraction_matrix,
+    polytope_program,
+    random_problem,
+)
 
 
 def with_duals(sol, duals):
@@ -23,14 +31,14 @@ def with_duals(sol, duals):
 def test_single_variable_box():
     prog = L.LinearProgram()
     x = prog.add_variable()
-    prog.add_constraint({x: 1}, "<=", "3/7")
+    add_constraint(prog, {x: 1}, "<=", "3/7")
     prog.set_objective({x: 1})
     sol = L.solve(prog)
     assert sol.status == "optimal" and sol.value == F(3, 7)
-    assert sol.assignment == (F(3, 7),)
+    assert fraction_assignment(sol) == (F(3, 7),)
     # only declared columns may carry a coefficient
     with pytest.raises(m.ValidationError, match="undeclared column 1"):
-        prog.add_constraint({x: 1, 1: 2}, "<=", 1)
+        add_constraint(prog, {x: 1, 1: 2}, "<=", 1)
     with pytest.raises(m.ValidationError, match="undeclared column -1"):
         prog.set_objective({-1: 1})
     with pytest.raises(m.ValidationError, match="undeclared column 'x'"):
@@ -44,12 +52,12 @@ def test_add_row_takes_integers_over_a_positive_denominator():
     rows = L.LinearProgram([False, False, False])
     rows.add_row({0: 2, 1: 1}, "<=", 3, 4)
     parsed = L.LinearProgram([False, False, False])
-    parsed.add_constraint({0: "1/2", 1: F(1, 4), 2: 0}, "<=", "3/4")
+    add_constraint(parsed, {0: "1/2", 1: F(1, 4), 2: 0}, "<=", "3/4")
     assert rows.constraints == parsed.constraints == [L.Constraint({0: 2, 1: 1}, "<=", 3, 4)]
     for prog in (rows, parsed):
         prog.set_objective({0: 1, 1: 1})
     sol = L.solve(rows)
-    assert sol == L.solve(parsed) and sol.value == 3 and sol.duals == (4,)
+    assert sol == L.solve(parsed) and sol.value == 3 and fraction_duals(sol) == (4,)
     # the assignment and the duals are held in lowest terms, so equal
     # solutions are equal field by field
     assert sol.integer_assignment == ((0, 3, 0), 1) and sol.integer_duals == ((4,), 1)
@@ -71,9 +79,9 @@ def test_add_row_takes_integers_over_a_positive_denominator():
 def test_symmetric_binding():
     prog = L.LinearProgram()
     x, y = prog.add_variable(), prog.add_variable()
-    prog.add_constraint({x: 1}, "<=", 1)
-    prog.add_constraint({y: 1}, "<=", 2)
-    prog.add_constraint({x: 1, y: -1}, "==", 0)
+    add_constraint(prog, {x: 1}, "<=", 1)
+    add_constraint(prog, {y: 1}, "<=", 2)
+    add_constraint(prog, {x: 1, y: -1}, "==", 0)
     prog.set_objective({x: 1, y: 1})
     sol = L.solve(prog)
     assert sol.value == 2
@@ -85,24 +93,24 @@ def test_duals_certify_the_optimum():
     # y >= 1 (a row), z free (split)
     prog = L.LinearProgram()
     x, y, z = prog.add_variable(), prog.add_variable(), prog.add_variable(free=True)
-    prog.add_constraint({x: 1, y: 1}, "<=", 5)
-    prog.add_constraint({x: 1, z: 1}, "==", 2)
-    prog.add_constraint({y: -1, z: 1}, ">=", -3)
-    prog.add_constraint({}, "<=", 4)  # no coefficients: dual 0
-    prog.add_constraint({y: 1}, ">=", 1)
+    add_constraint(prog, {x: 1, y: 1}, "<=", 5)
+    add_constraint(prog, {x: 1, z: 1}, "==", 2)
+    add_constraint(prog, {y: -1, z: 1}, ">=", -3)
+    add_constraint(prog, {}, "<=", 4)  # no coefficients: dual 0
+    add_constraint(prog, {y: 1}, ">=", 1)
     prog.set_objective({x: 2, y: 1, z: 1})
     sol = L.solve(prog)
-    assert sol.value == 7 and len(sol.duals) == 5
-    assert sol.duals[3] == 0
+    assert sol.value == 7 and len(fraction_duals(sol)) == 5
+    assert fraction_duals(sol)[3] == 0
     assert L.check_duals(prog, sol)
     # any single perturbed dual breaks the certificate: a reduced cost or
     # the dual bound moves
     for r in range(5):
         for step in (F(1, 7), F(-1, 7)):
-            duals = list(sol.duals)
+            duals = list(fraction_duals(sol))
             duals[r] += step
             assert not L.check_duals(prog, with_duals(sol, duals))
-    assert not L.check_duals(prog, with_duals(sol, sol.duals[:4]))
+    assert not L.check_duals(prog, with_duals(sol, fraction_duals(sol)[:4]))
     # the duals' denominator must be positive
     ys, yden = sol.integer_duals
     assert not L.check_duals(prog, L.LpSolution(sol.status, sol.value, sol.pivots,
@@ -113,8 +121,8 @@ def test_duals_certify_the_optimum():
 def test_statuses():
     prog = L.LinearProgram()
     x = prog.add_variable()
-    prog.add_constraint({x: 1}, ">=", 1)
-    prog.add_constraint({x: 1}, "<=", 0)
+    add_constraint(prog, {x: 1}, ">=", 1)
+    add_constraint(prog, {x: 1}, "<=", 0)
     prog.set_objective({x: 1})
     assert L.solve(prog).status == "infeasible"
 
@@ -128,8 +136,8 @@ def test_free_variable_and_min():
     prog = L.LinearProgram()
     k = prog.add_variable(free=True)
     a = prog.add_variable()
-    prog.add_constraint({a: 1}, "<=", 1)
-    prog.add_constraint({k: 1, a: -1}, "<=", "-1/3")
+    add_constraint(prog, {a: 1}, "<=", 1)
+    add_constraint(prog, {k: 1, a: -1}, "<=", "-1/3")
     prog.set_objective({k: 1})
     assert L.solve(prog).value == F(2, 3)
     prog.set_objective({k: -1})  # minimize k
@@ -137,11 +145,11 @@ def test_free_variable_and_min():
 
     prog = L.LinearProgram()
     x = prog.add_variable(free=True)
-    prog.add_constraint({x: 1}, ">=", -2)
-    prog.add_constraint({x: 1}, "<=", 5)
+    add_constraint(prog, {x: 1}, ">=", -2)
+    add_constraint(prog, {x: 1}, "<=", 5)
     prog.set_objective({x: -1})  # minimize x
     sol = L.solve(prog)
-    assert sol.value == 2 and sol.assignment == (-2,)
+    assert sol.value == 2 and fraction_assignment(sol) == (-2,)
     assert L.check_duals(prog, sol)
 
 
@@ -205,15 +213,15 @@ def _integer_program(rng):
     for lo, hi in bounds:
         cols.append(prog.add_variable(free=lo < 0))
         if lo:
-            prog.add_constraint({cols[-1]: 1}, ">=", lo)
-        prog.add_constraint({cols[-1]: 1}, "<=", hi)
+            add_constraint(prog, {cols[-1]: 1}, ">=", lo)
+        add_constraint(prog, {cols[-1]: 1}, "<=", hi)
     rows = []
     for _ in range(rng.randint(0, 4)):
         coeff = [F(rng.randint(-3, 3)) for _ in range(n)]
         sense = rng.choice(["<=", ">=", "=="])
         rhs = F(rng.randint(-4, 4), rng.randint(1, 3))
         rows.append((coeff, sense, rhs))
-        prog.add_constraint(dict(zip(cols, coeff)), sense, rhs)
+        add_constraint(prog, dict(zip(cols, coeff)), sense, rhs)
     obj = [F(rng.randint(-3, 3)) for _ in range(n)]
     if rng.choice(["max", "min"]) == "min":
         obj = [-c for c in obj]
@@ -233,7 +241,7 @@ def test_random_programs_match_vertex_enumeration():
         else:
             assert got.status == "optimal"
             assert got.value == want
-            assert L.check_solution(prog, got.assignment)
+            assert check_solution(prog, fraction_assignment(got))
             assert L.check_duals(prog, got)
 
 
@@ -244,10 +252,10 @@ def test_solutions_verify_and_repeat_bit_for_bit(example1):
     first = L.solve(prog)
     second = L.solve(prog)
     assert first == second
-    assert L.check_solution(prog, first.assignment)
+    assert check_solution(prog, fraction_assignment(first))
     # one value per column, no more and no fewer
-    assert not L.check_solution(prog, first.assignment[:-1])
-    assert not L.check_solution(prog, first.assignment + (F(0),))
+    assert not check_solution(prog, fraction_assignment(first)[:-1])
+    assert not check_solution(prog, fraction_assignment(first) + (F(0),))
     assert len(prog.variables) == 9
 
 
@@ -277,21 +285,21 @@ def test_polytope_membership(example1, example2):
         prog = polytope_program(L.deviation_polytope_constraints(problem.tree))
         n = len(problem.leaves)
         for rule in dv.enumerate_pure_rules(problem):
-            mat = rule.matrix
+            mat = fraction_matrix(rule)
             asg = [mat[i][j] for i in range(n) for j in range(n)]
-            assert L.check_solution(prog, asg)
+            assert check_solution(prog, asg)
             i, j = rng.randrange(n), rng.randrange(n)
             bad = list(asg)
             bad[i * n + j] = asg[i * n + j] + F(1, 7)
-            assert not L.check_solution(prog, bad)
+            assert not check_solution(prog, bad)
     # the half-and-half rewrite of waiting sits inside the block
     prog = polytope_program(L.deviation_polytope_constraints(example2.tree))
     half = m.instantiate(example2, {"delta": "1/2"})
     hedge = dv.DeviationRule.from_mapping(half, {
         "w,x": {"x": "1/2", "y": "1/2"}, "w,y": {"x": "1/2", "y": "1/2"},
         "x": "y", "y": "y"})
-    asg = [w for row in hedge.matrix for w in row]
-    assert L.check_solution(prog, asg)
+    asg = [w for row in fraction_matrix(hedge) for w in row]
+    assert check_solution(prog, asg)
 
 
 def test_polytope_vertices_are_pure_kernels(example1):
@@ -301,7 +309,7 @@ def test_polytope_vertices_are_pure_kernels(example1):
     problems = [example1] + [
         random_problem(rng, min_leaves=4, max_rules=250) for _ in range(6)]
     for problem in problems:
-        pure_kernels = {r.matrix for r in dv.enumerate_pure_rules(problem)}
+        pure_kernels = {fraction_matrix(r) for r in dv.enumerate_pure_rules(problem)}
         poly = L.deviation_polytope_constraints(problem.tree)
         n = len(problem.leaves)
         for _ in range(12):
@@ -314,7 +322,7 @@ def test_polytope_vertices_are_pure_kernels(example1):
             prog.set_objective(objective)
             sol = L.solve(prog)
             assert sol.status == "optimal"
-            kernel = tuple(sol.assignment[i * n:i * n + n] for i in range(n))
+            kernel = tuple(fraction_assignment(sol)[i * n:i * n + n] for i in range(n))
             assert kernel in pure_kernels
 
 
@@ -352,8 +360,8 @@ def test_polytope_feasibility_equals_adaptedness_on_random_problems():
         prog = polytope_program(L.deviation_polytope_constraints(p.tree))
         n = len(p.leaves)
         rule = random_rule(rng, p)
-        asg = [rule.matrix[i][j] for i in range(n) for j in range(n)]
-        assert L.check_solution(prog, asg)
+        asg = [fraction_matrix(rule)[i][j] for i in range(n) for j in range(n)]
+        assert check_solution(prog, asg)
         # arbitrary row-stochastic kernels: block membership <=> adaptedness
         for _ in range(4):
             rows = []
@@ -363,7 +371,7 @@ def test_polytope_feasibility_equals_adaptedness_on_random_problems():
                     raw[rng.randrange(n)] = 1
                 rows.append(tuple(F(x, sum(raw)) for x in raw))
             asg = [rows[i][j] for i in range(n) for j in range(n)]
-            assert L.check_solution(prog, asg) == dv.is_adapted(p, tuple(rows))
+            assert check_solution(prog, asg) == dv.is_adapted(p, tuple(rows))
 
 
 def _fractional_program(rng):
@@ -382,23 +390,23 @@ def _fractional_program(rng):
         if declared == "lower":
             cols.append(prog.add_variable(free=lo < 0))
             if lo:
-                prog.add_constraint({cols[-1]: 1}, ">=", lo)
-            prog.add_constraint({cols[-1]: 1}, "<=", hi)
+                add_constraint(prog, {cols[-1]: 1}, ">=", lo)
+            add_constraint(prog, {cols[-1]: 1}, "<=", hi)
         elif declared == "negated":
             cols.append(prog.add_variable(free=True))
-            prog.add_constraint({cols[-1]: -1}, ">=", -hi)
-            prog.add_constraint({cols[-1]: 1}, ">=", lo)
+            add_constraint(prog, {cols[-1]: -1}, ">=", -hi)
+            add_constraint(prog, {cols[-1]: 1}, ">=", lo)
         else:
             cols.append(prog.add_variable(free=True))
-            prog.add_constraint({cols[-1]: 1}, ">=", lo)
-            prog.add_constraint({cols[-1]: 1}, "<=", hi)
+            add_constraint(prog, {cols[-1]: 1}, ">=", lo)
+            add_constraint(prog, {cols[-1]: 1}, "<=", hi)
     rows = []
     for _ in range(rng.randint(0, 4)):
         coeff = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
         sense = rng.choice(["<=", ">=", "=="])
         rhs = F(rng.randint(-4, 4), rng.randint(1, 5))
         rows.append((coeff, sense, rhs))
-        prog.add_constraint(dict(zip(cols, coeff)), sense, rhs)
+        add_constraint(prog, dict(zip(cols, coeff)), sense, rhs)
     obj = [F(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(n)]
     if rng.choice(["max", "min"]) == "min":
         obj = [-c for c in obj]
@@ -423,7 +431,7 @@ def test_fractional_boxes_match_vertex_enumeration():
         else:
             assert got.status == "optimal"
             assert got.value == want
-            assert L.check_solution(prog, got.assignment)
+            assert check_solution(prog, fraction_assignment(got))
             assert L.check_duals(prog, got)
 
 
@@ -452,7 +460,7 @@ def _fraction_duals_certify(prog, sol):
     """`check_duals` in plain `Fraction` arithmetic."""
     reduced = dict(prog.objective)
     bound = F(0)
-    for con, y in zip(prog.constraints, sol.duals):
+    for con, y in zip(prog.constraints, fraction_duals(sol)):
         if (con.sense == "<=" and y < 0) or (con.sense == ">=" and y > 0):
             return False
         if y:
@@ -481,7 +489,7 @@ def _rescaled(prog, rng):
     for con in prog.constraints:
         f = factor()
         coeffs, rhs = _rational(con)
-        out.add_constraint({k: c * f for k, c in coeffs.items()}, con.sense, rhs * f)
+        add_constraint(out, {k: c * f for k, c in coeffs.items()}, con.sense, rhs * f)
     f = factor()
     out.set_objective({k: c * f for k, c in prog.objective.items()})
     return out
@@ -499,7 +507,7 @@ def _seeded_optima():
                 yield prog, sol
                 big = _rescaled(prog, scale_rng)
                 big_sol = L.solve(big)
-                assert big_sol.assignment == sol.assignment
+                assert fraction_assignment(big_sol) == fraction_assignment(sol)
                 yield big, big_sol
 
 
@@ -511,18 +519,18 @@ def test_integer_checks_agree_with_fraction_arithmetic():
     # +-1/10^k: the integer checks say what plain Fraction sums say
     single_row = accepted = dual_rejected = 0
     for prog, sol in _seeded_optima():
-        assert L.check_solution(prog, sol.assignment) and L.check_duals(prog, sol)
-        for k in range(len(sol.assignment)):
+        assert check_solution(prog, fraction_assignment(sol)) and L.check_duals(prog, sol)
+        for k in range(len(fraction_assignment(sol))):
             for step in STEPS:
-                moved = list(sol.assignment)
+                moved = list(fraction_assignment(sol))
                 moved[k] += step
                 bad = _fraction_violations(prog, moved)
-                assert L.check_solution(prog, moved) == (not bad), (prog, moved, bad)
+                assert check_solution(prog, moved) == (not bad), (prog, moved, bad)
                 single_row += len(bad) == 1 and bad[0][0] == "row"
                 accepted += not bad
-        for r in range(len(sol.duals)):
+        for r in range(len(fraction_duals(sol))):
             for step in STEPS:
-                duals = list(sol.duals)
+                duals = list(fraction_duals(sol))
                 duals[r] += step
                 moved = with_duals(sol, duals)
                 want = _fraction_duals_certify(prog, moved)
@@ -550,17 +558,17 @@ def test_boundary_accepted_and_each_single_row_violation_rejected():
         prog = L.LinearProgram([False, False, True, False])  # the last is in no row
         for r, (coeffs, sense) in enumerate(rows):
             rhs = sum(c * asg[k] for k, c in coeffs.items())
-            prog.add_constraint(coeffs, sense, rhs + (shift if r == moved_row else 0))
+            add_constraint(prog, coeffs, sense, rhs + (shift if r == moved_row else 0))
         return prog
 
-    assert L.check_solution(program(), asg)
+    assert check_solution(program(), asg)
     for r, (_, sense) in enumerate(rows):
         for k in (1, 10, 30):
             past = F(-1 if sense == "<=" else 1, 10**k)
-            assert not L.check_solution(program(r, past), asg)
-            assert L.check_solution(program(r, -past), asg) == (sense != "==")
+            assert not check_solution(program(r, past), asg)
+            assert check_solution(program(r, -past), asg) == (sense != "==")
     # a nonnegative column exactly at 0 is on its bound, just below is not
-    assert not L.check_solution(program(), asg[:3] + (F(-1, 10**30),))
+    assert not check_solution(program(), asg[:3] + (F(-1, 10**30),))
 
 
 def test_ratio_test_ties_go_to_the_smallest_basic_column(monkeypatch):
@@ -570,10 +578,10 @@ def test_ratio_test_ties_go_to_the_smallest_basic_column(monkeypatch):
     # choice is the old rule's: the smallest (Fraction step, basic column).
     prog = L.LinearProgram()
     x, y, z = prog.add_variable(), prog.add_variable(), prog.add_variable()
-    prog.add_constraint({x: -2, z: 2}, "<=", 0)
-    prog.add_constraint({x: 2, y: 2, z: -1}, "<=", 0)
-    prog.add_constraint({x: -2, y: 2, z: -2}, "<=", 0)
-    prog.add_constraint({x: 1, y: 1, z: 1}, "<=", 1)
+    add_constraint(prog, {x: -2, z: 2}, "<=", 0)
+    add_constraint(prog, {x: 2, y: 2, z: -1}, "<=", 0)
+    add_constraint(prog, {x: -2, y: 2, z: -2}, "<=", 0)
+    add_constraint(prog, {x: 1, y: 1, z: 1}, "<=", 1)
     prog.set_objective({x: 2, y: 3})
     pivots = []
     real_pivot = L._Solver._pivot
@@ -591,7 +599,7 @@ def test_ratio_test_ties_go_to_the_smallest_basic_column(monkeypatch):
     # columns 0-2 are x, y, z and 3-6 the slacks of the four rows
     assert pivots == [(0, 4, 0, [4]), (1, 0, 0, [3, 0, 5]), (2, 3, 0, [3]), (0, 1, 0, [1])]
     assert sol.pivots == 4
-    assert sol.value == 0 and sol.assignment == (0, 0, 0)
+    assert sol.value == 0 and fraction_assignment(sol) == (0, 0, 0)
     assert L.check_duals(prog, sol)
 
 

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from dynrat import analysis as an
 from dynrat import lp
 from dynrat import model as m
+from dynrat import risk as rk
 
 from conftest import complete_tree_doc, lottery_utility, payoffs, random_problem, utility
 
@@ -413,7 +413,7 @@ def test_pinned_problems_equal_fresh_ones():
             assert problem.integer_payoffs == (nums, den)
         # the pinned problems share the family's validated tree
         assert pinned.tree is family.tree and stepwise.tree is family.tree
-        assert an.risk_transform(pinned, an.PiecewiseLinearFunction.identity()).tree is family.tree
+        assert rk.risk_transform(pinned, rk.PiecewiseLinearFunction.identity()).tree is family.tree
         assert pinned.leaves is family.leaves and pinned.leaf_index is family.leaf_index
     assert padded
 
@@ -685,8 +685,8 @@ def _readers(problem):
     """Each reader of leaves by name, as a function of one row ``{leaf:
     weight}`` on example 1: what it builds from the row, or raises."""
     from dynrat import deviation as dv
-    from dynrat import oracle as oc
     from dynrat import rationalize as rz
+    from dynrat import structures as st
 
     labels = [leaf.label for leaf in problem.leaves]
     return {
@@ -702,7 +702,7 @@ def _readers(problem):
                       **{leaf: "not_invest" for leaf in labels[len(row):]}}),
         "recommendation": lambda row: rz.obedient_triple_from_json(problem, {
             "prior": {"good": "1"}, "recommendation": {"good": row, "bad": {"not_invest": "1"}}}),
-        "strategy row": lambda row: oc.Strategy.from_json_dict(problem, {
+        "strategy row": lambda row: st.Strategy.from_json_dict(problem, {
             "signals": [["x"], ["y"]], "kernel": {"x,y": row}}),
     }
 

@@ -9,11 +9,13 @@ import pytest
 from dynrat import model as m
 from dynrat import oracle as oc
 from dynrat import rationalize as rz
+from dynrat import structures as st
 
 from conftest import (
     PROBLEMS_DIR,
     exhaustive_optimal_value,
     fraction_kernel,
+    fraction_matrix,
     fraction_prior,
     random_joint,
     random_problem,
@@ -30,13 +32,13 @@ from conftest import (
 @pytest.fixture(scope="module")
 def pessimism_structure(example1):
     doc = json.loads((PROBLEMS_DIR / "example1_structure.json").read_text())
-    return oc.InformationStructure.from_json_dict(example1, doc)
+    return st.InformationStructure.from_json_dict(example1, doc)
 
 
 @pytest.fixture(scope="module")
 def obedient_strategy(example1):
     doc = json.loads((PROBLEMS_DIR / "example1_obedient_strategy.json").read_text())
-    return oc.Strategy.from_json_dict(example1, doc)
+    return st.Strategy.from_json_dict(example1, doc)
 
 
 def revealing_structure(problem):
@@ -81,7 +83,7 @@ def test_strategy_must_be_adapted(example1):
 
 
 def test_strategy_value_pessimism(example1, pessimism_structure, obedient_strategy):
-    assert oc.strategy_value(example1, obedient_strategy, pessimism_structure) == 0
+    assert st.strategy_value(example1, obedient_strategy, pessimism_structure) == 0
 
 
 def test_strategy_value_waiting(example2):
@@ -91,7 +93,7 @@ def test_strategy_value_waiting(example2):
         structure.signal_sets, inst.leaves,
         ((F(0), F(0), F(1), F(0)), (F(0), F(0), F(0), F(1))),
     )
-    assert oc.strategy_value(inst, wait_match, structure) == 4
+    assert st.strategy_value(inst, wait_match, structure) == 4
 
 
 def test_strategy_value_no_information_collapse(example1):
@@ -103,18 +105,18 @@ def test_strategy_value_no_information_collapse(example1):
         constant = strategy_of(flat.signal_sets, example1.leaves, tuple(map(tuple, kernel)))
         want = F(1, 3) * utility(example1, leaf, "good") + F(2, 3) * utility(
             example1, leaf, "bad")
-        assert oc.strategy_value(example1, constant, flat) == want
+        assert st.strategy_value(example1, constant, flat) == want
 
 
 def test_optimal_value_pessimism(example1, pessimism_structure):
-    assert oc.optimal_value_dp(example1, pessimism_structure) == 0
+    assert st.optimal_value_dp(example1, pessimism_structure) == 0
 
 
 def test_optimal_value_waiting(example2):
     inst = m.instantiate(example2, {"delta": "9/10"})
-    assert oc.optimal_value_dp(inst, revealing_structure(inst)) == F(9, 2)
+    assert st.optimal_value_dp(inst, revealing_structure(inst)) == F(9, 2)
     boundary = m.instantiate(example2, {"delta": "4/5"})
-    assert oc.optimal_value_dp(boundary, revealing_structure(boundary)) == 4
+    assert st.optimal_value_dp(boundary, revealing_structure(boundary)) == 4
 
 
 def test_optimal_value_static_collapse():
@@ -132,7 +134,7 @@ def test_optimal_value_static_collapse():
                  for s, state in enumerate(p.states)), F(0))
             for leaf in p.leaves
         )
-        assert oc.optimal_value_dp(p, flat) == want
+        assert st.optimal_value_dp(p, flat) == want
 
 
 def test_optimal_value_dominates_any_strategy(example1, pessimism_structure):
@@ -146,7 +148,7 @@ def test_optimal_value_dominates_any_strategy(example1, pessimism_structure):
             row[first] = F(1)
             rows.append(tuple(row))
         constant = strategy_of(sets, example1.leaves, tuple(rows))
-        assert oc.strategy_value(example1, constant, pessimism_structure) <= 0
+        assert st.strategy_value(example1, constant, pessimism_structure) <= 0
 
 
 def test_optimal_value_matches_exhaustive_search():
@@ -169,7 +171,7 @@ def test_optimal_value_matches_exhaustive_search():
         raw = [rng.randint(1, 4) for _ in range(n_states)]
         prior = tuple(F(x, sum(raw)) for x in raw)
         structure = structure_of(p.states, prior, sets, tuple(kernel))
-        assert oc.optimal_value_dp(p, structure) == exhaustive_optimal_value(p, structure)
+        assert st.optimal_value_dp(p, structure) == exhaustive_optimal_value(p, structure)
 
 
 def test_verify_obedient_optimality(example1):
@@ -203,7 +205,7 @@ def law_of(problem, prior, rows):
 def conditioned(law):
     """The law's prior and its recommendation rows, each state's column over
     its mass (point mass on the first leaf where it has none)."""
-    columns = list(zip(*law.matrix))
+    columns = list(zip(*fraction_matrix(law)))
     prior = [sum(column, F(0)) for column in columns]
     rows = [[w / q for w in column] if q else [F(1)] + [F(0)] * (len(column) - 1)
             for q, column in zip(prior, columns)]
@@ -231,7 +233,7 @@ def test_integer_induction_matches_the_fraction_recursion():
         structure = structure_of(
             p.states, _probabilities(rng, len(p.states)), sets,
             tuple(_probabilities(rng, n_seq) for _ in p.states))
-        assert oc.optimal_value_dp(p, structure) == reference_optimal_value(
+        assert st.optimal_value_dp(p, structure) == reference_optimal_value(
             p, fraction_prior(structure), structure.sequences, fraction_kernel(structure))
         laws = [law_of(p, _probabilities(rng, len(p.states)),
                        [_probabilities(rng, len(p.leaves)) for _ in p.states])]
@@ -276,8 +278,8 @@ def test_induction_from_the_sequences_with_mass_matches_the_full_start():
         structure = structure_of(p.states, prior, sets, tuple(
             _probabilities(rng, n_seq) if off is None else _probabilities_off(rng, n_seq, off)
             for _ in p.states))
-        weights, wden = oc._weights(structure)
-        assert oc.optimal_value_dp(p, structure) == F(
+        weights, wden = st._weights(structure)
+        assert st.optimal_value_dp(p, structure) == F(
             reference_integer_optimal_value(p, structure.sequences, weights),
             wden * p.integer_payoffs[1])
         zero_prior += 0 in structure.prior
@@ -363,26 +365,26 @@ def test_simulate_deterministic_components(example2):
         ((F(0), F(0), F(1), F(0)), (F(0), F(0), F(0), F(1))),
     )
     for n in (1, 3, 17):
-        emp = oc.simulate(inst, strategy, point_structure, n, seed=99)
+        emp = st.simulate(inst, strategy, point_structure, n, seed=99)
         assert emp.weight(inst.sequence("w,x"), "X") == 1
 
 
 def test_simulate_single_draw(example1, pessimism_structure, obedient_strategy):
-    emp = oc.simulate(example1, obedient_strategy, pessimism_structure, 1, seed=3)
-    cells = [w for row in emp.matrix for w in row]
+    emp = st.simulate(example1, obedient_strategy, pessimism_structure, 1, seed=3)
+    cells = [w for row in fraction_matrix(emp) for w in row]
     assert sorted(cells) == [0, 0, 0, 0, 0, 1]
 
 
 def test_simulate_seed_determinism(example1, pessimism_structure, obedient_strategy):
-    a = oc.simulate(example1, obedient_strategy, pessimism_structure, 500, seed=42)
-    b = oc.simulate(example1, obedient_strategy, pessimism_structure, 500, seed=42)
-    c = oc.simulate(example1, obedient_strategy, pessimism_structure, 500, seed=43)
+    a = st.simulate(example1, obedient_strategy, pessimism_structure, 500, seed=42)
+    b = st.simulate(example1, obedient_strategy, pessimism_structure, 500, seed=42)
+    c = st.simulate(example1, obedient_strategy, pessimism_structure, 500, seed=43)
     assert a == b
     assert a != c
 
 
 def test_simulate_tracks_theoretical_law(example1, pessimism_structure, obedient_strategy):
-    emp = oc.simulate(example1, obedient_strategy, pessimism_structure, 100_000,
+    emp = st.simulate(example1, obedient_strategy, pessimism_structure, 100_000,
                       seed=20240801)
     # theoretical cells: (IP,bad) 1/2, (IP,good) 1/6, (II,good) 1/3
     theoretical = {
@@ -391,20 +393,21 @@ def test_simulate_tracks_theoretical_law(example1, pessimism_structure, obedient
         (example1.sequence("invest,invest"), "good"): F(1, 3),
     }
     tv = F(0)
+    weights = fraction_matrix(emp)
     for i, leaf in enumerate(example1.leaves):
         for s, state in enumerate(example1.states):
-            tv += abs(emp.matrix[i][s] - theoretical.get((leaf, state), F(0)))
+            tv += abs(weights[i][s] - theoretical.get((leaf, state), F(0)))
     assert tv / 2 < F(1, 100)
 
 
 def test_shape_mismatches_raise(example1, example2, pessimism_structure, obedient_strategy):
     inst = m.instantiate(example2, {"delta": "1/2"})
     with pytest.raises(m.ValidationError, match="states"):
-        oc.optimal_value_dp(inst, pessimism_structure)
+        st.optimal_value_dp(inst, pessimism_structure)
     with pytest.raises(m.ValidationError, match="leaves"):
         # structure compatible with the waiting problem, strategy from the
         # investment problem: the leaf check is the one that trips
-        oc.strategy_value(inst, obedient_strategy, revealing_structure(inst))
+        st.strategy_value(inst, obedient_strategy, revealing_structure(inst))
 
 
 def random_strategy(rng, problem, sets):
@@ -447,14 +450,14 @@ def test_integer_value_and_thresholds_match_the_fraction_references():
     for _ in range(60):
         p = random_problem(rng, max_rules=200)
         structure, strategy = random_pair(rng, p)
-        assert oc.strategy_value(p, strategy, structure) == reference_strategy_value(
+        assert st.strategy_value(p, strategy, structure) == reference_strategy_value(
             p, strategy, structure)
-        assert oc.strategy_value(p, strategy, structure) <= oc.optimal_value_dp(p, structure)
+        assert st.strategy_value(p, strategy, structure) <= st.optimal_value_dp(p, structure)
         rows = [(structure.prior, structure.prior_den)]
         rows += [(row, structure.kernel_den) for row in structure.kernel]
         rows += [(row, strategy.den) for row in strategy.kernel]
         for row, den in rows:
-            assert oc._thresholds(row, den) == reference_thresholds([F(x, den) for x in row])
+            assert st._thresholds(row, den) == reference_thresholds([F(x, den) for x in row])
         zero_prior += 0 in structure.prior
         non_dyadic += any(den & (den - 1) for _, den in rows)
     assert zero_prior and non_dyadic
@@ -465,17 +468,17 @@ def test_json_round_trip_and_lowest_terms():
     for _ in range(30):
         p = random_problem(rng, max_rules=200)
         structure, strategy = random_pair(rng, p)
-        assert oc.InformationStructure.from_json_dict(p, structure.to_json_dict()) == structure
-        assert oc.Strategy.from_json_dict(p, strategy.to_json_dict()) == strategy
+        assert st.InformationStructure.from_json_dict(p, structure.to_json_dict()) == structure
+        assert st.Strategy.from_json_dict(p, strategy.to_json_dict()) == strategy
         # the same weights over a scaled denominator are stored in lowest terms
         k = rng.randint(2, 9)
-        scaled = oc.InformationStructure(
+        scaled = st.InformationStructure(
             structure.states, tuple(k * x for x in structure.prior), k * structure.prior_den,
             structure.signal_sets, tuple(tuple(k * x for x in row) for row in structure.kernel),
             k * structure.kernel_den)
         assert scaled == structure
         assert (scaled.prior_den, scaled.kernel_den) == (structure.prior_den, structure.kernel_den)
-        assert oc.Strategy(strategy.signal_sets, strategy.leaves,
+        assert st.Strategy(strategy.signal_sets, strategy.leaves,
                            tuple(tuple(k * x for x in row) for row in strategy.kernel),
                            k * strategy.den) == strategy
         assert math.gcd(structure.prior_den, *structure.prior) == 1
@@ -488,15 +491,15 @@ def test_optimal_value_refuses_signal_periods_off_the_tree(example1):
     # second signal that no sequence has; and three signal periods where
     # the problem declares two, as `simulate` refuses for a strategy
     prior = {"good": "1/2", "bad": "1/2"}
-    short = oc.InformationStructure.from_json_dict(example1, {
+    short = st.InformationStructure.from_json_dict(example1, {
         "signals": [["g", "b"]], "prior": prior,
         "kernel": {"good": {"g": "2/3", "b": "1/3"}, "bad": {"b": "1"}}})
-    long = oc.InformationStructure.from_json_dict(example1, {
+    long = st.InformationStructure.from_json_dict(example1, {
         "signals": [["s"], ["g", "b"], ["x"]], "prior": prior,
         "kernel": {"good": {"s,g,x": "2/3", "s,b,x": "1/3"}, "bad": {"s,b,x": "1"}}})
     for structure in (short, long):
         with pytest.raises(m.ValidationError, match="periods do not match"):
-            oc.optimal_value_dp(example1, structure)
+            st.optimal_value_dp(example1, structure)
 
 
 def test_brute_force_refuses_a_law_of_another_shape(example1, example2):

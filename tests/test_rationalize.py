@@ -9,10 +9,12 @@ from dynrat import lp
 from dynrat import model as m
 from dynrat import oracle as oc
 from dynrat import rationalize as rz
+from dynrat import structures as st
 
 from conftest import (
     complete_tree_doc,
     enumerated_obedience_optimum,
+    fraction_matrix,
     lottery_utility,
     random_family,
     random_joint,
@@ -98,7 +100,8 @@ def test_intermediately_dominated(example1):
     assert rule is not None
     # the optimum is the all-to-not_invest rewrite, uniquely
     north = example1.sequence("not_invest")
-    assert all({b: w for b, w in zip(rule.leaves, rule.matrix[example1.leaf_index[a]]) if w != 0}
+    kernel = fraction_matrix(rule)
+    assert all({b: w for b, w in zip(rule.leaves, kernel[example1.leaf_index[a]]) if w != 0}
                == {north: F(1)} for a in example1.leaves)
     knife = m.MarginalDistribution.from_mapping(
         example1, {"invest,pull_back": "2/3", "invest,invest": "1/3"})
@@ -111,7 +114,7 @@ def test_max_positive_marginal(example1, example2):
     value, joint = rz.max_positive_marginal(
         example1, example1.sequence("invest,pull_back"))
     assert value == F(2, 3)
-    assert sum(joint.matrix[1], F(0)) == F(2, 3)
+    assert sum(fraction_matrix(joint)[1], F(0)) == F(2, 3)
     assert oc.brute_force_rationalizable_joint(example1, joint)
     half = m.instantiate(example2, {"delta": "1/2"})
     assert rz.max_positive_marginal(half, half.sequence("w,x")) == (0, None)
@@ -135,9 +138,10 @@ def test_compact_obedience_matches_enumerated_rows():
                 continue
             positive += 1
             assert oc.verify_obedient_optimality(p, law)
-            assert sum(law.matrix[p.leaf_index[leaf]], F(0)) == value
+            weights = fraction_matrix(law)
+            assert sum(weights[p.leaf_index[leaf]], F(0)) == value
             block = reference_inputs(p, [leaf])
-            assert all(not any(law.matrix[i]) for i in range(len(p.leaves)) if i not in block)
+            assert all(not any(weights[i]) for i in range(len(p.leaves)) if i not in block)
             split += len(block) < len(p.leaves)
     assert positive and zero and split
 
@@ -207,7 +211,7 @@ def test_rationalize_sequence_investment(example1):
         assert verdict.rationalizable
         law = verdict.witness
         assert oc.verify_obedient_optimality(example1, law)
-        mass = sum(law.matrix[example1.leaf_index[leaf]], F(0))
+        mass = sum(fraction_matrix(law)[example1.leaf_index[leaf]], F(0))
         assert mass > 0
 
 
@@ -245,7 +249,7 @@ def test_sequence_dichotomy_small():
             assert verdict.rationalizable == (rz.max_positive_marginal(p, leaf)[0] > 0)
             if verdict.rationalizable:
                 joint = verdict.witness
-                assert sum(joint.matrix[p.leaf_index[leaf]], F(0)) > 0
+                assert sum(fraction_matrix(joint)[p.leaf_index[leaf]], F(0)) > 0
                 assert oc.brute_force_rationalizable_joint(p, joint)
             else:
                 assert dv.dominates(p, verdict.witness, leaf)
@@ -309,7 +313,7 @@ def test_rationalizable_joints_form_convex_set():
         t = F(rng.randint(1, 6), 7)
         mix = m.JointDistribution.from_mapping(p, {
             (leaf, s): t * a + (1 - t) * b
-            for leaf, r1, r2 in zip(p.leaves, g1.matrix, g2.matrix)
+            for leaf, r1, r2 in zip(p.leaves, fraction_matrix(g1), fraction_matrix(g2))
             for s, a, b in zip(p.states, r1, r2)
         })
         assert rz.dominating_rule(p, mix) is None
@@ -366,12 +370,12 @@ def test_one_law_is_one_value_whichever_constructor_built_it(example1):
                   rz.obedient_triple_from_json(example1, rz.obedient_triple_to_json(law))]
         if observed == ii:
             signals = {"signals": [["s"], ["g"]]}
-            structure = oc.InformationStructure.from_json_dict(example1, {
+            structure = st.InformationStructure.from_json_dict(example1, {
                 **signals, "prior": {"good": "1"},
                 "kernel": {"good": {"s,g": "1"}, "bad": {"s,g": "1"}}})
-            strategy = oc.Strategy.from_json_dict(example1, {
+            strategy = st.Strategy.from_json_dict(example1, {
                 **signals, "kernel": {"s,g": {"invest,invest": "1"}}})
-            copies.append(oc.simulate(example1, strategy, structure, 7, seed=0))
+            copies.append(st.simulate(example1, strategy, structure, 7, seed=0))
         assert all(c == law for c in copies)
         assert len({hash(c) for c in copies}) == 1
     assert len(copies) == 3 and law.den == 6

@@ -12,9 +12,11 @@ from dynrat import deviation as dv
 from dynrat import model as m
 from dynrat import oracle as oc
 from dynrat import rationalize as rz
+from dynrat import structures as st
 
 from conftest import (
     exhaustive_optimal_value,
+    fraction_matrix,
     random_joint,
     random_marginal,
     random_problem,
@@ -33,7 +35,7 @@ def test_dichotomies_with_tie_heavy_payoffs():
             if verdict.rationalizable:
                 assert oc.verify_obedient_optimality(p, verdict.witness), (i, leaf.label)
                 joint = verdict.witness
-                assert sum(joint.matrix[p.leaf_index[leaf]], F(0)) > 0
+                assert sum(fraction_matrix(joint)[p.leaf_index[leaf]], F(0)) > 0
             else:
                 assert dv.dominates(p, verdict.witness, leaf), (i, leaf.label)
         joint = random_joint(rng, p)
@@ -64,7 +66,7 @@ def test_dichotomies_on_larger_instances():
                 assert dv.dominates(p, verdict.witness, leaf)
             else:
                 joint = verdict.witness
-                assert sum(joint.matrix[p.leaf_index[leaf]], F(0)) > 0
+                assert sum(fraction_matrix(joint)[p.leaf_index[leaf]], F(0)) > 0
                 assert oc.brute_force_rationalizable_joint(p, joint)
 
 
@@ -103,7 +105,7 @@ def test_dp_dominates_random_adapted_strategies():
         raw = [rng.randint(1, 4) for _ in p.states]
         prior = tuple(F(x, sum(raw)) for x in raw)
         structure = structure_of(p.states, prior, sets, tuple(kernel))
-        best = oc.optimal_value_dp(p, structure)
+        best = st.optimal_value_dp(p, structure)
 
         # pure adapted maps are adapted strategies; none beat the DP value
         pure_values = []
@@ -117,7 +119,7 @@ def test_dp_dominates_random_adapted_strategies():
                 row[leaf_index[mapping[k]]] = F(1)
                 rows.append(tuple(row))
             strategy = strategy_of(sets, p.leaves, tuple(rows))
-            value = oc.strategy_value(p, strategy, structure)
+            value = st.strategy_value(p, strategy, structure)
             pure_values.append(value)
             assert value <= best
         assert max(pure_values) <= best
