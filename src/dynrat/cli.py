@@ -143,7 +143,7 @@ def _observation(problem: DecisionProblem, kind: str, spec) -> Observation:
 def _instance(problem: DecisionProblem, params: dict) -> DecisionProblem:
     """``problem`` with its parameters pinned by ``params``; an input error
     when ``params`` misses one or names one the problem lacks."""
-    return instantiate(problem, params) if (params or problem.has_params) else problem
+    return instantiate(problem, params) if (params or problem.param_names) else problem
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:

@@ -12,7 +12,9 @@ observation; on a one-parameter family it runs on the rule's affine gains
 A rule is one type, `DeviationRule`, stored as its integers: each row's
 nonzero (column, numerator) pairs over one denominator.  A pure rule, as
 `enumerate_pure_rules`, `identity_rule` and `best_joint_deviation` build
-it, is the same type with one unit entry per row.
+it, is the same type with one unit entry per row.  Every walk over aligned
+input and output prefixes (counting, enumeration, the backward induction)
+loops over the tree's runs of leaves (`model.Prefixes`), level by level.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from operator import mul
 from typing import Optional, Union
 
@@ -50,8 +52,14 @@ class SizeGuardError(RuntimeError):
     """Raised when pure-rule enumeration would exceed the configured cap."""
 
     def __init__(self, count: int, cap: int):
+        try:
+            size = str(count)
+        except ValueError:  # past int()'s digit limit: its number of digits instead
+            digits = int(math.log10(count))
+            digits += 1 + (count >= 10 ** (digits + 1)) - (count < 10 ** digits)
+            size = f"a {digits}-digit number of"
         super().__init__(
-            f"instance has {count} adapted pure rules, above the cap of {cap};"
+            f"instance has {size} adapted pure rules, above the cap of {cap};"
             " enumeration-based checks are not viable at this size"
         )
         self.count = count
@@ -187,36 +195,31 @@ def identity_rule(problem: DecisionProblem) -> DeviationRule:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def _prefix_children(tree: Tree) -> dict[tuple[str, ...], list[tuple[str, ...]]]:
-    """Each padded prefix shorter than the horizon, mapped to its one-longer
-    prefixes in document order (past a terminal history, the next entry is
-    `PAD`); built once per tree (`Tree.per_tree`)."""
-    kids: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-    for leaf in tree.leaves:
-        for t in range(tree.depth):
-            row = kids.setdefault(leaf.entries[:t], [])
-            if not row or row[-1] != leaf.entries[:t + 1]:
-                row.append(leaf.entries[:t + 1])
-    return kids
+def _fold(tree: Tree, leaf: Callable[[int, int], object],
+          over: Callable[[Sequence], object], combine: Callable[[list], object]):
+    """F(root, root) over aligned pairs (h, g) of an input run and an output
+    run of one level (`model.Prefixes`), bottom-up in one loop per level:
+    F(h, g) = combine([part(h', g) for each child h' of h]), where the part
+    of a one-leaf child is ``leaf(lo, hi)`` on g's leaves, its choices being
+    any of them, and that of any other child is ``over`` its values
+    F(h', g') on the children g' of g, in order."""
+    starts, kids = tree.prefixes.starts, tree.prefixes.kids
+    below: dict[int, list] = {}  # each run of more than one leaf, one level down: F on every run
+    for t in range(tree.depth - 1, -1, -1):
+        runs, down, child = starts[t], starts[t + 1], kids[t]
+        below = {h: [combine([leaf(runs[g], runs[g + 1]) if down[c + 1] - down[c] == 1
+                              else over(below[c][child[g]:child[g + 1]])
+                              for c in range(child[h], child[h + 1])])
+                     for g in range(len(runs) - 1)]
+                 for h in range(len(runs) - 1) if runs[h + 1] - runs[h] > 1}
+    return below[0][0] if below else leaf(0, 1)
 
 
 def count_pure_rules(problem: DecisionProblem) -> int:
-    """Number of adapted pure rules, by recursion over aligned prefix pairs."""
-    kids = problem.tree.per_tree(_prefix_children)
-    cache: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
-
-    def count(inp: tuple[str, ...], out: tuple[str, ...]) -> int:
-        if len(inp) == problem.tree.depth:
-            return 1
-        key = (inp, out)
-        if key not in cache:
-            total = 1
-            for ic in kids[inp]:
-                total *= sum(count(ic, oc) for oc in kids[out])
-            cache[key] = total
-        return cache[key]
-
-    return count((), ())
+    """Number of adapted pure rules: `_fold` of the products over the input
+    children of the sums over the output children, a one-leaf input
+    counting the leaves it may go to."""
+    return _fold(problem.tree, lambda lo, hi: hi - lo, sum, math.prod)
 
 
 def best_joint_deviation(
@@ -229,57 +232,58 @@ def best_joint_deviation(
 
     A rule's output prefix may depend on the recommended (input) prefix, so
     the best rule is a best response to that prefix as a signal: over aligned
-    pairs, V(h, g) = sum over the input children h' of h of the max over the
-    output children g' of g of V(h', g'), with V(i, j) = sum_s joint(i, s)
-    u(j, s) at the leaves.  The gain is V((), ()) minus the law's own
-    expected utility.  The rule takes the argmaxes, ties going to the first
-    output child in document order.  Input subtrees without mass are
-    skipped, and each of their leaves goes to the first completion of its
-    output prefix.  The law is read from its integer `JointDistribution.cells`
-    and the utilities from `DecisionProblem.integer_payoffs`, so the
-    induction adds and compares Python ints.
+    pairs of runs of one level (`model.Prefixes`), V(h, g) = sum over the
+    input children h' of h of the max over the output children g' of g of
+    V(h', g'), valued bottom-up, level by level.  An input run of one leaf i
+    has seen all it will see, so V(i, g) is the best of sum_s joint(i, s)
+    u(j, s) over g's leaves j, and i goes to the first leaf j that attains
+    it.  The gain is V(root, root) minus the law's own expected utility.
+    The picks are read top-down, ties going to the first output child in
+    document order.  Input runs without mass are skipped, and each of their
+    leaves goes to the first leaf of its output run.  The law is read from
+    its integer `JointDistribution.cells` and the utilities from
+    `DecisionProblem.integer_payoffs`, so the induction adds and compares
+    Python ints.
     """
     table, uden = problem.integer_payoffs
     _require_joint_shape(problem, joint)
-    depth = problem.tree.depth
-    pay = {b.entries: row for b, row in zip(problem.leaves, table)}
-    cells = joint.cells
-    width = len(problem.states)
-    rows = [cells[k:k + width] for k in range(0, len(cells), width)]
-    mass = {a.entries: row for a, row in zip(problem.leaves, rows) if any(row)}
-    live = {a[:t] for a in mass for t in range(depth + 1)}
-    kids = problem.tree.per_tree(_prefix_children)
-    choice: dict[tuple[tuple[str, ...], tuple[str, ...]], tuple[str, ...]] = {}
-
-    def value(h: tuple[str, ...], g: tuple[str, ...]) -> int:
-        total = 0
-        for hc in kids[h]:
-            if hc not in live:
-                continue
-            if len(hc) == depth:  # the last period: V(i, j) in this loop, not a call per pair
-                row = mass[hc]
-                values = [sum(map(mul, row, pay[gc])) for gc in kids[g]]
-            else:
-                values = [value(hc, gc) for gc in kids[g]]
-            best = max(values)
-            total += best
-            choice[hc, g] = kids[g][values.index(best)]  # the first argmax
-        return total
-
-    def follow(h: tuple[str, ...], g: tuple[str, ...]) -> None:
-        if len(h) == depth:
-            outputs[h] = g
-            return
-        for hc in kids[h]:
-            follow(hc, choice.get((hc, g)) or kids[g][0])
+    tree, cells, width = problem.tree, joint.cells, len(problem.states)
+    starts, kids = tree.prefixes.starts, tree.prefixes.kids
+    values: dict[int, list[int]] = {}  # each leaf with mass: its payoff at each output leaf
+    seen = [0]  # seen[i]: how many leaves before leaf i have mass
+    for i, k in enumerate(range(0, len(cells), width)):
+        if any(cells[k:k + width]):
+            values[i] = [sum(map(mul, cells[k:k + width], pay)) for pay in table]
+        seen.append(len(values))
+    best: list[dict[int, list[int]]] = [{} for _ in starts]  # V(h, g): h live, of 2+ leaves
+    for t in range(tree.depth - 1, -1, -1):
+        runs, down, child = starts[t], starts[t + 1], kids[t]
+        for h in range(len(runs) - 1):
+            if runs[h + 1] - runs[h] > 1 and seen[runs[h + 1]] > seen[runs[h]]:
+                live = [c for c in range(child[h], child[h + 1]) if seen[down[c + 1]] > seen[down[c]]]
+                best[t][h] = [sum(max(values[down[c]][runs[g]:runs[g + 1]]) if down[c + 1] - down[c] == 1
+                                  else max(best[t + 1][c][child[g]:child[g + 1]]) for c in live)
+                              for g in range(len(runs) - 1)]
+    own = sum(v[i] for i, v in values.items())
+    gain = (best[0][0][0] if len(table) > 1 else own) - own
 
     def targets() -> tuple[int, ...]:
-        follow((), ())
-        column = {b: j for j, b in enumerate(pay)}  # a leaf's entries -> its index
-        return tuple(column[outputs[b]] for b in pay)
+        out, picks = [0] * len(table), {0: 0}  # picks: each live run to read, and its output run
+        for t in range(tree.depth):
+            runs, down, child, chosen = starts[t], starts[t + 1], kids[t], {}
+            for h, g in picks.items():
+                for c in range(child[h], child[h + 1]):
+                    a, b = down[c], down[c + 1]
+                    if seen[b] == seen[a]:
+                        out[a:b] = [runs[g]] * (b - a)
+                    elif b - a == 1:
+                        out[a] = values[a].index(max(values[a][runs[g]:runs[g + 1]]), runs[g])
+                    else:
+                        row = best[t + 1][c]
+                        chosen[c] = row.index(max(row[child[g]:child[g + 1]]), child[g])
+            picks = chosen
+        return tuple(out)
 
-    outputs: dict[tuple[str, ...], tuple[str, ...]] = {}
-    gain = value((), ()) - sum(sum(map(mul, row, pay[a])) for a, row in mass.items())
     return gain, targets
 
 
@@ -300,30 +304,15 @@ def enumerate_pure_rules(
 
 
 def _pure_rules(tree: Tree) -> tuple[DeviationRule, ...]:
-    kids = tree.per_tree(_prefix_children)
-    index = {leaf.entries: i for i, leaf in enumerate(tree.leaves)}
-
-    def options(inp: tuple[str, ...], out: tuple[str, ...]) -> list[dict]:
-        if len(inp) == tree.depth:
-            return [{inp: ((index[out], 1),)}]
-        alternatives = []
-        for ic in kids[inp]:
-            alts: list[dict] = []
-            for oc in kids[out]:
-                alts.extend(options(ic, oc))
-            alternatives.append(alts)
-        merged = []
-        for combo in product(*alternatives):
-            d: dict = {}
-            for part in combo:
-                d.update(part)
-            merged.append(d)
-        return merged
-
-    return tuple(
-        DeviationRule(tree.leaves, tuple(mapping[a.entries] for a in tree.leaves), 1)
-        for mapping in options((), ())
-    )
+    """`_fold` of the lists of each input run's output leaves: a one-leaf
+    input lists the leaves it may go to, the output children's lists are
+    joined in order, and the input children's are multiplied out, the first
+    child's choice varying slowest."""
+    options = _fold(tree, lambda lo, hi: [(j,) for j in range(lo, hi)],
+                    lambda lists: list(chain.from_iterable(lists)),
+                    lambda parts: [tuple(chain.from_iterable(c)) for c in product(*parts)])
+    return tuple(DeviationRule(tree.leaves, tuple(((j, 1),) for j in targets), 1)
+                 for targets in options)
 
 
 # ---------------------------------------------------------------------------

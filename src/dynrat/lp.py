@@ -498,59 +498,59 @@ class DeviationPolytope(Frozen):
     cap every entry at 1), and prefix-marginal equalities between inputs
     that share a history.  These never link inputs with different first
     actions, so the rows split into ``blocks``, the inputs of each
-    first-period action."""
+    first-period action.  Only the blocks a program asks for are built
+    (`rows_on`); the cache of them grows, so a polytope does not hash."""
 
-    __slots__ = ("n", "constraints", "blocks", "_rows")
-    __match_args__ = ("n", "constraints", "blocks")
+    __match_args__ = ("n", "blocks")
+    __hash__ = None
     n: int
-    constraints: tuple[Constraint, ...]
     blocks: tuple[tuple[int, ...], ...]
-    _rows: dict[tuple[int, ...], tuple[Constraint, ...]]
 
-    def __init__(self, n: int, constraints: tuple[Constraint, ...],
-                 blocks: tuple[tuple[int, ...], ...]) -> None:
-        _set(self, "n", n)
-        _set(self, "constraints", constraints)
-        _set(self, "blocks", blocks)
-        _set(self, "_rows", {})
+    def __init__(self, tree: Tree) -> None:
+        level = tree.prefixes.starts[1]
+        vars(self).update(n=len(tree.leaves), _starts=tree.prefixes.starts, _rows={},
+                          blocks=tuple(tuple(range(lo, hi)) for lo, hi in zip(level, level[1:])))
 
     def inputs(self, leaves: Iterable[int]) -> tuple[int, ...]:
         """The inputs of every block that holds one of ``leaves``."""
         leaves = set(leaves)
         return tuple(i for block in self.blocks if leaves.intersection(block) for i in block)
 
+    @property
+    def constraints(self) -> tuple[Constraint, ...]:
+        """The rows of every block: `rows_on` every leaf."""
+        return self.rows_on(range(self.n))
+
     def rows_on(self, inputs: Sequence[int]) -> tuple[Constraint, ...]:
-        """The rows of the blocks that ``inputs`` make up, in order, with
-        kernel entry (inputs[p], j) in column p * n + j: remapped once per
-        block set and shared, never changed, by every program on the tree."""
-        n = self.n
-        if len(inputs) == n:
-            return self.constraints
+        """The rows of the blocks that ``inputs`` make up, with kernel entry
+        (inputs[p], j) in column p * n + j, in integers over 1: the row sums
+        in leaf order, then level by level, for each pair of neighbours in a
+        run of those inputs, one equality per run of that level, on the sum
+        over the run's leaves.  Built once per block set and shared, never
+        changed, by every program on the tree."""
         inputs = tuple(inputs)
         rows = self._rows.get(inputs)
         if rows is None:
+            n = self.n
             first = {i: p * n for p, i in enumerate(inputs)}
-            rows = self._rows[inputs] = tuple(
-                Constraint({first[k // n] + k % n: c for k, c in con.coeffs.items()},
-                           con.sense, con.rhs, con.den)
-                for con in self.constraints if next(iter(con.coeffs)) // n in first)
+            rows = [Constraint(dict.fromkeys(range(first[i], first[i] + n), 1), "==", 1)
+                    for i in sorted(first)]
+            for starts in self._starts[1:-1]:
+                runs = list(zip(starts, starts[1:]))
+                for lo, hi in runs:
+                    if lo not in first:
+                        continue
+                    for a in range(lo, hi - 1):
+                        p, q = first[a], first[a + 1]
+                        for x, y in runs:
+                            coeffs = dict.fromkeys(range(p + x, p + y), 1)
+                            coeffs.update(dict.fromkeys(range(q + x, q + y), -1))
+                            rows.append(Constraint(coeffs, "==", 0))
+            rows = self._rows[inputs] = tuple(rows)
         return rows
 
 
 def deviation_polytope_constraints(tree: Tree) -> DeviationPolytope:
-    """The polytope's rows, in integers over 1: built once per tree (through
-    `Tree.per_tree`) and shared, never changed, by every program on any
-    problem over that tree."""
-    n = len(tree.leaves)
-    constraints = [Constraint(dict.fromkeys(range(i * n, i * n + n), 1), "==", 1)
-                   for i in range(n)]
-    for t in range(1, tree.depth):
-        classes = tree.prefix_classes(t)
-        for _, members in classes:
-            for a_i, a_k in zip(members, members[1:]):
-                for _, out_members in classes:
-                    coeffs = {a_i * n + j: 1 for j in out_members}
-                    coeffs.update((a_k * n + j, -1) for j in out_members)
-                    constraints.append(Constraint(coeffs, "==", 0))
-    blocks = tuple(members for _, members in tree.prefix_classes(1))
-    return DeviationPolytope(n, tuple(constraints), blocks)
+    """The polytope of ``tree``: built once per tree (through
+    `Tree.per_tree`) and shared by every program on any problem over it."""
+    return DeviationPolytope(tree)

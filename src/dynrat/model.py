@@ -10,7 +10,9 @@ problem file's nested object by one walk, which validates it in document
 order and records every history's actions and every leaf.  Histories with no
 successors are terminal; their root-to-leaf paths are padded with the
 reserved marker ``"_"`` up to the tree's depth, so the set of padded
-leaves plays the role of the full action-sequence space.
+leaves plays the role of the full action-sequence space.  Their padded
+prefixes are held once per tree as runs of leaves (`Prefixes`), which every
+walk over the prefix tree loops over, level by level, with no recursion.
 
 Utilities may be affine in a vector of named parameters (for example a
 discount factor the analyst wants to estimate).  The table holds each
@@ -350,21 +352,10 @@ class Tree(Frozen):
             memo[build] = build(self)
         return memo[build]
 
-    def is_terminal(self, history: tuple[str, ...]) -> bool:
-        return history not in self.branch_map
-
-    def actions_at(self, history: tuple[str, ...]) -> tuple[str, ...]:
-        try:
-            return self.branch_map[history]
-        except KeyError:
-            raise ValidationError(f"history {history!r} is terminal or unknown") from None
-
-    def prefix_classes(self, t: int) -> tuple[tuple[tuple[str, ...], tuple[int, ...]], ...]:
-        """Group leaf indices by their padded length-``t`` prefix, in leaf order."""
-        groups: dict[tuple[str, ...], list[int]] = {}
-        for i, leaf in enumerate(self.leaves):
-            groups.setdefault(leaf.entries[:t], []).append(i)
-        return tuple((prefix, tuple(idx)) for prefix, idx in groups.items())
+    @cached_property
+    def prefixes(self) -> Prefixes:
+        """The padded prefixes of the leaves as runs of leaves, built once."""
+        return Prefixes(self)
 
     def sequence(self, value: Union[str, ActionSequence, Iterable[str]]) -> ActionSequence:
         """Resolve an action sequence given as a leaf, a comma-joined label,
@@ -395,6 +386,33 @@ class Tree(Frozen):
         leaf's own label takes one dict lookup."""
         i = self._labels.get(value) if isinstance(value, str) else None
         return self.leaf_index[self.sequence(value)] if i is None else i
+
+
+class Prefixes(Frozen):
+    """A tree's padded leaf prefixes as runs of leaves, level by level.
+
+    In document order the leaves that share a padded length-t prefix are
+    consecutive: run k of level t holds leaves ``starts[t][k]`` up to
+    ``starts[t][k + 1]`` (the last entry is the number of leaves), and its
+    children are runs ``kids[t][k]`` up to ``kids[t][k + 1]`` of level
+    t + 1.  Both are read from the length of each pair of neighbouring
+    leaves' common prefix.  Level 0 is one run, level ``depth`` one a leaf."""
+
+    __slots__ = ("starts", "kids")
+    __match_args__ = __slots__
+    starts: tuple[tuple[int, ...], ...]
+    kids: tuple[tuple[int, ...], ...]
+
+    def __init__(self, tree: Tree) -> None:
+        entries = [leaf.entries for leaf in tree.leaves]
+        common = [next(t for t, (a, b) in enumerate(zip(x, y)) if a != b)
+                  for x, y in zip(entries, entries[1:])]
+        cuts = list(range(1, len(entries)))  # one int object per cut, shared by every level
+        starts = tuple((0, *(i for i, c in zip(cuts, common) if c < t), len(entries))
+                       for t in range(tree.depth + 1))
+        at = [{lo: k for k, lo in enumerate(lower)} for lower in starts[1:]]
+        _set(self, "starts", starts)
+        _set(self, "kids", tuple(tuple(map(d.__getitem__, upper)) for d, upper in zip(at, starts)))
 
 
 class DecisionProblem(Frozen):
@@ -477,10 +495,6 @@ class DecisionProblem(Frozen):
             raise ValidationError(
                 f"problem still has free parameters {self.param_names!r}; instantiate first")
         return self.columns[0], self.den
-
-    @property
-    def has_params(self) -> bool:
-        return bool(self.param_names)
 
 
 # ---------------------------------------------------------------------------
@@ -569,10 +583,6 @@ class JointDistribution(Frozen):
             cells[k] = x
         return JointDistribution(problem.leaves, problem.states, cells, den)
 
-    def weight(self, a: ActionSequence, state: str) -> Fraction:
-        k = self.leaves.index(a) * len(self.states) + self.states.index(state)
-        return Fraction(self.cells[k], self.den)
-
     def action_marginal(self) -> "MarginalDistribution":
         return MarginalDistribution(
             self.leaves, tuple(map(sum, _chunks(self.cells, len(self.states)))), self.den)
@@ -621,9 +631,6 @@ class MarginalDistribution(Frozen):
         for i, x in zip(given, nums):
             vec[i] = x
         return MarginalDistribution(problem.leaves, vec, den)
-
-    def weight(self, a: ActionSequence) -> Fraction:
-        return Fraction(self.weights[self.leaves.index(a)], self.den)
 
     def to_json_dict(self) -> dict:
         return {leaf.label: _format(w, self.den)
@@ -761,12 +768,11 @@ def problem_to_dict(problem: DecisionProblem) -> dict:
     tree, den, names = problem.tree, problem.den, problem.param_names
     order = sorted(range(len(names)), key=names.__getitem__)
 
-    def subtree(history: tuple[str, ...]):
-        node = {}
-        for a in tree.branch_map[history]:
-            child = history + (a,)
-            node[a] = subtree(child) if child in tree.branch_map else "leaf"
-        return node
+    nodes = {}  # each history's node, its actions in order; a parent comes before its children
+    for history, actions in tree.branch_map.items():
+        nodes[history] = dict.fromkeys(actions, "leaf")
+        if history:
+            nodes[history[:-1]][history[-1]] = nodes[history]
 
     def number(x: int) -> Union[int, str]:  # x / den
         return x // den if x % den == 0 else _format(x, den)
@@ -790,7 +796,7 @@ def problem_to_dict(problem: DecisionProblem) -> dict:
     doc = {
         "periods": tree.periods,
         "states": list(problem.states),
-        "tree": subtree(()),
+        "tree": nodes[()],
         "utility": {label: dict(zip(problem.states, row))
                     for label, row in zip(tree.labels, _chunks(entries, len(problem.states)))},
     }

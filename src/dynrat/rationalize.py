@@ -102,9 +102,6 @@ class ApparentDominanceWitness(Frozen):
         _set(self, "lottery", lottery)
         _set(self, "margin", margin)
 
-    def as_mapping(self) -> dict[ActionSequence, Fraction]:
-        return dict(self.lottery)
-
     def to_json_dict(self) -> dict:
         return {
             "lottery": {a.label: format_rational(w) for a, w in self.lottery},

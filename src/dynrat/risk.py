@@ -72,7 +72,7 @@ def risk_transform(problem: DecisionProblem, f: PiecewiseLinearFunction) -> Deci
     """Apply ``f`` to every terminal utility; models a less risk-averse agent
     with the same ordinal ranking of certain outcomes.  The result shares
     ``problem``'s tree."""
-    if problem.has_params:
+    if problem.param_names:
         raise ValidationError("instantiate the problem's parameters first")
     nums, den = _over_lcm([f(Fraction(row[0], problem.den)).as_integer_ratio() for row in problem.table])
     return DecisionProblem(problem.tree, problem.states, (), tuple(zip(nums)), den)

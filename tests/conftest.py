@@ -142,9 +142,9 @@ def reference_rule_count(problem: m.DecisionProblem) -> int:
 
     def children(prefix: tuple[str, ...]) -> list[tuple[str, ...]]:
         history = tuple(e for e in prefix if e != PAD)
-        if PAD in prefix or problem.tree.is_terminal(history):
+        if PAD in prefix or history not in problem.tree.branch_map:
             return [prefix + (PAD,)]
-        return [prefix + (a,) for a in problem.tree.actions_at(history)]
+        return [prefix + (a,) for a in problem.tree.branch_map[history]]
 
     prefixes_at: dict[int, list[tuple[str, ...]]] = {0: [()]}
     for t in range(T):
@@ -343,9 +343,9 @@ def random_pure_rule(rng: random.Random, problem: m.DecisionProblem) -> dv.Devia
 
     def children(prefix):
         history = tuple(e for e in prefix if e != PAD)
-        if PAD in prefix or problem.tree.is_terminal(history):
+        if PAD in prefix or history not in problem.tree.branch_map:
             return [prefix + (PAD,)]
-        return [prefix + (a,) for a in problem.tree.actions_at(history)]
+        return [prefix + (a,) for a in problem.tree.branch_map[history]]
 
     mapping: dict[m.ActionSequence, m.ActionSequence] = {}
 
@@ -487,12 +487,14 @@ def reference_polytope_rows(problem: m.DecisionProblem,
     one = Fraction(1)
     rows = [({col[i] + j: one for j in range(n)}, "==", one) for i in inputs]
     for t in range(1, problem.tree.periods):
-        classes = problem.tree.prefix_classes(t)
-        for _, members in classes:
+        classes = {}  # each padded length-t prefix: its leaves, in leaf order
+        for i, leaf in enumerate(problem.leaves):
+            classes.setdefault(leaf.entries[:t], []).append(i)
+        for members in classes.values():
             for a_i, a_k in zip(members, members[1:]):
                 if a_i not in col:
                     continue
-                for _, out_members in classes:
+                for out_members in classes.values():
                     coeffs = {col[a_i] + j: one for j in out_members}
                     coeffs.update((col[a_k] + j, -one) for j in out_members)
                     rows.append((coeffs, "==", Fraction(0)))
@@ -632,9 +634,9 @@ def reference_optimal_value(problem: m.DecisionProblem, prior, signal_seqs, kern
 
     def act(seq_ids, t, history) -> Fraction:
         best = None
-        for a in problem.tree.actions_at(history):
+        for a in problem.tree.branch_map[history]:
             h2 = history + (a,)
-            if problem.tree.is_terminal(h2):
+            if h2 not in problem.tree.branch_map:
                 value = terminal_mass(seq_ids, h2)
             else:
                 value = sum((act(ids, t + 1, h2) for ids in groups_at(seq_ids, t)), Fraction(0))
@@ -665,8 +667,8 @@ def reference_integer_optimal_value(problem: m.DecisionProblem, signal_seqs, wei
         return sum(act(ids, t + 1, history) for ids in groups.values())
 
     def act(seq_ids, t, history) -> int:
-        return max(terminal_mass(seq_ids, h2) if tree.is_terminal(h2) else observe(seq_ids, t, h2)
-                   for h2 in (history + (a,) for a in tree.actions_at(history)))
+        return max(terminal_mass(seq_ids, h2) if h2 not in tree.branch_map else observe(seq_ids, t, h2)
+                   for h2 in (history + (a,) for a in tree.branch_map[history]))
 
     return observe(range(len(signal_seqs)), 0, ())
 
@@ -677,10 +679,11 @@ def reference_integer_optimal_value(problem: m.DecisionProblem, signal_seqs, wei
 # ---------------------------------------------------------------------------
 
 def reference_best_joint_deviation(problem: m.DecisionProblem, joint: m.JointDistribution):
-    """`deviation.best_joint_deviation` as it was before it evaluated the
-    last period in its parent's loop: V(h, g) is one call per aligned pair,
-    down to each (input leaf, output leaf) pair.  Returns the gain and the
-    pure rule its argmaxes give, ties to the first output child."""
+    """`deviation.best_joint_deviation` as a recursion over prefix tuples,
+    grouped from the leaves' entries: V(h, g) is one call per aligned pair,
+    down to each (input leaf, output leaf) pair, with no shortcut for an
+    input prefix of one leaf.  Returns the gain and the pure rule its
+    argmaxes give, ties to the first output child."""
     table, uden = problem.integer_payoffs
     depth = problem.tree.depth
     pay = {b.entries: row for b, row in zip(problem.leaves, table)}
@@ -688,7 +691,12 @@ def reference_best_joint_deviation(problem: m.DecisionProblem, joint: m.JointDis
     rows = [joint.cells[k:k + width] for k in range(0, len(joint.cells), width)]
     mass = {a.entries: row for a, row in zip(problem.leaves, rows) if any(row)}
     live = {a[:t] for a in mass for t in range(depth + 1)}
-    kids = problem.tree.per_tree(dv._prefix_children)
+    kids = {}  # each padded prefix shorter than the depth: its one-longer prefixes, in order
+    for leaf in problem.leaves:
+        for t in range(depth):
+            row = kids.setdefault(leaf.entries[:t], [])
+            if leaf.entries[:t + 1] not in row:
+                row.append(leaf.entries[:t + 1])
     choice = {}
 
     def value(h, g) -> int:
@@ -755,9 +763,9 @@ def exhaustive_optimal_value(problem: m.DecisionProblem, structure) -> Fraction:
 
     def children(prefix):
         history = tuple(e for e in prefix if e != PAD)
-        if PAD in prefix or problem.tree.is_terminal(history):
+        if PAD in prefix or history not in problem.tree.branch_map:
             return [prefix + (PAD,)]
-        return [prefix + (a,) for a in problem.tree.actions_at(history)]
+        return [prefix + (a,) for a in problem.tree.branch_map[history]]
 
     def signal_children(prefix_ids, t):
         groups: dict[str, list[int]] = {}

@@ -540,8 +540,9 @@ def test_sweep_law_needs_its_dual_check(example2, monkeypatch):
 
 def test_sweep_builds_each_tree_piece_once(example2, monkeypatch):
     # a sweep point shares its family's validated tree, so neither the
-    # tree's validation nor the deviation polytope nor the prefix tree of
-    # the backward induction is built again at each point
+    # tree's validation nor the deviation polytope nor the prefix runs that
+    # the polytope and the backward induction read is built again at each
+    # point
     probe = m.instantiate(example2, {"delta": 1})
     observations = (probe.sequence("w,x"),
                     m.MarginalDistribution.from_mapping(probe, {"w,x": "3/4", "w,y": "1/4"}),
@@ -556,9 +557,10 @@ def test_sweep_builds_each_tree_piece_once(example2, monkeypatch):
     monkeypatch.setattr(m.Tree, "__init__", counted("tree", m.Tree.__init__))
     monkeypatch.setattr(lp, "deviation_polytope_constraints",
                         counted("polytope", lp.deviation_polytope_constraints))
-    monkeypatch.setattr(dv, "_prefix_children", counted("children", dv._prefix_children))
-    for family, observation, piece in zip(families, observations,
-                                          ("polytope", "polytope", "children")):
+    monkeypatch.setattr(m.Prefixes, "__init__", counted("prefixes", m.Prefixes.__init__))
+    for family, observation, pieces in zip(families, observations,
+                                           ({"polytope", "prefixes"}, {"polytope", "prefixes"},
+                                            {"prefixes"})):
         del builds[:]
         iset = an.identified_set(family, observation, "delta", 0, 1)
         # one build at most per family, however many samples the sweep
@@ -566,7 +568,7 @@ def test_sweep_builds_each_tree_piece_once(example2, monkeypatch):
         # grid step down to the gap's width
         samples = 33 + sum((F(1, 32) / (hi - lo)).numerator.bit_length() - 1
                            for lo, hi, tag in iset.intervals if tag == "gap")
-        assert piece in builds and len(builds) == len(set(builds)) and samples > 15
+        assert pieces <= set(builds) and len(builds) == len(set(builds)) and samples > 15
         assert "tree" not in builds
 
 

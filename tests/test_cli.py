@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -699,9 +700,10 @@ def chain_doc(depth: int) -> tuple[dict, str]:
 
 
 def test_a_deep_chain_report_is_re_checked(capsys, tmp_path):
-    # the oracle's induction does not recurse: four frames a period once
-    # ended the re-check of this report in RecursionError past depth 180
-    doc, dist = chain_doc(400)
+    # neither the backward induction nor the oracle's re-check recurses or
+    # keeps prefixes as tuples, so a chain 700 periods deep is answered and
+    # re-checked in well under a second each
+    doc, dist = chain_doc(700)
     problem = tmp_path / "chain.json"
     problem.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "check-joint", str(problem), "--dist", dist)
@@ -712,6 +714,66 @@ def test_a_deep_chain_report_is_re_checked(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify-witness", str(report))
     assert code == 0, err
     assert first_report(out)["result"] == {"valid": True, "detail": "obedient triple re-checked"}
+
+
+def test_a_deep_chain_runs_every_query_on_its_own_block(capsys, tmp_path):
+    # the leaf b is its own first-action block: its programs take that
+    # block's rows alone, not the whole tree's cubic ones, and counting the
+    # chain's rules is a loop, so the size guard answers
+    doc, _ = chain_doc(700)
+    problem = tmp_path / "chain.json"
+    problem.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "enumerate-rules", str(problem))
+    assert code == 3 and out == ""
+    # a count within int()'s digit limit is written out in full
+    assert len(err.splitlines()) == 1
+    assert re.fullmatch(r"size guard: instance has [0-9]{1693} adapted pure rules, above the cap"
+                        r" of 1000000; enumeration-based checks are not viable at this size\n", err)
+    code, out, err = run_cli(capsys, "check-seq", str(problem), "--seq", "b")
+    assert code == 0, err
+    assert first_report(out)["result"]["rationalizable"] is True
+    report = tmp_path / "report.json"
+    report.write_text(out.splitlines()[0])
+    code, out, err = run_cli(capsys, "verify-witness", str(report))
+    assert code == 0, err
+    assert first_report(out)["result"]["valid"] is True
+    code, out, err = run_cli(capsys, "maxprob", str(problem), "--seq", "b")
+    assert code == 0, err
+    assert first_report(out)["result"]["value"] == "1"
+
+
+def test_a_deep_path_of_one_action_has_one_rule(capsys, tmp_path):
+    # one leaf 600 periods down: every prefix is a run of that one leaf
+    node, label = "leaf", ",".join(["a"] * 600)
+    for _ in range(600):
+        node = {"a": node}
+    problem = tmp_path / "path.json"
+    problem.write_text(json.dumps({"periods": 600, "states": ["s"], "tree": node,
+                                   "utility": {label: {"s": 0}}}))
+    code, out, err = run_cli(capsys, "enumerate-rules", str(problem))
+    assert code == 0, err
+    assert first_report(out)["result"] == {"count": 1, "rules": [{label: label}]}
+    code, out, err = run_cli(capsys, "check-joint", str(problem), "--dist", f"{label}@s:1")
+    assert code == 0, err
+    assert first_report(out)["result"]["rationalizable"] is True
+
+
+def test_the_size_guard_states_a_count_past_the_digit_limit(capsys, tmp_path):
+    # a complete (60, 60) tree has about 10**6508 adapted pure rules, past
+    # the digits that int() converts to a string: the guard gives their
+    # number of digits instead of a traceback
+    tree = {f"a{i}": dict.fromkeys((f"b{j}" for j in range(60)), "leaf") for i in range(60)}
+    utility = {f"a{i},b{j}": {"s": 0} for i in range(60) for j in range(60)}
+    problem = tmp_path / "complete.json"
+    problem.write_text(json.dumps({"periods": 2, "states": ["s"], "tree": tree,
+                                   "utility": utility}))
+    code, out, err = run_cli(capsys, "enumerate-rules", str(problem))
+    assert code == 3 and out == ""
+    assert err.splitlines() == [
+        "size guard: instance has a 6509-digit number of adapted pure rules, above the cap"
+        " of 1000000; enumeration-based checks are not viable at this size"]
+    count = cli.deviation.count_pure_rules(load_problem(problem.read_text()))
+    assert 10 ** 6508 <= count < 10 ** 6509
 
 
 def test_check_seq_answers_where_rule_enumeration_cannot(capsys, tmp_path):

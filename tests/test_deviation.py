@@ -467,13 +467,15 @@ def without_state(rng, problem, joint):
 
 
 def test_flat_last_period_matches_the_recursive_induction():
-    # the last period evaluated in its parent's loop gives the recursion's
-    # gain and rule (`reference_best_joint_deviation`): trees 1, 2 and 3
-    # deep, padded ones, laws with massless leaves and with an empty state,
-    # and payoffs in {-1, 0, 1} on every other tree, where argmax ties are
-    # the rule and go to the first output child in both
+    # the induction over runs of leaves, which values an input run of one
+    # leaf directly on its output run's leaves, gives the recursion's gain
+    # and rule (`reference_best_joint_deviation`): trees 1, 2 and 3 deep,
+    # padded ones, leaves with mass alone in their run above the last
+    # period, laws with massless leaves and with an empty state, and payoffs
+    # in {-1, 0, 1} on every other tree, where argmax ties are the rule and
+    # go to the first output child in both
     rng = random.Random(71)
-    depths, padded, empty_row, empty_state, tied = set(), 0, 0, 0, 0
+    depths, padded, alone, empty_row, empty_state, tied = set(), 0, 0, 0, 0, 0
     for k in range(160):
         p = random_problem(rng, max_leaves=6, **({"value_cap": 1, "denom_cap": 1} if k % 2 else {}))
         joint = random_joint(rng, p)
@@ -485,11 +487,14 @@ def test_flat_last_period_matches_the_recursive_induction():
         width = len(p.states)
         depths.add(p.tree.depth)
         padded += any(m.PAD in leaf.entries for leaf in p.leaves)
+        above = [leaf.entries[:p.tree.depth - 1] for leaf in p.leaves]
+        alone += any(above.count(prefix) == 1 and any(joint.cells[i * width:i * width + width])
+                     for i, prefix in enumerate(above))
         empty_row += any(not any(joint.cells[k:k + width]) for k in range(0, len(joint.cells), width))
         empty_state += any(not any(joint.cells[s::width]) for s in range(width))
         table = p.integer_payoffs[0]
         tied += any(len(set(column)) < len(column) for column in zip(*table))
-    assert depths == {1, 2, 3} and padded and empty_row and empty_state and tied
+    assert depths == {1, 2, 3} and padded and alone and empty_row and empty_state and tied
     # complete trees with 64 leaves: the uniform law, and a random one
     for branching in ((4, 4, 4), (2, 2, 2, 2, 2, 2)):
         p = m.load_problem(json.dumps(complete_tree_doc(branching, 2, seed=1)))

@@ -212,11 +212,11 @@ def test_leaves_are_distinct_padded_paths():
         assert len(set(p.leaves)) == len(p.leaves)
         for leaf in p.leaves:
             assert len(leaf.entries) == p.tree.depth <= p.tree.periods
-            assert p.tree.is_terminal(leaf.history)
+            assert leaf.history not in p.tree.branch_map
             # the unpadded prefix walks the tree
             h = ()
             for a in leaf.history:
-                assert a in p.tree.actions_at(h)
+                assert a in p.tree.branch_map[h]
                 h += (a,)
 
 
@@ -326,11 +326,11 @@ def test_distributions_validate(example1):
     joint = m.JointDistribution.from_mapping(
         example1, {("not_invest", "good"): "1/2", ("invest,invest", "bad"): "1/2"}
     )
-    assert joint.weight(example1.sequence("not_invest"), "good") == F(1, 2)
+    assert F(joint.cells[0], joint.den) == F(1, 2)  # not_invest in good
     marginal = joint.action_marginal()
     assert (marginal.weights, marginal.den) == ((1, 0, 1), 2)
     marginal = m.MarginalDistribution.from_mapping(example1, {"not_invest": 1})
-    assert marginal.weight(example1.sequence("not_invest")) == 1
+    assert F(marginal.weights[0], marginal.den) == 1  # not_invest
     # two spellings of one cell are refused, not summed
     with pytest.raises(m.ValidationError, match="given twice"):
         m.MarginalDistribution.from_mapping(example1, {"not_invest": "1/2", "not_invest,_": "1/2"})
@@ -351,7 +351,7 @@ def test_joint_from_mapping_resolves_each_leaf_once(example1, monkeypatch):
     joint = m.JointDistribution.from_mapping(example1, {
         "invest,pull_back": {"bad": "1/2", "good": "1/6"}, "invest,invest": {"good": "1/3"}})
     assert sorted(looked_up) == ["invest,invest", "invest,pull_back"] and parsed == []
-    assert joint.weight(example1.sequence("invest,pull_back"), "good") == F(1, 6)
+    assert F(joint.cells[2], joint.den) == F(1, 6)  # invest,pull_back in good
     # and its consistency rows are built once per law, not once per check
     assert m.consistency(example1, joint) is m.consistency(example1, joint)
     # a leaf spelled twice and an unknown state are still refused

@@ -366,7 +366,7 @@ def test_simulate_deterministic_components(example2):
     )
     for n in (1, 3, 17):
         emp = st.simulate(inst, strategy, point_structure, n, seed=99)
-        assert emp.weight(inst.sequence("w,x"), "X") == 1
+        assert fraction_matrix(emp)[inst.leaf_index[inst.sequence("w,x")]][inst.state_position("X")] == 1
 
 
 def test_simulate_single_draw(example1, pessimism_structure, obedient_strategy):
@@ -422,7 +422,7 @@ def random_strategy(rng, problem, sets):
         for leaf in problem.leaves:
             w, h = F(1), leaf.history
             for t in range(len(h)):
-                actions = tree.actions_at(h[:t])
+                actions = tree.branch_map[h[:t]]
                 key = (seq[:t + 1], h[:t])
                 if key not in behaviour:
                     behaviour[key] = _probabilities(rng, len(actions))

@@ -42,7 +42,7 @@ def knife_edge_joint(example1):
 def test_apparently_dominated_example1(example1):
     witness = rz.apparently_dominated(example1, example1.sequence("invest,pull_back"))
     assert witness.margin == 1
-    assert witness.as_mapping() == {example1.sequence("not_invest"): F(1)}
+    assert dict(witness.lottery) == {example1.sequence("not_invest"): F(1)}
     assert rz.apparently_dominated(example1, example1.sequence("not_invest")) is None
     assert rz.apparently_dominated(example1, example1.sequence("invest,invest")) is None
 
@@ -54,7 +54,7 @@ def test_apparently_dominated_example2(example2):
     wx = late.sequence("w,x")
     witness = rz.apparently_dominated(late, wx)
     assert witness.margin == F(2, 5)
-    lottery = witness.as_mapping()
+    lottery = dict(witness.lottery)
     assert set(lottery) == {late.sequence("x"), late.sequence("y")}
     assert lottery[late.sequence("x")] == F(19, 20)
     # the witness margin is exactly the worst-state payoff gap it achieves

@@ -134,9 +134,9 @@ def _random_adapted_strategy(rng, problem, seqs):
 
     def leaf_children(prefix):
         history = tuple(e for e in prefix if e != PAD)
-        if PAD in prefix or problem.tree.is_terminal(history):
+        if PAD in prefix or history not in problem.tree.branch_map:
             return [prefix + (PAD,)]
-        return [prefix + (a,) for a in problem.tree.actions_at(history)]
+        return [prefix + (a,) for a in problem.tree.branch_map[history]]
 
     mapping: dict[int, m.ActionSequence] = {}
 

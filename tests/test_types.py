@@ -145,6 +145,7 @@ def test_fields_cannot_be_assigned_or_deleted(example1):
 def test_cached_properties_compute_once(example1):
     copies = _copies(example1)
     cached = [(example1.tree, "leaf_index"), (example1.tree, "_per_tree"),
+              (example1.tree, "prefixes"),
               (example1, "columns"), (example1, "integer_payoffs"),
               (copies["JointDistribution"][0], "consistency_rows"),
               (copies["InformationStructure"][1], "sequences"),
