@@ -7,7 +7,7 @@ the certificate inside a report against the problem it carries.
 
 Exit codes: 0 query answered (whatever the verdict), 1 usage error or
 standard output closed before the report was written, 2 input validation
-error, 3 `enumerate-rules` size guard exceeded.
+error, 3 `enumerate-rules` size guard exceeded, 4 out of memory.
 """
 
 from __future__ import annotations
@@ -396,6 +396,9 @@ def run(argv: Optional[list[str]] = None) -> int:
     except deviation.SizeGuardError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("out of memory: the query does not fit in this process's memory", file=sys.stderr)
+        return 4
     report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     _emit(report, getattr(args, "pretty", False))
     return 0

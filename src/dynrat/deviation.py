@@ -35,6 +35,7 @@ from .model import (
     Tree,
     ValidationError,
     _chunks,
+    _common,
     _format,
     _leaf_weights,
     _over_lcm,
@@ -71,26 +72,23 @@ class SizeGuardError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def _support_is_adapted(in_seqs: Sequence[tuple[str, ...]], out_seqs: Sequence[tuple[str, ...]],
-                        support: Sequence[Sequence[tuple[int, int]]], periods: int) -> bool:
+                        support: Sequence[Sequence[tuple[int, int]]]) -> bool:
     """Whether a row-stochastic kernel from ``in_seqs`` to ``out_seqs``,
     given by each row's nonzero ``(column, numerator)`` pairs over one
     common denominator, has period-t output marginals that depend only on
-    the first t input entries.
-
-    Each row's period-t marginal is summed from its nonzero entries only and
-    kept as a map from output prefix to its nonzero mass, so a sparse kernel
-    costs its support, not the square of the leaf count."""
-    for t in range(1, periods):
-        first: dict[tuple[str, ...], dict[tuple[str, ...], int]] = {}
-        for seq, row in zip(in_seqs, support):
-            sums: dict[tuple[str, ...], int] = {}
-            for j, w in row:
-                key = out_seqs[j][:t]
-                sums[key] = sums.get(key, 0) + w
-            marginal = {key: w for key, w in sums.items() if w}
-            if first.setdefault(seq[:t], marginal) != marginal:
-                return False
-    return True
+    the first t input entries.  The inputs must be distinct, and those that
+    share a prefix consecutive, as a tree's leaves and product-ordered signal
+    sequences are: then neighbours that share c entries need only have equal
+    period-c marginals, which fix the coarser ones.  Each is summed from a
+    row's nonzero entries, so a sparse kernel costs its support."""
+    def marginal(row: Sequence[tuple[int, int]], t: int) -> dict[tuple[str, ...], int]:
+        sums: dict[tuple[str, ...], int] = {}
+        for j, w in row:
+            key = out_seqs[j][:t]
+            sums[key] = sums.get(key, 0) + w
+        return {key: w for key, w in sums.items() if w}
+    return all(not c or marginal(row, c) == marginal(after, c)
+               for c, row, after in zip(_common(in_seqs), support, support[1:]))
 
 
 def _resolve_kernel(problem: DecisionProblem, kernel) -> tuple[list[list[tuple[int, int]]], int]:
@@ -132,7 +130,7 @@ def is_adapted(problem: DecisionProblem, kernel) -> bool:
     for row in rows:
         _require_probability_numerators([x for _, x in row], den, "kernel row")
     entries = [l.entries for l in problem.leaves]
-    return _support_is_adapted(entries, entries, rows, problem.tree.depth)
+    return _support_is_adapted(entries, entries, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +167,7 @@ class DeviationRule(Frozen):
                 raise ValidationError("deviation rule shape mismatch")
             _require_probability_numerators([x for _, x in row], den, "deviation rule row")
         entries = [l.entries for l in leaves]
-        if not _support_is_adapted(entries, entries, rows, len(entries[0]) if entries else 0):
+        if not _support_is_adapted(entries, entries, rows):
             raise ValidationError("kernel is not adapted")
         vars(self).update(leaves=leaves, rows=rows, den=den)
 

@@ -495,11 +495,12 @@ class DeviationPolytope(Frozen):
     """Constraint rows whose feasible set is exactly the deviation rule
     kernels of a problem with ``n`` leaves: one nonnegative column per
     kernel entry, entry (i, j) in column i * n + j, row-sum equalities (which
-    cap every entry at 1), and prefix-marginal equalities between inputs
-    that share a history.  These never link inputs with different first
-    actions, so the rows split into ``blocks``, the inputs of each
-    first-period action.  Only the blocks a program asks for are built
-    (`rows_on`); the cache of them grows, so a polytope does not hash."""
+    cap every entry at 1), and adaptedness: neighbouring inputs that share
+    c >= 1 actions put equal mass on each run of level c, which fixes every
+    coarser level's.  These never link inputs with different first actions,
+    so the rows split into ``blocks``, the inputs of each first-period
+    action.  Only the blocks a program asks for are built (`rows_on`); the
+    cache of them grows, so a polytope does not hash."""
 
     __match_args__ = ("n", "blocks")
     __hash__ = None
@@ -508,7 +509,7 @@ class DeviationPolytope(Frozen):
 
     def __init__(self, tree: Tree) -> None:
         level = tree.prefixes.starts[1]
-        vars(self).update(n=len(tree.leaves), _starts=tree.prefixes.starts, _rows={},
+        vars(self).update(n=len(tree.leaves), _prefixes=tree.prefixes, _rows={},
                           blocks=tuple(tuple(range(lo, hi)) for lo, hi in zip(level, level[1:])))
 
     def inputs(self, leaves: Iterable[int]) -> tuple[int, ...]:
@@ -524,28 +525,24 @@ class DeviationPolytope(Frozen):
     def rows_on(self, inputs: Sequence[int]) -> tuple[Constraint, ...]:
         """The rows of the blocks that ``inputs`` make up, with kernel entry
         (inputs[p], j) in column p * n + j, in integers over 1: the row sums
-        in leaf order, then level by level, for each pair of neighbours in a
-        run of those inputs, one equality per run of that level, on the sum
-        over the run's leaves.  Built once per block set and shared, never
-        changed, by every program on the tree."""
+        in leaf order, then, for each input a whose neighbour a + 1 shares
+        its first c >= 1 actions, one equality per run of level c, on the
+        sum over the run's leaves.  Built once per block set and shared,
+        never changed, by every program on the tree."""
         inputs = tuple(inputs)
         rows = self._rows.get(inputs)
         if rows is None:
-            n = self.n
+            n, starts = self.n, self._prefixes.starts
             first = {i: p * n for p, i in enumerate(inputs)}
             rows = [Constraint(dict.fromkeys(range(first[i], first[i] + n), 1), "==", 1)
                     for i in sorted(first)]
-            for starts in self._starts[1:-1]:
-                runs = list(zip(starts, starts[1:]))
-                for lo, hi in runs:
-                    if lo not in first:
-                        continue
-                    for a in range(lo, hi - 1):
-                        p, q = first[a], first[a + 1]
-                        for x, y in runs:
-                            coeffs = dict.fromkeys(range(p + x, p + y), 1)
-                            coeffs.update(dict.fromkeys(range(q + x, q + y), -1))
-                            rows.append(Constraint(coeffs, "==", 0))
+            for a, c in enumerate(self._prefixes.common):
+                if c and a in first:
+                    p, q = first[a], first[a + 1]
+                    for x, y in zip(starts[c], starts[c][1:]):
+                        coeffs = dict.fromkeys(range(p + x, p + y), 1)
+                        coeffs.update(dict.fromkeys(range(q + x, q + y), -1))
+                        rows.append(Constraint(coeffs, "==", 0))
             rows = self._rows[inputs] = tuple(rows)
         return rows
 

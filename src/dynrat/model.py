@@ -388,6 +388,12 @@ class Tree(Frozen):
         return self.leaf_index[self.sequence(value)] if i is None else i
 
 
+def _common(seqs: Sequence[tuple[str, ...]]) -> tuple[int, ...]:
+    """The length of each pair of neighbouring sequences' common prefix."""
+    return tuple(next((t for t, (a, b) in enumerate(zip(x, y)) if a != b), len(x))
+                 for x, y in zip(seqs, seqs[1:]))
+
+
 class Prefixes(Frozen):
     """A tree's padded leaf prefixes as runs of leaves, level by level.
 
@@ -395,24 +401,22 @@ class Prefixes(Frozen):
     consecutive: run k of level t holds leaves ``starts[t][k]`` up to
     ``starts[t][k + 1]`` (the last entry is the number of leaves), and its
     children are runs ``kids[t][k]`` up to ``kids[t][k + 1]`` of level
-    t + 1.  Both are read from the length of each pair of neighbouring
-    leaves' common prefix.  Level 0 is one run, level ``depth`` one a leaf."""
+    t + 1.  Both are read from ``common[i]``, the length of the common prefix
+    of leaves i and i + 1.  Level 0 is one run, level ``depth`` one a leaf."""
 
-    __slots__ = ("starts", "kids")
-    __match_args__ = __slots__
+    __match_args__ = ("common", "starts", "kids")
+    common: tuple[int, ...]
     starts: tuple[tuple[int, ...], ...]
     kids: tuple[tuple[int, ...], ...]
 
     def __init__(self, tree: Tree) -> None:
-        entries = [leaf.entries for leaf in tree.leaves]
-        common = [next(t for t, (a, b) in enumerate(zip(x, y)) if a != b)
-                  for x, y in zip(entries, entries[1:])]
-        cuts = list(range(1, len(entries)))  # one int object per cut, shared by every level
-        starts = tuple((0, *(i for i, c in zip(cuts, common) if c < t), len(entries))
+        common = _common([leaf.entries for leaf in tree.leaves])
+        cuts = list(range(1, len(tree.leaves)))  # one int object per cut, shared by every level
+        starts = tuple((0, *(i for i, c in zip(cuts, common) if c < t), len(tree.leaves))
                        for t in range(tree.depth + 1))
         at = [{lo: k for k, lo in enumerate(lower)} for lower in starts[1:]]
-        _set(self, "starts", starts)
-        _set(self, "kids", tuple(tuple(map(d.__getitem__, upper)) for d, upper in zip(at, starts)))
+        vars(self).update(common=common, starts=starts, kids=tuple(
+            tuple(map(d.__getitem__, upper)) for d, upper in zip(at, starts)))
 
 
 class DecisionProblem(Frozen):

@@ -165,8 +165,7 @@ class Strategy(Frozen):
     def __init__(self, signal_sets: tuple[tuple[str, ...], ...],
                  leaves: tuple[ActionSequence, ...], kernel: tuple[tuple[int, ...], ...],
                  den: int) -> None:
-        periods = len(signal_sets)
-        if any(len(leaf.entries) > periods for leaf in leaves):
+        if any(len(leaf.entries) > len(signal_sets) for leaf in leaves):
             raise ValidationError("strategy periods do not match the leaves")
         _set(self, "signal_sets", signal_sets)
         n_seq = len(self.sequences)
@@ -175,8 +174,7 @@ class Strategy(Frozen):
         for row in kernel:
             _require_probability_numerators(row, den, "strategy row")
         support = [[(i, x) for i, x in enumerate(row) if x] for row in kernel]
-        if not _support_is_adapted(self.sequences, [l.entries for l in leaves],
-                                   support, periods):
+        if not _support_is_adapted(self.sequences, [l.entries for l in leaves], support):
             raise ValidationError("strategy is not adapted")
         kernel, den = _lowest(chain.from_iterable(kernel), den)
         vars(self).update(leaves=leaves, kernel=_chunks(kernel, len(leaves)), den=den)

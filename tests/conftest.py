@@ -317,6 +317,21 @@ def complete_tree_doc(branching, n_states: int, seed: int) -> dict:
             "utility": {leaf: {s: rng.randint(-5, 5) for s in states} for leaf in leaves}}
 
 
+def stopping_doc(periods: int) -> dict:
+    """Example 2 over ``periods`` periods: choose x or y now, or wait (w),
+    with the choice after k waits paying 5 or 3 times (9/10)^k, states X
+    and Y; 2 * periods leaves."""
+    node = {"x": "leaf", "y": "leaf"}
+    for _ in range(periods - 1):
+        node = {"x": "leaf", "y": "leaf", "w": node}
+    utility = {}
+    for k in range(periods):
+        d = Fraction(9, 10) ** k
+        utility[",".join(["w"] * k + ["x"])] = {"X": str(5 * d), "Y": str(3 * d)}
+        utility[",".join(["w"] * k + ["y"])] = {"X": str(3 * d), "Y": str(5 * d)}
+    return {"periods": periods, "states": ["X", "Y"], "tree": node, "utility": utility}
+
+
 def random_joint(rng: random.Random, problem: m.DecisionProblem) -> m.JointDistribution:
     cells = [(a, s) for a in problem.leaves for s in problem.states]
     raw = [rng.randint(0, 6) if rng.random() < 0.8 else 0 for _ in cells]

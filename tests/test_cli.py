@@ -701,19 +701,43 @@ def chain_doc(depth: int) -> tuple[dict, str]:
 
 def test_a_deep_chain_report_is_re_checked(capsys, tmp_path):
     # neither the backward induction nor the oracle's re-check recurses or
-    # keeps prefixes as tuples, so a chain 700 periods deep is answered and
-    # re-checked in well under a second each
+    # keeps prefixes as tuples, and a rule's adaptedness check ties each
+    # pair of neighbouring leaves once, so a chain 700 periods deep is
+    # answered and re-checked in well under a second each: with the law in
+    # s, which is obedient, and in t, where c beats the deepest b leaf
     doc, dist = chain_doc(700)
     problem = tmp_path / "chain.json"
     problem.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, "check-joint", str(problem), "--dist", dist)
-    assert code == 0, err
-    assert first_report(out)["result"]["rationalizable"] is True
     report = tmp_path / "report.json"
-    report.write_text(out.splitlines()[0])
-    code, out, err = run_cli(capsys, "verify-witness", str(report))
-    assert code == 0, err
-    assert first_report(out)["result"] == {"valid": True, "detail": "obedient triple re-checked"}
+    for state, verdict, detail in (("s", True, "obedient triple re-checked"),
+                                   ("t", False, "dominating rule re-checked")):
+        code, out, err = run_cli(capsys, "check-joint", str(problem),
+                                 "--dist", dist.replace("@s:", f"@{state}:"))
+        assert code == 0, err
+        assert first_report(out)["result"]["rationalizable"] is verdict
+        report.write_text(out.splitlines()[0])
+        code, out, err = run_cli(capsys, "verify-witness", str(report))
+        assert code == 0, err
+        assert first_report(out)["result"] == {"valid": True, "detail": detail}
+
+
+@pytest.mark.parametrize("command", ["check-marginal", "verify-witness"])
+def test_running_out_of_memory_is_one_line_and_exit_4(capsys, monkeypatch, command):
+    # a query too large for the process's memory, such as check-marginal
+    # with mass on the deepest b leaf of a 700-deep chain under a 2 GB
+    # address limit, ends in one stderr line and exit 4, not a traceback;
+    # here the decision and the re-check are patched to raise it
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(rationalize, "decide", out_of_memory)
+    monkeypatch.setattr(oracle, "verify_witness", out_of_memory)
+    report = str(GOLDEN / "ex1-check-seq-invest.json")
+    argv = ([command, EX1, "--dist", "invest,invest:1/3,invest,pull_back:2/3"]
+            if command == "check-marginal" else [command, report])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err == "out of memory: the query does not fit in this process's memory\n"
 
 
 def test_a_deep_chain_runs_every_query_on_its_own_block(capsys, tmp_path):

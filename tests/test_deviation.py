@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -22,6 +23,7 @@ from conftest import (
     random_rule,
     reference_best_joint_deviation,
     reference_rule_count,
+    strategy_of,
     utility,
 )
 
@@ -394,37 +396,91 @@ def dense_matrix_is_adapted(in_seqs, out_seqs, matrix, periods):
     return True
 
 
+def moved_kernels(rng, kernel):
+    """``kernel`` and copies with part of one entry's mass moved to another
+    entry of its row, in that row or in a run of neighbouring rows from it,
+    and signed copies, whose rows keep their sums and may gain a zero sum."""
+    kernels = [kernel]
+    for _ in range(4):
+        i = rng.randrange(len(kernel))
+        j = rng.choice([j for j, w in enumerate(kernel[i]) if w])
+        k = rng.randrange(len(kernel[i]))
+        d = kernel[i][j] * F(rng.randint(1, 4), 4)
+        moved, signed, run = ([list(row) for row in kernel] for _ in range(3))
+        moved[i][j] -= d
+        moved[i][k] += d
+        signed[i][k] += d
+        signed[i][rng.randrange(len(kernel[i]))] -= d
+        for row in run[i:rng.randint(i, len(kernel) - 1) + 1]:
+            row[j] -= d
+            row[k] += d
+        kernels += [moved, signed, run]
+    return kernels
+
+
+def random_strategy_kernel(rng, problem, signal_sets):
+    """The signal sequences of ``signal_sets`` in product order, and a
+    mixture of a few pure strategies over them, each of which picks its
+    period-t action from the first t signals and the actions before it."""
+    seqs = list(itertools.product(*signal_sets))
+    kernel = [[F(0)] * len(problem.leaves) for _ in seqs]
+    raw = [rng.randint(1, 5) for _ in range(rng.randint(1, 3))]
+    for x in raw:
+        picks = {}
+        for row, seq in zip(kernel, seqs):
+            history = ()
+            while history in problem.tree.branch_map:
+                key = (seq[:len(history) + 1], history)
+                if key not in picks:
+                    picks[key] = rng.choice(problem.tree.branch_map[history])
+                history += (picks[key],)
+            row[problem.tree.leaf_position(history)] += F(x, sum(raw))
+    return seqs, kernel
+
+
 def test_sparse_adaptedness_matches_dense_reference():
+    # ties between neighbouring inputs at the level they share decide
+    # adaptedness as the dense reference does, which compares every pair of
+    # inputs sharing a prefix at every level: for rules on random trees and
+    # on trees 4 to 6 deep, chains among them, and for the strategy shape,
+    # signal sequences in product order over more periods than the tree is
+    # deep, mapped to leaves
     rng = random.Random(61)
-    verdicts = set()
-    for _ in range(60):
-        p = random_problem(rng, max_leaves=6)
-        entries = [leaf.entries for leaf in p.leaves]
-        n = len(entries)
-        rule = fraction_matrix(random_rule(rng, p))
-        kernels = [rule]
-        for _ in range(4):
-            # move part of one entry's mass to another entry of its row
-            moved = [list(row) for row in rule]
-            i = rng.randrange(n)
-            j = rng.choice([j for j in range(n) if moved[i][j]])
-            k = rng.randrange(n)
-            d = moved[i][j] * F(rng.randint(1, 4), 4)
-            moved[i][j] -= d
-            moved[i][k] += d
-            kernels.append(moved)
-            # a signed move: the row still sums to 1 and may gain a zero sum
-            signed = [list(row) for row in rule]
-            signed[i][k] += d
-            signed[i][rng.randrange(n)] -= d
-            kernels.append(signed)
-        for kernel in kernels:
-            expected = dense_matrix_is_adapted(entries, entries, kernel, p.tree.periods)
-            den = math.lcm(*(F(w).denominator for row in kernel for w in row))
-            support = [[(j, int(w * den)) for j, w in enumerate(row) if w] for row in kernel]
-            assert dv._support_is_adapted(entries, entries, support, p.tree.periods) == expected
-            verdicts.add(expected)
-    assert verdicts == {True, False}
+    shallow = [random_problem(rng, max_leaves=6) for _ in range(60)]
+    deep = []
+    while len(deep) < 10:
+        p = random_problem(rng, max_periods=6, max_leaves=8, max_rules=10**9)
+        deep += [p] * (p.tree.depth >= 4)
+    for depth in (4, 5, 6):  # a b leaf and a c branch at each level, a c leaf at the last
+        node = {"b": "leaf", "c": "leaf"}
+        for _ in range(depth - 1):
+            node = {"b": "leaf", "c": node}
+        labels = [",".join(["c"] * k + ["b"]) for k in range(depth)] + [",".join(["c"] * depth)]
+        deep.append(m.problem_from_dict({"periods": depth, "states": ["s"], "tree": node,
+                                         "utility": {a: {"s": 0} for a in labels}}))
+    cases = {"shallow": [], "deep": [], "strategy": []}
+    for name, problems in (("shallow", shallow), ("deep", deep)):
+        for p in problems:
+            entries = [leaf.entries for leaf in p.leaves]
+            rule = fraction_matrix(random_rule(rng, p))
+            cases[name].append((entries, entries, rule, p.tree.periods))
+    for p in shallow[:30] + deep[:5] + deep[-3:]:
+        periods = p.tree.depth + rng.randint(1, 2)
+        signal_sets = [("g", "b")[:rng.randint(1, 2)] for _ in range(periods)]
+        seqs, kernel = random_strategy_kernel(rng, p, signal_sets)
+        assert seqs == list(strategy_of(signal_sets, p.leaves, kernel).sequences)
+        cases["strategy"].append((seqs, [leaf.entries for leaf in p.leaves], kernel, periods))
+    for name, found in cases.items():
+        verdicts = set()
+        for in_seqs, out_seqs, adapted, periods in found:
+            for n, kernel in enumerate(moved_kernels(rng, adapted)):
+                expected = dense_matrix_is_adapted(in_seqs, out_seqs, kernel, periods)
+                assert expected or n  # the kernel before any move is adapted
+                den = math.lcm(*(F(w).denominator for row in kernel for w in row))
+                support = [[(j, int(w * den)) for j, w in enumerate(row) if w] for row in kernel]
+                assert dv._support_is_adapted(in_seqs, out_seqs, support) == expected
+                verdicts.add(expected)
+        assert verdicts == {True, False}, name
 
 
 def rule_gain(problem, rule, joint):

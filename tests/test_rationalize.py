@@ -27,6 +27,7 @@ from conftest import (
     reference_dominates,
     reference_inputs,
     reference_polytope_rows,
+    stopping_doc,
     utility,
 )
 
@@ -431,18 +432,43 @@ def test_integer_rows_equal_the_fraction_builders(example2):
         assert (block.status, block.value) == (whole.status, whole.value)
 
 
+def exact_rank(rows) -> int:
+    """The rank of ``rows``, each a map from column to value, by exact
+    elimination: each row is reduced by the kept rows at its least column
+    until that column is new, where the row is kept, scaled to 1 there."""
+    kept = {}
+    for row in rows:
+        row = {k: F(v) for k, v in row.items() if v}
+        while row:
+            c = min(row)
+            if c not in kept:
+                kept[c] = {k: v / row[c] for k, v in row.items()}
+                break
+            f = row[c]
+            for k, v in kept[c].items():
+                row[k] = row.get(k, 0) - f * v
+                if not row[k]:
+                    del row[k]
+    return len(kept)
+
+
 def test_the_block_split_is_exact():
     # the dominance program over the touched first-action blocks has the
     # whole tree's optimum, for a leaf and for a marginal, on random
-    # problems and pinned sweep points; a marginal that touches every
-    # block builds the whole tree's program row for row
+    # problems up to 4 periods deep and on pinned sweep points; a marginal
+    # that touches every block builds the reference program's gain rows,
+    # columns and objective, and of its equalities a subset with the same
+    # span: each polytope row is a reference row, and the reference rows
+    # add nothing to their rank (the right-hand side as one more column)
     rng = random.Random(43)
     problems = [random_problem(rng, max_rules=200) for _ in range(20)]
+    while sum(p.tree.depth == 4 for p in problems) < 6:
+        problems.append(random_problem(rng, max_periods=4, max_leaves=8, max_rules=10**6))
     for _ in range(4):
         family = random_family(rng)
         problems += [m.substitute_params(family, {"t": F(rng.randint(-9, 9), rng.randint(1, 4))})
                      for _ in range(3)]
-    split = 0
+    split = deep = fewer = 0
     for p in problems:
         for observed in (rng.choice(p.leaves), random_marginal(rng, p)):
             prog, inputs, _ = rz._dominance_program(p, observed)
@@ -457,9 +483,18 @@ def test_the_block_split_is_exact():
         prog, inputs, _ = rz._dominance_program(p, every_block)
         ref = reference_dominance_program(p, every_block)
         assert inputs == tuple(range(len(p.leaves)))
-        assert rational_rows(prog.constraints) == ref.constraints
+        rows = rational_rows(prog.constraints)
+        assert [r for r in rows if r[1] != "=="] == [r for r in ref.constraints if r[1] != "=="]
+        assert ({(frozenset(c.items()), sense, b) for c, sense, b in rows}
+                <= {(frozenset(c.items()), sense, b) for c, sense, b in ref.constraints})
+        rhs = len(prog.variables)  # the column of the right-hand sides
+        rank = [exact_rank([{**c, rhs: b} for c, sense, b in which if sense == "=="])
+                for which in (rows, ref.constraints)]
+        assert rank[0] == rank[1]
         assert prog.variables == ref.variables and prog.objective == ref.objective
-    assert split
+        deep += p.tree.depth == 4
+        fewer += len(rows) < len(ref.constraints)
+    assert split and deep and fewer
 
 
 def test_maxprob_is_zero_on_a_block_without_an_obedient_law():
@@ -542,7 +577,7 @@ def test_dominates_agrees_with_the_per_kind_references():
 
 
 @pytest.mark.parametrize("branching, dominance, budget", [
-    ((2, 2, 2), 17, 14), ((4, 4), 58, 19), ((2, 2, 2, 2), 48, 85), ((3, 3, 3), 112, 82)])
+    ((2, 2, 2), 20, 14), ((4, 4), 58, 19), ((2, 2, 2, 2), 70, 77), ((3, 3, 3), 144, 65)])
 def test_baseline_table_pivot_counts(branching, dominance, budget):
     # the ROADMAP baseline table's pivots: the tableau's arithmetic may
     # change, its pivot sequence may not
@@ -554,3 +589,14 @@ def test_baseline_table_pivot_counts(branching, dominance, budget):
         query(problem, seq)
         counts.append(lp.pivot_tally() - before)
     assert counts == [dominance, budget]
+
+
+@pytest.mark.parametrize("periods, rows", [(10, 233), (20, 873), (40, 3353)])
+def test_stopping_problem_rows_grow_as_the_square_of_the_horizon(periods, rows):
+    # the program of the last waiting leaf: one tie per pair of neighbouring
+    # inputs of its block, on the runs of the level they share, then one
+    # gain row per input and state; every prefix-marginal equality of each
+    # level (705, 5 415 and 42 835 rows) grows as the cube
+    p = m.problem_from_dict(stopping_doc(periods))
+    prog, inputs, _ = rz._dominance_program(p, p.sequence(["w"] * (periods - 1) + ["x"]))
+    assert len(inputs) == 2 * periods - 2 and len(prog.constraints) == rows
