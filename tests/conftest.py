@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import random
+import string
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -307,12 +308,12 @@ def complete_tree_doc(branching, n_states: int, seed: int) -> dict:
     rng = random.Random(seed)
 
     def build(depth):
-        return {"abcd"[k]: "leaf" if depth + 1 == len(branching) else build(depth + 1)
-                for k in range(branching[depth])}
+        return {string.ascii_lowercase[k]: "leaf" if depth + 1 == len(branching)
+                else build(depth + 1) for k in range(branching[depth])}
 
     states = [f"s{i}" for i in range(n_states)]
     leaves = [",".join(path) for path in itertools.product(
-        *("abcd"[:b] for b in branching))]
+        *(string.ascii_lowercase[:b] for b in branching))]
     return {"periods": len(branching), "states": states, "tree": build(0),
             "utility": {leaf: {s: rng.randint(-5, 5) for s in states} for leaf in leaves}}
 

@@ -389,6 +389,25 @@ def test_undecodable_problem_and_dist_files_read_alike(capsys, tmp_path):
     assert errors[0] == errors[1] and errors[0].startswith("input error: invalid JSON: 'utf-8'")
 
 
+BOM_ERROR = ("input error: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig):"
+             " line 1 column 1 (char 0)\n")
+
+
+@pytest.mark.parametrize("what", ["problem", "dist-file", "report"])
+def test_a_byte_order_mark_is_invalid_json(capsys, tmp_path, what):
+    # a problem file, a dist file and a report that begin with a UTF-8
+    # byte-order mark: exit 2 and one line on stderr, JSON's own message
+    source = {"problem": Path(EX1), "dist-file": None,
+              "report": GOLDEN / "ex1-check-joint-yes.json"}[what]
+    text = source.read_text() if source else '{"invest,invest": "1"}'
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    argv = {"problem": ["check-seq", str(path), "--seq", "invest,pull_back"],
+            "dist-file": ["check-marginal", EX1, "--dist-file", str(path)],
+            "report": ["verify-witness", str(path)]}[what]
+    assert run_cli(capsys, *argv) == (2, "", BOM_ERROR)
+
+
 EX1_IDENTITY = {leaf: {leaf: "1"} for leaf in ("not_invest", "invest,pull_back", "invest,invest")}
 
 # One golden report per rejection branch of `oracle.verify_witness`, edited

@@ -31,6 +31,12 @@ EX1_STRUCTURE = str(ROOT / "problems" / "example1_structure.json")
 EX1_STRATEGY = str(ROOT / "problems" / "example1_obedient_strategy.json")
 JOINT_YES = "invest,pull_back@bad:1/2,invest,pull_back@good:1/6,invest,invest@good:1/3"
 JOINT_NO = "invest,pull_back@good:1/2,invest,invest@good:1/2"
+# a complete (4,4) tree with three states and fractional payoffs: 16 leaves,
+# so the joint path runs at more than the examples' 3 or 4 leaves
+GRID = str(GOLDEN / "problems" / "grid-4x4.json")
+# a mixture of play with the state revealed and of play blind to it: obedient
+GRID_YES = "b,a@lo:1/4,b,d@mid:1/6,d,a@hi:5/24,b,a@mid:1/6,b,a@hi:5/24"
+GRID_NO = "a,b@hi:1/3,c,c@lo:1/6,b,a@mid:1/4,d,d@mid:1/4"
 
 CASES = {
     "ex1-check-seq-pull-back": ["check-seq", EX1, "--seq", "invest,pull_back"],
@@ -73,6 +79,8 @@ CASES = {
                            "--dist", "effort,effort@hard:1/2,no_effort@easy:1/2"],
     "ex3-identify-seq": ["identify", EX3, "--param", "R=4", "--seq", "effort,no_effort",
                          "--sweep", "c", "--range", "0:8", "--grid", "9", "--tol", "1/16"],
+    "grid-check-joint-yes": ["check-joint", GRID, "--dist", GRID_YES],
+    "grid-check-joint-no": ["check-joint", GRID, "--dist", GRID_NO],
     "ex1-enumerate-rules": ["enumerate-rules", EX1],
     "ex1-simulate": ["simulate", EX1, "--structure", EX1_STRUCTURE, "--strategy",
                      EX1_STRATEGY, "-n", "1000", "--seed", "7"],
@@ -108,6 +116,8 @@ ANSWERS = {
     "ex3-check-marginal-yes": True,
     "ex3-check-joint-no": False,
     "ex3-identify-seq": [("0", "4", "in"), ("4", "65/16", "gap"), ("65/16", "8", "out")],
+    "grid-check-joint-yes": True,
+    "grid-check-joint-no": False,
     "ex1-enumerate-rules": 15,
     # the obedient strategy against example 1's structure: bad always reads
     # b and pulls back, good reads g or b and follows it
