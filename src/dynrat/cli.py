@@ -77,13 +77,13 @@ def _parse_marginal(problem: DecisionProblem, spec: str) -> MarginalDistribution
 
 
 def _parse_joint(problem: DecisionProblem, spec: str) -> JointDistribution:
-    weights = {}
+    rows: dict[str, dict[str, str]] = {}  # the law as {leaf: {state: weight}}
     for key, w in _no_duplicate_keys(_split_dist_items(spec)).items():
-        if "@" not in key:
+        leaf, at, state = key.rpartition("@")
+        if not at:
             raise UsageError(f"joint cell {key!r} must look like leaf@state")
-        leaf, _, state = key.rpartition("@")
-        weights[(leaf, state)] = w
-    return JointDistribution.from_mapping(problem, weights)
+        rows.setdefault(leaf, {})[state] = w
+    return JointDistribution.from_mapping(problem, rows)
 
 
 def _object(value, what: str) -> dict:
@@ -94,7 +94,7 @@ def _object(value, what: str) -> dict:
 
 
 def _read_json(path: str, what: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb", buffering=0) as fh:  # `parse_json` reads the bytes as text
         return _object(parse_json(fh), what)
 
 
@@ -222,7 +222,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def _load_problem_and_params(args) -> tuple[DecisionProblem, dict]:
-    with open(args.problem, "r", encoding="utf-8") as fh:
+    with open(args.problem, "rb", buffering=0) as fh:
         base = load_problem(fh)
     params: dict[str, Fraction] = {}
     for item in args.param:
@@ -255,8 +255,12 @@ def _pretty(result: dict) -> list[str]:
     return [f"draws: {result['n']}, seed: {result['seed']}"]
 
 
+#: The report writer, built once: `json.dumps` with sorted keys.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _emit(report: dict, pretty: bool) -> None:
-    print(json.dumps(report, sort_keys=True))
+    print(_ENCODER.encode(report))
     if pretty:
         for line in _pretty(report["result"]):
             print(line)

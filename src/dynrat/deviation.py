@@ -23,7 +23,7 @@ import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import chain, product
-from operator import mul
+from operator import add
 from typing import Optional, Union
 
 from .model import (
@@ -94,7 +94,8 @@ def _support_is_adapted(in_seqs: Sequence[tuple[str, ...]], out_seqs: Sequence[t
 def _resolve_kernel(problem: DecisionProblem, kernel) -> tuple[list[list[tuple[int, int]]], int]:
     """The rows of a kernel given as a matrix or as a mapping from input
     leaves to either an output leaf (point mass) or a weight mapping, each
-    as its nonzero (column, numerator) pairs in column order, and their one
+    as its nonzero (column, numerator) pairs, in column order for a matrix
+    and in the mapping's order for a weight mapping, and their one
     denominator.  Neither stochasticity nor adaptedness is checked here."""
     n = len(problem.leaves)
     if not isinstance(kernel, Mapping):
@@ -109,11 +110,11 @@ def _resolve_kernel(problem: DecisionProblem, kernel) -> tuple[list[list[tuple[i
             i = position(key)
             if rows[i] is not None:
                 raise ValidationError(f"row for {labels[i]!r} given twice")
-            if not isinstance(row, Mapping):
+            if type(row) is not dict and not isinstance(row, Mapping):
                 rows[i] = [(position(row), (1, 1))]
                 continue
-            weights = _leaf_weights(problem, row, f"row {labels[i]!r}")
-            rows[i] = sorted((j, w) for j, w in weights.items() if w[0])
+            rows[i] = [(j, w) for j, w in _leaf_weights(problem, row, "row", labels[i]).items()
+                       if w[0]]
         if None in rows:
             raise ValidationError(f"kernel is missing a row for {labels[rows.index(None)]!r}")
     nums, den = _over_lcm([w for row in rows for _, w in row])
@@ -158,8 +159,8 @@ class DeviationRule(Frozen):
         n = len(leaves)
         if len(rows) != n or den <= 0:
             raise ValidationError("deviation rule shape mismatch")
-        g = math.gcd(den, *(x for row in rows for _, x in row))
-        rows = tuple(tuple(sorted((j, x // g) for j, x in row if x)) for row in rows)
+        g = math.gcd(den, *[x for row in rows for _, x in row])
+        rows = tuple([tuple(sorted([(j, x // g) for j, x in row if x])) for row in rows])
         den //= g
         for row in rows:  # each in column order: check its ends and neighbours
             if row and (row[0][0] < 0 or row[-1][0] >= n) or len(row) > 1 and any(
@@ -241,27 +242,40 @@ def best_joint_deviation(
     leaves goes to the first leaf of its output run.  The law is read from
     its integer `JointDistribution.cells` and the utilities from
     `DecisionProblem.integer_payoffs`, so the induction adds and compares
-    Python ints.
+    Python ints: a leaf's payoffs at every output leaf are summed from the
+    table's state columns over the states where it has mass.
     """
     table, uden = problem.integer_payoffs
     _require_joint_shape(problem, joint)
     tree, cells, width = problem.tree, joint.cells, len(problem.states)
     starts, kids = tree.prefixes.starts, tree.prefixes.kids
+    columns = tuple(zip(*table))  # each state's payoffs, leaf by leaf
     values: dict[int, list[int]] = {}  # each leaf with mass: its payoff at each output leaf
     seen = [0]  # seen[i]: how many leaves before leaf i have mass
     for i, k in enumerate(range(0, len(cells), width)):
-        if any(cells[k:k + width]):
-            values[i] = [sum(map(mul, cells[k:k + width], pay)) for pay in table]
+        mass = [(x, column) for x, column in zip(cells[k:k + width], columns) if x]
+        if mass:
+            (x, column), *rest = mass
+            row = [x * u for u in column]
+            for x, column in rest:
+                row = [v + x * u for v, u in zip(row, column)]
+            values[i] = row
         seen.append(len(values))
     best: list[dict[int, list[int]]] = [{} for _ in starts]  # V(h, g): h live, of 2+ leaves
     for t in range(tree.depth - 1, -1, -1):
         runs, down, child = starts[t], starts[t + 1], kids[t]
-        for h in range(len(runs) - 1):
-            if runs[h + 1] - runs[h] > 1 and seen[runs[h + 1]] > seen[runs[h]]:
-                live = [c for c in range(child[h], child[h + 1]) if seen[down[c + 1]] > seen[down[c]]]
-                best[t][h] = [sum(max(values[down[c]][runs[g]:runs[g + 1]]) if down[c + 1] - down[c] == 1
-                                  else max(best[t + 1][c][child[g]:child[g + 1]]) for c in live)
-                              for g in range(len(runs) - 1)]
+        # each run g's leaves, and its runs one level down
+        leaves, children = list(zip(runs, runs[1:])), list(zip(child, child[1:]))
+        for h, (lo, hi) in enumerate(leaves):
+            if hi - lo > 1 and seen[hi] > seen[lo]:
+                total = None  # V(h, g) for every g: each live child's maxima, summed
+                for c in range(child[h], child[h + 1]):
+                    a, b = down[c], down[c + 1]
+                    if seen[b] > seen[a]:
+                        row, cuts = (values[a], leaves) if b - a == 1 else (best[t + 1][c], children)
+                        part = [max(row[x:y]) for x, y in cuts]
+                        total = part if total is None else list(map(add, total, part))
+                best[t][h] = total
     own = sum(v[i] for i, v in values.items())
     gain = (best[0][0][0] if len(table) > 1 else own) - own
 

@@ -32,7 +32,7 @@ from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Optional, TextIO, Union
+from typing import BinaryIO, Optional, Union
 
 #: Reserved padding marker for entries after a terminal history.
 PAD = "_"
@@ -103,7 +103,7 @@ def parse_rational(value: Union[int, str, Fraction]) -> Fraction:
 def _over_lcm(pairs: Collection[tuple[int, int]]) -> tuple[list[int], int]:
     """The numerators of ``(numerator, denominator)`` pairs over the lcm of
     their denominators, and that lcm."""
-    den = math.lcm(*(d for _, d in pairs))
+    den = math.lcm(*[d for _, d in pairs])
     return [n * (den // d) for n, d in pairs], den
 
 
@@ -313,13 +313,13 @@ class Tree(Frozen):
         stack = [((), nodes)]
         while stack:
             history, node = stack.pop()
-            if not isinstance(node, Mapping):
-                if not history:
-                    raise ParseError("tree node at () must be an object")
-                if node != "leaf":
-                    raise ParseError(f"tree entry {history[-1]!r} must be \"leaf\" or an object")
+            if node == "leaf" and history:  # the common cases first: no ABC check
                 histories.append(history)
                 continue
+            if type(node) is not dict and not isinstance(node, Mapping):
+                if not history:
+                    raise ParseError("tree node at () must be an object")
+                raise ParseError(f"tree entry {history[-1]!r} must be \"leaf\" or an object")
             if not node:
                 raise ValidationError(f"history {history!r} has an empty action set")
             for a in node:
@@ -329,10 +329,10 @@ class Tree(Frozen):
             if len(history) >= periods:
                 raise ValidationError("tree deeper than the number of periods")
             branch_map[history] = tuple(node)
-            stack.extend((history + (a,), child) for a, child in reversed(node.items()))
+            stack += [(history + (a,), child) for a, child in reversed(node.items())]
         depth = max(map(len, histories))
-        leaves = tuple(_pad(h, depth) for h in histories)
-        labels = tuple(leaf.label for leaf in leaves)
+        leaves = tuple([_pad(h, depth) for h in histories])
+        labels = tuple([leaf.label for leaf in leaves])
         vars(self).update(periods=periods, branch_map=branch_map, depth=depth, leaves=leaves,
                           labels=labels, _labels={a: i for i, a in enumerate(labels)})
 
@@ -389,9 +389,15 @@ class Tree(Frozen):
 
 
 def _common(seqs: Sequence[tuple[str, ...]]) -> tuple[int, ...]:
-    """The length of each pair of neighbouring sequences' common prefix."""
-    return tuple(next((t for t, (a, b) in enumerate(zip(x, y)) if a != b), len(x))
-                 for x, y in zip(seqs, seqs[1:]))
+    """The length of each pair of neighbouring sequences' common prefix;
+    the sequences are of one length."""
+    out = []
+    for x, y in zip(seqs, seqs[1:]):
+        t, end = 0, len(x)
+        while t < end and x[t] == y[t]:
+            t += 1
+        out.append(t)
+    return tuple(out)
 
 
 class Prefixes(Frozen):
@@ -412,8 +418,8 @@ class Prefixes(Frozen):
     def __init__(self, tree: Tree) -> None:
         common = _common([leaf.entries for leaf in tree.leaves])
         cuts = list(range(1, len(tree.leaves)))  # one int object per cut, shared by every level
-        starts = tuple((0, *(i for i, c in zip(cuts, common) if c < t), len(tree.leaves))
-                       for t in range(tree.depth + 1))
+        starts = tuple([(0, *[i for i, c in zip(cuts, common) if c < t], len(tree.leaves))
+                        for t in range(tree.depth + 1)])
         at = [{lo: k for k, lo in enumerate(lower)} for lower in starts[1:]]
         vars(self).update(common=common, starts=starts, kids=tuple(
             tuple(map(d.__getitem__, upper)) for d, upper in zip(at, starts)))
@@ -508,7 +514,7 @@ class DecisionProblem(Frozen):
 def _require_probability_numerators(nums: Sequence[int], den: int, what: str) -> None:
     """Raise `ValidationError` unless the weights ``nums`` over ``den`` are
     nonnegative and sum to exactly 1."""
-    if any(x < 0 for x in nums):
+    if nums and min(nums) < 0:
         raise ValidationError(f"{what} must be a probability vector (weights nonnegative)")
     if sum(nums) != den:
         raise ValidationError(f"{what} must be a probability vector (weights summing to exactly 1)")
@@ -520,16 +526,19 @@ def _require_probability_vector(weights: Iterable[Fraction], what: str) -> None:
     _require_probability_numerators(*_over_lcm([w.as_integer_ratio() for w in weights if w]), what)
 
 
-def _leaf_weights(problem: DecisionProblem, row: Mapping, what: str) -> dict[int, tuple[int, int]]:
+def _leaf_weights(problem: DecisionProblem, row: Mapping, what: str,
+                  key=None) -> dict[int, tuple[int, int]]:
     """A row ``{leaf: q}`` as leaf index -> weight, read by `_ratio`.  Two
     spellings of one leaf (``not_invest`` and ``not_invest,_``) are refused,
-    not resolved by the last one; ``what`` names the row in the error."""
+    not resolved by the last one; ``what``, followed by the repr of ``key``
+    unless it is None, names the row in the error."""
     weights: dict[int, tuple[int, int]] = {}
     tree = problem.tree
     for leaf, q in row.items():
         i = tree.leaf_position(leaf)
         if i in weights:
-            raise ValidationError(f"leaf {tree.labels[i]!r} of {what} given twice")
+            name = what if key is None else f"{what} {key!r}"
+            raise ValidationError(f"leaf {tree.labels[i]!r} of {name} given twice")
         weights[i] = _ratio(q)
     return weights
 
@@ -560,12 +569,12 @@ class JointDistribution(Frozen):
     @cached_property
     def consistency_rows(self) -> tuple[tuple[int, int, int], ...]:
         """The law's rows in `consistency`, one per cell, built once."""
-        return tuple((k, k + 1, x) for k, x in enumerate(self.cells))
+        return tuple([(k, k + 1, x) for k, x in enumerate(self.cells)])
 
     @staticmethod
     def from_mapping(problem: DecisionProblem, weights) -> "JointDistribution":
         """Build from ``{(leaf, state): q}`` or nested ``{leaf: {state: q}}``."""
-        if weights and all(isinstance(v, Mapping) for v in weights.values()):
+        if weights and all(type(v) is dict or isinstance(v, Mapping) for v in weights.values()):
             rows = [(leaf, row.items()) for leaf, row in weights.items()]
         else:
             by_leaf: dict = {}
@@ -592,13 +601,11 @@ class JointDistribution(Frozen):
             self.leaves, tuple(map(sum, _chunks(self.cells, len(self.states)))), self.den)
 
     def to_json_dict(self) -> dict:
-        width = len(self.states)
+        leaves, states, width = self.leaves, self.states, len(self.states)
         out: dict[str, dict[str, str]] = {}
-        for leaf, k in zip(self.leaves, range(0, len(self.cells), width)):
-            cells = {s: _format(x, self.den)
-                     for s, x in zip(self.states, self.cells[k:k + width]) if x}
-            if cells:
-                out[leaf.label] = cells
+        for k, x in enumerate(self.cells):
+            if x:
+                out.setdefault(leaves[k // width].label, {})[states[k % width]] = _format(x, self.den)
         return out
 
 
@@ -689,20 +696,32 @@ def _no_duplicate_keys(pairs):
     return out
 
 
-def parse_json(source: Union[str, TextIO]):
-    """A JSON text or text file read exactly (decimals as `Fraction`s, a key
-    given twice refused); any fault of the text, undecodable bytes and
-    nesting past the recursion limit included, is a `ParseError`."""
+#: The one JSON decoder, built once: decimals as `Fraction`s, a key given twice refused.
+_DECODER = json.JSONDecoder(parse_float=Fraction, object_pairs_hook=_no_duplicate_keys)
+
+
+def parse_json(source: Union[str, BinaryIO]):
+    """A JSON text, or a file opened in binary mode, read exactly (decimals
+    as `Fraction`s, a key given twice refused); any fault of the text,
+    undecodable bytes, a leading byte-order mark (refused as `json.loads`
+    refuses it) and nesting past the recursion limit included, is a
+    `ParseError`.  A file's bytes are read as a text-mode file reads them,
+    as UTF-8 with each CR LF and each lone CR as LF, so a fault is placed at
+    the same line and column, without the text layer's Python codec objects."""
     try:
-        text = source if isinstance(source, str) else source.read()
-        return json.loads(text, parse_float=Fraction, object_pairs_hook=_no_duplicate_keys)
+        text = source
+        if not isinstance(source, str):
+            text = source.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
-def load_problem(source: Union[str, TextIO]) -> DecisionProblem:
-    """Parse and validate a problem file's text or the open file, read by
-    `parse_json` (see the package README for the schema)."""
+def load_problem(source: Union[str, BinaryIO]) -> DecisionProblem:
+    """Parse and validate a problem file's text or the file opened in binary
+    mode, read by `parse_json` (see the package README for the schema)."""
     doc = parse_json(source)
     if not isinstance(doc, dict):
         raise ParseError("problem file must be a JSON object")
@@ -733,32 +752,38 @@ def problem_from_dict(doc: Mapping) -> DecisionProblem:
     utility_doc = doc["utility"]
     if not isinstance(utility_doc, Mapping):
         raise ParseError("utility must be an object")
-    # each entry's row as (numerator, denominator) pairs, by leaf index and state
-    exprs: dict[tuple[int, str], list[tuple[int, int]]] = {}
+    width = len(states)
+    column = {}  # each state's first position
+    for s, state in enumerate(states):
+        column.setdefault(state, s)
+    # each entry's row of (numerator, denominator) pairs, at leaf * width + state
+    cells: list = [None] * (len(known) * width)
     read: dict[str, list[tuple[int, int]]] = {}  # each distinct string entry, read once
     for leaf_id, row in utility_doc.items():
         i = known.get(leaf_id)
         if i is None:
             raise ValidationError(f"utility entry for unknown leaf {leaf_id!r}")
-        if not isinstance(row, Mapping):
+        if type(row) is not dict and not isinstance(row, Mapping):
             raise ParseError(f"utility row for {leaf_id!r} must be an object")
+        first = i * width
         for state, expr in row.items():
-            if state not in states:
+            s = column.get(state)
+            if s is None:
                 raise ValidationError(f"utility entry for unknown state {state!r}")
             if isinstance(expr, str):
-                if expr not in read:
-                    read[expr] = _affine(expr, params)
-                exprs[i, state] = read[expr]
+                entry = read.get(expr)
+                if entry is None:
+                    entry = read[expr] = _affine(expr, params)
+                cells[first + s] = entry
             else:
-                exprs[i, state] = _affine(expr, params)
-    terms = []
-    for i, label in enumerate(tree.labels):
-        for s in states:
-            entry = exprs.get((i, s))
-            if entry is None:
-                raise ValidationError(f"missing utility for leaf {label!r} in state {s!r}")
-            terms += entry
-    nums, den = _over_lcm(terms)
+                cells[first + s] = _affine(expr, params)
+    if None in cells:  # a state listed twice (refused below) takes its first position's entries
+        cells = [cells[k - k % width + column[states[k % width]]] for k in range(len(cells))]
+        if None in cells:
+            k = cells.index(None)
+            raise ValidationError(f"missing utility for leaf {tree.labels[k // width]!r}"
+                                  f" in state {states[k % width]!r}")
+    nums, den = _over_lcm(list(chain.from_iterable(cells)))
     return DecisionProblem(tree, tuple(states), tuple(params), _chunks(nums, 1 + len(params)), den)
 
 
@@ -795,8 +820,10 @@ def problem_to_dict(problem: DecisionProblem) -> dict:
                 parts.append(f"-{term}" if x < 0 else term)
         return " ".join(parts)
 
-    rendered = {row: render(row) for row in set(problem.table)}  # each distinct row once
-    entries = map(rendered.__getitem__, problem.table)
+    # each distinct row once, or each distinct constant of a parameter-free table
+    keys, show = (problem.table, render) if names else ([c for c, in problem.table], number)
+    rendered = {key: show(key) for key in set(keys)}
+    entries = map(rendered.__getitem__, keys)
     doc = {
         "periods": tree.periods,
         "states": list(problem.states),

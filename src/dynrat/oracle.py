@@ -17,6 +17,7 @@ sampler live in `structures`, which builds on this module.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import mul
 from typing import Union
 
 from .deviation import (
@@ -59,7 +60,7 @@ def _optimal_value(
     """
     table, _ = problem.integer_payoffs
     branch_map = problem.tree.branch_map
-    payoff_at = {leaf.history: row for leaf, row in zip(problem.leaves, table)}
+    payoff_at = dict(zip(problem.tree.labels, table))  # by each leaf's label
     live = [k for k, row in enumerate(weights) if any(row)]
     by_length: dict[int, dict[tuple[str, ...], list[int]]] = {}
     sums: dict[tuple[str, ...], dict[tuple[str, ...], int]] = {}
@@ -76,12 +77,12 @@ def _optimal_value(
             if child in branch_map:
                 options.append(sums.pop(child))
             else:
-                pay = payoff_at[child]
-                options.append({p: sum(w * u for k in ids for w, u in zip(weights[k], pay))
+                pay = payoff_at[",".join(child)]
+                options.append({p: sum([sum(map(mul, weights[k], pay)) for k in ids])
                                 for p, ids in groups.items()})
         total = sums[history] = {}
         for p in groups:
-            total[p[:-1]] = total.get(p[:-1], 0) + max(o[p] for o in options)
+            total[p[:-1]] = total.get(p[:-1], 0) + max([o[p] for o in options])
     return sums[()].get((), 0)
 
 

@@ -145,7 +145,7 @@ def obedient_triple_from_json(problem: DecisionProblem, doc: Mapping) -> JointDi
     kernel = [(0, 1)] * (width * n)  # state s's row is kernel[s * n:(s + 1) * n]
     for s, row in rows.items():
         first = problem.state_position(s) * n
-        for i, q in _leaf_weights(problem, row, f"recommendation {s!r}").items():
+        for i, q in _leaf_weights(problem, row, "recommendation", s).items():
             kernel[first + i] = q
     ps, pden = _over_lcm(prior)
     _require_probability_numerators(ps, pden, "prior")

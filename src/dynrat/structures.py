@@ -192,7 +192,7 @@ class Strategy(Frozen):
             if seq_id not in seq_index:
                 raise ValidationError(f"unknown signal sequence {seq_id!r}")
             first = seq_index[seq_id] * n
-            for i, q in _leaf_weights(problem, row, f"strategy row {seq_id!r}").items():
+            for i, q in _leaf_weights(problem, row, "strategy row", seq_id).items():
                 kernel[first + i] = q
         nums, den = _over_lcm(kernel)
         return Strategy(signal_sets, problem.leaves, _chunks(nums, n), den)

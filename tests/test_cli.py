@@ -408,6 +408,27 @@ def test_a_byte_order_mark_is_invalid_json(capsys, tmp_path, what):
     assert run_cli(capsys, *argv) == (2, "", BOM_ERROR)
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_files_are_read_as_text_mode_reads_them(capsys, tmp_path, newline):
+    # CR LF and a lone CR read as LF: a file with them gives the report of
+    # the file without them, and a fault is placed at the line and column
+    # that a text-mode read of the file places it at
+    path = tmp_path / "problem.json"
+    path.write_bytes(Path(EX1).read_bytes().replace(b"\n", newline.encode()))
+    argv = ["check-seq", str(path), "--seq", "invest,pull_back"]
+    reports = [first_report(run_cli(capsys, *argv)[1]),
+               first_report(run_cli(capsys, "check-seq", EX1, "--seq", "invest,pull_back")[1])]
+    for report in reports:
+        report.pop("timing_ms")
+    assert reports[0] == reports[1]
+    path.write_bytes(path.read_bytes().rstrip().rstrip(b"}") + b"," + newline.encode() + b"}")
+    with open(path, encoding="utf-8") as fh:
+        with pytest.raises(ValueError) as fault:
+            json.loads(fh.read())
+    assert "line 1 " not in str(fault.value)
+    assert run_cli(capsys, *argv) == (2, "", f"input error: invalid JSON: {fault.value}\n")
+
+
 EX1_IDENTITY = {leaf: {leaf: "1"} for leaf in ("not_invest", "invest,pull_back", "invest,invest")}
 
 # One golden report per rejection branch of `oracle.verify_witness`, edited

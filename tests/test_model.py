@@ -38,6 +38,22 @@ def test_missing_utility_rejected():
         m.load_problem(json.dumps(doc))
 
 
+@pytest.mark.parametrize("states, utility, message", [
+    # the first missing entry in leaf and state order, whatever the file's order
+    (["g", "b"], {"b": {"g": 1}, "a": {"b": 0}}, "missing utility for leaf 'a' in state 'g'"),
+    # a state listed twice: a missing entry is named first, then the repeat
+    (["g", "b", "g"], {"a": {"g": 0, "b": 0}, "b": {"b": 1}},
+     "missing utility for leaf 'b' in state 'g'"),
+    (["g", "b", "g"], {"a": {"g": 0, "b": 0}, "b": {"g": 1, "b": 1}}, "duplicate state label"),
+    # an entry for a state the problem lacks is named before a missing one
+    (["g", "b"], {"a": {"g": 0}, "b": {"x": 1}}, "utility entry for unknown state 'x'"),
+])
+def test_utility_faults_are_named_in_order(states, utility, message):
+    doc = {"periods": 1, "states": states, "tree": {"a": "leaf", "b": "leaf"}, "utility": utility}
+    with pytest.raises(m.ValidationError, match=f"^{message}$"):
+        m.problem_from_dict(doc)
+
+
 def test_duplicate_action_label_rejected():
     text = '{"periods": 1, "states": ["s"], "tree": {"a": "leaf", "a": "leaf"},' \
            ' "utility": {"a": {"s": 0}}}'

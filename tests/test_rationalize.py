@@ -577,8 +577,8 @@ def test_dominates_agrees_with_the_per_kind_references():
 
 
 @pytest.mark.parametrize("branching, dominance, budget", [
-    ((2, 2, 2), 20, 14), ((4, 4), 58, 19), ((2, 2, 2, 2), 70, 77), ((5, 5), 38, 21),
-    ((3, 3, 3), 144, 65)])
+    ((2, 2, 2), 20, 14), ((4, 4), 58, 19), ((2, 2, 2, 2), 70, 77), ((3, 3, 3), 144, 65),
+    ((5, 5), 38, 21)])
 def test_baseline_table_pivot_counts(branching, dominance, budget):
     # the ROADMAP baseline table's pivots: the tableau's arithmetic may
     # change, its pivot sequence may not
