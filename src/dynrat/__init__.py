@@ -21,7 +21,6 @@ from .deviation import (
     SizeGuardError,
     dominates,
     enumerate_pure_rules,
-    gains,
     identity_rule,
     is_adapted,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "dominating_rule",
     "enumerate_pure_rules",
     "format_rational",
-    "gains",
     "identified_set",
     "identity_rule",
     "instantiate",

@@ -5,6 +5,12 @@ echo, the embedded problem document, the result with its witness, solver
 statistics, and timing.  Reports are self-contained: `verify-witness` re-checks
 the certificate inside a report against the problem it carries.
 
+A command line is read as argparse reads it; `_build_parser` declares every
+option once.  When the first word names a subcommand and the rest is plain
+(`_read_plain`: options spelled in full, no value or positional starting with
+``-``), the namespace is built from that subcommand's own actions.  Anything
+else goes to argparse: abbreviations, ``--``, ``-h`` and every usage error.
+
 Exit codes: 0 query answered (whatever the verdict), 1 usage error or
 standard output closed before the report was written, 2 input validation
 error, 3 `enumerate-rules` size guard exceeded, 4 out of memory.
@@ -205,18 +211,108 @@ def _build_parser() -> _Parser:
     s.add_argument("-n", type=int, required=True, help="number of draws")
     s.add_argument("--seed", type=int, default=0)
 
+    for sub in subs.choices.values():
+        sub.plain = _plain_table(sub)
     return parser
+
+
+# The actions a plain command line sets: a value, a flag, one more item
+_PLAIN_KINDS = (argparse._StoreAction, argparse._StoreTrueAction, argparse._AppendAction)
+
+
+def _plain_table(sub: argparse.ArgumentParser) -> Optional[tuple]:
+    """``sub``'s actions as `_read_plain` reads them: the defaults by dest,
+    the dests of ``append`` actions, each option string (``-h``/``--help``
+    left out) with its action's (dest, takes a value, appends, type,
+    const), the positionals' dests and the required options' dests.  None
+    when an action is one the plain reader leaves to argparse: of another
+    kind or ``nargs``, with ``choices``, a converted string default or
+    positional, a non-list ``append`` default, or a dest another action
+    shares."""
+    defaults, options, positionals, required, appended = {}, {}, [], [], []
+    for action in sub._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        append = isinstance(action, argparse._AppendAction)
+        if (type(action) not in _PLAIN_KINDS or action.nargs not in (None, 0)
+                or action.choices is not None or action.dest in defaults
+                or (action.type is not None
+                    and (isinstance(action.default, str) or not action.option_strings))
+                or (append and type(action.default) is not list)):
+            return None
+        defaults[action.dest] = action.default
+        if not action.option_strings:
+            positionals.append(action.dest)
+            continue
+        if append:
+            appended.append(action.dest)
+        if action.required:
+            required.append(action.dest)
+        spec = (action.dest, action.nargs != 0, append, action.type, action.const)
+        options.update(dict.fromkeys(action.option_strings, spec))
+    return defaults, appended, options, positionals, required
+
+
+def _read_plain(table: tuple, words: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace argparse gives a plain command line ``words``, built
+    from the subcommand's `_plain_table`; None when ``words`` is not plain.
+    Plain: each option word is one of the subcommand's own option strings,
+    a flag takes no value, every other option its next word or the text after
+    its first ``=``; no value or positional is empty or starts with ``-``;
+    the positionals are exactly the declared ones, every required option is
+    given and every ``type`` conversion succeeds."""
+    defaults, appended, options, positionals, required = table
+    values = dict(defaults)
+    for dest in appended:  # argparse appends to a copy; no two parses share a list
+        values[dest] = values[dest][:]
+    given, free = set(), []
+    words = iter(words)
+    for word in words:
+        if word[:1] != "-":
+            free.append(word)
+            continue
+        name, eq, value = word.partition("=")
+        spec = options.get(name)
+        if spec is None:
+            return None
+        dest, takes_value, append, convert, const = spec
+        given.add(dest)
+        if not takes_value:
+            if eq:
+                return None
+            values[dest] = const
+            continue
+        if not eq:
+            value = next(words, "")
+        if not value or value[0] == "-":
+            return None
+        if convert is not None:
+            try:
+                value = convert(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        if append:
+            values[dest].append(value)
+        else:
+            values[dest] = value
+    if len(free) != len(positionals) or not given.issuperset(required):
+        return None
+    values.update(zip(positionals, free))
+    return argparse.Namespace(**values)
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """``argv`` parsed as the full parser parses it.  When the first word
-    names a subcommand, the rest goes straight to that subcommand's parser,
-    which gives the same namespace or raises the same error."""
+    names a subcommand, a plain rest is read from that subcommand's actions
+    and any other rest goes to its own parser, which gives the same
+    namespace or raises the same error."""
     parser = _build_parser()
     sub = parser.commands.get(argv[0]) if argv else None
     if sub is None:  # no argument, an option or an unknown command
         return parser.parse_args(argv)
-    args = sub.parse_args(argv[1:])
+    args = _read_plain(sub.plain, argv[1:]) if sub.plain else None
+    if args is None:
+        args = sub.parse_args(argv[1:])
     args.command = argv[0]
     return args
 

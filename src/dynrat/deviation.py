@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from fractions import Fraction
 from itertools import chain, product
 from operator import add
 from typing import Optional, Union
@@ -34,7 +33,6 @@ from .model import (
     Observation,
     Tree,
     ValidationError,
-    _chunks,
     _common,
     _format,
     _leaf_weights,
@@ -72,7 +70,8 @@ class SizeGuardError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def _support_is_adapted(in_seqs: Sequence[tuple[str, ...]], out_seqs: Sequence[tuple[str, ...]],
-                        support: Sequence[Sequence[tuple[int, int]]]) -> bool:
+                        support: Sequence[Sequence[tuple[int, int]]],
+                        common: Optional[Sequence[int]] = None) -> bool:
     """Whether a row-stochastic kernel from ``in_seqs`` to ``out_seqs``,
     given by each row's nonzero ``(column, numerator)`` pairs over one
     common denominator, has period-t output marginals that depend only on
@@ -80,7 +79,9 @@ def _support_is_adapted(in_seqs: Sequence[tuple[str, ...]], out_seqs: Sequence[t
     share a prefix consecutive, as a tree's leaves and product-ordered signal
     sequences are: then neighbours that share c entries need only have equal
     period-c marginals, which fix the coarser ones.  Each is summed from a
-    row's nonzero entries, so a sparse kernel costs its support."""
+    row's nonzero entries, so a sparse kernel costs its support.  ``common``,
+    the inputs' `_common`, is derived when not given: a tree's leaves have
+    it as `Tree.common`."""
     def marginal(row: Sequence[tuple[int, int]], t: int) -> dict[tuple[str, ...], int]:
         sums: dict[tuple[str, ...], int] = {}
         for j, w in row:
@@ -88,7 +89,8 @@ def _support_is_adapted(in_seqs: Sequence[tuple[str, ...]], out_seqs: Sequence[t
             sums[key] = sums.get(key, 0) + w
         return {key: w for key, w in sums.items() if w}
     return all(not c or marginal(row, c) == marginal(after, c)
-               for c, row, after in zip(_common(in_seqs), support, support[1:]))
+               for c, row, after in zip(_common(in_seqs) if common is None else common,
+                                        support, support[1:]))
 
 
 def _resolve_kernel(problem: DecisionProblem, kernel) -> tuple[list[list[tuple[int, int]]], int]:
@@ -131,7 +133,7 @@ def is_adapted(problem: DecisionProblem, kernel) -> bool:
     for row in rows:
         _require_probability_numerators([x for _, x in row], den, "kernel row")
     entries = [l.entries for l in problem.leaves]
-    return _support_is_adapted(entries, entries, rows)
+    return _support_is_adapted(entries, entries, rows, problem.tree.common)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +148,8 @@ class DeviationRule(Frozen):
     one denominator ``den``.  A pure rule has one ``(j, 1)`` entry per row
     over den 1.  Construction puts the rows in lowest terms, so equal
     kernels compare and hash equal however they were built, and validates
-    both stochasticity and adaptedness.
+    both stochasticity and adaptedness; a rule built on a tree's leaves
+    passes its tree's `Tree.common` for the latter.
     """
 
     __match_args__ = ("leaves", "rows", "den")
@@ -155,7 +158,8 @@ class DeviationRule(Frozen):
     den: int
 
     def __init__(self, leaves: tuple[ActionSequence, ...],
-                 rows: Sequence[Iterable[tuple[int, int]]], den: int) -> None:
+                 rows: Sequence[Iterable[tuple[int, int]]], den: int,
+                 common: Optional[Sequence[int]] = None) -> None:
         n = len(leaves)
         if len(rows) != n or den <= 0:
             raise ValidationError("deviation rule shape mismatch")
@@ -168,13 +172,14 @@ class DeviationRule(Frozen):
                 raise ValidationError("deviation rule shape mismatch")
             _require_probability_numerators([x for _, x in row], den, "deviation rule row")
         entries = [l.entries for l in leaves]
-        if not _support_is_adapted(entries, entries, rows):
+        if not _support_is_adapted(entries, entries, rows, common):
             raise ValidationError("kernel is not adapted")
         vars(self).update(leaves=leaves, rows=rows, den=den)
 
     @staticmethod
     def from_mapping(problem: DecisionProblem, kernel) -> "DeviationRule":
-        return DeviationRule(problem.leaves, *_resolve_kernel(problem, kernel))
+        return DeviationRule(problem.leaves, *_resolve_kernel(problem, kernel),
+                             problem.tree.common)
 
     def to_json_dict(self) -> dict:
         return {a.label: {self.leaves[j].label: _format(x, self.den) for j, x in row}
@@ -183,7 +188,8 @@ class DeviationRule(Frozen):
 
 def pure_rule(problem: DecisionProblem, targets: Iterable[int]) -> DeviationRule:
     """The pure rule that rewrites leaf i into leaf ``targets[i]``."""
-    return DeviationRule(problem.leaves, tuple(((j, 1),) for j in targets), 1)
+    return DeviationRule(problem.leaves, tuple(((j, 1),) for j in targets), 1,
+                         problem.tree.common)
 
 
 def identity_rule(problem: DecisionProblem) -> DeviationRule:
@@ -323,8 +329,8 @@ def _pure_rules(tree: Tree) -> tuple[DeviationRule, ...]:
     options = _fold(tree, lambda lo, hi: [(j,) for j in range(lo, hi)],
                     lambda lists: list(chain.from_iterable(lists)),
                     lambda parts: [tuple(chain.from_iterable(c)) for c in product(*parts)])
-    return tuple(DeviationRule(tree.leaves, tuple(((j, 1),) for j in targets), 1)
-                 for targets in options)
+    return tuple(DeviationRule(tree.leaves, tuple(((j, 1),) for j in targets), 1,
+                               tree.common) for targets in options)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +348,12 @@ def _column_gains(pay: Sequence[Sequence[int]], rows: Sequence[Sequence[tuple[in
 
 
 def _integer_gains(problem: DecisionProblem, rule: DeviationRule) -> tuple[list[int], int]:
-    """The gain table of `gains` in integer numerators over one positive
-    denominator: on the payoffs of `DecisionProblem.integer_payoffs`."""
+    """The rule's gain table, cell (i, s) being the payoff change from
+    following the rule instead of playing leaf i in state s, sum_j D(i, j)
+    u(j, s) - u(i, s) over the row's nonzero entries, in integer numerators
+    over one positive denominator: on the payoffs of
+    `DecisionProblem.integer_payoffs`.  `dominates` is a sign test on it;
+    the tests' ``conftest.gains`` reads it as `Fraction` rows."""
     if rule.leaves != problem.leaves:
         raise ValidationError("rule leaves do not match the problem")
     pay, uden = problem.integer_payoffs
@@ -364,16 +374,6 @@ def affine_gains(family: DecisionProblem, rule: Union[DeviationRule, Sequence[in
     if leaves != family.leaves or len(rows) != len(leaves) or len(family.param_names) != 1:
         raise ValidationError("rule leaves do not match the one-parameter family")
     return tuple(_column_gains(family.columns[k], rows, den) for k in (0, 1))
-
-
-def gains(problem: DecisionProblem, rule: DeviationRule) -> tuple[tuple[Fraction, ...], ...]:
-    """The rule's gain table: ``gains(problem, rule)[i][s]`` is the exact
-    payoff change from following the rule instead of playing leaf i in state
-    s, sum_j D(i, j) u(j, s) - u(i, s), summed over the row's nonzero
-    entries.  `dominates` is a sign test on this table, run on its integer
-    numerators."""
-    cells, den = _integer_gains(problem, rule)
-    return _chunks([Fraction(g, den) for g in cells], len(problem.states))
 
 
 def dominates(problem: DecisionProblem, rule: DeviationRule, observed: Observation) -> bool:

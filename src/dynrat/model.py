@@ -353,6 +353,13 @@ class Tree(Frozen):
         return memo[build]
 
     @cached_property
+    def common(self) -> tuple[int, ...]:
+        """The length of each pair of neighbouring leaves' common padded
+        prefix (`_common`), built once: the prefix runs and the adaptedness
+        check of every rule on this tree read it."""
+        return _common([leaf.entries for leaf in self.leaves])
+
+    @cached_property
     def prefixes(self) -> Prefixes:
         """The padded prefixes of the leaves as runs of leaves, built once."""
         return Prefixes(self)
@@ -408,7 +415,7 @@ class Prefixes(Frozen):
     ``starts[t][k + 1]`` (the last entry is the number of leaves), and its
     children are runs ``kids[t][k]`` up to ``kids[t][k + 1]`` of level
     t + 1.  Both are read from ``common[i]``, the length of the common prefix
-    of leaves i and i + 1.  Level 0 is one run, level ``depth`` one a leaf."""
+    of leaves i and i + 1 (`Tree.common`).  Level 0 is one run, level ``depth`` one a leaf."""
 
     __match_args__ = ("common", "starts", "kids")
     common: tuple[int, ...]
@@ -416,7 +423,7 @@ class Prefixes(Frozen):
     kids: tuple[tuple[int, ...], ...]
 
     def __init__(self, tree: Tree) -> None:
-        common = _common([leaf.entries for leaf in tree.leaves])
+        common = tree.common
         cuts = list(range(1, len(tree.leaves)))  # one int object per cut, shared by every level
         starts = tuple([(0, *[i for i, c in zip(cuts, common) if c < t], len(tree.leaves))
                         for t in range(tree.depth + 1)])

@@ -322,7 +322,8 @@ def _dominance(
         rows = [[(i, xden)] for i in range(n)]
         for p, i in enumerate(inputs):
             rows[i] = [(j, x) for j, x in enumerate(xs[p * n:p * n + n]) if x]
-        return _checked(problem, DeviationRule(leaves, rows, xden), observed)
+        return _checked(problem, DeviationRule(leaves, rows, xden, problem.tree.common),
+                        observed)
     return _obedient_law(problem, prog, sol, gain_rows)
 
 

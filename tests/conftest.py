@@ -197,15 +197,24 @@ def lottery_utility(problem: m.DecisionProblem, lottery, state: str) -> Fraction
     return sum((w * utility(problem, a, state) for a, w in zip(lottery, weights)), Fraction(0))
 
 
+def gains(problem: m.DecisionProblem, rule: dv.DeviationRule) -> tuple[tuple[Fraction, ...], ...]:
+    """The rule's gain table: ``gains(problem, rule)[i][s]`` is the exact
+    payoff change from following the rule instead of playing leaf i in state
+    s, sum_j D(i, j) u(j, s) - u(i, s), as `Fraction` rows of the integer
+    table that `deviation.dominates` tests."""
+    cells, den = dv._integer_gains(problem, rule)
+    return m._chunks([Fraction(g, den) for g in cells], len(problem.states))
+
+
 def improvement(problem: m.DecisionProblem, rule: dv.DeviationRule, a, state: str) -> Fraction:
     """The payoff change from following the rule instead of playing ``a``."""
     i = problem.leaf_index[problem.sequence(a)]
-    return dv.gains(problem, rule)[i][problem.state_position(state)]
+    return gains(problem, rule)[i][problem.state_position(state)]
 
 
 def reference_dominates_sequence(problem, rule, a) -> bool:
     """The rule improves ``a`` strictly in every state and hurts no cell."""
-    table = dv.gains(problem, rule)
+    table = gains(problem, rule)
     return (all(g >= 0 for row in table for g in row)
             and all(g > 0 for g in table[problem.leaf_index[problem.sequence(a)]]))
 
@@ -213,12 +222,12 @@ def reference_dominates_sequence(problem, rule, a) -> bool:
 def reference_dominates_marginal(problem, rule, marginal) -> bool:
     """The marginal-weighted worst-state gains are positive on average."""
     return sum((Fraction(w, marginal.den) * min(row)
-                for w, row in zip(marginal.weights, dv.gains(problem, rule))), Fraction(0)) > 0
+                for w, row in zip(marginal.weights, gains(problem, rule))), Fraction(0)) > 0
 
 
 def reference_dominates_joint(problem, rule, joint) -> bool:
     """The expected gain under the joint law is positive."""
-    return sum((w * g for law_row, row in zip(fraction_matrix(joint), dv.gains(problem, rule))
+    return sum((w * g for law_row, row in zip(fraction_matrix(joint), gains(problem, rule))
                 for w, g in zip(law_row, row)), Fraction(0)) > 0
 
 

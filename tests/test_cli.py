@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import os
@@ -9,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from dynrat import cli, oracle, rationalize
+from dynrat import cli, deviation, model, oracle, rationalize
 from dynrat.model import format_rational, load_problem
 
+import parser_corpus
 from conftest import complete_tree_doc
 from test_golden import CASES, render
 
@@ -500,6 +502,17 @@ def test_parser_keeps_no_state_between_runs(capsys):
     assert cli._build_parser() is cli._build_parser()
 
 
+def test_two_parses_never_share_a_param_list():
+    # argparse appends to a copy of the default; the plain reader copies it
+    # even when no --param is given, so no namespace holds the default itself
+    pinned = cli._parse_args(["check-seq", "p.json", "--seq", "a", "--param", "x=1"])
+    bare = [cli._parse_args(["check-seq", "p.json", "--seq", "a"]) for _ in range(2)]
+    lists = [pinned.param] + [args.param for args in bare]
+    assert lists == [["x=1"], [], []] and len({id(items) for items in lists}) == 3
+    bare[0].param.append("y=2")
+    assert cli._parse_args(["check-seq", "p.json", "--seq", "a"]).param == []
+
+
 def test_check_marginal_and_joint(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "check-marginal", EX1, "--dist",
                            "invest,pull_back:3/4,invest,invest:1/4")
@@ -761,6 +774,31 @@ def test_a_deep_chain_report_is_re_checked(capsys, tmp_path):
         assert first_report(out)["result"] == {"valid": True, "detail": detail}
 
 
+def test_a_deep_chain_rule_reads_its_tree_s_common_prefixes(capsys, monkeypatch, tmp_path):
+    # a rule built on a problem's leaves checks its adaptedness against the
+    # common-prefix lengths its tree keeps, which the prefix runs read too:
+    # a dominated check-joint and its verify-witness derive them once per
+    # tree read, and verify-witness builds no prefix runs for them
+    callers, real = [], model._common
+
+    def common(seqs):
+        callers.append(sys._getframe(1).f_code)
+        return real(seqs)
+
+    monkeypatch.setattr(model, "_common", common)
+    monkeypatch.setattr(deviation, "_common", common)
+    doc, dist = chain_doc(700)
+    problem, report = tmp_path / "chain.json", tmp_path / "report.json"
+    problem.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "check-joint", str(problem),
+                             "--dist", dist.replace("@s:", "@t:"))
+    assert code == 0 and first_report(out)["result"]["rationalizable"] is False, err
+    report.write_text(out.splitlines()[0])
+    code, out, err = run_cli(capsys, "verify-witness", str(report))
+    assert first_report(out)["result"] == {"valid": True, "detail": "dominating rule re-checked"}
+    assert callers == [model.Tree.common.func.__code__] * 2  # one tree read by each run
+
+
 @pytest.mark.parametrize("command", ["check-marginal", "verify-witness"])
 def test_running_out_of_memory_is_one_line_and_exit_4(capsys, monkeypatch, command):
     # a query too large for the process's memory, such as check-marginal
@@ -930,6 +968,10 @@ MALFORMED_ARGV = [
     ["simulate", EX1, "--structure", "s.json", "--strategy", "t.json", "-n"],
     ["verify-witness"],
     ["verify-witness", "r.json", "--", "--pretty"],
+    ["check-seq", EX1, "--seq="],                                  # an empty value
+    ["check-seq", EX1, "--seq", "a", "--pretty=yes"],              # a flag given a value
+    ["identify", EX2, "--seq", "w,x", "--sweep", "delta", "--range=-1:1"],  # a dashed value
+    ["simulate", EX1, "--structure", "s.json", "--strategy=t.json", "-n=4", "-n", "x"],
 ]
 
 
@@ -947,3 +989,60 @@ def test_subcommand_parser_matches_the_full_parser(capsys, argv):
     if isinstance(expected, str):  # and `run` reports it as a usage error, exit 1
         assert cli.run(list(argv)) == 1
         assert capsys.readouterr().err == expected + "\n"
+
+
+def test_the_plain_reader_matches_the_full_parser_on_a_seeded_corpus():
+    # well-formed and mutated command lines over every subcommand
+    # (tests/parser_corpus.py, which also runs without pytest)
+    plain, wrong = parser_corpus.compare(parser_corpus.corpus(2500, seed=0))
+    assert wrong == []
+    assert plain >= 1000  # most of the well-formed lines take the plain path
+
+
+def _without_argparse(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a plain command line")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+
+
+def test_every_golden_command_line_is_read_without_argparse(monkeypatch):
+    expected = {name: vars(cli._build_parser().parse_args(argv)) for name, argv in CASES.items()}
+    _without_argparse(monkeypatch)
+    for name, argv in CASES.items():
+        assert vars(cli._parse_args(argv)) == expected[name], name
+        assert cli._parse_args(["verify-witness", str(GOLDEN / f"{name}.json")]).pretty is False
+
+
+@pytest.mark.parametrize("workload, runs", [("sequence", 180), ("joint", 80), ("identify", 60)])
+def test_every_benchmark_run_is_read_without_argparse(monkeypatch, workload, runs):
+    # each op's query, and the verify-witness run on each verdict's report:
+    # a verdict always carries a witness
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    ops, _ = workloads.build(workload, 5, 15)
+    argvs = [argv for op in ops for argv in [op.argv(Path("work"))] + (
+        [["verify-witness", "work/report.json"]] if op.command in cli._VERDICTS else [])]
+    assert len(argvs) == runs
+    _without_argparse(monkeypatch)
+    for argv in argvs:
+        assert cli._parse_args(argv).command == argv[0]
+
+
+def test_the_plain_reader_leaves_other_actions_to_argparse():
+    # an action the reader would misread makes its subcommand argparse's alone
+    def table(option=None, problem=None):
+        parser = cli._Parser(prog="dynrat x")
+        parser.add_argument("problem", **(problem or {}))
+        parser.add_argument("--opt", **(option or {}))
+        return cli._plain_table(parser)
+
+    assert table() is not None
+    for option in [dict(nargs="+"), dict(nargs="?"), dict(choices=["a"]),
+                   dict(type=int, default="3"), dict(action="count"),
+                   dict(action="store_const", const=1), dict(action="append", default=None),
+                   dict(action="extend", nargs="+"), dict(dest="problem")]:
+        assert table(option) is None, option
+    for problem in [dict(type=int), dict(nargs="?")]:
+        assert table(problem=problem) is None, problem

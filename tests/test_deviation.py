@@ -13,6 +13,7 @@ from conftest import (
     complete_tree_doc,
     compose,
     fraction_matrix,
+    gains,
     improvement,
     joint_dominance_optimum,
     lottery_utility,
@@ -229,7 +230,7 @@ def test_gains_match_the_per_cell_formula():
         p = random_problem(rng, max_leaves=6)
         padded += any(m.PAD in leaf.entries for leaf in p.leaves)
         for rule in (random_rule(rng, p), random_pure_rule(rng, p), dv.identity_rule(p)):
-            assert dv.gains(p, rule) == tuple(
+            assert gains(p, rule) == tuple(
                 tuple(per_cell_improvement(p, rule, a, s) for s in p.states) for a in p.leaves)
             joint, marginal = random_joint(rng, p), random_marginal(rng, p)
             want = per_cell_dominates_joint(p, rule, joint)
@@ -262,7 +263,7 @@ def test_integer_sign_tests_match_fraction_arithmetic():
                            for row in fraction_matrix(rule)}) > 1
         cells = [(a, s) for a in p.leaves for s in p.states]
         gain = {(a, s): per_cell_improvement(p, rule, a, s) for a, s in cells}
-        assert dv.gains(p, rule) == tuple(tuple(gain[a, s] for s in p.states) for a in p.leaves)
+        assert gains(p, rule) == tuple(tuple(gain[a, s] for s in p.states) for a in p.leaves)
         raw = {a: F(rng.randint(1, 9), rng.randint(1, 9)) for a in p.leaves}
         marginals = [m.MarginalDistribution.from_mapping(
             p, {a: w / sum(raw.values()) for a, w in raw.items()})]
@@ -304,7 +305,7 @@ def test_integer_sign_tests_match_fraction_arithmetic():
 def test_gains_refuse_mismatched_inputs(example1, example2):
     half = m.instantiate(example2, {"delta": "1/2"})
     with pytest.raises(m.ValidationError, match="leaves"):
-        dv.gains(half, dv.identity_rule(example1))
+        gains(half, dv.identity_rule(example1))
     with pytest.raises(m.ValidationError, match="unknown state"):
         improvement(example1, dv.identity_rule(example1), example1.leaves[0], "meh")
     with pytest.raises(m.ValidationError, match="instantiate"):
