@@ -35,7 +35,6 @@ from .lp import (
 )
 from .model import (
     PAD,
-    ActionSequence,
     DecisionProblem,
     JointDistribution,
     MarginalDistribution,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PAD",
-    "ActionSequence",
     "ApparentDominanceWitness",
     "Constraint",
     "DEFAULT_MAX_RULES",

@@ -411,7 +411,7 @@ def _run_query(args) -> dict:
         rules_enumerated = len(rules)
         # a pure rule's row is one unit entry: it is shown as its output leaf
         result = {"count": len(rules), "rules": [
-            {a.label: r.leaves[row[0][0]].label for a, row in zip(r.leaves, r.rows)}
+            {a: r.leaves[row[0][0]] for a, row in zip(r.leaves, r.rows)}
             for r in rules]}
         query = _query_echo(args, params)
 

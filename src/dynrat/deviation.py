@@ -9,12 +9,16 @@ observation's consistency rows (`model.consistency`), whatever the kind of
 observation; on a one-parameter family it runs on the rule's affine gains
 (`affine_gains`) with nothing pinned.
 
-A rule is one type, `DeviationRule`, stored as its integers: each row's
-nonzero (column, numerator) pairs over one denominator.  A pure rule, as
-`enumerate_pure_rules`, `identity_rule` and `best_joint_deviation` build
-it, is the same type with one unit entry per row.  Every walk over aligned
-input and output prefixes (counting, enumeration, the backward induction)
-loops over the tree's runs of leaves (`model.Prefixes`), level by level.
+A rule is one type, `DeviationRule`, built on its tree and stored as its
+integers: each row's nonzero (column, numerator) pairs over one
+denominator, the columns numbering the tree's leaves, which are their
+labels.  Adaptedness is read from the tree's padded paths and their common
+prefixes (`Tree.paths`, `Tree.common`), so no label is split back into
+actions.  A pure rule, as `enumerate_pure_rules`, `identity_rule` and
+`best_joint_deviation` build it, is the same type with one unit entry per
+row.  Every walk over aligned input and output prefixes (counting,
+enumeration, the backward induction) loops over the tree's runs of leaves
+(`model.Prefixes`), level by level.
 """
 
 from __future__ import annotations
@@ -26,14 +30,12 @@ from operator import add
 from typing import Optional, Union
 
 from .model import (
-    ActionSequence,
     DecisionProblem,
     Frozen,
     JointDistribution,
     Observation,
     Tree,
     ValidationError,
-    _common,
     _format,
     _leaf_weights,
     _over_lcm,
@@ -69,19 +71,19 @@ class SizeGuardError(RuntimeError):
 # Adaptedness
 # ---------------------------------------------------------------------------
 
-def _support_is_adapted(in_seqs: Sequence[tuple[str, ...]], out_seqs: Sequence[tuple[str, ...]],
-                        support: Sequence[Sequence[tuple[int, int]]],
-                        common: Optional[Sequence[int]] = None) -> bool:
-    """Whether a row-stochastic kernel from ``in_seqs`` to ``out_seqs``,
+def _support_is_adapted(common: Sequence[int], out_seqs: Sequence[tuple[str, ...]],
+                        support: Sequence[Sequence[tuple[int, int]]]) -> bool:
+    """Whether a row-stochastic kernel from input sequences to ``out_seqs``,
     given by each row's nonzero ``(column, numerator)`` pairs over one
     common denominator, has period-t output marginals that depend only on
-    the first t input entries.  The inputs must be distinct, and those that
-    share a prefix consecutive, as a tree's leaves and product-ordered signal
-    sequences are: then neighbours that share c entries need only have equal
-    period-c marginals, which fix the coarser ones.  Each is summed from a
-    row's nonzero entries, so a sparse kernel costs its support.  ``common``,
-    the inputs' `_common`, is derived when not given: a tree's leaves have
-    it as `Tree.common`."""
+    the first t input entries.  The inputs are given by ``common``, the
+    length of each pair of neighbouring inputs' common prefix
+    (`model._common`; a tree's leaves have it as `Tree.common`).  They must
+    be distinct, and those that share a prefix consecutive, as a tree's
+    leaves and product-ordered signal sequences are: then neighbours that
+    share c entries need only have equal period-c marginals, which fix the
+    coarser ones.  Each is summed from a row's nonzero entries, so a sparse
+    kernel costs its support."""
     def marginal(row: Sequence[tuple[int, int]], t: int) -> dict[tuple[str, ...], int]:
         sums: dict[tuple[str, ...], int] = {}
         for j, w in row:
@@ -89,8 +91,7 @@ def _support_is_adapted(in_seqs: Sequence[tuple[str, ...]], out_seqs: Sequence[t
             sums[key] = sums.get(key, 0) + w
         return {key: w for key, w in sums.items() if w}
     return all(not c or marginal(row, c) == marginal(after, c)
-               for c, row, after in zip(_common(in_seqs) if common is None else common,
-                                        support, support[1:]))
+               for c, row, after in zip(common, support, support[1:]))
 
 
 def _resolve_kernel(problem: DecisionProblem, kernel) -> tuple[list[list[tuple[int, int]]], int]:
@@ -107,18 +108,18 @@ def _resolve_kernel(problem: DecisionProblem, kernel) -> tuple[list[list[tuple[i
         rows = [[(j, w) for j, w in enumerate(row) if w[0]] for row in matrix]
     else:
         rows = [None] * n
-        position, labels = problem.tree.leaf_position, problem.tree.labels
+        position, leaves = problem.tree.leaf_position, problem.leaves
         for key, row in kernel.items():
             i = position(key)
             if rows[i] is not None:
-                raise ValidationError(f"row for {labels[i]!r} given twice")
+                raise ValidationError(f"row for {leaves[i]!r} given twice")
             if type(row) is not dict and not isinstance(row, Mapping):
                 rows[i] = [(position(row), (1, 1))]
                 continue
-            rows[i] = [(j, w) for j, w in _leaf_weights(problem, row, "row", labels[i]).items()
+            rows[i] = [(j, w) for j, w in _leaf_weights(problem, row, "row", leaves[i]).items()
                        if w[0]]
         if None in rows:
-            raise ValidationError(f"kernel is missing a row for {labels[rows.index(None)]!r}")
+            raise ValidationError(f"kernel is missing a row for {leaves[rows.index(None)]!r}")
     nums, den = _over_lcm([w for row in rows for _, w in row])
     it = iter(nums)
     return [[(j, next(it)) for j, _ in row] for row in rows], den
@@ -132,8 +133,7 @@ def is_adapted(problem: DecisionProblem, kernel) -> bool:
     rows, den = _resolve_kernel(problem, kernel)
     for row in rows:
         _require_probability_numerators([x for _, x in row], den, "kernel row")
-    entries = [l.entries for l in problem.leaves]
-    return _support_is_adapted(entries, entries, rows, problem.tree.common)
+    return _support_is_adapted(problem.tree.common, problem.tree.paths, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -141,26 +141,24 @@ def is_adapted(problem: DecisionProblem, kernel) -> bool:
 # ---------------------------------------------------------------------------
 
 class DeviationRule(Frozen):
-    """A row-stochastic, adapted kernel over the padded leaves.
+    """A row-stochastic, adapted kernel over the leaves of a tree.
 
     Row i, the lottery that leaf i is rewritten into, is ``rows[i]``: its
     nonzero entries as (column, numerator) pairs in column order, over the
     one denominator ``den``.  A pure rule has one ``(j, 1)`` entry per row
     over den 1.  Construction puts the rows in lowest terms, so equal
     kernels compare and hash equal however they were built, and validates
-    both stochasticity and adaptedness; a rule built on a tree's leaves
-    passes its tree's `Tree.common` for the latter.
+    both stochasticity and adaptedness, the latter on the tree's padded
+    paths (`Tree.paths`, `Tree.common`).  The rule keeps the tree's leaves.
     """
 
     __match_args__ = ("leaves", "rows", "den")
-    leaves: tuple[ActionSequence, ...]
+    leaves: tuple[str, ...]
     rows: tuple[tuple[tuple[int, int], ...], ...]
     den: int
 
-    def __init__(self, leaves: tuple[ActionSequence, ...],
-                 rows: Sequence[Iterable[tuple[int, int]]], den: int,
-                 common: Optional[Sequence[int]] = None) -> None:
-        n = len(leaves)
+    def __init__(self, tree: Tree, rows: Sequence[Iterable[tuple[int, int]]], den: int) -> None:
+        n = len(tree.leaves)
         if len(rows) != n or den <= 0:
             raise ValidationError("deviation rule shape mismatch")
         g = math.gcd(den, *[x for row in rows for _, x in row])
@@ -171,25 +169,22 @@ class DeviationRule(Frozen):
                     a == b for (a, _), (b, _) in zip(row, row[1:])):
                 raise ValidationError("deviation rule shape mismatch")
             _require_probability_numerators([x for _, x in row], den, "deviation rule row")
-        entries = [l.entries for l in leaves]
-        if not _support_is_adapted(entries, entries, rows, common):
+        if not _support_is_adapted(tree.common, tree.paths, rows):
             raise ValidationError("kernel is not adapted")
-        vars(self).update(leaves=leaves, rows=rows, den=den)
+        vars(self).update(leaves=tree.leaves, rows=rows, den=den)
 
     @staticmethod
     def from_mapping(problem: DecisionProblem, kernel) -> "DeviationRule":
-        return DeviationRule(problem.leaves, *_resolve_kernel(problem, kernel),
-                             problem.tree.common)
+        return DeviationRule(problem.tree, *_resolve_kernel(problem, kernel))
 
     def to_json_dict(self) -> dict:
-        return {a.label: {self.leaves[j].label: _format(x, self.den) for j, x in row}
+        return {a: {self.leaves[j]: _format(x, self.den) for j, x in row}
                 for a, row in zip(self.leaves, self.rows)}
 
 
 def pure_rule(problem: DecisionProblem, targets: Iterable[int]) -> DeviationRule:
     """The pure rule that rewrites leaf i into leaf ``targets[i]``."""
-    return DeviationRule(problem.leaves, tuple(((j, 1),) for j in targets), 1,
-                         problem.tree.common)
+    return DeviationRule(problem.tree, tuple(((j, 1),) for j in targets), 1)
 
 
 def identity_rule(problem: DecisionProblem) -> DeviationRule:
@@ -329,8 +324,8 @@ def _pure_rules(tree: Tree) -> tuple[DeviationRule, ...]:
     options = _fold(tree, lambda lo, hi: [(j,) for j in range(lo, hi)],
                     lambda lists: list(chain.from_iterable(lists)),
                     lambda parts: [tuple(chain.from_iterable(c)) for c in product(*parts)])
-    return tuple(DeviationRule(tree.leaves, tuple(((j, 1),) for j in targets), 1,
-                               tree.common) for targets in options)
+    return tuple(DeviationRule(tree, tuple(((j, 1),) for j in targets), 1)
+                 for targets in options)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,14 @@ is a finite rooted action tree (`Tree`) of depth at most ``periods``, a
 finite state set, and a terminal utility table.  The tree is read from the
 problem file's nested object by one walk, which validates it in document
 order and records every history's actions and every leaf.  Histories with no
-successors are terminal; their root-to-leaf paths are padded with the
-reserved marker ``"_"`` up to the tree's depth, so the set of padded
-leaves plays the role of the full action-sequence space.  Their padded
-prefixes are held once per tree as runs of leaves (`Prefixes`), which every
-walk over the prefix tree loops over, level by level, with no recursion.
+successors are terminal.  A leaf is its label, its actions joined with
+commas, everywhere: in the tree, the laws, the rules and the reports, and
+as an observed action sequence.  Its root-to-leaf path, padded with the
+reserved marker ``"_"`` up to the tree's depth, is built once per tree
+(`Tree.paths`), so the set of padded leaves plays the role of the full
+action-sequence space.  Their padded prefixes are held once per tree as
+runs of leaves (`Prefixes`), which every walk over the prefix tree loops
+over, level by level, with no recursion.
 
 Utilities may be affine in a vector of named parameters (for example a
 discount factor the analyst wants to estimate).  The table holds each
@@ -224,43 +227,6 @@ class Frozen:
 
 
 # ---------------------------------------------------------------------------
-# Action sequences
-# ---------------------------------------------------------------------------
-
-class ActionSequence(Frozen):
-    """A root-to-leaf path padded with `PAD` to the depth of its tree.
-    Its `label`, the unpadded path joined with commas, is joined once, on
-    construction, for every reader and writer of leaves by name."""
-
-    __slots__ = ("entries", "label")
-    __match_args__ = ("entries",)
-    entries: tuple[str, ...]
-    label: str
-
-    def __init__(self, entries: tuple[str, ...]) -> None:
-        path = entries
-        if PAD in entries:
-            n = entries.index(PAD)
-            if entries.count(PAD) != len(entries) - n:
-                raise ValidationError(f"action after padding in {entries!r}")
-            path = entries[:n]
-        _set(self, "entries", entries)
-        _set(self, "label", ",".join(path))
-
-    @property
-    def history(self) -> tuple[str, ...]:
-        """The unpadded path (padding only ever trails, see `__init__`)."""
-        return self.entries[:self.entries.index(PAD)] if PAD in self.entries else self.entries
-
-    def __str__(self) -> str:  # pragma: no cover - repr sugar
-        return self.label
-
-
-def _pad(history: Sequence[str], periods: int) -> ActionSequence:
-    return ActionSequence(tuple(history) + (PAD,) * (periods - len(history)))
-
-
-# ---------------------------------------------------------------------------
 # Decision problems
 # ---------------------------------------------------------------------------
 
@@ -283,13 +249,14 @@ class Tree(Frozen):
     action set is not empty, that each label not met before is valid, and
     the depth bound, so the first fault in document order is raised.  The walk
     records `branch_map` (every non-terminal history with its actions; the
-    root is ``()``) and the leaves, padded, like what is built period by
-    period, up to the tree's `depth`; ``periods`` only bounds the padding a
-    label may carry.  Every reader resolves a leaf's own label through
-    `labels` (`leaf_position`).  Every problem on the tree, and every
-    problem that `substitute_params` or `risk.risk_transform` derives
-    from one, shares it and what is built from it (`per_tree`).  Identity
-    is used for equality and hashing.
+    root is ``()``) and the leaves.  A leaf is its label, its actions joined
+    with commas (`leaves`); its path padded with `PAD` up to the tree's
+    `depth`, like what is built period by period, is in `paths`.
+    ``periods`` only bounds the padding a spelling of a leaf may carry, and
+    `leaf_position` is the one reader of every spelling.  Every problem on
+    the tree, and every problem that `substitute_params` or
+    `risk.risk_transform` derives from one, shares it and what is built from
+    it (`per_tree`).  Identity is used for equality and hashing.
     """
 
     __match_args__ = ("periods",)
@@ -299,12 +266,12 @@ class Tree(Frozen):
     branch_map: dict[tuple[str, ...], tuple[str, ...]]
     #: The length of the longest leaf history, at most ``periods``.
     depth: int
-    #: All padded leaves, in document (depth-first) order.
-    leaves: tuple[ActionSequence, ...]
-    #: Each leaf's label, in leaf order.
-    labels: tuple[str, ...]
+    #: Each leaf's label, in document (depth-first) order.
+    leaves: tuple[str, ...]
+    #: Each leaf's actions padded to ``depth`` entries, in leaf order.
+    paths: tuple[tuple[str, ...], ...]
     #: Each leaf's label, mapped to the leaf's index.
-    _labels: dict[str, int]
+    _index: dict[str, int]
 
     def __init__(self, periods: int, nodes: Mapping) -> None:
         if periods < 1:
@@ -331,14 +298,10 @@ class Tree(Frozen):
             branch_map[history] = tuple(node)
             stack += [(history + (a,), child) for a, child in reversed(node.items())]
         depth = max(map(len, histories))
-        leaves = tuple([_pad(h, depth) for h in histories])
-        labels = tuple([leaf.label for leaf in leaves])
+        leaves = tuple([",".join(h) for h in histories])
         vars(self).update(periods=periods, branch_map=branch_map, depth=depth, leaves=leaves,
-                          labels=labels, _labels={a: i for i, a in enumerate(labels)})
-
-    @cached_property
-    def leaf_index(self) -> dict[ActionSequence, int]:
-        return {leaf: i for i, leaf in enumerate(self.leaves)}
+                          paths=tuple([h + (PAD,) * (depth - len(h)) for h in histories]),
+                          _index={a: i for i, a in enumerate(leaves)})
 
     @cached_property
     def _per_tree(self) -> dict:
@@ -357,42 +320,40 @@ class Tree(Frozen):
         """The length of each pair of neighbouring leaves' common padded
         prefix (`_common`), built once: the prefix runs and the adaptedness
         check of every rule on this tree read it."""
-        return _common([leaf.entries for leaf in self.leaves])
+        return _common(self.paths)
 
     @cached_property
     def prefixes(self) -> Prefixes:
         """The padded prefixes of the leaves as runs of leaves, built once."""
         return Prefixes(self)
 
-    def sequence(self, value: Union[str, ActionSequence, Iterable[str]]) -> ActionSequence:
-        """Resolve an action sequence given as a leaf, a comma-joined label,
-        or an iterable of action labels: exactly a leaf's actions, optionally
+    def leaf_position(self, value: Union[str, Iterable[str]]) -> int:
+        """The index of the leaf that ``value`` spells: a comma-joined label
+        or an iterable of action labels, exactly a leaf's actions, optionally
         followed by `PAD` entries up to ``periods`` entries in all.  Spaces
-        around the entries of a label are ignored."""
-        if isinstance(value, ActionSequence):
-            if value in self.leaf_index:
-                return value
-            value = value.entries
-        labels = self._labels
+        around the entries of a label are ignored; a leaf's own label takes
+        one dict lookup."""
+        index = self._index
         if isinstance(value, str):
-            label = value if value in labels else ",".join(p.strip() for p in value.split(","))
+            i = index.get(value)
+            if i is not None:
+                return i
+            label = ",".join(p.strip() for p in value.split(","))
         else:
             parts = tuple(value) if isinstance(value, Iterable) else (value,)
             if not all(isinstance(p, str) and "," not in p for p in parts):
                 raise ValidationError(f"{value!r} is not an action sequence")
             label = ",".join(parts)
-        i = labels.get(label)
+        i = index.get(label)
         if i is None and label.count(",") < self.periods:  # padded: strip the padding
-            i = labels.get(re.sub(f"(?:,{PAD})+$", "", label))
+            i = index.get(re.sub(f"(?:,{PAD})+$", "", label))
         if i is None:
             raise ValidationError(f"{label!r} is not a leaf of this problem")
-        return self.leaves[i]
+        return i
 
-    def leaf_position(self, value: Union[str, ActionSequence, Iterable[str]]) -> int:
-        """The index of the leaf that `sequence` resolves ``value`` to; a
-        leaf's own label takes one dict lookup."""
-        i = self._labels.get(value) if isinstance(value, str) else None
-        return self.leaf_index[self.sequence(value)] if i is None else i
+    def sequence(self, value: Union[str, Iterable[str]]) -> str:
+        """The label of the leaf that ``value`` spells (`leaf_position`)."""
+        return self.leaves[self.leaf_position(value)]
 
 
 def _common(seqs: Sequence[tuple[str, ...]]) -> tuple[int, ...]:
@@ -478,14 +439,10 @@ class DecisionProblem(Frozen):
         vars(self).update(tree=tree, states=states, param_names=param_names, table=table, den=den)
 
     @property
-    def leaves(self) -> tuple[ActionSequence, ...]:
+    def leaves(self) -> tuple[str, ...]:
         return self.tree.leaves
 
-    @property
-    def leaf_index(self) -> dict[ActionSequence, int]:
-        return self.tree.leaf_index
-
-    def sequence(self, value: Union[str, ActionSequence, Iterable[str]]) -> ActionSequence:
+    def sequence(self, value: Union[str, Iterable[str]]) -> str:
         return self.tree.sequence(value)
 
     def state_position(self, state: str) -> int:
@@ -545,7 +502,7 @@ def _leaf_weights(problem: DecisionProblem, row: Mapping, what: str,
         i = tree.leaf_position(leaf)
         if i in weights:
             name = what if key is None else f"{what} {key!r}"
-            raise ValidationError(f"leaf {tree.labels[i]!r} of {name} given twice")
+            raise ValidationError(f"leaf {tree.leaves[i]!r} of {name} given twice")
         weights[i] = _ratio(q)
     return weights
 
@@ -560,12 +517,12 @@ class JointDistribution(Frozen):
     """
 
     __match_args__ = ("leaves", "states", "cells", "den")
-    leaves: tuple[ActionSequence, ...]
+    leaves: tuple[str, ...]
     states: tuple[str, ...]
     cells: tuple[int, ...]
     den: int
 
-    def __init__(self, leaves: tuple[ActionSequence, ...], states: tuple[str, ...],
+    def __init__(self, leaves: tuple[str, ...], states: tuple[str, ...],
                  cells: Sequence[int], den: int) -> None:
         if len(cells) != len(leaves) * len(states) or den <= 0:
             raise ValidationError("joint distribution shape mismatch")
@@ -595,7 +552,7 @@ class JointDistribution(Frozen):
             for state, q in row:
                 k = i * width + problem.state_position(state)
                 if k in given:
-                    raise ValidationError(f"cell {tree.labels[i] + '@' + state!r} given twice")
+                    raise ValidationError(f"cell {tree.leaves[i] + '@' + state!r} given twice")
                 given[k] = _ratio(q)
         nums, den = _over_lcm(given.values())
         cells = [0] * (len(problem.leaves) * width)
@@ -612,7 +569,7 @@ class JointDistribution(Frozen):
         out: dict[str, dict[str, str]] = {}
         for k, x in enumerate(self.cells):
             if x:
-                out.setdefault(leaves[k // width].label, {})[states[k % width]] = _format(x, self.den)
+                out.setdefault(leaves[k // width], {})[states[k % width]] = _format(x, self.den)
         return out
 
 
@@ -627,11 +584,11 @@ class MarginalDistribution(Frozen):
 
     __slots__ = ("leaves", "weights", "den")
     __match_args__ = __slots__
-    leaves: tuple[ActionSequence, ...]
+    leaves: tuple[str, ...]
     weights: tuple[int, ...]
     den: int
 
-    def __init__(self, leaves: tuple[ActionSequence, ...], weights: Sequence[int],
+    def __init__(self, leaves: tuple[str, ...], weights: Sequence[int],
                  den: int) -> None:
         if len(weights) != len(leaves) or den <= 0:
             raise ValidationError("marginal distribution shape mismatch")
@@ -651,13 +608,14 @@ class MarginalDistribution(Frozen):
         return MarginalDistribution(problem.leaves, vec, den)
 
     def to_json_dict(self) -> dict:
-        return {leaf.label: _format(w, self.den)
+        return {leaf: _format(w, self.den)
                 for leaf, w in zip(self.leaves, self.weights) if w}
 
 
-#: What an analyst can observe: one action sequence, an action-sequence law,
-#: or a joint action-state law.
-Observation = Union[ActionSequence, MarginalDistribution, JointDistribution]
+#: What an analyst can observe: one action sequence, as its label (or any
+#: spelling that `Tree.leaf_position` reads), an action-sequence law, or a
+#: joint action-state law.
+Observation = Union[str, MarginalDistribution, JointDistribution]
 
 
 def _require_joint_shape(problem: DecisionProblem, joint: JointDistribution) -> None:
@@ -681,7 +639,7 @@ def consistency(problem: DecisionProblem, observed: Observation) -> tuple[tuple[
         if observed.leaves != problem.leaves:
             raise ValidationError("marginal law leaves do not match the problem")
         return tuple((i * width, i * width + width, w) for i, w in enumerate(observed.weights))
-    start = problem.leaf_index[problem.sequence(observed)] * width
+    start = problem.tree.leaf_position(observed) * width
     return ((start, start + width, 1),)
 
 
@@ -754,7 +712,7 @@ def problem_from_dict(doc: Mapping) -> DecisionProblem:
         raise ParseError("params must be a list of strings")
 
     tree = Tree(periods, doc["tree"])
-    known = tree._labels  # a leaf is keyed by its label alone
+    known = tree._index  # a leaf is keyed by its label alone
 
     utility_doc = doc["utility"]
     if not isinstance(utility_doc, Mapping):
@@ -788,7 +746,7 @@ def problem_from_dict(doc: Mapping) -> DecisionProblem:
         cells = [cells[k - k % width + column[states[k % width]]] for k in range(len(cells))]
         if None in cells:
             k = cells.index(None)
-            raise ValidationError(f"missing utility for leaf {tree.labels[k // width]!r}"
+            raise ValidationError(f"missing utility for leaf {tree.leaves[k // width]!r}"
                                   f" in state {states[k % width]!r}")
     nums, den = _over_lcm(list(chain.from_iterable(cells)))
     return DecisionProblem(tree, tuple(states), tuple(params), _chunks(nums, 1 + len(params)), den)
@@ -836,7 +794,7 @@ def problem_to_dict(problem: DecisionProblem) -> dict:
         "states": list(problem.states),
         "tree": nodes[()],
         "utility": {label: dict(zip(problem.states, row))
-                    for label, row in zip(tree.labels, _chunks(entries, len(problem.states)))},
+                    for label, row in zip(tree.leaves, _chunks(entries, len(problem.states)))},
     }
     if problem.param_names:
         doc["params"] = list(problem.param_names)

@@ -60,7 +60,7 @@ def _optimal_value(
     """
     table, _ = problem.integer_payoffs
     branch_map = problem.tree.branch_map
-    payoff_at = dict(zip(problem.tree.labels, table))  # by each leaf's label
+    payoff_at = dict(zip(problem.leaves, table))  # by each leaf's label
     live = [k for k, row in enumerate(weights) if any(row)]
     by_length: dict[int, dict[tuple[str, ...], list[int]]] = {}
     sums: dict[tuple[str, ...], dict[tuple[str, ...], int]] = {}
@@ -95,7 +95,7 @@ def verify_obedient_optimality(problem: DecisionProblem, law: JointDistribution)
     weights = _chunks(law.cells, len(law.states))
     table, _ = problem.integer_payoffs
     obeyed = sum(w * u for row, pay in zip(weights, table) for w, u in zip(row, pay))
-    best = _optimal_value(problem, [leaf.entries for leaf in problem.leaves], weights)
+    best = _optimal_value(problem, problem.tree.paths, weights)
     return obeyed == best
 
 

@@ -54,7 +54,6 @@ from typing import Optional, Union
 from . import lp as lpmod
 from .deviation import DeviationRule, best_joint_deviation, dominates, pure_rule
 from .model import (
-    ActionSequence,
     DecisionProblem,
     Frozen,
     JointDistribution,
@@ -91,10 +90,10 @@ class ApparentDominanceWitness(Frozen):
 
     __slots__ = ("lottery", "margin")
     __match_args__ = __slots__
-    lottery: tuple[tuple[ActionSequence, Fraction], ...]
+    lottery: tuple[tuple[str, Fraction], ...]
     margin: Fraction
 
-    def __init__(self, lottery: tuple[tuple[ActionSequence, Fraction], ...],
+    def __init__(self, lottery: tuple[tuple[str, Fraction], ...],
                  margin: Fraction) -> None:
         if margin <= 0:
             raise ValidationError("apparent-dominance margin must be positive")
@@ -104,7 +103,7 @@ class ApparentDominanceWitness(Frozen):
 
     def to_json_dict(self) -> dict:
         return {
-            "lottery": {a.label: format_rational(w) for a, w in self.lottery},
+            "lottery": {a: format_rational(w) for a, w in self.lottery},
             "margin": format_rational(self.margin),
         }
 
@@ -121,10 +120,10 @@ def obedient_triple_to_json(law: JointDistribution) -> dict:
         mass = sum(column)
         if mass:
             prior[state] = _format(mass, law.den)
-            recommendation[state] = {a.label: _format(x, mass)
+            recommendation[state] = {a: _format(x, mass)
                                      for a, x in zip(law.leaves, column) if x}
         else:
-            recommendation[state] = {law.leaves[0].label: "1"}
+            recommendation[state] = {law.leaves[0]: "1"}
     return {"prior": prior, "recommendation": recommendation}
 
 
@@ -183,20 +182,17 @@ class Verdict(Frozen):
 # Dominance search (deviation-rule side)
 # ---------------------------------------------------------------------------
 
-def apparently_dominated(
-    problem: DecisionProblem, a: ActionSequence
-) -> Optional[ApparentDominanceWitness]:
+def apparently_dominated(problem: DecisionProblem, a: str) -> Optional[ApparentDominanceWitness]:
     """Best uniform-margin lottery against ``a``: maximizes the worst-state
     payoff gap and returns a witness when that optimum is strictly positive.
     State s's row reads sum_b alpha(b) u(b, s) - margin >= u(a, s), in the
     integers of `DecisionProblem.integer_payoffs` over their denominator."""
     table, den = problem.integer_payoffs
-    a = problem.sequence(a)
     prog = lpmod.LinearProgram()
     alpha = [prog.add_variable() for _ in problem.leaves]
     margin = prog.add_variable(free=True)
     prog.add_row(dict.fromkeys(alpha, 1), "==", 1)
-    for s, own in enumerate(table[problem.leaf_index[a]]):
+    for s, own in enumerate(table[problem.tree.leaf_position(a)]):
         coeffs = {k: row[s] for k, row in zip(alpha, table) if row[s]}
         coeffs[margin] = -den
         prog.add_row(coeffs, ">=", own, den)
@@ -311,24 +307,22 @@ def _dominance(
     rows outside the touched blocks; at value 0 the obedient law of its
     duals (`_obedient_law`).
     """
-    leaves = problem.leaves
     prog, inputs, gain_rows = _dominance_program(problem, observed)
     sol = lpmod.solve(prog)
     if sol.status != "optimal":  # pragma: no cover - identity rule is feasible, gains bounded
         raise InternalInconsistencyError(f"dominance program ended {sol.status}")
     if sol.value > 0:
         xs, xden = sol.integer_assignment
-        n = len(leaves)
+        n = len(problem.leaves)
         rows = [[(i, xden)] for i in range(n)]
         for p, i in enumerate(inputs):
             rows[i] = [(j, x) for j, x in enumerate(xs[p * n:p * n + n]) if x]
-        return _checked(problem, DeviationRule(leaves, rows, xden, problem.tree.common),
-                        observed)
+        return _checked(problem, DeviationRule(problem.tree, rows, xden), observed)
     return _obedient_law(problem, prog, sol, gain_rows)
 
 
 def max_positive_marginal(
-    problem: DecisionProblem, a: ActionSequence
+    problem: DecisionProblem, a: str
 ) -> tuple[Fraction, Optional[JointDistribution]]:
     """Maximize the probability of ``a`` over all obedient joint laws.
 

@@ -23,12 +23,13 @@ from itertools import accumulate, chain, product
 
 from .deviation import _support_is_adapted
 from .model import (
-    ActionSequence,
     DecisionProblem,
     Frozen,
     JointDistribution,
+    Tree,
     ValidationError,
     _chunks,
+    _common,
     _format,
     _leaf_weights,
     _lowest,
@@ -151,33 +152,34 @@ class InformationStructure(Frozen):
 
 
 class Strategy(Frozen):
-    """An adapted kernel from signal sequences to leaves, as integers in
-    lowest terms: ``kernel[k][i] / den`` is the probability of playing
-    ``leaves[i]`` after the k-th sequence.  Play through period t may depend
-    only on the first t signals, one signal set per period."""
+    """An adapted kernel from signal sequences to the leaves of a tree, as
+    integers in lowest terms: ``kernel[k][i] / den`` is the probability of
+    playing ``leaves[i]`` after the k-th sequence.  Play through period t
+    may depend only on the first t signals, one signal set per period; it is
+    read from the tree's padded paths (`Tree.paths`).  The strategy keeps
+    the tree's leaves."""
 
     __match_args__ = ("signal_sets", "leaves", "kernel", "den")
     signal_sets: tuple[tuple[str, ...], ...]
-    leaves: tuple[ActionSequence, ...]
+    leaves: tuple[str, ...]
     kernel: tuple[tuple[int, ...], ...]
     den: int
 
-    def __init__(self, signal_sets: tuple[tuple[str, ...], ...],
-                 leaves: tuple[ActionSequence, ...], kernel: tuple[tuple[int, ...], ...],
-                 den: int) -> None:
-        if any(len(leaf.entries) > len(signal_sets) for leaf in leaves):
+    def __init__(self, signal_sets: tuple[tuple[str, ...], ...], tree: Tree,
+                 kernel: tuple[tuple[int, ...], ...], den: int) -> None:
+        if tree.depth > len(signal_sets):
             raise ValidationError("strategy periods do not match the leaves")
         _set(self, "signal_sets", signal_sets)
-        n_seq = len(self.sequences)
-        if len(kernel) != n_seq or any(len(r) != len(leaves) for r in kernel) or den <= 0:
+        n = len(tree.leaves)
+        if len(kernel) != len(self.sequences) or any(len(r) != n for r in kernel) or den <= 0:
             raise ValidationError("strategy kernel shape mismatch")
         for row in kernel:
             _require_probability_numerators(row, den, "strategy row")
         support = [[(i, x) for i, x in enumerate(row) if x] for row in kernel]
-        if not _support_is_adapted(self.sequences, [l.entries for l in leaves], support):
+        if not _support_is_adapted(_common(self.sequences), tree.paths, support):
             raise ValidationError("strategy is not adapted")
         kernel, den = _lowest(chain.from_iterable(kernel), den)
-        vars(self).update(leaves=leaves, kernel=_chunks(kernel, len(leaves)), den=den)
+        vars(self).update(leaves=tree.leaves, kernel=_chunks(kernel, n), den=den)
 
     @cached_property
     def sequences(self) -> tuple[tuple[str, ...], ...]:
@@ -195,13 +197,13 @@ class Strategy(Frozen):
             for i, q in _leaf_weights(problem, row, "strategy row", seq_id).items():
                 kernel[first + i] = q
         nums, den = _over_lcm(kernel)
-        return Strategy(signal_sets, problem.leaves, _chunks(nums, n), den)
+        return Strategy(signal_sets, problem.tree, _chunks(nums, n), den)
 
     def to_json_dict(self) -> dict:
         return {
             "signals": [list(s) for s in self.signal_sets],
             "kernel": {
-                ",".join(seq): {leaf.label: _format(w, self.den)
+                ",".join(seq): {leaf: _format(w, self.den)
                                 for leaf, w in zip(self.leaves, row) if w}
                 for seq, row in zip(self.sequences, self.kernel)
             },

@@ -98,10 +98,12 @@ def check_solution(prog: lp.LinearProgram, assignment) -> bool:
     return lp._feasible(prog, *m._over_lcm([q.as_integer_ratio() for q in assignment]))
 
 
-def compose(outer: dv.DeviationRule, inner: dv.DeviationRule) -> dv.DeviationRule:
-    """The rule applying ``inner`` first and ``outer`` to its output; kernels
-    multiply, and the result is adapted whenever both factors are."""
-    if tuple(outer.leaves) != tuple(inner.leaves):
+def compose(problem: m.DecisionProblem, outer: dv.DeviationRule,
+            inner: dv.DeviationRule) -> dv.DeviationRule:
+    """The rule on ``problem``'s tree applying ``inner`` first and ``outer``
+    to its output; kernels multiply, and the result is adapted whenever both
+    factors are."""
+    if not outer.leaves == inner.leaves == problem.leaves:
         raise m.ValidationError("rules are defined over different leaf sets")
     rows = []
     for row in inner.rows:
@@ -110,7 +112,7 @@ def compose(outer: dv.DeviationRule, inner: dv.DeviationRule) -> dv.DeviationRul
             for z, b in outer.rows[y]:
                 product_row[z] = product_row.get(z, 0) + a * b
         rows.append(tuple(product_row.items()))
-    return dv.DeviationRule(inner.leaves, tuple(rows), inner.den * outer.den)
+    return dv.DeviationRule(problem.tree, tuple(rows), inner.den * outer.den)
 
 
 def lambda_D_set(problem: m.DecisionProblem, rule: dv.DeviationRule, observation, grid, *,
@@ -186,7 +188,7 @@ def payoffs(problem: m.DecisionProblem) -> tuple[tuple[Fraction, ...], ...]:
 
 def utility(problem: m.DecisionProblem, a, state: str) -> Fraction:
     """Exact terminal utility of leaf ``a`` in ``state`` (parameter-free problems)."""
-    return payoffs(problem)[problem.leaf_index[problem.sequence(a)]][problem.state_position(state)]
+    return payoffs(problem)[problem.tree.leaf_position(a)][problem.state_position(state)]
 
 
 def lottery_utility(problem: m.DecisionProblem, lottery, state: str) -> Fraction:
@@ -208,7 +210,7 @@ def gains(problem: m.DecisionProblem, rule: dv.DeviationRule) -> tuple[tuple[Fra
 
 def improvement(problem: m.DecisionProblem, rule: dv.DeviationRule, a, state: str) -> Fraction:
     """The payoff change from following the rule instead of playing ``a``."""
-    i = problem.leaf_index[problem.sequence(a)]
+    i = problem.tree.leaf_position(a)
     return gains(problem, rule)[i][problem.state_position(state)]
 
 
@@ -216,7 +218,7 @@ def reference_dominates_sequence(problem, rule, a) -> bool:
     """The rule improves ``a`` strictly in every state and hurts no cell."""
     table = gains(problem, rule)
     return (all(g >= 0 for row in table for g in row)
-            and all(g > 0 for g in table[problem.leaf_index[problem.sequence(a)]]))
+            and all(g > 0 for g in table[problem.tree.leaf_position(a)]))
 
 
 def reference_dominates_marginal(problem, rule, marginal) -> bool:
@@ -372,18 +374,18 @@ def random_pure_rule(rng: random.Random, problem: m.DecisionProblem) -> dv.Devia
             return [prefix + (PAD,)]
         return [prefix + (a,) for a in problem.tree.branch_map[history]]
 
-    mapping: dict[m.ActionSequence, m.ActionSequence] = {}
+    mapping: dict[tuple[str, ...], tuple[str, ...]] = {}  # padded input path -> output path
 
     def walk(inp, out):
         if len(inp) == T:
-            mapping[m.ActionSequence(inp)] = m.ActionSequence(out)
+            mapping[inp] = out
             return
         for ic in children(inp):
             walk(ic, rng.choice(children(out)))
 
     walk((), ())
-    return dv.DeviationRule(problem.leaves, tuple(
-        ((problem.leaf_index[mapping[a]], 1),) for a in problem.leaves), 1)
+    return dv.DeviationRule(problem.tree, tuple(
+        ((problem.tree.leaf_position(mapping[path]), 1),) for path in problem.tree.paths), 1)
 
 
 def random_rule(rng: random.Random, problem: m.DecisionProblem) -> dv.DeviationRule:
@@ -496,8 +498,9 @@ def rational_rows(constraints) -> list[tuple[dict, str, Fraction]]:
 def reference_inputs(problem: m.DecisionProblem, leaves) -> list[int]:
     """The leaves that share their first action with one of ``leaves``, by
     index in leaf order: the inputs of the first-action blocks they touch."""
-    firsts = {a.entries[0] for a in leaves}
-    return [i for i, b in enumerate(problem.leaves) if b.entries[0] in firsts]
+    paths = problem.tree.paths
+    firsts = {paths[problem.tree.leaf_position(a)][0] for a in leaves}
+    return [i for i, b in enumerate(paths) if b[0] in firsts]
 
 
 def reference_polytope_rows(problem: m.DecisionProblem,
@@ -513,8 +516,8 @@ def reference_polytope_rows(problem: m.DecisionProblem,
     rows = [({col[i] + j: one for j in range(n)}, "==", one) for i in inputs]
     for t in range(1, problem.tree.periods):
         classes = {}  # each padded length-t prefix: its leaves, in leaf order
-        for i, leaf in enumerate(problem.leaves):
-            classes.setdefault(leaf.entries[:t], []).append(i)
+        for i, path in enumerate(problem.tree.paths):
+            classes.setdefault(path[:t], []).append(i)
         for members in classes.values():
             for a_i, a_k in zip(members, members[1:]):
                 if a_i not in col:
@@ -549,7 +552,7 @@ def reference_dominance_program(problem: m.DecisionProblem, observed,
         objective = {levels[i]: Fraction(observed.weights[i], observed.den) for i in inputs}
     else:
         k = prog.add_variable(free=True)
-        levels = {problem.leaf_index[problem.sequence(observed)]: k}
+        levels = {problem.tree.leaf_position(observed): k}
         objective = {k: Fraction(1)}
     for p, i in enumerate(inputs):
         for s in range(len(problem.states)):
@@ -585,9 +588,10 @@ def structure_of(states, prior, signal_sets, kernel) -> st.InformationStructure:
     return st.InformationStructure(tuple(states), nums, den, tuple(signal_sets), rows, kden)
 
 
-def strategy_of(signal_sets, leaves, kernel) -> st.Strategy:
-    """The strategy with rational ``kernel`` rows, one per signal sequence."""
-    return st.Strategy(tuple(signal_sets), tuple(leaves), *_over_one_lcm(kernel))
+def strategy_of(signal_sets, tree, kernel) -> st.Strategy:
+    """The strategy on ``tree`` with rational ``kernel`` rows, one per signal
+    sequence."""
+    return st.Strategy(tuple(signal_sets), tree, *_over_one_lcm(kernel))
 
 
 def fraction_prior(structure: st.InformationStructure) -> tuple[Fraction, ...]:
@@ -644,7 +648,7 @@ def reference_optimal_value(problem: m.DecisionProblem, prior, signal_seqs, kern
     utab = dict(zip(problem.leaves, payoffs(problem)))
     weights = [[prior[s] * kernel[s][k] for s in range(len(problem.states))]
                for k in range(len(signal_seqs))]
-    pad_leaf = {leaf.history: leaf for leaf in problem.leaves}
+    pad_leaf = {tuple(leaf.split(",")): leaf for leaf in problem.leaves}
 
     def terminal_mass(seq_ids, history) -> Fraction:
         leaf = pad_leaf[history]
@@ -679,7 +683,7 @@ def reference_integer_optimal_value(problem: m.DecisionProblem, signal_seqs, wei
     table, _ = problem.integer_payoffs
     tree = problem.tree
     utab = dict(zip(problem.leaves, table))
-    pad_leaf = {leaf.history: leaf for leaf in problem.leaves}
+    pad_leaf = {tuple(leaf.split(",")): leaf for leaf in problem.leaves}
 
     def terminal_mass(seq_ids, history) -> int:
         pay = utab[pad_leaf[history]]
@@ -711,17 +715,18 @@ def reference_best_joint_deviation(problem: m.DecisionProblem, joint: m.JointDis
     argmaxes give, ties to the first output child."""
     table, uden = problem.integer_payoffs
     depth = problem.tree.depth
-    pay = {b.entries: row for b, row in zip(problem.leaves, table)}
+    paths = problem.tree.paths
+    pay = {b: row for b, row in zip(paths, table)}
     width = len(problem.states)
     rows = [joint.cells[k:k + width] for k in range(0, len(joint.cells), width)]
-    mass = {a.entries: row for a, row in zip(problem.leaves, rows) if any(row)}
+    mass = {a: row for a, row in zip(paths, rows) if any(row)}
     live = {a[:t] for a in mass for t in range(depth + 1)}
     kids = {}  # each padded prefix shorter than the depth: its one-longer prefixes, in order
-    for leaf in problem.leaves:
+    for path in paths:
         for t in range(depth):
-            row = kids.setdefault(leaf.entries[:t], [])
-            if leaf.entries[:t + 1] not in row:
-                row.append(leaf.entries[:t + 1])
+            row = kids.setdefault(path[:t], [])
+            if path[:t + 1] not in row:
+                row.append(path[:t + 1])
     choice = {}
 
     def value(h, g) -> int:
@@ -743,14 +748,14 @@ def reference_best_joint_deviation(problem: m.DecisionProblem, joint: m.JointDis
 
     def follow(h, g) -> None:
         if len(h) == depth:
-            outputs[h] = ((problem.leaf_index[m.ActionSequence(g)], 1),)
+            outputs[h] = ((problem.tree.leaf_position(g), 1),)
             return
         for hc in kids[h]:
             follow(hc, choice.get((hc, g)) or kids[g][0])
 
     gain = value((), ()) - sum(sum(x * y for x, y in zip(row, pay[a])) for a, row in mass.items())
     follow((), ())
-    rule = dv.DeviationRule(problem.leaves, tuple(outputs[b.entries] for b in problem.leaves), 1)
+    rule = dv.DeviationRule(problem.tree, tuple(outputs[b] for b in paths), 1)
     return Fraction(gain, joint.den * uden), rule
 
 
@@ -802,7 +807,7 @@ def exhaustive_optimal_value(problem: m.DecisionProblem, structure) -> Fraction:
         """All adapted choices mapping this signal class (and descendants)
         into completions of out_prefix; yields dicts seq_index -> leaf."""
         if t == T:
-            leaf = m.ActionSequence(out_prefix)
+            leaf = problem.sequence(out_prefix)
             yield {k: leaf for k in prefix_ids}
             return
         per_group = []

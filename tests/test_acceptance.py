@@ -59,7 +59,7 @@ def log_law(problem, law, positive_on=None):
     WITNESS_LOG.append(("law", problem, law, None, (positive_on,)))
     assert oc.verify_obedient_optimality(problem, law)
     if positive_on is not None:
-        mass = sum(fraction_matrix(law)[problem.leaf_index[positive_on]], F(0))
+        mass = sum(fraction_matrix(law)[problem.tree.leaf_position(positive_on)], F(0))
         assert mass > 0
 
 
@@ -67,7 +67,7 @@ def log_law(problem, law, positive_on=None):
 def test_criterion_1_example1(example1):
     for leaf in example1.leaves:
         verdict = rz.decide(example1, leaf)
-        assert verdict.rationalizable, leaf.label
+        assert verdict.rationalizable, leaf
         log_law(example1, verdict.witness, positive_on=leaf)
     pull_back = example1.sequence("invest,pull_back")
     witness = rz.apparently_dominated(example1, pull_back)
@@ -170,7 +170,7 @@ def test_criterion_5_witness_soundness():
             assert oc.verify_obedient_optimality(problem, payload)
             positive_on = context[0]
             if positive_on is not None:
-                row = fraction_matrix(payload)[problem.leaf_index[positive_on]]
+                row = fraction_matrix(payload)[problem.tree.leaf_position(positive_on)]
                 assert sum(row, F(0)) > 0
     assert rules > 0 and laws > 0
     print(f"  re-verified {rules} dominating rules and {laws} obedient laws")

@@ -351,7 +351,7 @@ def test_carried_certificates_keep_every_interval(example2, example3, monkeypatc
         flips |= {(kind, a, b) for a, b in zip(tags, tags[1:])}
     # each kind of certificate meets the end of its range: a rule's "out"
     # stretch ends at an "in" one and a law's "in" stretch at an "out" one
-    for kind in ("ActionSequence", "MarginalDistribution", "JointDistribution"):
+    for kind in ("str", "MarginalDistribution", "JointDistribution"):
         assert {(kind, "out", "in"), (kind, "in", "out")} <= flips
     assert unchecked > 100
 
@@ -413,7 +413,7 @@ def test_integer_samples_match_the_fraction_sweep(lo, hi, tol, grid_points, monk
             if tag == "gap":
                 gaps.add((type(observation).__name__, y - x == step, y - x <= tol))
     kinds = {kind for kind, _, _ in gaps}
-    assert kinds == {"ActionSequence", "MarginalDistribution", "JointDistribution"}
+    assert kinds == {"str", "MarginalDistribution", "JointDistribution"}
     # a gap is one grid cell exactly when the tolerance is not below the step
     assert {(cell, narrow) for _, cell, narrow in gaps} == {(tol >= step, True)}
 
@@ -815,5 +815,5 @@ def test_rule_range_is_where_it_dominates():
                         weights, strict = dv.failed_condition(cells, rows)
                         if sum(w * cells[c] for c, w in weights) == 0:
                             ties.add((type(observation).__name__, strict))
-    assert {(kind, True) for kind in ("ActionSequence", "MarginalDistribution",
+    assert {(kind, True) for kind in ("str", "MarginalDistribution",
                                       "JointDistribution")} <= ties

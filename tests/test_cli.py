@@ -786,7 +786,7 @@ def test_a_deep_chain_rule_reads_its_tree_s_common_prefixes(capsys, monkeypatch,
         return real(seqs)
 
     monkeypatch.setattr(model, "_common", common)
-    monkeypatch.setattr(deviation, "_common", common)
+    assert not hasattr(deviation, "_common")  # a rule reads its tree's, and derives none
     doc, dist = chain_doc(700)
     problem, report = tmp_path / "chain.json", tmp_path / "report.json"
     problem.write_text(json.dumps(doc))
@@ -898,7 +898,7 @@ def test_maxprob_and_check_marginal_on_three_periods(capsys, tmp_path):
     problem = load_problem(Path(tree).read_text())
     interior = 0
     for leaf in problem.leaves:
-        code, out, err = run_cli(capsys, "maxprob", tree, "--seq", leaf.label)
+        code, out, err = run_cli(capsys, "maxprob", tree, "--seq", leaf)
         assert code == 0, err
         value = Fraction(first_report(out)["result"]["value"])
         assert (value == 0) == (rationalize.dominating_rule(problem, leaf) is not None)
@@ -913,7 +913,7 @@ def test_maxprob_and_check_marginal_on_three_periods(capsys, tmp_path):
         # the witness's action marginal is rationalizable by construction
         dist = tmp_path / "marginal.json"
         marginal = joint.action_marginal()
-        dist.write_text(json.dumps({a.label: format_rational(Fraction(w, marginal.den))
+        dist.write_text(json.dumps({a: format_rational(Fraction(w, marginal.den))
                                     for a, w in zip(problem.leaves, marginal.weights)}))
         code, out, err = run_cli(capsys, "check-marginal", tree, "--dist-file", str(dist))
         assert code == 0, err

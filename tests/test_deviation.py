@@ -63,7 +63,7 @@ def test_is_adapted_hedge_example(example2):
 
 def test_is_adapted_requires_stochastic_rows(example1):
     with pytest.raises(m.ValidationError, match="sum"):
-        dv.is_adapted(example1, {l.label: {l.label: "1/2"} for l in example1.leaves})
+        dv.is_adapted(example1, {l: {l: "1/2"} for l in example1.leaves})
 
 
 def test_enumeration_counts(example1, example2):
@@ -104,10 +104,10 @@ def test_size_guard(example2):
 def test_compose_identity_laws(example1):
     ident = dv.identity_rule(example1)
     north = all_to(example1, "not_invest")
-    assert fraction_matrix(compose(ident, north)) == fraction_matrix(north)
-    assert fraction_matrix(compose(north, ident)) == fraction_matrix(north)
+    assert fraction_matrix(compose(example1, ident, north)) == fraction_matrix(north)
+    assert fraction_matrix(compose(example1, north, ident)) == fraction_matrix(north)
     # a constant rule absorbs whatever runs first
-    assert fraction_matrix(compose(north, dv.identity_rule(example1))) == fraction_matrix(north)
+    assert fraction_matrix(compose(example1, north, dv.identity_rule(example1))) == fraction_matrix(north)
 
 
 def test_compose_closure_and_associativity():
@@ -115,10 +115,10 @@ def test_compose_closure_and_associativity():
     for _ in range(15):
         p = random_problem(rng, max_rules=250)
         d1, d2, d3 = (random_rule(rng, p) for _ in range(3))
-        c = compose(d1, d2)  # construction validates adaptedness
+        c = compose(p, d1, d2)  # construction validates adaptedness
         assert dv.is_adapted(p, fraction_matrix(c))
-        assert fraction_matrix(compose(d1, compose(d2, d3))) == fraction_matrix(
-            compose(compose(d1, d2), d3))
+        assert fraction_matrix(compose(p, d1, compose(p, d2, d3))) == fraction_matrix(
+            compose(p, compose(p, d1, d2), d3))
 
 
 def test_improvement_values(example1, example2):
@@ -228,7 +228,7 @@ def test_gains_match_the_per_cell_formula():
     verdicts = {"joint": set(), "marginal": set(), "sequence": set()}
     for _ in range(60):
         p = random_problem(rng, max_leaves=6)
-        padded += any(m.PAD in leaf.entries for leaf in p.leaves)
+        padded += any(m.PAD in path for path in p.tree.paths)
         for rule in (random_rule(rng, p), random_pure_rule(rng, p), dv.identity_rule(p)):
             assert gains(p, rule) == tuple(
                 tuple(per_cell_improvement(p, rule, a, s) for s in p.states) for a in p.leaves)
@@ -258,7 +258,7 @@ def test_integer_sign_tests_match_fraction_arithmetic():
     tips = (F(0), F(1, 10**12), F(-1, 10**12))
     for _ in range(40):
         p = random_problem(rng, max_leaves=6)
-        rule = compose(random_rule(rng, p), random_rule(rng, p))
+        rule = compose(p, random_rule(rng, p), random_rule(rng, p))
         mixed_rows += len({math.lcm(*(w.denominator for w in row))
                            for row in fraction_matrix(rule)}) > 1
         cells = [(a, s) for a in p.leaves for s in p.states]
@@ -462,15 +462,15 @@ def test_sparse_adaptedness_matches_dense_reference():
     cases = {"shallow": [], "deep": [], "strategy": []}
     for name, problems in (("shallow", shallow), ("deep", deep)):
         for p in problems:
-            entries = [leaf.entries for leaf in p.leaves]
+            entries = list(p.tree.paths)
             rule = fraction_matrix(random_rule(rng, p))
             cases[name].append((entries, entries, rule, p.tree.periods))
     for p in shallow[:30] + deep[:5] + deep[-3:]:
         periods = p.tree.depth + rng.randint(1, 2)
         signal_sets = [("g", "b")[:rng.randint(1, 2)] for _ in range(periods)]
         seqs, kernel = random_strategy_kernel(rng, p, signal_sets)
-        assert seqs == list(strategy_of(signal_sets, p.leaves, kernel).sequences)
-        cases["strategy"].append((seqs, [leaf.entries for leaf in p.leaves], kernel, periods))
+        assert seqs == list(strategy_of(signal_sets, p.tree, kernel).sequences)
+        cases["strategy"].append((seqs, list(p.tree.paths), kernel, periods))
     for name, found in cases.items():
         verdicts = set()
         for in_seqs, out_seqs, adapted, periods in found:
@@ -479,7 +479,7 @@ def test_sparse_adaptedness_matches_dense_reference():
                 assert expected or n  # the kernel before any move is adapted
                 den = math.lcm(*(F(w).denominator for row in kernel for w in row))
                 support = [[(j, int(w * den)) for j, w in enumerate(row) if w] for row in kernel]
-                assert dv._support_is_adapted(in_seqs, out_seqs, support) == expected
+                assert dv._support_is_adapted(m._common(in_seqs), out_seqs, support) == expected
                 verdicts.add(expected)
         assert verdicts == {True, False}, name
 
@@ -501,12 +501,12 @@ def test_backward_induction_matches_the_joint_dominance_lp():
         gain = F(num, joint.den * p.den)  # the gain is its numerator over joint.den * p.den
         assert gain == joint_dominance_optimum(p, joint)
         rule = dv.pure_rule(p, targets())
-        entries = [leaf.entries for leaf in p.leaves]
+        entries = list(p.tree.paths)
         assert dense_matrix_is_adapted(entries, entries, fraction_matrix(rule), p.tree.periods)
         assert rule_gain(p, rule, joint) == gain
         assert all(w in (0, 1) for row in fraction_matrix(rule) for w in row)
         assert dv.dominates(p, rule, joint) == (gain > 0)
-        padded += any(m.PAD in leaf.entries for leaf in p.leaves)
+        padded += any(m.PAD in path for path in p.tree.paths)
         zero_mass += any(not any(row) for row in fraction_matrix(joint))
         positive += gain > 0
     # the sweep exercised padded trees, leaves without mass and both verdicts
@@ -543,8 +543,8 @@ def test_flat_last_period_matches_the_recursive_induction():
             reference_best_joint_deviation(p, joint))
         width = len(p.states)
         depths.add(p.tree.depth)
-        padded += any(m.PAD in leaf.entries for leaf in p.leaves)
-        above = [leaf.entries[:p.tree.depth - 1] for leaf in p.leaves]
+        padded += any(m.PAD in path for path in p.tree.paths)
+        above = [path[:p.tree.depth - 1] for path in p.tree.paths]
         alone += any(above.count(prefix) == 1 and any(joint.cells[i * width:i * width + width])
                      for i, prefix in enumerate(above))
         empty_row += any(not any(joint.cells[k:k + width]) for k in range(0, len(joint.cells), width))

@@ -15,15 +15,15 @@ from conftest import complete_tree_doc, lottery_utility, payoffs, random_problem
 
 
 def test_example1_loads(example1):
-    assert [l.label for l in example1.leaves] == [
-        "not_invest", "invest,pull_back", "invest,invest",
-    ]
+    assert example1.leaves == ("not_invest", "invest,pull_back", "invest,invest")
+    assert example1.tree.paths == (
+        ("not_invest", "_"), ("invest", "pull_back"), ("invest", "invest"))
     assert example1.states == ("good", "bad")
     assert example1.param_names == ()
 
 
 def test_example2_loads(example2):
-    assert [l.label for l in example2.leaves] == ["x", "y", "w,x", "w,y"]
+    assert example2.leaves == ("x", "y", "w,x", "w,y")
     assert example2.param_names == ("delta",)
 
 
@@ -225,13 +225,15 @@ def test_leaves_are_distinct_padded_paths():
     rng = random.Random(11)
     for _ in range(25):
         p = random_problem(rng)
-        assert len(set(p.leaves)) == len(p.leaves)
-        for leaf in p.leaves:
-            assert len(leaf.entries) == p.tree.depth <= p.tree.periods
-            assert leaf.history not in p.tree.branch_map
+        assert len(set(p.leaves)) == len(p.leaves) == len(p.tree.paths)
+        for leaf, path in zip(p.leaves, p.tree.paths):
+            history = tuple(leaf.split(","))
+            assert path == history + (m.PAD,) * (p.tree.depth - len(history))
+            assert len(path) == p.tree.depth <= p.tree.periods
+            assert history not in p.tree.branch_map
             # the unpadded prefix walks the tree
             h = ()
-            for a in leaf.history:
+            for a in history:
                 assert a in p.tree.branch_map[h]
                 h += (a,)
 
@@ -245,9 +247,9 @@ def parse_affine(value, params) -> tuple[F, dict[str, F]]:
 
 def rendered_entries(problem) -> dict:
     """Each utility entry as `problem_to_dict` renders it, parsed back:
-    ``{(padded leaf, state): (constant, coefficients)}``."""
+    ``{(leaf, state): (constant, coefficients)}``."""
     doc = m.problem_to_dict(problem)
-    return {(problem.sequence(label).entries, s): parse_affine(value, problem.param_names)
+    return {(problem.sequence(label), s): parse_affine(value, problem.param_names)
             for label, row in doc["utility"].items() for s, value in row.items()}
 
 
@@ -260,9 +262,9 @@ def test_instantiate_is_affine(example2, example3):
                 for name in problem.param_names
             }
             inst = m.instantiate(problem, point)
-            for (entries, state), (constant, coeffs) in rendered_entries(problem).items():
+            for (leaf, state), (constant, coeffs) in rendered_entries(problem).items():
                 direct = constant + sum((c * point[n] for n, c in coeffs.items()), F(0))
-                got = utility(inst, m.ActionSequence(entries), state)
+                got = utility(inst, leaf, state)
                 assert got == direct
 
 
@@ -397,13 +399,13 @@ def test_pinned_problems_equal_fresh_ones():
     for k in range(40):
         names = ("t", "u")[:1 + k % 2]
         family = affine_family(rng, names)
-        padded += any(m.PAD in leaf.entries for leaf in family.leaves)
+        padded += any(m.PAD in path for path in family.tree.paths)
         point = {n: F(rng.randint(-20, 20), rng.randint(1, 12)) for n in names}
         pinned = m.substitute_params(family, point)
         # every entry evaluated in plain Fraction arithmetic
         want = {key: constant + sum((c * point[n] for n, c in coeffs.items()), F(0))
                 for key, (constant, coeffs) in rendered_entries(family).items()}
-        table = tuple(tuple(want[leaf.entries, s] for s in family.states)
+        table = tuple(tuple(want[leaf, s] for s in family.states)
                       for leaf in family.leaves)
         den = math.lcm(*(u.denominator for row in table for u in row))
         nums = tuple(tuple(u.numerator * (den // u.denominator) for u in row) for row in table)
@@ -430,7 +432,7 @@ def test_pinned_problems_equal_fresh_ones():
         # the pinned problems share the family's validated tree
         assert pinned.tree is family.tree and stepwise.tree is family.tree
         assert rk.risk_transform(pinned, rk.PiecewiseLinearFunction.identity()).tree is family.tree
-        assert pinned.leaves is family.leaves and pinned.leaf_index is family.leaf_index
+        assert pinned.leaves is family.leaves and pinned.tree.paths is family.tree.paths
     assert padded
 
 
@@ -452,15 +454,15 @@ def test_periods_past_the_depth_bound_only_the_padding(example1):
     for periods in (2, 3, 2000, 10**30):
         p = m.problem_from_dict({**doc, "periods": periods})
         assert p.tree.periods == periods and p.tree.depth == 2
-        assert [leaf.entries for leaf in p.leaves] == [leaf.entries for leaf in example1.leaves]
-        assert len(p.tree._labels) == 3
+        assert (p.leaves, p.tree.paths) == (example1.leaves, example1.tree.paths)
+        assert len(p.tree._index) == 3
         assert len(lp.deviation_polytope_constraints(p.tree).constraints) == rows
         assert m.problem_to_dict(p) == {**doc, "periods": periods}
         for pads in (1, 2, 1999, 2000):
             for spec in (",".join(["not_invest"] + ["_"] * pads), ("not_invest",) + ("_",) * pads,
-                         m.ActionSequence(("not_invest",) + ("_",) * pads)):
+                         ["not_invest"] + ["_"] * pads):
                 if 1 + pads <= periods:
-                    assert p.sequence(spec) == p.leaves[0]
+                    assert p.sequence(spec) is p.leaves[0]
                 else:
                     with pytest.raises(m.ValidationError, match="not a leaf"):
                         p.sequence(spec)
@@ -469,33 +471,47 @@ def test_periods_past_the_depth_bound_only_the_padding(example1):
 def test_sequence_spellings(example1):
     leaf = example1.leaves[0]
     for spec in ("not_invest", "not_invest,_", " not_invest , _ ", ("not_invest",),
-                 ("not_invest", "_"), leaf.entries, leaf):
-        assert example1.sequence(spec) == leaf
-    for spec in (("not_invest,_",), [5], 5, m.ActionSequence(("not_invest", "_", "_"))):
+                 ("not_invest", "_"), ["not_invest", "_"], example1.tree.paths[0], leaf):
+        assert example1.sequence(spec) is leaf
+    for spec in (("not_invest,_",), [5], 5, ["not_invest", "_", "_"]):
         with pytest.raises(m.ValidationError):
             example1.sequence(spec)
 
 
-def test_problem_file_is_padded_once_per_leaf(monkeypatch):
-    text = json.dumps(complete_tree_doc((4, 4), 3, seed=7))
-    pads = []
-    pad = m._pad
-    monkeypatch.setattr(m, "_pad", lambda *args: pads.append(args) or pad(*args))
-    problem = m.load_problem(text)
-    assert len(problem.leaves) == 16 and len(problem.states) == 3
-    assert len(pads) <= 16
+def test_leaves_and_paths_are_built_once_and_shared(monkeypatch):
+    # a loaded (4,4) problem builds its leaves and their padded paths once,
+    # in the tree walk; what is built on it hands back the tree's own tuple
+    # and strings, not copies
+    from dynrat import deviation as dv
+    from dynrat import rationalize as rz
+    from dynrat import structures as st
 
-
-def test_law_cells_build_no_sequence(monkeypatch):
-    # a law's cells are resolved through the problem's labels
+    trees, init = [], m.Tree.__init__
+    monkeypatch.setattr(m.Tree, "__init__",
+                        lambda tree, *args: trees.append(tree) or init(tree, *args))
     problem = m.load_problem(json.dumps(complete_tree_doc((4, 4), 3, seed=7)))
-    built, init = [], m.ActionSequence.__init__
-    monkeypatch.setattr(m.ActionSequence, "__init__",
-                        lambda seq, *args: built.append(seq) or init(seq, *args))
-    cells = {(leaf.label, s): "1/30" for leaf in problem.leaves[:10] for s in problem.states}
+    tree = problem.tree
+    assert trees == [tree] and len(problem.leaves) == 16 and len(problem.states) == 3
+    assert {"leaves", "paths"} <= set(vars(tree))  # fields of the walk, not rebuilt per read
+    assert problem.leaves is tree.leaves and len(tree.paths) == 16
+    cells = {(leaf, s): "1/30" for leaf in problem.leaves[:10] for s in problem.states}
     law = m.JointDistribution.from_mapping(problem, cells)
-    assert built == []
     assert len(cells) == 30 and (law.cells, law.den) == ((1,) * 30 + (0,) * 18, 30)
+    marginal = m.MarginalDistribution.from_mapping(problem, {"a,a": "1/2", " b , c ": "1/2"})
+    rule = dv.DeviationRule.from_mapping(problem, {leaf: leaf for leaf in problem.leaves})
+    found = rz.decide(problem, marginal).witness
+    pinned = m.substitute_params(problem, {})
+    strategy = st.Strategy((("g",), ("g",)), tree, ((1,) + (0,) * 15,), 1)
+    triple = {"prior": {"s0": "1"}, "recommendation": dict.fromkeys(problem.states, {"a,a": "1"})}
+    for built in (law, marginal, rule, found, rz.decide(problem, law).witness, pinned, strategy,
+                  dv.identity_rule(problem),
+                  m.instantiate(problem, {}), rz.obedient_triple_from_json(problem, triple)):
+        assert built.leaves is tree.leaves, built
+    assert pinned.tree is tree and trees == [tree]
+    for spec in ("b,c", " b , c ", ("b", "c"), ["b", "c"]):
+        assert problem.sequence(spec) is pinned.sequence(spec) is tree.leaves[6]
+    assert all(a is b for a, b in zip(law.to_json_dict(), tree.leaves))
+    assert all(a is b for a, b in zip(rule.to_json_dict(), tree.leaves))
 
 
 @pytest.mark.parametrize("text", [
@@ -686,7 +702,7 @@ def test_problem_to_dict_renders_as_the_reference():
             for state, (c, *xs) in zip(p.states, row_states):
                 constant = F(c, p.den)
                 coeffs = {n: F(x, p.den) for n, x in zip(names, xs)}
-                got = doc["utility"][leaf.label][state]
+                got = doc["utility"][leaf][state]
                 assert got == _reference_render(constant, coeffs), (got, constant, coeffs)
                 seen.add(("constant", _kind(constant)))
                 seen.update(("coeff", _kind(q)) for q in coeffs.values())
@@ -704,7 +720,7 @@ def _readers(problem):
     from dynrat import rationalize as rz
     from dynrat import structures as st
 
-    labels = [leaf.label for leaf in problem.leaves]
+    labels = problem.leaves
     return {
         "law": lambda row: m.JointDistribution.from_mapping(
             problem, {leaf: {"good": q} for leaf, q in row.items()}),

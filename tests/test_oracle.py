@@ -74,12 +74,12 @@ def test_strategy_must_be_adapted(example1):
         (F(1), F(0), F(0)),   # (s,b) -> stay out: first move differs by s2
     )
     with pytest.raises(m.ValidationError, match="adapted"):
-        strategy_of(sets, example1.leaves, kernel_bad)
+        strategy_of(sets, example1.tree, kernel_bad)
     kernel_ok = (
         (F(0), F(0), F(1)),
         (F(0), F(1), F(0)),
     )
-    strategy_of(sets, example1.leaves, kernel_ok)
+    strategy_of(sets, example1.tree, kernel_ok)
 
 
 def test_strategy_value_pessimism(example1, pessimism_structure, obedient_strategy):
@@ -90,7 +90,7 @@ def test_strategy_value_waiting(example2):
     inst = m.instantiate(example2, {"delta": "4/5"})
     structure = revealing_structure(inst)
     wait_match = strategy_of(
-        structure.signal_sets, inst.leaves,
+        structure.signal_sets, inst.tree,
         ((F(0), F(0), F(1), F(0)), (F(0), F(0), F(0), F(1))),
     )
     assert st.strategy_value(inst, wait_match, structure) == 4
@@ -102,7 +102,7 @@ def test_strategy_value_no_information_collapse(example1):
     for i, leaf in enumerate(example1.leaves):
         kernel = [[F(0)] * len(example1.leaves)]
         kernel[0][i] = F(1)
-        constant = strategy_of(flat.signal_sets, example1.leaves, tuple(map(tuple, kernel)))
+        constant = strategy_of(flat.signal_sets, example1.tree, tuple(map(tuple, kernel)))
         want = F(1, 3) * utility(example1, leaf, "good") + F(2, 3) * utility(
             example1, leaf, "bad")
         assert st.strategy_value(example1, constant, flat) == want
@@ -147,7 +147,7 @@ def test_optimal_value_dominates_any_strategy(example1, pessimism_structure):
             row = [F(0)] * len(example1.leaves)
             row[first] = F(1)
             rows.append(tuple(row))
-        constant = strategy_of(sets, example1.leaves, tuple(rows))
+        constant = strategy_of(sets, example1.tree, tuple(rows))
         assert st.strategy_value(example1, constant, pessimism_structure) <= 0
 
 
@@ -245,7 +245,7 @@ def test_integer_induction_matches_the_fraction_recursion():
             obeyed = sum((q * w * utility(p, a, s)
                           for q, row, s in zip(prior, rows, p.states)
                           for a, w in zip(p.leaves, row)), F(0))
-            best = reference_optimal_value(p, prior, [a.entries for a in p.leaves], rows)
+            best = reference_optimal_value(p, prior, p.tree.paths, rows)
             outcomes.append(oc.verify_obedient_optimality(p, law))
             assert outcomes[-1] == (obeyed == best)
     assert True in outcomes and False in outcomes
@@ -292,7 +292,7 @@ def test_induction_from_the_sequences_with_mass_matches_the_full_start():
             rows = m._chunks(law.cells, len(p.states))
             obeyed = sum(w * u for row, pay in zip(rows, p.integer_payoffs[0])
                          for w, u in zip(row, pay))
-            best = reference_integer_optimal_value(p, [a.entries for a in p.leaves], rows)
+            best = reference_integer_optimal_value(p, p.tree.paths, rows)
             outcomes.add(oc.verify_obedient_optimality(p, law))
             assert oc.verify_obedient_optimality(p, law) == (obeyed == best)
             massless += not all(map(any, rows))
@@ -308,7 +308,7 @@ def test_golden_yes_law_with_one_cell_moved(example1):
                          "ex1-check-joint-yes.json").read_text())
     law = rz.obedient_triple_from_json(example1, golden["result"]["witness"])
     assert oc.verify_obedient_optimality(example1, law)
-    entries = [a.entries for a in example1.leaves]
+    paths = example1.tree.paths
     verdicts = []
     for src, dst in itertools.permutations(range(len(law.cells)), 2):
         if not law.cells[src]:
@@ -320,13 +320,13 @@ def test_golden_yes_law_with_one_cell_moved(example1):
         obeyed = sum(w * u for row, pay in zip(rows, example1.integer_payoffs[0])
                      for w, u in zip(row, pay))
         verdicts.append(oc.verify_obedient_optimality(example1, moved))
-        assert verdicts[-1] == (obeyed == reference_integer_optimal_value(example1, entries, rows))
+        assert verdicts[-1] == (obeyed == reference_integer_optimal_value(example1, paths, rows))
     assert False in verdicts and True in verdicts
     width = len(law.states)
     good = law.states.index("good")
     cells = list(law.cells)  # invest,pull_back@good's 1/6 moved to not_invest@good
-    k = example1.leaf_index[example1.sequence("invest,pull_back")] * width + good
-    cells[example1.leaf_index[example1.sequence("not_invest")] * width + good] = cells[k]
+    k = example1.tree.leaf_position("invest,pull_back") * width + good
+    cells[example1.tree.leaf_position("not_invest") * width + good] = cells[k]
     cells[k] = 0
     assert not oc.verify_obedient_optimality(
         example1, m.JointDistribution(law.leaves, law.states, cells, law.den))
@@ -361,12 +361,12 @@ def test_simulate_deterministic_components(example2):
     point_structure = structure_of(
         inst.states, (F(1), F(0)), structure.signal_sets, fraction_kernel(structure))
     strategy = strategy_of(
-        structure.signal_sets, inst.leaves,
+        structure.signal_sets, inst.tree,
         ((F(0), F(0), F(1), F(0)), (F(0), F(0), F(0), F(1))),
     )
     for n in (1, 3, 17):
         emp = st.simulate(inst, strategy, point_structure, n, seed=99)
-        assert fraction_matrix(emp)[inst.leaf_index[inst.sequence("w,x")]][inst.state_position("X")] == 1
+        assert fraction_matrix(emp)[inst.tree.leaf_position("w,x")][inst.state_position("X")] == 1
 
 
 def test_simulate_single_draw(example1, pessimism_structure, obedient_strategy):
@@ -420,7 +420,7 @@ def random_strategy(rng, problem, sets):
     for seq in itertools.product(*sets):
         row = []
         for leaf in problem.leaves:
-            w, h = F(1), leaf.history
+            w, h = F(1), tuple(leaf.split(","))
             for t in range(len(h)):
                 actions = tree.branch_map[h[:t]]
                 key = (seq[:t + 1], h[:t])
@@ -429,7 +429,7 @@ def random_strategy(rng, problem, sets):
                 w *= behaviour[key][actions.index(h[t])]
             row.append(w)
         rows.append(row)
-    return strategy_of(sets, problem.leaves, rows)
+    return strategy_of(sets, problem.tree, rows)
 
 
 def random_pair(rng, problem):
@@ -478,7 +478,7 @@ def test_json_round_trip_and_lowest_terms():
             k * structure.kernel_den)
         assert scaled == structure
         assert (scaled.prior_den, scaled.kernel_den) == (structure.prior_den, structure.kernel_den)
-        assert st.Strategy(strategy.signal_sets, strategy.leaves,
+        assert st.Strategy(strategy.signal_sets, p.tree,
                            tuple(tuple(k * x for x in row) for row in strategy.kernel),
                            k * strategy.den) == strategy
         assert math.gcd(structure.prior_den, *structure.prior) == 1

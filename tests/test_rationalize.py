@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from dynrat import analysis as an
 from dynrat import deviation as dv
 from dynrat import lp
 from dynrat import model as m
@@ -102,7 +103,7 @@ def test_intermediately_dominated(example1):
     # the optimum is the all-to-not_invest rewrite, uniquely
     north = example1.sequence("not_invest")
     kernel = fraction_matrix(rule)
-    assert all({b: w for b, w in zip(rule.leaves, kernel[example1.leaf_index[a]]) if w != 0}
+    assert all({b: w for b, w in zip(rule.leaves, kernel[example1.tree.leaf_position(a)]) if w != 0}
                == {north: F(1)} for a in example1.leaves)
     knife = m.MarginalDistribution.from_mapping(
         example1, {"invest,pull_back": "2/3", "invest,invest": "1/3"})
@@ -132,7 +133,7 @@ def test_compact_obedience_matches_enumerated_rows():
         for leaf in p.leaves:
             value, law = rz.max_positive_marginal(p, leaf)
             assert value == enumerated_obedience_optimum(
-                p, {(leaf, s): 1 for s in p.states}), leaf.label
+                p, {(leaf, s): 1 for s in p.states}), leaf
             if value == 0:
                 assert law is None
                 zero += 1
@@ -140,7 +141,7 @@ def test_compact_obedience_matches_enumerated_rows():
             positive += 1
             assert oc.verify_obedient_optimality(p, law)
             weights = fraction_matrix(law)
-            assert sum(weights[p.leaf_index[leaf]], F(0)) == value
+            assert sum(weights[p.tree.leaf_position(leaf)], F(0)) == value
             block = reference_inputs(p, [leaf])
             assert all(not any(weights[i]) for i in range(len(p.leaves)) if i not in block)
             split += len(block) < len(p.leaves)
@@ -212,7 +213,7 @@ def test_rationalize_sequence_investment(example1):
         assert verdict.rationalizable
         law = verdict.witness
         assert oc.verify_obedient_optimality(example1, law)
-        mass = sum(fraction_matrix(law)[example1.leaf_index[leaf]], F(0))
+        mass = sum(fraction_matrix(law)[example1.tree.leaf_position(leaf)], F(0))
         assert mass > 0
 
 
@@ -250,7 +251,7 @@ def test_sequence_dichotomy_small():
             assert verdict.rationalizable == (rz.max_positive_marginal(p, leaf)[0] > 0)
             if verdict.rationalizable:
                 joint = verdict.witness
-                assert sum(fraction_matrix(joint)[p.leaf_index[leaf]], F(0)) > 0
+                assert sum(fraction_matrix(joint)[p.tree.leaf_position(leaf)], F(0)) > 0
                 assert oc.brute_force_rationalizable_joint(p, joint)
             else:
                 assert dv.dominates(p, verdict.witness, leaf)
@@ -330,7 +331,7 @@ def test_one_rule_is_one_value_whichever_constructor_built_it(example3):
     mapped = dv.DeviationRule.from_mapping(p, {
         "no_effort,_": "no_effort", "effort,no_effort": {"no_effort,_": "1"},
         "effort,effort": {"effort,effort": "0", "no_effort": "3/3"}})
-    stay_out = ((p.leaf_index[p.sequence("no_effort")], 1),)
+    stay_out = ((p.tree.leaf_position("no_effort"), 1),)
     enumerated = [r for r in dv.enumerate_pure_rules(p) if set(r.rows) == {stay_out}]
     copies = [from_lp, mapped, *enumerated]
     assert len(copies) == 3 and all(c == from_lp for c in copies)
@@ -347,12 +348,12 @@ def test_one_mixed_rule_is_one_value_whichever_constructor_built_it(example2):
     mapped = dv.DeviationRule.from_mapping(p, {
         "y": "y", "x,_": {"x": 1}, "w,y": {"y": "6/16", "x": "10/16"},
         "w,x": {"x": "5/8", "y": "3/8"}})
-    x, y, wy = (p.leaf_index[p.sequence(a)] for a in ("x", "y", "w,y"))
-    scaled = dv.DeviationRule(p.leaves, [
+    x, y, wy = (p.tree.leaf_position(a) for a in ("x", "y", "w,y"))
+    scaled = dv.DeviationRule(p.tree, [
         [(j, 2 * w) for j, w in reversed(row)] + [(wy, 0)] for row in from_lp.rows],
         2 * from_lp.den)
     assert from_lp == mapped == scaled and hash(from_lp) == hash(mapped) == hash(scaled)
-    assert from_lp.rows[p.leaf_index[p.sequence("w,x")]] == ((x, 5), (y, 3))
+    assert from_lp.rows[p.tree.leaf_position("w,x")] == ((x, 5), (y, 3))
     assert from_lp.den == 8
 
 
@@ -413,7 +414,7 @@ def test_integer_rows_equal_the_fraction_builders(example2):
                                  (random_marginal(rng, p), False),
                                  (rng.choice(p.leaves), True)):
             prog, inputs, gain_rows = rz._dominance_program(p, observed, budget)
-            touched = ([observed] if isinstance(observed, m.ActionSequence) else
+            touched = ([observed] if isinstance(observed, str) else
                        [a for a, w in zip(p.leaves, observed.weights) if w])
             assert list(inputs) == reference_inputs(p, touched)
             ref = reference_dominance_program(p, observed, inputs, budget)
@@ -476,8 +477,8 @@ def test_the_block_split_is_exact():
                                                     .as_lp()).value
             split += len(inputs) < len(p.leaves)
         firsts = {}
-        for a in p.leaves:
-            firsts.setdefault(a.entries[0], a)
+        for a, path in zip(p.leaves, p.tree.paths):
+            firsts.setdefault(path[0], a)
         every_block = m.MarginalDistribution.from_mapping(
             p, {a: F(1, len(firsts)) for a in firsts.values()})
         prog, inputs, _ = rz._dominance_program(p, every_block)
@@ -530,7 +531,7 @@ def test_maxprob_leaves_the_shared_polytope_rows_untouched():
         assert [(con.coeffs, con.sense, con.rhs, con.den) for con in poly.constraints] == before
         fresh = m.load_problem(json.dumps(doc))
         for leaf in p.leaves:
-            again = fresh.sequence(leaf.label)
+            again = fresh.sequence(leaf)
             assert rz._dominance_program(p, leaf) == rz._dominance_program(fresh, again)
             assert rz.decide(p, leaf) == rz.decide(fresh, again)
 
@@ -601,3 +602,66 @@ def test_stopping_problem_rows_grow_as_the_square_of_the_horizon(periods, rows):
     p = m.problem_from_dict(stopping_doc(periods))
     prog, inputs, _ = rz._dominance_program(p, p.sequence(["w"] * (periods - 1) + ["x"]))
     assert len(inputs) == 2 * periods - 2 and len(prog.constraints) == rows
+
+
+#: A leaf's label, and other spellings of it: padded, spaced, and as a tuple
+#: or a list of actions, on example 1 ("1") or example 2 ("2").
+SPELLINGS = [
+    ("1", "not_invest", ["not_invest,_", " not_invest ", ("not_invest",), ("not_invest", "_")]),
+    ("1", "invest,pull_back", [" invest , pull_back ", ("invest", "pull_back")]),
+    ("1", "invest,invest", ["invest ,invest", ["invest", "invest"]]),
+    ("2", "w,x", [" w , x ", ("w", "x")]),
+    ("2", "x", ["x,_", ("x", "_"), ("x",)]),
+]
+
+
+@pytest.mark.parametrize("example, label, spellings", SPELLINGS)
+def test_every_spelling_of_a_sequence_is_its_label(example1, example2, example, label,
+                                                   spellings):
+    # an observed sequence is its label: each spelling of it gives the bare
+    # label's consistency rows, verdict and witness, dominance by each pure
+    # rule and by the verdict's own, maxprob value, witness re-check and
+    # identified set
+    family = example1 if example == "1" else example2
+    problems = ([example1] if example == "1" else
+                [m.instantiate(example2, {"delta": d}) for d in ("3/4", "9/10")])
+    verdicts = set()
+    for p in problems:
+        verdict = rz.decide(p, label)
+        verdicts.add(verdict.rationalizable)
+        rules = [*dv.enumerate_pure_rules(p), *[verdict.witness][:not verdict.rationalizable]]
+        want = (m.consistency(p, label), verdict.to_json_dict(),
+                [dv.dominates(p, r, label) for r in rules], rz.max_positive_marginal(p, label),
+                oc.verify_witness(p, verdict.witness, label))
+        assert want[-1][0] is True and any(want[2]) != verdict.rationalizable
+        for spec in spellings:
+            got = rz.decide(p, spec)
+            assert got == verdict and got.to_json_dict() == want[1], spec
+            assert (m.consistency(p, spec), got.to_json_dict(),
+                    [dv.dominates(p, r, spec) for r in rules], rz.max_positive_marginal(p, spec),
+                    oc.verify_witness(p, got.witness, spec)) == want, spec
+    if example == "2":
+        assert verdicts == {True} if label == "x" else verdicts == {True, False}
+        iset = an.identified_set(family, label, "delta", 0, 1)
+        for spec in spellings:
+            assert an.identified_set(family, spec, "delta", 0, 1) == iset, spec
+
+
+@pytest.mark.parametrize("spec, name", [
+    ("invest,stay", "'invest,stay'"), (" invest , stay ", "'invest,stay'"),
+    (("invest", "stay"), "'invest,stay'"), ("invest", "'invest'"),
+    ("_,not_invest", "'_,not_invest'")])
+def test_a_sequence_that_is_no_leaf_is_named(example1, example2, spec, name):
+    # every reader of an observed sequence refuses a name that is no leaf,
+    # and names it; ``spec`` names no leaf of example 2 either
+    rule = dv.identity_rule(example1)
+    law = rz.decide(example1, "not_invest").witness
+    readers = [
+        lambda: m.consistency(example1, spec), lambda: rz.decide(example1, spec),
+        lambda: dv.dominates(example1, rule, spec),
+        lambda: rz.max_positive_marginal(example1, spec),
+        lambda: oc.verify_witness(example1, law, spec), lambda: example1.sequence(spec),
+        lambda: an.identified_set(example2, spec, "delta", 0, 1)]
+    for read in readers:
+        with pytest.raises(m.ValidationError, match=f"^{name} is not a leaf of this problem$"):
+            read()

@@ -33,11 +33,11 @@ def test_dichotomies_with_tie_heavy_payoffs():
         for leaf in p.leaves:
             verdict = rz.decide(p, leaf)
             if verdict.rationalizable:
-                assert oc.verify_obedient_optimality(p, verdict.witness), (i, leaf.label)
+                assert oc.verify_obedient_optimality(p, verdict.witness), (i, leaf)
                 joint = verdict.witness
-                assert sum(fraction_matrix(joint)[p.leaf_index[leaf]], F(0)) > 0
+                assert sum(fraction_matrix(joint)[p.tree.leaf_position(leaf)], F(0)) > 0
             else:
-                assert dv.dominates(p, verdict.witness, leaf), (i, leaf.label)
+                assert dv.dominates(p, verdict.witness, leaf), (i, leaf)
         joint = random_joint(rng, p)
         assert (rz.dominating_rule(p, joint) is None) == \
             oc.brute_force_rationalizable_joint(p, joint)
@@ -66,7 +66,7 @@ def test_dichotomies_on_larger_instances():
                 assert dv.dominates(p, verdict.witness, leaf)
             else:
                 joint = verdict.witness
-                assert sum(fraction_matrix(joint)[p.leaf_index[leaf]], F(0)) > 0
+                assert sum(fraction_matrix(joint)[p.tree.leaf_position(leaf)], F(0)) > 0
                 assert oc.brute_force_rationalizable_joint(p, joint)
 
 
@@ -110,15 +110,14 @@ def test_dp_dominates_random_adapted_strategies():
         # pure adapted maps are adapted strategies; none beat the DP value
         pure_values = []
         seqs = structure.sequences
-        leaf_index = p.leaf_index
         for _ in range(8):
             mapping = _random_adapted_strategy(rng, p, seqs)
             rows = []
             for k in range(len(seqs)):
                 row = [F(0)] * len(p.leaves)
-                row[leaf_index[mapping[k]]] = F(1)
+                row[p.tree.leaf_position(mapping[k])] = F(1)
                 rows.append(tuple(row))
-            strategy = strategy_of(sets, p.leaves, tuple(rows))
+            strategy = strategy_of(sets, p.tree, tuple(rows))
             value = st.strategy_value(p, strategy, structure)
             pure_values.append(value)
             assert value <= best
@@ -138,12 +137,12 @@ def _random_adapted_strategy(rng, problem, seqs):
             return [prefix + (PAD,)]
         return [prefix + (a,) for a in problem.tree.branch_map[history]]
 
-    mapping: dict[int, m.ActionSequence] = {}
+    mapping: dict[int, tuple[str, ...]] = {}  # signal sequence -> padded path
 
     def walk(ids, t, out_prefix):
         if t == T:
             for k in ids:
-                mapping[k] = m.ActionSequence(out_prefix)
+                mapping[k] = out_prefix
             return
         groups: dict[str, list[int]] = {}
         for k in ids:

@@ -37,7 +37,6 @@ def _copies(p: m.DecisionProblem) -> dict[str, tuple]:
     prog.set_objective({x: 1})
     rows = L.LinearProgram([False], [L.Constraint({0: 2}, "<=", 3, 4)], {0: F(1)})
     return {
-        "ActionSequence": (ii, m.ActionSequence(("invest", "invest"))),
         "JointDistribution": (
             m.JointDistribution.from_mapping(p, {("invest,invest", "good"): "1/2",
                                                  ("not_invest", "bad"): "1/2"}),
@@ -56,7 +55,7 @@ def _copies(p: m.DecisionProblem) -> dict[str, tuple]:
             st.InformationStructure(p.states, (3, 3), 6, (("s",), ("g", "b")),
                                     ((4, 2), (0, 6)), 6)),
         "Strategy": (st.Strategy.from_json_dict(p, strategy),
-                     st.Strategy((("s",), ("g", "b")), leaves, ((0, 0, 2), (0, 2, 0)), 2)),
+                     st.Strategy((("s",), ("g", "b")), p.tree, ((0, 0, 2), (0, 2, 0)), 2)),
         "ApparentDominanceWitness": (
             rz.apparently_dominated(p, ip),
             rz.ApparentDominanceWitness(((p.sequence("not_invest,_"), F(1)),), F(2, 2))),
@@ -80,7 +79,7 @@ UNHASHABLE = {"Constraint", "LinearProgram", "DeviationPolytope"}
 
 def test_values_compare_and_hash_by_their_fields(example1):
     copies = _copies(example1)
-    assert len(copies) == 14
+    assert len(copies) == 13
     for name, (a, b) in copies.items():
         assert type(a).__name__ == type(b).__name__ == name and a is not b
         assert a == b and not a != b, name
@@ -94,7 +93,6 @@ def test_values_compare_and_hash_by_their_fields(example1):
         assert repr(a).startswith(f"{name}({fields[0]}="), name
     rule = copies["DeviationRule"][0]
     assert rule != dv.pure_rule(example1, (0, 1, 2))
-    assert copies["ActionSequence"][0] != example1.sequence("invest,pull_back")
 
 
 def test_solutions_and_polytopes_compare_by_their_fields_only(example1):
@@ -125,9 +123,9 @@ def test_trees_and_problems_compare_by_identity(example1):
 def test_fields_cannot_be_assigned_or_deleted(example1):
     values = [a for a, _ in _copies(example1).values() if not isinstance(a, L.LinearProgram)]
     values += [example1, example1.tree]
-    assert len(values) == 15
+    assert len(values) == 14
     for value in values:
-        for name in type(value).__match_args__ + ("label", "extra"):
+        for name in type(value).__match_args__ + ("leaves", "extra"):
             before = getattr(value, name, None)
             with pytest.raises(AttributeError):
                 setattr(value, name, before)
@@ -144,7 +142,7 @@ def test_fields_cannot_be_assigned_or_deleted(example1):
 
 def test_cached_properties_compute_once(example1):
     copies = _copies(example1)
-    cached = [(example1.tree, "leaf_index"), (example1.tree, "_per_tree"),
+    cached = [(example1.tree, "common"), (example1.tree, "_per_tree"),
               (example1.tree, "prefixes"),
               (example1, "columns"), (example1, "integer_payoffs"),
               (copies["JointDistribution"][0], "consistency_rows"),
