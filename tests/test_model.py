@@ -478,25 +478,49 @@ def test_sequence_spellings(example1):
             example1.sequence(spec)
 
 
+def _count_trees(monkeypatch):
+    trees, init = [], m.Tree.__init__
+    monkeypatch.setattr(m.Tree, "__init__",
+                        lambda tree, *args: trees.append(tree) or init(tree, *args))
+    return trees
+
+
+def test_problem_file_is_padded_once_per_leaf(monkeypatch):
+    # a loaded (4,4) problem pads each leaf once, in the one tree walk, and
+    # keeps the padded paths as a field, not rebuilt per read
+    trees = _count_trees(monkeypatch)
+    problem = m.load_problem(json.dumps(complete_tree_doc((4, 4), 3, seed=7)))
+    tree = problem.tree
+    assert trees == [tree] and len(problem.leaves) == 16 and len(problem.states) == 3
+    assert {"leaves", "paths"} <= set(vars(tree))
+    assert len(tree.paths) == 16 and {len(path) for path in tree.paths} == {tree.depth}
+    assert [",".join(a for a in path if a != m.PAD) for path in tree.paths] == list(tree.leaves)
+
+
+def test_law_cells_build_no_sequence(monkeypatch):
+    # a law's cells are resolved through the problem's labels: no tree is
+    # built and the law holds the tree's own leaf tuple
+    problem = m.load_problem(json.dumps(complete_tree_doc((4, 4), 3, seed=7)))
+    trees = _count_trees(monkeypatch)
+    cells = {(leaf, s): "1/30" for leaf in problem.leaves[:10] for s in problem.states}
+    law = m.JointDistribution.from_mapping(problem, cells)
+    assert trees == [] and law.leaves is problem.tree.leaves
+    assert len(cells) == 30 and (law.cells, law.den) == ((1,) * 30 + (0,) * 18, 30)
+
+
 def test_leaves_and_paths_are_built_once_and_shared(monkeypatch):
-    # a loaded (4,4) problem builds its leaves and their padded paths once,
-    # in the tree walk; what is built on it hands back the tree's own tuple
-    # and strings, not copies
+    # what is built on a loaded problem hands back the tree's own tuple and
+    # strings, not copies, and builds no second tree
     from dynrat import deviation as dv
     from dynrat import rationalize as rz
     from dynrat import structures as st
 
-    trees, init = [], m.Tree.__init__
-    monkeypatch.setattr(m.Tree, "__init__",
-                        lambda tree, *args: trees.append(tree) or init(tree, *args))
+    trees = _count_trees(monkeypatch)
     problem = m.load_problem(json.dumps(complete_tree_doc((4, 4), 3, seed=7)))
     tree = problem.tree
-    assert trees == [tree] and len(problem.leaves) == 16 and len(problem.states) == 3
-    assert {"leaves", "paths"} <= set(vars(tree))  # fields of the walk, not rebuilt per read
-    assert problem.leaves is tree.leaves and len(tree.paths) == 16
+    assert trees == [tree] and problem.leaves is tree.leaves
     cells = {(leaf, s): "1/30" for leaf in problem.leaves[:10] for s in problem.states}
     law = m.JointDistribution.from_mapping(problem, cells)
-    assert len(cells) == 30 and (law.cells, law.den) == ((1,) * 30 + (0,) * 18, 30)
     marginal = m.MarginalDistribution.from_mapping(problem, {"a,a": "1/2", " b , c ": "1/2"})
     rule = dv.DeviationRule.from_mapping(problem, {leaf: leaf for leaf in problem.leaves})
     found = rz.decide(problem, marginal).witness
