@@ -5,11 +5,12 @@ echo, the embedded problem document, the result with its witness, solver
 statistics, and timing.  Reports are self-contained: `verify-witness` re-checks
 the certificate inside a report against the problem it carries.
 
-A command line is read as argparse reads it; `_build_parser` declares every
-option once.  When the first word names a subcommand and the rest is plain
-(`_read_plain`: options spelled in full, no value or positional starting with
-``-``), the namespace is built from that subcommand's own actions.  Anything
-else goes to argparse: abbreviations, ``--``, ``-h`` and every usage error.
+The grammar is declared once, as data, in `_COMMANDS`.  When the first word
+names a subcommand and the rest is plain (`_read_plain`: options spelled in
+full, no value or positional starting with ``-``), the namespace is read
+straight from that subcommand's declarations and argparse is never imported.
+argparse, built from the same declarations, reads every other line:
+abbreviations, ``--``, ``-h`` and every usage error.
 
 Exit codes: 0 query answered (whatever the verdict), 1 usage error or
 standard output closed before the report was written, 2 input validation
@@ -18,12 +19,12 @@ error, 3 `enumerate-rules` size guard exceeded, 4 out of memory.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
 import time
+import types
 from fractions import Fraction
 from typing import Optional
 
@@ -48,18 +49,6 @@ from .model import (
 
 class UsageError(ValueError):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # do not sys.exit from inside the library
-        raise UsageError(message)
-
-    def _get_values(self, action, arg_strings):
-        # ``--opt=--`` gives the option the value "--", as Python 3.13 reads
-        # it; earlier versions drop the "--" and store [] unconverted
-        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
-            return self._get_value(action, "--")
-        return super()._get_values(action, arg_strings)
 
 
 def _split_dist_items(spec: str) -> list[tuple[str, str]]:
@@ -152,119 +141,111 @@ def _instance(problem: DecisionProblem, params: dict) -> DecisionProblem:
     return instantiate(problem, params) if (params or problem.param_names) else problem
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("problem", help="problem file (JSON)")
-    sub.add_argument("--param", action="append", default=[], metavar="NAME=VALUE",
-                     help="pin a parameter, e.g. --param delta=4/5 (repeatable)")
-    sub.add_argument("--pretty", action="store_true",
-                     help="append a human-readable summary after the JSON report")
+# The arguments that several subcommands share, declared once
+_PRETTY = ("--pretty", {"action": "store_true",
+                        "help": "append a human-readable summary after the JSON report"})
+_COMMON = (
+    ("problem", {"help": "problem file (JSON)"}),
+    ("--param", {"action": "append", "default": [], "metavar": "NAME=VALUE",
+                 "help": "pin a parameter, e.g. --param delta=4/5 (repeatable)"}),
+    _PRETTY)
+
+#: Each subcommand's help line and its arguments in order: a word and the
+#: keywords `add_argument` takes.
+_COMMANDS = {
+    "check-seq": ("can a single action sequence be rationalized?", _COMMON + (
+        ("--seq", {"required": True, "help": "comma-joined action labels"}),)),
+    "check-joint": ("can a joint action-state law be rationalized?", _COMMON + (
+        ("--dist", {"help": "inline cells leaf@state:p/q,..."}),
+        ("--dist-file", {"help": "JSON file {leaf: {state: weight}}"}))),
+    "check-marginal": ("can an action-sequence law be rationalized?", _COMMON + (
+        ("--dist", {"help": "inline cells leaf:p/q,..."}),
+        ("--dist-file", {"help": "JSON file {leaf: weight}"}))),
+    "maxprob": ("largest rationalizable probability of a sequence", _COMMON + (
+        ("--seq", {"required": True, "help": "comma-joined action labels"}),)),
+    "identify": ("parameter values consistent with an observation", _COMMON + (
+        ("--seq", {"help": "observed action sequence"}),
+        ("--marginal", {"help": "observed marginal, inline leaf:p/q,..."}),
+        ("--joint", {"help": "observed joint, inline leaf@state:p/q,..."}),
+        ("--sweep", {"required": True, "help": "parameter to sweep"}),
+        ("--range", {"required": True, "metavar": "LO:HI", "dest": "sweep_range",
+                     "help": "sweep range; write --range=LO:HI when LO is negative"}),
+        ("--tol", {"default": None, "help": "bracketing tolerance (default range/1024)"}),
+        ("--grid", {"type": int, "default": 33, "help": "number of scan points"}))),
+    "enumerate-rules": ("list every adapted pure deviation rule", _COMMON + (
+        ("--max-rules", {"type": int, "default": deviation.DEFAULT_MAX_RULES,
+                         "help": "cap on pure-rule enumeration"}),)),
+    "verify-witness": ("re-check the certificate inside a report", (
+        ("report", {"help": "report file produced by another subcommand"}), _PRETTY)),
+    "simulate": ("sample (state, signals, play) and report the empirical law", _COMMON + (
+        ("--structure", {"required": True, "help": "information structure JSON file"}),
+        ("--strategy", {"required": True, "help": "strategy JSON file"}),
+        ("-n", {"type": int, "required": True, "help": "number of draws"}),
+        ("--seed", {"type": int, "default": 0, "help": "sampler seed (default 0)"}))),
+}
 
 
 @functools.cache  # argparse copies an ``append`` default before appending
-def _build_parser() -> _Parser:
+def _build_parser():
+    """The argparse parser of `_COMMANDS`, for the lines `_read_plain` declines."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str):  # do not sys.exit from inside the library
+            raise UsageError(message)
+
+        def _get_values(self, action, arg_strings):
+            # ``--opt=--`` gives the option the value "--", as Python 3.13 reads
+            # it; earlier versions drop the "--" and store [] unconverted
+            if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+                return self._get_value(action, "--")
+            return super()._get_values(action, arg_strings)
+
     parser = _Parser(prog="dynrat", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
-    parser.commands = subs.choices  # each subcommand's own parser, by name
-
-    s = subs.add_parser("check-seq", help="can a single action sequence be rationalized?")
-    _add_common(s)
-    s.add_argument("--seq", required=True, help="comma-joined action labels")
-
-    s = subs.add_parser("check-joint", help="can a joint action-state law be rationalized?")
-    _add_common(s)
-    s.add_argument("--dist", help="inline cells leaf@state:p/q,...")
-    s.add_argument("--dist-file", help="JSON file {leaf: {state: weight}}")
-
-    s = subs.add_parser("check-marginal", help="can an action-sequence law be rationalized?")
-    _add_common(s)
-    s.add_argument("--dist", help="inline cells leaf:p/q,...")
-    s.add_argument("--dist-file", help="JSON file {leaf: weight}")
-
-    s = subs.add_parser("maxprob", help="largest rationalizable probability of a sequence")
-    _add_common(s)
-    s.add_argument("--seq", required=True)
-
-    s = subs.add_parser("identify", help="parameter values consistent with an observation")
-    _add_common(s)
-    s.add_argument("--seq", help="observed action sequence")
-    s.add_argument("--marginal", help="observed marginal, inline leaf:p/q,...")
-    s.add_argument("--joint", help="observed joint, inline leaf@state:p/q,...")
-    s.add_argument("--sweep", required=True, help="parameter to sweep")
-    s.add_argument("--range", required=True, metavar="LO:HI", dest="sweep_range",
-                   help="sweep range; write --range=LO:HI when LO is negative")
-    s.add_argument("--tol", default=None, help="bracketing tolerance (default range/1024)")
-    s.add_argument("--grid", type=int, default=33, help="number of scan points")
-
-    s = subs.add_parser("enumerate-rules", help="list every adapted pure deviation rule")
-    _add_common(s)
-    s.add_argument("--max-rules", type=int, default=deviation.DEFAULT_MAX_RULES,
-                   help="cap on pure-rule enumeration")
-
-    s = subs.add_parser("verify-witness", help="re-check the certificate inside a report")
-    s.add_argument("report", help="report file produced by another subcommand")
-    s.add_argument("--pretty", action="store_true")
-
-    s = subs.add_parser("simulate", help="sample (state, signals, play) and report the empirical law")
-    _add_common(s)
-    s.add_argument("--structure", required=True, help="information structure JSON file")
-    s.add_argument("--strategy", required=True, help="strategy JSON file")
-    s.add_argument("-n", type=int, required=True, help="number of draws")
-    s.add_argument("--seed", type=int, default=0)
-
-    for sub in subs.choices.values():
-        sub.plain = _plain_table(sub)
+    for name, (help_line, arguments) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_line)
+        for word, keywords in arguments:
+            sub.add_argument(word, **keywords)
     return parser
 
 
-# The actions a plain command line sets: a value, a flag, one more item
-_PLAIN_KINDS = (argparse._StoreAction, argparse._StoreTrueAction, argparse._AppendAction)
+# The `add_argument` keywords and actions the plain reader reads
+_PLAIN_KEYWORDS = {"action", "default", "dest", "help", "metavar", "required", "type"}
+_PLAIN_ACTIONS = {"store", "store_true", "append"}
 
 
-def _plain_table(sub: argparse.ArgumentParser) -> Optional[tuple]:
-    """``sub``'s actions as `_read_plain` reads them: the defaults by dest,
-    the dests of ``append`` actions, each option string (``-h``/``--help``
-    left out) with its action's (dest, takes a value, appends, type,
-    const), the positionals' dests and the required options' dests.  None
-    when an action is one the plain reader leaves to argparse: of another
-    kind or ``nargs``, with ``choices``, a converted string default or
-    positional, a non-list ``append`` default, or a dest another action
-    shares."""
-    defaults, options, positionals, required, appended = {}, {}, [], [], []
-    for action in sub._actions:
-        if isinstance(action, argparse._HelpAction):
-            continue
-        append = isinstance(action, argparse._AppendAction)
-        if (type(action) not in _PLAIN_KINDS or action.nargs not in (None, 0)
-                or action.choices is not None or action.dest in defaults
-                or (action.type is not None
-                    and (isinstance(action.default, str) or not action.option_strings))
-                or (append and type(action.default) is not list)):
-            return None
-        defaults[action.dest] = action.default
-        if not action.option_strings:
-            positionals.append(action.dest)
-            continue
-        if append:
-            appended.append(action.dest)
-        if action.required:
-            required.append(action.dest)
-        spec = (action.dest, action.nargs != 0, append, action.type, action.const)
-        options.update(dict.fromkeys(action.option_strings, spec))
-    return defaults, appended, options, positionals, required
-
-
-def _read_plain(table: tuple, words: list[str]) -> Optional[argparse.Namespace]:
-    """The namespace argparse gives a plain command line ``words``, built
-    from the subcommand's `_plain_table`; None when ``words`` is not plain.
-    Plain: each option word is one of the subcommand's own option strings,
-    a flag takes no value, every other option its next word or the text after
+def _read_plain(arguments: tuple, words: list[str]) -> Optional[dict]:
+    """The values argparse gives a plain command line ``words`` of the
+    subcommand declared by ``arguments``, by dest; None when ``words`` is not
+    plain, or when a declaration is one the reader leaves to argparse: with a
+    keyword or action it does not read, a converted string default or
+    positional, a non-list ``append`` default, or a dest another shares.
+    Plain: each option word is one of the subcommand's own option words, a
+    flag takes no value, every other option its next word or the text after
     its first ``=``; no value or positional is empty or starts with ``-``;
     the positionals are exactly the declared ones, every required option is
     given and every ``type`` conversion succeeds."""
-    defaults, appended, options, positionals, required = table
-    values = dict(defaults)
-    for dest in appended:  # argparse appends to a copy; no two parses share a list
-        values[dest] = values[dest][:]
+    values, options, positionals, required = {}, {}, [], []
+    for word, keywords in arguments:
+        action = keywords.get("action", "store")
+        default = keywords.get("default", False if action == "store_true" else None)
+        convert = keywords.get("type")
+        positional = word[0] != "-"
+        dest = word if positional else keywords.get("dest", word.lstrip("-").replace("-", "_"))
+        if (not _PLAIN_KEYWORDS.issuperset(keywords) or action not in _PLAIN_ACTIONS
+                or dest in values
+                or (convert is not None and (isinstance(default, str) or positional))
+                or (action == "append" and type(default) is not list)):
+            return None
+        # argparse appends to a copy; no two parses share a list
+        values[dest] = default[:] if action == "append" else default
+        if positional:
+            positionals.append(dest)
+            continue
+        if keywords.get("required"):
+            required.append(dest)
+        options[word] = (dest, action != "store_true", action == "append", convert)
     given, free = set(), []
     words = iter(words)
     for word in words:
@@ -275,12 +256,12 @@ def _read_plain(table: tuple, words: list[str]) -> Optional[argparse.Namespace]:
         spec = options.get(name)
         if spec is None:
             return None
-        dest, takes_value, append, convert, const = spec
+        dest, takes_value, append, convert = spec
         given.add(dest)
         if not takes_value:
             if eq:
                 return None
-            values[dest] = const
+            values[dest] = True
             continue
         if not eq:
             value = next(words, "")
@@ -289,7 +270,7 @@ def _read_plain(table: tuple, words: list[str]) -> Optional[argparse.Namespace]:
         if convert is not None:
             try:
                 value = convert(value)
-            except (TypeError, ValueError, argparse.ArgumentTypeError):
+            except Exception:  # argparse converts it again and reports the failure
                 return None
         if append:
             values[dest].append(value)
@@ -298,23 +279,18 @@ def _read_plain(table: tuple, words: list[str]) -> Optional[argparse.Namespace]:
     if len(free) != len(positionals) or not given.issuperset(required):
         return None
     values.update(zip(positionals, free))
-    return argparse.Namespace(**values)
+    return values
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``argv`` parsed as the full parser parses it.  When the first word
-    names a subcommand, a plain rest is read from that subcommand's actions
-    and any other rest goes to its own parser, which gives the same
-    namespace or raises the same error."""
-    parser = _build_parser()
-    sub = parser.commands.get(argv[0]) if argv else None
-    if sub is None:  # no argument, an option or an unknown command
-        return parser.parse_args(argv)
-    args = _read_plain(sub.plain, argv[1:]) if sub.plain else None
-    if args is None:
-        args = sub.parse_args(argv[1:])
-    args.command = argv[0]
-    return args
+def _parse_args(argv: list[str]):
+    """``argv`` parsed as the full parser parses it: a plain line after a
+    subcommand's name is read from its declarations, without argparse, and
+    argparse reads any other line, giving its namespace or its error."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    values = _read_plain(command[1], argv[1:]) if command else None
+    if values is None:
+        return _build_parser().parse_args(argv)
+    return types.SimpleNamespace(command=argv[0], **values)
 
 
 def _load_problem_and_params(args) -> tuple[DecisionProblem, dict]:

@@ -1,7 +1,7 @@
 """A seeded corpus of command lines on which `cli._parse_args` must agree
 with the full argparse parser: the same namespace or the same usage error.
 
-The argvs are drawn from the parser's own actions, over every subcommand.
+The argvs are drawn from `cli._COMMANDS`, the declarations of every subcommand.
 Most are well formed: both value spellings, repeated ``--param``, options
 before and after the positional, integer options as digits.  The rest carry
 one or two mutations that argparse alone handles: abbreviations, ``--``,
@@ -19,7 +19,6 @@ disagreed, and exits 1 on any disagreement.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import random
@@ -34,43 +33,41 @@ DASHED = ["-1:1", "-5", "-x", "--", "-", "--seq", "-1/2:0", "-h"]
 BAD_INTS = ["x", "1.5", "", "0x10", "1e3", "--", "-"]
 
 
-def _value(rng: random.Random, action: argparse.Action) -> str:
-    if action.type is int:
+def _value(rng: random.Random, keywords: dict) -> str:
+    if keywords.get("type") is int:
         return str(rng.randrange(0, 60))
     return rng.choice(VALUES)
 
 
-def _well_formed(rng: random.Random, name: str, sub: argparse.ArgumentParser) -> list[str]:
+def _well_formed(rng: random.Random, name: str, arguments: tuple) -> list[str]:
     """One argv of ``name`` that gives every required word, some optional
     ones and a few ``--param`` pins, in either spelling and in any order."""
     positional, chunks = [], []
-    for action in sub._actions:
-        if isinstance(action, argparse._HelpAction):
-            continue
-        if not action.option_strings:
+    for option, keywords in arguments:
+        if option[0] != "-":
             positional.append(rng.choice(["p.json", "r.json", "chain.json"]))
             continue
-        times = rng.choice([0, 1, 1, 2, 3]) if isinstance(action, argparse._AppendAction) else (
-            1 if action.required or rng.random() < 0.5 else 0)
+        action = keywords.get("action")
+        times = rng.choice([0, 1, 1, 2, 3]) if action == "append" else (
+            1 if keywords.get("required") or rng.random() < 0.5 else 0)
         for _ in range(times):
-            option = rng.choice(action.option_strings)
-            if action.nargs == 0:
+            if action == "store_true":
                 chunks.append([option])
             elif rng.random() < 0.5:
-                chunks.append([option, _value(rng, action)])
+                chunks.append([option, _value(rng, keywords)])
             else:
-                chunks.append([f"{option}={_value(rng, action)}"])
+                chunks.append([f"{option}={_value(rng, keywords)}"])
     rng.shuffle(chunks)
     chunks.insert(rng.randrange(len(chunks) + 1), positional)
     return [name] + [word for chunk in chunks for word in chunk]
 
 
-def _mutated(rng: random.Random, argv: list[str], sub: argparse.ArgumentParser) -> list[str]:
+def _mutated(rng: random.Random, argv: list[str], arguments: tuple) -> list[str]:
     """``argv`` with one change the plain reader leaves to argparse, or with
     a repeat, which it reads."""
     argv = list(argv)
     rest = range(1, len(argv) + 1)  # where a word may go after the command
-    options = [s for a in sub._actions for s in a.option_strings if s.startswith("--")]
+    options = [word for word, _ in arguments if word.startswith("--")]
     kind = rng.randrange(11)
     if kind == 0:  # an abbreviation, perhaps ambiguous or exact
         option = rng.choice(options)
@@ -94,7 +91,7 @@ def _mutated(rng: random.Random, argv: list[str], sub: argparse.ArgumentParser) 
     elif kind == 7:  # an extra word
         argv.insert(rng.choice(rest), rng.choice(VALUES))
     elif kind == 8:  # a bad or dashed integer
-        ints = [s for a in sub._actions if a.type is int for s in a.option_strings]
+        ints = [word for word, keywords in arguments if keywords.get("type") is int]
         if ints:
             argv += [rng.choice(ints), rng.choice(BAD_INTS)]
     elif kind == 9:  # an unknown option, a short option glued to its value
@@ -108,13 +105,13 @@ def corpus(count: int = 4000, seed: int = 0) -> list[list[str]]:
     """``count`` argvs over every subcommand: three in five well formed,
     the others mutated once or twice."""
     rng = random.Random(seed)
-    commands = cli._build_parser().commands
     argvs: list[list[str]] = [[]]
     while len(argvs) < count:
-        name = rng.choice(sorted(commands))
-        argv = _well_formed(rng, name, commands[name])
+        name = rng.choice(sorted(cli._COMMANDS))
+        arguments = cli._COMMANDS[name][1]
+        argv = _well_formed(rng, name, arguments)
         for _ in range(0 if rng.random() < 0.6 else rng.choice([1, 1, 2])):
-            argv = _mutated(rng, argv, commands[name])
+            argv = _mutated(rng, argv, arguments)
         argvs.append(argv)
     return argvs
 
@@ -136,9 +133,8 @@ def compare(argvs: list[list[str]]) -> tuple[int, list[list[str]]]:
     """How many of ``argvs`` the plain reader reads, and those on which
     `cli._parse_args` and the full parser disagree."""
     parser = cli._build_parser()
-    tables = {name: sub.plain for name, sub in parser.commands.items()}
-    plain = sum(1 for argv in argvs if argv and tables.get(argv[0])
-                and cli._read_plain(tables[argv[0]], argv[1:]) is not None)
+    plain = sum(1 for argv in argvs if argv and argv[0] in cli._COMMANDS
+                and cli._read_plain(cli._COMMANDS[argv[0]][1], argv[1:]) is not None)
     wrong = [argv for argv in argvs
              if outcome(cli._parse_args, argv) != outcome(parser.parse_args, argv)]
     return plain, wrong

@@ -502,7 +502,7 @@ def test_parser_keeps_no_state_between_runs(capsys):
     assert cli._build_parser() is cli._build_parser()
 
 
-def test_two_parses_never_share_a_param_list():
+def test_two_parses_never_share_a_param_list(monkeypatch, capsys):
     # argparse appends to a copy of the default; the plain reader copies it
     # even when no --param is given, so no namespace holds the default itself
     pinned = cli._parse_args(["check-seq", "p.json", "--seq", "a", "--param", "x=1"])
@@ -511,6 +511,29 @@ def test_two_parses_never_share_a_param_list():
     assert lists == [["x=1"], [], []] and len({id(items) for items in lists}) == 3
     bare[0].param.append("y=2")
     assert cli._parse_args(["check-seq", "p.json", "--seq", "a"]).param == []
+    # the seven subcommands that take --param share one declared default: no
+    # parse, plain or by argparse (an abbreviated option), and no run that
+    # pins parameters appends to it
+    defaults = [keywords["default"] for _, arguments in cli._COMMANDS.values()
+                for word, keywords in arguments if word == "--param"]
+    declared = defaults[0]
+    assert len(defaults) == 7 and all(default is declared for default in defaults)
+    parsed = [cli._parse_args(["maxprob", "p.json", "--param", "x=1", "--seq", "a"]),
+              cli._parse_args(["maxprob", "p.json", "--par", "x=1", "--seq", "a"]),
+              cli._parse_args(["identify", "p.json", "--param=y=2", "--param", "x=1",
+                               "--sweep", "x", "--ran", "0:1"])]
+    monkeypatch.setattr(cli, "_parse_args", lambda argv, parse=cli._parse_args:
+                        parsed.append(parse(argv)) or parsed[-1])
+    ex3 = str(PROBLEMS / "example3.json")
+    for option in ("--param", "--para"):  # read plain, then by argparse
+        code, _, err = run_cli(capsys, "check-seq", ex3, option, "R=4", option, "c=1",
+                               "--seq", "effort,no_effort")
+        assert code == 0, err
+    assert [args.param for args in parsed] == [
+        ["x=1"], ["x=1"], ["y=2", "x=1"], ["R=4", "c=1"], ["R=4", "c=1"]]
+    lists = lists[1:] + [args.param for args in parsed]
+    assert len({id(items) for items in lists + [declared]}) == len(lists) + 1
+    assert declared == []
 
 
 def test_check_marginal_and_joint(capsys, tmp_path):
@@ -985,7 +1008,8 @@ def test_subcommand_parser_matches_the_full_parser(capsys, argv):
             return f"usage error: {exc}"
 
     expected = parsed(cli._build_parser().parse_args)
-    assert parsed(cli._parse_args) == expected
+    got = parsed(cli._parse_args)
+    assert got == expected if isinstance(expected, str) else vars(got) == vars(expected)
     if isinstance(expected, str):  # and `run` reports it as a usage error, exit 1
         assert cli.run(list(argv)) == 1
         assert capsys.readouterr().err == expected + "\n"
@@ -1030,19 +1054,31 @@ def test_every_benchmark_run_is_read_without_argparse(monkeypatch, workload, run
         assert cli._parse_args(argv).command == argv[0]
 
 
-def test_the_plain_reader_leaves_other_actions_to_argparse():
-    # an action the reader would misread makes its subcommand argparse's alone
-    def table(option=None, problem=None):
-        parser = cli._Parser(prog="dynrat x")
-        parser.add_argument("problem", **(problem or {}))
-        parser.add_argument("--opt", **(option or {}))
-        return cli._plain_table(parser)
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_every_option_has_a_help_line(capsys, name):
+    # argparse prints each subcommand's help from the same declarations
+    with pytest.raises(SystemExit) as done:
+        cli.run([name, "--help"])
+    out = capsys.readouterr().out
+    assert done.value.code == 0 and out.startswith(f"usage: dynrat {name} ")
+    for word, keywords in cli._COMMANDS[name][1]:
+        assert keywords["help"] in " ".join(out.split()), word
 
-    assert table() is not None
-    for option in [dict(nargs="+"), dict(nargs="?"), dict(choices=["a"]),
+
+def test_the_plain_reader_leaves_other_actions_to_argparse():
+    # a declaration the reader would misread makes its subcommand argparse's alone
+    def read(option=None, problem=None, more=()):
+        arguments = (("problem", problem or {}), ("--opt", option or {})) + more
+        return cli._read_plain(arguments, ["p.json", "--opt", "3"])
+
+    assert read() == {"problem": "p.json", "opt": "3"}
+    assert read(dict(type=int, default=5)) == {"problem": "p.json", "opt": 3}
+    for option in [dict(nargs="+"), dict(nargs="?"), dict(choices=["3"]),
                    dict(type=int, default="3"), dict(action="count"),
                    dict(action="store_const", const=1), dict(action="append", default=None),
                    dict(action="extend", nargs="+"), dict(dest="problem")]:
-        assert table(option) is None, option
+        assert read(option) is None, option
     for problem in [dict(type=int), dict(nargs="?")]:
-        assert table(problem=problem) is None, problem
+        assert read(problem=problem) is None, problem
+    # a dest that two options share, here by default and by name
+    assert read(more=(("--other", dict(dest="opt")),)) is None
