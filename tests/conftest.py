@@ -25,6 +25,7 @@ from typing import Optional
 import pytest
 
 from dynrat import analysis as an
+from dynrat import cli
 from dynrat import model as m
 from dynrat import deviation as dv
 from dynrat import lp
@@ -36,6 +37,13 @@ PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
 
 def load_fixture(name: str) -> m.DecisionProblem:
     return m.load_problem((PROBLEMS_DIR / name).read_text())
+
+
+@pytest.fixture(autouse=True)
+def fresh_problem_memo():
+    """Each test starts, as a fresh process does, with no problem text kept
+    by `cli`, so what a test counts does not depend on the tests before it."""
+    cli._PROBLEMS.clear()
 
 
 @pytest.fixture(scope="session")

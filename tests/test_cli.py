@@ -536,6 +536,25 @@ def test_two_parses_never_share_a_param_list(monkeypatch, capsys):
     assert declared == []
 
 
+def test_no_namespace_holds_the_declared_param_default(monkeypatch, capsys):
+    # argparse hands an unused `append` default over as it is; every
+    # namespace, plain, by argparse (an abbreviated option) or of a run, gets
+    # a list of its own, so appending to one changes no other and no default
+    declared = cli._COMMANDS["check-seq"][1][1][1]["default"]
+    namespaces = [cli._parse_args(["check-seq", "p.json", "--seq", "a"]),
+                  cli._parse_args(["check-seq", "p.json", "--se", "a"])]
+    monkeypatch.setattr(cli, "_parse_args", lambda argv, parse=cli._parse_args:
+                        namespaces.append(parse(argv)) or namespaces[-1])
+    for option in ("--seq", "--se"):
+        code, _, err = run_cli(capsys, "check-seq", EX1, option, "invest,pull_back")
+        assert code == 0, err
+    assert len({id(args.param) for args in namespaces} | {id(declared)}) == 5
+    for args in namespaces:
+        assert args.param == []
+        args.param.append("x=1")
+    assert declared == []
+
+
 def test_check_marginal_and_joint(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "check-marginal", EX1, "--dist",
                            "invest,pull_back:3/4,invest,invest:1/4")
@@ -799,9 +818,10 @@ def test_a_deep_chain_report_is_re_checked(capsys, tmp_path):
 
 def test_a_deep_chain_rule_reads_its_tree_s_common_prefixes(capsys, monkeypatch, tmp_path):
     # a rule built on a problem's leaves checks its adaptedness against the
-    # common-prefix lengths its tree keeps, which the prefix runs read too:
-    # a dominated check-joint and its verify-witness derive them once per
-    # tree read, and verify-witness builds no prefix runs for them
+    # common-prefix lengths its tree keeps, which the prefix runs read too;
+    # verify-witness reads the problem of the query's report from the one
+    # tree the query read, so a dominated check-joint and its verify-witness
+    # derive them once, together
     callers, real = [], model._common
 
     def common(seqs):
@@ -819,7 +839,7 @@ def test_a_deep_chain_rule_reads_its_tree_s_common_prefixes(capsys, monkeypatch,
     report.write_text(out.splitlines()[0])
     code, out, err = run_cli(capsys, "verify-witness", str(report))
     assert first_report(out)["result"] == {"valid": True, "detail": "dominating rule re-checked"}
-    assert callers == [model.Tree.common.func.__code__] * 2  # one tree read by each run
+    assert callers == [model.Tree.common.func.__code__]  # one tree read by both runs
 
 
 @pytest.mark.parametrize("command", ["check-marginal", "verify-witness"])
@@ -1082,3 +1102,180 @@ def test_the_plain_reader_leaves_other_actions_to_argparse():
         assert read(problem=problem) is None, problem
     # a dest that two options share, here by default and by name
     assert read(more=(("--other", dict(dest="opt")),)) is None
+
+
+# ---------------------------------------------------------------------------
+# The problem memo: one parse per problem text per process
+# ---------------------------------------------------------------------------
+
+EX1_SORTED = {  # example 1 with every node's actions in sorted order
+    "periods": 2, "states": ["good", "bad"],
+    "tree": {"invest": {"invest": "leaf", "pull_back": "leaf"}, "not_invest": "leaf"},
+    "utility": {"not_invest": {"good": 0, "bad": 0},
+                "invest,pull_back": {"good": -1, "bad": -1},
+                "invest,invest": {"good": 2, "bad": -2}},
+}
+
+
+def count_parses(monkeypatch) -> list:
+    """Each parse `cli` runs from now on: ``("file", its bytes)`` for a
+    problem file, ``("report", its sorted JSON)`` for a report's problem."""
+    parses, load, from_dict = [], cli.load_problem, cli.problem_from_dict
+    monkeypatch.setattr(cli, "load_problem", lambda source: parses.append(
+        ("file", source.getvalue())) or load(source))
+    monkeypatch.setattr(cli, "problem_from_dict", lambda doc: parses.append(
+        ("report", json.dumps(doc, sort_keys=True, default=str))) or from_dict(doc))
+    return parses
+
+
+def test_golden_commands_repeated_in_one_process_give_the_golden_bytes(monkeypatch, tmp_path):
+    # every golden command, in file order and then in reverse, each verdict
+    # followed by verify-witness on its report: the golden bytes, and the
+    # re-check a fresh process gives, with each problem text parsed once
+    witnessed = [name for name in CASES
+                 if "witness" in _golden_report(name)["result"]]
+    fresh = {}
+    for name in witnessed:
+        cli._PROBLEMS.clear()
+        fresh[name] = render(["verify-witness", str(GOLDEN / f"{name}.json")])
+    cli._PROBLEMS.clear()
+    parses = count_parses(monkeypatch)
+    report = tmp_path / "report.json"
+    for name in list(CASES) + list(reversed(CASES)):
+        out = render(CASES[name])
+        assert out == (GOLDEN / f"{name}.json").read_text(), name
+        if name in fresh:
+            report.write_text(out)
+            assert render(["verify-witness", str(report)]) == fresh[name], name
+        assert len(cli._PROBLEMS) <= cli._PROBLEMS_KEPT
+    assert len(parses) == len(set(parses))
+    files = {argv[1] for argv in CASES.values()}
+    assert sum(kind == "file" for kind, _ in parses) == len(files)
+
+
+def test_the_memo_is_keyed_by_content_not_path(capsys, monkeypatch, tmp_path):
+    # rewriting a file between runs changes the answer; two paths holding
+    # the same bytes share one parse
+    parses = count_parses(monkeypatch)
+    path, copy = tmp_path / "ex1.json", tmp_path / "copy.json"
+    doc = json.loads(Path(EX1).read_text())
+    verdicts = []
+    for bad in (-2, 2):  # with 2, investing again beats pulling back in every state
+        doc["utility"]["invest,invest"]["bad"] = bad
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check-seq", str(path), "--seq", "invest,pull_back")
+        assert code == 0, err
+        verdicts.append(first_report(out)["result"]["rationalizable"])
+    assert verdicts == [True, False] and len(parses) == 2
+    copy.write_bytes(path.read_bytes())
+    reports = []
+    for problem in (path, copy):
+        code, out, err = run_cli(capsys, "maxprob", str(problem), "--seq", "invest,invest")
+        assert code == 0, err
+        reports.append(first_report(out))
+        reports[-1].pop("timing_ms")
+    assert reports[0] == reports[1] and len(parses) == 2
+
+
+def test_a_malformed_problem_is_refused_on_every_run_until_fixed(capsys, monkeypatch, tmp_path):
+    # only a parse that succeeds is kept: the same bad bytes fail every time
+    parses = count_parses(monkeypatch)
+    path = tmp_path / "problem.json"
+    doc = json.loads(Path(EX1).read_text())
+    doc["tree"]["invest"] = {}
+    path.write_text(json.dumps(doc))
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "check-seq", str(path), "--seq", "not_invest")
+        assert code == 2 and out == "" and "empty action set" in err
+    assert len(parses) == 2 and not cli._PROBLEMS
+    path.write_text(Path(EX1).read_text())
+    code, out, err = run_cli(capsys, "check-seq", str(path), "--seq", "not_invest")
+    assert code == 0 and first_report(out)["result"]["rationalizable"] is True, err
+
+
+def reordered(problem: dict) -> None:
+    problem["tree"] = dict(reversed(problem["tree"].items()))
+
+
+# A report's problem edited in place: (edit, valid, parses in two runs)
+REPORT_EDITS = {
+    # a decimal reads as a Fraction, which no writer's text holds: every run parses
+    "decimal": (lambda p: p["utility"]["invest,invest"].update(bad=-2.0), True, 2),
+    # another key order is kept under its own text, not the writer's
+    "reordered": (reordered, True, 1),
+    "tampered": (lambda p: p["utility"]["invest,invest"].update(bad=2), False, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_EDITS))
+def test_verify_witness_parses_only_a_problem_text_it_has_not_kept(
+        capsys, monkeypatch, tmp_path, case):
+    # a query's report, read back, hits the problem the query kept; a
+    # report whose problem is not the writer's text of it is parsed afresh
+    # and echoed canonically
+    edit, valid, want = REPORT_EDITS[case]
+    path, report = tmp_path / "ex1.json", tmp_path / "report.json"
+    path.write_text(json.dumps(EX1_SORTED))
+    parses = count_parses(monkeypatch)
+    code, out, err = run_cli(capsys, "check-seq", str(path), "--seq", "invest,pull_back")
+    assert code == 0, err
+    written = first_report(out)["problem"]
+    report.write_text(out.splitlines()[0])
+    code, out, err = run_cli(capsys, "verify-witness", str(report))
+    assert code == 0 and first_report(out)["result"]["valid"] is True, err
+    assert first_report(out)["problem"] == written and len(parses) == 1
+    doc = json.loads(report.read_text())
+    edit(doc["problem"])
+    report.write_text(json.dumps(doc))
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "verify-witness", str(report))
+        assert code == 0 and first_report(out)["result"]["valid"] is valid, err
+    assert len(parses) == 1 + want
+    written["utility"]["invest,invest"]["bad"] = -2 if valid else 2
+    assert cli._ENCODER.encode(first_report(out)["problem"]) == cli._ENCODER.encode(written)
+
+
+def test_a_tree_not_in_sorted_order_is_re_checked_in_the_report_s_order(
+        capsys, monkeypatch, tmp_path):
+    # example 1 lists not_invest before invest; its report, keys sorted,
+    # reads back with invest first, so verify-witness parses it once and
+    # re-checks on the leaves in the report's order, as a fresh process does
+    parses = count_parses(monkeypatch)
+    code, out, err = run_cli(capsys, "check-seq", EX1, "--seq", "invest,pull_back")
+    assert code == 0, err
+    report = tmp_path / "report.json"
+    report.write_text(out.splitlines()[0])
+    seen, real = [], oracle.verify_witness
+    monkeypatch.setattr(oracle, "verify_witness",
+                        lambda inst, *rest: seen.append(inst.leaves) or real(inst, *rest))
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "verify-witness", str(report))
+        assert code == 0 and first_report(out)["result"]["valid"] is True, err
+    assert [kind for kind, _ in parses] == ["file", "report"]
+    assert seen == [("invest,invest", "invest,pull_back", "not_invest")] * 2
+
+
+def test_the_memo_keeps_at_most_its_bound(capsys, monkeypatch, tmp_path):
+    # the least recently used text goes first
+    parses = count_parses(monkeypatch)
+    paths = []
+    for k in range(2 * cli._PROBLEMS_KEPT):
+        doc = json.loads(json.dumps(EX1_SORTED))
+        doc["utility"]["not_invest"]["good"] = k
+        paths.append(tmp_path / f"p{k}.json")
+        paths[-1].write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "check-seq", str(paths[-1]), "--seq", "not_invest")
+        assert code == 0, err
+        assert len(cli._PROBLEMS) <= cli._PROBLEMS_KEPT
+    assert len(cli._PROBLEMS) == cli._PROBLEMS_KEPT and len(parses) == len(paths)
+    for path, parsed in ((paths[-1], 0), (paths[0], 1)):
+        code, _, err = run_cli(capsys, "check-seq", str(path), "--seq", "not_invest")
+        assert code == 0 and len(parses) == len(paths) + parsed, err
+
+
+def test_the_library_loader_keeps_nothing():
+    # the memo is the command line's: `load_problem` parses every call
+    text = Path(EX1).read_text()
+    first, second = load_problem(text), load_problem(text)
+    assert first is not second and first.tree is not second.tree
+    assert not cli._PROBLEMS
