@@ -12,17 +12,15 @@ straight from that subcommand's declarations and argparse is never imported.
 argparse, built from the same declarations, reads every other line:
 abbreviations, ``--``, ``-h`` and every usage error.
 
-Within one process a problem text is parsed, validated and rendered once:
-a bounded memo (`_PROBLEMS`, the `_PROBLEMS_KEPT` most recently used texts)
-maps a problem file's bytes, or a report's problem text, to its
-`DecisionProblem` and the document every report on it embeds.  A query
-whose tree lists each node's actions in sorted order also keeps its problem
-under the text the report writer emits for it, so `verify-witness` on its
-report does not parse that problem again; a report's problem that is not a
-kept text (one holding a decimal, listing keys in another order, or
-tampered) is parsed afresh.  Every certificate is still re-checked in full,
-only successful parses are kept, and a kept problem keeps what is built
-once per tree (`Tree.per_tree`).  A fresh process starts with nothing kept.
+A query whose problem file holds the same bytes as the last problem file
+a query read in this process (`_LAST_PROBLEM`) reuses that file's problem
+and rendered document, so several questions asked of one problem in a row
+parse it once.  The key is the content, not the path, only a parse that
+succeeds is kept, and the kept problem keeps what is built once per tree
+(`Tree.per_tree`).  `verify-witness` parses the report's problem afresh on
+every run, so a certificate is re-checked on a tree of its own, not on the
+one the query that found it read.  A fresh process keeps nothing, so a
+single `dynrat` command runs as it did without this.
 
 Exit codes: 0 query answered (whatever the verdict), 1 usage error or
 standard output closed before the report was written, 2 input validation
@@ -311,64 +309,23 @@ def _parse_args(argv: list[str]):
     return args
 
 
-#: The report writer, built once: `json.dumps` with sorted keys.
-_ENCODER = json.JSONEncoder(sort_keys=True)
-#: `json.dumps` keeping each object's key order: on a document decoded from
-#: the writer's text, whose keys come in sorted order, it gives that text back.
-_PLAIN = json.JSONEncoder()
-
-#: How many problem texts one process keeps in `_PROBLEMS`.
-_PROBLEMS_KEPT = 8
-#: Each kept text, least recently used first: a problem file's bytes, or a
-#: report's problem as JSON text (`_report_problem`), mapped to the problem
-#: and to the document every report on it embeds (never changed).
-_PROBLEMS: dict = {}
-
-
-def _keep(key, entry: tuple[DecisionProblem, dict]) -> None:
-    """Keep ``entry`` under ``key`` as the most recently used text, dropping
-    the least recently used one past `_PROBLEMS_KEPT`."""
-    _PROBLEMS.pop(key, None)
-    _PROBLEMS[key] = entry
-    if len(_PROBLEMS) > _PROBLEMS_KEPT:
-        del _PROBLEMS[next(iter(_PROBLEMS))]
-
-
-def _entry(problem: DecisionProblem) -> tuple[DecisionProblem, dict]:
-    """``problem`` and its document, rendered once.  A problem whose tree
-    lists every node's actions in sorted order is also kept under the
-    writer's text of its document, since reading that text back, its keys
-    sorted, gives the same problem."""
-    entry = problem, problem_to_dict(problem)
-    if all(actions == tuple(sorted(actions)) for actions in problem.tree.branch_map.values()):
-        _keep(_ENCODER.encode(entry[1]), entry)
-    return entry
-
-
-def _report_problem(doc: dict) -> tuple[DecisionProblem, dict]:
-    """A report's problem and its document, kept under the problem's text in
-    the report's own key order, which is the writer's text for a report the
-    writer wrote.  A problem holding a decimal, read as a `Fraction` that the
-    writer never emits, has no such text and is parsed on every run."""
-    given = _object(doc.get("problem"), "report 'problem'")
-    try:
-        key = _PLAIN.encode(given)
-    except (TypeError, RecursionError):  # no text the writer emits
-        return _entry(problem_from_dict(given))
-    entry = _PROBLEMS.get(key) or _entry(problem_from_dict(given))
-    _keep(key, entry)
-    return entry
+#: The last problem file a query read: ``(its bytes, its problem, the
+#: document every report on it embeds)``, or None.  The document is never
+#: changed.
+_LAST_PROBLEM: list = [None]
 
 
 def _load_problem_and_params(args) -> tuple[DecisionProblem, dict, dict]:
     """The problem file's problem, its report document and the pinned
-    parameters; the file is parsed only when its bytes are not kept.  Only
-    a parse that succeeds is kept."""
+    parameters.  The file is parsed and rendered only when its bytes differ
+    from the last problem file's, and only a parse that succeeds is kept."""
     with open(args.problem, "rb", buffering=0) as fh:
         source = fh.read()
-    entry = _PROBLEMS.get(source) or _entry(load_problem(io.BytesIO(source)))
-    _keep(source, entry)
-    base, doc = entry
+    last = _LAST_PROBLEM[0]
+    if last is None or last[0] != source:
+        base = load_problem(io.BytesIO(source))
+        last = _LAST_PROBLEM[0] = source, base, problem_to_dict(base)
+    _, base, doc = last
     params: dict[str, Fraction] = {}
     for item in args.param:
         if "=" not in item:
@@ -398,6 +355,10 @@ def _pretty(result: dict) -> list[str]:
     if "count" in result:
         return [f"rules: {result['count']}"]
     return [f"draws: {result['n']}, seed: {result['seed']}"]
+
+
+#: The report writer, built once: `json.dumps` with sorted keys.
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def _emit(report: dict, pretty: bool) -> None:
@@ -522,11 +483,11 @@ def run(argv: Optional[list[str]] = None) -> int:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
         if args.command == "verify-witness":
             doc = _read_json(args.report, "report")
-            problem, problem_doc = _report_problem(doc)
+            problem = problem_from_dict(_object(doc.get("problem"), "report 'problem'"))
             ok, detail = _verify_report(problem, doc)
             report = {
                 "query": {"command": "verify-witness"},
-                "problem": problem_doc,
+                "problem": problem_to_dict(problem),
                 "result": {"valid": ok, "detail": detail},
                 "stats": {"lp_pivots": 0, "rules_enumerated": 0},
             }

@@ -40,10 +40,10 @@ def load_fixture(name: str) -> m.DecisionProblem:
 
 
 @pytest.fixture(autouse=True)
-def fresh_problem_memo():
-    """Each test starts, as a fresh process does, with no problem text kept
+def no_problem_file_kept():
+    """Each test starts, as a fresh process does, with no problem file kept
     by `cli`, so what a test counts does not depend on the tests before it."""
-    cli._PROBLEMS.clear()
+    cli._LAST_PROBLEM[0] = None
 
 
 @pytest.fixture(scope="session")

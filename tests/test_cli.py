@@ -521,7 +521,8 @@ def test_two_parses_never_share_a_param_list(monkeypatch, capsys):
     parsed = [cli._parse_args(["maxprob", "p.json", "--param", "x=1", "--seq", "a"]),
               cli._parse_args(["maxprob", "p.json", "--par", "x=1", "--seq", "a"]),
               cli._parse_args(["identify", "p.json", "--param=y=2", "--param", "x=1",
-                               "--sweep", "x", "--ran", "0:1"])]
+                               "--sweep", "x", "--ran", "0:1"]),
+              cli._parse_args(["check-seq", "p.json", "--se", "a"])]
     monkeypatch.setattr(cli, "_parse_args", lambda argv, parse=cli._parse_args:
                         parsed.append(parse(argv)) or parsed[-1])
     ex3 = str(PROBLEMS / "example3.json")
@@ -530,28 +531,9 @@ def test_two_parses_never_share_a_param_list(monkeypatch, capsys):
                                "--seq", "effort,no_effort")
         assert code == 0, err
     assert [args.param for args in parsed] == [
-        ["x=1"], ["x=1"], ["y=2", "x=1"], ["R=4", "c=1"], ["R=4", "c=1"]]
+        ["x=1"], ["x=1"], ["y=2", "x=1"], [], ["R=4", "c=1"], ["R=4", "c=1"]]
     lists = lists[1:] + [args.param for args in parsed]
     assert len({id(items) for items in lists + [declared]}) == len(lists) + 1
-    assert declared == []
-
-
-def test_no_namespace_holds_the_declared_param_default(monkeypatch, capsys):
-    # argparse hands an unused `append` default over as it is; every
-    # namespace, plain, by argparse (an abbreviated option) or of a run, gets
-    # a list of its own, so appending to one changes no other and no default
-    declared = cli._COMMANDS["check-seq"][1][1][1]["default"]
-    namespaces = [cli._parse_args(["check-seq", "p.json", "--seq", "a"]),
-                  cli._parse_args(["check-seq", "p.json", "--se", "a"])]
-    monkeypatch.setattr(cli, "_parse_args", lambda argv, parse=cli._parse_args:
-                        namespaces.append(parse(argv)) or namespaces[-1])
-    for option in ("--seq", "--se"):
-        code, _, err = run_cli(capsys, "check-seq", EX1, option, "invest,pull_back")
-        assert code == 0, err
-    assert len({id(args.param) for args in namespaces} | {id(declared)}) == 5
-    for args in namespaces:
-        assert args.param == []
-        args.param.append("x=1")
     assert declared == []
 
 
@@ -818,10 +800,9 @@ def test_a_deep_chain_report_is_re_checked(capsys, tmp_path):
 
 def test_a_deep_chain_rule_reads_its_tree_s_common_prefixes(capsys, monkeypatch, tmp_path):
     # a rule built on a problem's leaves checks its adaptedness against the
-    # common-prefix lengths its tree keeps, which the prefix runs read too;
-    # verify-witness reads the problem of the query's report from the one
-    # tree the query read, so a dominated check-joint and its verify-witness
-    # derive them once, together
+    # common-prefix lengths its tree keeps, which the prefix runs read too:
+    # a dominated check-joint and its verify-witness derive them once per
+    # tree read, and verify-witness builds no prefix runs for them
     callers, real = [], model._common
 
     def common(seqs):
@@ -839,7 +820,7 @@ def test_a_deep_chain_rule_reads_its_tree_s_common_prefixes(capsys, monkeypatch,
     report.write_text(out.splitlines()[0])
     code, out, err = run_cli(capsys, "verify-witness", str(report))
     assert first_report(out)["result"] == {"valid": True, "detail": "dominating rule re-checked"}
-    assert callers == [model.Tree.common.func.__code__]  # one tree read by both runs
+    assert callers == [model.Tree.common.func.__code__] * 2  # one tree read by each run
 
 
 @pytest.mark.parametrize("command", ["check-marginal", "verify-witness"])
@@ -1105,17 +1086,8 @@ def test_the_plain_reader_leaves_other_actions_to_argparse():
 
 
 # ---------------------------------------------------------------------------
-# The problem memo: one parse per problem text per process
+# The last problem file: one parse for several questions asked of it in a row
 # ---------------------------------------------------------------------------
-
-EX1_SORTED = {  # example 1 with every node's actions in sorted order
-    "periods": 2, "states": ["good", "bad"],
-    "tree": {"invest": {"invest": "leaf", "pull_back": "leaf"}, "not_invest": "leaf"},
-    "utility": {"not_invest": {"good": 0, "bad": 0},
-                "invest,pull_back": {"good": -1, "bad": -1},
-                "invest,invest": {"good": 2, "bad": -2}},
-}
-
 
 def count_parses(monkeypatch) -> list:
     """Each parse `cli` runs from now on: ``("file", its bytes)`` for a
@@ -1130,30 +1102,51 @@ def count_parses(monkeypatch) -> list:
 
 def test_golden_commands_repeated_in_one_process_give_the_golden_bytes(monkeypatch, tmp_path):
     # every golden command, in file order and then in reverse, each verdict
-    # followed by verify-witness on its report: the golden bytes, and the
-    # re-check a fresh process gives, with each problem text parsed once
+    # followed by verify-witness on its report: the golden bytes and the
+    # re-check a fresh process gives; a problem file is parsed only when its
+    # bytes differ from the last query's, and each report's problem on
+    # every re-check
     witnessed = [name for name in CASES
                  if "witness" in _golden_report(name)["result"]]
     fresh = {}
     for name in witnessed:
-        cli._PROBLEMS.clear()
         fresh[name] = render(["verify-witness", str(GOLDEN / f"{name}.json")])
-    cli._PROBLEMS.clear()
     parses = count_parses(monkeypatch)
     report = tmp_path / "report.json"
-    for name in list(CASES) + list(reversed(CASES)):
+    order = list(CASES) + list(reversed(CASES))
+    for name in order:
         out = render(CASES[name])
         assert out == (GOLDEN / f"{name}.json").read_text(), name
         if name in fresh:
             report.write_text(out)
             assert render(["verify-witness", str(report)]) == fresh[name], name
-        assert len(cli._PROBLEMS) <= cli._PROBLEMS_KEPT
-    assert len(parses) == len(set(parses))
-    files = {argv[1] for argv in CASES.values()}
-    assert sum(kind == "file" for kind, _ in parses) == len(files)
+    sources = [Path(CASES[name][1]).read_bytes() for name in order]
+    changes = [source for k, source in enumerate(sources) if k == 0 or source != sources[k - 1]]
+    assert [source for kind, source in parses if kind == "file"] == changes
+    assert len(changes) < len(order)
+    assert sum(kind == "report" for kind, _ in parses) == 2 * len(witnessed)
 
 
-def test_the_memo_is_keyed_by_content_not_path(capsys, monkeypatch, tmp_path):
+def test_verify_witness_re_checks_on_a_tree_of_its_own(capsys, monkeypatch, tmp_path):
+    # only queries reuse the last problem file: a report's problem is parsed
+    # afresh on every re-check, so no certificate is re-checked on the tree,
+    # or the per-tree caches, of the query that found it
+    code, out, err = run_cli(capsys, "check-seq", EX1, "--seq", "invest,pull_back")
+    assert code == 0, err
+    _, kept, _ = cli._LAST_PROBLEM[0]
+    report = tmp_path / "report.json"
+    report.write_text(out.splitlines()[0])
+    seen, real = [], oracle.verify_witness
+    monkeypatch.setattr(oracle, "verify_witness",
+                        lambda problem, *rest: seen.append(problem) or real(problem, *rest))
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "verify-witness", str(report))
+        assert code == 0 and first_report(out)["result"]["valid"] is True, err
+    assert len(seen) == 2 and len({id(problem.tree) for problem in seen + [kept]}) == 3
+    assert cli._LAST_PROBLEM[0][1] is kept
+
+
+def test_the_kept_file_is_keyed_by_content_not_path(capsys, monkeypatch, tmp_path):
     # rewriting a file between runs changes the answer; two paths holding
     # the same bytes share one parse
     parses = count_parses(monkeypatch)
@@ -1177,6 +1170,36 @@ def test_the_memo_is_keyed_by_content_not_path(capsys, monkeypatch, tmp_path):
     assert reports[0] == reports[1] and len(parses) == 2
 
 
+def test_a_file_holding_a_report_s_problem_text_is_one_more_file(tmp_path):
+    # the key is a file's bytes: a file holding exactly the writer's text of
+    # the kept problem is parsed as a file of its own, and no bytes are ever
+    # compared with a str (run with -bb, where that comparison raises)
+    path, again = tmp_path / "ex1.json", tmp_path / "again.json"
+    path.write_text(Path(EX1).read_text())
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from dynrat import cli\n"
+        "def run(*argv):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert cli.run(list(argv)) == 0\n"
+        "    return out.getvalue()\n"
+        f"first = run('check-seq', {str(path)!r}, '--seq', 'invest,pull_back')\n"
+        f"with open({str(tmp_path / 'r.json')!r}, 'w') as fh:\n"
+        "    fh.write(first)\n"
+        f"run('verify-witness', {str(tmp_path / 'r.json')!r})\n"
+        f"with open({str(again)!r}, 'w') as fh:\n"
+        "    fh.write(cli._ENCODER.encode(json.loads(first)['problem']))\n"
+        f"second = run('check-seq', {str(again)!r}, '--seq', 'invest,pull_back')\n"
+        "verdicts = [json.loads(out)['result']['rationalizable'] for out in (first, second)]\n"
+        "assert verdicts == [True, True]\n"
+        "assert type(cli._LAST_PROBLEM[0][0]) is bytes\n"
+    )
+    done = subprocess.run([sys.executable, "-bb", "-c", script], capture_output=True,
+                          text=True, env=_module_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 def test_a_malformed_problem_is_refused_on_every_run_until_fixed(capsys, monkeypatch, tmp_path):
     # only a parse that succeeds is kept: the same bad bytes fail every time
     parses = count_parses(monkeypatch)
@@ -1187,7 +1210,7 @@ def test_a_malformed_problem_is_refused_on_every_run_until_fixed(capsys, monkeyp
     for _ in range(2):
         code, out, err = run_cli(capsys, "check-seq", str(path), "--seq", "not_invest")
         assert code == 2 and out == "" and "empty action set" in err
-    assert len(parses) == 2 and not cli._PROBLEMS
+    assert len(parses) == 2 and cli._LAST_PROBLEM[0] is None
     path.write_text(Path(EX1).read_text())
     code, out, err = run_cli(capsys, "check-seq", str(path), "--seq", "not_invest")
     assert code == 0 and first_report(out)["result"]["rationalizable"] is True, err
@@ -1197,85 +1220,54 @@ def reordered(problem: dict) -> None:
     problem["tree"] = dict(reversed(problem["tree"].items()))
 
 
-# A report's problem edited in place: (edit, valid, parses in two runs)
+# A report's problem edited in place: (edit, still valid)
 REPORT_EDITS = {
-    # a decimal reads as a Fraction, which no writer's text holds: every run parses
-    "decimal": (lambda p: p["utility"]["invest,invest"].update(bad=-2.0), True, 2),
-    # another key order is kept under its own text, not the writer's
-    "reordered": (reordered, True, 1),
-    "tampered": (lambda p: p["utility"]["invest,invest"].update(bad=2), False, 1),
+    "decimal": (lambda p: p["utility"]["invest,invest"].update(bad=-2.0), True),
+    "reordered": (reordered, True),
+    "tampered": (lambda p: p["utility"]["invest,invest"].update(bad=2), False),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REPORT_EDITS))
-def test_verify_witness_parses_only_a_problem_text_it_has_not_kept(
-        capsys, monkeypatch, tmp_path, case):
-    # a query's report, read back, hits the problem the query kept; a
-    # report whose problem is not the writer's text of it is parsed afresh
-    # and echoed canonically
-    edit, valid, want = REPORT_EDITS[case]
-    path, report = tmp_path / "ex1.json", tmp_path / "report.json"
-    path.write_text(json.dumps(EX1_SORTED))
-    parses = count_parses(monkeypatch)
-    code, out, err = run_cli(capsys, "check-seq", str(path), "--seq", "invest,pull_back")
+def test_verify_witness_parses_an_edited_problem_afresh(capsys, monkeypatch, tmp_path, case):
+    # a report whose problem is not the writer's text of it (a decimal,
+    # another key order, a tampered payoff) is parsed on every run and
+    # echoed canonically
+    edit, valid = REPORT_EDITS[case]
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "check-seq", EX1, "--seq", "invest,pull_back")
     assert code == 0, err
     written = first_report(out)["problem"]
-    report.write_text(out.splitlines()[0])
-    code, out, err = run_cli(capsys, "verify-witness", str(report))
-    assert code == 0 and first_report(out)["result"]["valid"] is True, err
-    assert first_report(out)["problem"] == written and len(parses) == 1
-    doc = json.loads(report.read_text())
+    doc = first_report(out)
     edit(doc["problem"])
     report.write_text(json.dumps(doc))
+    parses = count_parses(monkeypatch)
     for _ in range(2):
         code, out, err = run_cli(capsys, "verify-witness", str(report))
         assert code == 0 and first_report(out)["result"]["valid"] is valid, err
-    assert len(parses) == 1 + want
+    assert [kind for kind, _ in parses] == ["report"] * 2
     written["utility"]["invest,invest"]["bad"] = -2 if valid else 2
     assert cli._ENCODER.encode(first_report(out)["problem"]) == cli._ENCODER.encode(written)
 
 
-def test_a_tree_not_in_sorted_order_is_re_checked_in_the_report_s_order(
-        capsys, monkeypatch, tmp_path):
-    # example 1 lists not_invest before invest; its report, keys sorted,
-    # reads back with invest first, so verify-witness parses it once and
-    # re-checks on the leaves in the report's order, as a fresh process does
+def test_only_the_last_problem_file_is_kept(capsys, monkeypatch, tmp_path):
+    # a query on another file replaces the kept one
     parses = count_parses(monkeypatch)
-    code, out, err = run_cli(capsys, "check-seq", EX1, "--seq", "invest,pull_back")
-    assert code == 0, err
-    report = tmp_path / "report.json"
-    report.write_text(out.splitlines()[0])
-    seen, real = [], oracle.verify_witness
-    monkeypatch.setattr(oracle, "verify_witness",
-                        lambda inst, *rest: seen.append(inst.leaves) or real(inst, *rest))
-    for _ in range(2):
-        code, out, err = run_cli(capsys, "verify-witness", str(report))
-        assert code == 0 and first_report(out)["result"]["valid"] is True, err
-    assert [kind for kind, _ in parses] == ["file", "report"]
-    assert seen == [("invest,invest", "invest,pull_back", "not_invest")] * 2
-
-
-def test_the_memo_keeps_at_most_its_bound(capsys, monkeypatch, tmp_path):
-    # the least recently used text goes first
-    parses = count_parses(monkeypatch)
-    paths = []
-    for k in range(2 * cli._PROBLEMS_KEPT):
-        doc = json.loads(json.dumps(EX1_SORTED))
-        doc["utility"]["not_invest"]["good"] = k
-        paths.append(tmp_path / f"p{k}.json")
-        paths[-1].write_text(json.dumps(doc))
-        code, _, err = run_cli(capsys, "check-seq", str(paths[-1]), "--seq", "not_invest")
-        assert code == 0, err
-        assert len(cli._PROBLEMS) <= cli._PROBLEMS_KEPT
-    assert len(cli._PROBLEMS) == cli._PROBLEMS_KEPT and len(parses) == len(paths)
-    for path, parsed in ((paths[-1], 0), (paths[0], 1)):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    doc = json.loads(Path(EX1).read_text())
+    for path, good in ((first, 0), (second, 1)):
+        doc["utility"]["not_invest"]["good"] = good
+        path.write_text(json.dumps(doc))
+    for path in (first, second, first, first, second):
         code, _, err = run_cli(capsys, "check-seq", str(path), "--seq", "not_invest")
-        assert code == 0 and len(parses) == len(paths) + parsed, err
+        assert code == 0, err
+    assert [source for _, source in parses] == [
+        path.read_bytes() for path in (first, second, first, second)]
 
 
 def test_the_library_loader_keeps_nothing():
-    # the memo is the command line's: `load_problem` parses every call
+    # only the command line keeps a problem: `load_problem` parses every call
     text = Path(EX1).read_text()
     first, second = load_problem(text), load_problem(text)
     assert first is not second and first.tree is not second.tree
-    assert not cli._PROBLEMS
+    assert cli._LAST_PROBLEM[0] is None
