@@ -157,12 +157,16 @@ _PRETTY = ("--pretty", {"action": "store_true",
                         "help": "append a human-readable summary after the JSON report"})
 _COMMON = (
     ("problem", {"help": "problem file (JSON)"}),
-    ("--param", {"action": "append", "default": [], "metavar": "NAME=VALUE",
+    ("--param", {"action": "append", "metavar": "NAME=VALUE",
                  "help": "pin a parameter, e.g. --param delta=4/5 (repeatable)"}),
     _PRETTY)
 
 #: Each subcommand's help line and its arguments in order: a word and the
-#: keywords `add_argument` takes.
+#: keywords `add_argument` takes, of these only: ``action`` (``store``,
+#: ``store_true`` or ``append``), ``default``, ``dest``, ``help``,
+#: ``metavar``, ``required`` and ``type``, the last on no positional and
+#: beside no string default; each dest once per subcommand.  `_read_plain`
+#: reads no other.
 _COMMANDS = {
     "check-seq": ("can a single action sequence be rationalized?", _COMMON + (
         ("--seq", {"required": True, "help": "comma-joined action labels"}),)),
@@ -196,7 +200,7 @@ _COMMANDS = {
 }
 
 
-@functools.cache  # argparse copies an ``append`` default before appending
+@functools.cache
 def _build_parser():
     """The argparse parser of `_COMMANDS`, for the lines `_read_plain` declines."""
     import argparse
@@ -221,22 +225,15 @@ def _build_parser():
     return parser
 
 
-# The `add_argument` keywords and actions the plain reader reads
-_PLAIN_KEYWORDS = {"action", "default", "dest", "help", "metavar", "required", "type"}
-_PLAIN_ACTIONS = {"store", "store_true", "append"}
-
-
 def _read_plain(arguments: tuple, words: list[str]) -> Optional[dict]:
     """The values argparse gives a plain command line ``words`` of the
-    subcommand declared by ``arguments``, by dest; None when ``words`` is not
-    plain, or when a declaration is one the reader leaves to argparse: with a
-    keyword or action it does not read, a converted string default or
-    positional, a non-list ``append`` default, or a dest another shares.
-    Plain: each option word is one of the subcommand's own option words, a
-    flag takes no value, every other option its next word or the text after
-    its first ``=``; no value or positional is empty or starts with ``-``;
-    the positionals are exactly the declared ones, every required option is
-    given and every ``type`` conversion succeeds."""
+    subcommand declared by ``arguments`` (see `_COMMANDS`), by dest; None
+    when ``words`` is not plain.  Plain: each option word is one of the
+    subcommand's own option words, a flag takes no value, every other
+    option its next word or the text after its first ``=``; no value or
+    positional is empty or starts with ``-``; the positionals are exactly
+    the declared ones, every required option is given and every ``type``
+    conversion succeeds."""
     values, options, positionals, required = {}, {}, [], []
     for word, keywords in arguments:
         action = keywords.get("action", "store")
@@ -244,13 +241,7 @@ def _read_plain(arguments: tuple, words: list[str]) -> Optional[dict]:
         convert = keywords.get("type")
         positional = word[0] != "-"
         dest = word if positional else keywords.get("dest", word.lstrip("-").replace("-", "_"))
-        if (not _PLAIN_KEYWORDS.issuperset(keywords) or action not in _PLAIN_ACTIONS
-                or dest in values
-                or (convert is not None and (isinstance(default, str) or positional))
-                or (action == "append" and type(default) is not list)):
-            return None
-        # argparse appends to a copy; no two parses share a list
-        values[dest] = default[:] if action == "append" else default
+        values[dest] = default
         if positional:
             positionals.append(dest)
             continue
@@ -283,8 +274,8 @@ def _read_plain(arguments: tuple, words: list[str]) -> Optional[dict]:
                 value = convert(value)
             except Exception:  # argparse converts it again and reports the failure
                 return None
-        if append:
-            values[dest].append(value)
+        if append:  # a new list, as argparse appends to a copy
+            values[dest] = [*(values[dest] or ()), value]
         else:
             values[dest] = value
     if len(free) != len(positionals) or not given.issuperset(required):
@@ -296,17 +287,12 @@ def _read_plain(arguments: tuple, words: list[str]) -> Optional[dict]:
 def _parse_args(argv: list[str]):
     """``argv`` parsed as the full parser parses it: a plain line after a
     subcommand's name is read from its declarations, without argparse, and
-    argparse reads any other line, giving its namespace or its error.  No
-    two namespaces share a list, and none holds a declared default."""
+    argparse reads any other line, giving its namespace or its error."""
     command = _COMMANDS.get(argv[0]) if argv else None
     values = _read_plain(command[1], argv[1:]) if command else None
     if values is not None:
         return types.SimpleNamespace(command=argv[0], **values)
-    args = _build_parser().parse_args(argv)
-    for dest, value in list(vars(args).items()):
-        if type(value) is list:  # argparse hands an unused `append` default over itself
-            setattr(args, dest, value[:])
-    return args
+    return _build_parser().parse_args(argv)
 
 
 #: The last problem file a query read: ``(its bytes, its problem, the
@@ -327,7 +313,7 @@ def _load_problem_and_params(args) -> tuple[DecisionProblem, dict, dict]:
         last = _LAST_PROBLEM[0] = source, base, problem_to_dict(base)
     _, base, doc = last
     params: dict[str, Fraction] = {}
-    for item in args.param:
+    for item in args.param or ():
         if "=" not in item:
             raise UsageError(f"--param expects NAME=VALUE, got {item!r}")
         name, _, value = item.partition("=")

@@ -15,20 +15,20 @@ the solver re-checks the primal assignment against the program as built
 and against the program's rows, not the solver's.
 
 The arithmetic is integer throughout, fraction-free in the manner of
-Edmonds and Bareiss.  A program's rows are integers over one positive
-denominator each (`Constraint`), and builders write them so with
-`add_row`.  Each row becomes a tableau row as it stands, a list of Python
-ints over that denominator, so a pivot is integer multiply-and-subtract:
-the multiplier and the pivot row's denominator are first divided by their
-gcd, and a row is put in lowest terms only once its denominator is longer
-than `REDUCE_BITS`, which spares most rows of small programs a gcd over
-every entry.  Ratio-test steps are compared by cross-multiplying
-numerators, which orders them exactly as the rationals a `Fraction`
-tableau would hold, so the pivot sequence does not depend on the
-representation.  The checks put the assignment or the duals over one
-common denominator and compare integer dot products with each row's own
-numerators.  `Fraction`s appear only in the objective and in an
-`LpSolution`'s value.
+Edmonds and Bareiss.  A program is integer data: every row (`Constraint`)
+and the objective have Python int coefficients, and callers scale rational
+data to integers themselves.  A row's positive scale changes neither its
+feasible set nor the answer, only its dual, by the inverse factor.  Each
+row becomes a tableau row as it stands, a list of Python ints over 1, so a
+pivot is integer multiply-and-subtract: the multiplier and the pivot row's
+denominator are first divided by their gcd, and a row is put in lowest
+terms only once its denominator is longer than `REDUCE_BITS`, which spares
+most rows of small programs a gcd over every entry.  Ratio-test steps are
+compared by cross-multiplying numerators, which orders them exactly as the
+rationals a `Fraction` tableau would hold, so the pivot sequence does not
+depend on the representation.  The checks put the assignment or the duals
+over one common denominator and compare integer dot products with the
+rows.  A `Fraction` appears only as an `LpSolution`'s value.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import chain
-from typing import Optional, Union
+from typing import Optional
 
-from .model import Frozen, Tree, ValidationError, _lowest, _over_lcm, _set, parse_rational
+from .model import Frozen, Tree, ValidationError, _lowest, _set
 
 _SENSES = ("<=", "==", ">=")
 
@@ -63,26 +63,23 @@ def pivot_tally() -> int:
 # ---------------------------------------------------------------------------
 
 class Constraint(Frozen):
-    """``sum(c * x[k] for k, c in coeffs.items()) / den <sense> rhs / den``:
-    integer coefficients and right-hand side over one positive denominator.
-    Zero coefficients may be left out."""
+    """``sum(c * x[k] for k, c in coeffs.items()) <sense> rhs``, with integer
+    coefficients and right-hand side.  Zero coefficients may be left out."""
 
-    __slots__ = ("coeffs", "sense", "rhs", "den")
+    __slots__ = ("coeffs", "sense", "rhs")
     __match_args__ = __slots__
     coeffs: dict[int, int]
     sense: str
     rhs: int
-    den: int
 
-    def __init__(self, coeffs: dict[int, int], sense: str, rhs: int, den: int = 1) -> None:
+    def __init__(self, coeffs: dict[int, int], sense: str, rhs: int) -> None:
         _set(self, "coeffs", coeffs)
         _set(self, "sense", sense)
         _set(self, "rhs", rhs)
-        _set(self, "den", den)
 
 
 class LinearProgram:
-    """An LP over numbered columns with exact rational data, to be maximized.
+    """An LP over numbered columns with integer data, to be maximized.
 
     ``variables[k]`` tells whether column k is free; otherwise it is
     nonnegative.  Constraints and the objective reference declared columns
@@ -96,7 +93,7 @@ class LinearProgram:
 
     def __init__(self, variables: Optional[list[bool]] = None,
                  constraints: Optional[list[Constraint]] = None,
-                 objective: Optional[dict[int, Fraction]] = None) -> None:
+                 objective: Optional[dict[int, int]] = None) -> None:
         self.variables = [] if variables is None else variables
         self.constraints = [] if constraints is None else constraints
         self.objective = {} if objective is None else objective
@@ -117,22 +114,23 @@ class LinearProgram:
             if not (isinstance(k, int) and 0 <= k < ncols):
                 raise ValidationError(f"{what} references undeclared column {k!r}")
 
-    def add_row(self, coeffs: dict[int, int], sense: str, rhs: int = 0, den: int = 1) -> None:
-        """Add ``sum(c * x[k]) / den <sense> rhs / den`` with integer data as
-        it stands: nothing is parsed or reduced, and ``coeffs`` is kept, not
-        copied.  Only the sense, the denominator and the columns are
-        checked."""
+    def add_row(self, coeffs: dict[int, int], sense: str, rhs: int = 0) -> None:
+        """Add ``sum(c * x[k]) <sense> rhs`` with integer data as it stands:
+        nothing is parsed or reduced, and ``coeffs`` is kept, not copied.
+        Only the sense and the columns are checked."""
         if sense not in _SENSES:
             raise ValidationError(f"bad constraint sense {sense!r}")
-        if type(den) is not int or den <= 0:
-            raise ValidationError(f"a row needs a positive integer denominator, not {den!r}")
         self._require_columns(coeffs, "constraint")
-        self.constraints.append(Constraint(coeffs, sense, rhs, den))
+        self.constraints.append(Constraint(coeffs, sense, rhs))
 
-    def set_objective(self, coeffs: Mapping[int, Union[int, str, Fraction]]) -> None:
+    def set_objective(self, coeffs: Mapping[int, int]) -> None:
+        """Maximize ``sum(c * x[k])``: int coefficients only, the zeros left
+        out."""
         self._require_columns(coeffs, "objective")
-        values = ((k, parse_rational(c)) for k, c in coeffs.items())
-        self.objective = {k: q for k, q in values if q}
+        for c in coeffs.values():
+            if type(c) is not int:
+                raise ValidationError(f"an objective coefficient must be an int, not {c!r}")
+        self.objective = {k: c for k, c in coeffs.items() if c}
 
 
 class LpSolution(Frozen):
@@ -164,7 +162,7 @@ def _feasible(lp: LinearProgram, xs: Sequence[int], xden: int) -> bool:
     """Exact feasibility of the assignment ``xs / xden`` (``xden > 0``, one
     value per column) against the signs and every entry of
     ``lp.constraints``: each row is one integer dot product with its
-    numerators, compared with its right-hand side times ``xden``."""
+    coefficients, compared with its right-hand side times ``xden``."""
     if any(x < 0 for x, free in zip(xs, lp.variables) if not free):
         return False
     for con in lp.constraints:
@@ -187,8 +185,8 @@ def check_duals(lp: LinearProgram, sol: LpSolution) -> bool:
     on free ones, and that b^T y equals the value.  Then every feasible x
     has c^T x = d^T x + y^T A x <= b^T y, so an assignment reaching the
     value is optimal.  The duals come over one common denominator, and the
-    objective and the rows with a nonzero dual over one lcm of theirs, so
-    d and b^T y are checked as integers at one positive scale.
+    program is integer data, so d and b^T y are checked as integers times
+    that denominator.
     """
     if sol.integer_duals is None or sol.value is None:
         return False
@@ -199,13 +197,10 @@ def check_duals(lp: LinearProgram, sol: LpSolution) -> bool:
     for con, y in used:
         if (con.sense == "<=" and y < 0) or (con.sense == ">=" and y > 0):
             return False
-    cs, cden = _over_lcm([c.as_integer_ratio() for c in lp.objective.values()])
-    den = math.lcm(cden, *(con.den for con, _ in used))
-    # d and b^T y times den * yden
-    reduced = {k: c * (den // cden) * yden for k, c in zip(lp.objective, cs)}
+    # d and b^T y times yden
+    reduced = {k: c * yden for k, c in lp.objective.items()}
     bound = 0
     for con, y in used:
-        y *= den // con.den
         bound += y * con.rhs
         for k, c in con.coeffs.items():
             reduced[k] = reduced.get(k, 0) - y * c
@@ -213,7 +208,7 @@ def check_duals(lp: LinearProgram, sol: LpSolution) -> bool:
         d = reduced.get(k, 0)
         if (d != 0) if free else (d > 0):
             return False
-    return bound * sol.value.denominator == sol.value.numerator * den * yden
+    return bound * sol.value.denominator == sol.value.numerator * yden
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +258,14 @@ class _Solver:
 
     Every tableau row, the objective rows included, is a pair ``[nums, den]``
     of Python ints: entry ``k`` is ``nums[k] / den`` with ``den > 0``.  A
-    constraint row starts as its program row, over that row's denominator,
-    and a pivot that rewrites it puts it in lowest terms only once its
-    denominator is longer than `REDUCE_BITS`, so a row's numerators and
-    denominator may share a factor; nothing reads one without the other,
-    and pivots and answers do not depend on it.  The last slot
-    holds the right-hand side; objective rows hold minus the objective's
-    current value there, so pivots and pricing apply one integer update to
-    every row alike.  The basic column of a constraint row has entry exactly
+    constraint row starts as its program row over 1, with slack, surplus
+    and artificial entries of 1 or -1, and a pivot that rewrites it puts it
+    in lowest terms only once its denominator is longer than `REDUCE_BITS`,
+    so a row's numerators and denominator may share a factor; nothing
+    reads one without the other, and pivots and answers do not depend on
+    it.  The last slot holds the right-hand side; objective rows hold minus
+    the objective's current value there, so pivots and pricing apply one
+    integer update to every row alike.  The basic column of a constraint row has entry exactly
     1 (``nums[b] == den``).  An optimum's assignment is checked against the
     program, and its value against c^T x, in integers, and both it and the
     duals are returned as integers.
@@ -318,24 +313,22 @@ class _Solver:
             self.dual_cols.append((col, sign))
             col += 1
 
-        # Each row is copied as it stands, over its own denominator.
+        # Each row is copied as it stands, over 1.
         self.ncols = col
         self.matrix: list[list] = []
         self.basis: list[int] = []
         for con, sign, surplus, basic in rows:
-            den = con.den
             nums = self._nums(con.coeffs, sign)
             if surplus:
-                nums[basic - 1] = -den
-            nums[basic] = den
+                nums[basic - 1] = -1
+            nums[basic] = 1
             nums[-1] = sign * con.rhs
-            self.matrix.append([nums, den])
+            self.matrix.append([nums, 1])
             self.basis.append(basic)
 
         # Phase-2 objective.  The starting basis is slacks/artificials, none
         # of which appear in the objective, so this row is already priced out.
-        cs, cden = _over_lcm([c.as_integer_ratio() for c in lp.objective.values()])
-        self.obj = [self._nums(dict(zip(lp.objective, cs))), cden]
+        self.obj = [self._nums(lp.objective), 1]
 
     def _nums(self, coeffs: Mapping[int, int], sign: int = 1) -> list[int]:
         """``sign * coeffs`` in internal columns, with a zero right-hand
@@ -439,9 +432,8 @@ class _Solver:
             raise RuntimeError("simplex returned an assignment violating the program")
         # The value is read from the objective row and must equal c^T x.
         obj_nums, obj_den = self.obj
-        cs, cden = _over_lcm([c.as_integer_ratio() for c in self.lp.objective.values()])
-        cx = sum(c * xs[k] for k, c in zip(self.lp.objective, cs))
-        if cx * obj_den != -obj_nums[-1] * cden * xden:  # pragma: no cover - solver bug
+        cx = sum(c * xs[k] for k, c in self.lp.objective.items())
+        if cx * obj_den != -obj_nums[-1] * xden:  # pragma: no cover - solver bug
             raise RuntimeError("objective bookkeeping mismatch")
         # The objective row is c - y^T A over the internal rows, and a row's
         # starting basic column has entry 1 in that row alone, so the row's
@@ -509,7 +501,8 @@ class DeviationPolytope(Frozen):
 
     def __init__(self, tree: Tree) -> None:
         level = tree.prefixes.starts[1]
-        vars(self).update(n=len(tree.leaves), _prefixes=tree.prefixes, _rows={},
+        vars(self).update(n=len(tree.leaves), _prefixes=tree.prefixes, _common=tree.common,
+                          _rows={},
                           blocks=tuple(tuple(range(lo, hi)) for lo, hi in zip(level, level[1:])))
 
     def inputs(self, leaves: Iterable[int]) -> tuple[int, ...]:
@@ -524,7 +517,7 @@ class DeviationPolytope(Frozen):
 
     def rows_on(self, inputs: Sequence[int]) -> tuple[Constraint, ...]:
         """The rows of the blocks that ``inputs`` make up, with kernel entry
-        (inputs[p], j) in column p * n + j, in integers over 1: the row sums
+        (inputs[p], j) in column p * n + j, in integers: the row sums
         in leaf order, then, for each input a whose neighbour a + 1 shares
         its first c >= 1 actions, one equality per run of level c, on the
         sum over the run's leaves.  Built once per block set and shared,
@@ -536,7 +529,7 @@ class DeviationPolytope(Frozen):
             first = {i: p * n for p, i in enumerate(inputs)}
             rows = [Constraint(dict.fromkeys(range(first[i], first[i] + n), 1), "==", 1)
                     for i in sorted(first)]
-            for a, c in enumerate(self._prefixes.common):
+            for a, c in enumerate(self._common):
                 if c and a in first:
                     p, q = first[a], first[a + 1]
                     for x, y in zip(starts[c], starts[c][1:]):

@@ -375,11 +375,10 @@ class Prefixes(Frozen):
     consecutive: run k of level t holds leaves ``starts[t][k]`` up to
     ``starts[t][k + 1]`` (the last entry is the number of leaves), and its
     children are runs ``kids[t][k]`` up to ``kids[t][k + 1]`` of level
-    t + 1.  Both are read from ``common[i]``, the length of the common prefix
-    of leaves i and i + 1 (`Tree.common`).  Level 0 is one run, level ``depth`` one a leaf."""
+    t + 1.  Both are read from `Tree.common`, the length of the common prefix
+    of each pair of neighbouring leaves.  Level 0 is one run, level ``depth`` one a leaf."""
 
-    __match_args__ = ("common", "starts", "kids")
-    common: tuple[int, ...]
+    __match_args__ = ("starts", "kids")
     starts: tuple[tuple[int, ...], ...]
     kids: tuple[tuple[int, ...], ...]
 
@@ -389,7 +388,7 @@ class Prefixes(Frozen):
         starts = tuple([(0, *[i for i, c in zip(cuts, common) if c < t], len(tree.leaves))
                         for t in range(tree.depth + 1)])
         at = [{lo: k for k, lo in enumerate(lower)} for lower in starts[1:]]
-        vars(self).update(common=common, starts=starts, kids=tuple(
+        vars(self).update(starts=starts, kids=tuple(
             tuple(map(d.__getitem__, upper)) for d, upper in zip(at, starts)))
 
 

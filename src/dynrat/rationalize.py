@@ -185,17 +185,19 @@ class Verdict(Frozen):
 def apparently_dominated(problem: DecisionProblem, a: str) -> Optional[ApparentDominanceWitness]:
     """Best uniform-margin lottery against ``a``: maximizes the worst-state
     payoff gap and returns a witness when that optimum is strictly positive.
-    State s's row reads sum_b alpha(b) u(b, s) - margin >= u(a, s), in the
-    integers of `DecisionProblem.integer_payoffs` over their denominator."""
+    State s's row reads sum_b alpha(b) u(b, s) - margin >= u(a, s), times
+    den, in the integers of `DecisionProblem.integer_payoffs` over their
+    denominator den.  The mass row reads sum_b den * alpha(b) = den, so
+    that every row that starts on an artificial column has the scale den."""
     table, den = problem.integer_payoffs
     prog = lpmod.LinearProgram()
     alpha = [prog.add_variable() for _ in problem.leaves]
     margin = prog.add_variable(free=True)
-    prog.add_row(dict.fromkeys(alpha, 1), "==", 1)
+    prog.add_row(dict.fromkeys(alpha, den), "==", den)
     for s, own in enumerate(table[problem.tree.leaf_position(a)]):
         coeffs = {k: row[s] for k, row in zip(alpha, table) if row[s]}
         coeffs[margin] = -den
-        prog.add_row(coeffs, ">=", own, den)
+        prog.add_row(coeffs, ">=", own)
     prog.set_objective({margin: 1})
     sol = lpmod.solve(prog)
     if sol.status != "optimal":  # pragma: no cover - program is always bounded/feasible
@@ -221,22 +223,23 @@ def _dominance_program(
     blocks that hold a leaf of a row with e != 0; with the blocks' inputs,
     and its gain rows as (row, leaf, state).
 
-    Maximize sum e * level / sum e over the rules D of the blocks' polytope
-    rows (`lp.DeviationPolytope.rows_on`, first) and one free level per
-    row on their inputs, in input order.  Gain row (i, s) reads sum_j
-    D(i, j) (u(j, s) - u(i, s)) >= the level of (i, s)'s row, or 0 off
-    the rows, in the integers table[j][s] - table[i][s] of
-    `DecisionProblem.integer_payoffs` and level coefficient -den, over its
-    denominator den.  A row with neither a gain nor a level is left out.
-    Every other input keeps its identity row, feasible with gain 0.
+    Maximize sum e * level over the rules D of the blocks' polytope rows
+    (`lp.DeviationPolytope.rows_on`, first) and one free level per row on
+    their inputs, in input order.  Gain row (i, s) reads sum_j D(i, j)
+    (u(j, s) - u(i, s)) >= the level of (i, s)'s row, or 0 off the rows,
+    times den: in the integers table[j][s] - table[i][s] of
+    `DecisionProblem.integer_payoffs` over their denominator den, and
+    level coefficient -den.  A row with neither a gain nor a level is left
+    out.  Every other input keeps its identity row, feasible with gain 0.
 
     With ``budget`` the rules span a cone: the polytope rows read
     A D - lam b = 0, with one more column lam >= 0 after D's (new rows;
     the shared ones are never changed), and every gain row gets the
-    right-hand side -1, -den over den.  By LP duality the optimum is then
-    the least mass of an obedient law g with E g = e / sum e, its
-    certificate is g itself (`_obedient_law`), and the program is
-    unbounded when no obedient law meets the rows: a rule then dominates.
+    right-hand side -1, times den.  By LP duality the optimum is then the
+    least mass of an obedient law g with E g = e, its certificate is g
+    itself, den times minus the gain rows' duals (`_obedient_law`), and
+    the program is unbounded when no obedient law meets the rows: a rule
+    then dominates.
     """
     table, den = problem.integer_payoffs
     n, width = len(problem.leaves), len(problem.states)
@@ -246,15 +249,15 @@ def _dominance_program(
     prog = lpmod.LinearProgram([False] * (len(inputs) * n), list(poly.rows_on(inputs)))
     if budget:
         lam = prog.add_variable()
-        prog.constraints = [lpmod.Constraint({**con.coeffs, lam: -con.rhs}, "==", 0, con.den)
+        prog.constraints = [lpmod.Constraint({**con.coeffs, lam: -con.rhs}, "==", 0)
                             if con.rhs else con for con in prog.constraints]
-    inside, total = set(inputs), sum(e for _, _, e in rows)
+    inside = set(inputs)
     levels: dict[int, int] = {}  # cell -> the level column of its row
     objective = {}
     for start, stop, e in rows:
         if start // width in inside:
             k = prog.add_variable(free=True)
-            objective[k] = Fraction(e, total)
+            objective[k] = e
             levels.update(dict.fromkeys(range(start, stop), k))
     prog.set_objective(objective)
     columns = list(zip(*table))
@@ -270,7 +273,7 @@ def _dominance_program(
             elif not coeffs:
                 continue
             gain_rows.append((len(prog.constraints), i, s))
-            prog.add_row(coeffs, ">=", -den if budget else 0, den)
+            prog.add_row(coeffs, ">=", -den if budget else 0)
     return prog, inputs, gain_rows
 
 
@@ -287,7 +290,8 @@ def _obedient_law(
     verdict program's optimum 0, and the reduced cost of a budget
     program's column lam.  So no rule gains on average under g on the
     touched blocks, the only ones where g has mass.  The levels are free,
-    so their reduced costs are 0: E g = e / sum e.
+    so their reduced costs are 0: E g = e / den, den the factor of the
+    gain rows; the scaling to mass 1 takes it out.
     """
     if not lpmod.check_duals(prog, sol):  # pragma: no cover - solver bug
         raise InternalInconsistencyError("dual certificate fails its check")

@@ -89,12 +89,31 @@ def fraction_duals(sol: lp.LpSolution) -> Optional[tuple[Fraction, ...]]:
     return _fractions(sol.integer_duals)
 
 
-def add_constraint(prog: lp.LinearProgram, coeffs, sense: str, rhs) -> None:
+def add_constraint(prog: lp.LinearProgram, coeffs, sense: str, rhs) -> int:
     """`LinearProgram.add_row` for rational data (anything `parse_rational`
-    reads), put over the lcm of its denominators once."""
+    reads): the row times the lcm of its denominators, which is returned."""
     prog._require_columns(coeffs, "constraint")
     nums, den = m._over_lcm([m._ratio(q) for q in (rhs, *coeffs.values())])
-    prog.add_row({k: x for k, x in zip(coeffs, nums[1:]) if x}, sense, nums[0], den)
+    prog.add_row({k: x for k, x in zip(coeffs, nums[1:]) if x}, sense, nums[0])
+    return den
+
+
+def set_rational_objective(prog: lp.LinearProgram, coeffs) -> int:
+    """`LinearProgram.set_objective` for rational data: the objective times
+    the lcm of its denominators, which is returned.  An optimum's value is
+    that many times the rational objective's."""
+    prog._require_columns(coeffs, "objective")
+    nums, den = m._over_lcm([m._ratio(q) for q in coeffs.values()])
+    prog.set_objective(dict(zip(coeffs, nums)))
+    return den
+
+
+def rational_duals(sol: lp.LpSolution, row_scales, objective_scale: int) -> tuple[Fraction, ...]:
+    """The multipliers of the rational rows and objective that a program's
+    were scaled from, row r by ``row_scales[r]`` and the objective by
+    ``objective_scale``: each integer row's multiplier times its scale, over
+    the objective's."""
+    return tuple(y * f / objective_scale for y, f in zip(fraction_duals(sol), row_scales))
 
 
 def check_solution(prog: lp.LinearProgram, assignment) -> bool:
@@ -455,12 +474,12 @@ def enumerated_obedience_optimum(problem: m.DecisionProblem, weights: dict,
             gamma[b, s]: utility(problem, b, s) - utility(problem, problem.leaves[j], s)
             for b, ((j, _),) in zip(problem.leaves, rule.rows) for s in problem.states
         }, ">=", 0)
-    prog.set_objective({gamma[cell]: w for cell, w in weights.items()})
+    scale = set_rational_objective(prog, {gamma[cell]: w for cell, w in weights.items()})
     sol = lp.solve(prog)
     if sol.status == "infeasible":
         return None
     assert sol.status == "optimal"
-    return sol.value
+    return sol.value / scale
 
 
 # ---------------------------------------------------------------------------
@@ -487,20 +506,27 @@ class FractionProgram:
     def set_objective(self, coeffs) -> None:
         self.objective = {k: Fraction(c) for k, c in coeffs.items() if c != 0}
 
-    def as_lp(self) -> lp.LinearProgram:
-        """The same program, each row put over the lcm of its denominators."""
+    def as_lp(self) -> tuple[lp.LinearProgram, list[int], int]:
+        """The same program in integers, each row and the objective times
+        the lcm of its denominators, with those factors: the rows', then
+        the objective's."""
         prog = lp.LinearProgram(list(self.variables))
-        for coeffs, sense, rhs in self.constraints:
-            add_constraint(prog, coeffs, sense, rhs)
-        prog.set_objective(self.objective)
-        return prog
+        scales = [add_constraint(prog, coeffs, sense, rhs)
+                  for coeffs, sense, rhs in self.constraints]
+        return prog, scales, set_rational_objective(prog, self.objective)
 
 
-def rational_rows(constraints) -> list[tuple[dict, str, Fraction]]:
-    """Integer rows (`lp.Constraint`), each over its denominator, as
-    `Fraction` rows like `FractionProgram`'s."""
-    return [({k: Fraction(c, con.den) for k, c in con.coeffs.items() if c}, con.sense,
-             Fraction(con.rhs, con.den)) for con in constraints]
+def integer_rows(constraints) -> list[tuple[dict, str, int]]:
+    """Program rows (`lp.Constraint`) as rows like `FractionProgram`'s, the
+    zero coefficients left out."""
+    return [({k: c for k, c in con.coeffs.items() if c}, con.sense, con.rhs)
+            for con in constraints]
+
+
+def times(rows, factors) -> list[tuple[dict, str, Fraction]]:
+    """`Fraction` rows like `FractionProgram`'s, each times its factor."""
+    return [({k: c * f for k, c in coeffs.items()}, sense, rhs * f)
+            for (coeffs, sense, rhs), f in zip(rows, factors, strict=True)]
 
 
 def reference_inputs(problem: m.DecisionProblem, leaves) -> list[int]:
@@ -780,14 +806,14 @@ def joint_dominance_optimum(problem: m.DecisionProblem, joint: m.JointDistributi
     prog = polytope_program(lp.deviation_polytope_constraints(problem.tree))
     leaves, states = problem.leaves, problem.states
     n = len(leaves)
-    prog.set_objective({
+    scale = set_rational_objective(prog, {
         i * n + j: sum((w * (utility(problem, b, s) - utility(problem, a, s))
                              for s, w in zip(states, fraction_matrix(joint)[i])), Fraction(0))
         for i, a in enumerate(leaves) for j, b in enumerate(leaves)
     })
     sol = lp.solve(prog)
     assert sol.status == "optimal"
-    return sol.value
+    return sol.value / scale
 
 
 # ---------------------------------------------------------------------------

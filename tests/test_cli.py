@@ -503,38 +503,37 @@ def test_parser_keeps_no_state_between_runs(capsys):
 
 
 def test_two_parses_never_share_a_param_list(monkeypatch, capsys):
-    # argparse appends to a copy of the default; the plain reader copies it
-    # even when no --param is given, so no namespace holds the default itself
-    pinned = cli._parse_args(["check-seq", "p.json", "--seq", "a", "--param", "x=1"])
-    bare = [cli._parse_args(["check-seq", "p.json", "--seq", "a"]) for _ in range(2)]
-    lists = [pinned.param] + [args.param for args in bare]
-    assert lists == [["x=1"], [], []] and len({id(items) for items in lists}) == 3
-    bare[0].param.append("y=2")
-    assert cli._parse_args(["check-seq", "p.json", "--seq", "a"]).param == []
-    # the seven subcommands that take --param share one declared default: no
-    # parse, plain or by argparse (an abbreviated option), and no run that
-    # pins parameters appends to it
-    defaults = [keywords["default"] for _, arguments in cli._COMMANDS.values()
-                for word, keywords in arguments if word == "--param"]
-    declared = defaults[0]
-    assert len(defaults) == 7 and all(default is declared for default in defaults)
+    # --param declares no default: absent, it reads None, plain or by
+    # argparse (an abbreviated option); each parse that gives it builds a
+    # list of its own, and a run that pins parameters leaves the next run's
+    # echo empty
+    assert all("default" not in keywords for _, arguments in cli._COMMANDS.values()
+               for word, keywords in arguments if word == "--param")
+    bare = [cli._parse_args(["check-seq", "p.json", "--seq", "a"]),
+            cli._parse_args(["check-seq", "p.json", "--se", "a"]),
+            cli._parse_args(["identify", "p.json", "--sweep", "x", "--range", "0:1"]),
+            cli._parse_args(["identify", "p.json", "--sweep", "x", "--ran", "0:1"])]
+    assert [args.param for args in bare] == [None] * 4
     parsed = [cli._parse_args(["maxprob", "p.json", "--param", "x=1", "--seq", "a"]),
               cli._parse_args(["maxprob", "p.json", "--par", "x=1", "--seq", "a"]),
               cli._parse_args(["identify", "p.json", "--param=y=2", "--param", "x=1",
-                               "--sweep", "x", "--ran", "0:1"]),
-              cli._parse_args(["check-seq", "p.json", "--se", "a"])]
+                               "--sweep", "x", "--range", "0:1"]),
+              cli._parse_args(["identify", "p.json", "--param=y=2", "--param", "x=1",
+                               "--sweep", "x", "--ran", "0:1"])]
     monkeypatch.setattr(cli, "_parse_args", lambda argv, parse=cli._parse_args:
                         parsed.append(parse(argv)) or parsed[-1])
     ex3 = str(PROBLEMS / "example3.json")
     for option in ("--param", "--para"):  # read plain, then by argparse
-        code, _, err = run_cli(capsys, "check-seq", ex3, option, "R=4", option, "c=1",
-                               "--seq", "effort,no_effort")
-        assert code == 0, err
+        code, out, err = run_cli(capsys, "check-seq", ex3, option, "R=4", option, "c=1",
+                                 "--seq", "effort,no_effort")
+        assert code == 0 and first_report(out)["query"]["params"] == {"R": "4", "c": "1"}, err
+        code, out, _ = run_cli(capsys, "check-seq", EX1, "--seq", "invest,pull_back")
+        assert code == 0 and first_report(out)["query"]["params"] == {}
     assert [args.param for args in parsed] == [
-        ["x=1"], ["x=1"], ["y=2", "x=1"], [], ["R=4", "c=1"], ["R=4", "c=1"]]
-    lists = lists[1:] + [args.param for args in parsed]
-    assert len({id(items) for items in lists + [declared]}) == len(lists) + 1
-    assert declared == []
+        ["x=1"], ["x=1"], ["y=2", "x=1"], ["y=2", "x=1"], ["R=4", "c=1"], None,
+        ["R=4", "c=1"], None]
+    lists = [args.param for args in parsed if args.param is not None]
+    assert len({id(items) for items in lists}) == len(lists) == 6
 
 
 def test_check_marginal_and_joint(capsys, tmp_path):
@@ -1066,23 +1065,21 @@ def test_every_option_has_a_help_line(capsys, name):
         assert keywords["help"] in " ".join(out.split()), word
 
 
-def test_the_plain_reader_leaves_other_actions_to_argparse():
-    # a declaration the reader would misread makes its subcommand argparse's alone
-    def read(option=None, problem=None, more=()):
-        arguments = (("problem", problem or {}), ("--opt", option or {})) + more
-        return cli._read_plain(arguments, ["p.json", "--opt", "3"])
-
-    assert read() == {"problem": "p.json", "opt": "3"}
-    assert read(dict(type=int, default=5)) == {"problem": "p.json", "opt": 3}
-    for option in [dict(nargs="+"), dict(nargs="?"), dict(choices=["3"]),
-                   dict(type=int, default="3"), dict(action="count"),
-                   dict(action="store_const", const=1), dict(action="append", default=None),
-                   dict(action="extend", nargs="+"), dict(dest="problem")]:
-        assert read(option) is None, option
-    for problem in [dict(type=int), dict(nargs="?")]:
-        assert read(problem=problem) is None, problem
-    # a dest that two options share, here by default and by name
-    assert read(more=(("--other", dict(dest="opt")),)) is None
+def test_every_declaration_is_one_the_plain_reader_reads():
+    # the plain reader reads these keywords and actions only, converts no
+    # positional and no string default, and keys each value by its dest
+    keywords_read = {"action", "default", "dest", "help", "metavar", "required", "type"}
+    for name, (_, arguments) in cli._COMMANDS.items():
+        dests = []
+        for word, keywords in arguments:
+            assert keywords_read.issuperset(keywords), (name, word)
+            assert keywords.get("action", "store") in {"store", "store_true", "append"}, word
+            positional = word[0] != "-"
+            assert "type" not in keywords or not (
+                positional or isinstance(keywords.get("default"), str)), (name, word)
+            dests.append(word if positional else
+                         keywords.get("dest", word.lstrip("-").replace("-", "_")))
+        assert len(set(dests)) == len(dests), name
 
 
 # ---------------------------------------------------------------------------

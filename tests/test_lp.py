@@ -16,7 +16,9 @@ from conftest import (
     fraction_duals,
     fraction_matrix,
     polytope_program,
+    random_marginal,
     random_problem,
+    set_rational_objective,
 )
 
 
@@ -46,34 +48,38 @@ def test_single_variable_box():
     assert len(prog.constraints) == 1 and prog.objective == {x: 1}
 
 
-def test_add_row_takes_integers_over_a_positive_denominator():
-    # x/2 + y/4 <= 3/4 as integers over 4: the row add_constraint makes from
-    # the same rationals (dropping the zero), solved alike
+def test_a_program_is_integer_data():
+    # 2x + y <= 3: the row add_constraint makes from x/2 + y/4 <= 3/4 (times
+    # 4, dropping the zero), solved alike
     rows = L.LinearProgram([False, False, False])
-    rows.add_row({0: 2, 1: 1}, "<=", 3, 4)
+    rows.add_row({0: 2, 1: 1}, "<=", 3)
     parsed = L.LinearProgram([False, False, False])
-    add_constraint(parsed, {0: "1/2", 1: F(1, 4), 2: 0}, "<=", "3/4")
-    assert rows.constraints == parsed.constraints == [L.Constraint({0: 2, 1: 1}, "<=", 3, 4)]
+    assert add_constraint(parsed, {0: "1/2", 1: F(1, 4), 2: 0}, "<=", "3/4") == 4
+    assert rows.constraints == parsed.constraints == [L.Constraint({0: 2, 1: 1}, "<=", 3)]
     for prog in (rows, parsed):
-        prog.set_objective({0: 1, 1: 1})
+        prog.set_objective({0: 1, 1: 1, 2: 0})
+    assert rows.objective == {0: 1, 1: 1}
     sol = L.solve(rows)
-    assert sol == L.solve(parsed) and sol.value == 3 and fraction_duals(sol) == (4,)
+    assert sol == L.solve(parsed) and sol.value == 3 and fraction_duals(sol) == (1,)
     # the assignment and the duals are held in lowest terms, so equal
     # solutions are equal field by field
-    assert sol.integer_assignment == ((0, 3, 0), 1) and sol.integer_duals == ((4,), 1)
+    assert sol.integer_assignment == ((0, 3, 0), 1) and sol.integer_duals == ((1,), 1)
     assert L.check_duals(rows, sol)
-    # an undeclared column, a bad sense and a denominator that is not a
-    # positive integer are refused, and no row is added
-    for coeffs, sense, den, match in (({0: 1, 3: 1}, "<=", 1, "undeclared column 3"),
-                                      ({-1: 1}, "<=", 1, "undeclared column -1"),
-                                      ({0: 1}, "<", 1, "bad constraint sense"),
-                                      ({0: 1}, "<=", 0, "positive integer denominator"),
-                                      ({0: 1}, "<=", -3, "positive integer denominator"),
-                                      ({0: 1}, "<=", F(2), "positive integer denominator"),
-                                      ({0: 1}, "<=", True, "positive integer denominator")):
+    # an undeclared column and a bad sense are refused, and no row is added
+    for coeffs, sense, match in (({0: 1, 3: 1}, "<=", "undeclared column 3"),
+                                 ({-1: 1}, "<=", "undeclared column -1"),
+                                 ({0: 1}, "<", "bad constraint sense")):
         with pytest.raises(m.ValidationError, match=match):
-            rows.add_row(coeffs, sense, 1, den)
+            rows.add_row(coeffs, sense, 1)
     assert len(rows.constraints) == 1
+    # an objective coefficient that is not an int is refused, and the
+    # objective is kept; a rational one is the caller's to scale
+    for c in (F(1, 2), F(2), "1", "1/2", 1.0, True):
+        with pytest.raises(m.ValidationError, match="must be an int"):
+            rows.set_objective({0: 1, 1: c})
+    assert rows.objective == {0: 1, 1: 1}
+    assert set_rational_objective(rows, {0: "1/2", 1: F(1, 4)}) == 4
+    assert rows.objective == {0: 2, 1: 1} and L.solve(rows).value == 3
 
 
 def test_symmetric_binding():
@@ -222,7 +228,7 @@ def _integer_program(rng):
         rhs = F(rng.randint(-4, 4), rng.randint(1, 3))
         rows.append((coeff, sense, rhs))
         add_constraint(prog, dict(zip(cols, coeff)), sense, rhs)
-    obj = [F(rng.randint(-3, 3)) for _ in range(n)]
+    obj = [rng.randint(-3, 3) for _ in range(n)]
     if rng.choice(["max", "min"]) == "min":
         obj = [-c for c in obj]
     prog.set_objective(dict(zip(cols, obj)))
@@ -248,7 +254,7 @@ def test_random_programs_match_vertex_enumeration():
 def test_solutions_verify_and_repeat_bit_for_bit(example1):
     poly = L.deviation_polytope_constraints(example1.tree)
     prog = polytope_program(poly)
-    prog.set_objective({1 * 3 + 0: 1, 2 * 3 + 2: "1/3"})
+    assert set_rational_objective(prog, {1 * 3 + 0: 1, 2 * 3 + 2: "1/3"}) == 3
     first = L.solve(prog)
     second = L.solve(prog)
     assert first == second
@@ -319,7 +325,7 @@ def test_polytope_vertices_are_pure_kernels(example1):
                 for i in range(n)
                 for j in range(n)
             }
-            prog.set_objective(objective)
+            set_rational_objective(prog, objective)
             sol = L.solve(prog)
             assert sol.status == "optimal"
             kernel = tuple(fraction_assignment(sol)[i * n:i * n + n] for i in range(n))
@@ -343,9 +349,9 @@ def test_rows_on_keeps_one_remap_per_block_set():
                     assert got is poly.constraints
                     continue
                 column = {i * n + j: p * n + j for p, i in enumerate(inputs) for j in range(n)}
-                want = [({column[k]: c for k, c in con.coeffs.items()}, con.sense, con.rhs, con.den)
+                want = [({column[k]: c for k, c in con.coeffs.items()}, con.sense, con.rhs)
                         for con in poly.constraints if column.keys() >= con.coeffs.keys()]
-                assert [(con.coeffs, con.sense, con.rhs, con.den) for con in got] == want
+                assert [(con.coeffs, con.sense, con.rhs) for con in got] == want
                 assert poly.rows_on(list(inputs)) is got
                 proper += 1
     assert proper > 8
@@ -376,7 +382,8 @@ def test_polytope_feasibility_equals_adaptedness_on_random_problems():
 
 def _fractional_program(rng):
     """Like `_integer_program`, with fractional and degenerate (fixed) boxes,
-    fractional coefficients and objectives."""
+    fractional coefficients and objectives; the objective is set times the
+    lcm of its denominators, the last value returned."""
     n = rng.randint(1, 4)
     bounds = []
     for _ in range(n):
@@ -410,8 +417,7 @@ def _fractional_program(rng):
     obj = [F(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(n)]
     if rng.choice(["max", "min"]) == "min":
         obj = [-c for c in obj]
-    prog.set_objective(dict(zip(cols, obj)))
-    return prog, bounds, rows, obj
+    return prog, bounds, rows, obj, set_rational_objective(prog, dict(zip(cols, obj)))
 
 
 def test_fractional_boxes_match_vertex_enumeration():
@@ -423,24 +429,19 @@ def test_fractional_boxes_match_vertex_enumeration():
     # columns and from rows the solver stores negated.
     rng = random.Random(303)
     for _ in range(150):
-        prog, bounds, rows, obj = _fractional_program(rng)
+        prog, bounds, rows, obj, scale = _fractional_program(rng)
         got = L.solve(prog)
         want = _vertex_optimum(bounds, rows, obj)
         if want is None:
             assert got.status == "infeasible"
         else:
             assert got.status == "optimal"
-            assert got.value == want
+            assert got.value / scale == want
             assert check_solution(prog, fraction_assignment(got))
             assert L.check_duals(prog, got)
 
 
 # -- the integer checks against plain Fraction arithmetic ---------------------
-
-def _rational(con):
-    """A program row's coefficients and right-hand side as `Fraction`s."""
-    return {k: F(c, con.den) for k, c in con.coeffs.items()}, F(con.rhs, con.den)
-
 
 def _fraction_violations(prog, assignment):
     """What a plain-`Fraction` check finds wrong with ``assignment``: the
@@ -448,10 +449,9 @@ def _fraction_violations(prog, assignment):
     bad = [("sign", k) for k, (x, free) in enumerate(zip(assignment, prog.variables))
            if not free and x < 0]
     for r, con in enumerate(prog.constraints):
-        coeffs, rhs = _rational(con)
-        lhs = sum((c * assignment[k] for k, c in coeffs.items()), F(0))
-        if con.sense == "<=" and lhs > rhs or con.sense == ">=" and lhs < rhs or (
-                con.sense == "==" and lhs != rhs):
+        lhs = sum((c * assignment[k] for k, c in con.coeffs.items()), F(0))
+        if con.sense == "<=" and lhs > con.rhs or con.sense == ">=" and lhs < con.rhs or (
+                con.sense == "==" and lhs != con.rhs):
             bad.append(("row", r))
     return bad
 
@@ -464,9 +464,8 @@ def _fraction_duals_certify(prog, sol):
         if (con.sense == "<=" and y < 0) or (con.sense == ">=" and y > 0):
             return False
         if y:
-            coeffs, rhs = _rational(con)
-            bound += y * rhs
-            for k, c in coeffs.items():
+            bound += y * con.rhs
+            for k, c in con.coeffs.items():
                 reduced[k] = reduced.get(k, 0) - y * c
     for k, free in enumerate(prog.variables):
         d = reduced.get(k, 0)
@@ -488,10 +487,9 @@ def _rescaled(prog, rng):
     out = L.LinearProgram(list(prog.variables))
     for con in prog.constraints:
         f = factor()
-        coeffs, rhs = _rational(con)
-        add_constraint(out, {k: c * f for k, c in coeffs.items()}, con.sense, rhs * f)
+        add_constraint(out, {k: c * f for k, c in con.coeffs.items()}, con.sense, con.rhs * f)
     f = factor()
-    out.set_objective({k: c * f for k, c in prog.objective.items()})
+    set_rational_objective(out, {k: c * f for k, c in prog.objective.items()})
     return out
 
 
@@ -622,3 +620,53 @@ def test_row_scale_changes_no_pivot_and_no_answer(monkeypatch):
         answers.append([L.solve(prog) for prog in programs])
     assert answers[0] == answers[1] == answers[2]
     assert sum(sol.pivots for sol in answers[0]) > 2 * len(programs)
+
+
+def _starts_on_a_slack(con):
+    """Whether the solver starts ``con`` on a slack column: a ``<=`` row with
+    a right-hand side >= 0, or a ``>=`` row with one <= 0, which it stores
+    negated.  Every other row starts on an artificial column."""
+    return (con.sense == "<=" and con.rhs >= 0) or (con.sense == ">=" and con.rhs <= 0)
+
+
+def test_slack_rows_artificial_rows_and_the_objective_scale_as_their_duals_say(monkeypatch):
+    # each row that starts on a slack times its own positive int, every row
+    # that starts on an artificial column times one common int, and the
+    # objective times another: the same pivots, status and assignment; the
+    # value times the objective's factor and each row's multiplier times
+    # the objective's factor over the row's.  On the programs the package
+    # solves and on random ones
+    rng = random.Random(53)
+    programs = []
+    solve = L.solve
+    monkeypatch.setattr(L, "solve", lambda prog: programs.append(prog) or solve(prog))
+    for _ in range(10):
+        problem = random_problem(rng, max_leaves=6)
+        rz.certificate(problem, random_marginal(rng, problem))
+        for a in problem.leaves[:3]:
+            rz.certificate(problem, a)
+            rz.max_positive_marginal(problem, a)
+    monkeypatch.setattr(L, "solve", solve)
+    assert len(programs) > 40
+    programs += [make(rng)[0] for make in (_integer_program, _fractional_program)
+                 for _ in range(60)]
+    mixed = 0
+    for prog in programs:
+        common, objective = rng.randint(2, 9), rng.randint(2, 9)
+        scales = [rng.randint(1, 12) if _starts_on_a_slack(con) else common
+                  for con in prog.constraints]
+        scaled = L.LinearProgram(
+            list(prog.variables),
+            [L.Constraint({k: c * f for k, c in con.coeffs.items()}, con.sense, con.rhs * f)
+             for con, f in zip(prog.constraints, scales)],
+            {k: c * objective for k, c in prog.objective.items()})
+        sol, got = L.solve(prog), L.solve(scaled)
+        assert (got.status, got.pivots, got.integer_assignment) == (
+            sol.status, sol.pivots, sol.integer_assignment)
+        if sol.status == "optimal":
+            assert got.value == sol.value * objective
+            assert fraction_duals(got) == tuple(
+                y * objective / f for y, f in zip(fraction_duals(sol), scales))
+            assert L.check_duals(prog, sol) and L.check_duals(scaled, got)
+            mixed += common in scales and len(set(scales)) > 2
+    assert mixed > 40

@@ -16,6 +16,7 @@ from conftest import (
     complete_tree_doc,
     enumerated_obedience_optimum,
     fraction_matrix,
+    integer_rows,
     lottery_utility,
     random_family,
     random_joint,
@@ -23,12 +24,13 @@ from conftest import (
     random_problem,
     random_pure_rule,
     random_rule,
-    rational_rows,
+    rational_duals,
     reference_dominance_program,
     reference_dominates,
     reference_inputs,
     reference_polytope_rows,
     stopping_doc,
+    times,
     utility,
 )
 
@@ -397,9 +399,11 @@ def test_witnesses_are_sound_on_random_instances():
 
 def test_integer_rows_equal_the_fraction_builders(example2):
     # the dominance program, its budget variant and the polytope, written
-    # in integers, hold the Fraction builders' rows: the same columns, row
-    # order, senses and rational values, on random problems and on pinned
-    # sweep points (whose payoffs come from the family's affine table)
+    # in integers, hold the Fraction builders' rows times one factor each:
+    # the same columns, row order and senses, each polytope row as it is
+    # and each gain row times the payoffs' denominator; and their objective
+    # times the sum of e.  On random problems and on pinned sweep points
+    # (whose payoffs come from the family's affine table)
     rng = random.Random(41)
     problems = [random_problem(rng, max_rules=200) for _ in range(12)]
     for _ in range(4):
@@ -409,7 +413,8 @@ def test_integer_rows_equal_the_fraction_builders(example2):
     problems += [m.substitute_params(example2, {"delta": d}) for d in (F(0), F(4, 5), F(31, 32))]
     for p in problems:
         poly = lp.deviation_polytope_constraints(p.tree)
-        assert rational_rows(poly.constraints) == reference_polytope_rows(p)
+        assert integer_rows(poly.constraints) == reference_polytope_rows(p)
+        den = p.integer_payoffs[1]
         for observed, budget in ((rng.choice(p.leaves), False),
                                  (random_marginal(rng, p), False),
                                  (rng.choice(p.leaves), True)):
@@ -418,19 +423,29 @@ def test_integer_rows_equal_the_fraction_builders(example2):
                        [a for a, w in zip(p.leaves, observed.weights) if w])
             assert list(inputs) == reference_inputs(p, touched)
             ref = reference_dominance_program(p, observed, inputs, budget)
-            assert rational_rows(prog.constraints) == ref.constraints
-            assert prog.variables == ref.variables and prog.objective == ref.objective
+            scales = [1] * len(poly.rows_on(inputs)) + [den] * len(gain_rows)
+            assert integer_rows(prog.constraints) == times(ref.constraints, scales)
+            total = sum(e for _, _, e in m.consistency(p, observed))
+            assert prog.variables == ref.variables
+            assert prog.objective == {k: c * total for k, c in ref.objective.items()}
             assert [r for r, _, _ in gain_rows] == list(range(len(poly.rows_on(inputs)),
                                                              len(prog.constraints)))
-            # rows over the payoffs' denominator, not in lowest terms, solve
-            # as the same rows put over their own lcm: the same pivots,
-            # optimum and duals
-            assert lp.solve(prog) == lp.solve(ref.as_lp())
+            # the rows times den solve as the same rows times their own
+            # lcm: the same pivots and optimum, and the same multipliers of
+            # the rational rows
+            got = lp.solve(prog)
+            want_prog, want_scales, want_scale = ref.as_lp()
+            want = lp.solve(want_prog)
+            assert (got.status, got.pivots, got.integer_assignment) == (
+                want.status, want.pivots, want.integer_assignment)
+            if got.status == "optimal":  # a budget program may be unbounded
+                assert got.value / total == want.value / want_scale
+                assert (rational_duals(got, scales, total)
+                        == rational_duals(want, want_scales, want_scale))
         # the last program, the budget one, ends on its leaf's block as on
         # the whole tree
-        whole = lp.solve(reference_dominance_program(p, observed, budget=True).as_lp())
-        block = lp.solve(prog)
-        assert (block.status, block.value) == (whole.status, whole.value)
+        whole = lp.solve(reference_dominance_program(p, observed, budget=True).as_lp()[0])
+        assert (got.status, got.value) == (whole.status, whole.value)
 
 
 def exact_rank(rows) -> int:
@@ -473,8 +488,9 @@ def test_the_block_split_is_exact():
     for p in problems:
         for observed in (rng.choice(p.leaves), random_marginal(rng, p)):
             prog, inputs, _ = rz._dominance_program(p, observed)
-            assert lp.solve(prog).value == lp.solve(reference_dominance_program(p, observed)
-                                                    .as_lp()).value
+            ref, _, scale = reference_dominance_program(p, observed).as_lp()
+            total = sum(e for _, _, e in m.consistency(p, observed))
+            assert lp.solve(prog).value / total == lp.solve(ref).value / scale
             split += len(inputs) < len(p.leaves)
         firsts = {}
         for a, path in zip(p.leaves, p.tree.paths):
@@ -484,15 +500,20 @@ def test_the_block_split_is_exact():
         prog, inputs, _ = rz._dominance_program(p, every_block)
         ref = reference_dominance_program(p, every_block)
         assert inputs == tuple(range(len(p.leaves)))
-        rows = rational_rows(prog.constraints)
-        assert [r for r in rows if r[1] != "=="] == [r for r in ref.constraints if r[1] != "=="]
+        rows = integer_rows(prog.constraints)
+        # the gain rows, the only ones that are not equalities, are times den
+        den = p.integer_payoffs[1]
+        ref_rows = times(ref.constraints, [1 if sense == "==" else den
+                                           for _, sense, _ in ref.constraints])
+        assert [r for r in rows if r[1] != "=="] == [r for r in ref_rows if r[1] != "=="]
         assert ({(frozenset(c.items()), sense, b) for c, sense, b in rows}
-                <= {(frozenset(c.items()), sense, b) for c, sense, b in ref.constraints})
+                <= {(frozenset(c.items()), sense, b) for c, sense, b in ref_rows})
         rhs = len(prog.variables)  # the column of the right-hand sides
         rank = [exact_rank([{**c, rhs: b} for c, sense, b in which if sense == "=="])
-                for which in (rows, ref.constraints)]
+                for which in (rows, ref_rows)]
         assert rank[0] == rank[1]
-        assert prog.variables == ref.variables and prog.objective == ref.objective
+        assert prog.variables == ref.variables
+        assert prog.objective == {k: c * every_block.den for k, c in ref.objective.items()}
         deep += p.tree.depth == 4
         fewer += len(rows) < len(ref.constraints)
     assert split and deep and fewer
@@ -524,11 +545,11 @@ def test_maxprob_leaves_the_shared_polytope_rows_untouched():
     for doc in docs:
         p = m.load_problem(json.dumps(doc))
         poly = p.tree.per_tree(lp.deviation_polytope_constraints)
-        before = [(dict(con.coeffs), con.sense, con.rhs, con.den) for con in poly.constraints]
+        before = [(dict(con.coeffs), con.sense, con.rhs) for con in poly.constraints]
         for leaf in p.leaves:
             rz.max_positive_marginal(p, leaf)
         assert p.tree.per_tree(lp.deviation_polytope_constraints) is poly
-        assert [(con.coeffs, con.sense, con.rhs, con.den) for con in poly.constraints] == before
+        assert [(con.coeffs, con.sense, con.rhs) for con in poly.constraints] == before
         fresh = m.load_problem(json.dumps(doc))
         for leaf in p.leaves:
             again = fresh.sequence(leaf)
@@ -539,6 +560,7 @@ def test_maxprob_leaves_the_shared_polytope_rows_untouched():
 def test_the_dominance_program_of_a_joint_law_is_the_backward_induction():
     # one builder for every observation: given a joint law, whose rows are
     # its cells, the dominance program's optimum is the induction's gain
+    # times the objective's scale, the sum of the cells
     rng = random.Random(59)
     problems = [random_problem(rng, max_leaves=6) for _ in range(300)]
     problems.append(m.load_problem(json.dumps(complete_tree_doc((3, 3), 2, seed=1))))
@@ -548,7 +570,7 @@ def test_the_dominance_program_of_a_joint_law_is_the_backward_induction():
         prog, inputs, _ = rz._dominance_program(p, joint)
         sol = lp.solve(prog)
         gain, _ = dv.best_joint_deviation(p, joint)
-        assert sol.status == "optimal" and sol.value == F(gain, joint.den * p.den)
+        assert sol.status == "optimal" and sol.value == F(gain, joint.den * p.den) * sum(joint.cells)
         positive += gain > 0
         split += len(inputs) < len(p.leaves)
     assert 0 < positive < len(problems) and split

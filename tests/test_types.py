@@ -35,7 +35,7 @@ def _copies(p: m.DecisionProblem) -> dict[str, tuple]:
     x = prog.add_variable()
     add_constraint(prog, {x: "1/2"}, "<=", "3/4")
     prog.set_objective({x: 1})
-    rows = L.LinearProgram([False], [L.Constraint({0: 2}, "<=", 3, 4)], {0: F(1)})
+    rows = L.LinearProgram([False], [L.Constraint({0: 2}, "<=", 3)], {0: 1})
     return {
         "JointDistribution": (
             m.JointDistribution.from_mapping(p, {("invest,invest", "good"): "1/2",
@@ -45,9 +45,9 @@ def _copies(p: m.DecisionProblem) -> dict[str, tuple]:
             m.MarginalDistribution.from_mapping(p, {"invest,pull_back": "1/3",
                                                     "invest,invest": "2/3"}),
             m.MarginalDistribution(leaves, (0, 2, 4), 6)),
-        "Constraint": (prog.constraints[0], L.Constraint({0: 2}, "<=", 3, 4)),
+        "Constraint": (prog.constraints[0], L.Constraint({0: 2}, "<=", 3)),
         "LinearProgram": (prog, rows),
-        "LpSolution": (L.solve(prog), L.LpSolution("optimal", F(3, 2), 1, ((3,), 2), ((2,), 1))),
+        "LpSolution": (L.solve(prog), L.LpSolution("optimal", F(3, 2), 1, ((3,), 2), ((1,), 2))),
         "DeviationPolytope": (L.deviation_polytope_constraints(p.tree),
                               p.tree.per_tree(L.deviation_polytope_constraints)),
         "InformationStructure": (
