@@ -23,7 +23,6 @@ from .model import (
     JointDistribution,
     Observation,
     ValidationError,
-    _set,
     consistency,
     format_rational,
     parse_rational,
@@ -138,8 +137,7 @@ class IdentifiedSet(Frozen):
     interval structure is assumed beyond what the samples show.
     """
 
-    __slots__ = ("param", "intervals")
-    __match_args__ = __slots__
+    __match_args__ = ("param", "intervals")
     param: str
     intervals: tuple[tuple[Fraction, Fraction, str], ...]
 
@@ -150,8 +148,7 @@ class IdentifiedSet(Frozen):
         for (_, hi, _), (lo2, _, _) in zip(intervals, intervals[1:]):
             if hi != lo2:
                 raise ValidationError("identified-set intervals must tile the range")
-        _set(self, "param", param)
-        _set(self, "intervals", intervals)
+        vars(self).update(param=param, intervals=intervals)
 
     def tag_at(self, point: Fraction) -> str:
         """Tag of the interval containing ``point`` ("gap" wins at seams).

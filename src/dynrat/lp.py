@@ -18,10 +18,15 @@ The arithmetic is integer throughout, fraction-free in the manner of
 Edmonds and Bareiss.  A program is integer data: every row (`Constraint`)
 and the objective have Python int coefficients, and callers scale rational
 data to integers themselves.  A row's positive scale changes neither its
-feasible set nor the answer, only its dual, by the inverse factor.  Each
-row becomes a tableau row as it stands, a list of Python ints over 1, so a
-pivot is integer multiply-and-subtract: the multiplier and the pivot row's
-denominator are first divided by their gcd, and a row is put in lowest
+feasible set nor the answer, only its dual, by the inverse factor.  Rows
+and programs are immutable records, built in one call each and checked
+there, so data that the solver would misread (a negative or undeclared
+column, an unknown sense, a number that is not an int) is refused before
+any solve.
+
+Each row becomes a tableau row as it stands, a list of Python ints over 1,
+so a pivot is integer multiply-and-subtract: the multiplier and the pivot
+row's denominator are first divided by their gcd, and a row is put in lowest
 terms only once its denominator is longer than `REDUCE_BITS`, which spares
 most rows of small programs a gcd over every entry.  Ratio-test steps are
 compared by cross-multiplying numerators, which orders them exactly as the
@@ -39,9 +44,11 @@ from fractions import Fraction
 from itertools import chain
 from typing import Optional
 
-from .model import Frozen, Tree, ValidationError, _lowest, _set
+from .model import Frozen, Tree, ValidationError, _lowest
 
 _SENSES = ("<=", "==", ">=")
+_INT = frozenset([int])
+_FLAGS = frozenset([False, True])
 
 _PIVOT_TALLY = [0]
 
@@ -63,74 +70,71 @@ def pivot_tally() -> int:
 # ---------------------------------------------------------------------------
 
 class Constraint(Frozen):
-    """``sum(c * x[k] for k, c in coeffs.items()) <sense> rhs``, with integer
-    coefficients and right-hand side.  Zero coefficients may be left out."""
+    """``sum(c * x[k] for k, c in coeffs.items()) <sense> rhs`` over columns
+    k >= 0, with int coefficients and right-hand side.  Zero coefficients
+    may be left out.  Construction refuses any other sense, column or
+    number (a bool among them) and keeps ``coeffs`` as given, so a row
+    shared by many programs is checked once; a program checks only that
+    its rows' columns are declared."""
 
-    __slots__ = ("coeffs", "sense", "rhs")
-    __match_args__ = __slots__
+    __match_args__ = ("coeffs", "sense", "rhs")
     coeffs: dict[int, int]
     sense: str
     rhs: int
 
     def __init__(self, coeffs: dict[int, int], sense: str, rhs: int) -> None:
-        _set(self, "coeffs", coeffs)
-        _set(self, "sense", sense)
-        _set(self, "rhs", rhs)
-
-
-class LinearProgram:
-    """An LP over numbered columns with integer data, to be maximized.
-
-    ``variables[k]`` tells whether column k is free; otherwise it is
-    nonnegative.  Constraints and the objective reference declared columns
-    only.  Programs compare by their fields and, being mutable, do not hash.
-    """
-
-    __slots__ = ("variables", "constraints", "objective")
-    __match_args__ = __slots__
-    __hash__ = None
-    __repr__ = Frozen.__repr__
-
-    def __init__(self, variables: Optional[list[bool]] = None,
-                 constraints: Optional[list[Constraint]] = None,
-                 objective: Optional[dict[int, int]] = None) -> None:
-        self.variables = [] if variables is None else variables
-        self.constraints = [] if constraints is None else constraints
-        self.objective = {} if objective is None else objective
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.variables, self.constraints, self.objective)
-                == (other.variables, other.constraints, other.objective))
-
-    def add_variable(self, free: bool = False) -> int:
-        self.variables.append(free)
-        return len(self.variables) - 1
-
-    def _require_columns(self, coeffs: Mapping, what: str) -> None:
-        ncols = len(self.variables)
-        for k in coeffs:
-            if not (isinstance(k, int) and 0 <= k < ncols):
-                raise ValidationError(f"{what} references undeclared column {k!r}")
-
-    def add_row(self, coeffs: dict[int, int], sense: str, rhs: int = 0) -> None:
-        """Add ``sum(c * x[k]) <sense> rhs`` with integer data as it stands:
-        nothing is parsed or reduced, and ``coeffs`` is kept, not copied.
-        Only the sense and the columns are checked."""
         if sense not in _SENSES:
             raise ValidationError(f"bad constraint sense {sense!r}")
-        self._require_columns(coeffs, "constraint")
-        self.constraints.append(Constraint(coeffs, sense, rhs))
+        if type(rhs) is not int:
+            raise ValidationError(f"constraint right-hand side {rhs!r} is not an int")
+        _require_integer_data(coeffs, "constraint")
+        vars(self).update(coeffs=coeffs, sense=sense, rhs=rhs)
 
-    def set_objective(self, coeffs: Mapping[int, int]) -> None:
-        """Maximize ``sum(c * x[k])``: int coefficients only, the zeros left
-        out."""
-        self._require_columns(coeffs, "objective")
-        for c in coeffs.values():
-            if type(c) is not int:
-                raise ValidationError(f"an objective coefficient must be an int, not {c!r}")
-        self.objective = {k: c for k, c in coeffs.items() if c}
+
+class LinearProgram(Frozen):
+    """An LP over numbered columns with integer data, to be maximized.
+
+    ``variables[k]`` tells whether column k is free (True) or nonnegative
+    (False).  ``constraints`` are the rows, and ``objective`` maps a
+    column to its int coefficient, the zeros left out.  A program is built
+    in one call and checked there: every column kind must be True or False,
+    every column of a row or of the objective must be declared, and the
+    objective's columns and coefficients are refused as a row's are
+    (`Constraint`).  Its rows and
+    its objective are dicts, so a program compares by its fields but does
+    not hash.
+    """
+
+    __match_args__ = ("variables", "constraints", "objective")
+    variables: tuple[bool, ...]
+    constraints: tuple[Constraint, ...]
+    objective: dict[int, int]
+
+    def __init__(self, variables: Iterable[bool], constraints: Iterable[Constraint],
+                 objective: Mapping[int, int]) -> None:
+        variables, constraints = tuple(variables), tuple(constraints)
+        if not _FLAGS.issuperset(variables):
+            bad = next(v for v in variables if v not in _FLAGS)
+            raise ValidationError(f"a column is free (True) or not (False), not {bad!r}")
+        _require_integer_data(objective, "objective")
+        ncols = len(variables)
+        for coeffs in chain((con.coeffs for con in constraints), [objective]):
+            if coeffs and max(coeffs) >= ncols:
+                what = "objective" if coeffs is objective else "constraint"
+                raise ValidationError(f"{what} references undeclared column {max(coeffs)}")
+        vars(self).update(variables=variables, constraints=constraints,
+                          objective={k: c for k, c in objective.items() if c})
+
+
+def _require_integer_data(coeffs: Mapping[int, int], what: str) -> None:
+    """Every column of ``coeffs`` an int >= 0, and every coefficient an
+    int."""
+    if not _INT.issuperset(map(type, coeffs)) or coeffs and min(coeffs) < 0:
+        bad = next(k for k in coeffs if type(k) is not int or k < 0)
+        raise ValidationError(f"{what} references undeclared column {bad!r}")
+    if not _INT.issuperset(map(type, coeffs.values())):
+        bad = next(c for c in coeffs.values() if type(c) is not int)
+        raise ValidationError(f"{what} coefficient {bad!r} is not an int")
 
 
 class LpSolution(Frozen):
@@ -140,8 +144,7 @@ class LpSolution(Frozen):
     den)`` in lowest terms: nonnegative on ``<=`` rows, nonpositive on
     ``>=`` rows, free on ``==`` rows (see `check_duals`)."""
 
-    __slots__ = ("status", "value", "pivots", "integer_assignment", "integer_duals")
-    __match_args__ = __slots__
+    __match_args__ = ("status", "value", "pivots", "integer_assignment", "integer_duals")
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Optional[Fraction]
     pivots: int
@@ -151,11 +154,8 @@ class LpSolution(Frozen):
     def __init__(self, status: str, value: Optional[Fraction], pivots: int,
                  integer_assignment: Optional[tuple[tuple[int, ...], int]] = None,
                  integer_duals: Optional[tuple[tuple[int, ...], int]] = None) -> None:
-        _set(self, "status", status)
-        _set(self, "value", value)
-        _set(self, "pivots", pivots)
-        _set(self, "integer_assignment", integer_assignment)
-        _set(self, "integer_duals", integer_duals)
+        vars(self).update(status=status, value=value, pivots=pivots,
+                          integer_assignment=integer_assignment, integer_duals=integer_duals)
 
 
 def _feasible(lp: LinearProgram, xs: Sequence[int], xden: int) -> bool:

@@ -185,17 +185,14 @@ def _affine(value: Union[int, str, Fraction], params: Sequence[str]) -> list[tup
 # Immutable types
 # ---------------------------------------------------------------------------
 
-#: How a `Frozen` type's `__init__` sets a field.
-_set = object.__setattr__
-
-
 class Frozen:
     """The base of dynrat's immutable types.
 
-    A subclass's `__init__` sets each field once, through `_set`, or through
-    ``vars(self).update`` on a type with an instance dict; after that,
-    assigning or deleting an attribute raises `AttributeError`.  A
-    `cached_property` writes to the instance dict itself, so it still caches.
+    A subclass keeps its fields in its instance dict: its `__init__` sets
+    each once, with ``vars(self).update``, and after that assigning or
+    deleting an attribute raises `AttributeError`.  A `cached_property`
+    writes to the instance dict itself, so it still caches, and `copy`,
+    `deepcopy` and `pickle` restore the dict without assigning.
     ``__match_args__`` names the fields in positional order: the instance
     shows them in its repr, and compares and hashes by them (a type compared
     by identity takes `object`'s ``__eq__`` and ``__hash__`` back)."""
@@ -581,8 +578,7 @@ class MarginalDistribution(Frozen):
     that they form a probability vector.
     """
 
-    __slots__ = ("leaves", "weights", "den")
-    __match_args__ = __slots__
+    __match_args__ = ("leaves", "weights", "den")
     leaves: tuple[str, ...]
     weights: tuple[int, ...]
     den: int
@@ -593,9 +589,7 @@ class MarginalDistribution(Frozen):
             raise ValidationError("marginal distribution shape mismatch")
         weights, den = _lowest(weights, den)
         _require_probability_numerators(weights, den, "marginal distribution")
-        _set(self, "leaves", leaves)
-        _set(self, "weights", weights)
-        _set(self, "den", den)
+        vars(self).update(leaves=leaves, weights=weights, den=den)
 
     @staticmethod
     def from_mapping(problem: DecisionProblem, weights: Mapping) -> "MarginalDistribution":

@@ -65,7 +65,6 @@ from .model import (
     _ratio,
     _require_probability_numerators,
     _require_probability_vector,
-    _set,
     consistency,
     format_rational,
 )
@@ -88,8 +87,7 @@ class ApparentDominanceWitness(Frozen):
     """A lottery beating a sequence strictly in every state, with its worst
     state-by-state margin (always positive)."""
 
-    __slots__ = ("lottery", "margin")
-    __match_args__ = __slots__
+    __match_args__ = ("lottery", "margin")
     lottery: tuple[tuple[str, Fraction], ...]
     margin: Fraction
 
@@ -98,8 +96,7 @@ class ApparentDominanceWitness(Frozen):
         if margin <= 0:
             raise ValidationError("apparent-dominance margin must be positive")
         _require_probability_vector([w for _, w in lottery], "witness lottery")
-        _set(self, "lottery", lottery)
-        _set(self, "margin", margin)
+        vars(self).update(lottery=lottery, margin=margin)
 
     def to_json_dict(self) -> dict:
         return {
@@ -160,15 +157,13 @@ class Verdict(Frozen):
     certificate: an obedient joint law when possible, a dominating rule when
     not.  The report spells the law as an obedient triple."""
 
-    __slots__ = ("rationalizable", "witness")
-    __match_args__ = __slots__
+    __match_args__ = ("rationalizable", "witness")
     rationalizable: bool
     witness: Union[JointDistribution, DeviationRule]
 
     def __init__(self, rationalizable: bool,
                  witness: Union[JointDistribution, DeviationRule]) -> None:
-        _set(self, "rationalizable", rationalizable)
-        _set(self, "witness", witness)
+        vars(self).update(rationalizable=rationalizable, witness=witness)
 
     def to_json_dict(self) -> dict:
         if self.rationalizable:
@@ -190,16 +185,13 @@ def apparently_dominated(problem: DecisionProblem, a: str) -> Optional[ApparentD
     denominator den.  The mass row reads sum_b den * alpha(b) = den, so
     that every row that starts on an artificial column has the scale den."""
     table, den = problem.integer_payoffs
-    prog = lpmod.LinearProgram()
-    alpha = [prog.add_variable() for _ in problem.leaves]
-    margin = prog.add_variable(free=True)
-    prog.add_row(dict.fromkeys(alpha, den), "==", den)
+    margin = len(problem.leaves)  # after one column alpha(b) per leaf
+    rows = [lpmod.Constraint(dict.fromkeys(range(margin), den), "==", den)]
     for s, own in enumerate(table[problem.tree.leaf_position(a)]):
-        coeffs = {k: row[s] for k, row in zip(alpha, table) if row[s]}
+        coeffs = {k: row[s] for k, row in enumerate(table) if row[s]}
         coeffs[margin] = -den
-        prog.add_row(coeffs, ">=", own)
-    prog.set_objective({margin: 1})
-    sol = lpmod.solve(prog)
+        rows.append(lpmod.Constraint(coeffs, ">=", own))
+    sol = lpmod.solve(lpmod.LinearProgram([False] * margin + [True], rows, {margin: 1}))
     if sol.status != "optimal":  # pragma: no cover - program is always bounded/feasible
         raise InternalInconsistencyError(f"margin program ended {sol.status}")
     if sol.value <= 0:
@@ -246,20 +238,22 @@ def _dominance_program(
     rows = consistency(problem, observed)
     poly = problem.tree.per_tree(lpmod.deviation_polytope_constraints)
     inputs = poly.inputs(start // width for start, _, e in rows if e)
-    prog = lpmod.LinearProgram([False] * (len(inputs) * n), list(poly.rows_on(inputs)))
+    variables = [False] * (len(inputs) * n)
+    constraints = list(poly.rows_on(inputs))
     if budget:
-        lam = prog.add_variable()
-        prog.constraints = [lpmod.Constraint({**con.coeffs, lam: -con.rhs}, "==", 0)
-                            if con.rhs else con for con in prog.constraints]
+        lam = len(variables)
+        variables.append(False)
+        constraints = [lpmod.Constraint({**con.coeffs, lam: -con.rhs}, "==", 0)
+                       if con.rhs else con for con in constraints]
     inside = set(inputs)
     levels: dict[int, int] = {}  # cell -> the level column of its row
     objective = {}
     for start, stop, e in rows:
         if start // width in inside:
-            k = prog.add_variable(free=True)
+            k = len(variables)
+            variables.append(True)
             objective[k] = e
             levels.update(dict.fromkeys(range(start, stop), k))
-    prog.set_objective(objective)
     columns = list(zip(*table))
     gain_rows = []
     for p, i in enumerate(inputs):
@@ -272,9 +266,9 @@ def _dominance_program(
                 coeffs[level] = -den
             elif not coeffs:
                 continue
-            gain_rows.append((len(prog.constraints), i, s))
-            prog.add_row(coeffs, ">=", -den if budget else 0)
-    return prog, inputs, gain_rows
+            gain_rows.append((len(constraints), i, s))
+            constraints.append(lpmod.Constraint(coeffs, ">=", -den if budget else 0))
+    return lpmod.LinearProgram(variables, constraints, objective), inputs, gain_rows
 
 
 def _obedient_law(

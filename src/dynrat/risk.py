@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .model import DecisionProblem, Frozen, ValidationError, _over_lcm, _set, parse_rational
+from .model import DecisionProblem, Frozen, ValidationError, _over_lcm, parse_rational
 
 
 class PiecewiseLinearFunction(Frozen):
@@ -22,8 +22,7 @@ class PiecewiseLinearFunction(Frozen):
     means every slope is positive; convex means slopes never decrease.
     """
 
-    __slots__ = ("breakpoints", "slopes", "anchor_value")
-    __match_args__ = __slots__
+    __match_args__ = ("breakpoints", "slopes", "anchor_value")
     breakpoints: tuple[Fraction, ...]
     slopes: tuple[Fraction, ...]
     anchor_value: Fraction
@@ -40,9 +39,7 @@ class PiecewiseLinearFunction(Frozen):
             raise ValidationError("transform must be strictly increasing")
         if any(s > t for s, t in zip(slopes, slopes[1:])):
             raise ValidationError("transform must be convex (slopes non-decreasing)")
-        _set(self, "breakpoints", breakpoints)
-        _set(self, "slopes", slopes)
-        _set(self, "anchor_value", anchor_value)
+        vars(self).update(breakpoints=breakpoints, slopes=slopes, anchor_value=anchor_value)
 
     @staticmethod
     def affine(slope, intercept) -> "PiecewiseLinearFunction":

@@ -36,7 +36,6 @@ from .model import (
     _over_lcm,
     _ratio,
     _require_probability_numerators,
-    _set,
 )
 from .oracle import _optimal_value
 
@@ -101,7 +100,7 @@ class InformationStructure(Frozen):
         if len(prior) != len(states) or prior_den <= 0:
             raise ValidationError("prior shape mismatch")
         _require_probability_numerators(prior, prior_den, "prior")
-        _set(self, "signal_sets", signal_sets)
+        vars(self).update(signal_sets=signal_sets)
         n = len(self.sequences)
         if len(kernel) != len(states) or any(len(r) != n for r in kernel) or kernel_den <= 0:
             raise ValidationError("signal kernel shape mismatch")
@@ -169,7 +168,7 @@ class Strategy(Frozen):
                  kernel: tuple[tuple[int, ...], ...], den: int) -> None:
         if tree.depth > len(signal_sets):
             raise ValidationError("strategy periods do not match the leaves")
-        _set(self, "signal_sets", signal_sets)
+        vars(self).update(signal_sets=signal_sets)
         n = len(tree.leaves)
         if len(kernel) != len(self.sequences) or any(len(r) != n for r in kernel) or den <= 0:
             raise ValidationError("strategy kernel shape mismatch")

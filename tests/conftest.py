@@ -89,23 +89,20 @@ def fraction_duals(sol: lp.LpSolution) -> Optional[tuple[Fraction, ...]]:
     return _fractions(sol.integer_duals)
 
 
-def add_constraint(prog: lp.LinearProgram, coeffs, sense: str, rhs) -> int:
-    """`LinearProgram.add_row` for rational data (anything `parse_rational`
-    reads): the row times the lcm of its denominators, which is returned."""
-    prog._require_columns(coeffs, "constraint")
+def rational_row(coeffs, sense: str, rhs) -> tuple[lp.Constraint, int]:
+    """An `lp.Constraint` from rational data (anything `parse_rational`
+    reads): the row times the lcm of its denominators, the zeros left out;
+    and that lcm."""
     nums, den = m._over_lcm([m._ratio(q) for q in (rhs, *coeffs.values())])
-    prog.add_row({k: x for k, x in zip(coeffs, nums[1:]) if x}, sense, nums[0])
-    return den
+    return lp.Constraint({k: x for k, x in zip(coeffs, nums[1:]) if x}, sense, nums[0]), den
 
 
-def set_rational_objective(prog: lp.LinearProgram, coeffs) -> int:
-    """`LinearProgram.set_objective` for rational data: the objective times
-    the lcm of its denominators, which is returned.  An optimum's value is
-    that many times the rational objective's."""
-    prog._require_columns(coeffs, "objective")
+def rational_objective(coeffs) -> tuple[dict, int]:
+    """An objective from rational data: the objective times the lcm of its
+    denominators, and that lcm.  An optimum's value is that many times the
+    rational objective's."""
     nums, den = m._over_lcm([m._ratio(q) for q in coeffs.values()])
-    prog.set_objective(dict(zip(coeffs, nums)))
-    return den
+    return dict(zip(coeffs, nums)), den
 
 
 def rational_duals(sol: lp.LpSolution, row_scales, objective_scale: int) -> tuple[Fraction, ...]:
@@ -460,22 +457,23 @@ def enumerated_obedience_optimum(problem: m.DecisionProblem, weights: dict,
     the definition: one row per adapted pure rule saying that the rule gains
     nothing on average, with no preprocessing of the rows and no duality."""
     support = problem.leaves if support is None else support
-    prog = lp.LinearProgram()
+    prog = FractionProgram()
     gamma = {
         (b, s): prog.add_variable()
         for b in problem.leaves for s in problem.states
     }
-    add_constraint(prog, {n: 1 for n in gamma.values()}, "==", 1)
+    prog.add_constraint({n: 1 for n in gamma.values()}, "==", 1)
     for b in problem.leaves:
         if b not in support:
-            add_constraint(prog, {gamma[b, s]: 1 for s in problem.states}, "==", 0)
+            prog.add_constraint({gamma[b, s]: 1 for s in problem.states}, "==", 0)
     for rule in dv.enumerate_pure_rules(problem):
-        add_constraint(prog, {
+        prog.add_constraint({
             gamma[b, s]: utility(problem, b, s) - utility(problem, problem.leaves[j], s)
             for b, ((j, _),) in zip(problem.leaves, rule.rows) for s in problem.states
         }, ">=", 0)
-    scale = set_rational_objective(prog, {gamma[cell]: w for cell, w in weights.items()})
-    sol = lp.solve(prog)
+    prog.set_objective({gamma[cell]: w for cell, w in weights.items()})
+    program, _, scale = prog.as_lp()
+    sol = lp.solve(program)
     if sol.status == "infeasible":
         return None
     assert sol.status == "optimal"
@@ -488,7 +486,8 @@ def enumerated_obedience_optimum(problem: m.DecisionProblem, weights: dict,
 
 class FractionProgram:
     """A program as `Fraction` rows: each a map from column to nonzero
-    coefficient, a sense and a right-hand side, with no integer form."""
+    coefficient, a sense and a right-hand side, with no integer form.  It
+    is built up in place, and `as_lp` builds its `lp.LinearProgram`."""
 
     def __init__(self) -> None:
         self.variables: list[bool] = []
@@ -510,10 +509,10 @@ class FractionProgram:
         """The same program in integers, each row and the objective times
         the lcm of its denominators, with those factors: the rows', then
         the objective's."""
-        prog = lp.LinearProgram(list(self.variables))
-        scales = [add_constraint(prog, coeffs, sense, rhs)
-                  for coeffs, sense, rhs in self.constraints]
-        return prog, scales, set_rational_objective(prog, self.objective)
+        rows = [rational_row(*row) for row in self.constraints]
+        objective, scale = rational_objective(self.objective)
+        return (lp.LinearProgram(self.variables, [con for con, _ in rows], objective),
+                [den for _, den in rows], scale)
 
 
 def integer_rows(constraints) -> list[tuple[dict, str, int]]:
@@ -793,25 +792,24 @@ def reference_best_joint_deviation(problem: m.DecisionProblem, joint: m.JointDis
     return Fraction(gain, joint.den * uden), rule
 
 
-def polytope_program(poly: lp.DeviationPolytope) -> lp.LinearProgram:
+def polytope_program(poly: lp.DeviationPolytope, objective=()) -> lp.LinearProgram:
     """A program over the whole deviation polytope: kernel entry (i, j) in
-    column i * n + j, and the polytope's rows."""
-    return lp.LinearProgram([False] * (poly.n * poly.n), list(poly.constraints))
+    column i * n + j, the polytope's rows and the int ``objective``."""
+    return lp.LinearProgram([False] * (poly.n * poly.n), poly.constraints, dict(objective))
 
 
 def joint_dominance_optimum(problem: m.DecisionProblem, joint: m.JointDistribution) -> Fraction:
     """Maximum over the deviation polytope of a rule's expected gain under
     ``joint``: the kernel entry (i, j) earns sum_s joint(i, s) (u(j, s) -
     u(i, s)).  One exact LP, with no prefix-pair recursion."""
-    prog = polytope_program(lp.deviation_polytope_constraints(problem.tree))
     leaves, states = problem.leaves, problem.states
     n = len(leaves)
-    scale = set_rational_objective(prog, {
+    objective, scale = rational_objective({
         i * n + j: sum((w * (utility(problem, b, s) - utility(problem, a, s))
-                             for s, w in zip(states, fraction_matrix(joint)[i])), Fraction(0))
+                        for s, w in zip(states, fraction_matrix(joint)[i])), Fraction(0))
         for i, a in enumerate(leaves) for j, b in enumerate(leaves)
     })
-    sol = lp.solve(prog)
+    sol = lp.solve(polytope_program(lp.deviation_polytope_constraints(problem.tree), objective))
     assert sol.status == "optimal"
     return sol.value / scale
 

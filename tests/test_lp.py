@@ -10,7 +10,7 @@ from dynrat import model as m
 from dynrat import rationalize as rz
 
 from conftest import (
-    add_constraint,
+    FractionProgram,
     check_solution,
     fraction_assignment,
     fraction_duals,
@@ -18,7 +18,8 @@ from conftest import (
     polytope_program,
     random_marginal,
     random_problem,
-    set_rational_objective,
+    rational_objective,
+    rational_row,
 )
 
 
@@ -31,64 +32,102 @@ def with_duals(sol, duals):
 
 
 def test_single_variable_box():
-    prog = L.LinearProgram()
-    x = prog.add_variable()
-    add_constraint(prog, {x: 1}, "<=", "3/7")
-    prog.set_objective({x: 1})
+    row, _ = rational_row({0: 1}, "<=", "3/7")
+    prog = L.LinearProgram([False], [row], {0: 1})
     sol = L.solve(prog)
     assert sol.status == "optimal" and sol.value == F(3, 7)
     assert fraction_assignment(sol) == (F(3, 7),)
     # only declared columns may carry a coefficient
     with pytest.raises(m.ValidationError, match="undeclared column 1"):
-        add_constraint(prog, {x: 1, 1: 2}, "<=", 1)
+        L.LinearProgram([False], [row, rational_row({0: 1, 1: 2}, "<=", 1)[0]], {0: 1})
     with pytest.raises(m.ValidationError, match="undeclared column -1"):
-        prog.set_objective({-1: 1})
+        L.LinearProgram([False], [row], {-1: 1})
     with pytest.raises(m.ValidationError, match="undeclared column 'x'"):
-        prog.set_objective({"x": 1})
-    assert len(prog.constraints) == 1 and prog.objective == {x: 1}
+        L.LinearProgram([False], [row], {"x": 1})
+    assert prog.constraints == (row,) and prog.objective == {0: 1}
+
+
+#: Each way bad data could enter a program, and the fault its message
+#: names.  Before programs were checked where they are built, the solver
+#: read column -1 as the last column, "=<" or ">" as "==" and a column kind
+#: such as "no" as free, and failed on the rest with an `IndexError`,
+#: `TypeError` or `AttributeError`.
+BAD_DATA = {
+    "negative column": (lambda: L.LinearProgram(
+        [False, False], [L.Constraint({-1: 1}, "<=", 1)], {1: 1}), "undeclared column -1"),
+    "sense =<": (lambda: L.Constraint({0: -1}, "=<", 1), "bad constraint sense '=<'"),
+    "sense >": (lambda: L.Constraint({0: 1}, ">", 0), "bad constraint sense '>'"),
+    "column past the last": (lambda: L.LinearProgram(
+        [False], [L.Constraint({5: 1}, "<=", 1)], {0: 1}),
+        "constraint references undeclared column 5"),
+    "column not an int": (lambda: L.Constraint({"x": 1}, "<=", 1), "undeclared column 'x'"),
+    "Fraction coefficient": (lambda: L.Constraint({0: F(1, 2)}, "<=", 1),
+                             r"coefficient Fraction\(1, 2\) is not an int"),
+    "float coefficient": (lambda: L.Constraint({0: 0.5}, "<=", 1),
+                          "coefficient 0.5 is not an int"),
+    "bool coefficient": (lambda: L.Constraint({0: True}, "<=", 1),
+                         "coefficient True is not an int"),
+    "Fraction right-hand side": (lambda: L.Constraint({0: 1}, "<=", F(1, 2)),
+                                 r"right-hand side Fraction\(1, 2\) is not an int"),
+    "bool right-hand side": (lambda: L.Constraint({0: 1}, "<=", True),
+                             "right-hand side True is not an int"),
+    "Fraction objective entry": (lambda: L.LinearProgram([False], [], {0: F(1, 2)}),
+                                 r"objective coefficient Fraction\(1, 2\) is not an int"),
+    "undeclared objective column": (lambda: L.LinearProgram([False], [], {1: 1}),
+                                    "objective references undeclared column 1"),
+    "negative objective column": (lambda: L.LinearProgram([False], [], {-1: 1}),
+                                  "objective references undeclared column -1"),
+    "column kind not a bool": (lambda: L.LinearProgram([False, "no"], [], {0: 1}),
+                               r"free \(True\) or not \(False\), not 'no'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_DATA)
+def test_bad_data_is_refused_where_a_program_is_built(case):
+    build, fault = BAD_DATA[case]
+    with pytest.raises(m.ValidationError, match=fault):
+        build()
 
 
 def test_a_program_is_integer_data():
-    # 2x + y <= 3: the row add_constraint makes from x/2 + y/4 <= 3/4 (times
+    # 2x + y <= 3: the row rational_row makes from x/2 + y/4 <= 3/4 (times
     # 4, dropping the zero), solved alike
-    rows = L.LinearProgram([False, False, False])
-    rows.add_row({0: 2, 1: 1}, "<=", 3)
-    parsed = L.LinearProgram([False, False, False])
-    assert add_constraint(parsed, {0: "1/2", 1: F(1, 4), 2: 0}, "<=", "3/4") == 4
-    assert rows.constraints == parsed.constraints == [L.Constraint({0: 2, 1: 1}, "<=", 3)]
-    for prog in (rows, parsed):
-        prog.set_objective({0: 1, 1: 1, 2: 0})
-    assert rows.objective == {0: 1, 1: 1}
+    row, den = rational_row({0: "1/2", 1: F(1, 4), 2: 0}, "<=", "3/4")
+    assert den == 4
+    rows = L.LinearProgram([False, False, False], [L.Constraint({0: 2, 1: 1}, "<=", 3)],
+                           {0: 1, 1: 1, 2: 0})
+    parsed = L.LinearProgram((False, False, False), (row,), {0: 1, 1: 1, 2: 0})
+    assert rows.constraints == parsed.constraints == (L.Constraint({0: 2, 1: 1}, "<=", 3),)
+    assert rows.objective == parsed.objective == {0: 1, 1: 1}
     sol = L.solve(rows)
     assert sol == L.solve(parsed) and sol.value == 3 and fraction_duals(sol) == (1,)
     # the assignment and the duals are held in lowest terms, so equal
     # solutions are equal field by field
     assert sol.integer_assignment == ((0, 3, 0), 1) and sol.integer_duals == ((1,), 1)
     assert L.check_duals(rows, sol)
-    # an undeclared column and a bad sense are refused, and no row is added
+    # an undeclared column and a bad sense are refused
     for coeffs, sense, match in (({0: 1, 3: 1}, "<=", "undeclared column 3"),
                                  ({-1: 1}, "<=", "undeclared column -1"),
                                  ({0: 1}, "<", "bad constraint sense")):
         with pytest.raises(m.ValidationError, match=match):
-            rows.add_row(coeffs, sense, 1)
-    assert len(rows.constraints) == 1
-    # an objective coefficient that is not an int is refused, and the
-    # objective is kept; a rational one is the caller's to scale
+            L.LinearProgram(rows.variables, [*rows.constraints, L.Constraint(coeffs, sense, 1)],
+                            rows.objective)
+    # an objective coefficient that is not an int is refused; a rational
+    # one is the caller's to scale
     for c in (F(1, 2), F(2), "1", "1/2", 1.0, True):
-        with pytest.raises(m.ValidationError, match="must be an int"):
-            rows.set_objective({0: 1, 1: c})
-    assert rows.objective == {0: 1, 1: 1}
-    assert set_rational_objective(rows, {0: "1/2", 1: F(1, 4)}) == 4
-    assert rows.objective == {0: 2, 1: 1} and L.solve(rows).value == 3
+        with pytest.raises(m.ValidationError, match="is not an int"):
+            L.LinearProgram(rows.variables, rows.constraints, {0: 1, 1: c})
+    objective, scale = rational_objective({0: "1/2", 1: F(1, 4)})
+    assert scale == 4 and objective == {0: 2, 1: 1}
+    assert L.solve(L.LinearProgram(rows.variables, rows.constraints, objective)).value == 3
 
 
 def test_symmetric_binding():
-    prog = L.LinearProgram()
-    x, y = prog.add_variable(), prog.add_variable()
-    add_constraint(prog, {x: 1}, "<=", 1)
-    add_constraint(prog, {y: 1}, "<=", 2)
-    add_constraint(prog, {x: 1, y: -1}, "==", 0)
-    prog.set_objective({x: 1, y: 1})
+    x, y = 0, 1
+    prog = L.LinearProgram([False, False], [
+        L.Constraint({x: 1}, "<=", 1),
+        L.Constraint({y: 1}, "<=", 2),
+        L.Constraint({x: 1, y: -1}, "==", 0)], {x: 1, y: 1})
     sol = L.solve(prog)
     assert sol.value == 2
     assert L.check_duals(prog, sol)
@@ -97,14 +136,13 @@ def test_symmetric_binding():
 def test_duals_certify_the_optimum():
     # max 2x + y + z, x + y <= 5, x + z == 2, -y + z >= -3 (stored negated),
     # y >= 1 (a row), z free (split)
-    prog = L.LinearProgram()
-    x, y, z = prog.add_variable(), prog.add_variable(), prog.add_variable(free=True)
-    add_constraint(prog, {x: 1, y: 1}, "<=", 5)
-    add_constraint(prog, {x: 1, z: 1}, "==", 2)
-    add_constraint(prog, {y: -1, z: 1}, ">=", -3)
-    add_constraint(prog, {}, "<=", 4)  # no coefficients: dual 0
-    add_constraint(prog, {y: 1}, ">=", 1)
-    prog.set_objective({x: 2, y: 1, z: 1})
+    x, y, z = 0, 1, 2
+    prog = L.LinearProgram([False, False, True], [
+        L.Constraint({x: 1, y: 1}, "<=", 5),
+        L.Constraint({x: 1, z: 1}, "==", 2),
+        L.Constraint({y: -1, z: 1}, ">=", -3),
+        L.Constraint({}, "<=", 4),  # no coefficients: dual 0
+        L.Constraint({y: 1}, ">=", 1)], {x: 2, y: 1, z: 1})
     sol = L.solve(prog)
     assert sol.value == 7 and len(fraction_duals(sol)) == 5
     assert fraction_duals(sol)[3] == 0
@@ -125,35 +163,24 @@ def test_duals_certify_the_optimum():
 
 
 def test_statuses():
-    prog = L.LinearProgram()
-    x = prog.add_variable()
-    add_constraint(prog, {x: 1}, ">=", 1)
-    add_constraint(prog, {x: 1}, "<=", 0)
-    prog.set_objective({x: 1})
+    prog = L.LinearProgram([False], [L.Constraint({0: 1}, ">=", 1),
+                                     L.Constraint({0: 1}, "<=", 0)], {0: 1})
     assert L.solve(prog).status == "infeasible"
 
-    prog = L.LinearProgram()
-    x = prog.add_variable()
-    prog.set_objective({x: 1})
+    prog = L.LinearProgram([False], [], {0: 1})
     assert L.solve(prog).status == "unbounded"
 
 
 def test_free_variable_and_min():
-    prog = L.LinearProgram()
-    k = prog.add_variable(free=True)
-    a = prog.add_variable()
-    add_constraint(prog, {a: 1}, "<=", 1)
-    add_constraint(prog, {k: 1, a: -1}, "<=", "-1/3")
-    prog.set_objective({k: 1})
+    k, a = 0, 1
+    rows = [rational_row({a: 1}, "<=", 1)[0], rational_row({k: 1, a: -1}, "<=", "-1/3")[0]]
+    prog = L.LinearProgram([True, False], rows, {k: 1})
     assert L.solve(prog).value == F(2, 3)
-    prog.set_objective({k: -1})  # minimize k
+    prog = L.LinearProgram([True, False], rows, {k: -1})  # minimize k
     assert L.solve(prog).status == "unbounded"
 
-    prog = L.LinearProgram()
-    x = prog.add_variable(free=True)
-    add_constraint(prog, {x: 1}, ">=", -2)
-    add_constraint(prog, {x: 1}, "<=", 5)
-    prog.set_objective({x: -1})  # minimize x
+    prog = L.LinearProgram([True], [L.Constraint({0: 1}, ">=", -2),
+                                    L.Constraint({0: 1}, "<=", 5)], {0: -1})  # minimize x
     sol = L.solve(prog)
     assert sol.value == 2 and fraction_assignment(sol) == (-2,)
     assert L.check_duals(prog, sol)
@@ -214,25 +241,25 @@ def _integer_program(rng):
     negated objective."""
     n = rng.randint(1, 4)
     bounds = [(F(rng.randint(-3, 0)), F(rng.randint(1, 4))) for _ in range(n)]
-    prog = L.LinearProgram()
+    prog = FractionProgram()
     cols = []
     for lo, hi in bounds:
         cols.append(prog.add_variable(free=lo < 0))
         if lo:
-            add_constraint(prog, {cols[-1]: 1}, ">=", lo)
-        add_constraint(prog, {cols[-1]: 1}, "<=", hi)
+            prog.add_constraint({cols[-1]: 1}, ">=", lo)
+        prog.add_constraint({cols[-1]: 1}, "<=", hi)
     rows = []
     for _ in range(rng.randint(0, 4)):
         coeff = [F(rng.randint(-3, 3)) for _ in range(n)]
         sense = rng.choice(["<=", ">=", "=="])
         rhs = F(rng.randint(-4, 4), rng.randint(1, 3))
         rows.append((coeff, sense, rhs))
-        add_constraint(prog, dict(zip(cols, coeff)), sense, rhs)
+        prog.add_constraint(dict(zip(cols, coeff)), sense, rhs)
     obj = [rng.randint(-3, 3) for _ in range(n)]
     if rng.choice(["max", "min"]) == "min":
         obj = [-c for c in obj]
     prog.set_objective(dict(zip(cols, obj)))
-    return prog, bounds, rows, obj
+    return prog.as_lp()[0], bounds, rows, obj
 
 
 def test_random_programs_match_vertex_enumeration():
@@ -253,8 +280,9 @@ def test_random_programs_match_vertex_enumeration():
 
 def test_solutions_verify_and_repeat_bit_for_bit(example1):
     poly = L.deviation_polytope_constraints(example1.tree)
-    prog = polytope_program(poly)
-    assert set_rational_objective(prog, {1 * 3 + 0: 1, 2 * 3 + 2: "1/3"}) == 3
+    objective, scale = rational_objective({1 * 3 + 0: 1, 2 * 3 + 2: "1/3"})
+    assert scale == 3
+    prog = polytope_program(poly, objective)
     first = L.solve(prog)
     second = L.solve(prog)
     assert first == second
@@ -319,14 +347,12 @@ def test_polytope_vertices_are_pure_kernels(example1):
         poly = L.deviation_polytope_constraints(problem.tree)
         n = len(problem.leaves)
         for _ in range(12):
-            prog = polytope_program(poly)
             objective = {
                 i * n + j: F(rng.randint(-5, 5), rng.randint(1, 4))
                 for i in range(n)
                 for j in range(n)
             }
-            set_rational_objective(prog, objective)
-            sol = L.solve(prog)
+            sol = L.solve(polytope_program(poly, rational_objective(objective)[0]))
             assert sol.status == "optimal"
             kernel = tuple(fraction_assignment(sol)[i * n:i * n + n] for i in range(n))
             assert kernel in pure_kernels
@@ -390,34 +416,36 @@ def _fractional_program(rng):
         lo = F(rng.randint(-4, 1), rng.randint(1, 3))
         width = F(0) if rng.random() < 0.2 else F(rng.randint(1, 6), 3)
         bounds.append((lo, lo + width))
-    prog = L.LinearProgram()
+    prog = FractionProgram()
     cols = []
     for lo, hi in bounds:
         declared = rng.choice(["lower", "lower", "negated", "none"])
         if declared == "lower":
             cols.append(prog.add_variable(free=lo < 0))
             if lo:
-                add_constraint(prog, {cols[-1]: 1}, ">=", lo)
-            add_constraint(prog, {cols[-1]: 1}, "<=", hi)
+                prog.add_constraint({cols[-1]: 1}, ">=", lo)
+            prog.add_constraint({cols[-1]: 1}, "<=", hi)
         elif declared == "negated":
             cols.append(prog.add_variable(free=True))
-            add_constraint(prog, {cols[-1]: -1}, ">=", -hi)
-            add_constraint(prog, {cols[-1]: 1}, ">=", lo)
+            prog.add_constraint({cols[-1]: -1}, ">=", -hi)
+            prog.add_constraint({cols[-1]: 1}, ">=", lo)
         else:
             cols.append(prog.add_variable(free=True))
-            add_constraint(prog, {cols[-1]: 1}, ">=", lo)
-            add_constraint(prog, {cols[-1]: 1}, "<=", hi)
+            prog.add_constraint({cols[-1]: 1}, ">=", lo)
+            prog.add_constraint({cols[-1]: 1}, "<=", hi)
     rows = []
     for _ in range(rng.randint(0, 4)):
         coeff = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
         sense = rng.choice(["<=", ">=", "=="])
         rhs = F(rng.randint(-4, 4), rng.randint(1, 5))
         rows.append((coeff, sense, rhs))
-        add_constraint(prog, dict(zip(cols, coeff)), sense, rhs)
+        prog.add_constraint(dict(zip(cols, coeff)), sense, rhs)
     obj = [F(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(n)]
     if rng.choice(["max", "min"]) == "min":
         obj = [-c for c in obj]
-    return prog, bounds, rows, obj, set_rational_objective(prog, dict(zip(cols, obj)))
+    prog.set_objective(dict(zip(cols, obj)))
+    program, _, scale = prog.as_lp()
+    return program, bounds, rows, obj, scale
 
 
 def test_fractional_boxes_match_vertex_enumeration():
@@ -484,13 +512,14 @@ def _rescaled(prog, rng):
     def factor():
         return F(rng.choice(LARGE), rng.choice(LARGE))
 
-    out = L.LinearProgram(list(prog.variables))
+    rows = []
     for con in prog.constraints:
         f = factor()
-        add_constraint(out, {k: c * f for k, c in con.coeffs.items()}, con.sense, con.rhs * f)
+        rows.append(rational_row({k: c * f for k, c in con.coeffs.items()}, con.sense,
+                                 con.rhs * f)[0])
     f = factor()
-    set_rational_objective(out, {k: c * f for k, c in prog.objective.items()})
-    return out
+    return L.LinearProgram(prog.variables, rows,
+                           rational_objective({k: c * f for k, c in prog.objective.items()})[0])
 
 
 def _seeded_optima():
@@ -553,11 +582,10 @@ def test_boundary_accepted_and_each_single_row_violation_rejected():
             ({0: 1, 1: F(1, p), 2: 1}, "==")]
 
     def program(moved_row=None, shift=0):
-        prog = L.LinearProgram([False, False, True, False])  # the last is in no row
-        for r, (coeffs, sense) in enumerate(rows):
-            rhs = sum(c * asg[k] for k, c in coeffs.items())
-            add_constraint(prog, coeffs, sense, rhs + (shift if r == moved_row else 0))
-        return prog
+        return L.LinearProgram([False, False, True, False], [  # the last is in no row
+            rational_row(coeffs, sense, sum(c * asg[k] for k, c in coeffs.items())
+                         + (shift if r == moved_row else 0))[0]
+            for r, (coeffs, sense) in enumerate(rows)], {})
 
     assert check_solution(program(), asg)
     for r, (_, sense) in enumerate(rows):
@@ -574,13 +602,12 @@ def test_ratio_test_ties_go_to_the_smallest_basic_column(monkeypatch):
     # At the second pivot three rows tie; the one whose basic column is x
     # leaves, though it is neither the first nor the last of them.  Each
     # choice is the old rule's: the smallest (Fraction step, basic column).
-    prog = L.LinearProgram()
-    x, y, z = prog.add_variable(), prog.add_variable(), prog.add_variable()
-    add_constraint(prog, {x: -2, z: 2}, "<=", 0)
-    add_constraint(prog, {x: 2, y: 2, z: -1}, "<=", 0)
-    add_constraint(prog, {x: -2, y: 2, z: -2}, "<=", 0)
-    add_constraint(prog, {x: 1, y: 1, z: 1}, "<=", 1)
-    prog.set_objective({x: 2, y: 3})
+    x, y, z = 0, 1, 2
+    prog = L.LinearProgram([False, False, False], [
+        L.Constraint({x: -2, z: 2}, "<=", 0),
+        L.Constraint({x: 2, y: 2, z: -1}, "<=", 0),
+        L.Constraint({x: -2, y: 2, z: -2}, "<=", 0),
+        L.Constraint({x: 1, y: 1, z: 1}, "<=", 1)], {x: 2, y: 3})
     pivots = []
     real_pivot = L._Solver._pivot
 

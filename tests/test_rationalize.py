@@ -426,7 +426,7 @@ def test_integer_rows_equal_the_fraction_builders(example2):
             scales = [1] * len(poly.rows_on(inputs)) + [den] * len(gain_rows)
             assert integer_rows(prog.constraints) == times(ref.constraints, scales)
             total = sum(e for _, _, e in m.consistency(p, observed))
-            assert prog.variables == ref.variables
+            assert prog.variables == tuple(ref.variables)
             assert prog.objective == {k: c * total for k, c in ref.objective.items()}
             assert [r for r, _, _ in gain_rows] == list(range(len(poly.rows_on(inputs)),
                                                              len(prog.constraints)))
@@ -512,7 +512,7 @@ def test_the_block_split_is_exact():
         rank = [exact_rank([{**c, rhs: b} for c, sense, b in which if sense == "=="])
                 for which in (rows, ref_rows)]
         assert rank[0] == rank[1]
-        assert prog.variables == ref.variables
+        assert prog.variables == tuple(ref.variables)
         assert prog.objective == {k: c * every_block.den for k, c in ref.objective.items()}
         deep += p.tree.depth == 4
         fewer += len(rows) < len(ref.constraints)

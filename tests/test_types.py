@@ -1,9 +1,11 @@
 """Value semantics of dynrat's types: value types compare and hash by their
 fields however they were built, `Tree` and `DecisionProblem` compare by
-identity, no field can be assigned after construction, and every
-`cached_property` computes once."""
+identity, no field can be assigned after construction, every value copies,
+deep-copies and pickles, and every `cached_property` computes once."""
 
+import copy
 import json
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +18,7 @@ from dynrat import rationalize as rz
 from dynrat import risk as rk
 from dynrat import structures as st
 
-from conftest import PROBLEMS_DIR as PROBLEMS, add_constraint, fraction_matrix
+from conftest import PROBLEMS_DIR as PROBLEMS, fraction_matrix, rational_objective, rational_row
 
 
 def _doc(name: str) -> dict:
@@ -31,10 +33,8 @@ def _copies(p: m.DecisionProblem) -> dict[str, tuple]:
     ii, ip = p.sequence("invest,invest"), p.sequence("invest,pull_back")
     structure = _doc("example1_structure.json")
     strategy = _doc("example1_obedient_strategy.json")
-    prog = L.LinearProgram()
-    x = prog.add_variable()
-    add_constraint(prog, {x: "1/2"}, "<=", "3/4")
-    prog.set_objective({x: 1})
+    prog = L.LinearProgram((False,), (rational_row({0: "1/2"}, "<=", "3/4")[0],),
+                           rational_objective({0: "1/2"})[0])
     rows = L.LinearProgram([False], [L.Constraint({0: 2}, "<=", 3)], {0: 1})
     return {
         "JointDistribution": (
@@ -120,11 +120,24 @@ def test_trees_and_problems_compare_by_identity(example1):
     assert repr(one).startswith("DecisionProblem(tree=Tree(periods=2), states=('good', 'bad')")
 
 
+def _record_types(cls=m.Frozen):
+    """Every `Frozen` type, found by walking the subclasses."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _record_types(sub)
+
+
+def _one_of_each(p: m.DecisionProblem) -> list:
+    """One value of each record type; the types are found by walking
+    `Frozen`'s subclasses, so a new type fails here until it has one."""
+    values = {type(a): a for a, _ in _copies(p).values()}
+    values.update({type(v): v for v in (p, p.tree, p.tree.prefixes)})
+    assert set(values) == set(_record_types()) and len(values) == 16
+    return list(values.values())
+
+
 def test_fields_cannot_be_assigned_or_deleted(example1):
-    values = [a for a, _ in _copies(example1).values() if not isinstance(a, L.LinearProgram)]
-    values += [example1, example1.tree]
-    assert len(values) == 14
-    for value in values:
+    for value in _one_of_each(example1):
         for name in type(value).__match_args__ + ("leaves", "extra"):
             before = getattr(value, name, None)
             with pytest.raises(AttributeError):
@@ -132,12 +145,6 @@ def test_fields_cannot_be_assigned_or_deleted(example1):
             with pytest.raises(AttributeError):
                 delattr(value, name)
             assert getattr(value, name, None) is before
-    # a program is built up in place, and so does not hash
-    prog = L.LinearProgram()
-    prog.objective = {prog.add_variable(): F(1)}
-    assert prog == L.LinearProgram([False], [], {0: 1})
-    with pytest.raises(TypeError):
-        hash(prog)
 
 
 def test_cached_properties_compute_once(example1):
@@ -153,3 +160,28 @@ def test_cached_properties_compute_once(example1):
         assert vars(value)[name] is first and getattr(value, name) is first, name
     # a rule's Fraction kernel is the tests' own view, built when read
     assert fraction_matrix(copies["DeviationRule"][1])[1] == (0, 0, 1)
+
+
+def _round_trips(value) -> dict:
+    return {"copy": copy.copy(value), "deepcopy": copy.deepcopy(value),
+            "pickle": pickle.loads(pickle.dumps(value))}
+
+
+def test_every_record_copies_deep_copies_and_pickles(example1):
+    # to an equal value, apart from the types compared by identity
+    for value in _one_of_each(example1):
+        for how, other in _round_trips(value).items():
+            assert type(other) is type(value) and other is not value, (value, how)
+            assert isinstance(value, (m.Tree, m.DecisionProblem)) or other == value, (value, how)
+    # a tree and a problem compare by identity: a round-tripped example 1,
+    # and its tree, answer as example 1 does
+    tree = example1.tree
+    for how, other in _round_trips(tree).items():
+        assert (other.periods, other.branch_map, other.leaves, other.paths) == (
+            tree.periods, tree.branch_map, tree.leaves, tree.paths), how
+    copies = _copies(example1)
+    observed = [example1.sequence("invest,pull_back"), example1.sequence("invest,invest"),
+                copies["MarginalDistribution"][0], copies["JointDistribution"][0]]
+    want = [rz.decide(example1, o).to_json_dict() for o in observed]
+    for how, problem in _round_trips(example1).items():
+        assert [rz.decide(problem, o).to_json_dict() for o in observed] == want, how
