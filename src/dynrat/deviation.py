@@ -308,19 +308,16 @@ def enumerate_pure_rules(
     The order is the lexicographic product of per-prefix output choices taken
     in tree document order, so repeated calls (and separate processes) agree.
     Raises `SizeGuardError` before materializing anything too large.  The
-    list is built once per tree (`Tree.per_tree`).
+    list is built on every call, so it lives only as long as the caller
+    holds it: `_fold` of the lists of each input run's output leaves, where
+    a one-leaf input lists the leaves it may go to, the output children's
+    lists are joined in order, and the input children's are multiplied out,
+    the first child's choice varying slowest.
     """
     total = count_pure_rules(problem)
     if total > max_rules:
         raise SizeGuardError(total, max_rules)
-    return problem.tree.per_tree(_pure_rules)
-
-
-def _pure_rules(tree: Tree) -> tuple[DeviationRule, ...]:
-    """`_fold` of the lists of each input run's output leaves: a one-leaf
-    input lists the leaves it may go to, the output children's lists are
-    joined in order, and the input children's are multiplied out, the first
-    child's choice varying slowest."""
+    tree = problem.tree
     options = _fold(tree, lambda lo, hi: [(j,) for j in range(lo, hi)],
                     lambda lists: list(chain.from_iterable(lists)),
                     lambda parts: [tuple(chain.from_iterable(c)) for c in product(*parts)])

@@ -607,8 +607,9 @@ class MarginalDistribution(Frozen):
 
 #: What an analyst can observe: one action sequence, as its label (or any
 #: spelling that `Tree.leaf_position` reads), an action-sequence law, or a
-#: joint action-state law.
-Observation = Union[str, MarginalDistribution, JointDistribution]
+#: joint action-state law.  Not a `typing.Union`, which `typing` caches for
+#: the life of the process, keeping this module alive after a re-import.
+Observation = str | MarginalDistribution | JointDistribution
 
 
 def _require_joint_shape(problem: DecisionProblem, joint: JointDistribution) -> None:

@@ -12,7 +12,9 @@ screen.
 
 from __future__ import annotations
 
+import collections
 import functools
+import gc
 import itertools
 import json
 import math
@@ -20,7 +22,7 @@ import random
 import string
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import pytest
 
@@ -44,6 +46,13 @@ def no_problem_file_kept():
     """Each test starts, as a fresh process does, with no problem file kept
     by `cli`, so what a test counts does not depend on the tests before it."""
     cli._LAST_PROBLEM[0] = None
+
+
+def live_instances(kind: type, key: Callable = type) -> collections.Counter:
+    """The instances of ``kind`` (subclasses included) alive after a full
+    collection, counted by ``key``: by type unless told otherwise."""
+    gc.collect()
+    return collections.Counter(key(obj) for obj in gc.get_objects() if isinstance(obj, kind))
 
 
 @pytest.fixture(scope="session")

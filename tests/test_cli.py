@@ -14,7 +14,7 @@ from dynrat import cli, deviation, model, oracle, rationalize
 from dynrat.model import format_rational, load_problem
 
 import parser_corpus
-from conftest import complete_tree_doc
+from conftest import complete_tree_doc, live_instances
 from test_golden import CASES, render
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -722,6 +722,31 @@ def test_import_generates_no_code():
     assert {"dynrat.structures", "dynrat.risk"}.isdisjoint(package)
 
 
+def test_a_re_import_frees_the_previous_one():
+    # a process that drops dynrat from `sys.modules` and imports it again, as
+    # the benchmark's set-up does, keeps only the last import: nothing, such
+    # as a `typing` cache, holds a class of an earlier one
+    script = (
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "for _ in range(4):\n"
+        "    for name in [name for name in sys.modules if name.split('.')[0] == 'dynrat']:\n"
+        "        del sys.modules[name]\n"
+        "    import dynrat, dynrat.cli\n"
+        f"    dynrat.model.load_problem(Path({EX1!r}).read_text())\n"
+        f"sys.path.insert(0, {str(ROOT / 'tests')!r})\n"
+        "from conftest import live_instances\n"
+        "classes = live_instances(type, key=lambda cls: f'{cls.__module__}.{cls.__qualname__}')\n"
+        "print(json.dumps({name: n for name, n in classes.items() if name.startswith('dynrat.')}))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_module_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    classes = json.loads(done.stdout)
+    assert {"dynrat.model.Tree", "dynrat.lp.LinearProgram", "dynrat.cli.UsageError"} <= set(classes)
+    assert {name: n for name, n in classes.items() if n != 1} == {}
+
+
 def test_every_public_name_resolves_to_its_module():
     # the names of `structures` and `risk` are resolved on first access;
     # every name is its module's own object, and a star import takes them all
@@ -1260,6 +1285,30 @@ def test_only_the_last_problem_file_is_kept(capsys, monkeypatch, tmp_path):
         assert code == 0, err
     assert [source for _, source in parses] == [
         path.read_bytes() for path in (first, second, first, second)]
+
+
+def test_a_query_keeps_nothing_beyond_the_kept_problem(capsys):
+    # the pure rules that enumerate-rules lists die with the query, also on
+    # an instance that shares the kept problem's tree
+    # (other tests' data holds rules of its own, so the count is a difference)
+    before = live_instances(deviation.DeviationRule)
+    for path, params, count in ((EX1, [], 15), (EX2, ["--param", "delta=1/2"], 96)):
+        code, out, err = run_cli(capsys, "enumerate-rules", path, *params)
+        assert code == 0 and first_report(out)["result"]["count"] == count, err
+        assert live_instances(deviation.DeviationRule) == before
+        kept, problem, _ = cli._LAST_PROBLEM[0]
+        assert kept == Path(path).read_bytes() and isinstance(problem, model.DecisionProblem)
+
+
+def test_a_query_run_again_builds_nothing_that_stays():
+    # every golden command run a second time in the same process leaves as
+    # many records of each type alive as the first run left
+    def run_all():
+        for argv in CASES.values():
+            render(argv)
+        return live_instances(model.Frozen)
+
+    assert run_all() == run_all()
 
 
 def test_the_library_loader_keeps_nothing():
