@@ -400,11 +400,9 @@ def _run_query(args) -> dict:
         if args.max_rules < 0:
             raise UsageError(f"--max-rules must be at least 0, got {args.max_rules}")
         rules = deviation.enumerate_pure_rules(inst, args.max_rules)
-        rules_enumerated = len(rules)
-        # a pure rule's row is one unit entry: it is shown as its output leaf
-        result = {"count": len(rules), "rules": [
-            {a: r.leaves[row[0][0]] for a, row in zip(r.leaves, r.rows)}
-            for r in rules]}
+        rules_enumerated, leaves = len(rules), inst.leaves
+        result = {"count": rules_enumerated, "rules": [
+            {a: leaves[j] for a, j in zip(leaves, r)} for r in rules]}
         query = _query_echo(args, params)
 
     elif args.command == "simulate":

@@ -14,9 +14,10 @@ integers: each row's nonzero (column, numerator) pairs over one
 denominator, the columns numbering the tree's leaves, which are their
 labels.  Adaptedness is read from the tree's padded paths and their common
 prefixes (`Tree.paths`, `Tree.common`), so no label is split back into
-actions.  A pure rule, as `enumerate_pure_rules`, `identity_rule` and
-`best_joint_deviation` build it, is the same type with one unit entry per
-row.  Every walk over aligned input and output prefixes (counting,
+actions.  A pure rule is each leaf's output leaf, as `enumerate_pure_rules`
+and `best_joint_deviation` give it and `affine_gains` reads it; `pure_rule`
+builds it as the type, with one unit entry per row, where it is a
+certificate.  Every walk over aligned input and output prefixes (counting,
 enumeration, the backward induction) loops over the tree's runs of leaves
 (`model.Prefixes`), level by level.
 """
@@ -146,10 +147,12 @@ class DeviationRule(Frozen):
     Row i, the lottery that leaf i is rewritten into, is ``rows[i]``: its
     nonzero entries as (column, numerator) pairs in column order, over the
     one denominator ``den``.  A pure rule has one ``(j, 1)`` entry per row
-    over den 1.  Construction puts the rows in lowest terms, so equal
-    kernels compare and hash equal however they were built, and validates
-    both stochasticity and adaptedness, the latter on the tree's padded
-    paths (`Tree.paths`, `Tree.common`).  The rule keeps the tree's leaves.
+    over den 1; enumeration gives a pure rule as its output leaves, and
+    `pure_rule` builds one where a certificate is needed.  Construction
+    puts the rows in lowest terms, so equal kernels compare and hash equal
+    however they were built, and validates both stochasticity and
+    adaptedness, the latter on the tree's padded paths (`Tree.paths`,
+    `Tree.common`).  The rule keeps the tree's leaves.
     """
 
     __match_args__ = ("leaves", "rows", "den")
@@ -302,8 +305,9 @@ def best_joint_deviation(
 
 def enumerate_pure_rules(
     problem: DecisionProblem, max_rules: int = DEFAULT_MAX_RULES
-) -> tuple[DeviationRule, ...]:
-    """The complete list of adapted pure rules, in a fixed order.
+) -> tuple[tuple[int, ...], ...]:
+    """The complete list of adapted pure rules, in a fixed order, each as
+    every leaf's output leaf; `pure_rule` builds one as a certificate.
 
     The order is the lexicographic product of per-prefix output choices taken
     in tree document order, so repeated calls (and separate processes) agree.
@@ -317,12 +321,9 @@ def enumerate_pure_rules(
     total = count_pure_rules(problem)
     if total > max_rules:
         raise SizeGuardError(total, max_rules)
-    tree = problem.tree
-    options = _fold(tree, lambda lo, hi: [(j,) for j in range(lo, hi)],
-                    lambda lists: list(chain.from_iterable(lists)),
-                    lambda parts: [tuple(chain.from_iterable(c)) for c in product(*parts)])
-    return tuple(DeviationRule(tree, tuple(((j, 1),) for j in targets), 1)
-                 for targets in options)
+    return tuple(_fold(problem.tree, lambda lo, hi: [(j,) for j in range(lo, hi)],
+                       lambda lists: list(chain.from_iterable(lists)),
+                       lambda parts: [tuple(chain.from_iterable(c)) for c in product(*parts)]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ measure on signal sequences, by backward induction over signal prefixes and
 histories (`_optimal_value`), the re-check of a verdict's certificate (a
 dominating rule, or an obedient joint law whose leaves are the
 recommendations) against its observation (`verify_witness`), and a
-brute-force obedience check that loops over every pure deviation rule.
+brute-force obedience check over every pure rule's output leaves.
 Laws and payoffs are read as their integers.  The module reaches neither
 `rationalize` nor `lp`.  The test suite plays these against the LP-based
 procedures; agreement is the package's main internal consistency guarantee.
@@ -128,14 +128,14 @@ def brute_force_rationalizable_joint(
     problem: DecisionProblem, joint: JointDistribution, max_rules: int = DEFAULT_MAX_RULES
 ) -> bool:
     """Obedience by exhaustion: no pure deviation rule gains on average.
-    Each rule's row i is one unit entry, whose column is the leaf that i
-    is rewritten into; the gain is summed over the law's integer cells and
+    Enumeration gives each rule as the leaf that each leaf i is rewritten
+    into; the gain is summed over the law's integer cells and
     `integer_payoffs`, whose positive denominators leave its sign as it is."""
     _require_joint_shape(problem, joint)
     table, _ = problem.integer_payoffs
     width = len(problem.states)
     cells = [(k // width, k % width, x) for k, x in enumerate(joint.cells) if x]
-    for rule in enumerate_pure_rules(problem, max_rules):
-        if sum(x * (table[i][s] - table[rule.rows[i][0][0]][s]) for i, s, x in cells) < 0:
+    for targets in enumerate_pure_rules(problem, max_rules):
+        if sum(x * (table[i][s] - table[targets[i]][s]) for i, s, x in cells) < 0:
             return False
     return True

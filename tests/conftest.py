@@ -475,10 +475,10 @@ def enumerated_obedience_optimum(problem: m.DecisionProblem, weights: dict,
     for b in problem.leaves:
         if b not in support:
             prog.add_constraint({gamma[b, s]: 1 for s in problem.states}, "==", 0)
-    for rule in dv.enumerate_pure_rules(problem):
+    for targets in dv.enumerate_pure_rules(problem):
         prog.add_constraint({
             gamma[b, s]: utility(problem, b, s) - utility(problem, problem.leaves[j], s)
-            for b, ((j, _),) in zip(problem.leaves, rule.rows) for s in problem.states
+            for b, j in zip(problem.leaves, targets) for s in problem.states
         }, ">=", 0)
     prog.set_objective({gamma[cell]: w for cell, w in weights.items()})
     program, _, scale = prog.as_lp()

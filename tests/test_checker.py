@@ -4,8 +4,10 @@ It judges a verdict's witness by its own rule arithmetic and its own
 backward induction, and a `maxprob` value against a SciPy float LP over its
 own pure-rule enumeration.  The checker is imported by path, and a short
 adapter (`_op`) builds its `Problem` and `Op` from a report's own
-``problem`` and ``query``.  `identify` reports stay out: the checker
-re-solves their samples with SciPy at every piece."""
+``problem`` and ``query``.  Random `identify` reports stay out: the
+checker re-solves their samples with SciPy at every piece.  The altered
+copies that `bench/selftest.py` makes of one round of each workload's
+reports must each be rejected."""
 
 from __future__ import annotations
 
@@ -167,3 +169,30 @@ def test_maxprob_values_pass_the_float_checker(tmp_path):
     tampered["result"]["value"] = "3/4" if tampered["result"]["value"] != "3/4" else "1/2"
     assert checker.check_report(_op(tampered), tampered) == [
         "maxprob value disagrees with the HiGHS float LP"]
+
+
+def test_the_checker_rejects_each_selftest_alteration(tmp_path, monkeypatch):
+    # bench/selftest.py's altered copies of one round of every workload's
+    # reports, the round's problem files written here and each query run
+    # through `cli.run`: every genuine report passes, and each altered copy,
+    # checked on its own, is rejected.  Without SciPy the maxprob and
+    # identify ops stay out, as the checker re-solves them with it
+    monkeypatch.setattr(sys, "path", list(sys.path))  # selftest prepends bench/ and src/
+    selftest = _load("selftest")
+    scipy = importlib.util.find_spec("scipy") is not None
+    seen = set()
+    for workload in ("sequence", "joint", "identify"):
+        ops, files = workloads.build(workload, 7, 1)
+        ops = [op for op in ops if op.case.startswith("r0-")
+               and (scipy or op.command not in ("maxprob", "identify"))]
+        for name, problem in files.items():
+            workloads.write_problem(tmp_path / name, problem)
+        reports = [_run(op.argv(tmp_path)) for op in ops]
+        assert checker.check_all(ops, reports) == [], workload
+        for op, report in zip(ops, reports):
+            for what, bad in selftest.alterations(op, report):
+                assert checker.check_report(op, bad) != [], (workload, op.case, what)
+                seen.add(what)
+    kinds = {"deviation rule to the identity", "deviation rule weight", "obedient triple"}
+    assert seen == kinds | ({"maxprob value", "interval tags", "interval endpoint"}
+                            if scipy else set())

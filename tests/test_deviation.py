@@ -6,10 +6,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from dynrat import cli
 from dynrat import deviation as dv
 from dynrat import model as m
+from dynrat import oracle as oc
 
 from conftest import (
+    PROBLEMS_DIR,
     complete_tree_doc,
     compose,
     fraction_matrix,
@@ -79,20 +82,47 @@ def test_enumeration_counts(example1, example2):
 
 
 def test_enumeration_properties(example1):
-    rules = dv.enumerate_pure_rules(example1)
-    assert len(set(r.rows for r in rules)) == len(rules)
-    assert all(r.den == 1 and all(len(row) == 1 for row in r.rows) for r in rules)
-    assert sum(1 for r in rules if r == dv.identity_rule(example1)) == 1
-    for r in rules:
-        assert dv.is_adapted(example1, fraction_matrix(r))
+    # each rule is every leaf's output leaf, as a tuple of ints
+    rules, leaves = dv.enumerate_pure_rules(example1), example1.leaves
+    assert len(set(rules)) == len(rules)
+    assert all(type(t) is tuple and len(t) == len(leaves) and {type(j) for j in t} == {int}
+               for t in rules)
+    assert rules.count(tuple(range(len(leaves)))) == 1
+    for t in rules:
+        assert dv.is_adapted(example1, {a: leaves[j] for a, j in zip(leaves, t)})
     assert dv.enumerate_pure_rules(example1) == rules  # stable order
 
 
 def test_enumeration_matches_reference_count():
+    # the tuples are distinct, the identity is among them, and each builds
+    # through `pure_rule`, which checks that it is an adapted pure rule
     rng = random.Random(23)
     for _ in range(25):
         p = random_problem(rng, max_rules=250)
-        assert len(dv.enumerate_pure_rules(p)) == reference_rule_count(p)
+        rules = dv.enumerate_pure_rules(p)
+        assert len(rules) == len(set(rules)) == reference_rule_count(p)
+        assert tuple(range(len(p.leaves))) in rules
+        for targets in rules:
+            assert dv.pure_rule(p, targets).rows == tuple(((j, 1),) for j in targets)
+
+
+def test_enumeration_builds_no_rule_objects(monkeypatch, capsys):
+    # enumerate-rules and the brute-force oracle read each rule's output
+    # leaves alone, so neither builds a `DeviationRule`
+    built, init = [], dv.DeviationRule.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(dv.DeviationRule, "__init__", counted)
+    example2 = str(PROBLEMS_DIR / "example2.json")
+    assert cli.run(["enumerate-rules", example2, "--param", "delta=1/2"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["count"] == 96
+    rng = random.Random(29)
+    p = random_problem(rng)
+    oc.brute_force_rationalizable_joint(p, random_joint(rng, p))
+    assert built == []
 
 
 def test_size_guard(example2):

@@ -318,8 +318,8 @@ def test_polytope_membership(example1, example2):
     for problem in (example1, example2):
         prog = polytope_program(L.deviation_polytope_constraints(problem.tree))
         n = len(problem.leaves)
-        for rule in dv.enumerate_pure_rules(problem):
-            mat = fraction_matrix(rule)
+        for targets in dv.enumerate_pure_rules(problem):
+            mat = fraction_matrix(dv.pure_rule(problem, targets))
             asg = [mat[i][j] for i in range(n) for j in range(n)]
             assert check_solution(prog, asg)
             i, j = rng.randrange(n), rng.randrange(n)
@@ -343,7 +343,8 @@ def test_polytope_vertices_are_pure_kernels(example1):
     problems = [example1] + [
         random_problem(rng, min_leaves=4, max_rules=250) for _ in range(6)]
     for problem in problems:
-        pure_kernels = {fraction_matrix(r) for r in dv.enumerate_pure_rules(problem)}
+        pure_kernels = {fraction_matrix(dv.pure_rule(problem, t))
+                        for t in dv.enumerate_pure_rules(problem)}
         poly = L.deviation_polytope_constraints(problem.tree)
         n = len(problem.leaves)
         for _ in range(12):

@@ -333,12 +333,12 @@ def test_one_rule_is_one_value_whichever_constructor_built_it(example3):
     mapped = dv.DeviationRule.from_mapping(p, {
         "no_effort,_": "no_effort", "effort,no_effort": {"no_effort,_": "1"},
         "effort,effort": {"effort,effort": "0", "no_effort": "3/3"}})
-    stay_out = ((p.tree.leaf_position("no_effort"), 1),)
-    enumerated = [r for r in dv.enumerate_pure_rules(p) if set(r.rows) == {stay_out}]
+    stay_out = p.tree.leaf_position("no_effort")
+    enumerated = [dv.pure_rule(p, t) for t in dv.enumerate_pure_rules(p) if set(t) == {stay_out}]
     copies = [from_lp, mapped, *enumerated]
     assert len(copies) == 3 and all(c == from_lp for c in copies)
     assert len({hash(c) for c in copies}) == 1
-    assert (from_lp.rows, from_lp.den) == ((stay_out,) * 3, 1)
+    assert (from_lp.rows, from_lp.den) == ((((stay_out, 1),),) * 3, 1)
 
 
 def test_one_mixed_rule_is_one_value_whichever_constructor_built_it(example2):
@@ -651,7 +651,8 @@ def test_every_spelling_of_a_sequence_is_its_label(example1, example2, example, 
     for p in problems:
         verdict = rz.decide(p, label)
         verdicts.add(verdict.rationalizable)
-        rules = [*dv.enumerate_pure_rules(p), *[verdict.witness][:not verdict.rationalizable]]
+        rules = [*(dv.pure_rule(p, t) for t in dv.enumerate_pure_rules(p)),
+                 *[verdict.witness][:not verdict.rationalizable]]
         want = (m.consistency(p, label), verdict.to_json_dict(),
                 [dv.dominates(p, r, label) for r in rules], rz.max_positive_marginal(p, label),
                 oc.verify_witness(p, verdict.witness, label))
